@@ -207,8 +207,7 @@ def _render_json(report: RunReport, top: int, trace: bool, dump: bool) -> str:
     }
     if trace:
         doc["trace"] = [
-            {"stage": r.stage, "set": r.set_signature, "subject": r.subject,
-             "rule": r.rule, "note": r.note}
+            {"stage": r.stage, "subject": r.subject, "rule": r.rule, "note": r.note}
             for r in report.trace
         ]
     if dump:

@@ -29,7 +29,7 @@ class GenerationConfig:
     feature_tolerance: float = 0.25
     # reference: preferring a pronoun over a description for known referents
     pronoun_bonus: float = 2.0
-    # aggregation guard: cartesian product size limit
+    # aggregation guard: limit on the product of surviving candidates
     set_cap: int = 10000
     # final ranking: score = pw*set + fw*freq - rp*repeats - ltb*length
     pipeline_weight: float = 1.0

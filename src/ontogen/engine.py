@@ -9,7 +9,7 @@ from .knowledge import KnowledgeBase
 from .pipeline import SelectionResult, TraceRecord, run_lexical_selection
 from .realizer import MorphTables, bundled_morphology, realize
 from .selector import FrequencyTable, ScoredSentence, bundled_frequency, rank
-from .solution import CandidateSolution, build_solution
+from .solution import build_solution
 from .tmr import Tmr
 
 
@@ -18,7 +18,6 @@ class RunReport:
     sentences: list[ScoredSentence]
     counts: dict[str, int]
     trace: list[TraceRecord]
-    solutions: list[CandidateSolution]
     selection: SelectionResult
     messages: list[str] = field(default_factory=list)
 
@@ -35,12 +34,11 @@ def generate(tmr: Tmr, kb: KnowledgeBase, config: GenerationConfig | None = None
     selection = run_lexical_selection(tmr, kb, config, context)
     solutions = []
     for cs in selection.sets:
-        solution = build_solution(cs, tmr, kb, selection.units)
+        solution = build_solution(cs, tmr, selection.units)
         realize(solution, morph)
         solutions.append(solution)
     sentences = rank(solutions, tmr, freq, config, history)
     counts = dict(selection.counts)
     counts["sentences"] = len(sentences)
     return RunReport(sentences=sentences, counts=counts, trace=selection.trace,
-                     solutions=solutions, selection=selection,
-                     messages=list(selection.messages))
+                     selection=selection, messages=list(selection.messages))

@@ -49,13 +49,5 @@ class AllSetsPruned(OntogenError):
         super().__init__(message)
 
 
-class UnboundVariable(OntogenError):
-    """A syn-struc variable needed by the surface plan has no filler."""
-
-
 class EmptySolution(OntogenError):
     """A solution produced no tokens to realize."""
-
-
-class NoCandidates(OntogenError):
-    """The selector was asked to rank an empty candidate list."""

@@ -296,12 +296,6 @@ class LexSense:
         """var index -> property name for every variable binding."""
         return {v.var: prop for prop, v in self.sem_struc.slots.items() if isinstance(v, VarBinding)}
 
-    def node_for(self, var: int) -> SynNode | None:
-        for node in self.syn_struc:
-            if node.var == var:
-                return node
-        return None
-
     def binding_word(self, var: int) -> str | None:
         """The example-bindings word recorded for a variable, if any."""
         for word, idx in self.example_bindings:
@@ -324,22 +318,16 @@ class LexSense:
 
 
 class Lexicon:
-    """Sense store indexed by head concept and by headword."""
+    """Sense store indexed by head concept."""
 
     def __init__(self, senses: dict[str, LexSense]):
         self.senses = senses
         self.by_head: dict[str, list[str]] = {}
-        self.by_headword: dict[str, list[str]] = {}
         for sid in sorted(senses):
-            sense = senses[sid]
-            self.by_head.setdefault(sense.sem_struc.head, []).append(sid)
-            self.by_headword.setdefault(sense.headword, []).append(sid)
+            self.by_head.setdefault(senses[sid].sem_struc.head, []).append(sid)
 
     def __len__(self) -> int:
         return len(self.senses)
-
-    def sense(self, sid: str) -> LexSense:
-        return self.senses[sid]
 
     def senses_by_head_concept(self, concept: str) -> list[LexSense]:
         """All senses whose sem-struc head is exactly this concept, by sense id."""

@@ -1,14 +1,18 @@
 """Lexical selection: from a meaning representation to scored candidate sets.
 
-Six stages run in a fixed order: extract candidate senses per frame,
-manage referring expressions, aggregate the cartesian product into
-candidate sets, prune semantically (with an additive score ledger),
-prune syntactically, and expand synonyms. Every score delta and every
-exclusion is recorded, so a set's score is fully explained by its ledger.
+Six stages run in a fixed order: extract candidate senses per unit,
+manage referring expressions, prune semantically (with an additive score
+ledger), prune syntactically, aggregate the surviving candidates into
+candidate sets, and expand synonyms. Every pruning rule reads one candidate
+and its own frame, so each candidate is scored and checked once, and only
+survivors are combined. Every score delta and every exclusion is recorded,
+so a set's score is fully explained by its ledger.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass, field, replace
 
 from .config import GenerationConfig
@@ -63,7 +67,10 @@ class CandidateSense:
     decoration: ReferenceDecoration | None = None
     lemma_override: str | None = None
     proper: bool = False
-    ledger: tuple[LedgerEntry, ...] = ()
+    ledger: tuple[LedgerEntry, ...] = ()  # reference-stage entries
+    semantic: tuple[LedgerEntry, ...] = ()  # set by prune_semantic
+    uncovered: tuple[LedgerEntry, ...] = ()  # set by prune_semantic
+    passive: bool = False  # set by prune_syntactic: stands only in the passive
 
     @property
     def lemma(self) -> str:
@@ -114,9 +121,6 @@ class CandidateSet:
     def signature(self) -> str:
         return " ".join(f"{key}={choice.describe()}" for key, choice in self.choices.items())
 
-    def add(self, unit_key: str, rule: str, delta: float, note: str = "") -> None:
-        self.ledger.append((unit_key, LedgerEntry(rule=rule, delta=delta, note=note)))
-
     def clone(self) -> CandidateSet:
         copy = CandidateSet(choices=dict(self.choices), ledger=list(self.ledger),
                             voice=self.voice)
@@ -126,7 +130,6 @@ class CandidateSet:
 @dataclass(frozen=True)
 class TraceRecord:
     stage: str
-    set_signature: str
     subject: str
     rule: str
     note: str = ""
@@ -358,48 +361,7 @@ def manage_reference(units: list[Unit], tmr: Tmr, kb: KnowledgeBase,
 
 
 # ---------------------------------------------------------------------------
-# stage 3: aggregate into candidate sets
-
-def aggregate_sets(units: list[Unit], config: GenerationConfig) -> tuple[list[CandidateSet], list[str]]:
-    """Cartesian product, one candidate per unit, truncated at the cap."""
-    messages: list[str] = []
-    total = 1
-    for unit in units:
-        total *= max(len(unit.candidates), 1)
-    if total > config.set_cap:
-        messages.append(f"candidate product {total} exceeds cap {config.set_cap}; truncated")
-
-    sets: list[CandidateSet] = []
-    indexes = [0] * len(units)
-    while True:
-        choices = {}
-        for unit, idx in zip(units, indexes):
-            if unit.candidates:
-                choices[unit.key] = unit.candidates[idx]
-        cs = CandidateSet(choices=choices)
-        for key, choice in choices.items():
-            for entry in choice.ledger:
-                cs.ledger.append((key, entry))
-        sets.append(cs)
-        if len(sets) >= config.set_cap:
-            break
-        pos = len(units) - 1
-        while pos >= 0:
-            if not units[pos].candidates:
-                pos -= 1
-                continue
-            indexes[pos] += 1
-            if indexes[pos] < len(units[pos].candidates):
-                break
-            indexes[pos] = 0
-            pos -= 1
-        if pos < 0:
-            break
-    return sets, messages
-
-
-# ---------------------------------------------------------------------------
-# stage 4: semantic pruning and scoring
+# stage 3: semantic pruning and scoring
 
 def _constraint_text(constraint: Constraint) -> str:
     from .knowledge import ConceptConstraint, LiteralConstraint
@@ -428,7 +390,7 @@ _DEGREE_RULES = {
 }
 
 
-def _score_binding(cs: CandidateSet, choice: CandidateSense, frame: TmrFrame,
+def _score_binding(entries: list[LedgerEntry], choice: CandidateSense, frame: TmrFrame,
                    prop: str, binding: VarBinding, kb: KnowledgeBase,
                    config: GenerationConfig) -> str | None:
     filler = frame.get(prop)
@@ -446,13 +408,13 @@ def _score_binding(cs: CandidateSet, choice: CandidateSense, frame: TmrFrame,
     hit = _DEGREE_RULES.get(degree)
     if hit:
         rule, attr = hit
-        cs.add(choice.unit_key, rule, getattr(config, attr),
-               f"{prop} {concept} matches at degree {degree.name.lower()}")
+        entries.append(LedgerEntry(rule, getattr(config, attr),
+                                   f"{prop} {concept} matches at degree {degree.name.lower()}"))
     return None
 
 
-def _score_feature(cs: CandidateSet, choice: CandidateSense, prop: str,
-                   declared: float, actual, config: GenerationConfig) -> str | None:
+def _score_feature(entries: list[LedgerEntry], prop: str, declared: float, actual,
+                   config: GenerationConfig) -> str | None:
     if not isinstance(actual, (int, float)):
         return None
     dist = abs(float(actual) - declared)
@@ -460,13 +422,13 @@ def _score_feature(cs: CandidateSet, choice: CandidateSense, prop: str,
         return f"{prop} {declared:g} is too far from the specified {float(actual):g}"
     bonus = int(round((1.0 - dist / config.feature_tolerance) * config.feature_bonus))
     if bonus:
-        cs.add(choice.unit_key, "feature-match", bonus,
-               f"{prop} {declared:g} within tolerance of {float(actual):g}")
+        entries.append(LedgerEntry("feature-match", bonus,
+                                   f"{prop} {declared:g} within tolerance of {float(actual):g}"))
     return None
 
 
-def _score_assertion(cs: CandidateSet, choice: CandidateSense, frame: TmrFrame,
-                     prop: str, constraint: Constraint, kb: KnowledgeBase,
+def _score_assertion(entries: list[LedgerEntry], frame: TmrFrame, prop: str,
+                     constraint: Constraint, kb: KnowledgeBase,
                      config: GenerationConfig) -> str | None:
     value = frame.get(prop)
     if value is None:
@@ -475,15 +437,17 @@ def _score_assertion(cs: CandidateSet, choice: CandidateSense, frame: TmrFrame,
     if filler is None:
         filler = value
     if kb.ontology.satisfies(filler, constraint):
-        cs.add(choice.unit_key, "content-match", config.exact_bonus,
-               f"asserted {prop} {_constraint_text(constraint)} is present in the meaning")
+        entries.append(LedgerEntry(
+            "content-match", config.exact_bonus,
+            f"asserted {prop} {_constraint_text(constraint)} is present in the meaning"))
         return None
     return f"asserts {prop} {_constraint_text(constraint)} but the meaning has {filler}"
 
 
-def _score_modifier(cs: CandidateSet, choice: CandidateSense, value,
+def _score_modifier(entries: list[LedgerEntry], choice: CandidateSense, unit: Unit,
                     config: GenerationConfig) -> str | None:
-    slot = choice.sense.sem_struc.slots.get(cs_prop := choice.unit_key.split("/", 1)[1])
+    slot = choice.sense.sem_struc.slots.get(unit.prop)
+    value = unit.value
     if isinstance(slot, float) and isinstance(value, (int, float)):
         dist = abs(float(value) - slot)
     elif isinstance(slot, RangeConstraint) and isinstance(value, (int, float)):
@@ -492,84 +456,88 @@ def _score_modifier(cs: CandidateSet, choice: CandidateSense, value,
     else:
         dist = 0.0
     if dist > config.feature_tolerance + 1e-9:
-        return f"{cs_prop} value {value} is outside the sense's range"
+        return f"{unit.prop} value {value} is outside the sense's range"
     bonus = int(round((1.0 - dist / config.feature_tolerance) * config.feature_bonus))
     if bonus:
-        cs.add(choice.unit_key, "feature-match", bonus,
-               f"{cs_prop} {value} fits the modifier")
+        entries.append(LedgerEntry("feature-match", bonus, f"{unit.prop} {value} fits the modifier"))
     return None
 
 
-def _uncovered_slots(cs: CandidateSet, units_by_frame: dict[str, list[Unit]],
-                     tmr: Tmr, config: GenerationConfig) -> None:
-    for frame in tmr.frames:
-        choice = cs.choices.get(frame.instance_id)
-        if choice is None:
-            continue
-        mentioned = set(choice.sense.sem_struc.slots)
-        for unit in units_by_frame.get(frame.instance_id, ()):
-            if unit.kind == "modifier" and unit.key in cs.choices:
-                mentioned.add(unit.prop)
-        for prop in frame.slots:
-            if prop in RESERVED_SLOTS or prop.endswith("-OF") or prop in mentioned:
-                continue
-            cs.add(frame.instance_id, "uncovered-slot", -config.uncovered_penalty,
-                   f"{prop} is not expressed by {choice.sense.id}")
+def _score_candidate(entries: list[LedgerEntry], choice: CandidateSense, unit: Unit,
+                     tmr: Tmr, kb: KnowledgeBase,
+                     config: GenerationConfig) -> tuple[str, str] | None:
+    """Append the choice's score entries; return (rule, reason) when it
+    asserts content the meaning lacks or contradicts."""
+    if unit.kind == "modifier":
+        reason = _score_modifier(entries, choice, unit, config)
+        return ("feature-mismatch", reason) if reason else None
+    frame = tmr.by_id[choice.frame_id]
+    kind = "argument-mismatch" if choice.sense.is_argument_taking else "content-mismatch"
+    for prop, slot in choice.sense.sem_struc.slots.items():
+        if isinstance(slot, VarBinding):
+            reason = _score_binding(entries, choice, frame, prop, slot, kb, config)
+            rule = kind
+        elif isinstance(slot, float):
+            reason = _score_feature(entries, prop, slot, frame.get(prop), config)
+            rule = "feature-mismatch"
+        else:
+            reason = _score_assertion(entries, frame, prop, slot, kb, config)
+            rule = kind
+        if reason:
+            return rule, reason
+    return None
 
 
-def prune_semantic(sets: list[CandidateSet], units: list[Unit], tmr: Tmr,
-                   kb: KnowledgeBase, config: GenerationConfig,
-                   trace: list[TraceRecord]) -> list[CandidateSet]:
-    """Kill sets whose senses assert content the meaning lacks or contradicts;
-    bonus exact/narrow/default matches and in-tolerance feature values."""
-    units_by_frame: dict[str, list[Unit]] = {}
+def _uncovered_slots(choice: CandidateSense, frame: TmrFrame, modifier_props: set[str],
+                     config: GenerationConfig) -> tuple[LedgerEntry, ...]:
+    mentioned = set(choice.sense.sem_struc.slots) | modifier_props
+    return tuple(LedgerEntry("uncovered-slot", -config.uncovered_penalty,
+                             f"{prop} is not expressed by {choice.sense.id}")
+                 for prop in frame.slots
+                 if prop not in RESERVED_SLOTS and not prop.endswith("-OF")
+                 and prop not in mentioned)
+
+
+def _exclude(trace: list[TraceRecord], stage: str, choice: CandidateSense,
+             rule: str, note: str) -> None:
+    record = TraceRecord(stage=stage, subject=f"{choice.unit_key}/{choice.sense.id}",
+                         rule=rule, note=note)
+    # copies of one sense that differ only in reference decoration fail alike
+    if record not in trace:
+        trace.append(record)
+
+
+def prune_semantic(units: list[Unit], tmr: Tmr, kb: KnowledgeBase,
+                   config: GenerationConfig, trace: list[TraceRecord]) -> list[Unit]:
+    """Score each candidate once: exclude senses that assert content the
+    meaning lacks or contradicts; bonus exact/narrow/default matches and
+    in-tolerance feature values; penalize frame slots nothing expresses."""
+    modifier_props: dict[str, set[str]] = {}
     for unit in units:
-        units_by_frame.setdefault(unit.frame_id, []).append(unit)
+        if unit.kind == "modifier":
+            modifier_props.setdefault(unit.frame_id, set()).add(unit.prop)
 
-    survivors: list[CandidateSet] = []
-    for cs in sets:
-        failure: tuple[str, str, str] | None = None
-        for key, choice in cs.choices.items():
-            unit_kind_mod = "/" in key
-            if unit_kind_mod:
-                value = next(u.value for u in units if u.key == key)
-                reason = _score_modifier(cs, choice, value, config)
-                if reason:
-                    failure = (f"{key}/{choice.sense.id}", "feature-mismatch", reason)
-                    break
-                continue
-            frame = tmr.by_id[choice.frame_id]
-            kind = "argument-mismatch" if choice.sense.is_argument_taking else "content-mismatch"
-            for prop, slot in choice.sense.sem_struc.slots.items():
-                if isinstance(slot, VarBinding):
-                    reason = _score_binding(cs, choice, frame, prop, slot, kb, config)
-                    rule = kind
-                elif isinstance(slot, float):
-                    reason = _score_feature(cs, choice, prop, slot, frame.get(prop), config)
-                    rule = "feature-mismatch"
-                else:
-                    reason = _score_assertion(cs, choice, frame, prop, slot, kb, config)
-                    rule = kind
-                if reason:
-                    failure = (f"{choice.frame_id}/{choice.sense.id}", rule, reason)
-                    break
+    out: list[Unit] = []
+    for unit in units:
+        kept = []
+        for choice in unit.candidates:
+            entries: list[LedgerEntry] = []
+            failure = _score_candidate(entries, choice, unit, tmr, kb, config)
             if failure:
-                break
-        if failure:
-            subject, rule, reason = failure
-            trace.append(TraceRecord(stage="semantic", set_signature=cs.signature(),
-                                     subject=subject, rule=rule, note=reason))
-            continue
-        _uncovered_slots(cs, units_by_frame, tmr, config)
-        survivors.append(cs)
-    if not survivors:
+                _exclude(trace, "semantic", choice, *failure)
+                continue
+            uncovered = () if unit.kind == "modifier" else _uncovered_slots(
+                choice, tmr.by_id[unit.frame_id], modifier_props.get(unit.frame_id, set()), config)
+            kept.append(replace(choice, semantic=tuple(entries), uncovered=uncovered))
+        out.append(replace(unit, candidates=kept))
+    if not all(unit.candidates for unit in out):
         raise AllSetsPruned("every candidate set was excluded on semantic grounds",
                             trace=trace)
-    return survivors
+    return out
 
 
 # ---------------------------------------------------------------------------
-# stage 5: syntactic pruning
+# stage 4: syntactic pruning
 
 _SPEAKER_ROOTS = {"i", "me", "myself"}
 _HEARER_ROOTS = {"you", "yourself"}
@@ -587,21 +555,23 @@ def _participant_ok(sense: LexSense, node: SynNode, bound_frame: TmrFrame, tmr: 
     return True
 
 
-def _check_syntax(cs: CandidateSet, choice: CandidateSense, tmr: Tmr,
-                  frame_has_mods: dict[str, bool]) -> tuple[str, str] | None:
-    """Return (rule, reason) when this choice cannot stand, else None."""
+def _check_syntax(choice: CandidateSense, tmr: Tmr,
+                  modified_frames: set[str]) -> tuple[tuple[str, str] | None, bool]:
+    """Return ((rule, reason), False) when this choice cannot stand, else
+    (None, passive), where passive says it stands only in the passive."""
     sense = choice.sense
     frame = tmr.by_id[choice.frame_id]
 
-    if choice.is_pronoun and frame_has_mods.get(choice.frame_id):
+    if choice.is_pronoun and choice.frame_id in modified_frames:
         ref = sense.reference
         if ref is None or ref.person == 3:
             return ("pronoun-with-modifiers",
-                    "a modified referent cannot be realized as a pronoun")
+                    "a modified referent cannot be realized as a pronoun"), False
 
     if not sense.is_argument_taking:
-        return None
+        return None, False
 
+    passive = False
     bound = sense.bound_roles
     transitive = any(n.category == "directobject" for n in sense.syn_struc)
     for node in sense.syn_struc:
@@ -611,53 +581,78 @@ def _check_syntax(cs: CandidateSet, choice: CandidateSense, tmr: Tmr,
         if prop is None:
             if node.roots or node.optional:
                 continue
-            return ("unfillable", f"{node.category} $var{node.var} has no meaning to express")
+            return ("unfillable", f"{node.category} $var{node.var} has no meaning to express"), False
         filler = frame.get(prop)
         if filler is None:
             if node.optional:
                 continue
             if prop == "AGENT" and node.category == "subj" and transitive \
                     and frame.get("THEME") is not None:
-                cs.voice = "passive"
+                passive = True
                 continue
             return ("unfillable",
-                    f"{node.category} $var{node.var} needs {prop}, absent from the meaning")
+                    f"{node.category} $var{node.var} needs {prop}, absent from the meaning"), False
         if isinstance(filler, InstanceRef) and node.roots:
             target = tmr.frame(filler.id)
             if target is not None and not _participant_ok(sense, node, target, tmr):
                 return ("participant-mismatch",
-                        f"fixed word {sense.root_choice(node)!r} does not fit {filler.id}")
+                        f"fixed word {sense.root_choice(node)!r} does not fit {filler.id}"), False
     if frame.get("THEME") is not None and "THEME" not in sense.sem_struc.slots:
         return ("unhosted-theme",
-                f"the meaning has a THEME that {sense.id} cannot host")
-    return None
+                f"the meaning has a THEME that {sense.id} cannot host"), False
+    return None, passive
 
 
-def prune_syntactic(sets: list[CandidateSet], units: list[Unit], tmr: Tmr,
-                    kb: KnowledgeBase, config: GenerationConfig,
-                    trace: list[TraceRecord]) -> list[CandidateSet]:
-    """Kill sets in which an obligatory syntactic slot cannot be filled, a
-    supplied argument cannot be hosted, or a modified referent is pronominal."""
-    frame_has_mods = {u.frame_id: True for u in units if u.kind == "modifier"}
-    survivors = []
-    for cs in sets:
-        failure = None
-        for key, choice in cs.choices.items():
-            if "/" in key:
-                continue
-            failure = _check_syntax(cs, choice, tmr, frame_has_mods)
+def prune_syntactic(units: list[Unit], tmr: Tmr, trace: list[TraceRecord]) -> list[Unit]:
+    """Check each frame candidate once: exclude it when an obligatory
+    syntactic slot cannot be filled, a supplied argument cannot be hosted,
+    or it is a pronoun for a modified referent."""
+    modified_frames = {u.frame_id for u in units if u.kind == "modifier"}
+    out: list[Unit] = []
+    for unit in units:
+        if unit.kind == "modifier":
+            out.append(unit)
+            continue
+        kept = []
+        for choice in unit.candidates:
+            failure, passive = _check_syntax(choice, tmr, modified_frames)
             if failure:
-                rule, reason = failure
-                trace.append(TraceRecord(stage="syntactic", set_signature=cs.signature(),
-                                         subject=f"{choice.frame_id}/{choice.sense.id}",
-                                         rule=rule, note=reason))
-                break
-        if not failure:
-            survivors.append(cs)
-    if not survivors:
+                _exclude(trace, "syntactic", choice, *failure)
+            else:
+                kept.append(replace(choice, passive=passive))
+        out.append(replace(unit, candidates=kept))
+    if not all(unit.candidates for unit in out):
         raise AllSetsPruned("every candidate set was excluded on syntactic grounds",
                             trace=trace)
-    return survivors
+    return out
+
+
+# ---------------------------------------------------------------------------
+# stage 5: aggregate the survivors into candidate sets
+
+def _product(units: list[Unit]) -> int:
+    return math.prod(len(unit.candidates) for unit in units)
+
+
+def aggregate_sets(units: list[Unit], config: GenerationConfig) -> tuple[list[CandidateSet], list[str]]:
+    """Cartesian product of the units' candidates, one per unit, with the
+    last unit varying fastest, truncated at the cap."""
+    messages: list[str] = []
+    total = _product(units)
+    if total > config.set_cap:
+        messages.append(f"candidate product {total} exceeds cap {config.set_cap}; truncated")
+
+    sets: list[CandidateSet] = []
+    product = itertools.product(*(unit.candidates for unit in units))
+    for combo in itertools.islice(product, config.set_cap):
+        # reference entries, then semantic entries in choice order, then
+        # uncovered-slot entries in frame order: the ledger is printed as is
+        ledger = [(c.unit_key, entry) for c in combo for entry in c.ledger]
+        ledger += [(c.unit_key, entry) for c in combo for entry in c.semantic]
+        ledger += [(c.unit_key, entry) for c in combo for entry in c.uncovered]
+        sets.append(CandidateSet(choices={c.unit_key: c for c in combo}, ledger=ledger,
+                                 voice="passive" if any(c.passive for c in combo) else "active"))
+    return sets, messages
 
 
 # ---------------------------------------------------------------------------
@@ -692,16 +687,16 @@ def run_lexical_selection(tmr: Tmr, kb: KnowledgeBase, config: GenerationConfig,
     empty = [u.key for u in units if not u.candidates]
     if empty:
         raise AllSetsPruned(f"no referring expression fits: {', '.join(empty)}", trace=trace)
-    sets, messages = aggregate_sets(units, config)
     counts = {
         "units": len(units),
         "candidates": sum(len(u.candidates) for u in units),
-        "sets": len(sets),
+        "sets": _product(units),
     }
-    sets = prune_semantic(sets, units, tmr, kb, config, trace)
-    counts["after-semantic"] = len(sets)
-    sets = prune_syntactic(sets, units, tmr, kb, config, trace)
-    counts["after-syntactic"] = len(sets)
+    survivors = prune_semantic(units, tmr, kb, config, trace)
+    counts["after-semantic"] = _product(survivors)
+    survivors = prune_syntactic(survivors, tmr, trace)
+    counts["after-syntactic"] = _product(survivors)
+    sets, messages = aggregate_sets(survivors, config)
     sets = expand_synonyms(sets)
     counts["after-synonyms"] = len(sets)
     return SelectionResult(sets=sets, units=units, trace=trace,

@@ -2,9 +2,7 @@
 
 The tree mirrors the head construction's declared syntax. Leaves carry a
 lemma plus the features the realizer needs (tense, form, number, person,
-case); containers carry ordered children. Leaf functions come from a fixed
-vocabulary; the container functions "clause", "nominal" and "verb-phrase"
-extend it for grouping.
+case); containers carry ordered children.
 """
 
 from __future__ import annotations
@@ -12,14 +10,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import EmptySolution
-from .knowledge import KnowledgeBase, LexSense
+from .knowledge import LexSense
 from .pipeline import CandidateSense, CandidateSet, Unit
 from .tmr import InstanceRef, RelativeTime, Tmr, TmrFrame, relative_time_of
-
-LEAF_FUNCTIONS = ("main-verb", "auxiliary", "preposition", "noun-head",
-                  "determiner", "modifier", "adverb", "fixed-word")
-CONTAINER_FUNCTIONS = ("clause", "nominal", "verb-phrase", "subject",
-                       "direct-object", "prepositional-phrase")
 
 _TENSE_BY_TIME = {
     RelativeTime.BEFORE: "past",
@@ -112,11 +105,9 @@ def _pronoun_number(form: str) -> str:
 
 
 class _Builder:
-    def __init__(self, cs: CandidateSet, tmr: Tmr, kb: KnowledgeBase,
-                 units: list[Unit]):
+    def __init__(self, cs: CandidateSet, tmr: Tmr, units: list[Unit]):
         self.cs = cs
         self.tmr = tmr
-        self.kb = kb
         self.mods_by_frame: dict[str, list[Unit]] = {}
         for unit in units:
             if unit.kind == "modifier" and unit.key in cs.choices:
@@ -312,8 +303,7 @@ class _Builder:
         return Constituent("clause", children=tuple(children)), mood, tense, voice
 
 
-def build_solution(cs: CandidateSet, tmr: Tmr, kb: KnowledgeBase,
-                   units: list[Unit]) -> CandidateSolution:
+def build_solution(cs: CandidateSet, tmr: Tmr, units: list[Unit]) -> CandidateSolution:
     """Tree for the root frame's construction; unbound frames stay silent."""
     if not tmr.frames:
         raise EmptySolution("the meaning representation has no frames")
@@ -321,7 +311,7 @@ def build_solution(cs: CandidateSet, tmr: Tmr, kb: KnowledgeBase,
     choice = cs.choices.get(root_frame.instance_id)
     if choice is None:
         raise EmptySolution(f"no chosen sense for root frame {root_frame.instance_id}")
-    builder = _Builder(cs, tmr, kb, units)
+    builder = _Builder(cs, tmr, units)
     root, mood, tense, voice = builder.clause(root_frame, choice)
     return CandidateSolution(candidate_set=cs, root=root, mood=mood,
                              tense=tense, voice=voice)

@@ -155,9 +155,9 @@ def test_criterion_8_discourse_history_flips_name_and_pronoun(kb):
 
 
 def test_criterion_9_structural_invariants_hold_across_random_scenarios():
-    """Cartesian aggregation, explained scores, permutation ranking, scale
-    invariance, determinism, and token conservation hold on generated
-    scenarios."""
+    """Aggregation of the pruning survivors, a once-only exclusion trace,
+    explained scores, permutation ranking, scale invariance, determinism, and
+    token conservation hold on generated scenarios."""
     for seed in range(12):
         check_product_cardinality(seed)
         check_ledger_sums(seed)

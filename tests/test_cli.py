@@ -96,6 +96,19 @@ def test_inexpressible_meaning_exits_2():
     assert proc.stderr.startswith("error: ")
 
 
+def test_silent_frames_past_the_cap_exit_0(tmp_path):
+    doc = json.loads(fixture_path("fasten_painting").read_text())
+    for ident in range(101, 106):
+        doc["frames"][f"PICTURE-{ident}"] = {}
+    path = tmp_path / "silent.json"
+    path.write_text(json.dumps(doc))
+    proc = run_cli("generate", "--tmr", str(path), "--top", "20")
+    assert proc.returncode == 0
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 10
+    assert lines[0] == "1. Tom secured a painting to the wall."
+
+
 def test_pruned_meaning_exits_2_with_trace_on_stderr(tmp_path):
     doc = {"schema": "ontogen-tmr/1", "speaker": "HUMAN-1", "hearer": "HUMAN-2",
            "frames": {

@@ -38,14 +38,15 @@ def test_invalid_documents_are_rejected(doc, match):
 
 
 def test_cli_config_flag_changes_the_run(tmp_path):
+    # fasten_painting has 4 surviving sets; a cap of 3 truncates them
     cap = tmp_path / "capped.json"
-    cap.write_text(json.dumps({"schema": "ontogen-config/1", "set-cap": 10}))
+    cap.write_text(json.dumps({"schema": "ontogen-config/1", "set-cap": 3}))
     proc = subprocess.run(
         [sys.executable, "-m", "ontogen.cli", "generate",
          "--tmr", str(fixture_path("fasten_painting")), "--config", str(cap)],
         capture_output=True, text=True)
     assert proc.returncode == 0
-    assert any(line.startswith("note: ") and "10" in line
+    assert any(line.startswith("note: ") and "cap 3" in line
                for line in proc.stderr.splitlines())
 
     stretched = tmp_path / "stretched.json"

@@ -2,11 +2,12 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import replace
 
 import pytest
 
-from conftest import load_fixture, make_kb
+from conftest import fixture_path, load_fixture, make_kb
 from ontogen import (
     AllSetsPruned,
     GenerationConfig,
@@ -16,6 +17,8 @@ from ontogen import (
     generate,
     manage_reference,
     parse_tmr,
+    prune_semantic,
+    prune_syntactic,
     run_lexical_selection,
 )
 
@@ -143,27 +146,13 @@ def test_fresh_objects_never_pronominalize(kb, config):
     assert all(c.decoration.pronoun_form is None for c in wall.candidates)
 
 
-# --- stage 3: aggregation ----------------------------------------------------
-
-def test_aggregation_is_the_cartesian_product_of_units(kb, config):
-    tmr, units = _units_for("fasten_painting", kb, config)
-    sets, messages = aggregate_sets(units, config)
-    expected = 1
-    for unit in units:
-        expected *= len(unit.candidates)
-    assert len(sets) == expected
-    assert messages == []
+def _survivors_for(name: str, kb, config):
+    tmr, units = _units_for(name, kb, config)
+    trace = []
+    return prune_syntactic(prune_semantic(units, tmr, kb, config, trace), tmr, trace)
 
 
-def test_aggregation_cap_truncates_with_a_message(kb, config):
-    tmr, units = _units_for("fasten_painting", kb, config)
-    sets, messages = aggregate_sets(units, replace(config, set_cap=5))
-    assert len(sets) == 5
-    assert len(messages) == 1
-    assert "5" in messages[0]
-
-
-# --- stage 4: semantic pruning -----------------------------------------------
+# --- stage 3: semantic pruning -----------------------------------------------
 
 def test_running_example_excludes_narrow_and_content_mismatched_senses(kb):
     report = generate(load_fixture("fasten_painting"), kb)
@@ -239,7 +228,16 @@ def test_feature_distance_grades_the_bonus_and_prunes_beyond_tolerance(kb, confi
                for r in result.trace)
 
 
-# --- stage 5: syntactic pruning ----------------------------------------------
+def test_each_excluded_candidate_is_traced_once(kb):
+    report = generate(load_fixture("moor_ship"), kb)
+    assert [(r.stage, r.subject) for r in report.trace] == [
+        ("semantic", "FASTEN-7/skewer-v1")]
+    for name in ("fasten_painting", "plural_paintings", "fasten_painting_nlu"):
+        trace = generate(load_fixture(name), kb).trace
+        assert len(set(trace)) == len(trace)
+
+
+# --- stage 4: syntactic pruning ----------------------------------------------
 
 def test_missing_agent_rescues_transitives_into_the_passive(kb, config):
     result = run_lexical_selection(load_fixture("fasten_passive"), kb, config)
@@ -278,6 +276,48 @@ def test_modified_referents_cannot_be_pronouns(kb, config):
     for cs in result.sets:
         choice = cs.choices["PICTURE-3"]
         assert choice.decoration.pronoun_form is None
+
+
+# --- stage 5: aggregation ----------------------------------------------------
+
+def test_aggregation_is_the_cartesian_product_of_units(kb, config):
+    survivors = _survivors_for("fasten_painting", kb, config)
+    assert [c.sense.id for c in _unit(survivors, "FASTEN-18").candidates] == [
+        "affix-v1", "fix-v2"]
+    sets, messages = aggregate_sets(survivors, config)
+    expected = math.prod(len(unit.candidates) for unit in survivors)
+    assert expected == 4
+    assert len(sets) == expected
+    assert messages == []
+    counts = run_lexical_selection(load_fixture("fasten_painting"), kb, config).counts
+    assert counts["after-syntactic"] == expected
+    assert counts["sets"] == math.prod(
+        len(unit.candidates) for unit in _units_for("fasten_painting", kb, config)[1])
+
+
+def test_aggregation_cap_truncates_with_a_message(kb, config):
+    survivors = _survivors_for("fasten_painting", kb, config)
+    full, _ = aggregate_sets(survivors, config)
+    sets, messages = aggregate_sets(survivors, replace(config, set_cap=3))
+    assert [cs.signature() for cs in sets] == [cs.signature() for cs in full[:3]]
+    assert len(messages) == 1
+    assert "3" in messages[0]
+
+
+@pytest.mark.parametrize("silent", [5, 6])
+def test_silent_frames_past_the_cap_stay_expressible(kb, silent):
+    """Each unattached PICTURE frame has 5 candidates, 2 of which survive:
+    the raw product passes the default cap, the survivor product does not."""
+    doc = json.loads(fixture_path("fasten_painting").read_text())
+    for ident in range(101, 101 + silent):
+        doc["frames"][f"PICTURE-{ident}"] = {}
+    report = generate(parse_tmr(json.dumps(doc)), kb)
+    assert [s.sentence for s in report.sentences] == [
+        s.sentence for s in generate(load_fixture("fasten_painting"), kb).sentences]
+    assert len(report.sentences) == 10
+    assert report.counts["sets"] == 20 * 5 ** silent > GenerationConfig().set_cap
+    assert report.counts["after-syntactic"] == 4 * 2 ** silent
+    assert report.messages == []
 
 
 # --- stage 6: synonym expansion ----------------------------------------------

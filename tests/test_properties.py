@@ -16,6 +16,8 @@ from ontogen import (
     extract_candidates,
     generate,
     manage_reference,
+    prune_semantic,
+    prune_syntactic,
     run_lexical_selection,
     serialize_tmr,
 )
@@ -36,16 +38,30 @@ def _report(seed: int, config: GenerationConfig | None = None):
 
 
 def check_product_cardinality(seed: int) -> None:
+    """Aggregation combines exactly the per-unit survivors of pruning, a
+    smaller cap keeps the first `cap` sets with one message, and pruning
+    traces each exclusion once."""
     kb, tmr = build_scenario(seed)
     config = GenerationConfig()
     units = manage_reference(extract_candidates(tmr, kb), tmr, kb, config)
-    sets, messages = aggregate_sets(units, config)
-    expected = math.prod(len(u.candidates) for u in units)
+    trace = []
+    try:
+        survivors = prune_syntactic(prune_semantic(units, tmr, kb, config, trace), tmr, trace)
+    except AllSetsPruned:
+        survivors = None
+    assert len(set(trace)) == len(trace)
+    if survivors is None:
+        return
+    expected = math.prod(len(u.candidates) for u in survivors)
+    assert expected <= config.set_cap
+    sets, messages = aggregate_sets(survivors, config)
     assert len(sets) == expected
     assert messages == []
-    capped, messages = aggregate_sets(units, replace(config, set_cap=2))
-    assert len(capped) == min(expected, 2)
-    assert (messages != []) == (expected > 2)
+    signatures = [cs.signature() for cs in sets]
+    assert len(set(signatures)) == expected
+    capped, messages = aggregate_sets(survivors, replace(config, set_cap=2))
+    assert [cs.signature() for cs in capped] == signatures[:2]
+    assert len(messages) == (expected > 2)
 
 
 def check_ledger_sums(seed: int) -> None:

@@ -22,7 +22,7 @@ from ontogen import (
 def _solutions(name, kb, config, morph):
     tmr = load_fixture(name)
     result = run_lexical_selection(tmr, kb, config)
-    solutions = [build_solution(cs, tmr, kb, result.units) for cs in result.sets]
+    solutions = [build_solution(cs, tmr, result.units) for cs in result.sets]
     for sol in solutions:
         sol.sentence = realize(sol, morph)
     return tmr, solutions

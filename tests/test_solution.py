@@ -21,7 +21,7 @@ from ontogen import (
 def _solutions(name, kb, config, context=()):
     tmr = load_fixture(name)
     result = run_lexical_selection(tmr, kb, config, context=context)
-    return tmr, [build_solution(cs, tmr, kb, result.units) for cs in result.sets]
+    return tmr, [build_solution(cs, tmr, result.units) for cs in result.sets]
 
 
 def _leaves(root):
@@ -199,7 +199,7 @@ def test_every_expressible_fixture_builds_trees(kb, config):
         except (AllSetsPruned, NoRealizableSense):
             continue
         for cs in result.sets:
-            sol = build_solution(cs, tmr, kb, result.units)
+            sol = build_solution(cs, tmr, result.units)
             assert sol.root.function == "clause"
             assert any(c.is_leaf for c in sol.root.walk())
             built += 1
@@ -223,6 +223,6 @@ def test_leaf_lemmas_come_from_the_knowledge_base(kb, config):
         tmr = load_fixture(name)
         result = run_lexical_selection(tmr, kb, config)
         for cs in result.sets:
-            sol = build_solution(cs, tmr, kb, result.units)
+            sol = build_solution(cs, tmr, result.units)
             for leaf in _leaves(sol.root):
                 assert leaf.lemma.lower() in allowed, leaf
