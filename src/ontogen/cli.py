@@ -19,15 +19,7 @@ from pathlib import Path
 from .config import GenerationConfig, load_config
 from .engine import RunReport, generate
 from .errors import AllSetsPruned, NoRealizableSense, OntogenError, SchemaError
-from .knowledge import (
-    ConceptConstraint,
-    Constraint,
-    FacetedConstraint,
-    LiteralConstraint,
-    RangeConstraint,
-    VarBinding,
-    load_knowledge_base,
-)
+from .knowledge import FacetedConstraint, VarBinding, constraint_text, load_knowledge_base
 from .pipeline import TraceRecord
 from .selector import bundled_frequency, load_frequency
 from .solution import Constituent
@@ -95,22 +87,12 @@ def build_parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------------------
 # rendering
 
-def _constraint_text(constraint: Constraint) -> str:
-    if isinstance(constraint, ConceptConstraint):
-        return constraint.concept
-    if isinstance(constraint, LiteralConstraint):
-        return "|".join(constraint.values)
-    if isinstance(constraint, RangeConstraint):
-        return f"[{_num(constraint.low)}, {_num(constraint.high)}]"
-    return "anything"
-
-
 def _facet_text(facet: FacetedConstraint) -> str:
     parts = []
     if facet.sem is not None:
-        parts.append(f"sem {_constraint_text(facet.sem)}")
+        parts.append(f"sem {constraint_text(facet.sem)}")
     if facet.default is not None:
-        parts.append(f"default {_constraint_text(facet.default)}")
+        parts.append(f"default {constraint_text(facet.default)}")
     return ", ".join(parts) or "anything"
 
 
@@ -295,7 +277,7 @@ def cmd_inspect(args) -> int:
             elif isinstance(slot, float):
                 text = f"{prop} = {_num(slot)}"
             else:
-                text = f"{prop} = {_constraint_text(slot)}"
+                text = f"{prop} = {constraint_text(slot)}"
             parts.append(text)
         summary = "; ".join(parts) if parts else "no slots"
         lines.append(f"  {sense.id} \"{sense.headword}\" ({sense.pos}): {summary}")

@@ -7,11 +7,10 @@ optional and may set any subset.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, fields
-from pathlib import Path
 
 from .errors import SchemaError
+from .strictjson import decode, document, read_text
 
 SCHEMA_CONFIG = "ontogen-config/1"
 
@@ -42,15 +41,7 @@ _FIELD_BY_KEY = {f.name.replace("_", "-"): f for f in fields(GenerationConfig)}
 
 
 def parse_config(text: str, source: str = "<config>") -> GenerationConfig:
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"line {exc.lineno}: {exc.msg}", source=source) from None
-    if not isinstance(data, dict):
-        raise SchemaError("top level must be an object", source=source)
-    if data.get("schema") != SCHEMA_CONFIG:
-        raise SchemaError(f'expected schema "{SCHEMA_CONFIG}", got {data.get("schema")!r}',
-                          source=source)
+    data = document(decode(text, source), SCHEMA_CONFIG, source)
     kwargs = {}
     for key, value in data.items():
         if key == "schema":
@@ -70,9 +61,4 @@ def parse_config(text: str, source: str = "<config>") -> GenerationConfig:
 
 
 def load_config(path) -> GenerationConfig:
-    path = Path(path)
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise SchemaError(f"cannot read file: {exc}", source=str(path)) from None
-    return parse_config(text, source=str(path))
+    return parse_config(read_text(path), source=str(path))

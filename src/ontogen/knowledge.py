@@ -10,14 +10,14 @@ participations) that reference management consults.
 
 from __future__ import annotations
 
-import json
 import logging
 import re
 from dataclasses import dataclass, field
 from enum import IntEnum
-from pathlib import Path
+from graphlib import CycleError, TopologicalSorter
 
 from .errors import KbValidationError, SchemaError
+from .strictjson import document, read_json
 
 log = logging.getLogger("ontogen.knowledge")
 
@@ -65,6 +65,17 @@ class AnythingConstraint:
 ANYTHING = AnythingConstraint()
 
 Constraint = ConceptConstraint | LiteralConstraint | RangeConstraint | AnythingConstraint
+
+
+def constraint_text(constraint: Constraint) -> str:
+    """How ledgers, traces and inspect print a constraint."""
+    if isinstance(constraint, ConceptConstraint):
+        return constraint.concept
+    if isinstance(constraint, LiteralConstraint):
+        return "|".join(constraint.values)
+    if isinstance(constraint, RangeConstraint):
+        return f"[{constraint.low}, {constraint.high}]"
+    return "anything"
 
 
 @dataclass(frozen=True)
@@ -388,20 +399,8 @@ class KnowledgeBase:
     warnings: list[str] = field(default_factory=list)
 
 
-def _load_json(path: str | Path, kind: str) -> dict:
-    path = Path(path)
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise SchemaError(f"cannot read file: {exc}", source=str(path)) from None
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"line {exc.lineno}: {exc.msg}", source=str(path)) from None
-    if not isinstance(data, dict):
-        raise SchemaError("top level must be an object", source=str(path))
-    if data.get("schema") != SCHEMA_KB:
-        raise SchemaError(f'expected schema "{SCHEMA_KB}", got {data.get("schema")!r}', source=str(path))
+def _kb_document(path, kind: str) -> dict:
+    data = document(read_json(path), SCHEMA_KB, str(path))
     if data.get("kind") != kind:
         raise SchemaError(f'expected kind "{kind}", got {data.get("kind")!r}', source=str(path))
     return data
@@ -430,34 +429,11 @@ def _validate_ontology(onto: Ontology, source: str, warnings: list[str]) -> None
             if parent not in onto.concepts:
                 raise KbValidationError(f"{concept.name}: unknown parent {parent}", source=source)
 
-    WHITE, GRAY, BLACK = 0, 1, 2
-    state = dict.fromkeys(onto.concepts, WHITE)
-
-    def visit(start: str):
-        stack = [(start, iter(onto.concepts[start].parents))]
-        state[start] = GRAY
-        path = [start]
-        while stack:
-            name, parents = stack[-1]
-            advanced = False
-            for parent in parents:
-                if state[parent] == GRAY:
-                    cycle = " -> ".join(path + [parent])
-                    raise KbValidationError(f"IS-A cycle: {cycle}", source=source)
-                if state[parent] == WHITE:
-                    state[parent] = GRAY
-                    stack.append((parent, iter(onto.concepts[parent].parents)))
-                    path.append(parent)
-                    advanced = True
-                    break
-            if not advanced:
-                state[name] = BLACK
-                stack.pop()
-                path.pop()
-
-    for name in onto.concepts:
-        if state[name] == WHITE:
-            visit(name)
+    try:
+        TopologicalSorter({c.name: c.parents for c in onto.concepts.values()}).prepare()
+    except CycleError as exc:
+        cycle = " -> ".join(reversed(exc.args[1]))
+        raise KbValidationError(f"IS-A cycle: {cycle}", source=source) from None
 
     # constraint references resolve; default facets narrow sem facets
     for concept in onto.concepts.values():
@@ -503,7 +479,10 @@ def _parse_lexicon(data: dict, source: str) -> Lexicon:
     if not isinstance(raw, list):
         raise KbValidationError("senses must be a list", source=source)
     senses: dict[str, LexSense] = {}
-    for body in raw:
+    for index, body in enumerate(raw):
+        if not isinstance(body, dict):
+            raise KbValidationError(f"senses[{index}] must be an object, got {body!r}",
+                                    source=source)
         sid = body.get("id")
         if not sid:
             raise KbValidationError("sense without id", source=source)
@@ -514,8 +493,12 @@ def _parse_lexicon(data: dict, source: str) -> Lexicon:
             cat = n.get("cat")
             if cat not in SYN_CATEGORIES:
                 raise KbValidationError(f"{sid}: unknown syn-struc category {cat!r}", source=source)
+            var = n.get("var")
+            if isinstance(var, bool) or not isinstance(var, int):
+                raise KbValidationError(f"{sid}: syn-struc {cat} node needs an integer var",
+                                        source=source)
             roots = tuple(str(r) for r in n["root"]) if "root" in n else None
-            nodes.append(SynNode(category=cat, var=int(n["var"]), roots=roots,
+            nodes.append(SynNode(category=cat, var=var, roots=roots,
                                  optional=bool(n.get("opt", False))))
         sem_raw = body.get("sem-struc", {})
         slots = {}
@@ -608,9 +591,9 @@ def _parse_memory(data: dict, onto: Ontology, source: str) -> EpisodicMemory:
 def load_knowledge_base(ontology_path, lexicon_path, memory_path) -> KnowledgeBase:
     """Load and cross-validate the three knowledge files."""
     warnings: list[str] = []
-    onto = _parse_ontology(_load_json(ontology_path, "ontology"), str(ontology_path))
+    onto = _parse_ontology(_kb_document(ontology_path, "ontology"), str(ontology_path))
     _validate_ontology(onto, str(ontology_path), warnings)
-    lex = _parse_lexicon(_load_json(lexicon_path, "lexicon"), str(lexicon_path))
+    lex = _parse_lexicon(_kb_document(lexicon_path, "lexicon"), str(lexicon_path))
     _validate_lexicon(lex, onto, str(lexicon_path))
-    memory = _parse_memory(_load_json(memory_path, "memory"), onto, str(memory_path))
+    memory = _parse_memory(_kb_document(memory_path, "memory"), onto, str(memory_path))
     return KnowledgeBase(ontology=onto, lexicon=lex, memory=memory, warnings=warnings)

@@ -28,6 +28,7 @@ from .knowledge import (
     SemFrame,
     SynNode,
     VarBinding,
+    constraint_text,
     match_degree,
 )
 from .tmr import CASE_ROLES, RESERVED_SLOTS, ConceptRef, InstanceRef, Tmr, TmrFrame
@@ -120,11 +121,6 @@ class CandidateSet:
 
     def signature(self) -> str:
         return " ".join(f"{key}={choice.describe()}" for key, choice in self.choices.items())
-
-    def clone(self) -> CandidateSet:
-        copy = CandidateSet(choices=dict(self.choices), ledger=list(self.ledger),
-                            voice=self.voice)
-        return copy
 
 
 @dataclass(frozen=True)
@@ -363,17 +359,6 @@ def manage_reference(units: list[Unit], tmr: Tmr, kb: KnowledgeBase,
 # ---------------------------------------------------------------------------
 # stage 3: semantic pruning and scoring
 
-def _constraint_text(constraint: Constraint) -> str:
-    from .knowledge import ConceptConstraint, LiteralConstraint
-    if isinstance(constraint, ConceptConstraint):
-        return constraint.concept
-    if isinstance(constraint, LiteralConstraint):
-        return "|".join(constraint.values)
-    if isinstance(constraint, RangeConstraint):
-        return f"[{constraint.low}, {constraint.high}]"
-    return "anything"
-
-
 def _filler_concept(value) -> str | None:
     if isinstance(value, InstanceRef):
         from .tmr import concept_of
@@ -404,7 +389,7 @@ def _score_binding(entries: list[LedgerEntry], choice: CandidateSense, frame: Tm
     if degree is MatchDegree.NONE:
         effective = binding.override.effective_sem if binding.override and binding.override.sem \
             else base.effective_sem
-        return f"{prop} {concept} violates {_constraint_text(effective)}"
+        return f"{prop} {concept} violates {constraint_text(effective)}"
     hit = _DEGREE_RULES.get(degree)
     if hit:
         rule, attr = hit
@@ -432,16 +417,16 @@ def _score_assertion(entries: list[LedgerEntry], frame: TmrFrame, prop: str,
                      config: GenerationConfig) -> str | None:
     value = frame.get(prop)
     if value is None:
-        return f"asserts {prop} {_constraint_text(constraint)}, absent from the meaning"
+        return f"asserts {prop} {constraint_text(constraint)}, absent from the meaning"
     filler = _filler_concept(value)
     if filler is None:
         filler = value
     if kb.ontology.satisfies(filler, constraint):
         entries.append(LedgerEntry(
             "content-match", config.exact_bonus,
-            f"asserted {prop} {_constraint_text(constraint)} is present in the meaning"))
+            f"asserted {prop} {constraint_text(constraint)} is present in the meaning"))
         return None
-    return f"asserts {prop} {_constraint_text(constraint)} but the meaning has {filler}"
+    return f"asserts {prop} {constraint_text(constraint)} but the meaning has {filler}"
 
 
 def _score_modifier(entries: list[LedgerEntry], choice: CandidateSense, unit: Unit,
@@ -667,9 +652,8 @@ def expand_synonyms(sets: list[CandidateSet]) -> list[CandidateSet]:
         for key in cs.choices:
             choice = cs.choices[key]
             for synonym in choice.sense.synonyms:
-                clone = cs.clone()
-                clone.choices[key] = replace(choice, lemma_override=synonym)
-                out.append(clone)
+                out.append(replace(cs, choices={
+                    **cs.choices, key: replace(choice, lemma_override=synonym)}))
     return out
 
 

@@ -8,13 +8,13 @@ attach to the word on their left.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import SchemaError
 from .solution import CandidateSolution, Constituent, Features
+from .strictjson import document, read_json
 
 SCHEMA_MORPH = "ontogen-morph/1"
 
@@ -36,11 +36,7 @@ class MorphTables:
 
 
 def parse_morphology(doc: dict, source: str = "<morphology>") -> MorphTables:
-    if not isinstance(doc, dict):
-        raise SchemaError("morphology document must be an object", source)
-    if doc.get("schema") != SCHEMA_MORPH:
-        raise SchemaError(f"expected schema {SCHEMA_MORPH!r}, got {doc.get('schema')!r}",
-                          source)
+    document(doc, SCHEMA_MORPH, source)
     verbs = doc.get("irregular-verbs", {})
     plurals = doc.get("irregular-plurals", {})
     pronouns = doc.get("pronouns", {})
@@ -64,12 +60,7 @@ def parse_morphology(doc: dict, source: str = "<morphology>") -> MorphTables:
 
 
 def load_morphology(path: str | Path) -> MorphTables:
-    path = Path(path)
-    try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as err:
-        raise SchemaError(f"not valid JSON: {err}", str(path)) from err
-    return parse_morphology(doc, source=str(path))
+    return parse_morphology(read_json(path), source=str(path))
 
 
 def bundled_morphology() -> MorphTables:

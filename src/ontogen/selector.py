@@ -7,7 +7,6 @@ which keeps output order stable across runs.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -16,6 +15,7 @@ from .config import GenerationConfig
 from .errors import SchemaError
 from .pipeline import CandidateSet, LedgerEntry
 from .solution import CandidateSolution, find_root_frame
+from .strictjson import document, read_json
 from .tmr import Tmr
 
 SCHEMA_FREQ = "ontogen-freq/1"
@@ -35,11 +35,7 @@ class FrequencyTable:
 
 
 def parse_frequency(doc: dict, source: str = "<frequency>") -> FrequencyTable:
-    if not isinstance(doc, dict):
-        raise SchemaError("frequency document must be an object", source)
-    if doc.get("schema") != SCHEMA_FREQ:
-        raise SchemaError(f"expected schema {SCHEMA_FREQ!r}, got {doc.get('schema')!r}",
-                          source)
+    document(doc, SCHEMA_FREQ, source)
     values = doc.get("values", {})
     if not isinstance(values, dict):
         raise SchemaError("values must be an object", source)
@@ -57,12 +53,7 @@ def parse_frequency(doc: dict, source: str = "<frequency>") -> FrequencyTable:
 
 
 def load_frequency(path: str | Path) -> FrequencyTable:
-    path = Path(path)
-    try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as err:
-        raise SchemaError(f"not valid JSON: {err}", str(path)) from err
-    return parse_frequency(doc, source=str(path))
+    return parse_frequency(read_json(path), source=str(path))
 
 
 def bundled_frequency() -> FrequencyTable:

@@ -1,0 +1,63 @@
+"""The one reader for every JSON input file.
+
+Each input shares one shape: UTF-8 text holding strict JSON (no key
+repeated in any object, no NaN or Infinity) whose top level is one
+object with a "schema" tag. Every failure is raised as the caller's
+SchemaError subclass, worded here once and prefixed with the file name.
+"""
+
+from __future__ import annotations
+
+import json
+from pathlib import Path
+
+from .errors import SchemaError
+
+
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"duplicate key {key!r}")
+        obj[key] = value
+    return obj
+
+
+def _no_constant(name: str):
+    raise ValueError(f"{name} is not JSON")
+
+
+def read_text(path, error: type[SchemaError] = SchemaError) -> str:
+    """The file's contents decoded as UTF-8."""
+    try:
+        return Path(path).read_bytes().decode("utf-8")
+    except OSError as exc:
+        raise error(f"cannot read file: {exc.strerror or exc}", source=str(path)) from None
+    except UnicodeDecodeError as exc:
+        raise error(f"not UTF-8: byte {exc.start}: {exc.reason}", source=str(path)) from None
+
+
+def decode(text: str, source: str, error: type[SchemaError] = SchemaError):
+    """Strict JSON text to its value."""
+    try:
+        return json.loads(text, object_pairs_hook=_unique_keys, parse_constant=_no_constant)
+    except json.JSONDecodeError as exc:
+        raise error(f"line {exc.lineno}: {exc.msg}", source=source) from None
+    except ValueError as exc:
+        raise error(str(exc), source=source) from None
+    except RecursionError:
+        raise error("JSON nested too deeply", source=source) from None
+
+
+def document(value, schema: str, source: str, error: type[SchemaError] = SchemaError) -> dict:
+    """The value itself, once it is an object tagged with this schema."""
+    if not isinstance(value, dict):
+        raise error("top level must be an object", source=source)
+    if value.get("schema") != schema:
+        raise error(f'expected schema "{schema}", got {value.get("schema")!r}', source=source)
+    return value
+
+
+def read_json(path, error: type[SchemaError] = SchemaError):
+    """A UTF-8 strict JSON file to its value."""
+    return decode(read_text(path, error), str(path), error)

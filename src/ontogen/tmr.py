@@ -16,10 +16,10 @@ import logging
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-from pathlib import Path
 
 from .errors import MalformedInstanceId, TmrError
 from .knowledge import CONCEPT_RE, INSTANCE_RE
+from .strictjson import decode, document, read_text
 
 log = logging.getLogger("ontogen.tmr")
 
@@ -163,26 +163,20 @@ def _parse_reference_time(raw: str, source: str) -> dt.datetime:
     parts = raw.split()
     date = clock = None
     for part in parts:
-        if _DATE_RE.fullmatch(part):
-            m = _DATE_RE.fullmatch(part)
-            date = dt.date(int(m.group(3)), int(m.group(2)), int(m.group(1)))
-        elif _CLOCK_RE.fullmatch(part):
-            m = _CLOCK_RE.fullmatch(part)
-            clock = dt.time(int(m.group(1)), int(m.group(2)))
-        else:
-            raise TmrError(f"bad reference-time {raw!r}", source=source)
+        try:
+            if _DATE_RE.fullmatch(part):
+                m = _DATE_RE.fullmatch(part)
+                date = dt.date(int(m.group(3)), int(m.group(2)), int(m.group(1)))
+            elif _CLOCK_RE.fullmatch(part):
+                m = _CLOCK_RE.fullmatch(part)
+                clock = dt.time(int(m.group(1)), int(m.group(2)))
+            else:
+                raise TmrError(f"bad reference-time {raw!r}", source=source)
+        except ValueError as exc:
+            raise TmrError(f"bad reference-time {raw!r}: {exc}", source=source) from None
     if date is None:
         raise TmrError(f"reference-time needs a date: {raw!r}", source=source)
     return dt.datetime.combine(date, clock or dt.time(0, 0))
-
-
-def _no_duplicate_keys(pairs):
-    seen = set()
-    for key, _ in pairs:
-        if key in seen:
-            raise ValueError(f"duplicate key {key!r}")
-        seen.add(key)
-    return dict(pairs)
 
 
 _META_KEYS = {"from-sense", "word-num"}
@@ -191,19 +185,17 @@ _COREF_KEYS = {"COREF", "COREFER"}
 
 def parse_tmr(text: str, source: str = "<string>") -> Tmr:
     """Parse and validate one TMR document; completes inverse slots."""
-    try:
-        data = json.loads(text, object_pairs_hook=_no_duplicate_keys)
-    except json.JSONDecodeError as exc:
-        raise TmrError(f"line {exc.lineno}: {exc.msg}", source=source) from None
-    except ValueError as exc:
-        raise TmrError(str(exc), source=source) from None
-    if not isinstance(data, dict):
-        raise TmrError("top level must be an object", source=source)
-    if data.get("schema") != SCHEMA_TMR:
-        raise TmrError(f'expected schema "{SCHEMA_TMR}", got {data.get("schema")!r}', source=source)
+    data = document(decode(text, source, TmrError), SCHEMA_TMR, source, TmrError)
+    raw_frames = data.get("frames", {})
+    if not isinstance(raw_frames, dict):
+        raise TmrError("frames must be an object", source=source)
+    for key in ("speaker", "hearer"):
+        if data.get(key) is not None and not isinstance(data[key], str):
+            raise TmrError(f"{key} must be an instance id string, got {data[key]!r}",
+                           source=source)
 
     frames: list[TmrFrame] = []
-    for iid, body in data.get("frames", {}).items():
+    for iid, body in raw_frames.items():
         concept_of(iid)  # validates the id shape
         if not isinstance(body, dict):
             raise TmrError(f"{iid}: frame body must be an object", source=source)
@@ -215,11 +207,16 @@ def parse_tmr(text: str, source: str = "<string>") -> Tmr:
                 meta.from_sense = str(raw)
                 continue
             if prop == "word-num":
-                meta.word_num = int(raw)
+                if isinstance(raw, bool) or not isinstance(raw, int):
+                    raise TmrError(f"{iid}: word-num must be an integer, got {raw!r}",
+                                   source=source)
+                meta.word_num = raw
                 continue
             if prop in _COREF_KEYS:
                 coref = str(raw)
                 concept_of(coref)
+                if coref == iid:
+                    raise TmrError(f"{iid}: {prop} names the frame itself", source=source)
                 continue
             values = raw if isinstance(raw, list) else [raw]
             slots[prop] = tuple(_parse_filler(prop, v, source) for v in values)
@@ -240,12 +237,7 @@ def parse_tmr(text: str, source: str = "<string>") -> Tmr:
 
 
 def parse_tmr_file(path) -> Tmr:
-    path = Path(path)
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise TmrError(f"cannot read file: {exc}", source=str(path)) from None
-    return parse_tmr(text, source=str(path))
+    return parse_tmr(read_text(path, TmrError), source=str(path))
 
 
 def _complete_inverses(tmr: Tmr, source: str) -> None:

@@ -5,11 +5,13 @@ import json
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from conftest import fixture_path
+from conftest import DATA, KB_DIR, fixture_path
 from ontogen import parse_tmr, strip_metadata, serialize_tmr, tmr_isomorphic
+from ontogen.cli import main
 
 
 def run_cli(*argv, stdin=None):
@@ -131,6 +133,50 @@ def test_malformed_input_exits_1(tmp_path):
     proc = run_cli("generate", "--tmr", str(bad))
     assert proc.returncode == 1
     assert "error:" in proc.stderr
+
+
+_INPUT_FILES = {
+    "--tmr": fixture_path("moor_ship"),
+    "--ontology": KB_DIR / "ontology.json",
+    "--lexicon": KB_DIR / "lexicon.json",
+    "--memory": KB_DIR / "memory.json",
+    "--config": DATA / "config.json",
+    "--freq": DATA / "frequency.json",
+}
+
+
+def _with_schema_twice(valid: Path) -> bytes:
+    # a document that is valid but for one repeated key
+    text = valid.read_text(encoding="utf-8")
+    schema = json.dumps(json.loads(text)["schema"])
+    return text.replace("{", f'{{"schema": {schema}, ', 1).encode("utf-8")
+
+
+_MALFORMED = {
+    "missing": lambda valid: None,
+    "non-utf8": lambda valid: b'{"schema": "\xff"}',
+    "invalid-json": lambda valid: b'{"schema": ',
+    "duplicate-key": _with_schema_twice,
+    "top-level-array": lambda valid: b"[]",
+    "wrong-schema": lambda valid: b'{"schema": "ontogen-other/1"}',
+}
+
+
+@pytest.mark.parametrize("flag", list(_INPUT_FILES))
+@pytest.mark.parametrize("case", list(_MALFORMED))
+def test_every_malformed_input_file_is_a_one_line_error(tmp_path, capsys, flag, case):
+    # in-process: an exception escaping main() is what prints a traceback
+    path = tmp_path / "input.json"
+    content = _MALFORMED[case](_INPUT_FILES[flag])
+    if content is not None:
+        path.write_bytes(content)
+    files = {"--tmr": fixture_path("moor_ship"), flag: path}
+    argv = ["generate"] + [str(arg) for pair in files.items() for arg in pair]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"error: {path}: ")
 
 
 def test_usage_mistakes_exit_1():

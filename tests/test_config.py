@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -31,10 +32,23 @@ def test_any_subset_of_keys_overrides_just_those():
     ({"schema": "ontogen-config/1", "exact-bonus": True}, "must be a number"),
     ({"schema": "ontogen-config/1", "set-cap": 0}, "set-cap"),
     ({"schema": "ontogen-config/1", "feature-tolerance": 0}, "feature-tolerance"),
-], ids=["no-schema", "wrong-version", "unknown-key", "boolean", "cap", "tolerance"])
+    ({"schema": "ontogen-config/1", "exact-bonus": math.nan}, "NaN is not JSON"),
+    ({"schema": "ontogen-config/1", "set-cap": math.inf}, "Infinity is not JSON"),
+], ids=["no-schema", "wrong-version", "unknown-key", "boolean", "cap", "tolerance",
+        "nan", "infinity"])
 def test_invalid_documents_are_rejected(doc, match):
     with pytest.raises(SchemaError, match=match):
         parse_config(json.dumps(doc))
+
+
+@pytest.mark.parametrize("text,match", [
+    ('{"schema": "ontogen-config/1", "set-cap": 3, "set-cap": 4}', "duplicate key 'set-cap'"),
+    ('{"schema": "ontogen-config/1", "set-cap": ' + "[" * 5000 + "]" * 5000 + "}",
+     "nested too deeply"),
+], ids=["duplicate-key", "deep-nesting"])
+def test_config_text_must_be_strict_json(text, match):
+    with pytest.raises(SchemaError, match=match):
+        parse_config(text)
 
 
 def test_cli_config_flag_changes_the_run(tmp_path):

@@ -5,14 +5,15 @@ from itertools import product
 
 import pytest
 
-from conftest import make_kb
-from ontogen.errors import KbValidationError
+from conftest import KB_DIR, make_kb
+from ontogen.errors import KbValidationError, SchemaError
 from ontogen.knowledge import (
     ConceptConstraint,
     FacetedConstraint,
     LiteralConstraint,
     MatchDegree,
     RangeConstraint,
+    load_knowledge_base,
     match_degree,
     parse_constraint,
 )
@@ -145,6 +146,26 @@ def test_sense_head_variable_is_required_and_unique(tmp_path):
             "syn-struc": [{"cat": "v", "var": 0}, {"cat": "v", "var": 0}],
             "sem-struc": {"head": "EVENT", "slots": {}},
         }, tmp_path)
+
+
+@pytest.mark.parametrize("sense,match", [
+    ({"id": "act-v1", "headword": "act", "pos": "v", "syn-struc": [{"cat": "v"}],
+      "sem-struc": {"head": "EVENT", "slots": {}}},
+     "act-v1: syn-struc v node needs an integer var"),
+    ("act-v1", r"senses\[0\] must be an object"),
+], ids=["node-without-var", "sense-not-object"])
+def test_malformed_sense_is_a_kb_validation_error(tmp_path, sense, match):
+    with pytest.raises(KbValidationError, match=match):
+        _lexicon_with(sense, tmp_path)
+
+
+def test_a_concept_declared_twice_is_rejected(tmp_path):
+    onto = tmp_path / "ontology.json"
+    onto.write_text('{"schema": "ontogen-kb/1", "kind": "ontology", "concepts": {'
+                    '"ALL": {"parents": []}, "WALL": {"parents": ["ALL"]}, '
+                    '"WALL": {"parents": []}}}')
+    with pytest.raises(SchemaError, match="duplicate key 'WALL'"):
+        load_knowledge_base(onto, KB_DIR / "lexicon.json", KB_DIR / "memory.json")
 
 
 def test_sense_head_concept_must_exist(tmp_path):

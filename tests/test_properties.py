@@ -1,21 +1,33 @@
-"""Structural invariants checked over randomized small knowledge bases."""
+"""Structural invariants checked over randomized small knowledge bases, and
+the loaders checked over arbitrary file contents."""
 from __future__ import annotations
 
+import contextlib
 import math
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import KB_DIR
 from genscen import build_scenario, tokens_conserved
 from ontogen import (
     AllSetsPruned,
     GenerationConfig,
+    OntogenError,
     aggregate_sets,
     bundled_morphology,
     extract_candidates,
     generate,
+    load_config,
+    load_frequency,
+    load_knowledge_base,
+    load_morphology,
     manage_reference,
+    parse_tmr_file,
     prune_semantic,
     prune_syntactic,
     run_lexical_selection,
@@ -166,3 +178,30 @@ def test_synonym_expansion_only_changes_the_head_lemma(seed):
         for key, choice in cs.choices.items():
             if choice.lemma_override is not None:
                 assert choice.lemma_override in choice.sense.synonyms
+
+
+# --- input files ---------------------------------------------------------------
+
+_KB = {kind: KB_DIR / f"{kind}.json" for kind in ("ontology", "lexicon", "memory")}
+_LOADERS = {
+    "tmr": parse_tmr_file,
+    "ontology": lambda path: load_knowledge_base(path, _KB["lexicon"], _KB["memory"]),
+    "lexicon": lambda path: load_knowledge_base(_KB["ontology"], path, _KB["memory"]),
+    "memory": lambda path: load_knowledge_base(_KB["ontology"], _KB["lexicon"], path),
+    "config": load_config,
+    "frequency": load_frequency,
+    "morphology": load_morphology,
+}
+# raw bytes, plus UTF-8 text so that most examples reach the JSON decoder
+file_bytes = st.binary(max_size=200) | st.text(max_size=200).map(str.encode)
+
+
+@pytest.mark.parametrize("loader", list(_LOADERS))
+@SETTINGS
+@given(content=file_bytes)
+def test_arbitrary_file_bytes_raise_only_typed_errors(loader, content):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "input.json"
+        path.write_bytes(content)
+        with contextlib.suppress(OntogenError):
+            _LOADERS[loader](path)

@@ -106,6 +106,22 @@ def test_bad_dates_and_clocks_are_rejected():
         parse_tmr(_tmr({"WALK-1": {"CLOCK-TIME": "25:00"}}))
 
 
+@pytest.mark.parametrize("text,match", [
+    (_tmr({"WALK-1": {"word-num": "x"}}), "WALK-1: word-num must be an integer"),
+    (json.dumps({"schema": "ontogen-tmr/1", "frames": [1, 2]}), "frames must be an object"),
+    (_tmr({}, speaker=5), "speaker must be"),
+    (_tmr({}, speaker=["x"]), "speaker must be"),
+    (_tmr({}, hearer=5), "hearer must be"),
+    (_tmr({"HUMAN-1": {"COREF": "HUMAN-1"}}), "HUMAN-1: COREF names the frame itself"),
+    (_tmr({}, **{"reference-time": "32.13.2021 09:05"}), "bad reference-time"),
+    (_tmr({}, **{"reference-time": "05.01.2021 25:00"}), "bad reference-time"),
+], ids=["word-num", "frames-list", "speaker-number", "speaker-list", "hearer-number",
+        "self-coref", "reference-date", "reference-clock"])
+def test_malformed_content_is_a_tmr_error(text, match):
+    with pytest.raises(TmrError, match=match):
+        parse_tmr(text)
+
+
 def test_relative_time_against_the_reference_moment():
     def walk_at(date, clock):
         return parse_tmr(_tmr({"WALK-1": {"DATE": date, "CLOCK-TIME": clock}},
