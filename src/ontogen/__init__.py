@@ -7,7 +7,7 @@ every candidate that was excluded.
 
 from __future__ import annotations
 
-from .config import GenerationConfig, load_config, parse_config
+from .config import GenerationConfig, load_config
 from .engine import RunReport, generate
 from .errors import (
     AllSetsPruned,
@@ -19,118 +19,38 @@ from .errors import (
     SchemaError,
     TmrError,
 )
-from .knowledge import KnowledgeBase, LexSense, Lexicon, Ontology, load_knowledge_base
-from .pipeline import (
-    CandidateSense,
-    CandidateSet,
-    SelectionResult,
-    Unit,
-    aggregate_sets,
-    extract_candidates,
-    expand_synonyms,
-    manage_reference,
-    prune_semantic,
-    prune_syntactic,
-    run_lexical_selection,
-)
-from .realizer import (
-    MorphTables,
-    bundled_morphology,
-    parse_morphology,
-    indefinite_article,
-    inflect_verb,
-    load_morphology,
-    pluralize,
-    pronoun_form,
-    realize,
-)
-from .selector import (
-    FrequencyTable,
-    ScoredSentence,
-    bundled_frequency,
-    load_frequency,
-    parse_frequency,
-    rank,
-    repetition_count,
-    score_sentence,
-)
-from .solution import (
-    CandidateSolution,
-    Constituent,
-    Features,
-    build_solution,
-    derive_tense,
-    find_root_frame,
-)
-from .tmr import (
-    Tmr,
-    TmrFrame,
-    parse_tmr,
-    parse_tmr_file,
-    serialize_tmr,
-    strip_metadata,
-    tmr_isomorphic,
-)
+from .knowledge import KnowledgeBase, load_knowledge_base
+from .realizer import MorphTables, bundled_morphology, load_morphology
+from .selector import FrequencyTable, ScoredSentence, bundled_frequency, load_frequency
+from .tmr import Tmr, parse_tmr, parse_tmr_file, serialize_tmr, strip_metadata, tmr_isomorphic
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AllSetsPruned",
-    "CandidateSense",
-    "CandidateSet",
-    "CandidateSolution",
-    "Constituent",
     "EmptySolution",
-    "Features",
     "FrequencyTable",
     "GenerationConfig",
     "KbValidationError",
     "KnowledgeBase",
-    "LexSense",
-    "Lexicon",
     "MalformedInstanceId",
     "MorphTables",
     "NoRealizableSense",
-    "Ontology",
     "OntogenError",
     "RunReport",
     "SchemaError",
     "ScoredSentence",
-    "SelectionResult",
     "Tmr",
     "TmrError",
-    "TmrFrame",
-    "Unit",
-    "aggregate_sets",
-    "build_solution",
     "bundled_frequency",
     "bundled_morphology",
-    "derive_tense",
-    "expand_synonyms",
-    "extract_candidates",
-    "find_root_frame",
     "generate",
-    "indefinite_article",
-    "inflect_verb",
     "load_config",
     "load_frequency",
     "load_knowledge_base",
     "load_morphology",
-    "manage_reference",
-    "parse_config",
-    "parse_frequency",
-    "parse_morphology",
     "parse_tmr",
     "parse_tmr_file",
-    "pluralize",
-    "pronoun_form",
-    "prune_semantic",
-    "prune_syntactic",
-    "rank",
-    "realize",
-    "repetition_count",
-    "run_lexical_selection",
-    "score_sentence",
     "serialize_tmr",
     "strip_metadata",
     "tmr_isomorphic",

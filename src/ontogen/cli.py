@@ -18,7 +18,7 @@ from pathlib import Path
 
 from .config import GenerationConfig, load_config
 from .engine import RunReport, generate
-from .errors import AllSetsPruned, NoRealizableSense, OntogenError, SchemaError
+from .errors import AllSetsPruned, NoRealizableSense, OntogenError
 from .knowledge import FacetedConstraint, VarBinding, constraint_text, load_knowledge_base
 from .pipeline import TraceRecord
 from .selector import bundled_frequency, load_frequency
@@ -126,11 +126,16 @@ def _render_human(report: RunReport, top: int, trace: bool, dump: bool) -> list[
     return lines
 
 
-def _features_text(node: Constituent) -> str:
+def _features(node: Constituent) -> dict:
+    """The node's set features by their printed names, in printed order."""
     feats = node.features
-    parts = [f"{name}={value}" for name, value in (
+    return {name: value for name, value in (
         ("tense", feats.tense), ("form", feats.verb_form), ("number", feats.number),
-        ("person", feats.person), ("case", feats.case)) if value is not None]
+        ("person", feats.person), ("case", feats.case)) if value is not None}
+
+
+def _features_text(node: Constituent) -> str:
+    parts = [f"{name}={value}" for name, value in _features(node).items()]
     if node.proper:
         parts.append("proper")
     if node.pronoun:
@@ -152,10 +157,7 @@ def _tree_json(node: Constituent) -> dict:
     out: dict = {"function": node.function}
     if node.is_leaf:
         out["lemma"] = node.lemma
-    feats = {name: value for name, value in (
-        ("tense", node.features.tense), ("form", node.features.verb_form),
-        ("number", node.features.number), ("person", node.features.person),
-        ("case", node.features.case)) if value is not None}
+    feats = _features(node)
     if feats:
         out["features"] = feats
     if node.proper:
@@ -294,9 +296,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except SchemaError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
     except (AllSetsPruned, NoRealizableSense) as err:
         print(f"error: {err}", file=sys.stderr)
         if isinstance(err, AllSetsPruned) and err.trace:

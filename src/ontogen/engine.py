@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 from .config import GenerationConfig
 from .knowledge import KnowledgeBase
-from .pipeline import SelectionResult, TraceRecord, run_lexical_selection
+from .pipeline import TraceRecord, run_lexical_selection
 from .realizer import MorphTables, bundled_morphology, realize
 from .selector import FrequencyTable, ScoredSentence, bundled_frequency, rank
 from .solution import build_solution
@@ -18,7 +18,6 @@ class RunReport:
     sentences: list[ScoredSentence]
     counts: dict[str, int]
     trace: list[TraceRecord]
-    selection: SelectionResult
     messages: list[str] = field(default_factory=list)
 
 
@@ -34,11 +33,11 @@ def generate(tmr: Tmr, kb: KnowledgeBase, config: GenerationConfig | None = None
     selection = run_lexical_selection(tmr, kb, config, context)
     solutions = []
     for cs in selection.sets:
-        solution = build_solution(cs, tmr, selection.units)
+        solution = build_solution(cs, tmr)
         realize(solution, morph)
         solutions.append(solution)
     sentences = rank(solutions, tmr, freq, config, history)
     counts = dict(selection.counts)
     counts["sentences"] = len(sentences)
     return RunReport(sentences=sentences, counts=counts, trace=selection.trace,
-                     selection=selection, messages=list(selection.messages))
+                     messages=list(selection.messages))

@@ -100,7 +100,22 @@ class MatchDegree(IntEnum):
     EXACT = 4
 
 
-def parse_constraint(raw, where: str) -> Constraint:
+def _is_number(raw) -> bool:
+    return isinstance(raw, (int, float)) and not isinstance(raw, bool)
+
+
+def _is_integer(raw) -> bool:
+    return isinstance(raw, int) and not isinstance(raw, bool)
+
+
+def _strings(raw, where: str, source: str | None) -> tuple[str, ...]:
+    """raw as a tuple, once it is a list of strings."""
+    if not isinstance(raw, list) or not all(isinstance(v, str) for v in raw):
+        raise KbValidationError(f"{where} must be a list of strings, got {raw!r}", source=source)
+    return tuple(raw)
+
+
+def parse_constraint(raw, where: str, source: str | None = None) -> Constraint:
     """Read one constraint from its JSON form."""
     if isinstance(raw, str):
         if CONCEPT_RE.fullmatch(raw):
@@ -110,24 +125,30 @@ def parse_constraint(raw, where: str) -> Constraint:
         if "concept" in raw:
             return ConceptConstraint(str(raw["concept"]))
         if "any-of" in raw:
-            vals = tuple(str(v) for v in raw["any-of"])
+            vals = _strings(raw["any-of"], f"{where}: any-of", source)
             if not vals:
-                raise KbValidationError(f"{where}: empty any-of constraint")
+                raise KbValidationError(f"{where}: empty any-of constraint", source=source)
             return LiteralConstraint(vals)
         if "range" in raw:
-            lo, hi = raw["range"]
-            lo, hi = float(lo), float(hi)
-            if not (0.0 <= lo <= hi <= 1.0):
-                raise KbValidationError(f"{where}: range bounds must satisfy 0 <= low <= high <= 1")
-            return RangeConstraint(lo, hi)
-    raise KbValidationError(f"{where}: unrecognized constraint {raw!r}")
+            bounds = raw["range"]
+            if not (isinstance(bounds, list) and len(bounds) == 2
+                    and all(_is_number(b) for b in bounds)):
+                raise KbValidationError(f"{where}: range must be a pair of numbers, got {bounds!r}",
+                                        source=source)
+            lo, hi = bounds
+            if not (0 <= lo <= hi <= 1):
+                raise KbValidationError(f"{where}: range bounds must satisfy 0 <= low <= high <= 1",
+                                        source=source)
+            return RangeConstraint(float(lo), float(hi))
+    raise KbValidationError(f"{where}: unrecognized constraint {raw!r}", source=source)
 
 
-def _faceted(raw, where: str) -> FacetedConstraint:
+def _faceted(raw, where: str, source: str | None) -> FacetedConstraint:
     if not isinstance(raw, dict) or not (set(raw) <= {"sem", "default"}):
-        raise KbValidationError(f"{where}: expected an object with sem/default facets, got {raw!r}")
-    sem = parse_constraint(raw["sem"], where) if "sem" in raw else None
-    default = parse_constraint(raw["default"], where) if "default" in raw else None
+        raise KbValidationError(f"{where}: expected an object with sem/default facets, got {raw!r}",
+                                source=source)
+    sem = parse_constraint(raw["sem"], where, source) if "sem" in raw else None
+    default = parse_constraint(raw["default"], where, source) if "default" in raw else None
     return FacetedConstraint(sem=sem, default=default)
 
 
@@ -381,12 +402,6 @@ class EpisodicMemory:
     def get(self, instance_id: str, prop: str, default=None):
         return self.instances.get(instance_id, {}).get(prop, default)
 
-    def name_of(self, instance_id: str) -> str | None:
-        return self.get(instance_id, "HAS-NAME")
-
-    def gender_of(self, instance_id: str) -> str | None:
-        return self.get(instance_id, "GENDER")
-
 
 # ---------------------------------------------------------------------------
 # loading
@@ -414,10 +429,17 @@ def _parse_ontology(data: dict, source: str) -> Ontology:
     for name, body in raw.items():
         if not CONCEPT_RE.fullmatch(name) or INSTANCE_RE.fullmatch(name):
             raise KbValidationError(f"bad concept name {name!r}", source=source)
-        parents = tuple(body.get("parents", ()))
+        if not isinstance(body, dict):
+            raise KbValidationError(f"{name}: concept body must be an object, got {body!r}",
+                                    source=source)
+        parents = _strings(body.get("parents", []), f"{name}: parents", source)
+        raw_slots = body.get("slots", {})
+        if not isinstance(raw_slots, dict):
+            raise KbValidationError(f"{name}: slots must be an object, got {raw_slots!r}",
+                                    source=source)
         slots = {}
-        for prop, rawc in body.get("slots", {}).items():
-            slots[prop] = _faceted(rawc, f"{name}.{prop}")
+        for prop, rawc in raw_slots.items():
+            slots[prop] = _faceted(rawc, f"{name}.{prop}", source)
         concepts[name] = Concept(name=name, parents=parents, slots=slots)
     return Ontology(concepts)
 
@@ -459,19 +481,22 @@ def _validate_ontology(onto: Ontology, source: str, warnings: list[str]) -> None
                     log.warning("%s: %s", source, msg)
 
 
-def _parse_slot_value(raw, where: str) -> SlotValue:
-    if isinstance(raw, (int, float)) and not isinstance(raw, bool):
-        value = float(raw)
-        if not 0.0 <= value <= 1.0:
-            raise KbValidationError(f"{where}: scalar slot values must lie in [0, 1]")
-        return value
+def _parse_slot_value(raw, where: str, source: str) -> SlotValue:
+    if _is_number(raw):
+        if not 0 <= raw <= 1:
+            raise KbValidationError(f"{where}: scalar slot values must lie in [0, 1]",
+                                    source=source)
+        return float(raw)
     if isinstance(raw, dict) and "var" in raw:
+        if not _is_integer(raw["var"]):
+            raise KbValidationError(f"{where}: var must be an integer, got {raw['var']!r}",
+                                    source=source)
         override = None
         facets = {k: raw[k] for k in ("sem", "default") if k in raw}
         if facets:
-            override = _faceted(facets, where)
-        return VarBinding(var=int(raw["var"]), override=override)
-    return parse_constraint(raw, where)
+            override = _faceted(facets, where, source)
+        return VarBinding(var=raw["var"], override=override)
+    return parse_constraint(raw, where, source)
 
 
 def _parse_lexicon(data: dict, source: str) -> Lexicon:
@@ -484,34 +509,61 @@ def _parse_lexicon(data: dict, source: str) -> Lexicon:
             raise KbValidationError(f"senses[{index}] must be an object, got {body!r}",
                                     source=source)
         sid = body.get("id")
-        if not sid:
-            raise KbValidationError("sense without id", source=source)
+        if not sid or not isinstance(sid, str):
+            raise KbValidationError(f"senses[{index}] needs a string id, got {sid!r}",
+                                    source=source)
         if sid in senses:
             raise KbValidationError(f"duplicate sense id {sid}", source=source)
+        syn_raw = body.get("syn-struc", [])
+        if not isinstance(syn_raw, list):
+            raise KbValidationError(f"{sid}: syn-struc must be a list, got {syn_raw!r}",
+                                    source=source)
         nodes = []
-        for n in body.get("syn-struc", ()):
+        for n in syn_raw:
+            if not isinstance(n, dict):
+                raise KbValidationError(f"{sid}: syn-struc node must be an object, got {n!r}",
+                                        source=source)
             cat = n.get("cat")
             if cat not in SYN_CATEGORIES:
                 raise KbValidationError(f"{sid}: unknown syn-struc category {cat!r}", source=source)
             var = n.get("var")
-            if isinstance(var, bool) or not isinstance(var, int):
+            if not _is_integer(var):
                 raise KbValidationError(f"{sid}: syn-struc {cat} node needs an integer var",
                                         source=source)
-            roots = tuple(str(r) for r in n["root"]) if "root" in n else None
+            roots = _strings(n["root"], f"{sid}: syn-struc {cat} root", source) \
+                if "root" in n else None
             nodes.append(SynNode(category=cat, var=var, roots=roots,
                                  optional=bool(n.get("opt", False))))
         sem_raw = body.get("sem-struc", {})
+        if not isinstance(sem_raw, dict):
+            raise KbValidationError(f"{sid}: sem-struc must be an object, got {sem_raw!r}",
+                                    source=source)
+        head, slots_raw = sem_raw.get("head", ""), sem_raw.get("slots", {})
+        null_sem = sem_raw.get("null-sem", [])
+        if not isinstance(head, str) or not isinstance(slots_raw, dict) \
+                or not isinstance(null_sem, list) or not all(map(_is_integer, null_sem)):
+            raise KbValidationError(f"{sid}: sem-struc needs a head string, a slots object "
+                                    f"and a null-sem list of integers", source=source)
         slots = {}
-        for prop, rawv in sem_raw.get("slots", {}).items():
-            slots[prop] = _parse_slot_value(rawv, f"{sid}.{prop}")
-        sem = SemFrame(head=sem_raw.get("head", ""), slots=slots,
-                       null_sem=tuple(int(v) for v in sem_raw.get("null-sem", ())))
-        bindings = tuple((str(w), int(i)) for w, i in body.get("example-bindings", ()))
+        for prop, rawv in slots_raw.items():
+            slots[prop] = _parse_slot_value(rawv, f"{sid}.{prop}", source)
+        sem = SemFrame(head=head, slots=slots, null_sem=tuple(null_sem))
+        bindings = body.get("example-bindings", [])
+        if not isinstance(bindings, list) or not all(
+                isinstance(b, list) and len(b) == 2 and isinstance(b[0], str) and _is_integer(b[1])
+                for b in bindings):
+            raise KbValidationError(
+                f"{sid}: example-bindings must be a list of [word, var] pairs, got {bindings!r}",
+                source=source)
         reference = None
         if "reference" in body:
             r = body["reference"]
-            person, number = int(r.get("person", 0)), str(r.get("number", ""))
-            if person not in (1, 2, 3) or number not in ("singular", "plural"):
+            if not isinstance(r, dict):
+                raise KbValidationError(f"{sid}: reference must be an object, got {r!r}",
+                                        source=source)
+            person, number = r.get("person"), r.get("number")
+            if not _is_integer(person) or person not in (1, 2, 3) \
+                    or number not in ("singular", "plural"):
                 raise KbValidationError(f"{sid}: reference needs person 1-3 and singular/plural",
                                         source=source)
             gender = r.get("gender")
@@ -525,10 +577,10 @@ def _parse_lexicon(data: dict, source: str) -> Lexicon:
             pos=str(body.get("pos", "")),
             definition=str(body.get("def", "")),
             example=str(body.get("ex", "")),
-            synonyms=tuple(str(s) for s in body.get("synonyms", ())),
+            synonyms=_strings(body.get("synonyms", []), f"{sid}: synonyms", source),
             syn_struc=tuple(nodes),
             sem_struc=sem,
-            example_bindings=bindings,
+            example_bindings=tuple((w, i) for w, i in bindings),
             reference=reference,
         )
     return Lexicon(senses)
@@ -578,13 +630,18 @@ def _parse_memory(data: dict, onto: Ontology, source: str) -> EpisodicMemory:
     raw = data.get("instances", {})
     if not isinstance(raw, dict):
         raise KbValidationError("instances must be an object", source=source)
-    for iid in raw:
+    for iid, body in raw.items():
         m = INSTANCE_RE.fullmatch(iid)
         if not m:
             raise KbValidationError(f"bad instance id {iid!r}", source=source)
         if not onto.exists(m.group(1)):
             raise KbValidationError(f"{iid}: concept prefix {m.group(1)} is not in the ontology",
                                     source=source)
+        if not isinstance(body, dict) or not all(
+                isinstance(body.get(prop, ""), str) for prop in ("HAS-NAME", "GENDER")):
+            raise KbValidationError(
+                f"{iid}: an instance must be an object whose HAS-NAME and GENDER are strings, "
+                f"got {body!r}", source=source)
     return EpisodicMemory(raw)
 
 

@@ -18,9 +18,7 @@ from dataclasses import dataclass, field, replace
 from .config import GenerationConfig
 from .errors import AllSetsPruned, NoRealizableSense
 from .knowledge import (
-    ANYTHING,
     Constraint,
-    FacetedConstraint,
     KnowledgeBase,
     LexSense,
     MatchDegree,
@@ -31,7 +29,7 @@ from .knowledge import (
     constraint_text,
     match_degree,
 )
-from .tmr import CASE_ROLES, RESERVED_SLOTS, ConceptRef, InstanceRef, Tmr, TmrFrame
+from .tmr import CASE_ROLES, RESERVED_SLOTS, ConceptRef, InstanceRef, Tmr, TmrFrame, concept_of
 
 DETERMINERS = ("indefinite", "definite", "some", "bare", "none")
 
@@ -109,11 +107,18 @@ class Unit:
 
 @dataclass
 class CandidateSet:
-    """One chosen sense per unit plus the merged explanation ledger."""
+    """One chosen sense per unit; everything else is read from the choices."""
 
     choices: dict[str, CandidateSense]
-    ledger: list[tuple[str, LedgerEntry]] = field(default_factory=list)
-    voice: str = "active"
+
+    @property
+    def ledger(self) -> list[tuple[str, LedgerEntry]]:
+        """Reference entries, then semantic entries, then uncovered-slot
+        entries, each in choice order: the ledger is printed as is."""
+        combo = self.choices.values()
+        return ([(c.unit_key, entry) for c in combo for entry in c.ledger]
+                + [(c.unit_key, entry) for c in combo for entry in c.semantic]
+                + [(c.unit_key, entry) for c in combo for entry in c.uncovered])
 
     @property
     def score(self) -> float:
@@ -134,7 +139,6 @@ class TraceRecord:
 @dataclass
 class SelectionResult:
     sets: list[CandidateSet]
-    units: list[Unit]
     trace: list[TraceRecord]
     messages: list[str]
     counts: dict[str, int]
@@ -200,33 +204,23 @@ def _is_a_safe(kb: KnowledgeBase, concept: str, ancestor: str) -> bool:
     return onto.exists(concept) and onto.exists(ancestor) and onto.is_a(concept, ancestor)
 
 
-def _participant(tmr: Tmr, frame: TmrFrame, participant_id: str | None) -> bool:
+def _participant(frame: TmrFrame, participant_id: str | None) -> bool:
     if participant_id is None:
         return False
     return frame.instance_id == participant_id or frame.coref == participant_id
 
 
-def _frame_name(frame: TmrFrame, tmr: Tmr, kb: KnowledgeBase) -> str | None:
-    name = frame.get("HAS-NAME")
-    if isinstance(name, str):
-        return name
+def _frame_attr(frame: TmrFrame, kb: KnowledgeBase, prop: str) -> str | None:
+    """The frame's own string value for prop, else what memory holds for the
+    frame or the instance it corefers with."""
+    value = frame.get(prop)
+    if isinstance(value, str):
+        return value
     for candidate in (frame.instance_id, frame.coref):
         if candidate:
-            name = kb.memory.name_of(candidate)
-            if name:
-                return name
-    return None
-
-
-def _frame_gender(frame: TmrFrame, kb: KnowledgeBase) -> str | None:
-    gender = frame.get("GENDER")
-    if isinstance(gender, str):
-        return gender
-    for candidate in (frame.instance_id, frame.coref):
-        if candidate:
-            gender = kb.memory.gender_of(candidate)
-            if gender:
-                return gender
+            value = kb.memory.get(candidate, prop)
+            if value:
+                return value
     return None
 
 
@@ -293,9 +287,10 @@ def manage_reference(units: list[Unit], tmr: Tmr, kb: KnowledgeBase,
             out.append(unit)
             continue
 
-        if _participant(tmr, frame, tmr.speaker_id) or _participant(tmr, frame, tmr.hearer_id):
-            person = 1 if _participant(tmr, frame, tmr.speaker_id) else 2
-            chosen = _pronoun_candidates(unit, person, number, _frame_gender(frame, kb), 0.0)
+        gender = _frame_attr(frame, kb, "GENDER")
+        if _participant(frame, tmr.speaker_id) or _participant(frame, tmr.hearer_id):
+            person = 1 if _participant(frame, tmr.speaker_id) else 2
+            chosen = _pronoun_candidates(unit, person, number, gender, 0.0)
             if chosen:
                 unit.candidates = chosen
                 out.append(unit)
@@ -303,8 +298,7 @@ def manage_reference(units: list[Unit], tmr: Tmr, kb: KnowledgeBase,
             # degenerate lexicon without the pronoun: fall through to description
 
         if _is_a_safe(kb, concept, "HUMAN"):
-            name = _frame_name(frame, tmr, kb)
-            gender = _frame_gender(frame, kb)
+            name = _frame_attr(frame, kb, "HAS-NAME")
             chosen: list[CandidateSense] = []
             if name:
                 chosen.append(_name_candidate(unit, name, concept))
@@ -361,7 +355,6 @@ def manage_reference(units: list[Unit], tmr: Tmr, kb: KnowledgeBase,
 
 def _filler_concept(value) -> str | None:
     if isinstance(value, InstanceRef):
-        from .tmr import concept_of
         return concept_of(value.id)
     if isinstance(value, ConceptRef):
         return value.name
@@ -398,18 +391,26 @@ def _score_binding(entries: list[LedgerEntry], choice: CandidateSense, frame: Tm
     return None
 
 
+def _within_tolerance(entries: list[LedgerEntry], dist: float, config: GenerationConfig,
+                      note: str) -> bool:
+    """Whether a value dist away from the sense's still fits; if so, append
+    the feature bonus, graded by closeness."""
+    if dist > config.feature_tolerance + 1e-9:
+        return False
+    bonus = int(round((1.0 - dist / config.feature_tolerance) * config.feature_bonus))
+    if bonus:
+        entries.append(LedgerEntry("feature-match", bonus, note))
+    return True
+
+
 def _score_feature(entries: list[LedgerEntry], prop: str, declared: float, actual,
                    config: GenerationConfig) -> str | None:
     if not isinstance(actual, (int, float)):
         return None
-    dist = abs(float(actual) - declared)
-    if dist > config.feature_tolerance + 1e-9:
-        return f"{prop} {declared:g} is too far from the specified {float(actual):g}"
-    bonus = int(round((1.0 - dist / config.feature_tolerance) * config.feature_bonus))
-    if bonus:
-        entries.append(LedgerEntry("feature-match", bonus,
-                                   f"{prop} {declared:g} within tolerance of {float(actual):g}"))
-    return None
+    if _within_tolerance(entries, abs(float(actual) - declared), config,
+                         f"{prop} {declared:g} within tolerance of {float(actual):g}"):
+        return None
+    return f"{prop} {declared:g} is too far from the specified {float(actual):g}"
 
 
 def _score_assertion(entries: list[LedgerEntry], frame: TmrFrame, prop: str,
@@ -440,12 +441,9 @@ def _score_modifier(entries: list[LedgerEntry], choice: CandidateSense, unit: Un
         dist = 0.0 if slot.low <= v <= slot.high else min(abs(v - slot.low), abs(v - slot.high))
     else:
         dist = 0.0
-    if dist > config.feature_tolerance + 1e-9:
-        return f"{unit.prop} value {value} is outside the sense's range"
-    bonus = int(round((1.0 - dist / config.feature_tolerance) * config.feature_bonus))
-    if bonus:
-        entries.append(LedgerEntry("feature-match", bonus, f"{unit.prop} {value} fits the modifier"))
-    return None
+    if _within_tolerance(entries, dist, config, f"{unit.prop} {value} fits the modifier"):
+        return None
+    return f"{unit.prop} value {value} is outside the sense's range"
 
 
 def _score_candidate(entries: list[LedgerEntry], choice: CandidateSense, unit: Unit,
@@ -534,9 +532,9 @@ def _participant_ok(sense: LexSense, node: SynNode, bound_frame: TmrFrame, tmr: 
         return True
     lowered = word.lower()
     if lowered in _SPEAKER_ROOTS:
-        return _participant(tmr, bound_frame, tmr.speaker_id)
+        return _participant(bound_frame, tmr.speaker_id)
     if lowered in _HEARER_ROOTS:
-        return _participant(tmr, bound_frame, tmr.hearer_id)
+        return _participant(bound_frame, tmr.hearer_id)
     return True
 
 
@@ -627,16 +625,9 @@ def aggregate_sets(units: list[Unit], config: GenerationConfig) -> tuple[list[Ca
     if total > config.set_cap:
         messages.append(f"candidate product {total} exceeds cap {config.set_cap}; truncated")
 
-    sets: list[CandidateSet] = []
     product = itertools.product(*(unit.candidates for unit in units))
-    for combo in itertools.islice(product, config.set_cap):
-        # reference entries, then semantic entries in choice order, then
-        # uncovered-slot entries in frame order: the ledger is printed as is
-        ledger = [(c.unit_key, entry) for c in combo for entry in c.ledger]
-        ledger += [(c.unit_key, entry) for c in combo for entry in c.semantic]
-        ledger += [(c.unit_key, entry) for c in combo for entry in c.uncovered]
-        sets.append(CandidateSet(choices={c.unit_key: c for c in combo}, ledger=ledger,
-                                 voice="passive" if any(c.passive for c in combo) else "active"))
+    sets = [CandidateSet(choices={c.unit_key: c for c in combo})
+            for combo in itertools.islice(product, config.set_cap)]
     return sets, messages
 
 
@@ -683,5 +674,4 @@ def run_lexical_selection(tmr: Tmr, kb: KnowledgeBase, config: GenerationConfig,
     sets, messages = aggregate_sets(survivors, config)
     sets = expand_synonyms(sets)
     counts["after-synonyms"] = len(sets)
-    return SelectionResult(sets=sets, units=units, trace=trace,
-                           messages=messages, counts=counts)
+    return SelectionResult(sets=sets, trace=trace, messages=messages, counts=counts)

@@ -35,27 +35,46 @@ class MorphTables:
     a_before: frozenset[str]
 
 
+def _words(table, name: str, source: str) -> dict[str, str]:
+    """table itself, once it is an object whose values are all words."""
+    if not isinstance(table, dict) or not all(isinstance(v, str) for v in table.values()):
+        raise SchemaError(f"{name} must be an object of words, got {table!r}", source)
+    return table
+
+
+def _word_list(words, name: str, source: str) -> frozenset[str]:
+    """words as a set, once it is a list of words."""
+    if not isinstance(words, list) or not all(isinstance(w, str) for w in words):
+        raise SchemaError(f"{name} must be a list of words, got {words!r}", source)
+    return frozenset(words)
+
+
 def parse_morphology(doc: dict, source: str = "<morphology>") -> MorphTables:
     document(doc, SCHEMA_MORPH, source)
     verbs = doc.get("irregular-verbs", {})
-    plurals = doc.get("irregular-plurals", {})
     pronouns = doc.get("pronouns", {})
     be_forms = doc.get("be", {})
-    for name, table in (("irregular-verbs", verbs), ("irregular-plurals", plurals),
-                        ("pronouns", pronouns), ("be", be_forms)):
+    for name, table in (("irregular-verbs", verbs), ("pronouns", pronouns), ("be", be_forms)):
         if not isinstance(table, dict):
             raise SchemaError(f"{name} must be an object", source)
     for lemma, forms in verbs.items():
-        if not isinstance(forms, dict) or "past" not in forms:
+        if "past" not in _words(forms, f"irregular verb {lemma!r}", source):
             raise SchemaError(f"irregular verb {lemma!r} needs at least a past form",
                               source)
+    for lemma, paradigm in pronouns.items():
+        _words(paradigm, f"pronoun {lemma!r}", source)
+    if not isinstance(be_forms.get("participle", ""), str):
+        raise SchemaError(f"be participle must be a word, got {be_forms['participle']!r}", source)
+    for tense, forms in be_forms.items():
+        if tense != "participle":
+            _words(forms, f"be {tense!r}", source)
     return MorphTables(
         irregular_verbs=verbs,
-        irregular_plurals=plurals,
+        irregular_plurals=_words(doc.get("irregular-plurals", {}), "irregular-plurals", source),
         pronouns=pronouns,
         be_forms=be_forms,
-        an_before=frozenset(doc.get("an-before", ())),
-        a_before=frozenset(doc.get("a-before", ())),
+        an_before=_word_list(doc.get("an-before", []), "an-before", source),
+        a_before=_word_list(doc.get("a-before", []), "a-before", source),
     )
 
 
@@ -99,15 +118,11 @@ def _regular_third(lemma: str) -> str:
 
 
 def _regular_plural(noun: str) -> str:
-    if noun.endswith(_SIBILANT_ENDINGS) or noun.endswith("o"):
-        return noun + "es"
-    if noun.endswith("y") and len(noun) > 1 and noun[-2] not in _VOWELS:
-        return noun[:-1] + "ies"
     if noun.endswith("f"):
         return noun[:-1] + "ves"
     if noun.endswith("fe"):
         return noun[:-2] + "ves"
-    return noun + "s"
+    return _regular_third(noun)
 
 
 def _be_form(tables: MorphTables, features: Features) -> str:

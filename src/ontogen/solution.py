@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from .errors import EmptySolution
 from .knowledge import LexSense
-from .pipeline import CandidateSense, CandidateSet, Unit
+from .pipeline import CandidateSense, CandidateSet
 from .tmr import InstanceRef, RelativeTime, Tmr, TmrFrame, relative_time_of
 
 _TENSE_BY_TIME = {
@@ -105,13 +105,9 @@ def _pronoun_number(form: str) -> str:
 
 
 class _Builder:
-    def __init__(self, cs: CandidateSet, tmr: Tmr, units: list[Unit]):
+    def __init__(self, cs: CandidateSet, tmr: Tmr):
         self.cs = cs
         self.tmr = tmr
-        self.mods_by_frame: dict[str, list[Unit]] = {}
-        for unit in units:
-            if unit.kind == "modifier" and unit.key in cs.choices:
-                self.mods_by_frame.setdefault(unit.frame_id, []).append(unit)
 
     # -- nominals ----------------------------------------------------------
 
@@ -122,22 +118,17 @@ class _Builder:
         case = "subjective" if function == "subject" else "objective"
         number = "plural" if frame.plural else "singular"
 
-        ref = choice.sense.reference
-        if ref is not None:
-            head = Constituent("noun-head", lemma=choice.lemma, pronoun=True,
-                               features=Features(number=ref.number, person=ref.person,
-                                                 case=case))
+        if choice.is_pronoun:
+            ref = choice.sense.reference
+            if ref is not None:
+                lemma, number, person = choice.lemma, ref.number, ref.person
+            else:
+                lemma = choice.decoration.pronoun_form
+                number, person = _pronoun_number(lemma), 3
+            head = Constituent("noun-head", lemma=lemma, pronoun=True,
+                               features=Features(number=number, person=person, case=case))
             return (Constituent(function, children=(head,)),
-                    Features(number=ref.number, person=ref.person))
-
-        decoration = choice.decoration
-        if decoration is not None and decoration.pronoun_form:
-            form = decoration.pronoun_form
-            number = _pronoun_number(form)
-            head = Constituent("noun-head", lemma=form, pronoun=True,
-                               features=Features(number=number, person=3, case=case))
-            return (Constituent(function, children=(head,)),
-                    Features(number=number, person=3))
+                    Features(number=number, person=person))
 
         if choice.proper:
             head = Constituent("noun-head", lemma=choice.lemma, proper=True,
@@ -146,13 +137,14 @@ class _Builder:
                     Features(number=number, person=3))
 
         children: list[Constituent] = []
+        decoration = choice.decoration
         determiner = decoration.determiner if decoration else "none"
         word = _DETERMINER_WORDS.get(determiner)
         if word:
             children.append(Constituent("determiner", lemma=word))
-        for unit in self.mods_by_frame.get(frame.instance_id, ()):
-            mod = self.cs.choices[unit.key]
-            children.append(Constituent("modifier", lemma=mod.lemma))
+        for mod in self.cs.choices.values():  # the choices for the frame's property units
+            if mod.frame_id == frame.instance_id and mod.unit_key != mod.frame_id:
+                children.append(Constituent("modifier", lemma=mod.lemma))
         children.append(Constituent("noun-head", lemma=choice.lemma,
                                     features=Features(number=number, person=3)))
         return (Constituent(function, children=tuple(children)),
@@ -167,7 +159,7 @@ class _Builder:
         sense = choice.sense
         syn = sense.syn_struc
         bound = sense.bound_roles
-        passive = self.cs.voice == "passive" and not suppress_subject
+        passive = choice.passive and not suppress_subject
         has_aux = any(node.category == "aux" for node in syn)
         subject = Features(number="singular", person=3)
         voice = "passive" if passive else "active"
@@ -303,7 +295,7 @@ class _Builder:
         return Constituent("clause", children=tuple(children)), mood, tense, voice
 
 
-def build_solution(cs: CandidateSet, tmr: Tmr, units: list[Unit]) -> CandidateSolution:
+def build_solution(cs: CandidateSet, tmr: Tmr) -> CandidateSolution:
     """Tree for the root frame's construction; unbound frames stay silent."""
     if not tmr.frames:
         raise EmptySolution("the meaning representation has no frames")
@@ -311,7 +303,7 @@ def build_solution(cs: CandidateSet, tmr: Tmr, units: list[Unit]) -> CandidateSo
     choice = cs.choices.get(root_frame.instance_id)
     if choice is None:
         raise EmptySolution(f"no chosen sense for root frame {root_frame.instance_id}")
-    builder = _Builder(cs, tmr, units)
+    builder = _Builder(cs, tmr)
     root, mood, tense, voice = builder.clause(root_frame, choice)
     return CandidateSolution(candidate_set=cs, root=root, mood=mood,
                              tense=tense, voice=voice)

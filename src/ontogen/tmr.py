@@ -62,11 +62,11 @@ class ProceduralCall:
 Filler = InstanceRef | ConceptRef | ProceduralCall | RelativeTime | dt.date | dt.time | float | str
 
 
-def concept_of(instance_id: str) -> str:
+def concept_of(instance_id: str, source: str | None = None) -> str:
     """Strip the numeric index: FASTEN-18 -> FASTEN. Errors on unindexed ids."""
     m = INSTANCE_RE.fullmatch(instance_id)
     if not m:
-        raise MalformedInstanceId(f"{instance_id!r} is not CONCEPT-<digits>")
+        raise MalformedInstanceId(f"{instance_id!r} is not CONCEPT-<digits>", source=source)
     return m.group(1)
 
 
@@ -196,7 +196,7 @@ def parse_tmr(text: str, source: str = "<string>") -> Tmr:
 
     frames: list[TmrFrame] = []
     for iid, body in raw_frames.items():
-        concept_of(iid)  # validates the id shape
+        concept_of(iid, source)  # validates the id shape
         if not isinstance(body, dict):
             raise TmrError(f"{iid}: frame body must be an object", source=source)
         slots: dict[str, tuple[Filler, ...]] = {}
@@ -214,7 +214,7 @@ def parse_tmr(text: str, source: str = "<string>") -> Tmr:
                 continue
             if prop in _COREF_KEYS:
                 coref = str(raw)
-                concept_of(coref)
+                concept_of(coref, source)
                 if coref == iid:
                     raise TmrError(f"{iid}: {prop} names the frame itself", source=source)
                 continue
@@ -400,13 +400,6 @@ def relative_time_of(frame: TmrFrame, tmr: Tmr) -> RelativeTime | None:
 
 # Identification attributes that episodic memory can supply on either side.
 _IDENTITY_SLOTS = ("HAS-NAME",)
-
-
-def _frame_signature(frame: TmrFrame, tmr: Tmr):
-    """Concept plus mapped-slot skeleton used to pre-sort bijection candidates."""
-    props = tuple(sorted(p for p in frame.slots
-                         if p not in TIME_SLOTS and p not in _IDENTITY_SLOTS))
-    return (frame.concept, props, relative_time_of(frame, tmr))
 
 
 def _slots_match(a: TmrFrame, b: TmrFrame, ta: Tmr, tb: Tmr, mapping: dict[str, str]) -> bool:

@@ -13,15 +13,8 @@ import tempfile
 from collections import Counter
 from pathlib import Path
 
-from ontogen import (
-    KnowledgeBase,
-    Tmr,
-    inflect_verb,
-    load_knowledge_base,
-    parse_tmr,
-    pluralize,
-    pronoun_form,
-)
+from ontogen import KnowledgeBase, Tmr, load_knowledge_base, parse_tmr
+from ontogen.realizer import inflect_verb, pluralize, pronoun_form
 
 # concept name -> its two noun lemmas
 OBJECT_POOL = {

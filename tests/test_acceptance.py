@@ -10,16 +10,9 @@ import re
 
 from conftest import load_fixture
 from morphdata import ARTICLE_CASES, PLURAL_CASES, VERB_CASES
-from ontogen import (
-    Features,
-    generate,
-    indefinite_article,
-    inflect_verb,
-    pluralize,
-    serialize_tmr,
-    strip_metadata,
-    tmr_isomorphic,
-)
+from ontogen import generate, serialize_tmr, strip_metadata, tmr_isomorphic
+from ontogen.realizer import indefinite_article, inflect_verb, pluralize
+from ontogen.solution import Features
 from test_properties import (
     check_determinism,
     check_ledger_sums,

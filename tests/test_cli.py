@@ -179,6 +179,28 @@ def test_every_malformed_input_file_is_a_one_line_error(tmp_path, capsys, flag, 
     assert err.startswith(f"error: {path}: ")
 
 
+def _tmr_with_frame_id_wall(path: Path) -> list[str]:
+    path.write_text(json.dumps({"schema": "ontogen-tmr/1", "frames": {"wall": {}}}))
+    return ["generate", "--tmr", str(path)]
+
+
+def _ontology_with_reversed_range(path: Path) -> list[str]:
+    doc = json.loads((KB_DIR / "ontology.json").read_text())
+    doc["concepts"]["FASTEN"]["slots"]["AGENT"] = {"sem": {"range": [0.9, 0.1]}}
+    path.write_text(json.dumps(doc))
+    return ["validate", "--ontology", str(path)]
+
+
+@pytest.mark.parametrize("command", [_tmr_with_frame_id_wall, _ontology_with_reversed_range],
+                         ids=["tmr-frame-id", "ontology-range"])
+def test_content_errors_name_their_file(tmp_path, capsys, command):
+    path = tmp_path / "input.json"
+    assert main(command(path)) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"error: {path}: ")
+
+
 def test_usage_mistakes_exit_1():
     assert run_cli("generate").returncode == 1          # missing --tmr
     assert run_cli("frobnicate").returncode == 1        # unknown subcommand

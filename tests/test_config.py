@@ -10,7 +10,8 @@ from pathlib import Path
 import pytest
 
 from conftest import DATA, fixture_path
-from ontogen import GenerationConfig, SchemaError, load_config, parse_config
+from ontogen import GenerationConfig, SchemaError, load_config
+from ontogen.config import parse_config
 
 
 def test_the_bundled_sample_spells_out_the_defaults():

@@ -1,6 +1,7 @@
 """Ontology reasoning, lexicon indexing, and load-time validation."""
 from __future__ import annotations
 
+import json
 from itertools import product
 
 import pytest
@@ -159,6 +160,53 @@ def test_malformed_sense_is_a_kb_validation_error(tmp_path, sense, match):
         _lexicon_with(sense, tmp_path)
 
 
+def _sense(doc: dict, sense_id: str) -> dict:
+    return next(s for s in doc["senses"] if s["id"] == sense_id)
+
+
+# (document, where the junk goes, the junk, the concept, sense or instance the error names)
+_JUNK_BODIES = {
+    "concept-body": ("ontology", lambda d: d["concepts"], "WALL", 1, "WALL"),
+    "parents": ("ontology", lambda d: d["concepts"]["WALL"], "parents", 5, "WALL"),
+    "slots": ("ontology", lambda d: d["concepts"]["FASTEN"], "slots", [], "FASTEN"),
+    "range-single": ("ontology", lambda d: d["concepts"]["FASTEN"]["slots"], "AGENT",
+                     {"sem": {"range": [1]}}, "FASTEN.AGENT"),
+    "range-number": ("ontology", lambda d: d["concepts"]["FASTEN"]["slots"], "AGENT",
+                     {"sem": {"range": 5}}, "FASTEN.AGENT"),
+    "range-strings": ("ontology", lambda d: d["concepts"]["FASTEN"]["slots"], "AGENT",
+                      {"sem": {"range": ["a", "b"]}}, "FASTEN.AGENT"),
+    "any-of": ("ontology", lambda d: d["concepts"]["FASTEN"]["slots"], "AGENT",
+               {"sem": {"any-of": 5}}, "FASTEN.AGENT"),
+    "sem-struc": ("lexicon", lambda d: _sense(d, "fix-v2"), "sem-struc", 5, "fix-v2"),
+    "syn-struc": ("lexicon", lambda d: _sense(d, "fix-v2"), "syn-struc", 5, "fix-v2"),
+    "syn-struc-node": ("lexicon", lambda d: _sense(d, "fix-v2")["syn-struc"], 0, 5, "fix-v2"),
+    "root": ("lexicon", lambda d: _sense(d, "fix-v2")["syn-struc"][3], "root", 5, "fix-v2"),
+    "reference": ("lexicon", lambda d: _sense(d, "he-n1"), "reference", 5, "he-n1"),
+    "synonyms": ("lexicon", lambda d: _sense(d, "fix-v2"), "synonyms", 5, "fix-v2"),
+    "example-bindings": ("lexicon", lambda d: _sense(d, "appreciate-v8"), "example-bindings",
+                         [1], "appreciate-v8"),
+    "null-sem": ("lexicon", lambda d: _sense(d, "fix-v2")["sem-struc"], "null-sem", ["x"],
+                 "fix-v2"),
+    "instance-body": ("memory", lambda d: d["instances"], "HUMAN-104", 5, "HUMAN-104"),
+    "instance-name": ("memory", lambda d: d["instances"], "HUMAN-104", {"HAS-NAME": 5},
+                      "HUMAN-104"),
+}
+
+
+@pytest.mark.parametrize("case", list(_JUNK_BODIES))
+def test_json_shaped_junk_in_a_body_is_a_kb_validation_error(tmp_path, case):
+    kind, parent, key, junk, name = _JUNK_BODIES[case]
+    doc = json.loads((KB_DIR / f"{kind}.json").read_text())
+    parent(doc)[key] = junk
+    path = tmp_path / f"{kind}.json"
+    path.write_text(json.dumps(doc))
+    files = {k: KB_DIR / f"{k}.json" for k in ("ontology", "lexicon", "memory")}
+    files[kind] = path
+    with pytest.raises(KbValidationError) as exc:
+        load_knowledge_base(files["ontology"], files["lexicon"], files["memory"])
+    assert str(exc.value).startswith(f"{path}: {name}")
+
+
 def test_a_concept_declared_twice_is_rejected(tmp_path):
     onto = tmp_path / "ontology.json"
     onto.write_text('{"schema": "ontogen-kb/1", "kind": "ontology", "concepts": {'
@@ -193,9 +241,9 @@ def test_property_index_finds_graded_modifiers(kb):
 
 def test_memory_identification_attributes(kb):
     assert kb.memory.knows("HUMAN-104")
-    assert kb.memory.name_of("HUMAN-104") == "Tom"
-    assert kb.memory.gender_of("HUMAN-104") == "male"
-    assert kb.memory.name_of("HUMAN-30") is None
+    assert kb.memory.get("HUMAN-104", "HAS-NAME") == "Tom"
+    assert kb.memory.get("HUMAN-104", "GENDER") == "male"
+    assert kb.memory.get("HUMAN-30", "HAS-NAME") is None
     assert not kb.memory.knows("HUMAN-9999")
 
 

@@ -8,15 +8,11 @@ from dataclasses import replace
 import pytest
 
 from conftest import fixture_path, load_fixture, make_kb
-from ontogen import (
-    AllSetsPruned,
-    GenerationConfig,
-    NoRealizableSense,
+from ontogen import AllSetsPruned, GenerationConfig, NoRealizableSense, generate, parse_tmr
+from ontogen.pipeline import (
     aggregate_sets,
     extract_candidates,
-    generate,
     manage_reference,
-    parse_tmr,
     prune_semantic,
     prune_syntactic,
     run_lexical_selection,
@@ -242,7 +238,7 @@ def test_each_excluded_candidate_is_traced_once(kb):
 def test_missing_agent_rescues_transitives_into_the_passive(kb, config):
     result = run_lexical_selection(load_fixture("fasten_passive"), kb, config)
     assert result.sets
-    assert all(cs.voice == "passive" for cs in result.sets)
+    assert all(cs.choices["FASTEN-9"].passive for cs in result.sets)
 
 
 def test_nothing_survives_a_meaning_no_sense_can_host(kb, config):

@@ -3,6 +3,7 @@ the loaders checked over arbitrary file contents."""
 from __future__ import annotations
 
 import contextlib
+import json
 import math
 import tempfile
 from dataclasses import replace
@@ -12,26 +13,28 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import KB_DIR
+from conftest import DATA, KB_DIR
 from genscen import build_scenario, tokens_conserved
 from ontogen import (
     AllSetsPruned,
     GenerationConfig,
     OntogenError,
-    aggregate_sets,
     bundled_morphology,
-    extract_candidates,
     generate,
     load_config,
     load_frequency,
     load_knowledge_base,
     load_morphology,
-    manage_reference,
     parse_tmr_file,
+    serialize_tmr,
+)
+from ontogen.pipeline import (
+    aggregate_sets,
+    extract_candidates,
+    manage_reference,
     prune_semantic,
     prune_syntactic,
     run_lexical_selection,
-    serialize_tmr,
 )
 
 SETTINGS = settings(max_examples=25, deadline=None, derandomize=True)
@@ -205,3 +208,46 @@ def test_arbitrary_file_bytes_raise_only_typed_errors(loader, content):
         path.write_bytes(content)
         with contextlib.suppress(OntogenError):
             _LOADERS[loader](path)
+
+
+# --- parser bodies -------------------------------------------------------------
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=10),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=10), inner,
+                                                               max_size=4),
+    max_leaves=10)
+_BUNDLED = {**_KB, "morphology": DATA / "morphology.json"}
+
+
+def _paths(value, path=()):
+    """The path to every value inside a JSON value, the value itself first."""
+    yield path
+    children = value.items() if isinstance(value, dict) else \
+        enumerate(value) if isinstance(value, list) else ()
+    for key, child in children:
+        yield from _paths(child, path + (key,))
+
+
+_PATHS = {kind: list(_paths(json.loads(path.read_text()))) for kind, path in _BUNDLED.items()}
+
+
+@pytest.mark.parametrize("kind", list(_BUNDLED))
+@SETTINGS
+@given(data=st.data(), junk=json_values)
+def test_arbitrary_json_anywhere_in_a_bundled_document_raises_only_typed_errors(kind, data, junk):
+    doc = json.loads(_BUNDLED[kind].read_text())
+    path = data.draw(st.sampled_from(_PATHS[kind]))
+    if path:
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = junk
+    else:
+        doc = junk
+    with tempfile.TemporaryDirectory() as tmp:
+        target = Path(tmp) / "input.json"
+        target.write_text(json.dumps(doc))
+        with contextlib.suppress(OntogenError):
+            _LOADERS[kind](target)

@@ -5,19 +5,17 @@ import json
 
 import pytest
 
-from conftest import load_fixture
+from conftest import DATA, load_fixture
 from morphdata import ARTICLE_CASES, PLURAL_CASES, REGULAR_VERBS, VERB_CASES
-from ontogen import (
-    Features,
-    SchemaError,
-    generate,
+from ontogen import SchemaError, generate, parse_tmr
+from ontogen.realizer import (
     indefinite_article,
     inflect_verb,
     parse_morphology,
-    parse_tmr,
     pluralize,
     pronoun_form,
 )
+from ontogen.solution import Features
 
 
 def test_the_tables_cover_at_least_fifty_forms():
@@ -77,6 +75,23 @@ def test_pronoun_case_forms(morph):
 def test_morphology_document_needs_its_schema_tag():
     with pytest.raises(SchemaError):
         parse_morphology({"irregular-verbs": {}})
+
+
+@pytest.mark.parametrize("table,junk,name", [
+    ("an-before", 5, "an-before"),
+    ("a-before", 5, "a-before"),
+    ("pronouns", {"he": 5}, "pronoun 'he'"),
+    ("irregular-verbs", {"go": {"past": 5}}, "irregular verb 'go'"),
+    ("irregular-plurals", {"man": 5}, "irregular-plurals"),
+    ("be", {"participle": 5}, "be participle"),
+    ("be", {"past": 5}, "be 'past'"),
+], ids=["an-before", "a-before", "pronoun-paradigm", "verb-form", "plural", "be-participle",
+        "be-tense"])
+def test_json_shaped_junk_in_a_table_is_a_schema_error(table, junk, name):
+    doc = json.loads((DATA / "morphology.json").read_text())
+    doc[table] = junk
+    with pytest.raises(SchemaError, match=f"^morph.json: {name} must be "):
+        parse_morphology(doc, source="morph.json")
 
 
 # --- agreement in full sentences --------------------------------------------

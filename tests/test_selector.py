@@ -6,23 +6,17 @@ from dataclasses import replace
 import pytest
 
 from conftest import load_fixture
-from ontogen import (
-    FrequencyTable,
-    SchemaError,
-    build_solution,
-    generate,
-    parse_frequency,
-    rank,
-    realize,
-    repetition_count,
-    run_lexical_selection,
-)
+from ontogen import FrequencyTable, SchemaError, generate
+from ontogen.pipeline import run_lexical_selection
+from ontogen.realizer import realize
+from ontogen.selector import parse_frequency, rank, repetition_count
+from ontogen.solution import build_solution
 
 
 def _solutions(name, kb, config, morph):
     tmr = load_fixture(name)
     result = run_lexical_selection(tmr, kb, config)
-    solutions = [build_solution(cs, tmr, result.units) for cs in result.sets]
+    solutions = [build_solution(cs, tmr) for cs in result.sets]
     for sol in solutions:
         sol.sentence = realize(sol, morph)
     return tmr, solutions

@@ -6,22 +6,15 @@ import json
 import pytest
 
 from conftest import TMR_DIR, load_fixture
-from ontogen import (
-    AllSetsPruned,
-    NoRealizableSense,
-    build_solution,
-    derive_tense,
-    find_root_frame,
-    generate,
-    parse_tmr,
-    run_lexical_selection,
-)
+from ontogen import AllSetsPruned, NoRealizableSense, generate, parse_tmr
+from ontogen.pipeline import run_lexical_selection
+from ontogen.solution import build_solution, derive_tense, find_root_frame
 
 
 def _solutions(name, kb, config, context=()):
     tmr = load_fixture(name)
     result = run_lexical_selection(tmr, kb, config, context=context)
-    return tmr, [build_solution(cs, tmr, result.units) for cs in result.sets]
+    return tmr, [build_solution(cs, tmr) for cs in result.sets]
 
 
 def _leaves(root):
@@ -157,6 +150,32 @@ def test_agentless_transitive_promotes_the_theme_to_subject(kb, config):
     assert verb.features.verb_form == "participle"
 
 
+def _with(name: str, edit) -> object:
+    doc = json.loads((TMR_DIR / f"{name}.json").read_text())
+    edit(doc["frames"])
+    return parse_tmr(json.dumps(doc))
+
+
+def test_an_agentless_embedded_frame_leaves_the_clause_active(kb):
+    # the embedded frame is realized without its subject, so it cannot
+    # turn the clause that embeds it passive
+    tmr = _with("request_polite", lambda frames: frames["PREPARE-FOOD-1"].pop("AGENT"))
+    top = generate(tmr, kb).sentences[0]
+    assert (top.rank, top.sentence, top.solution.voice) == (
+        1, "I would really appreciate it if you would make dinner.", "active")
+
+
+def test_an_unattached_agentless_frame_leaves_the_sentences_alone(kb):
+    tmr = _with("fasten_painting", lambda frames: frames.update({
+        "FASTEN-99": {"THEME": "PICTURE-98", "DESTINATION": "WALL-97"},
+        "PICTURE-98": {}, "WALL-97": {}}))
+    report = generate(tmr, kb)
+    expected = [s.sentence for s in generate(load_fixture("fasten_painting"), kb).sentences]
+    assert len(expected) == 10
+    assert [s.sentence for s in report.sentences] == expected
+    assert {s.solution.voice for s in report.sentences} == {"active"}
+
+
 # --- embedded phrases -------------------------------------------------------------
 
 def test_embedded_event_is_a_base_form_verb_phrase(kb, config):
@@ -199,7 +218,7 @@ def test_every_expressible_fixture_builds_trees(kb, config):
         except (AllSetsPruned, NoRealizableSense):
             continue
         for cs in result.sets:
-            sol = build_solution(cs, tmr, result.units)
+            sol = build_solution(cs, tmr)
             assert sol.root.function == "clause"
             assert any(c.is_leaf for c in sol.root.walk())
             built += 1
@@ -223,6 +242,6 @@ def test_leaf_lemmas_come_from_the_knowledge_base(kb, config):
         tmr = load_fixture(name)
         result = run_lexical_selection(tmr, kb, config)
         for cs in result.sets:
-            sol = build_solution(cs, tmr, result.units)
+            sol = build_solution(cs, tmr)
             for leaf in _leaves(sol.root):
                 assert leaf.lemma.lower() in allowed, leaf
