@@ -51,7 +51,9 @@ def parse_config(text: str, source: str = "<config>") -> GenerationConfig:
             raise SchemaError(f"unknown config key {key!r}", source=source)
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise SchemaError(f"{key} must be a number, got {value!r}", source=source)
-        kwargs[spec.name] = int(value) if spec.type == "int" else float(value)
+        if spec.type == "int" and not isinstance(value, int):
+            raise SchemaError(f"{key} must be an integer, got {value!r}", source=source)
+        kwargs[spec.name] = value if spec.type == "int" else float(value)
     cfg = GenerationConfig(**kwargs)
     if cfg.set_cap < 1:
         raise SchemaError("set-cap must be at least 1", source=source)

@@ -5,8 +5,10 @@ manage referring expressions, prune semantically (with an additive score
 ledger), prune syntactically, aggregate the surviving candidates into
 candidate sets, and expand synonyms. Every pruning rule reads one candidate
 and its own frame, so each candidate is scored and checked once, and only
-survivors are combined. Every score delta and every exclusion is recorded,
-so a set's score is fully explained by its ledger.
+survivors are combined; a frame the root never reaches cannot change the
+sentence, so its units enter the combination at their best candidate only.
+Every score delta and every exclusion is recorded, so a set's score is
+fully explained by its ledger.
 """
 
 from __future__ import annotations
@@ -29,7 +31,16 @@ from .knowledge import (
     constraint_text,
     match_degree,
 )
-from .tmr import CASE_ROLES, RESERVED_SLOTS, ConceptRef, InstanceRef, Tmr, TmrFrame, concept_of
+from .tmr import (
+    CASE_ROLES,
+    RESERVED_SLOTS,
+    ConceptRef,
+    InstanceRef,
+    Tmr,
+    TmrFrame,
+    concept_of,
+    find_root_frame,
+)
 
 DETERMINERS = ("indefinite", "definite", "some", "bare", "none")
 
@@ -611,6 +622,58 @@ def prune_syntactic(units: list[Unit], tmr: Tmr, trace: list[TraceRecord]) -> li
 
 
 # ---------------------------------------------------------------------------
+# between stages 4 and 5: hold the frames the root never reaches
+
+def _bound_slots(units: list[Unit]) -> dict[str, set[str]]:
+    """Per frame, every slot that one of its surviving senses binds."""
+    bound: dict[str, set[str]] = {}
+    for unit in units:
+        for choice in unit.candidates:
+            bound.setdefault(unit.frame_id, set()).update(choice.sense.bound_roles.values())
+    return bound
+
+
+def _reached_frames(units: list[Unit], tmr: Tmr) -> set[str]:
+    """The root frame and every frame reachable from it through instance
+    fillers: of every slot but an -OF inverse, and of an -OF slot that a
+    surviving sense of the frame binds. The tree builder follows no other
+    edge, whichever senses are chosen."""
+    bound: dict[str, set[str]] | None = None  # needed only for an -OF edge to a new frame
+    reached: set[str] = set()
+    stack = [find_root_frame(tmr).instance_id]
+    while stack:
+        frame_id = stack.pop()
+        if frame_id in reached:
+            continue
+        reached.add(frame_id)
+        for prop, values in tmr.by_id[frame_id].slots.items():
+            targets = [v.id for v in values if isinstance(v, InstanceRef)
+                       and tmr.has(v.id) and v.id not in reached]
+            if targets and prop.endswith("-OF"):
+                bound = bound if bound is not None else _bound_slots(units)
+                if prop not in bound.get(frame_id, ()):
+                    continue
+            stack.extend(targets)
+    return reached
+
+
+def _own_score(choice: CandidateSense) -> float:
+    return sum(entry.delta for entry in choice.ledger + choice.semantic + choice.uncovered)
+
+
+def hold_unreached(units: list[Unit], tmr: Tmr) -> tuple[list[Unit], frozenset[str]]:
+    """Hold each unit of a frame the root never reaches at its first
+    candidate with the highest own score; return the units and the held
+    keys. Such a choice never changes the sentence and adds only its own
+    deltas to the total, and ranking keeps the first set with the highest
+    total per sentence, so every winning set already holds it there."""
+    reached = _reached_frames(units, tmr)
+    held = frozenset(unit.key for unit in units if unit.frame_id not in reached)
+    return [replace(unit, candidates=[max(unit.candidates, key=_own_score)])
+            if unit.key in held else unit for unit in units], held
+
+
+# ---------------------------------------------------------------------------
 # stage 5: aggregate the survivors into candidate sets
 
 def _product(units: list[Unit]) -> int:
@@ -634,13 +697,16 @@ def aggregate_sets(units: list[Unit], config: GenerationConfig) -> tuple[list[Ca
 # ---------------------------------------------------------------------------
 # stage 6: synonym expansion
 
-def expand_synonyms(sets: list[CandidateSet]) -> list[CandidateSet]:
-    """For every synonym of every chosen sense, clone the set with the head
-    lemma replaced; clones inherit the full ledger."""
+def expand_synonyms(sets: list[CandidateSet],
+                    held: frozenset[str] = frozenset()) -> list[CandidateSet]:
+    """For every synonym of every chosen sense outside the held units, clone
+    the set with the head lemma replaced; clones inherit the full ledger."""
     out: list[CandidateSet] = []
     for cs in sets:
         out.append(cs)
         for key in cs.choices:
+            if key in held:
+                continue
             choice = cs.choices[key]
             for synonym in choice.sense.synonyms:
                 out.append(replace(cs, choices={
@@ -671,7 +737,8 @@ def run_lexical_selection(tmr: Tmr, kb: KnowledgeBase, config: GenerationConfig,
     counts["after-semantic"] = _product(survivors)
     survivors = prune_syntactic(survivors, tmr, trace)
     counts["after-syntactic"] = _product(survivors)
+    survivors, held = hold_unreached(survivors, tmr)
     sets, messages = aggregate_sets(survivors, config)
-    sets = expand_synonyms(sets)
+    sets = expand_synonyms(sets, held)
     counts["after-synonyms"] = len(sets)
     return SelectionResult(sets=sets, trace=trace, messages=messages, counts=counts)

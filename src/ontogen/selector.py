@@ -14,9 +14,9 @@ from pathlib import Path
 from .config import GenerationConfig
 from .errors import SchemaError
 from .pipeline import CandidateSet, LedgerEntry
-from .solution import CandidateSolution, find_root_frame
+from .solution import CandidateSolution
 from .strictjson import document, read_json
-from .tmr import Tmr
+from .tmr import Tmr, find_root_frame
 
 SCHEMA_FREQ = "ontogen-freq/1"
 
@@ -42,12 +42,12 @@ def parse_frequency(doc: dict, source: str = "<frequency>") -> FrequencyTable:
     cleaned = {}
     for key, value in values.items():
         if not isinstance(value, (int, float)) or isinstance(value, bool) \
-                or not 0.0 <= float(value) <= 1.0:
+                or not 0 <= value <= 1:
             raise SchemaError(f"frequency for {key!r} must be a number in [0, 1]", source)
         cleaned[key] = float(value)
     default = doc.get("default", 0.5)
     if not isinstance(default, (int, float)) or isinstance(default, bool) \
-            or not 0.0 <= float(default) <= 1.0:
+            or not 0 <= default <= 1:
         raise SchemaError("default frequency must be a number in [0, 1]", source)
     return FrequencyTable(values=cleaned, default=float(default))
 

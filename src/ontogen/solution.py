@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from .errors import EmptySolution
 from .knowledge import LexSense
 from .pipeline import CandidateSense, CandidateSet
-from .tmr import InstanceRef, RelativeTime, Tmr, TmrFrame, relative_time_of
+from .tmr import InstanceRef, RelativeTime, Tmr, TmrFrame, find_root_frame, relative_time_of
 
 _TENSE_BY_TIME = {
     RelativeTime.BEFORE: "past",
@@ -60,22 +60,6 @@ class CandidateSolution:
 
     def proper_names(self) -> list[str]:
         return [c.lemma for c in self.root.walk() if c.proper and c.lemma]
-
-
-def find_root_frame(tmr: Tmr) -> TmrFrame:
-    """The frame no other frame points at: it has no -OF slot whose filler
-    is inside the TMR."""
-    for frame in tmr.frames:
-        pointed = False
-        for prop, values in frame.slots.items():
-            if not prop.endswith("-OF"):
-                continue
-            for value in values:
-                if isinstance(value, InstanceRef) and tmr.has(value.id):
-                    pointed = True
-        if not pointed:
-            return frame
-    return tmr.frames[0]
 
 
 def derive_tense(frame: TmrFrame, tmr: Tmr) -> str:

@@ -1,15 +1,19 @@
 """The one reader for every JSON input file.
 
 Each input shares one shape: UTF-8 text holding strict JSON (no key
-repeated in any object, no NaN or Infinity) whose top level is one
-object with a "schema" tag. Every failure is raised as the caller's
-SchemaError subclass, worded here once and prefixed with the file name.
+repeated in any object, no NaN or Infinity, no number beyond the float
+range) whose top level is one object with a "schema" tag. Every failure
+is raised as the caller's SchemaError subclass, worded here once and
+prefixed with the file name.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import sys
 from pathlib import Path
+from typing import NoReturn
 
 from .errors import SchemaError
 
@@ -27,6 +31,27 @@ def _no_constant(name: str):
     raise ValueError(f"{name} is not JSON")
 
 
+def _out_of_range(literal: str) -> NoReturn:
+    shown = literal if len(literal) <= 24 else f"{literal[:20]}...({len(literal)} characters)"
+    raise ValueError(f"number {shown} is outside the float range")
+
+
+def _finite_float(literal: str) -> float:
+    value = float(literal)
+    if math.isinf(value):
+        _out_of_range(literal)
+    return value
+
+
+def _float_sized_int(literal: str) -> int:
+    # the largest float has 309 digits; a longer literal need not be converted
+    if len(literal.lstrip("-")) <= 309:
+        value = int(literal)
+        if abs(value) <= sys.float_info.max:
+            return value
+    _out_of_range(literal)
+
+
 def read_text(path, error: type[SchemaError] = SchemaError) -> str:
     """The file's contents decoded as UTF-8."""
     try:
@@ -40,7 +65,8 @@ def read_text(path, error: type[SchemaError] = SchemaError) -> str:
 def decode(text: str, source: str, error: type[SchemaError] = SchemaError):
     """Strict JSON text to its value."""
     try:
-        return json.loads(text, object_pairs_hook=_unique_keys, parse_constant=_no_constant)
+        return json.loads(text, object_pairs_hook=_unique_keys, parse_constant=_no_constant,
+                          parse_float=_finite_float, parse_int=_float_sized_int)
     except json.JSONDecodeError as exc:
         raise error(f"line {exc.lineno}: {exc.msg}", source=source) from None
     except ValueError as exc:

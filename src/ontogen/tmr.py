@@ -118,6 +118,22 @@ class Tmr:
         return instance_id in self.by_id
 
 
+def find_root_frame(tmr: Tmr) -> TmrFrame:
+    """The frame no other frame points at: it has no -OF slot whose filler
+    is inside the TMR."""
+    for frame in tmr.frames:
+        pointed = False
+        for prop, values in frame.slots.items():
+            if not prop.endswith("-OF"):
+                continue
+            for value in values:
+                if isinstance(value, InstanceRef) and tmr.has(value.id):
+                    pointed = True
+        if not pointed:
+            return frame
+    return tmr.frames[0]
+
+
 # ---------------------------------------------------------------------------
 # parsing
 

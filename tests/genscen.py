@@ -13,8 +13,26 @@ import tempfile
 from collections import Counter
 from pathlib import Path
 
-from ontogen import KnowledgeBase, Tmr, load_knowledge_base, parse_tmr
-from ontogen.realizer import inflect_verb, pluralize, pronoun_form
+from ontogen import (
+    GenerationConfig,
+    KnowledgeBase,
+    Tmr,
+    bundled_frequency,
+    bundled_morphology,
+    load_knowledge_base,
+    parse_tmr,
+)
+from ontogen.pipeline import (
+    aggregate_sets,
+    expand_synonyms,
+    extract_candidates,
+    manage_reference,
+    prune_semantic,
+    prune_syntactic,
+)
+from ontogen.realizer import inflect_verb, pluralize, pronoun_form, realize
+from ontogen.selector import rank
+from ontogen.solution import build_solution
 
 # concept name -> its two noun lemmas
 OBJECT_POOL = {
@@ -177,3 +195,25 @@ def sentence_words(sentence: str) -> list[str]:
 
 def tokens_conserved(scored, tables) -> bool:
     return Counter(sentence_words(scored.sentence)) == Counter(leaf_words(scored.solution, tables))
+
+
+def rank_every_set(tmr: Tmr, kb: KnowledgeBase, config: GenerationConfig | None = None):
+    """The ranked sentences of generate() built the long way: every survivor
+    of every unit combined, every synonym cloned, every set built, realized
+    and ranked, with no frame held at one candidate."""
+    config = config or GenerationConfig()
+    units = manage_reference(extract_candidates(tmr, kb), tmr, kb, config)
+    trace: list = []
+    survivors = prune_syntactic(prune_semantic(units, tmr, kb, config, trace), tmr, trace)
+    sets, messages = aggregate_sets(survivors, config)
+    assert messages == [], "the reference must not be truncated"
+    solutions = [build_solution(cs, tmr) for cs in expand_synonyms(sets)]
+    tables = bundled_morphology()
+    for solution in solutions:
+        realize(solution, tables)
+    return rank(solutions, tmr, bundled_frequency(), config)
+
+
+def ranked_rows(sentences) -> list[tuple]:
+    """What a ranking reports for each sentence."""
+    return [(s.sentence, s.total, s.terms, s.signature, s.ledger) for s in sentences]

@@ -35,8 +35,10 @@ def test_any_subset_of_keys_overrides_just_those():
     ({"schema": "ontogen-config/1", "feature-tolerance": 0}, "feature-tolerance"),
     ({"schema": "ontogen-config/1", "exact-bonus": math.nan}, "NaN is not JSON"),
     ({"schema": "ontogen-config/1", "set-cap": math.inf}, "Infinity is not JSON"),
+    ({"schema": "ontogen-config/1", "set-cap": 2.5}, "set-cap must be an integer, got 2.5"),
+    ({"schema": "ontogen-config/1", "exact-bonus": 10 ** 400}, "outside the float range"),
 ], ids=["no-schema", "wrong-version", "unknown-key", "boolean", "cap", "tolerance",
-        "nan", "infinity"])
+        "nan", "infinity", "fractional-cap", "huge-integer"])
 def test_invalid_documents_are_rejected(doc, match):
     with pytest.raises(SchemaError, match=match):
         parse_config(json.dumps(doc))
@@ -46,7 +48,9 @@ def test_invalid_documents_are_rejected(doc, match):
     ('{"schema": "ontogen-config/1", "set-cap": 3, "set-cap": 4}', "duplicate key 'set-cap'"),
     ('{"schema": "ontogen-config/1", "set-cap": ' + "[" * 5000 + "]" * 5000 + "}",
      "nested too deeply"),
-], ids=["duplicate-key", "deep-nesting"])
+    ('{"schema": "ontogen-config/1", "exact-bonus": 1e400}', "number 1e400 is outside"),
+    ('{"schema": "ontogen-config/1", "set-cap": 1e400}', "number 1e400 is outside"),
+], ids=["duplicate-key", "deep-nesting", "huge-bonus", "huge-cap"])
 def test_config_text_must_be_strict_json(text, match):
     with pytest.raises(SchemaError, match=match):
         parse_config(text)

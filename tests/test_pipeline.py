@@ -8,9 +8,11 @@ from dataclasses import replace
 import pytest
 
 from conftest import fixture_path, load_fixture, make_kb
+from genscen import rank_every_set, ranked_rows
 from ontogen import AllSetsPruned, GenerationConfig, NoRealizableSense, generate, parse_tmr
 from ontogen.pipeline import (
     aggregate_sets,
+    expand_synonyms,
     extract_candidates,
     manage_reference,
     prune_semantic,
@@ -316,6 +318,83 @@ def test_silent_frames_past_the_cap_stay_expressible(kb, silent):
     assert report.messages == []
 
 
+# --- frames the root never reaches -------------------------------------------
+
+def _with_frames(name: str, frames: dict):
+    doc = json.loads(fixture_path(name).read_text())
+    doc["frames"].update(frames)
+    return parse_tmr(json.dumps(doc))
+
+
+@pytest.mark.parametrize("silent", range(7))
+def test_silent_frames_do_not_multiply_the_sets_built(kb, silent):
+    tmr = _with_frames("fasten_painting",
+                       {f"PICTURE-{ident}": {} for ident in range(101, 101 + silent)})
+    report = generate(tmr, kb)
+    assert report.counts["after-syntactic"] == 4 * 2 ** silent
+    assert report.counts["after-synonyms"] == 10
+    assert len(report.sentences) == 10
+
+
+@pytest.mark.parametrize("agent", [{}, {"AGENT": "HUMAN-104"}], ids=["agentless", "shared-agent"])
+def test_an_unattached_event_is_held_at_its_best_candidates(kb, agent):
+    """A FASTEN frame that nothing attaches to, with its own modified
+    PICTURE and WALL, beside a named HUMAN: their candidates score
+    differently, and each is held at its first best. Sharing the root's
+    agent attaches the frame only through the agent's AGENT-OF inverse,
+    which no sense binds, so the frame stays unreached."""
+    tmr = _with_frames("fasten_painting", {
+        "FASTEN-99": {**agent, "THEME": "PICTURE-99", "DESTINATION": "WALL-99"},
+        "PICTURE-99": {"COLOR": "BLUE"},
+        "WALL-99": {},
+        "HUMAN-99": {"HAS-NAME": "Ann", "GENDER": "female"},
+    })
+    report = generate(tmr, kb)
+    assert ranked_rows(report.sentences) == ranked_rows(rank_every_set(tmr, kb))
+    assert report.counts["after-synonyms"] == 10
+    assert "FASTEN-99=affix-v1" in report.sentences[0].signature
+
+
+def test_a_silent_frame_is_still_pruned_and_traced(kb):
+    tmr = _with_frames("fasten_painting", {"WALK-99": {}})
+    with pytest.raises(AllSetsPruned, match="syntactic") as caught:
+        generate(tmr, kb)
+    assert any(r.subject == "WALK-99/walk-v1" and r.rule == "unfillable"
+               for r in caught.value.trace)
+
+
+def test_an_inverse_slot_a_sense_binds_is_followed(tmp_path):
+    """A sense that binds an -OF slot puts that slot's filler in the
+    sentence, so the filler's frame is reached and keeps every candidate."""
+    human = {"id": "person-n1", "headword": "person", "pos": "n",
+             "syn-struc": [{"cat": "n", "var": 0}], "sem-struc": {"head": "HUMAN", "slots": {}}}
+    kb = make_kb(tmp_path, ontology={"concepts": {
+        "ALL": {"parents": []},
+        "OBJECT": {"parents": ["ALL"]},
+        "HUMAN": {"parents": ["OBJECT"]},
+        "EVENT": {"parents": ["ALL"]},
+        "WANT": {"parents": ["EVENT"], "slots": {"AGENT": {"sem": "HUMAN"},
+                                                 "THEME": {"sem": "EVENT"}}},
+        "JUMP": {"parents": ["EVENT"], "slots": {"TOPIC-OF": {"sem": "HUMAN"}}},
+    }}, lexicon={"senses": [
+        human,
+        {**human, "id": "man-n1", "headword": "man"},
+        {"id": "want-v1", "headword": "want", "pos": "v",
+         "syn-struc": [{"cat": "subj", "var": 1}, {"cat": "v", "var": 0},
+                       {"cat": "prep", "var": 3, "root": ["to"]}, {"cat": "v", "var": 2}],
+         "sem-struc": {"head": "WANT", "slots": {"AGENT": {"var": 1}, "THEME": {"var": 2}}}},
+        {"id": "jump-v1", "headword": "jump", "pos": "v",
+         "syn-struc": [{"cat": "v", "var": 0}, {"cat": "prep", "var": 2, "root": ["over"]},
+                       {"cat": "n", "var": 1}],
+         "sem-struc": {"head": "JUMP", "slots": {"TOPIC-OF": {"var": 1}}}},
+    ]})
+    tmr = _dict_tmr({"WANT-1": {"AGENT": "HUMAN-1", "THEME": "JUMP-1"},
+                     "JUMP-1": {"TOPIC-OF": "HUMAN-2"}, "HUMAN-1": {}, "HUMAN-2": {}})
+    report = generate(tmr, kb)
+    assert len(report.sentences) == 4
+    assert ranked_rows(report.sentences) == ranked_rows(rank_every_set(tmr, kb))
+
+
 # --- stage 6: synonym expansion ----------------------------------------------
 
 def test_synonym_clones_share_everything_but_the_lemma(kb, config):
@@ -329,6 +408,12 @@ def test_synonym_clones_share_everything_but_the_lemma(kb, config):
     others = {tuple(sorted((k, c.sense.id) for k, c in cs.choices.items()))
               for cs in family}
     assert len(others) == 1
+
+
+def test_held_units_are_not_cloned(kb, config):
+    sets, _ = aggregate_sets(_survivors_for("fasten_painting", kb, config), config)
+    assert len(expand_synonyms(sets)) == 10
+    assert expand_synonyms(sets, frozenset({"FASTEN-18"})) == sets
 
 
 # --- whole stage run ----------------------------------------------------------

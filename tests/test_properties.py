@@ -13,8 +13,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import DATA, KB_DIR
-from genscen import build_scenario, tokens_conserved
+from conftest import DATA, KB_DIR, TMR_DIR
+from genscen import build_scenario, rank_every_set, ranked_rows, tokens_conserved
 from ontogen import (
     AllSetsPruned,
     GenerationConfig,
@@ -36,6 +36,7 @@ from ontogen.pipeline import (
     prune_syntactic,
     run_lexical_selection,
 )
+from ontogen.tmr import TmrFrame, find_root_frame
 
 SETTINGS = settings(max_examples=25, deadline=None, derandomize=True)
 seeds = st.integers(min_value=0, max_value=9999)
@@ -170,6 +171,24 @@ def test_realization_conserves_solution_tokens(seed):
 
 
 @SETTINGS
+@given(seed=seeds, picks=st.lists(st.integers(min_value=0, max_value=9), max_size=3))
+def test_holding_unreached_frames_ranks_as_building_every_set(seed, picks):
+    """Appended frames that nothing attaches to, each a copy of a nominal
+    concept of the scenario: generate() ranks as the brute-force reference."""
+    kb, tmr = build_scenario(seed)
+    root = find_root_frame(tmr)
+    nominals = [frame.concept for frame in tmr.frames if frame is not root]
+    silent = [TmrFrame(f"{nominals[pick % len(nominals)]}-{50 + n}")
+              for n, pick in enumerate(picks)]
+    tmr = replace(tmr, frames=[*tmr.frames, *silent])
+    try:
+        report = generate(tmr, kb)
+    except AllSetsPruned:
+        assume(False)
+    assert ranked_rows(report.sentences) == ranked_rows(rank_every_set(tmr, kb))
+
+
+@SETTINGS
 @given(seed=seeds)
 def test_synonym_expansion_only_changes_the_head_lemma(seed):
     kb, tmr = build_scenario(seed)
@@ -212,13 +231,20 @@ def test_arbitrary_file_bytes_raise_only_typed_errors(loader, content):
 
 # --- parser bodies -------------------------------------------------------------
 
+# integers past 1e308 are valid JSON that no float can hold
+huge_integers = st.integers(min_value=10 ** 308, max_value=10 ** 400) \
+    | st.integers(min_value=-10 ** 400, max_value=-10 ** 308)
 json_values = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False)
-    | st.text(max_size=10),
+    st.none() | st.booleans() | st.integers() | huge_integers
+    | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=10),
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=10), inner,
                                                                max_size=4),
     max_leaves=10)
-_BUNDLED = {**_KB, "morphology": DATA / "morphology.json"}
+# every expressible TMR fixture, each parsed and then generated from
+_TMRS = {f"tmr:{path.stem}": path for path in sorted(TMR_DIR.glob("*.json"))
+         if path.stem != "empty"}
+_BUNDLED = {**_KB, "morphology": DATA / "morphology.json", "config": DATA / "config.json",
+            "frequency": DATA / "frequency.json", **_TMRS}
 
 
 def _paths(value, path=()):
@@ -236,7 +262,8 @@ _PATHS = {kind: list(_paths(json.loads(path.read_text()))) for kind, path in _BU
 @pytest.mark.parametrize("kind", list(_BUNDLED))
 @SETTINGS
 @given(data=st.data(), junk=json_values)
-def test_arbitrary_json_anywhere_in_a_bundled_document_raises_only_typed_errors(kind, data, junk):
+def test_arbitrary_json_anywhere_in_a_bundled_document_raises_only_typed_errors(kind, data, junk,
+                                                                               kb):
     doc = json.loads(_BUNDLED[kind].read_text())
     path = data.draw(st.sampled_from(_PATHS[kind]))
     if path:
@@ -250,4 +277,7 @@ def test_arbitrary_json_anywhere_in_a_bundled_document_raises_only_typed_errors(
         target = Path(tmp) / "input.json"
         target.write_text(json.dumps(doc))
         with contextlib.suppress(OntogenError):
-            _LOADERS[kind](target)
+            if kind in _TMRS:
+                generate(parse_tmr_file(target), kb)
+            else:
+                _LOADERS[kind](target)

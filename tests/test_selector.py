@@ -9,7 +9,7 @@ from conftest import load_fixture
 from ontogen import FrequencyTable, SchemaError, generate
 from ontogen.pipeline import run_lexical_selection
 from ontogen.realizer import realize
-from ontogen.selector import parse_frequency, rank, repetition_count
+from ontogen.selector import load_frequency, parse_frequency, rank, repetition_count
 from ontogen.solution import build_solution
 
 
@@ -40,8 +40,23 @@ def test_frequency_document_validation():
         parse_frequency({"schema": "ontogen-freq/1", "values": {"fix": True}})
     with pytest.raises(SchemaError):
         parse_frequency({"schema": "ontogen-freq/1", "values": {}, "default": -0.1})
+    with pytest.raises(SchemaError, match="must be a number in"):
+        parse_frequency({"schema": "ontogen-freq/1", "default": 10 ** 400})
+    with pytest.raises(SchemaError, match="must be a number in"):
+        parse_frequency({"schema": "ontogen-freq/1", "values": {"fix": -10 ** 400}})
     table = parse_frequency({"schema": "ontogen-freq/1", "values": {"fix": 1}})
     assert table.lookup("fix", "x") == 1.0
+
+
+@pytest.mark.parametrize("text,match", [
+    ('{"schema": "ontogen-freq/1", "default": 1' + "0" * 400 + "}", "outside the float range"),
+    ('{"schema": "ontogen-freq/1", "values": {"fix": 1e400}}', "number 1e400 is outside"),
+], ids=["huge-default", "huge-value"])
+def test_frequency_numbers_beyond_the_float_range_are_rejected(tmp_path, text, match):
+    path = tmp_path / "frequency.json"
+    path.write_text(text)
+    with pytest.raises(SchemaError, match=match):
+        load_frequency(path)
 
 
 # --- repetition ------------------------------------------------------------------

@@ -115,8 +115,11 @@ def test_bad_dates_and_clocks_are_rejected():
     (_tmr({"HUMAN-1": {"COREF": "HUMAN-1"}}), "HUMAN-1: COREF names the frame itself"),
     (_tmr({}, **{"reference-time": "32.13.2021 09:05"}), "bad reference-time"),
     (_tmr({}, **{"reference-time": "05.01.2021 25:00"}), "bad reference-time"),
+    (_tmr({"PICTURE-1": {"CARDINALITY": 10 ** 400}}), "outside the float range"),
+    ('{"schema": "ontogen-tmr/1", "frames": {"PICTURE-1": {"CARDINALITY": 1e400}}}',
+     "number 1e400 is outside the float range"),
 ], ids=["word-num", "frames-list", "speaker-number", "speaker-list", "hearer-number",
-        "self-coref", "reference-date", "reference-clock"])
+        "self-coref", "reference-date", "reference-clock", "huge-integer", "huge-float"])
 def test_malformed_content_is_a_tmr_error(text, match):
     with pytest.raises(TmrError, match=match):
         parse_tmr(text)
