@@ -35,6 +35,17 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _at_least_one(text: str) -> int:
+    """An integer of at least 1, for --top."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return value
+
+
 def _num(value: float):
     value = round(value, 6)
     return int(value) if value == int(value) else value
@@ -59,7 +70,8 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--tmr", required=True, help="meaning representation JSON")
     gen.add_argument("--config", help="scoring config JSON (default: built-in values)")
     gen.add_argument("--freq", help="frequency table JSON (default: bundled)")
-    gen.add_argument("--top", type=int, default=5, help="sentences to print (default 5)")
+    gen.add_argument("--top", type=_at_least_one, default=5,
+                     help="sentences to print, at least 1 (default 5)")
     gen.add_argument("--trace", action="store_true", help="emit score ledgers and exclusions")
     gen.add_argument("--dump-solutions", action="store_true",
                      help="emit constituent trees for the printed sentences")

@@ -26,6 +26,7 @@ SCHEMA_KB = "ontogen-kb/1"
 SYN_CATEGORIES = ("subj", "v", "directobject", "n", "pp", "prep", "aux", "adv", "adj", "det")
 FUNCTION_CATEGORIES = ("prep", "aux")
 MODIFIER_POS = ("adj", "adv")
+LEXICON_POS = ("n", "v") + MODIFIER_POS
 
 CONCEPT_RE = re.compile(r"[A-Z][A-Z0-9]*(?:-[A-Z0-9]+)*")
 # Trailing "-<digits>" is reserved for instance ids; concept names never end that way.
@@ -532,8 +533,11 @@ def _parse_lexicon(data: dict, source: str) -> Lexicon:
                                         source=source)
             roots = _strings(n["root"], f"{sid}: syn-struc {cat} root", source) \
                 if "root" in n else None
-            nodes.append(SynNode(category=cat, var=var, roots=roots,
-                                 optional=bool(n.get("opt", False))))
+            optional = n.get("opt", False)
+            if not isinstance(optional, bool):
+                raise KbValidationError(f"{sid}: syn-struc {cat} opt must be true or false, "
+                                        f"got {optional!r}", source=source)
+            nodes.append(SynNode(category=cat, var=var, roots=roots, optional=optional))
         sem_raw = body.get("sem-struc", {})
         if not isinstance(sem_raw, dict):
             raise KbValidationError(f"{sid}: sem-struc must be an object, got {sem_raw!r}",
@@ -571,13 +575,25 @@ def _parse_lexicon(data: dict, source: str) -> Lexicon:
                 raise KbValidationError(f"{sid}: reference gender must be male or female",
                                         source=source)
             reference = PronounRef(person=person, number=number, gender=gender)
+        text = {key: body.get(key, "") for key in ("headword", "pos", "def", "ex")}
+        for key, value in text.items():
+            if not isinstance(value, str):
+                raise KbValidationError(f"{sid}: {key} must be a string, got {value!r}",
+                                        source=source)
+        if text["pos"] not in LEXICON_POS:
+            raise KbValidationError(f"{sid}: pos must be one of {', '.join(LEXICON_POS)}, "
+                                    f"got {text['pos']!r}", source=source)
+        synonyms = _strings(body.get("synonyms", []), f"{sid}: synonyms", source)
+        if not all(word.strip() for word in (text["headword"],) + synonyms):
+            raise KbValidationError(f"{sid}: headword and synonyms must not be blank",
+                                    source=source)
         senses[sid] = LexSense(
             id=sid,
-            headword=str(body.get("headword", "")),
-            pos=str(body.get("pos", "")),
-            definition=str(body.get("def", "")),
-            example=str(body.get("ex", "")),
-            synonyms=_strings(body.get("synonyms", []), f"{sid}: synonyms", source),
+            headword=text["headword"],
+            pos=text["pos"],
+            definition=text["def"],
+            example=text["ex"],
+            synonyms=synonyms,
             syn_struc=tuple(nodes),
             sem_struc=sem,
             example_bindings=tuple((w, i) for w, i in bindings),

@@ -51,7 +51,6 @@ class ReferenceDecoration:
 
     determiner: str = "none"
     pronoun_form: str | None = None
-    modifiers: tuple[tuple[str, object], ...] = ()
 
     def __post_init__(self):
         if self.determiner not in DETERMINERS:
@@ -77,6 +76,7 @@ class CandidateSense:
     decoration: ReferenceDecoration | None = None
     lemma_override: str | None = None
     proper: bool = False
+    modifiers: tuple[str, ...] = ()  # the frame's props that modifier units express
     ledger: tuple[LedgerEntry, ...] = ()  # reference-stage entries
     semantic: tuple[LedgerEntry, ...] = ()  # set by prune_semantic
     uncovered: tuple[LedgerEntry, ...] = ()  # set by prune_semantic
@@ -177,13 +177,21 @@ def extract_candidates(tmr: Tmr, kb: KnowledgeBase) -> list[Unit]:
         if not senses:
             raise NoRealizableSense(frame.instance_id, concept)
         unit = Unit(key=frame.instance_id, frame_id=frame.instance_id)
+        modifier_units = _modifier_units(frame, kb)
+        modifiers = tuple(m.prop for m in modifier_units)
         for sense in senses:
             ledger = (LedgerEntry("ancestor-fallback", 0.0, note),) if note else ()
             unit.candidates.append(CandidateSense(sense=sense, frame_id=frame.instance_id,
-                                                  unit_key=unit.key, ledger=ledger))
+                                                  unit_key=unit.key, modifiers=modifiers,
+                                                  ledger=ledger))
         units.append(unit)
-        units.extend(_modifier_units(frame, kb))
+        units.extend(modifier_units)
     return units
+
+
+def modifier_key(frame_id: str, prop: str) -> str:
+    """The unit key of the modifier that expresses prop of a frame."""
+    return f"{frame_id}/{prop}"
 
 
 def _modifier_units(frame: TmrFrame, kb: KnowledgeBase) -> list[Unit]:
@@ -198,7 +206,7 @@ def _modifier_units(frame: TmrFrame, kb: KnowledgeBase) -> list[Unit]:
         senses = kb.lexicon.senses_for_property(kb.ontology, prop, query)
         if not senses:
             continue
-        key = f"{frame.instance_id}/{prop}"
+        key = modifier_key(frame.instance_id, prop)
         unit = Unit(key=key, frame_id=frame.instance_id, kind="modifier",
                     prop=prop, value=query)
         unit.candidates = [CandidateSense(sense=s, frame_id=frame.instance_id, unit_key=key)
@@ -252,10 +260,8 @@ def _pronoun_candidates(unit: Unit, person: int, number: str, gender: str | None
     return out
 
 
-def _described(cand: CandidateSense, determiner: str,
-               modifiers: tuple[tuple[str, object], ...]) -> CandidateSense:
-    return replace(cand, decoration=ReferenceDecoration(determiner=determiner,
-                                                        modifiers=modifiers))
+def _described(cand: CandidateSense, determiner: str) -> CandidateSense:
+    return replace(cand, decoration=ReferenceDecoration(determiner=determiner))
 
 
 def _name_candidate(unit: Unit, name: str, concept: str) -> CandidateSense:
@@ -268,18 +274,14 @@ def _name_candidate(unit: Unit, name: str, concept: str) -> CandidateSense:
         definition=f"proper name of a remembered {concept}",
     )
     return CandidateSense(sense=sense, frame_id=unit.frame_id, unit_key=unit.key,
-                          decoration=ReferenceDecoration(), proper=True)
+                          decoration=ReferenceDecoration(), proper=True,
+                          modifiers=unit.candidates[0].modifiers)
 
 
 def manage_reference(units: list[Unit], tmr: Tmr, kb: KnowledgeBase,
                      config: GenerationConfig, context: tuple[str, ...] = ()) -> list[Unit]:
     """Prune person/number/gender-incompatible senses and decorate the rest
     with article or pronoun instructions."""
-    mods_by_frame: dict[str, list[Unit]] = {}
-    for unit in units:
-        if unit.kind == "modifier":
-            mods_by_frame.setdefault(unit.frame_id, []).append(unit)
-
     out: list[Unit] = []
     for unit in units:
         if unit.kind != "frame":
@@ -287,7 +289,6 @@ def manage_reference(units: list[Unit], tmr: Tmr, kb: KnowledgeBase,
             continue
         frame = tmr.by_id[unit.frame_id]
         concept = frame.concept
-        modifiers = tuple((m.prop, m.value) for m in mods_by_frame.get(unit.frame_id, ()))
         number = "plural" if frame.plural else "singular"
         in_context = frame.instance_id in context or (frame.coref in context
                                                       if frame.coref else False)
@@ -319,11 +320,11 @@ def manage_reference(units: list[Unit], tmr: Tmr, kb: KnowledgeBase,
             elif known:
                 chosen.extend(_pronoun_candidates(unit, 3, number, gender,
                                                   config.pronoun_bonus))
-                chosen.extend(_described(c, "definite", modifiers)
+                chosen.extend(_described(c, "definite")
                               for c in unit.candidates if c.sense.reference is None)
             else:
                 determiner = "indefinite" if number == "singular" else "some"
-                chosen.extend(_described(c, determiner, modifiers)
+                chosen.extend(_described(c, determiner)
                               for c in unit.candidates if c.sense.reference is None)
             unit.candidates = chosen
             out.append(unit)
@@ -333,7 +334,7 @@ def manage_reference(units: list[Unit], tmr: Tmr, kb: KnowledgeBase,
         plain = [c for c in unit.candidates if c.sense.reference is None]
         chosen = []
         if known:
-            chosen.extend(_described(c, "definite", modifiers) for c in plain)
+            chosen.extend(_described(c, "definite") for c in plain)
             if frame.coref is not None and plain:
                 # pronominalization needs an explicit coreference link; base
                 # the clone on a sense that asserts nothing beyond its head,
@@ -346,16 +347,14 @@ def manage_reference(units: list[Unit], tmr: Tmr, kb: KnowledgeBase,
                 ledger = base.ledger + (LedgerEntry(
                     "reference-pronoun", config.pronoun_bonus,
                     "pronoun preferred for a known referent"),)
-                chosen.append(replace(base,
-                                      decoration=ReferenceDecoration(pronoun_form=pron,
-                                                                     modifiers=modifiers),
+                chosen.append(replace(base, decoration=ReferenceDecoration(pronoun_form=pron),
                                       ledger=ledger))
         elif number == "plural":
             for c in plain:
-                chosen.append(_described(c, "some", modifiers))
-                chosen.append(_described(c, "bare", modifiers))
+                chosen.append(_described(c, "some"))
+                chosen.append(_described(c, "bare"))
         else:
-            chosen.extend(_described(c, "indefinite", modifiers) for c in plain)
+            chosen.extend(_described(c, "indefinite") for c in plain)
         unit.candidates = chosen or plain
         out.append(unit)
     return out
@@ -482,9 +481,9 @@ def _score_candidate(entries: list[LedgerEntry], choice: CandidateSense, unit: U
     return None
 
 
-def _uncovered_slots(choice: CandidateSense, frame: TmrFrame, modifier_props: set[str],
+def _uncovered_slots(choice: CandidateSense, frame: TmrFrame,
                      config: GenerationConfig) -> tuple[LedgerEntry, ...]:
-    mentioned = set(choice.sense.sem_struc.slots) | modifier_props
+    mentioned = set(choice.sense.sem_struc.slots).union(choice.modifiers)
     return tuple(LedgerEntry("uncovered-slot", -config.uncovered_penalty,
                              f"{prop} is not expressed by {choice.sense.id}")
                  for prop in frame.slots
@@ -506,11 +505,6 @@ def prune_semantic(units: list[Unit], tmr: Tmr, kb: KnowledgeBase,
     """Score each candidate once: exclude senses that assert content the
     meaning lacks or contradicts; bonus exact/narrow/default matches and
     in-tolerance feature values; penalize frame slots nothing expresses."""
-    modifier_props: dict[str, set[str]] = {}
-    for unit in units:
-        if unit.kind == "modifier":
-            modifier_props.setdefault(unit.frame_id, set()).add(unit.prop)
-
     out: list[Unit] = []
     for unit in units:
         kept = []
@@ -521,7 +515,7 @@ def prune_semantic(units: list[Unit], tmr: Tmr, kb: KnowledgeBase,
                 _exclude(trace, "semantic", choice, *failure)
                 continue
             uncovered = () if unit.kind == "modifier" else _uncovered_slots(
-                choice, tmr.by_id[unit.frame_id], modifier_props.get(unit.frame_id, set()), config)
+                choice, tmr.by_id[unit.frame_id], config)
             kept.append(replace(choice, semantic=tuple(entries), uncovered=uncovered))
         out.append(replace(unit, candidates=kept))
     if not all(unit.candidates for unit in out):
@@ -549,14 +543,13 @@ def _participant_ok(sense: LexSense, node: SynNode, bound_frame: TmrFrame, tmr: 
     return True
 
 
-def _check_syntax(choice: CandidateSense, tmr: Tmr,
-                  modified_frames: set[str]) -> tuple[tuple[str, str] | None, bool]:
+def _check_syntax(choice: CandidateSense, tmr: Tmr) -> tuple[tuple[str, str] | None, bool]:
     """Return ((rule, reason), False) when this choice cannot stand, else
     (None, passive), where passive says it stands only in the passive."""
     sense = choice.sense
     frame = tmr.by_id[choice.frame_id]
 
-    if choice.is_pronoun and choice.frame_id in modified_frames:
+    if choice.is_pronoun and choice.modifiers:
         ref = sense.reference
         if ref is None or ref.person == 3:
             return ("pronoun-with-modifiers",
@@ -601,7 +594,6 @@ def prune_syntactic(units: list[Unit], tmr: Tmr, trace: list[TraceRecord]) -> li
     """Check each frame candidate once: exclude it when an obligatory
     syntactic slot cannot be filled, a supplied argument cannot be hosted,
     or it is a pronoun for a modified referent."""
-    modified_frames = {u.frame_id for u in units if u.kind == "modifier"}
     out: list[Unit] = []
     for unit in units:
         if unit.kind == "modifier":
@@ -609,7 +601,7 @@ def prune_syntactic(units: list[Unit], tmr: Tmr, trace: list[TraceRecord]) -> li
             continue
         kept = []
         for choice in unit.candidates:
-            failure, passive = _check_syntax(choice, tmr, modified_frames)
+            failure, passive = _check_syntax(choice, tmr)
             if failure:
                 _exclude(trace, "syntactic", choice, *failure)
             else:
@@ -624,21 +616,15 @@ def prune_syntactic(units: list[Unit], tmr: Tmr, trace: list[TraceRecord]) -> li
 # ---------------------------------------------------------------------------
 # between stages 4 and 5: hold the frames the root never reaches
 
-def _bound_slots(units: list[Unit]) -> dict[str, set[str]]:
-    """Per frame, every slot that one of its surviving senses binds."""
-    bound: dict[str, set[str]] = {}
-    for unit in units:
-        for choice in unit.candidates:
-            bound.setdefault(unit.frame_id, set()).update(choice.sense.bound_roles.values())
-    return bound
-
-
 def _reached_frames(units: list[Unit], tmr: Tmr) -> set[str]:
     """The root frame and every frame reachable from it through instance
     fillers: of every slot but an -OF inverse, and of an -OF slot that a
     surviving sense of the frame binds. The tree builder follows no other
     edge, whichever senses are chosen."""
-    bound: dict[str, set[str]] | None = None  # needed only for an -OF edge to a new frame
+    bound: dict[str, set[str]] = {}  # per frame, every slot a surviving sense binds
+    for unit in units:
+        for choice in unit.candidates:
+            bound.setdefault(unit.frame_id, set()).update(choice.sense.bound_roles.values())
     reached: set[str] = set()
     stack = [find_root_frame(tmr).instance_id]
     while stack:
@@ -649,10 +635,8 @@ def _reached_frames(units: list[Unit], tmr: Tmr) -> set[str]:
         for prop, values in tmr.by_id[frame_id].slots.items():
             targets = [v.id for v in values if isinstance(v, InstanceRef)
                        and tmr.has(v.id) and v.id not in reached]
-            if targets and prop.endswith("-OF"):
-                bound = bound if bound is not None else _bound_slots(units)
-                if prop not in bound.get(frame_id, ()):
-                    continue
+            if targets and prop.endswith("-OF") and prop not in bound.get(frame_id, ()):
+                continue
             stack.extend(targets)
     return reached
 

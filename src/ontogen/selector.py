@@ -91,13 +91,12 @@ def repetition_count(solution: CandidateSolution, history: tuple[str, ...]) -> i
     return repeats
 
 
-def score_sentence(solution: CandidateSolution, tmr: Tmr, freq: FrequencyTable,
+def score_sentence(solution: CandidateSolution, root_id: str, freq: FrequencyTable,
                    config: GenerationConfig,
                    history: tuple[str, ...] = ()) -> tuple[float, tuple[tuple[str, float], ...]]:
-    """Total plus the named terms that sum to it."""
+    """Total plus the named terms that sum to it; root_id names the root frame."""
     cs: CandidateSet = solution.candidate_set
-    root = find_root_frame(tmr)
-    choice = cs.choices[root.instance_id]
+    choice = cs.choices[root_id]
     frequency = freq.lookup(choice.lemma.lower(), choice.sense.id)
     repeats = repetition_count(solution, history)
     sentence = solution.sentence or ""
@@ -114,11 +113,14 @@ def score_sentence(solution: CandidateSolution, tmr: Tmr, freq: FrequencyTable,
 def rank(solutions: list[CandidateSolution], tmr: Tmr, freq: FrequencyTable,
          config: GenerationConfig, history: tuple[str, ...] = ()) -> list[ScoredSentence]:
     """Scored, deduplicated, ordered best-first with ranks assigned."""
+    if not solutions:
+        return []
+    root_id = find_root_frame(tmr).instance_id
     scored: list[tuple[float, str, CandidateSolution, tuple]] = []
     for solution in solutions:
         if not solution.sentence:
             continue
-        total, terms = score_sentence(solution, tmr, freq, config, history)
+        total, terms = score_sentence(solution, root_id, freq, config, history)
         scored.append((total, solution.sentence, solution, terms))
     scored.sort(key=lambda item: (-item[0], item[1]))
 

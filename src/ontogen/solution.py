@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from .errors import EmptySolution
 from .knowledge import LexSense
-from .pipeline import CandidateSense, CandidateSet
+from .pipeline import CandidateSense, CandidateSet, modifier_key
 from .tmr import InstanceRef, RelativeTime, Tmr, TmrFrame, find_root_frame, relative_time_of
 
 _TENSE_BY_TIME = {
@@ -114,22 +114,16 @@ class _Builder:
             return (Constituent(function, children=(head,)),
                     Features(number=number, person=person))
 
-        if choice.proper:
-            head = Constituent("noun-head", lemma=choice.lemma, proper=True,
-                               features=Features(number=number, person=3))
-            return (Constituent(function, children=(head,)),
-                    Features(number=number, person=3))
-
         children: list[Constituent] = []
         decoration = choice.decoration
         determiner = decoration.determiner if decoration else "none"
         word = _DETERMINER_WORDS.get(determiner)
         if word:
             children.append(Constituent("determiner", lemma=word))
-        for mod in self.cs.choices.values():  # the choices for the frame's property units
-            if mod.frame_id == frame.instance_id and mod.unit_key != mod.frame_id:
-                children.append(Constituent("modifier", lemma=mod.lemma))
-        children.append(Constituent("noun-head", lemma=choice.lemma,
+        for prop in choice.modifiers:
+            mod = self.cs.choices[modifier_key(frame.instance_id, prop)]
+            children.append(Constituent("modifier", lemma=mod.lemma))
+        children.append(Constituent("noun-head", lemma=choice.lemma, proper=choice.proper,
                                     features=Features(number=number, person=3)))
         return (Constituent(function, children=tuple(children)),
                 Features(number=number, person=3))

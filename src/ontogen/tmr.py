@@ -11,6 +11,7 @@ and anything else a string literal.
 from __future__ import annotations
 
 import datetime as dt
+import itertools
 import json
 import logging
 import re
@@ -471,34 +472,14 @@ def tmr_isomorphic(a: Tmr, b: Tmr) -> tuple[bool, dict[str, str] | None]:
         return False, None
 
     groups = sorted(by_concept_a)
-
-    def assign(gi: int, mapping: dict[str, str]):
-        if gi == len(groups):
-            ok = all(_slots_match(fa, b.by_id[mapping[fa.instance_id]], a, b, mapping)
-                     for fa in a.frames)
-            return mapping if ok else None
-        concept = groups[gi]
-        a_frames = by_concept_a[concept]
-        b_frames = by_concept_b[concept]
-
-        def permute(idx: int, used: set[str], current: dict[str, str]):
-            if idx == len(a_frames):
-                return assign(gi + 1, current)
-            fa = a_frames[idx]
-            for fb in b_frames:
-                if fb.instance_id in used:
-                    continue
-                trial = dict(current)
-                trial[fa.instance_id] = fb.instance_id
-                found = permute(idx + 1, used | {fb.instance_id}, trial)
-                if found is not None:
-                    return found
-            return None
-
-        return permute(0, set(), mapping)
-
-    witness = assign(0, {})
-    return (witness is not None), witness
+    for images in itertools.product(*(itertools.permutations(by_concept_b[c]) for c in groups)):
+        mapping = {fa.instance_id: fb.instance_id
+                   for concept, image in zip(groups, images)
+                   for fa, fb in zip(by_concept_a[concept], image)}
+        if all(_slots_match(fa, b.by_id[mapping[fa.instance_id]], a, b, mapping)
+               for fa in a.frames):
+            return True, mapping
+    return False, None
 
 
 def renumber(tmr: Tmr, offset: int = 100) -> Tmr:

@@ -2,11 +2,15 @@
 from __future__ import annotations
 
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import ontogen
 from ontogen import (
     GenerationConfig,
     KnowledgeBase,
@@ -48,6 +52,14 @@ def fixture_path(name: str) -> Path:
 
 def load_fixture(name: str):
     return parse_tmr_file(fixture_path(name))
+
+
+def run_cli(*argv, stdin=None):
+    """`python -m ontogen.cli` with the same ontogen this test run imported."""
+    paths = (str(Path(ontogen.__file__).parents[1]), os.environ.get("PYTHONPATH"))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    return subprocess.run([sys.executable, "-m", "ontogen.cli", *argv],
+                          capture_output=True, text=True, input=stdin, env=env)
 
 
 @pytest.fixture

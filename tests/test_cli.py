@@ -4,19 +4,13 @@ from __future__ import annotations
 import json
 import shutil
 import subprocess
-import sys
 from pathlib import Path
 
 import pytest
 
-from conftest import DATA, KB_DIR, fixture_path
+from conftest import DATA, KB_DIR, fixture_path, run_cli
 from ontogen import parse_tmr, strip_metadata, serialize_tmr, tmr_isomorphic
 from ontogen.cli import main
-
-
-def run_cli(*argv, stdin=None):
-    return subprocess.run([sys.executable, "-m", "ontogen.cli", *argv],
-                          capture_output=True, text=True, input=stdin)
 
 
 def test_generate_prints_ranked_sentences():
@@ -206,6 +200,9 @@ def test_usage_mistakes_exit_1():
     assert run_cli("frobnicate").returncode == 1        # unknown subcommand
     assert run_cli("generate", "--tmr", str(fixture_path("moor_ship")),
                    "--format", "yaml").returncode == 1  # bad choice
+    for top in ("0", "-8"):
+        assert run_cli("generate", "--tmr", str(fixture_path("moor_ship")),
+                       "--top", top).returncode == 1
 
 
 # --- strip ------------------------------------------------------------------------

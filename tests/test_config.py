@@ -3,13 +3,11 @@ from __future__ import annotations
 
 import json
 import math
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
 
-from conftest import DATA, fixture_path
+from conftest import DATA, fixture_path, run_cli
 from ontogen import GenerationConfig, SchemaError, load_config
 from ontogen.config import parse_config
 
@@ -60,10 +58,8 @@ def test_cli_config_flag_changes_the_run(tmp_path):
     # fasten_painting has 4 surviving sets; a cap of 3 truncates them
     cap = tmp_path / "capped.json"
     cap.write_text(json.dumps({"schema": "ontogen-config/1", "set-cap": 3}))
-    proc = subprocess.run(
-        [sys.executable, "-m", "ontogen.cli", "generate",
-         "--tmr", str(fixture_path("fasten_painting")), "--config", str(cap)],
-        capture_output=True, text=True)
+    proc = run_cli("generate", "--tmr", str(fixture_path("fasten_painting")),
+                   "--config", str(cap))
     assert proc.returncode == 0
     assert any(line.startswith("note: ") and "cap 3" in line
                for line in proc.stderr.splitlines())
@@ -71,10 +67,8 @@ def test_cli_config_flag_changes_the_run(tmp_path):
     stretched = tmp_path / "stretched.json"
     stretched.write_text(json.dumps({"schema": "ontogen-config/1",
                                      "length-tie-break": 0.5}))
-    proc = subprocess.run(
-        [sys.executable, "-m", "ontogen.cli", "generate",
-         "--tmr", str(fixture_path("fasten_painting")), "--config", str(stretched)],
-        capture_output=True, text=True)
+    proc = run_cli("generate", "--tmr", str(fixture_path("fasten_painting")),
+                   "--config", str(stretched))
     lines = proc.stdout.splitlines()
     # the shorter noun now wins the tie
     assert lines[0] == "1. Tom secured a picture to the wall."
@@ -83,9 +77,7 @@ def test_cli_config_flag_changes_the_run(tmp_path):
 def test_cli_rejects_a_bad_config(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"schema": "ontogen-config/1", "set-cap": -1}))
-    proc = subprocess.run(
-        [sys.executable, "-m", "ontogen.cli", "generate",
-         "--tmr", str(fixture_path("moor_ship")), "--config", str(bad)],
-        capture_output=True, text=True)
+    proc = run_cli("generate", "--tmr", str(fixture_path("moor_ship")),
+                   "--config", str(bad))
     assert proc.returncode == 1
     assert "set-cap" in proc.stderr

@@ -183,6 +183,15 @@ _JUNK_BODIES = {
     "root": ("lexicon", lambda d: _sense(d, "fix-v2")["syn-struc"][3], "root", 5, "fix-v2"),
     "reference": ("lexicon", lambda d: _sense(d, "he-n1"), "reference", 5, "he-n1"),
     "synonyms": ("lexicon", lambda d: _sense(d, "fix-v2"), "synonyms", 5, "fix-v2"),
+    "synonym-blank": ("lexicon", lambda d: _sense(d, "fix-v2"), "synonyms", ["fix", " "],
+                      "fix-v2"),
+    "headword-null": ("lexicon", lambda d: _sense(d, "fix-v2"), "headword", None, "fix-v2"),
+    "headword-list": ("lexicon", lambda d: _sense(d, "fix-v2"), "headword", ["x"], "fix-v2"),
+    "headword-blank": ("lexicon", lambda d: _sense(d, "fix-v2"), "headword", " ", "fix-v2"),
+    "pos-unknown": ("lexicon", lambda d: _sense(d, "fix-v2"), "pos", "verb", "fix-v2"),
+    "def": ("lexicon", lambda d: _sense(d, "fix-v2"), "def", 5, "fix-v2"),
+    "ex": ("lexicon", lambda d: _sense(d, "fix-v2"), "ex", ["an example"], "fix-v2"),
+    "opt": ("lexicon", lambda d: _sense(d, "fix-v2")["syn-struc"][3], "opt", "no", "fix-v2"),
     "example-bindings": ("lexicon", lambda d: _sense(d, "appreciate-v8"), "example-bindings",
                          [1], "appreciate-v8"),
     "null-sem": ("lexicon", lambda d: _sense(d, "fix-v2")["sem-struc"], "null-sem", ["x"],

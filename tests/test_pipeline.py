@@ -274,6 +274,8 @@ def test_modified_referents_cannot_be_pronouns(kb, config):
     for cs in result.sets:
         choice = cs.choices["PICTURE-3"]
         assert choice.decoration.pronoun_form is None
+        assert choice.modifiers == ("COLOR",)
+        assert not hasattr(choice.decoration, "modifiers")
 
 
 # --- stage 5: aggregation ----------------------------------------------------

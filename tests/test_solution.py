@@ -106,6 +106,21 @@ def test_modifiers_sit_between_determiner_and_noun(kb, config):
         ("determiner", "the"), ("modifier", "blue"), ("noun-head", "painting")]
 
 
+def test_a_named_referent_keeps_its_modifiers(kb):
+    doc = json.loads((TMR_DIR / "funny_waiter.json").read_text())
+    doc["frames"]["WAITER-5"]["HAS-NAME"] = "Johnny"
+    top = generate(parse_tmr(json.dumps(doc)), kb).sentences[0]
+    assert top.sentence == "Funny Johnny walked."
+    subject = top.solution.root.children[0]
+    assert [(c.function, c.lemma, c.proper) for c in subject.children] == [
+        ("modifier", "funny", False), ("noun-head", "Johnny", True)]
+    # the modifier the ledger credits is the one the sentence says
+    assert top.signature == ("WALK-9=walk-v1 WAITER-5=johnny-pn1 "
+                             "WAITER-5/HUMOR-ATTRIBUTE=funny-adj1")
+    assert [(unit, entry.rule, entry.delta) for unit, entry in top.ledger] == [
+        ("WALK-9", "slot-default", 4), ("WAITER-5/HUMOR-ATTRIBUTE", "feature-match", 10)]
+
+
 # --- moods ---------------------------------------------------------------------
 
 def test_verb_first_constructions_are_imperative(kb, config):
