@@ -9,7 +9,7 @@ from .knowledge import KnowledgeBase
 from .pipeline import TraceRecord, run_lexical_selection
 from .realizer import MorphTables, bundled_morphology, realize
 from .selector import FrequencyTable, ScoredSentence, bundled_frequency, rank
-from .solution import build_solution
+from .solution import Forest, build_solution
 from .tmr import Tmr
 
 
@@ -31,10 +31,12 @@ def generate(tmr: Tmr, kb: KnowledgeBase, config: GenerationConfig | None = None
     morph = morph or bundled_morphology()
 
     selection = run_lexical_selection(tmr, kb, config, context)
+    forest = Forest(tmr)
+    inflected: dict = {}
     solutions = []
     for cs in selection.sets:
-        solution = build_solution(cs, tmr)
-        realize(solution, morph)
+        solution = build_solution(cs, tmr, forest)
+        realize(solution, morph, inflected)
         solutions.append(solution)
     sentences = rank(solutions, tmr, freq, config, history)
     counts = dict(selection.counts)

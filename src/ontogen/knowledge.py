@@ -91,6 +91,9 @@ class FacetedConstraint:
         return self.sem if self.sem is not None else ANYTHING
 
 
+_UNCONSTRAINED = FacetedConstraint(sem=ANYTHING)
+
+
 class MatchDegree(IntEnum):
     """How well a filler satisfies a constraint; total order none < sem < default < narrow < exact."""
 
@@ -164,43 +167,54 @@ class Concept:
 
 
 class Ontology:
-    """Acyclic IS-A graph of concepts with inheritable faceted constraints."""
+    """Acyclic IS-A graph of concepts with inheritable faceted constraints.
+
+    Built once the graph is known to be sound. The ontology is immutable,
+    so each concept's ancestry and inherited constraints are worked out
+    here, and the lookups below are table reads."""
 
     def __init__(self, concepts: dict[str, Concept]):
         self.concepts = concepts
+        self._chains = {name: self._breadth_first(name) for name in concepts}
+        self._lineages = {name: frozenset(chain) for name, chain in self._chains.items()}
+        self._constraints: dict[str, dict[str, FacetedConstraint]] = {}
+        for name, chain in self._chains.items():
+            inherited: dict[str, FacetedConstraint] = {}
+            for ancestor in reversed(chain):  # nearer declarations overwrite
+                inherited.update(concepts[ancestor].slots)
+            self._constraints[name] = inherited
+
+    def _breadth_first(self, name: str) -> tuple[str, ...]:
+        chain = [name]
+        seen = {name}
+        for current in chain:  # grows while it is walked
+            for parent in self.concepts[current].parents:
+                if parent not in seen:
+                    seen.add(parent)
+                    chain.append(parent)
+        return tuple(chain)
 
     def exists(self, name: str) -> bool:
         return name in self.concepts
 
-    def _require(self, name: str) -> Concept:
+    @staticmethod
+    def _lookup(table: dict, name: str):
         try:
-            return self.concepts[name]
+            return table[name]
         except KeyError:
             raise KbValidationError(f"unknown concept {name}") from None
 
-    def ancestors(self, name: str):
-        """Yield name and every IS-A ancestor, nearest first (breadth-first)."""
-        seen = {name}
-        queue = [name]
-        while queue:
-            current = queue.pop(0)
-            yield current
-            for parent in self._require(current).parents:
-                if parent not in seen:
-                    seen.add(parent)
-                    queue.append(parent)
+    def ancestors(self, name: str) -> tuple[str, ...]:
+        """name and every IS-A ancestor, nearest first (breadth-first)."""
+        return self._lookup(self._chains, name)
 
     def is_a(self, child: str, ancestor: str) -> bool:
-        self._require(ancestor)
-        return any(c == ancestor for c in self.ancestors(child))
+        self._lookup(self.concepts, ancestor)
+        return ancestor in self._lookup(self._lineages, child)
 
     def constraint_on(self, concept: str, prop: str) -> FacetedConstraint:
         """Nearest declared constraint walking up IS-A; absent means anything."""
-        for name in self.ancestors(concept):
-            got = self.concepts[name].slots.get(prop)
-            if got is not None:
-                return got
-        return FacetedConstraint(sem=ANYTHING)
+        return self._lookup(self._constraints, concept).get(prop, _UNCONSTRAINED)
 
     def satisfies(self, filler, constraint: Constraint) -> bool:
         """Whether a filler value (concept name, literal, or scalar) meets one constraint."""
@@ -442,22 +456,20 @@ def _parse_ontology(data: dict, source: str) -> Ontology:
         for prop, rawc in raw_slots.items():
             slots[prop] = _faceted(rawc, f"{name}.{prop}", source)
         concepts[name] = Concept(name=name, parents=parents, slots=slots)
+    # parents exist, graph acyclic
+    for concept in concepts.values():
+        for parent in concept.parents:
+            if parent not in concepts:
+                raise KbValidationError(f"{concept.name}: unknown parent {parent}", source=source)
+    try:
+        TopologicalSorter({c.name: c.parents for c in concepts.values()}).prepare()
+    except CycleError as exc:
+        cycle = " -> ".join(reversed(exc.args[1]))
+        raise KbValidationError(f"IS-A cycle: {cycle}", source=source) from None
     return Ontology(concepts)
 
 
 def _validate_ontology(onto: Ontology, source: str, warnings: list[str]) -> None:
-    # parents exist, graph acyclic
-    for concept in onto.concepts.values():
-        for parent in concept.parents:
-            if parent not in onto.concepts:
-                raise KbValidationError(f"{concept.name}: unknown parent {parent}", source=source)
-
-    try:
-        TopologicalSorter({c.name: c.parents for c in onto.concepts.values()}).prepare()
-    except CycleError as exc:
-        cycle = " -> ".join(reversed(exc.args[1]))
-        raise KbValidationError(f"IS-A cycle: {cycle}", source=source) from None
-
     # constraint references resolve; default facets narrow sem facets
     for concept in onto.concepts.values():
         for prop, faceted in concept.slots.items():
@@ -658,6 +670,8 @@ def _parse_memory(data: dict, onto: Ontology, source: str) -> EpisodicMemory:
             raise KbValidationError(
                 f"{iid}: an instance must be an object whose HAS-NAME and GENDER are strings, "
                 f"got {body!r}", source=source)
+        if "HAS-NAME" in body and not body["HAS-NAME"].strip():
+            raise KbValidationError(f"{iid}: HAS-NAME must not be blank", source=source)
     return EpisodicMemory(raw)
 
 

@@ -192,14 +192,19 @@ def _leaf_token(tables: MorphTables, leaf: Constituent) -> str:
     return lemma
 
 
-def _tokens(tables: MorphTables, node: Constituent) -> list[str]:
+def _tokens(tables: MorphTables, node: Constituent, memo: dict) -> list[str]:
+    """The node's tokens, each shared subtree inflected once per memo. The
+    memo holds every node it keys by identity, so no key can be reused."""
     if node.is_leaf:
         token = _leaf_token(tables, node)
         return [token] if token else []
-    out: list[str] = []
-    for child in node.children:
-        out.extend(_tokens(tables, child))
-    return out
+    seen = memo.get(id(node))
+    if seen is None:
+        tokens: list[str] = []
+        for child in node.children:
+            tokens.extend(_tokens(tables, child, memo))
+        seen = memo[id(node)] = (node, tokens)
+    return seen[1]
 
 
 def _resolve_articles(tables: MorphTables, tokens: list[str]) -> list[str]:
@@ -231,9 +236,10 @@ def _capitalize(text: str) -> str:
     return text
 
 
-def realize(solution: CandidateSolution, tables: MorphTables) -> str:
-    """The finished sentence; also stored on the solution."""
-    tokens = _tokens(tables, solution.root)
+def realize(solution: CandidateSolution, tables: MorphTables, memo: dict | None = None) -> str:
+    """The finished sentence; also stored on the solution. The solutions of
+    one request pass one memo, so a constituent they share is inflected once."""
+    tokens = _tokens(tables, solution.root, {} if memo is None else memo)
     tokens = _resolve_articles(tables, tokens)
     text = _capitalize(_join(tokens))
     text += _TERMINAL.get(solution.mood, ".")

@@ -3,6 +3,11 @@
 Every term that enters a sentence's total is kept by name, so a rank can
 always be explained. Ties break lexicographically on the sentence text,
 which keeps output order stable across runs.
+
+Repetition counts whole-word mentions (``\\b<name>\\b``) of each proper name
+a sentence contains. One rank() call scans the discourse history once per
+distinct name and shares that count among all its solutions; only the
+extra mentions inside the sentence itself are counted per solution.
 """
 
 from __future__ import annotations
@@ -71,34 +76,43 @@ class ScoredSentence:
     solution: CandidateSolution
 
 
-def _word_count(name: str, text: str) -> int:
-    return len(re.findall(rf"\b{re.escape(name)}\b", text))
+def _pattern(name: str) -> re.Pattern:
+    return re.compile(rf"\b{re.escape(name)}\b")
 
 
-def repetition_count(solution: CandidateSolution, history: tuple[str, ...]) -> int:
+def history_mentions(name: str, history: tuple[str, ...]) -> int:
+    """Whole-word mentions of name summed over the history lines. A line
+    without name as a substring holds no match, so only the rest are
+    searched."""
+    pattern = _pattern(name)
+    return sum(len(pattern.findall(line)) for line in history if name in line)
+
+
+def repetition_count(solution: CandidateSolution, history: tuple[str, ...],
+                     mentions: dict[str, int] | None = None) -> int:
     """Proper-name mentions already present in the discourse history, plus
-    extra mentions inside the sentence itself."""
+    extra mentions inside the sentence itself. mentions caches each name's
+    history count; rank shares one across all of a request's solutions."""
+    if mentions is None:
+        mentions = {}
     sentence = solution.sentence or ""
     repeats = 0
-    counted: set[str] = set()
-    for name in solution.proper_names():
-        if name in counted:
-            continue
-        counted.add(name)
-        for line in history:
-            repeats += _word_count(name, line)
-        repeats += max(0, _word_count(name, sentence) - 1)
+    for name in dict.fromkeys(solution.proper_names()):
+        if name not in mentions:
+            mentions[name] = history_mentions(name, history)
+        repeats += mentions[name] + max(0, len(_pattern(name).findall(sentence)) - 1)
     return repeats
 
 
 def score_sentence(solution: CandidateSolution, root_id: str, freq: FrequencyTable,
-                   config: GenerationConfig,
-                   history: tuple[str, ...] = ()) -> tuple[float, tuple[tuple[str, float], ...]]:
+                   config: GenerationConfig, history: tuple[str, ...] = (),
+                   mentions: dict[str, int] | None = None,
+                   ) -> tuple[float, tuple[tuple[str, float], ...]]:
     """Total plus the named terms that sum to it; root_id names the root frame."""
     cs: CandidateSet = solution.candidate_set
     choice = cs.choices[root_id]
     frequency = freq.lookup(choice.lemma.lower(), choice.sense.id)
-    repeats = repetition_count(solution, history)
+    repeats = repetition_count(solution, history, mentions)
     sentence = solution.sentence or ""
     terms = (
         ("pipeline", config.pipeline_weight * cs.score),
@@ -116,11 +130,12 @@ def rank(solutions: list[CandidateSolution], tmr: Tmr, freq: FrequencyTable,
     if not solutions:
         return []
     root_id = find_root_frame(tmr).instance_id
+    mentions: dict[str, int] = {}
     scored: list[tuple[float, str, CandidateSolution, tuple]] = []
     for solution in solutions:
         if not solution.sentence:
             continue
-        total, terms = score_sentence(solution, root_id, freq, config, history)
+        total, terms = score_sentence(solution, root_id, freq, config, history, mentions)
         scored.append((total, solution.sentence, solution, terms))
     scored.sort(key=lambda item: (-item[0], item[1]))
 

@@ -88,10 +88,59 @@ def _pronoun_number(form: str) -> str:
     return "plural" if form in ("they", "them", "we", "us") else "singular"
 
 
-class _Builder:
-    def __init__(self, cs: CandidateSet, tmr: Tmr):
-        self.cs = cs
+class Forest:
+    """What the candidate sets of one request share: the root frame and its
+    tense, and every nominal and embedded phrase built so far, so that sets
+    differing in one unit rebuild only what that unit reaches.
+
+    A nominal or embedded phrase is keyed by its frame, its function and
+    the identities of every choice it reads; a prepositional phrase by its
+    preposition and the nominal it holds. Identity keys are sound because a
+    request's sets share their choice objects and keep them alive while the
+    forest is in use; a forest must not outlive the sets it builds. Subject
+    agreement is stamped per clause, outside the forest."""
+
+    def __init__(self, tmr: Tmr):
+        if not tmr.frames:
+            raise EmptySolution("the meaning representation has no frames")
         self.tmr = tmr
+        self.root = find_root_frame(tmr)
+        self.tense = derive_tense(self.root, tmr)
+        self.built: dict[tuple, object] = {}
+
+
+class _Builder:
+    def __init__(self, cs: CandidateSet, forest: Forest):
+        self.cs = cs
+        self.tmr = forest.tmr
+        self.built = forest.built
+
+    def _shared(self, key: tuple, make):
+        """What make builds, built once per key in the forest."""
+        built = self.built.get(key)
+        if built is None:
+            built = self.built[key] = make()
+        return built
+
+    def _reads(self, frame: TmrFrame, choice: CandidateSense) -> tuple[int, ...]:
+        """Identities of the choices a nominal for frame reads: its own and
+        its modifiers'."""
+        return (id(choice),) + tuple(id(self.cs.choices[modifier_key(frame.instance_id, prop)])
+                                     for prop in choice.modifiers)
+
+    def _phrase_reads(self, frame: TmrFrame, choice: CandidateSense,
+                      outer: tuple[str, ...] = ()) -> tuple:
+        """What an embedded phrase for frame reads: its nominal reads and,
+        for each frame its roles bind, that frame's, recursively."""
+        outer += (frame.instance_id,)
+        reads = [self._reads(frame, choice)]
+        for prop in choice.sense.bound_roles.values():
+            filler = frame.get(prop)
+            if isinstance(filler, InstanceRef) and filler.id not in outer:
+                target, inner = self.tmr.frame(filler.id), self.cs.choices.get(filler.id)
+                if target is not None and inner is not None:
+                    reads.append(self._phrase_reads(target, inner, outer))
+        return tuple(reads)
 
     # -- nominals ----------------------------------------------------------
 
@@ -99,6 +148,16 @@ class _Builder:
         choice = self.cs.choices.get(frame.instance_id)
         if choice is None:
             raise EmptySolution(f"no chosen sense for {frame.instance_id}")
+        return self._shared((frame.instance_id, function, self._reads(frame, choice)),
+                            lambda: self._nominal(frame, function, choice))
+
+    def prepositional_phrase(self, word: str | None, frame: TmrFrame) -> Constituent:
+        obj, _ = self.nominal(frame, "nominal")
+        return self._shared(("prepositional-phrase", word, id(obj)), lambda: Constituent(
+            "prepositional-phrase", children=(Constituent("preposition", lemma=word), obj)))
+
+    def _nominal(self, frame: TmrFrame, function: str,
+                 choice: CandidateSense) -> tuple[Constituent, Features]:
         case = "subjective" if function == "subject" else "objective"
         number = "plural" if frame.plural else "singular"
 
@@ -174,10 +233,7 @@ class _Builder:
                     target = self.tmr.frame(filler.id)
                     if target is None:
                         continue
-                    prep = Constituent("preposition", lemma=sense.root_choice(node))
-                    obj, _ = self.nominal(target, "nominal")
-                    children.append(Constituent("prepositional-phrase",
-                                                children=(prep, obj)))
+                    children.append(self.prepositional_phrase(sense.root_choice(node), target))
                     continue
                 word = sense.root_choice(node)
                 if word:
@@ -185,11 +241,10 @@ class _Builder:
                 continue
 
             if node.var == 0 and not node.roots:
+                # finite forms agree with the subject once the clause is done
                 if passive:
                     children.append(Constituent("auxiliary", lemma="be",
-                                                features=Features(tense=tense,
-                                                                  number=subject.number,
-                                                                  person=subject.person)))
+                                                features=Features(tense=tense)))
                     children.append(Constituent("main-verb", lemma=choice.lemma,
                                                 features=Features(verb_form="participle")))
                 elif base_only or has_aux:
@@ -197,9 +252,7 @@ class _Builder:
                                                 features=Features(verb_form="base")))
                 else:
                     children.append(Constituent("main-verb", lemma=choice.lemma,
-                                                features=Features(tense=tense,
-                                                                  number=subject.number,
-                                                                  person=subject.person)))
+                                                features=Features(tense=tense)))
                 continue
 
             if node.roots:
@@ -242,9 +295,12 @@ class _Builder:
         return children, subject, voice
 
     def embedded_phrase(self, frame: TmrFrame, choice: CandidateSense) -> Constituent:
-        children, _, _ = self.construction(frame, choice, tense="present",
-                                           suppress_subject=True, base_only=True)
-        return Constituent("verb-phrase", children=tuple(children))
+        def make():
+            children, _, _ = self.construction(frame, choice, tense="present",
+                                               suppress_subject=True, base_only=True)
+            return Constituent("verb-phrase", children=tuple(children))
+        return self._shared((frame.instance_id, "verb-phrase",
+                             self._phrase_reads(frame, choice)), make)
 
     def _stamp_agreement(self, children: list[Constituent],
                          subject: Features) -> list[Constituent]:
@@ -258,8 +314,8 @@ class _Builder:
             out.append(child)
         return out
 
-    def clause(self, frame: TmrFrame, choice: CandidateSense) -> tuple[Constituent, str, str, str]:
-        tense = derive_tense(frame, self.tmr)
+    def clause(self, frame: TmrFrame, choice: CandidateSense,
+               tense: str) -> tuple[Constituent, str, str, str]:
         sense = choice.sense
         if not sense.is_argument_taking:
             nominal, _ = self.nominal(frame, "nominal")
@@ -273,15 +329,14 @@ class _Builder:
         return Constituent("clause", children=tuple(children)), mood, tense, voice
 
 
-def build_solution(cs: CandidateSet, tmr: Tmr) -> CandidateSolution:
-    """Tree for the root frame's construction; unbound frames stay silent."""
-    if not tmr.frames:
-        raise EmptySolution("the meaning representation has no frames")
-    root_frame = find_root_frame(tmr)
+def build_solution(cs: CandidateSet, tmr: Tmr, forest: Forest | None = None) -> CandidateSolution:
+    """Tree for the root frame's construction; unbound frames stay silent.
+    The sets of one request pass one forest and share what they build."""
+    forest = forest or Forest(tmr)
+    root_frame = forest.root
     choice = cs.choices.get(root_frame.instance_id)
     if choice is None:
         raise EmptySolution(f"no chosen sense for root frame {root_frame.instance_id}")
-    builder = _Builder(cs, tmr)
-    root, mood, tense, voice = builder.clause(root_frame, choice)
+    root, mood, tense, voice = _Builder(cs, forest).clause(root_frame, choice, forest.tense)
     return CandidateSolution(candidate_set=cs, root=root, mood=mood,
                              tense=tense, voice=voice)

@@ -237,6 +237,9 @@ def parse_tmr(text: str, source: str = "<string>") -> Tmr:
                 continue
             values = raw if isinstance(raw, list) else [raw]
             slots[prop] = tuple(_parse_filler(prop, v, source) for v in values)
+            if prop == "HAS-NAME" and any(isinstance(v, str) and not v.strip()
+                                          for v in slots[prop]):
+                raise TmrError(f"{iid}: HAS-NAME must not be blank", source=source)
         has_meta = meta.from_sense is not None or meta.word_num is not None
         frames.append(TmrFrame(instance_id=iid, slots=slots,
                                metadata=meta if has_meta else None, coref=coref))

@@ -195,6 +195,31 @@ def test_content_errors_name_their_file(tmp_path, capsys, command):
     assert err.startswith(f"error: {path}: ")
 
 
+def _tmr_with_blank_name(path: Path) -> list[str]:
+    doc = json.loads(fixture_path("walk_named_agent").read_text())
+    doc["frames"]["HUMAN-77"]["HAS-NAME"] = " "
+    path.write_text(json.dumps(doc))
+    return ["generate", "--tmr", str(path)]
+
+
+def _memory_with_blank_name(path: Path) -> list[str]:
+    doc = json.loads((KB_DIR / "memory.json").read_text())
+    doc["instances"]["HUMAN-104"]["HAS-NAME"] = "\t "
+    path.write_text(json.dumps(doc))
+    return ["generate", "--tmr", str(fixture_path("walk_intransitive")), "--memory", str(path)]
+
+
+@pytest.mark.parametrize("command", [_tmr_with_blank_name, _memory_with_blank_name],
+                         ids=["tmr", "memory"])
+def test_a_blank_name_is_rejected_at_load(tmp_path, capsys, command):
+    path = tmp_path / "input.json"
+    assert main(command(path)) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"error: {path}: ")
+    assert "HAS-NAME must not be blank" in err
+
+
 def test_usage_mistakes_exit_1():
     assert run_cli("generate").returncode == 1          # missing --tmr
     assert run_cli("frobnicate").returncode == 1        # unknown subcommand

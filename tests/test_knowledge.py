@@ -61,6 +61,33 @@ def test_constraint_lookup_inherits_and_local_declaration_wins(tmp_path):
     assert kb.ontology.satisfies("anything-at-all", absent.sem)
 
 
+def _size(low):
+    return {"SIZE": {"sem": {"range": [low, 1]}}}
+
+
+def test_ancestry_is_breadth_first_through_multiple_parents(tmp_path):
+    kb = make_kb(tmp_path, ontology={"concepts": {
+        "ALL": {"parents": []},
+        "NEAR": {"parents": ["ALL"], "slots": _size(0.1)},
+        "FAR": {"parents": ["ALL"], "slots": _size(0.2)},
+        "MIDDLE": {"parents": ["FAR"]},
+        "LEFT": {"parents": ["MIDDLE", "NEAR"]},
+        "RIGHT": {"parents": ["NEAR", "MIDDLE"]},
+    }})
+    onto = kb.ontology
+    assert tuple(onto.ancestors("LEFT")) == ("LEFT", "MIDDLE", "NEAR", "FAR", "ALL")
+    assert tuple(onto.ancestors("RIGHT")) == ("RIGHT", "NEAR", "MIDDLE", "ALL", "FAR")
+    # the nearest declaration wins, even when a deeper one comes first depth-first
+    assert onto.constraint_on("LEFT", "SIZE").sem.low == 0.1
+    assert onto.constraint_on("MIDDLE", "SIZE").sem.low == 0.2
+    assert onto.is_a("LEFT", "FAR") and not onto.is_a("NEAR", "FAR")
+    for lookup in (lambda: onto.ancestors("NOWHERE"), lambda: onto.is_a("NOWHERE", "ALL"),
+                   lambda: onto.is_a("ALL", "NOWHERE"),
+                   lambda: onto.constraint_on("NOWHERE", "SIZE")):
+        with pytest.raises(KbValidationError, match="unknown concept NOWHERE"):
+            lookup()
+
+
 def test_match_degree_orders_consistently_with_is_a(kb):
     onto = kb.ontology
     names = sorted(onto.concepts)

@@ -1,15 +1,19 @@
 """Ranking: frequency lookup, repetition, tie breaks, deduplication."""
 from __future__ import annotations
 
+import re
 from dataclasses import replace
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import load_fixture
-from ontogen import FrequencyTable, SchemaError, generate
+from ontogen import FrequencyTable, SchemaError, generate, selector
 from ontogen.pipeline import run_lexical_selection
 from ontogen.realizer import realize
-from ontogen.selector import load_frequency, parse_frequency, rank, repetition_count
+from ontogen.selector import (history_mentions, load_frequency, parse_frequency, rank,
+                              repetition_count)
 from ontogen.solution import build_solution
 
 
@@ -69,6 +73,54 @@ def test_repetition_counts_whole_word_mentions_only(kb, config, morph):
     assert repetition_count(johnny, ("Johnny met Johnny's twin.",)) == 2
     # substrings of other words never count
     assert repetition_count(johnny, ("Johnnyson ran.",)) == 0
+
+
+# Names and the text around them: regex metacharacters, white space,
+# apostrophes, word characters that extend a name, and non-ASCII letters.
+_NAME_CHARS = "Tomy. *+?()[]{}|^$\\'’-_9éÅßZ\n"
+_AROUND_CHARS = _NAME_CHARS + "ëø,\t"
+
+
+@st.composite
+def _name_and_history(draw):
+    name = draw(st.text(alphabet=_NAME_CHARS, max_size=5)
+                | st.sampled_from(["Tom", "O'Brien", "Jean Luc", "C++", "(x)", "Åsa", "Zoë"]))
+    piece = st.just(name) | st.text(alphabet=_AROUND_CHARS, max_size=3)
+    lines = draw(st.lists(st.lists(piece, max_size=6).map("".join), max_size=6))
+    return name, tuple(lines)
+
+
+def _per_line_reference(name: str, history: tuple[str, ...]) -> int:
+    return sum(len(re.findall(rf"\b{re.escape(name)}\b", line)) for line in history)
+
+
+@given(_name_and_history())
+@example(("Tom", ()))
+@example(("Tom", ("Tom", " Tom", "Tom.", "Tom's", "TomTom", "Tomás", "Tom_", "éTom")))
+@example(("Åsa", ("Åsa", "xÅsa Åsa", "Åsaë")))
+@example(("C++", ("C++ C++", "xC++", "C+++")))
+@example(("Tom\nTom", ("Tom", "Tom")))  # a match never spans two lines
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_history_mentions_equal_the_per_line_regex_count(case):
+    name, history = case
+    assert history_mentions(name, history) == _per_line_reference(name, history)
+
+
+def test_rank_scans_the_history_once_per_distinct_name(kb, freq, morph, config, monkeypatch):
+    tmr, solutions = _solutions("fasten_painting_nlu", kb, config, morph)
+    names = {name for sol in solutions for name in sol.proper_names()}
+    assert names == {"Tom"} and len(solutions) >= 10
+    history = ("Tom walked.", "Johnny met Tom's dog.") * 100
+    scans = []
+
+    def counting(name, lines):
+        scans.append(name)
+        return history_mentions(name, lines)
+
+    monkeypatch.setattr(selector, "history_mentions", counting)
+    ranked = rank(solutions, tmr, freq, config, history)
+    assert sorted(scans) == sorted(names)
+    assert {dict(s.terms)["repetition"] for s in ranked} == {-config.repetition_penalty * 200}
 
 
 def test_pronoun_sentences_never_accrue_repetition(kb, config, morph):
