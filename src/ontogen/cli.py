@@ -5,7 +5,7 @@ metadata from a TMR), validate (load-time invariant checks), inspect
 (show a concept with its constraints and senses). Exit codes are stable:
 0 success, 1 input or schema error, 2 inexpressible meaning. All report
 content goes to standard output and is byte-stable for fixed inputs;
-timing goes to standard error.
+timing and load-time warnings go to standard error.
 """
 
 from __future__ import annotations
@@ -215,6 +215,11 @@ def _render_json(report: RunReport, top: int, trace: bool, dump: bool) -> str:
     return json.dumps(doc, indent=2, ensure_ascii=False)
 
 
+def _warn(source: str, warnings: list[str]) -> None:
+    for message in warnings:
+        print(f"warning: {source}: {message}", file=sys.stderr)
+
+
 def _emit(text: str, out_path: str | None) -> None:
     if out_path:
         Path(out_path).write_text(text, encoding="utf-8")
@@ -227,7 +232,9 @@ def _emit(text: str, out_path: str | None) -> None:
 
 def cmd_generate(args) -> int:
     kb = load_knowledge_base(args.ontology, args.lexicon, args.memory)
+    _warn(args.ontology, kb.warnings)
     tmr = parse_tmr_file(args.tmr)
+    _warn(tmr.source, tmr.warnings)
     config = load_config(args.config) if args.config else GenerationConfig()
     freq = load_frequency(args.freq) if args.freq else bundled_frequency()
     started = time.perf_counter()
@@ -247,20 +254,22 @@ def cmd_generate(args) -> int:
 
 def cmd_strip(args) -> int:
     tmr = parse_tmr_file(args.tmr)
-    _emit(serialize_tmr(strip_metadata(tmr)), args.out)
+    stripped = strip_metadata(tmr)
+    _warn(tmr.source, tmr.warnings + stripped.warnings)
+    _emit(serialize_tmr(stripped), args.out)
     return 0
 
 
 def cmd_validate(args) -> int:
     kb = load_knowledge_base(args.ontology, args.lexicon, args.memory)
-    lines = []
-    for warning in kb.warnings:
-        lines.append(f"warning: {warning}")
+    _warn(args.ontology, kb.warnings)
+    lines = [f"warning: {warning}" for warning in kb.warnings]
     lines.append(f"ok: ontology {len(kb.ontology.concepts)} concepts")
     lines.append(f"ok: lexicon {len(kb.lexicon.senses)} senses")
     lines.append(f"ok: memory {len(kb.memory.instances)} instances")
     if args.tmr:
         tmr = parse_tmr_file(args.tmr)
+        _warn(tmr.source, tmr.warnings)
         lines.append(f"ok: tmr {len(tmr.frames)} frames")
     sys.stdout.write("\n".join(lines) + "\n")
     return 0
@@ -268,6 +277,7 @@ def cmd_validate(args) -> int:
 
 def cmd_inspect(args) -> int:
     kb = load_knowledge_base(args.ontology, args.lexicon, args.memory)
+    _warn(args.ontology, kb.warnings)
     concept = args.concept
     if not kb.ontology.exists(concept):
         print(f"error: unknown concept {concept!r}", file=sys.stderr)

@@ -1,13 +1,13 @@
 """Tuning knobs for candidate scoring and ranking.
 
 Config files use schema "ontogen-config/1" with kebab-case keys mirroring
-the dataclass fields. Every knob has a default, so a config file is
+the GenerationConfig fields. Every knob has a default, so a config file is
 optional and may set any subset.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 from .errors import SchemaError
 from .strictjson import decode, document, read_text
@@ -15,8 +15,7 @@ from .strictjson import decode, document, read_text
 SCHEMA_CONFIG = "ontogen-config/1"
 
 
-@dataclass(frozen=True)
-class GenerationConfig:
+class GenerationConfig(NamedTuple):
     # pruneSemantic: constraint-match bonuses per filled slot
     exact_bonus: float = 20.0
     narrow_bonus: float = 10.0
@@ -37,7 +36,9 @@ class GenerationConfig:
     length_tie_break: float = 0.0
 
 
-_FIELD_BY_KEY = {f.name.replace("_", "-"): f for f in fields(GenerationConfig)}
+# kebab-case key -> (field name, whether the field takes integers only)
+_FIELD_BY_KEY = {name.replace("_", "-"): (name, isinstance(default, int))
+                 for name, default in GenerationConfig._field_defaults.items()}
 
 
 def parse_config(text: str, source: str = "<config>") -> GenerationConfig:
@@ -49,11 +50,12 @@ def parse_config(text: str, source: str = "<config>") -> GenerationConfig:
         spec = _FIELD_BY_KEY.get(key)
         if spec is None:
             raise SchemaError(f"unknown config key {key!r}", source=source)
+        name, integer = spec
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise SchemaError(f"{key} must be a number, got {value!r}", source=source)
-        if spec.type == "int" and not isinstance(value, int):
+        if integer and not isinstance(value, int):
             raise SchemaError(f"{key} must be an integer, got {value!r}", source=source)
-        kwargs[spec.name] = value if spec.type == "int" else float(value)
+        kwargs[name] = value if integer else float(value)
     cfg = GenerationConfig(**kwargs)
     if cfg.set_cap < 1:
         raise SchemaError("set-cap must be at least 1", source=source)

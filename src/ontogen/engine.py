@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .config import GenerationConfig
 from .knowledge import KnowledgeBase
 from .pipeline import TraceRecord, run_lexical_selection
@@ -13,12 +11,13 @@ from .solution import Forest, build_solution
 from .tmr import Tmr
 
 
-@dataclass
 class RunReport:
-    sentences: list[ScoredSentence]
-    counts: dict[str, int]
-    trace: list[TraceRecord]
-    messages: list[str] = field(default_factory=list)
+    def __init__(self, sentences: list[ScoredSentence], counts: dict[str, int],
+                 trace: list[TraceRecord], messages: list[str] | None = None):
+        self.sentences = sentences
+        self.counts = counts
+        self.trace = trace
+        self.messages = [] if messages is None else messages
 
 
 def generate(tmr: Tmr, kb: KnowledgeBase, config: GenerationConfig | None = None,

@@ -10,16 +10,13 @@ participations) that reference management consults.
 
 from __future__ import annotations
 
-import logging
 import re
-from dataclasses import dataclass, field
 from enum import IntEnum
 from graphlib import CycleError, TopologicalSorter
+from typing import NamedTuple
 
 from .errors import KbValidationError, SchemaError
 from .strictjson import document, read_json
-
-log = logging.getLogger("ontogen.knowledge")
 
 SCHEMA_KB = "ontogen-kb/1"
 
@@ -36,31 +33,30 @@ INSTANCE_RE = re.compile(r"([A-Z][A-Z0-9]*(?:-[A-Z0-9]+)*)-([0-9]+)")
 # ---------------------------------------------------------------------------
 # constraints
 
-@dataclass(frozen=True)
-class ConceptConstraint:
+class ConceptConstraint(NamedTuple):
     """Filler must be the named concept or one of its IS-A descendants."""
 
     concept: str
 
 
-@dataclass(frozen=True)
-class LiteralConstraint:
+class LiteralConstraint(NamedTuple):
     """Filler must be one of a closed set of literal symbols."""
 
     values: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class RangeConstraint:
+class RangeConstraint(NamedTuple):
     """Filler must be a scalar within [low, high] (bounds within [0, 1])."""
 
     low: float
     high: float
 
 
-@dataclass(frozen=True)
 class AnythingConstraint:
-    """Matches any filler; stands in for an absent constraint."""
+    """Matches any filler; stands in for an absent constraint. Only the
+    ANYTHING instance exists, and it is truthy, unlike an empty tuple."""
+
+    __slots__ = ()
 
 
 ANYTHING = AnythingConstraint()
@@ -79,8 +75,7 @@ def constraint_text(constraint: Constraint) -> str:
     return "anything"
 
 
-@dataclass(frozen=True)
-class FacetedConstraint:
+class FacetedConstraint(NamedTuple):
     """A property constraint split into a hard sem facet and a typical default facet."""
 
     sem: Constraint | None = None
@@ -159,11 +154,12 @@ def _faceted(raw, where: str, source: str | None) -> FacetedConstraint:
 # ---------------------------------------------------------------------------
 # ontology
 
-@dataclass
 class Concept:
-    name: str
-    parents: tuple[str, ...]
-    slots: dict[str, FacetedConstraint] = field(default_factory=dict)
+    def __init__(self, name: str, parents: tuple[str, ...],
+                 slots: dict[str, FacetedConstraint] | None = None):
+        self.name = name
+        self.parents = parents
+        self.slots = {} if slots is None else slots
 
 
 class Ontology:
@@ -280,8 +276,7 @@ def match_degree(onto: Ontology, filler, needed, override=None) -> MatchDegree:
 # ---------------------------------------------------------------------------
 # lexicon
 
-@dataclass(frozen=True)
-class SynNode:
+class SynNode(NamedTuple):
     """One syntactic slot: category, its $var index, fixed-word roots, optionality."""
 
     category: str
@@ -290,8 +285,7 @@ class SynNode:
     optional: bool = False
 
 
-@dataclass(frozen=True)
-class VarBinding:
+class VarBinding(NamedTuple):
     """A sem-struc slot filled by the realization of a syn-struc variable."""
 
     var: int
@@ -301,8 +295,7 @@ class VarBinding:
 SlotValue = VarBinding | Constraint | float
 
 
-@dataclass(frozen=True)
-class PronounRef:
+class PronounRef(NamedTuple):
     """Referent features of a pronoun sense: person, number, optional gender."""
 
     person: int
@@ -310,28 +303,31 @@ class PronounRef:
     gender: str | None = None
 
 
-@dataclass(frozen=True)
 class SemFrame:
-    head: str
-    slots: dict[str, SlotValue]
-    null_sem: tuple[int, ...] = ()
+    def __init__(self, head: str, slots: dict[str, SlotValue], null_sem: tuple[int, ...] = ()):
+        self.head = head
+        self.slots = slots
+        self.null_sem = null_sem
 
 
-@dataclass(frozen=True)
 class LexSense:
-    """One lexical sense: a headword with paired syn-struc and sem-struc."""
+    """One lexical sense: a headword with paired syn-struc and sem-struc.
+    reference is present only on pronoun senses (I/you/he/she/they)."""
 
-    id: str
-    headword: str
-    pos: str
-    syn_struc: tuple[SynNode, ...]
-    sem_struc: SemFrame
-    definition: str = ""
-    example: str = ""
-    synonyms: tuple[str, ...] = ()
-    example_bindings: tuple[tuple[str, int], ...] = ()
-    # present only on pronoun senses (I/you/he/she/they)
-    reference: PronounRef | None = None
+    def __init__(self, id: str, headword: str, pos: str, syn_struc: tuple[SynNode, ...],
+                 sem_struc: SemFrame, definition: str = "", example: str = "",
+                 synonyms: tuple[str, ...] = (), example_bindings: tuple[tuple[str, int], ...] = (),
+                 reference: PronounRef | None = None):
+        self.id = id
+        self.headword = headword
+        self.pos = pos
+        self.syn_struc = syn_struc
+        self.sem_struc = sem_struc
+        self.definition = definition
+        self.example = example
+        self.synonyms = synonyms
+        self.example_bindings = example_bindings
+        self.reference = reference
 
     @property
     def is_argument_taking(self) -> bool:
@@ -421,12 +417,16 @@ class EpisodicMemory:
 # ---------------------------------------------------------------------------
 # loading
 
-@dataclass
 class KnowledgeBase:
-    ontology: Ontology
-    lexicon: Lexicon
-    memory: EpisodicMemory
-    warnings: list[str] = field(default_factory=list)
+    """The three stores, with the warnings their loading raised; every
+    warning so far is about the ontology file."""
+
+    def __init__(self, ontology: Ontology, lexicon: Lexicon, memory: EpisodicMemory,
+                 warnings: list[str] | None = None):
+        self.ontology = ontology
+        self.lexicon = lexicon
+        self.memory = memory
+        self.warnings = [] if warnings is None else warnings
 
 
 def _kb_document(path, kind: str) -> dict:
@@ -489,9 +489,8 @@ def _validate_ontology(onto: Ontology, source: str, warnings: list[str]) -> None
                 else:
                     ok = True
                 if not ok:
-                    msg = f"{concept.name}.{prop}: default facet does not narrow the sem facet"
-                    warnings.append(msg)
-                    log.warning("%s: %s", source, msg)
+                    warnings.append(f"{concept.name}.{prop}: default facet does not narrow "
+                                    f"the sem facet")
 
 
 def _parse_slot_value(raw, where: str, source: str) -> SlotValue:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 from .config import GenerationConfig
 from .errors import AllSetsPruned, NoRealizableSense
@@ -45,29 +45,27 @@ from .tmr import (
 DETERMINERS = ("indefinite", "definite", "some", "bare", "none")
 
 
-@dataclass(frozen=True)
 class ReferenceDecoration:
     """How a nominal should be realized: article choice or a pronoun form."""
 
-    determiner: str = "none"
-    pronoun_form: str | None = None
+    __slots__ = ("determiner", "pronoun_form")
 
-    def __post_init__(self):
-        if self.determiner not in DETERMINERS:
-            raise ValueError(f"bad determiner {self.determiner!r}")
-        if self.pronoun_form is not None and self.determiner != "none":
+    def __init__(self, determiner: str = "none", pronoun_form: str | None = None):
+        if determiner not in DETERMINERS:
+            raise ValueError(f"bad determiner {determiner!r}")
+        if pronoun_form is not None and determiner != "none":
             raise ValueError("a pronoun form excludes a determiner")
+        self.determiner = determiner
+        self.pronoun_form = pronoun_form
 
 
-@dataclass(frozen=True)
-class LedgerEntry:
+class LedgerEntry(NamedTuple):
     rule: str
     delta: float
     note: str = ""
 
 
-@dataclass(frozen=True)
-class CandidateSense:
+class CandidateSense(NamedTuple):
     """One sense option for one unit, with any reference decoration applied."""
 
     sense: LexSense
@@ -104,23 +102,31 @@ class CandidateSense:
         return text
 
 
-@dataclass
 class Unit:
-    """One thing to express: a TMR frame, or one property slot of a frame."""
+    """One thing to express: a TMR frame, or one property slot of a frame.
+    kind is "frame" or "modifier"."""
 
-    key: str
-    frame_id: str
-    kind: str = "frame"  # frame | modifier
-    prop: str | None = None
-    value: object | None = None
-    candidates: list[CandidateSense] = field(default_factory=list)
+    def __init__(self, key: str, frame_id: str, kind: str = "frame", prop: str | None = None,
+                 value: object | None = None, candidates: list[CandidateSense] | None = None):
+        self.key = key
+        self.frame_id = frame_id
+        self.kind = kind
+        self.prop = prop
+        self.value = value
+        self.candidates = [] if candidates is None else candidates
+
+    def with_candidates(self, candidates: list[CandidateSense]) -> Unit:
+        """A copy of this unit holding other candidates."""
+        return Unit(self.key, self.frame_id, self.kind, self.prop, self.value, candidates)
 
 
-@dataclass
 class CandidateSet:
     """One chosen sense per unit; everything else is read from the choices."""
 
-    choices: dict[str, CandidateSense]
+    __slots__ = ("choices",)
+
+    def __init__(self, choices: dict[str, CandidateSense]):
+        self.choices = choices
 
     @property
     def ledger(self) -> list[tuple[str, LedgerEntry]]:
@@ -139,20 +145,20 @@ class CandidateSet:
         return " ".join(f"{key}={choice.describe()}" for key, choice in self.choices.items())
 
 
-@dataclass(frozen=True)
-class TraceRecord:
+class TraceRecord(NamedTuple):
     stage: str
     subject: str
     rule: str
     note: str = ""
 
 
-@dataclass
 class SelectionResult:
-    sets: list[CandidateSet]
-    trace: list[TraceRecord]
-    messages: list[str]
-    counts: dict[str, int]
+    def __init__(self, sets: list[CandidateSet], trace: list[TraceRecord], messages: list[str],
+                 counts: dict[str, int]):
+        self.sets = sets
+        self.trace = trace
+        self.messages = messages
+        self.counts = counts
 
 
 # ---------------------------------------------------------------------------
@@ -256,12 +262,12 @@ def _pronoun_candidates(unit: Unit, person: int, number: str, gender: str | None
         if bonus:
             ledger = ledger + (LedgerEntry("reference-pronoun", bonus,
                                            "pronoun preferred for a known referent"),)
-        out.append(replace(cand, decoration=ReferenceDecoration(), ledger=ledger))
+        out.append(cand._replace(decoration=ReferenceDecoration(), ledger=ledger))
     return out
 
 
 def _described(cand: CandidateSense, determiner: str) -> CandidateSense:
-    return replace(cand, decoration=ReferenceDecoration(determiner=determiner))
+    return cand._replace(decoration=ReferenceDecoration(determiner=determiner))
 
 
 def _name_candidate(unit: Unit, name: str, concept: str) -> CandidateSense:
@@ -347,8 +353,8 @@ def manage_reference(units: list[Unit], tmr: Tmr, kb: KnowledgeBase,
                 ledger = base.ledger + (LedgerEntry(
                     "reference-pronoun", config.pronoun_bonus,
                     "pronoun preferred for a known referent"),)
-                chosen.append(replace(base, decoration=ReferenceDecoration(pronoun_form=pron),
-                                      ledger=ledger))
+                chosen.append(base._replace(decoration=ReferenceDecoration(pronoun_form=pron),
+                                            ledger=ledger))
         elif number == "plural":
             for c in plain:
                 chosen.append(_described(c, "some"))
@@ -516,8 +522,8 @@ def prune_semantic(units: list[Unit], tmr: Tmr, kb: KnowledgeBase,
                 continue
             uncovered = () if unit.kind == "modifier" else _uncovered_slots(
                 choice, tmr.by_id[unit.frame_id], config)
-            kept.append(replace(choice, semantic=tuple(entries), uncovered=uncovered))
-        out.append(replace(unit, candidates=kept))
+            kept.append(choice._replace(semantic=tuple(entries), uncovered=uncovered))
+        out.append(unit.with_candidates(kept))
     if not all(unit.candidates for unit in out):
         raise AllSetsPruned("every candidate set was excluded on semantic grounds",
                             trace=trace)
@@ -605,8 +611,8 @@ def prune_syntactic(units: list[Unit], tmr: Tmr, trace: list[TraceRecord]) -> li
             if failure:
                 _exclude(trace, "syntactic", choice, *failure)
             else:
-                kept.append(replace(choice, passive=passive))
-        out.append(replace(unit, candidates=kept))
+                kept.append(choice._replace(passive=passive))
+        out.append(unit.with_candidates(kept))
     if not all(unit.candidates for unit in out):
         raise AllSetsPruned("every candidate set was excluded on syntactic grounds",
                             trace=trace)
@@ -653,7 +659,7 @@ def hold_unreached(units: list[Unit], tmr: Tmr) -> tuple[list[Unit], frozenset[s
     total per sentence, so every winning set already holds it there."""
     reached = _reached_frames(units, tmr)
     held = frozenset(unit.key for unit in units if unit.frame_id not in reached)
-    return [replace(unit, candidates=[max(unit.candidates, key=_own_score)])
+    return [unit.with_candidates([max(unit.candidates, key=_own_score)])
             if unit.key in held else unit for unit in units], held
 
 
@@ -693,8 +699,8 @@ def expand_synonyms(sets: list[CandidateSet],
                 continue
             choice = cs.choices[key]
             for synonym in choice.sense.synonyms:
-                out.append(replace(cs, choices={
-                    **cs.choices, key: replace(choice, lemma_override=synonym)}))
+                out.append(CandidateSet({**cs.choices,
+                                         key: choice._replace(lemma_override=synonym)}))
     return out
 
 

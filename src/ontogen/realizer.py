@@ -9,7 +9,6 @@ attach to the word on their left.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import SchemaError
@@ -25,14 +24,17 @@ _MODALS = frozenset({"will", "would", "can", "could", "shall", "should",
                      "may", "might", "must"})
 
 
-@dataclass(frozen=True)
 class MorphTables:
-    irregular_verbs: dict[str, dict[str, str]]
-    irregular_plurals: dict[str, str]
-    pronouns: dict[str, dict[str, str]]
-    be_forms: dict[str, dict[str, str]]
-    an_before: frozenset[str]
-    a_before: frozenset[str]
+    def __init__(self, irregular_verbs: dict[str, dict[str, str]],
+                 irregular_plurals: dict[str, str], pronouns: dict[str, dict[str, str]],
+                 be_forms: dict[str, dict[str, str]], an_before: frozenset[str],
+                 a_before: frozenset[str]):
+        self.irregular_verbs = irregular_verbs
+        self.irregular_plurals = irregular_plurals
+        self.pronouns = pronouns
+        self.be_forms = be_forms
+        self.an_before = an_before
+        self.a_before = a_before
 
 
 def _words(table, name: str, source: str) -> dict[str, str]:

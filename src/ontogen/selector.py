@@ -13,7 +13,6 @@ extra mentions inside the sentence itself are counted per solution.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from pathlib import Path
 
 from .config import GenerationConfig
@@ -26,10 +25,10 @@ from .tmr import Tmr, find_root_frame
 SCHEMA_FREQ = "ontogen-freq/1"
 
 
-@dataclass(frozen=True)
 class FrequencyTable:
-    values: dict[str, float]
-    default: float = 0.5
+    def __init__(self, values: dict[str, float], default: float = 0.5):
+        self.values = values
+        self.default = default
 
     def lookup(self, lemma: str, sense_id: str) -> float:
         if lemma in self.values:
@@ -65,15 +64,17 @@ def bundled_frequency() -> FrequencyTable:
     return load_frequency(Path(__file__).parent / "data" / "frequency.json")
 
 
-@dataclass
 class ScoredSentence:
-    rank: int
-    sentence: str
-    total: float
-    terms: tuple[tuple[str, float], ...]
-    signature: str
-    ledger: tuple[tuple[str, LedgerEntry], ...]
-    solution: CandidateSolution
+    def __init__(self, rank: int, sentence: str, total: float,
+                 terms: tuple[tuple[str, float], ...], signature: str,
+                 ledger: tuple[tuple[str, LedgerEntry], ...], solution: CandidateSolution):
+        self.rank = rank
+        self.sentence = sentence
+        self.total = total
+        self.terms = terms
+        self.signature = signature
+        self.ledger = ledger
+        self.solution = solution
 
 
 def _pattern(name: str) -> re.Pattern:

@@ -7,8 +7,6 @@ case); containers carry ordered children.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import EmptySolution
 from .knowledge import LexSense
 from .pipeline import CandidateSense, CandidateSet, modifier_key
@@ -21,23 +19,32 @@ _TENSE_BY_TIME = {
 }
 
 
-@dataclass(frozen=True)
 class Features:
-    tense: str | None = None
-    verb_form: str | None = None  # base | participle
-    number: str | None = None
-    person: int | None = None
-    case: str | None = None  # subjective | objective
+    """verb_form is base or participle; case is subjective or objective."""
+
+    __slots__ = ("tense", "verb_form", "number", "person", "case")
+
+    def __init__(self, tense: str | None = None, verb_form: str | None = None,
+                 number: str | None = None, person: int | None = None, case: str | None = None):
+        self.tense = tense
+        self.verb_form = verb_form
+        self.number = number
+        self.person = person
+        self.case = case
 
 
-@dataclass(frozen=True)
 class Constituent:
-    function: str
-    lemma: str | None = None
-    features: Features = Features()
-    children: tuple[Constituent, ...] = ()
-    proper: bool = False
-    pronoun: bool = False
+    __slots__ = ("function", "lemma", "features", "children", "proper", "pronoun")
+
+    def __init__(self, function: str, lemma: str | None = None, features: Features = Features(),
+                 children: tuple[Constituent, ...] = (), proper: bool = False,
+                 pronoun: bool = False):
+        self.function = function
+        self.lemma = lemma
+        self.features = features
+        self.children = children
+        self.proper = proper
+        self.pronoun = pronoun
 
     @property
     def is_leaf(self) -> bool:
@@ -49,14 +56,18 @@ class Constituent:
             yield from child.walk()
 
 
-@dataclass
 class CandidateSolution:
-    candidate_set: CandidateSet
-    root: Constituent
-    mood: str  # declarative | interrogative | imperative
-    tense: str
-    voice: str
-    sentence: str | None = None
+    """mood is declarative, interrogative or imperative; realize sets the
+    sentence."""
+
+    def __init__(self, candidate_set: CandidateSet, root: Constituent, mood: str, tense: str,
+                 voice: str, sentence: str | None = None):
+        self.candidate_set = candidate_set
+        self.root = root
+        self.mood = mood
+        self.tense = tense
+        self.voice = voice
+        self.sentence = sentence
 
     def proper_names(self) -> list[str]:
         return [c.lemma for c in self.root.walk() if c.proper and c.lemma]

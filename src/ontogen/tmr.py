@@ -13,16 +13,12 @@ from __future__ import annotations
 import datetime as dt
 import itertools
 import json
-import logging
 import re
-from dataclasses import dataclass, field
 from enum import Enum
 
 from .errors import MalformedInstanceId, TmrError
 from .knowledge import CONCEPT_RE, INSTANCE_RE
 from .strictjson import decode, document, read_text
-
-log = logging.getLogger("ontogen.tmr")
 
 SCHEMA_TMR = "ontogen-tmr/1"
 
@@ -42,22 +38,51 @@ class RelativeTime(str, Enum):
     AFTER = "after-reference"
 
 
-@dataclass(frozen=True)
-class InstanceRef:
-    id: str
+class _Value:
+    """A filler compared by value: equal only to a filler of the same type
+    with equal fields, so InstanceRef("A"), ConceptRef("A") and ("A",)
+    are pairwise unequal, as isinstance tells them apart."""
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash((type(self), self._fields()))
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._fields()))
+        return f"{type(self).__name__}({shown})"
 
 
-@dataclass(frozen=True)
-class ConceptRef:
-    name: str
+class InstanceRef(_Value):
+    __slots__ = ("id",)
+
+    def __init__(self, id: str):
+        self.id = id
 
 
-@dataclass(frozen=True)
-class ProceduralCall:
+class ConceptRef(_Value):
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        self.name = name
+
+
+class ProceduralCall(_Value):
     """A time routine recorded by an upstream analyzer, e.g. (< find-anchor-time)."""
 
-    op: str
-    routine: str
+    __slots__ = ("op", "routine")
+
+    def __init__(self, op: str, routine: str):
+        self.op = op
+        self.routine = routine
 
 
 Filler = InstanceRef | ConceptRef | ProceduralCall | RelativeTime | dt.date | dt.time | float | str
@@ -71,18 +96,19 @@ def concept_of(instance_id: str, source: str | None = None) -> str:
     return m.group(1)
 
 
-@dataclass
 class Metadata:
-    from_sense: str | None = None
-    word_num: int | None = None
+    def __init__(self, from_sense: str | None = None, word_num: int | None = None):
+        self.from_sense = from_sense
+        self.word_num = word_num
 
 
-@dataclass
 class TmrFrame:
-    instance_id: str
-    slots: dict[str, tuple[Filler, ...]] = field(default_factory=dict)
-    metadata: Metadata | None = None
-    coref: str | None = None
+    def __init__(self, instance_id: str, slots: dict[str, tuple[Filler, ...]] | None = None,
+                 metadata: Metadata | None = None, coref: str | None = None):
+        self.instance_id = instance_id
+        self.slots = {} if slots is None else slots
+        self.metadata = metadata
+        self.coref = coref
 
     @property
     def concept(self) -> str:
@@ -101,16 +127,20 @@ class TmrFrame:
         return isinstance(card, (int, float)) and card > 1
 
 
-@dataclass
 class Tmr:
-    frames: list[TmrFrame]
-    speaker_id: str | None = None
-    hearer_id: str | None = None
-    reference_time: dt.datetime | None = None
-    source: str = "<tmr>"
+    """The frames and their discourse setting. warnings holds what was
+    found wrong, but not fatal, while this TMR was built from source."""
 
-    def __post_init__(self):
-        self.by_id = {f.instance_id: f for f in self.frames}
+    def __init__(self, frames: list[TmrFrame], speaker_id: str | None = None,
+                 hearer_id: str | None = None, reference_time: dt.datetime | None = None,
+                 source: str = "<tmr>", warnings: list[str] | None = None):
+        self.frames = frames
+        self.speaker_id = speaker_id
+        self.hearer_id = hearer_id
+        self.reference_time = reference_time
+        self.source = source
+        self.warnings = [] if warnings is None else warnings
+        self.by_id = {f.instance_id: f for f in frames}
 
     def frame(self, instance_id: str) -> TmrFrame | None:
         return self.by_id.get(instance_id)
@@ -295,7 +325,7 @@ def _complete_inverses(tmr: Tmr, source: str) -> None:
             if isinstance(filler, InstanceRef):
                 target = tmr.frame(filler.id)
                 if target is None:
-                    log.warning("%s: %s %s points outside the TMR", source, frame.instance_id, role)
+                    tmr.warnings.append(f"{frame.instance_id} {role} points outside the TMR")
                     continue
                 add_inverse(target, role + "-OF", frame.instance_id)
         for prop in list(frame.slots):
@@ -305,8 +335,7 @@ def _complete_inverses(tmr: Tmr, source: str) -> None:
                 if isinstance(value, InstanceRef):
                     owner = tmr.frame(value.id)
                     if owner is None:
-                        log.warning("%s: %s %s points outside the TMR",
-                                    source, frame.instance_id, prop)
+                        tmr.warnings.append(f"{frame.instance_id} {prop} points outside the TMR")
                         continue
                     set_role(owner, prop[:-3], frame.instance_id)
 
@@ -372,9 +401,11 @@ def strip_metadata(tmr: Tmr) -> Tmr:
 
     from-sense/word-num disappear; a TIME call "(< find-anchor-time)"
     becomes the relative time before-reference. Everything else is
-    preserved, so the operation is idempotent.
+    preserved, so the operation is idempotent. The copy's warnings name
+    each unknown time call it preserves.
     """
     frames = []
+    warnings = []
     for frame in tmr.frames:
         slots: dict[str, tuple[Filler, ...]] = {}
         for prop, values in frame.slots.items():
@@ -384,14 +415,14 @@ def strip_metadata(tmr: Tmr) -> Tmr:
                     if value.op == "<" and value.routine == _ANCHOR_ROUTINE:
                         value = RelativeTime.BEFORE
                     else:
-                        log.warning("%s: preserving unknown time call (%s %s)",
-                                    tmr.source, value.op, value.routine)
+                        warnings.append(f"preserving unknown time call "
+                                        f"({value.op} {value.routine})")
                 out.append(value)
             slots[prop] = tuple(out)
         frames.append(TmrFrame(instance_id=frame.instance_id, slots=slots,
                                metadata=None, coref=frame.coref))
     return Tmr(frames=frames, speaker_id=tmr.speaker_id, hearer_id=tmr.hearer_id,
-               reference_time=tmr.reference_time, source=tmr.source)
+               reference_time=tmr.reference_time, source=tmr.source, warnings=warnings)
 
 
 def relative_time_of(frame: TmrFrame, tmr: Tmr) -> RelativeTime | None:

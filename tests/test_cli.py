@@ -9,7 +9,14 @@ from pathlib import Path
 import pytest
 
 from conftest import DATA, KB_DIR, fixture_path, run_cli
-from ontogen import parse_tmr, strip_metadata, serialize_tmr, tmr_isomorphic
+from ontogen import (
+    generate,
+    parse_tmr,
+    parse_tmr_file,
+    serialize_tmr,
+    strip_metadata,
+    tmr_isomorphic,
+)
 from ontogen.cli import main
 
 
@@ -228,6 +235,50 @@ def test_usage_mistakes_exit_1():
     for top in ("0", "-8"):
         assert run_cli("generate", "--tmr", str(fixture_path("moor_ship")),
                        "--top", top).returncode == 1
+
+
+# --- load-time warnings ----------------------------------------------------------
+
+def _tmr_with_warnings(path: Path) -> Path:
+    """moor_ship with its AGENT frame gone and an unknown TIME routine."""
+    doc = json.loads(fixture_path("moor_ship").read_text())
+    del doc["frames"]["HUMAN-30"]
+    doc["frames"]["FASTEN-7"]["TIME"] = "(> other-routine)"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+@pytest.mark.parametrize("command", ["generate", "strip", "validate"])
+def test_tmr_warnings_go_to_stderr_once_each(tmp_path, capsys, kb, command):
+    path = _tmr_with_warnings(tmp_path / "tmr.json")
+    tmr = parse_tmr_file(path)
+    dangling = f"warning: {path}: FASTEN-7 AGENT points outside the TMR"
+    time_call = f"warning: {path}: preserving unknown time call (> other-routine)"
+    expected = {
+        "generate": ("".join(f"{s.rank}. {s.sentence}\n" for s in generate(tmr, kb).sentences[:5]),
+                     [dangling]),
+        "strip": (serialize_tmr(strip_metadata(tmr)), [dangling, time_call]),
+        "validate": ("ok: ontology 27 concepts\nok: lexicon 33 senses\n"
+                     "ok: memory 8 instances\nok: tmr 3 frames\n", [dangling]),
+    }
+    assert main([command, "--tmr", str(path)]) == 0
+    out, err = capsys.readouterr()
+    assert (out, [line for line in err.splitlines() if line.startswith("warning:")]) \
+        == expected[command]
+
+
+def test_kb_warnings_go_to_stderr_and_stay_in_the_validate_report(tmp_path, capsys):
+    onto = tmp_path / "ontology.json"
+    doc = json.loads((KB_DIR / "ontology.json").read_text())
+    doc["concepts"]["FASTEN"]["slots"]["THEME"] = {"sem": "PHYSICAL-OBJECT", "default": "EVENT"}
+    onto.write_text(json.dumps(doc))
+    message = "FASTEN.THEME: default facet does not narrow the sem facet"
+    assert main(["validate", "--ontology", str(onto)]) == 0
+    out, err = capsys.readouterr()
+    assert out.splitlines()[0] == f"warning: {message}"
+    assert err == f"warning: {onto}: {message}\n"
+    main(["generate", "--ontology", str(onto), "--tmr", str(fixture_path("moor_ship"))])
+    assert capsys.readouterr().err.splitlines()[0] == f"warning: {onto}: {message}"
 
 
 # --- strip ------------------------------------------------------------------------

@@ -81,3 +81,11 @@ def test_cli_rejects_a_bad_config(tmp_path):
                    "--config", str(bad))
     assert proc.returncode == 1
     assert "set-cap" in proc.stderr
+
+
+def test_a_config_is_an_immutable_hashable_value():
+    cfg = GenerationConfig()
+    with pytest.raises(AttributeError):
+        cfg.set_cap = 3
+    assert cfg == GenerationConfig() != cfg._replace(set_cap=3)
+    assert len({cfg, GenerationConfig(), cfg._replace(set_cap=3)}) == 2

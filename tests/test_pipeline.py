@@ -3,7 +3,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import replace
 
 import pytest
 
@@ -11,6 +10,9 @@ from conftest import fixture_path, load_fixture, make_kb
 from genscen import rank_every_set, ranked_rows
 from ontogen import AllSetsPruned, GenerationConfig, NoRealizableSense, generate, parse_tmr
 from ontogen.pipeline import (
+    ReferenceDecoration,
+    TraceRecord,
+    _exclude,
     aggregate_sets,
     expand_synonyms,
     extract_candidates,
@@ -117,6 +119,14 @@ def test_known_plural_human_pronominalizes_as_they(kb, config):
     assert "they-n1" in ids
     assert all(c.is_pronoun or c.decoration.determiner == "definite"
                for c in agent.candidates)
+
+
+@pytest.mark.parametrize("kwargs", [{"determiner": "an"},
+                                    {"determiner": "definite", "pronoun_form": "it"}],
+                         ids=["bad-determiner", "pronoun-with-determiner"])
+def test_a_reference_decoration_rejects_what_cannot_be_realized(kwargs):
+    with pytest.raises(ValueError):
+        ReferenceDecoration(**kwargs)
 
 
 def test_new_referents_take_indefinite_or_plural_articles(kb, config):
@@ -235,6 +245,16 @@ def test_each_excluded_candidate_is_traced_once(kb):
         assert len(set(trace)) == len(trace)
 
 
+def test_a_candidate_excluded_twice_for_one_reason_is_traced_once(kb, config):
+    _, units = _units_for("moor_ship", kb, config)
+    choice = _unit(units, "HUMAN-30").candidates[0]
+    trace: list[TraceRecord] = []
+    for copy in (choice, choice._replace(decoration=ReferenceDecoration("definite"))):
+        _exclude(trace, "syntactic", copy, "unfillable", "no meaning to express")
+    assert trace == [TraceRecord("syntactic", f"HUMAN-30/{choice.sense.id}", "unfillable",
+                                 "no meaning to express")]
+
+
 # --- stage 4: syntactic pruning ----------------------------------------------
 
 def test_missing_agent_rescues_transitives_into_the_passive(kb, config):
@@ -298,7 +318,7 @@ def test_aggregation_is_the_cartesian_product_of_units(kb, config):
 def test_aggregation_cap_truncates_with_a_message(kb, config):
     survivors = _survivors_for("fasten_painting", kb, config)
     full, _ = aggregate_sets(survivors, config)
-    sets, messages = aggregate_sets(survivors, replace(config, set_cap=3))
+    sets, messages = aggregate_sets(survivors, config._replace(set_cap=3))
     assert [cs.signature() for cs in sets] == [cs.signature() for cs in full[:3]]
     assert len(messages) == 1
     assert "3" in messages[0]

@@ -6,7 +6,6 @@ import contextlib
 import json
 import math
 import tempfile
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -36,7 +35,7 @@ from ontogen.pipeline import (
     prune_syntactic,
     run_lexical_selection,
 )
-from ontogen.tmr import TmrFrame, find_root_frame
+from ontogen.tmr import Tmr, TmrFrame, find_root_frame
 
 SETTINGS = settings(max_examples=25, deadline=None, derandomize=True)
 seeds = st.integers(min_value=0, max_value=9999)
@@ -75,7 +74,7 @@ def check_product_cardinality(seed: int) -> None:
     assert messages == []
     signatures = [cs.signature() for cs in sets]
     assert len(set(signatures)) == expected
-    capped, messages = aggregate_sets(survivors, replace(config, set_cap=2))
+    capped, messages = aggregate_sets(survivors, config._replace(set_cap=2))
     assert [cs.signature() for cs in capped] == signatures[:2]
     assert len(messages) == (expected > 2)
 
@@ -102,8 +101,7 @@ def check_rank_permutation(seed: int) -> None:
 
 def check_scaling_invariance(seed: int, factor: float) -> None:
     base = GenerationConfig()
-    scaled = replace(
-        base,
+    scaled = base._replace(
         pipeline_weight=base.pipeline_weight * factor,
         frequency_weight=base.frequency_weight * factor,
         repetition_penalty=base.repetition_penalty * factor,
@@ -180,7 +178,8 @@ def test_holding_unreached_frames_ranks_as_building_every_set(seed, picks):
     nominals = [frame.concept for frame in tmr.frames if frame is not root]
     silent = [TmrFrame(f"{nominals[pick % len(nominals)]}-{50 + n}")
               for n, pick in enumerate(picks)]
-    tmr = replace(tmr, frames=[*tmr.frames, *silent])
+    tmr = Tmr(frames=[*tmr.frames, *silent], speaker_id=tmr.speaker_id,
+              hearer_id=tmr.hearer_id, reference_time=tmr.reference_time, source=tmr.source)
     try:
         report = generate(tmr, kb)
     except AllSetsPruned:

@@ -8,7 +8,15 @@ import pytest
 from conftest import TMR_DIR, load_fixture
 from ontogen import parse_tmr, serialize_tmr, strip_metadata, tmr_isomorphic
 from ontogen.errors import MalformedInstanceId, TmrError
-from ontogen.tmr import RelativeTime, concept_of, relative_time_of, renumber
+from ontogen.tmr import (
+    ConceptRef,
+    InstanceRef,
+    ProceduralCall,
+    RelativeTime,
+    concept_of,
+    relative_time_of,
+    renumber,
+)
 
 ALL_FIXTURES = sorted(p.stem for p in TMR_DIR.glob("*.json"))
 
@@ -22,6 +30,14 @@ def test_concept_of_strips_the_index():
     assert concept_of("REQUEST-ACTION-1") == "REQUEST-ACTION"
     with pytest.raises(MalformedInstanceId):
         concept_of("FASTEN")
+
+
+def test_fillers_equal_only_fillers_of_their_own_type():
+    instance, concept, plain = InstanceRef("A"), ConceptRef("A"), ("A",)
+    assert instance != concept and concept != plain and instance != plain
+    assert instance == InstanceRef("A") and hash(instance) == hash(InstanceRef("A"))
+    assert ProceduralCall("<", "a") == ProceduralCall("<", "a") != ProceduralCall(">", "a")
+    assert repr(instance) == "InstanceRef(id='A')"
 
 
 @pytest.mark.parametrize("name", ALL_FIXTURES)
