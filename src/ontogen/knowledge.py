@@ -312,7 +312,10 @@ class SemFrame:
 
 class LexSense:
     """One lexical sense: a headword with paired syn-struc and sem-struc.
-    reference is present only on pronoun senses (I/you/he/she/they)."""
+    reference is present only on pronoun senses (I/you/he/she/they).
+    bound_roles maps each syn-struc variable a sem-struc slot binds to that
+    slot's property; is_argument_taking says whether there is any. Both are
+    read from sem_struc once, here, so sem_struc must not change later."""
 
     def __init__(self, id: str, headword: str, pos: str, syn_struc: tuple[SynNode, ...],
                  sem_struc: SemFrame, definition: str = "", example: str = "",
@@ -328,16 +331,9 @@ class LexSense:
         self.synonyms = synonyms
         self.example_bindings = example_bindings
         self.reference = reference
-
-    @property
-    def is_argument_taking(self) -> bool:
-        """Whether any sem-struc slot binds a syn-struc variable."""
-        return any(isinstance(v, VarBinding) for v in self.sem_struc.slots.values())
-
-    @property
-    def bound_roles(self) -> dict[int, str]:
-        """var index -> property name for every variable binding."""
-        return {v.var: prop for prop, v in self.sem_struc.slots.items() if isinstance(v, VarBinding)}
+        self.bound_roles = {v.var: prop for prop, v in sem_struc.slots.items()
+                            if isinstance(v, VarBinding)}
+        self.is_argument_taking = bool(self.bound_roles)
 
     def binding_word(self, var: int) -> str | None:
         """The example-bindings word recorded for a variable, if any."""

@@ -139,10 +139,15 @@ class CandidateSet:
 
     @property
     def score(self) -> float:
-        return sum(entry.delta for _, entry in self.ledger)
+        return ledger_score(self.ledger)
 
     def signature(self) -> str:
         return " ".join(f"{key}={choice.describe()}" for key, choice in self.choices.items())
+
+
+def ledger_score(ledger) -> float:
+    """The sum of a ledger's deltas, in ledger order: a set's score."""
+    return sum(entry.delta for _, entry in ledger)
 
 
 class TraceRecord(NamedTuple):
@@ -384,10 +389,9 @@ _DEGREE_RULES = {
 }
 
 
-def _score_binding(entries: list[LedgerEntry], choice: CandidateSense, frame: TmrFrame,
+def _score_binding(entries: list[LedgerEntry], choice: CandidateSense, filler,
                    prop: str, binding: VarBinding, kb: KnowledgeBase,
                    config: GenerationConfig) -> str | None:
-    filler = frame.get(prop)
     if filler is None:
         return None
     concept = _filler_concept(filler)
@@ -429,10 +433,9 @@ def _score_feature(entries: list[LedgerEntry], prop: str, declared: float, actua
     return f"{prop} {declared:g} is too far from the specified {float(actual):g}"
 
 
-def _score_assertion(entries: list[LedgerEntry], frame: TmrFrame, prop: str,
+def _score_assertion(entries: list[LedgerEntry], value, prop: str,
                      constraint: Constraint, kb: KnowledgeBase,
                      config: GenerationConfig) -> str | None:
-    value = frame.get(prop)
     if value is None:
         return f"asserts {prop} {constraint_text(constraint)}, absent from the meaning"
     filler = _filler_concept(value)
@@ -473,28 +476,29 @@ def _score_candidate(entries: list[LedgerEntry], choice: CandidateSense, unit: U
     frame = tmr.by_id[choice.frame_id]
     kind = "argument-mismatch" if choice.sense.is_argument_taking else "content-mismatch"
     for prop, slot in choice.sense.sem_struc.slots.items():
+        value = tmr.filler(frame, prop)
         if isinstance(slot, VarBinding):
-            reason = _score_binding(entries, choice, frame, prop, slot, kb, config)
+            reason = _score_binding(entries, choice, value, prop, slot, kb, config)
             rule = kind
         elif isinstance(slot, float):
-            reason = _score_feature(entries, prop, slot, frame.get(prop), config)
+            reason = _score_feature(entries, prop, slot, value, config)
             rule = "feature-mismatch"
         else:
-            reason = _score_assertion(entries, frame, prop, slot, kb, config)
+            reason = _score_assertion(entries, value, prop, slot, kb, config)
             rule = kind
         if reason:
             return rule, reason
     return None
 
 
-def _uncovered_slots(choice: CandidateSense, frame: TmrFrame,
+def _uncovered_slots(choice: CandidateSense, frame: TmrFrame, tmr: Tmr,
                      config: GenerationConfig) -> tuple[LedgerEntry, ...]:
     mentioned = set(choice.sense.sem_struc.slots).union(choice.modifiers)
     return tuple(LedgerEntry("uncovered-slot", -config.uncovered_penalty,
                              f"{prop} is not expressed by {choice.sense.id}")
                  for prop in frame.slots
                  if prop not in RESERVED_SLOTS and not prop.endswith("-OF")
-                 and prop not in mentioned)
+                 and prop not in mentioned and tmr.filler(frame, prop) is not None)
 
 
 def _exclude(trace: list[TraceRecord], stage: str, choice: CandidateSense,
@@ -521,7 +525,7 @@ def prune_semantic(units: list[Unit], tmr: Tmr, kb: KnowledgeBase,
                 _exclude(trace, "semantic", choice, *failure)
                 continue
             uncovered = () if unit.kind == "modifier" else _uncovered_slots(
-                choice, tmr.by_id[unit.frame_id], config)
+                choice, tmr.by_id[unit.frame_id], tmr, config)
             kept.append(choice._replace(semantic=tuple(entries), uncovered=uncovered))
         out.append(unit.with_candidates(kept))
     if not all(unit.candidates for unit in out):
@@ -556,10 +560,8 @@ def _check_syntax(choice: CandidateSense, tmr: Tmr) -> tuple[tuple[str, str] | N
     frame = tmr.by_id[choice.frame_id]
 
     if choice.is_pronoun and choice.modifiers:
-        ref = sense.reference
-        if ref is None or ref.person == 3:
-            return ("pronoun-with-modifiers",
-                    "a modified referent cannot be realized as a pronoun"), False
+        return ("pronoun-with-modifiers",
+                "a modified referent cannot be realized as a pronoun"), False
 
     if not sense.is_argument_taking:
         return None, False
@@ -575,22 +577,21 @@ def _check_syntax(choice: CandidateSense, tmr: Tmr) -> tuple[tuple[str, str] | N
             if node.roots or node.optional:
                 continue
             return ("unfillable", f"{node.category} $var{node.var} has no meaning to express"), False
-        filler = frame.get(prop)
+        filler = tmr.filler(frame, prop)
         if filler is None:
             if node.optional:
                 continue
             if prop == "AGENT" and node.category == "subj" and transitive \
-                    and frame.get("THEME") is not None:
+                    and tmr.filler(frame, "THEME") is not None:
                 passive = True
                 continue
             return ("unfillable",
                     f"{node.category} $var{node.var} needs {prop}, absent from the meaning"), False
         if isinstance(filler, InstanceRef) and node.roots:
-            target = tmr.frame(filler.id)
-            if target is not None and not _participant_ok(sense, node, target, tmr):
+            if not _participant_ok(sense, node, tmr.by_id[filler.id], tmr):
                 return ("participant-mismatch",
                         f"fixed word {sense.root_choice(node)!r} does not fit {filler.id}"), False
-    if frame.get("THEME") is not None and "THEME" not in sense.sem_struc.slots:
+    if tmr.filler(frame, "THEME") is not None and "THEME" not in sense.sem_struc.slots:
         return ("unhosted-theme",
                 f"the meaning has a THEME that {sense.id} cannot host"), False
     return None, passive

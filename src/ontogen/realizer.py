@@ -8,6 +8,7 @@ attach to the word on their left.
 
 from __future__ import annotations
 
+import functools
 import re
 from pathlib import Path
 
@@ -84,7 +85,10 @@ def load_morphology(path: str | Path) -> MorphTables:
     return parse_morphology(read_json(path), source=str(path))
 
 
+@functools.cache
 def bundled_morphology() -> MorphTables:
+    """The bundled tables, read once per process and shared by every
+    caller: nothing in ontogen changes a MorphTables, and no caller may."""
     return load_morphology(Path(__file__).parent / "data" / "morphology.json")
 
 
@@ -195,16 +199,18 @@ def _leaf_token(tables: MorphTables, leaf: Constituent) -> str:
 
 
 def _tokens(tables: MorphTables, node: Constituent, memo: dict) -> list[str]:
-    """The node's tokens, each shared subtree inflected once per memo. The
-    memo holds every node it keys by identity, so no key can be reused."""
-    if node.is_leaf:
-        token = _leaf_token(tables, node)
-        return [token] if token else []
+    """The node's tokens, each shared leaf and subtree inflected once per
+    memo. The memo holds every node it keys by identity, so no key can be
+    reused."""
     seen = memo.get(id(node))
     if seen is None:
-        tokens: list[str] = []
-        for child in node.children:
-            tokens.extend(_tokens(tables, child, memo))
+        if node.is_leaf:
+            token = _leaf_token(tables, node)
+            tokens = [token] if token else []
+        else:
+            tokens = []
+            for child in node.children:
+                tokens.extend(_tokens(tables, child, memo))
         seen = memo[id(node)] = (node, tokens)
     return seen[1]
 
@@ -240,7 +246,8 @@ def _capitalize(text: str) -> str:
 
 def realize(solution: CandidateSolution, tables: MorphTables, memo: dict | None = None) -> str:
     """The finished sentence; also stored on the solution. The solutions of
-    one request pass one memo, so a constituent they share is inflected once."""
+    one request pass one memo, so a leaf or subtree they share is inflected
+    once."""
     tokens = _tokens(tables, solution.root, {} if memo is None else memo)
     tokens = _resolve_articles(tables, tokens)
     text = _capitalize(_join(tokens))

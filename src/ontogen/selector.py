@@ -5,22 +5,26 @@ always be explained. Ties break lexicographically on the sentence text,
 which keeps output order stable across runs.
 
 Repetition counts whole-word mentions (``\\b<name>\\b``) of each proper name
-a sentence contains. One rank() call scans the discourse history once per
-distinct name and shares that count among all its solutions; only the
-extra mentions inside the sentence itself are counted per solution.
+a sentence contains. One rank() call reads every set's ledger once, for its
+score and its report; finds the proper names of each subtree its solutions
+share once; and scans the discourse history once per distinct name, sharing
+that count among all its solutions. Only the extra mentions inside a
+sentence are counted per solution, and only when the sentence holds the
+name twice as a substring.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 from pathlib import Path
 
 from .config import GenerationConfig
 from .errors import SchemaError
-from .pipeline import CandidateSet, LedgerEntry
+from .pipeline import LedgerEntry, ledger_score
 from .solution import CandidateSolution
 from .strictjson import document, read_json
-from .tmr import Tmr, find_root_frame
+from .tmr import Tmr
 
 SCHEMA_FREQ = "ontogen-freq/1"
 
@@ -60,7 +64,10 @@ def load_frequency(path: str | Path) -> FrequencyTable:
     return parse_frequency(read_json(path), source=str(path))
 
 
+@functools.cache
 def bundled_frequency() -> FrequencyTable:
+    """The bundled table, read once per process and shared by every caller:
+    nothing in ontogen changes a FrequencyTable, and no caller may."""
     return load_frequency(Path(__file__).parent / "data" / "frequency.json")
 
 
@@ -89,60 +96,60 @@ def history_mentions(name: str, history: tuple[str, ...]) -> int:
     return sum(len(pattern.findall(line)) for line in history if name in line)
 
 
+def extra_mentions(name: str, sentence: str) -> int:
+    """Whole-word mentions of name in the sentence beyond the first. The
+    matches do not overlap, so there are at most sentence.count(name) of
+    them, and the sentence is searched only when that is more than one."""
+    if sentence.count(name) < 2:
+        return 0
+    return max(0, len(_pattern(name).findall(sentence)) - 1)
+
+
 def repetition_count(solution: CandidateSolution, history: tuple[str, ...],
-                     mentions: dict[str, int] | None = None) -> int:
+                     mentions: dict[str, int] | None = None, names: dict | None = None) -> int:
     """Proper-name mentions already present in the discourse history, plus
     extra mentions inside the sentence itself. mentions caches each name's
-    history count; rank shares one across all of a request's solutions."""
+    history count and names each subtree's proper names; rank shares one of
+    each across all of a request's solutions."""
     if mentions is None:
         mentions = {}
     sentence = solution.sentence or ""
     repeats = 0
-    for name in dict.fromkeys(solution.proper_names()):
+    for name in dict.fromkeys(solution.proper_names(names)):
         if name not in mentions:
             mentions[name] = history_mentions(name, history)
-        repeats += mentions[name] + max(0, len(_pattern(name).findall(sentence)) - 1)
+        repeats += mentions[name] + extra_mentions(name, sentence)
     return repeats
-
-
-def score_sentence(solution: CandidateSolution, root_id: str, freq: FrequencyTable,
-                   config: GenerationConfig, history: tuple[str, ...] = (),
-                   mentions: dict[str, int] | None = None,
-                   ) -> tuple[float, tuple[tuple[str, float], ...]]:
-    """Total plus the named terms that sum to it; root_id names the root frame."""
-    cs: CandidateSet = solution.candidate_set
-    choice = cs.choices[root_id]
-    frequency = freq.lookup(choice.lemma.lower(), choice.sense.id)
-    repeats = repetition_count(solution, history, mentions)
-    sentence = solution.sentence or ""
-    terms = (
-        ("pipeline", config.pipeline_weight * cs.score),
-        ("frequency", config.frequency_weight * frequency),
-        ("repetition", -config.repetition_penalty * repeats),
-        ("length", -config.length_tie_break * len(sentence)),
-    )
-    total = sum(value for _, value in terms)
-    return total, terms
 
 
 def rank(solutions: list[CandidateSolution], tmr: Tmr, freq: FrequencyTable,
          config: GenerationConfig, history: tuple[str, ...] = ()) -> list[ScoredSentence]:
-    """Scored, deduplicated, ordered best-first with ranks assigned."""
-    if not solutions:
-        return []
-    root_id = find_root_frame(tmr).instance_id
+    """Scored, deduplicated, ordered best-first with ranks assigned. tmr is
+    the meaning the solutions express; each solution names its root frame."""
     mentions: dict[str, int] = {}
-    scored: list[tuple[float, str, CandidateSolution, tuple]] = []
+    names: dict = {}
+    scored: list[tuple[float, str, CandidateSolution, tuple, tuple]] = []
     for solution in solutions:
-        if not solution.sentence:
+        sentence = solution.sentence
+        if not sentence:
             continue
-        total, terms = score_sentence(solution, root_id, freq, config, history, mentions)
-        scored.append((total, solution.sentence, solution, terms))
+        ledger = tuple(solution.candidate_set.ledger)
+        choice = solution.candidate_set.choices[solution.root_id]
+        repeats = repetition_count(solution, history, mentions, names)
+        terms = (
+            ("pipeline", config.pipeline_weight * ledger_score(ledger)),
+            ("frequency", config.frequency_weight * freq.lookup(choice.lemma.lower(),
+                                                                choice.sense.id)),
+            ("repetition", -config.repetition_penalty * repeats),
+            ("length", -config.length_tie_break * len(sentence)),
+        )
+        total = sum(value for _, value in terms)
+        scored.append((total, sentence, solution, terms, ledger))
     scored.sort(key=lambda item: (-item[0], item[1]))
 
     out: list[ScoredSentence] = []
     seen: set[str] = set()
-    for total, sentence, solution, terms in scored:
+    for total, sentence, solution, terms, ledger in scored:
         if sentence in seen:
             continue
         seen.add(sentence)
@@ -152,7 +159,7 @@ def rank(solutions: list[CandidateSolution], tmr: Tmr, freq: FrequencyTable,
             total=total,
             terms=terms,
             signature=solution.candidate_set.signature(),
-            ledger=tuple(solution.candidate_set.ledger),
+            ledger=ledger,
             solution=solution,
         ))
     return out

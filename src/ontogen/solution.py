@@ -3,6 +3,13 @@
 The tree mirrors the head construction's declared syntax. Leaves carry a
 lemma plus the features the realizer needs (tense, form, number, person,
 case); containers carry ordered children.
+
+The sets of one request share a Forest. It compiles each construction once
+into a plan, whose fixed leaves are built once and whose holes each set
+fills from its own choices, and it holds every nominal, phrase and agreeing
+verb built so far. Building one more set fills the root plan's holes from
+the forest and stamps subject agreement: it costs about its number of
+slots, and it walks no syn-struc.
 """
 
 from __future__ import annotations
@@ -57,20 +64,37 @@ class Constituent:
 
 
 class CandidateSolution:
-    """mood is declarative, interrogative or imperative; realize sets the
-    sentence."""
+    """mood is declarative, interrogative or imperative; root_id names the
+    root frame, whose choice heads the tree; realize sets the sentence."""
 
     def __init__(self, candidate_set: CandidateSet, root: Constituent, mood: str, tense: str,
-                 voice: str, sentence: str | None = None):
+                 voice: str, root_id: str, sentence: str | None = None):
         self.candidate_set = candidate_set
         self.root = root
         self.mood = mood
         self.tense = tense
         self.voice = voice
+        self.root_id = root_id
         self.sentence = sentence
 
-    def proper_names(self) -> list[str]:
-        return [c.lemma for c in self.root.walk() if c.proper and c.lemma]
+    def proper_names(self, memo: dict | None = None) -> list[str]:
+        """The proper-name lemmas of the tree in surface order. The solutions
+        of one request may pass one memo, so a subtree they share is walked
+        once; it holds every node it keys by identity."""
+        return list(_names(self.root, {} if memo is None else memo))
+
+
+def _names(node: Constituent, memo: dict) -> tuple[str, ...]:
+    seen = memo.get(id(node))
+    if seen is None:
+        if node.is_leaf:
+            names = (node.lemma,) if node.proper and node.lemma else ()
+        else:
+            names = ()
+            for child in node.children:
+                names += _names(child, memo)
+        seen = memo[id(node)] = (node, names)
+    return seen[1]
 
 
 def derive_tense(frame: TmrFrame, tmr: Tmr) -> str:
@@ -84,6 +108,9 @@ _ROLE_BY_CATEGORY = {"subj": "subject", "directobject": "direct-object", "n": "n
 _FIXED_BY_CATEGORY = {"aux": "auxiliary", "adv": "adverb", "prep": "preposition"}
 
 _DETERMINER_WORDS = {"indefinite": "a", "definite": "the", "some": "some"}
+
+# subject agreement when the construction has no subject
+_THIRD_SINGULAR = Features(number="singular", person=3)
 
 
 def _mood_of(sense: LexSense) -> str:
@@ -101,15 +128,18 @@ def _pronoun_number(form: str) -> str:
 
 class Forest:
     """What the candidate sets of one request share: the root frame and its
-    tense, and every nominal and embedded phrase built so far, so that sets
-    differing in one unit rebuild only what that unit reaches.
+    tense, every plan, and every nominal, phrase and agreeing verb built so
+    far.
 
-    A nominal or embedded phrase is keyed by its frame, its function and
-    the identities of every choice it reads; a prepositional phrase by its
-    preposition and the nominal it holds. Identity keys are sound because a
+    A plan is keyed by frame, sense, lemma, voice, tense and construction
+    flags, not by the choice, since synonym clones are new choice objects
+    in every base set; a nominal or embedded phrase by its frame, its function and the
+    identities of every choice it reads; a prepositional phrase by its
+    preposition and the nominal it holds; an agreeing verb by its plan leaf
+    and the subject's number and person. Identity keys are sound because a
     request's sets share their choice objects and keep them alive while the
-    forest is in use; a forest must not outlive the sets it builds. Subject
-    agreement is stamped per clause, outside the forest."""
+    forest is in use, and the forest keeps every leaf it keys; a forest must
+    not outlive the sets it builds."""
 
     def __init__(self, tmr: Tmr):
         if not tmr.frames:
@@ -118,6 +148,103 @@ class Forest:
         self.root = find_root_frame(tmr)
         self.tense = derive_tense(self.root, tmr)
         self.built: dict[tuple, object] = {}
+
+
+# A plan item is a fixed leaf or a hole a set fills from its choices: a
+# nominal, the subject nominal, a "v" slot (an embedded phrase when its
+# frame's choice takes arguments, else a nominal) or a prepositional phrase.
+_LEAF, _NOMINAL, _SUBJECT, _VERBAL, _PREPOSITIONAL = range(5)
+
+
+def _compile(tmr: Tmr, frame: TmrFrame, sense: LexSense, lemma: str, *, passive: bool,
+             tense: str, suppress_subject: bool, base_only: bool) -> tuple:
+    """The construction as a plan, which no set changes: its items in
+    surface order, each (kind, leaf or target frame, function or
+    preposition); the positions of the verb leaves that agree with the
+    subject; and the voice. Fixed leaves are built here, once, and a hole
+    is left for each role whose filler is in the TMR."""
+    syn = sense.syn_struc
+    bound = sense.bound_roles
+    has_aux = any(node.category == "aux" for node in syn)
+
+    # a bound bare nominal ahead of the head verb is the grammatical subject
+    subject_var: int | None = None
+    for node in syn:
+        if node.var == 0 and not node.roots:
+            break
+        if node.category in ("subj", "n") and not node.roots and node.var in bound:
+            subject_var = node.var
+            break
+
+    items: list[tuple] = []
+    finite: list[int] = []
+    skip = False
+    for index, node in enumerate(syn):
+        if skip:
+            skip = False
+            continue
+        category = node.category
+
+        if passive and category == "directobject":
+            continue
+
+        if category == "prep":
+            following = syn[index + 1] if index + 1 < len(syn) else None
+            if following is not None and following.category == "n" \
+                    and not following.roots and following.var in bound:
+                skip = True
+                filler = tmr.filler(frame, bound[following.var])
+                # without an instance filler the whole phrase is omitted
+                if isinstance(filler, InstanceRef):
+                    items.append((_PREPOSITIONAL, tmr.by_id[filler.id], sense.root_choice(node)))
+                continue
+            word = sense.root_choice(node)
+            if word:
+                items.append((_LEAF, Constituent("preposition", lemma=word), None))
+            continue
+
+        if node.var == 0 and not node.roots:
+            # finite forms agree with the subject once the clause is filled
+            if passive:
+                finite.append(len(items))
+                items.append((_LEAF, Constituent("auxiliary", lemma="be",
+                                                 features=Features(tense=tense)), None))
+                items.append((_LEAF, Constituent("main-verb", lemma=lemma,
+                                                 features=Features(verb_form="participle")), None))
+            elif base_only or has_aux:
+                items.append((_LEAF, Constituent("main-verb", lemma=lemma,
+                                                 features=Features(verb_form="base")), None))
+            else:
+                finite.append(len(items))
+                items.append((_LEAF, Constituent("main-verb", lemma=lemma,
+                                                 features=Features(tense=tense)), None))
+            continue
+
+        if node.roots:
+            function = _FIXED_BY_CATEGORY.get(category, "fixed-word")
+            items.append((_LEAF, Constituent(function, lemma=sense.root_choice(node)), None))
+            continue
+
+        prop = bound.get(node.var)
+        if prop is None:
+            continue
+        filler = tmr.filler(frame, prop)
+        if filler is None:
+            if passive and prop == "AGENT" and category == "subj":
+                theme = tmr.filler(frame, "THEME")
+                if isinstance(theme, InstanceRef):
+                    items.append((_SUBJECT, tmr.by_id[theme.id], "subject"))
+            continue
+        if (category == "subj" and suppress_subject) or not isinstance(filler, InstanceRef):
+            continue
+        target = tmr.by_id[filler.id]
+        if category == "v":
+            items.append((_VERBAL, target, "nominal"))
+        elif node.var == subject_var:
+            items.append((_SUBJECT, target, "subject"))
+        else:
+            items.append((_NOMINAL, target, _ROLE_BY_CATEGORY.get(category, "nominal")))
+    return tuple(items), tuple(finite), "passive" if passive else "active"
 
 
 class _Builder:
@@ -136,6 +263,8 @@ class _Builder:
     def _reads(self, frame: TmrFrame, choice: CandidateSense) -> tuple[int, ...]:
         """Identities of the choices a nominal for frame reads: its own and
         its modifiers'."""
+        if not choice.modifiers:
+            return (id(choice),)
         return (id(choice),) + tuple(id(self.cs.choices[modifier_key(frame.instance_id, prop)])
                                      for prop in choice.modifiers)
 
@@ -146,11 +275,11 @@ class _Builder:
         outer += (frame.instance_id,)
         reads = [self._reads(frame, choice)]
         for prop in choice.sense.bound_roles.values():
-            filler = frame.get(prop)
+            filler = self.tmr.filler(frame, prop)
             if isinstance(filler, InstanceRef) and filler.id not in outer:
-                target, inner = self.tmr.frame(filler.id), self.cs.choices.get(filler.id)
-                if target is not None and inner is not None:
-                    reads.append(self._phrase_reads(target, inner, outer))
+                inner = self.cs.choices.get(filler.id)
+                if inner is not None:
+                    reads.append(self._phrase_reads(self.tmr.by_id[filler.id], inner, outer))
         return tuple(reads)
 
     # -- nominals ----------------------------------------------------------
@@ -159,8 +288,11 @@ class _Builder:
         choice = self.cs.choices.get(frame.instance_id)
         if choice is None:
             raise EmptySolution(f"no chosen sense for {frame.instance_id}")
-        return self._shared((frame.instance_id, function, self._reads(frame, choice)),
-                            lambda: self._nominal(frame, function, choice))
+        key = (frame.instance_id, function, self._reads(frame, choice))
+        built = self.built.get(key)
+        if built is None:
+            built = self.built[key] = self._nominal(frame, function, choice)
+        return built
 
     def prepositional_phrase(self, word: str | None, frame: TmrFrame) -> Constituent:
         obj, _ = self.nominal(frame, "nominal")
@@ -200,144 +332,65 @@ class _Builder:
 
     # -- verbal material ----------------------------------------------------
 
-    def construction(self, frame: TmrFrame, choice: CandidateSense, *,
-                     tense: str, suppress_subject: bool,
-                     base_only: bool) -> tuple[list[Constituent], Features, str]:
-        """Children for one construction plus subject agreement features."""
-        sense = choice.sense
-        syn = sense.syn_struc
-        bound = sense.bound_roles
+    def plan(self, frame: TmrFrame, choice: CandidateSense, *, tense: str,
+             suppress_subject: bool, base_only: bool) -> tuple:
+        """The choice's construction for frame, compiled once per forest."""
         passive = choice.passive and not suppress_subject
-        has_aux = any(node.category == "aux" for node in syn)
-        subject = Features(number="singular", person=3)
-        voice = "passive" if passive else "active"
+        return self._shared(
+            ("plan", frame.instance_id, choice.sense, choice.lemma, passive, tense,
+             suppress_subject, base_only),
+            lambda: _compile(self.tmr, frame, choice.sense, choice.lemma, passive=passive,
+                             tense=tense, suppress_subject=suppress_subject, base_only=base_only))
 
-        # a bound bare nominal ahead of the head verb is the grammatical subject
-        subject_var: int | None = None
-        for node in syn:
-            if node.var == 0 and not node.roots:
-                break
-            if node.category in ("subj", "n") and not node.roots and node.var in bound:
-                subject_var = node.var
-                break
-
+    def fill(self, plan: tuple) -> list[Constituent]:
+        """The plan's children for this set: each hole filled from the
+        forest, then each finite verb agreeing with the subject."""
+        items, finite, _ = plan
         children: list[Constituent] = []
-        skip = False
-        for index, node in enumerate(syn):
-            if skip:
-                skip = False
-                continue
-            category = node.category
+        subject = _THIRD_SINGULAR
+        for kind, held, function in items:
+            inner = self.cs.choices.get(held.instance_id) if kind == _VERBAL else None
+            if kind == _LEAF:
+                children.append(held)
+            elif kind == _PREPOSITIONAL:
+                children.append(self.prepositional_phrase(function, held))
+            elif inner is not None and inner.sense.is_argument_taking:
+                children.append(self.embedded_phrase(held, inner))
+            else:
+                constituent, features = self.nominal(held, function)
+                children.append(constituent)
+                if kind == _SUBJECT:
+                    subject = features
+        for index in finite:
+            children[index] = self._agreeing(children[index], subject)
+        return children
 
-            if passive and category == "directobject":
-                continue
-
-            if category == "prep":
-                following = syn[index + 1] if index + 1 < len(syn) else None
-                if following is not None and following.category == "n" \
-                        and not following.roots and following.var in bound:
-                    prop = bound[following.var]
-                    filler = frame.get(prop)
-                    skip = True
-                    if not isinstance(filler, InstanceRef):
-                        continue  # the whole phrase is omitted, preposition too
-                    target = self.tmr.frame(filler.id)
-                    if target is None:
-                        continue
-                    children.append(self.prepositional_phrase(sense.root_choice(node), target))
-                    continue
-                word = sense.root_choice(node)
-                if word:
-                    children.append(Constituent("preposition", lemma=word))
-                continue
-
-            if node.var == 0 and not node.roots:
-                # finite forms agree with the subject once the clause is done
-                if passive:
-                    children.append(Constituent("auxiliary", lemma="be",
-                                                features=Features(tense=tense)))
-                    children.append(Constituent("main-verb", lemma=choice.lemma,
-                                                features=Features(verb_form="participle")))
-                elif base_only or has_aux:
-                    children.append(Constituent("main-verb", lemma=choice.lemma,
-                                                features=Features(verb_form="base")))
-                else:
-                    children.append(Constituent("main-verb", lemma=choice.lemma,
-                                                features=Features(tense=tense)))
-                continue
-
-            if node.roots:
-                word = sense.root_choice(node)
-                function = _FIXED_BY_CATEGORY.get(category, "fixed-word")
-                children.append(Constituent(function, lemma=word))
-                continue
-
-            prop = bound.get(node.var)
-            if prop is None:
-                continue
-            filler = frame.get(prop)
-            if filler is None:
-                if passive and prop == "AGENT" and category == "subj":
-                    theme = frame.get("THEME")
-                    if isinstance(theme, InstanceRef):
-                        target = self.tmr.frame(theme.id)
-                        if target is not None:
-                            constituent, subject = self.nominal(target, "subject")
-                            children.append(constituent)
-                continue
-            if category == "subj" and suppress_subject:
-                continue
-            if not isinstance(filler, InstanceRef):
-                continue
-            target = self.tmr.frame(filler.id)
-            if target is None:
-                continue
-            inner = self.cs.choices.get(target.instance_id)
-            if category == "v" and inner is not None and inner.sense.is_argument_taking:
-                children.append(self.embedded_phrase(target, inner))
-                continue
-            function = _ROLE_BY_CATEGORY.get(category, "nominal")
-            if node.var == subject_var:
-                function = "subject"
-            constituent, feats = self.nominal(target, function)
-            children.append(constituent)
-            if node.var == subject_var:
-                subject = feats
-        return children, subject, voice
+    def _agreeing(self, verb: Constituent, subject: Features) -> Constituent:
+        """verb stamped with the subject's number and person, once per forest."""
+        return self._shared(("agreement", id(verb), subject.number, subject.person),
+                            lambda: Constituent(verb.function, lemma=verb.lemma, features=Features(
+                                tense=verb.features.tense, number=subject.number,
+                                person=subject.person)))
 
     def embedded_phrase(self, frame: TmrFrame, choice: CandidateSense) -> Constituent:
         def make():
-            children, _, _ = self.construction(frame, choice, tense="present",
-                                               suppress_subject=True, base_only=True)
-            return Constituent("verb-phrase", children=tuple(children))
+            plan = self.plan(frame, choice, tense="present", suppress_subject=True,
+                             base_only=True)
+            return Constituent("verb-phrase", children=tuple(self.fill(plan)))
         return self._shared((frame.instance_id, "verb-phrase",
                              self._phrase_reads(frame, choice)), make)
 
-    def _stamp_agreement(self, children: list[Constituent],
-                         subject: Features) -> list[Constituent]:
-        out = []
-        for child in children:
-            if child.function in ("main-verb", "auxiliary") and child.features.tense \
-                    and child.features.verb_form is None:
-                feats = Features(tense=child.features.tense, number=subject.number,
-                                 person=subject.person)
-                child = Constituent(child.function, lemma=child.lemma, features=feats)
-            out.append(child)
-        return out
-
     def clause(self, frame: TmrFrame, choice: CandidateSense,
-               tense: str) -> tuple[Constituent, str, str, str]:
+               tense: str) -> tuple[Constituent, str, str]:
+        """The clause, its mood and its voice."""
         sense = choice.sense
         if not sense.is_argument_taking:
             nominal, _ = self.nominal(frame, "nominal")
-            return Constituent("clause", children=(nominal,)), "declarative", tense, "active"
+            return Constituent("clause", children=(nominal,)), "declarative", "active"
         mood = _mood_of(sense)
-        base_only = mood == "imperative"
-        children, subject, voice = self.construction(frame, choice, tense=tense,
-                                                     suppress_subject=False,
-                                                     base_only=base_only)
-        children = self._stamp_agreement(children, subject)
-        return Constituent("clause", children=tuple(children)), mood, tense, voice
+        plan = self.plan(frame, choice, tense=tense, suppress_subject=False,
+                         base_only=mood == "imperative")
+        return Constituent("clause", children=tuple(self.fill(plan))), mood, plan[2]
 
 
 def build_solution(cs: CandidateSet, tmr: Tmr, forest: Forest | None = None) -> CandidateSolution:
@@ -348,6 +401,6 @@ def build_solution(cs: CandidateSet, tmr: Tmr, forest: Forest | None = None) -> 
     choice = cs.choices.get(root_frame.instance_id)
     if choice is None:
         raise EmptySolution(f"no chosen sense for root frame {root_frame.instance_id}")
-    root, mood, tense, voice = _Builder(cs, forest).clause(root_frame, choice, forest.tense)
-    return CandidateSolution(candidate_set=cs, root=root, mood=mood,
-                             tense=tense, voice=voice)
+    root, mood, voice = _Builder(cs, forest).clause(root_frame, choice, forest.tense)
+    return CandidateSolution(candidate_set=cs, root=root, mood=mood, tense=forest.tense,
+                             voice=voice, root_id=root_frame.instance_id)

@@ -148,6 +148,14 @@ class Tmr:
     def has(self, instance_id: str) -> bool:
         return instance_id in self.by_id
 
+    def filler(self, frame: TmrFrame, prop: str) -> Filler | None:
+        """frame's first filler for prop; an instance outside this TMR
+        counts as absent, so a dangling role reads as a missing one."""
+        value = frame.get(prop)
+        if isinstance(value, InstanceRef) and value.id not in self.by_id:
+            return None
+        return value
+
 
 def find_root_frame(tmr: Tmr) -> TmrFrame:
     """The frame no other frame points at: it has no -OF slot whose filler

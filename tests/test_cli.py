@@ -248,6 +248,29 @@ def _tmr_with_warnings(path: Path) -> Path:
     return path
 
 
+@pytest.mark.parametrize("args", [[], ["--trace"], ["--format", "json", "--trace",
+                                                   "--dump-solutions"]],
+                         ids=["human", "trace", "json"])
+def test_a_dangling_agent_reads_as_an_absent_one(tmp_path, capsys, args):
+    doc = json.loads(fixture_path("moor_ship").read_text())
+    del doc["frames"]["HUMAN-30"]
+    dangling = tmp_path / "dangling.json"
+    dangling.write_text(json.dumps(doc))
+    del doc["frames"]["FASTEN-7"]["AGENT"]
+    absent = tmp_path / "absent.json"
+    absent.write_text(json.dumps(doc))
+    runs = []
+    for path in (dangling, absent):
+        assert main(["generate", "--tmr", str(path), *args]) == 0
+        out, err = capsys.readouterr()
+        runs.append((out, [line for line in err.splitlines() if line.startswith("warning:")]))
+    (dangling_out, dangling_warnings), (absent_out, absent_warnings) = runs
+    assert dangling_out == absent_out
+    assert "The ship was moored." in absent_out
+    assert dangling_warnings == [f"warning: {dangling}: FASTEN-7 AGENT points outside the TMR"]
+    assert absent_warnings == []
+
+
 @pytest.mark.parametrize("command", ["generate", "strip", "validate"])
 def test_tmr_warnings_go_to_stderr_once_each(tmp_path, capsys, kb, command):
     path = _tmr_with_warnings(tmp_path / "tmr.json")

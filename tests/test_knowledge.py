@@ -14,6 +14,7 @@ from ontogen.knowledge import (
     LiteralConstraint,
     MatchDegree,
     RangeConstraint,
+    VarBinding,
     load_knowledge_base,
     match_degree,
     parse_constraint,
@@ -25,6 +26,20 @@ def test_bundled_kb_loads_clean(kb):
     assert len(kb.lexicon) == 33
     assert len(kb.memory) == 8
     assert kb.warnings == []
+
+
+def test_each_sense_reads_its_bound_roles_once_at_load(kb):
+    taking = 0
+    for sense in kb.lexicon.senses.values():
+        slots = sense.sem_struc.slots
+        assert sense.bound_roles == {v.var: prop for prop, v in slots.items()
+                                     if isinstance(v, VarBinding)}
+        assert sense.is_argument_taking == any(isinstance(v, VarBinding) for v in slots.values())
+        # stored on the sense, not rebuilt on every read
+        assert vars(sense)["bound_roles"] is sense.bound_roles
+        assert vars(sense)["is_argument_taking"] is sense.is_argument_taking
+        taking += sense.is_argument_taking
+    assert 0 < taking < len(kb.lexicon)
 
 
 def test_is_a_is_reflexive_and_transitive(kb):

@@ -298,6 +298,17 @@ def test_modified_referents_cannot_be_pronouns(kb, config):
         assert not hasattr(choice.decoration, "modifiers")
 
 
+@pytest.mark.parametrize("fixture, referent", [("speaker_agent", "HUMAN-1"),
+                                                ("hearer_agent", "HUMAN-2")])
+def test_a_modified_speaker_or_hearer_cannot_be_a_pronoun_either(kb, config, fixture, referent):
+    doc = json.loads(fixture_path(fixture).read_text())
+    doc["frames"][referent]["HUMOR-ATTRIBUTE"] = 0.8
+    with pytest.raises(AllSetsPruned) as exc:
+        generate(parse_tmr(json.dumps(doc)), kb, config)
+    assert [r.rule for r in exc.value.trace if r.subject.startswith(f"{referent}/")] \
+        == ["pronoun-with-modifiers"]
+
+
 # --- stage 5: aggregation ----------------------------------------------------
 
 def test_aggregation_is_the_cartesian_product_of_units(kb, config):

@@ -7,7 +7,7 @@ import pytest
 
 from conftest import DATA, load_fixture
 from morphdata import ARTICLE_CASES, PLURAL_CASES, REGULAR_VERBS, VERB_CASES
-from ontogen import SchemaError, generate, parse_tmr
+from ontogen import SchemaError, generate, parse_tmr, realizer, selector
 from ontogen.realizer import (
     indefinite_article,
     inflect_verb,
@@ -156,3 +156,25 @@ def test_sentences_are_capitalized_and_terminated(kb):
             assert first_alpha == first_alpha.upper()
             assert text[-1] in ".?!"
             assert "  " not in text
+
+
+def test_the_bundled_tables_are_read_once_per_process(kb, monkeypatch):
+    parsed = []
+
+    def counting(parse, kind):
+        def counted(*args, **kwargs):
+            parsed.append(kind)
+            return parse(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(realizer, "parse_morphology",
+                        counting(realizer.parse_morphology, "morphology"))
+    monkeypatch.setattr(selector, "parse_frequency",
+                        counting(selector.parse_frequency, "frequency"))
+    realizer.bundled_morphology.cache_clear()
+    selector.bundled_frequency.cache_clear()
+    tmr = load_fixture("moor_ship")
+    first, second = generate(tmr, kb), generate(tmr, kb)
+    assert sorted(parsed) == ["frequency", "morphology"]
+    assert [s.sentence for s in first.sentences] == [s.sentence for s in second.sentences]
+    assert realizer.bundled_morphology() is realizer.bundled_morphology()

@@ -11,8 +11,8 @@ from conftest import load_fixture
 from ontogen import FrequencyTable, SchemaError, generate, selector
 from ontogen.pipeline import run_lexical_selection
 from ontogen.realizer import realize
-from ontogen.selector import (history_mentions, load_frequency, parse_frequency, rank,
-                              repetition_count)
+from ontogen.selector import (extra_mentions, history_mentions, load_frequency, parse_frequency,
+                              rank, repetition_count)
 from ontogen.solution import build_solution
 
 
@@ -103,6 +103,22 @@ def _per_line_reference(name: str, history: tuple[str, ...]) -> int:
 def test_history_mentions_equal_the_per_line_regex_count(case):
     name, history = case
     assert history_mentions(name, history) == _per_line_reference(name, history)
+
+
+@given(_name_and_history())
+@example(("Tom", ()))
+@example(("Tom", ("Tom", " Tom", "Tom.", "Tom's", "TomTom", "Tomás", "Tom_", "éTom")))
+@example(("Tom", ("Tom Tom", "Tom and Tom's", "TomTom Tom", "Tom Tomás", "TomTomTom")))
+@example(("Åsa", ("Åsa", "xÅsa Åsa", "Åsaë", "Åsa Åsaë Åsa")))
+@example(("C++", ("C++ C++", "xC++", "C+++", "C++C++")))
+@example(("Tom\nTom", ("Tom", "Tom", "Tom\nTom\nTom")))
+@example(("", ("", "a", "a b")))
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_extra_mentions_equal_the_regex_count_past_the_first(case):
+    name, sentences = case
+    for sentence in sentences:
+        expected = max(0, len(re.findall(rf"\b{re.escape(name)}\b", sentence)) - 1)
+        assert extra_mentions(name, sentence) == expected
 
 
 def test_rank_scans_the_history_once_per_distinct_name(kb, freq, morph, config, monkeypatch):

@@ -6,7 +6,7 @@ import json
 import pytest
 
 from conftest import TMR_DIR, load_fixture
-from ontogen import AllSetsPruned, NoRealizableSense, generate, parse_tmr
+from ontogen import AllSetsPruned, NoRealizableSense, generate, parse_tmr, realizer, solution
 from ontogen.pipeline import run_lexical_selection
 from ontogen.solution import build_solution, derive_tense, find_root_frame
 
@@ -220,6 +220,40 @@ def test_participant_pronouns_carry_person_and_case(kb, config):
     # the construction's second participant is a fixed word, not a choice
     fixed = [c.lemma for c in sol.root.walk() if c.function == "fixed-word"]
     assert "you" in fixed
+
+
+# --- sharing within one request ---------------------------------------------------
+
+def test_a_request_compiles_each_construction_once_and_inflects_each_leaf_once(
+        kb, monkeypatch):
+    compiled, inflected = [], []
+
+    def compile_counted(tmr, frame, sense, lemma, **flags):
+        compiled.append((frame.instance_id, sense.id, lemma, flags["passive"], flags["tense"],
+                         flags["suppress_subject"], flags["base_only"]))
+        return compile_plan(tmr, frame, sense, lemma, **flags)
+
+    def leaf_counted(tables, leaf):
+        inflected.append(leaf)  # held, so no two leaves share an id
+        return leaf_token(tables, leaf)
+
+    compile_plan, leaf_token = solution._compile, realizer._leaf_token
+    monkeypatch.setattr(solution, "_compile", compile_counted)
+    monkeypatch.setattr(realizer, "_leaf_token", leaf_counted)
+    report = generate(load_fixture("fasten_painting_nlu"), kb)
+
+    sets = report.counts["after-synonyms"]
+    assert sets == 20
+    # the root's synonym clones are new choice objects in every base set, so
+    # only a plan keyed by sense and lemma is compiled once
+    assert len(compiled) == len(set(compiled)) < sets
+    assert sorted((sense, lemma) for _, sense, lemma, *_ in compiled) == [
+        ("affix-v1", "affix"), ("fix-v2", "attach"), ("fix-v2", "fasten"), ("fix-v2", "fix"),
+        ("fix-v2", "secure")]
+    assert len({id(leaf) for leaf in inflected}) == len(inflected)
+    # the main verb of every set is one shared leaf per lemma, inflected once
+    verbs = [leaf.lemma for leaf in inflected if leaf.function == "main-verb"]
+    assert sorted(verbs) == sorted(set(verbs))
 
 
 # --- totality over the corpus -------------------------------------------------------
