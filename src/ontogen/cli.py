@@ -11,7 +11,6 @@ timing and load-time warnings go to standard error.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 from pathlib import Path
@@ -23,6 +22,7 @@ from .knowledge import FacetedConstraint, VarBinding, constraint_text, load_know
 from .pipeline import TraceRecord
 from .selector import bundled_frequency, load_frequency
 from .solution import Constituent
+from .strictjson import encode
 from .tmr import parse_tmr_file, serialize_tmr, strip_metadata
 
 _DATA = Path(__file__).parent / "data"
@@ -212,7 +212,7 @@ def _render_json(report: RunReport, top: int, trace: bool, dump: bool) -> str:
              "voice": s.solution.voice, "tree": _tree_json(s.solution.root)}
             for s in report.sentences[:top]
         ]
-    return json.dumps(doc, indent=2, ensure_ascii=False)
+    return encode(doc)
 
 
 def _warn(source: str, warnings: list[str]) -> None:

@@ -30,7 +30,7 @@ def generate(tmr: Tmr, kb: KnowledgeBase, config: GenerationConfig | None = None
     morph = morph or bundled_morphology()
 
     selection = run_lexical_selection(tmr, kb, config, context)
-    forest = Forest(tmr)
+    forest = Forest(tmr, selection.root)
     inflected: dict = {}
     solutions = []
     for cs in selection.sets:

@@ -167,10 +167,12 @@ class Ontology:
 
     Built once the graph is known to be sound. The ontology is immutable,
     so each concept's ancestry and inherited constraints are worked out
-    here, and the lookups below are table reads."""
+    here, and the lookups below are table reads. degrees memoises
+    match_degree for the concepts the ontology knows."""
 
     def __init__(self, concepts: dict[str, Concept]):
         self.concepts = concepts
+        self.degrees: dict[tuple, MatchDegree] = {}
         self._chains = {name: self._breadth_first(name) for name in concepts}
         self._lineages = {name: frozenset(chain) for name, chain in self._chains.items()}
         self._constraints: dict[str, dict[str, FacetedConstraint]] = {}
@@ -207,6 +209,10 @@ class Ontology:
     def is_a(self, child: str, ancestor: str) -> bool:
         self._lookup(self.concepts, ancestor)
         return ancestor in self._lookup(self._lineages, child)
+
+    def within(self, child: str, ancestor: str) -> bool:
+        """is_a, where an unknown name is within nothing and holds nothing."""
+        return ancestor in self._lineages.get(child, ())
 
     def constraint_on(self, concept: str, prop: str) -> FacetedConstraint:
         """Nearest declared constraint walking up IS-A; absent means anything."""
@@ -251,8 +257,23 @@ def match_degree(onto: Ontology, filler, needed, override=None) -> MatchDegree:
     Returns NONE when the filler violates the effective sem facet, EXACT when
     it equals the most specific constraining value, NARROW when it satisfies an
     override strictly tighter than the ontological sem, DEFAULT when it also
-    satisfies the default facet, and SEM otherwise.
+    satisfies the default facet, and SEM otherwise. A grade of a concept the
+    ontology knows is worked out once per constraint pair and then read from
+    onto.degrees.
     """
+    key = (filler, needed, override)
+    try:
+        return onto.degrees[key]
+    except (KeyError, TypeError):  # not graded yet, or an unhashable filler
+        pass
+    degree = _grade_match(onto, filler, needed, override)
+    if isinstance(filler, str) and filler in onto.concepts:
+        onto.degrees[key] = degree
+    return degree
+
+
+def _grade_match(onto: Ontology, filler, needed, override=None) -> MatchDegree:
+    """match_degree worked out afresh, without the memo."""
     base = _as_faceted(needed)
     over = _as_faceted(override) if override is not None else None
 
@@ -314,8 +335,12 @@ class LexSense:
     """One lexical sense: a headword with paired syn-struc and sem-struc.
     reference is present only on pronoun senses (I/you/he/she/they).
     bound_roles maps each syn-struc variable a sem-struc slot binds to that
-    slot's property; is_argument_taking says whether there is any. Both are
-    read from sem_struc once, here, so sem_struc must not change later."""
+    slot's property; is_argument_taking says whether there is any;
+    transitive says whether the syn-struc has a direct object. All three
+    are read from the structures once, here, so neither structure may
+    change later. role_bases maps each bound property to the ontology's
+    constraint on it for the head concept; the knowledge base that holds
+    the sense fills it in."""
 
     def __init__(self, id: str, headword: str, pos: str, syn_struc: tuple[SynNode, ...],
                  sem_struc: SemFrame, definition: str = "", example: str = "",
@@ -334,6 +359,8 @@ class LexSense:
         self.bound_roles = {v.var: prop for prop, v in sem_struc.slots.items()
                             if isinstance(v, VarBinding)}
         self.is_argument_taking = bool(self.bound_roles)
+        self.transitive = any(node.category == "directobject" for node in syn_struc)
+        self.role_bases: dict[str, FacetedConstraint] = {}
 
     def binding_word(self, var: int) -> str | None:
         """The example-bindings word recorded for a variable, if any."""
@@ -357,13 +384,21 @@ class LexSense:
 
 
 class Lexicon:
-    """Sense store indexed by head concept."""
+    """Sense store indexed by head concept, and its modifier senses (adj/adv)
+    by each property they give a value, each index in sense-id order."""
 
     def __init__(self, senses: dict[str, LexSense]):
         self.senses = senses
         self.by_head: dict[str, list[str]] = {}
+        self.by_property: dict[str, list[tuple[Constraint | float, LexSense]]] = {}
         for sid in sorted(senses):
-            self.by_head.setdefault(senses[sid].sem_struc.head, []).append(sid)
+            sense = senses[sid]
+            self.by_head.setdefault(sense.sem_struc.head, []).append(sid)
+            if sense.pos not in MODIFIER_POS:
+                continue
+            for prop, slot in sense.sem_struc.slots.items():
+                if not isinstance(slot, VarBinding):
+                    self.by_property.setdefault(prop, []).append((slot, sense))
 
     def __len__(self) -> int:
         return len(self.senses)
@@ -375,13 +410,7 @@ class Lexicon:
     def senses_for_property(self, onto: Ontology, prop: str, value) -> list[LexSense]:
         """Modifier senses (adj/adv) whose sem-struc covers property=value."""
         out = []
-        for sid in sorted(self.senses):
-            sense = self.senses[sid]
-            if sense.pos not in MODIFIER_POS:
-                continue
-            slot = sense.sem_struc.slots.get(prop)
-            if slot is None or isinstance(slot, VarBinding):
-                continue
+        for slot, sense in self.by_property.get(prop, ()):
             if isinstance(slot, float):
                 ok = isinstance(value, (int, float)) and abs(float(value) - slot) < 1e-9
             else:
@@ -415,7 +444,11 @@ class EpisodicMemory:
 
 class KnowledgeBase:
     """The three stores, with the warnings their loading raised; every
-    warning so far is about the ontology file."""
+    warning so far is about the ontology file.
+
+    The stores are immutable, so what joins them is worked out once: each
+    sense's role_bases here, and each concept's head senses when they are
+    first asked for (see head_senses)."""
 
     def __init__(self, ontology: Ontology, lexicon: Lexicon, memory: EpisodicMemory,
                  warnings: list[str] | None = None):
@@ -423,6 +456,30 @@ class KnowledgeBase:
         self.lexicon = lexicon
         self.memory = memory
         self.warnings = [] if warnings is None else warnings
+        self._heads: dict[str, tuple[tuple[LexSense, ...], str]] = {}
+        for sense in lexicon.senses.values():
+            if sense.is_argument_taking:
+                sense.role_bases = {prop: ontology.constraint_on(sense.sem_struc.head, prop)
+                                    for prop in sense.bound_roles.values()}
+
+    def head_senses(self, concept: str) -> tuple[tuple[LexSense, ...], str]:
+        """The senses that head concept, by sense id, else those of its
+        nearest ancestor that has any, with a note naming that ancestor;
+        no senses at all when none has any. Worked out once per concept."""
+        heads = self._heads.get(concept)
+        if heads is None:
+            heads = self._heads[concept] = _head_senses(self.ontology, self.lexicon, concept)
+        return heads
+
+
+def _head_senses(onto: Ontology, lex: Lexicon, concept: str) -> tuple[tuple[LexSense, ...], str]:
+    for ancestor in onto.ancestors(concept):  # raises for an unknown concept
+        senses = lex.senses_by_head_concept(ancestor)
+        if senses:
+            note = "" if ancestor == concept else \
+                f"no sense heads {concept}; using ancestor {ancestor}"
+            return tuple(senses), note
+    return (), ""
 
 
 def _kb_document(path, kind: str) -> dict:

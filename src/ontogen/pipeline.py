@@ -38,7 +38,6 @@ from .tmr import (
     InstanceRef,
     Tmr,
     TmrFrame,
-    concept_of,
     find_root_frame,
 )
 
@@ -158,12 +157,15 @@ class TraceRecord(NamedTuple):
 
 
 class SelectionResult:
+    """root is the TMR's root frame, which the sets' trees are built from."""
+
     def __init__(self, sets: list[CandidateSet], trace: list[TraceRecord], messages: list[str],
-                 counts: dict[str, int]):
+                 counts: dict[str, int], root: TmrFrame | None = None):
         self.sets = sets
         self.trace = trace
         self.messages = messages
         self.counts = counts
+        self.root = root
 
 
 # ---------------------------------------------------------------------------
@@ -174,28 +176,16 @@ def extract_candidates(tmr: Tmr, kb: KnowledgeBase) -> list[Unit]:
     ancestor), plus modifier units for lexicalizable property slots."""
     units: list[Unit] = []
     for frame in tmr.frames:
-        concept = frame.concept
-        senses = kb.lexicon.senses_by_head_concept(concept)
-        note = ""
+        senses, note = kb.head_senses(frame.concept)
         if not senses:
-            for ancestor in kb.ontology.ancestors(concept):
-                if ancestor == concept:
-                    continue
-                senses = kb.lexicon.senses_by_head_concept(ancestor)
-                if senses:
-                    note = f"no sense heads {concept}; using ancestor {ancestor}"
-                    break
-        if not senses:
-            raise NoRealizableSense(frame.instance_id, concept)
-        unit = Unit(key=frame.instance_id, frame_id=frame.instance_id)
+            raise NoRealizableSense(frame.instance_id, frame.concept)
+        frame_id = frame.instance_id
         modifier_units = _modifier_units(frame, kb)
         modifiers = tuple(m.prop for m in modifier_units)
-        for sense in senses:
-            ledger = (LedgerEntry("ancestor-fallback", 0.0, note),) if note else ()
-            unit.candidates.append(CandidateSense(sense=sense, frame_id=frame.instance_id,
-                                                  unit_key=unit.key, modifiers=modifiers,
-                                                  ledger=ledger))
-        units.append(unit)
+        ledger = (LedgerEntry("ancestor-fallback", 0.0, note),) if note else ()
+        units.append(Unit(key=frame_id, frame_id=frame_id, candidates=[
+            CandidateSense(sense, frame_id, frame_id, modifiers=modifiers, ledger=ledger)
+            for sense in senses]))
         units.extend(modifier_units)
     return units
 
@@ -228,11 +218,6 @@ def _modifier_units(frame: TmrFrame, kb: KnowledgeBase) -> list[Unit]:
 
 # ---------------------------------------------------------------------------
 # stage 2: manage referring expressions
-
-def _is_a_safe(kb: KnowledgeBase, concept: str, ancestor: str) -> bool:
-    onto = kb.ontology
-    return onto.exists(concept) and onto.exists(ancestor) and onto.is_a(concept, ancestor)
-
 
 def _participant(frame: TmrFrame, participant_id: str | None) -> bool:
     if participant_id is None:
@@ -306,7 +291,7 @@ def manage_reference(units: list[Unit], tmr: Tmr, kb: KnowledgeBase,
         known = (kb.memory.knows(frame.instance_id) or frame.coref is not None
                  or in_context)
 
-        if _is_a_safe(kb, concept, "EVENT"):
+        if kb.ontology.within(concept, "EVENT"):
             out.append(unit)
             continue
 
@@ -320,7 +305,7 @@ def manage_reference(units: list[Unit], tmr: Tmr, kb: KnowledgeBase,
                 continue
             # degenerate lexicon without the pronoun: fall through to description
 
-        if _is_a_safe(kb, concept, "HUMAN"):
+        if kb.ontology.within(concept, "HUMAN"):
             name = _frame_attr(frame, kb, "HAS-NAME")
             chosen: list[CandidateSense] = []
             if name:
@@ -374,30 +359,28 @@ def manage_reference(units: list[Unit], tmr: Tmr, kb: KnowledgeBase,
 # ---------------------------------------------------------------------------
 # stage 3: semantic pruning and scoring
 
-def _filler_concept(value) -> str | None:
+def _filler_concept(value, tmr: Tmr) -> str | None:
+    """The concept of an instance inside the TMR, or of a concept filler."""
     if isinstance(value, InstanceRef):
-        return concept_of(value.id)
+        return tmr.by_id[value.id].concept
     if isinstance(value, ConceptRef):
         return value.name
     return None
 
 
-_DEGREE_RULES = {
-    MatchDegree.EXACT: ("slot-exact", "exact_bonus"),
-    MatchDegree.NARROW: ("slot-narrow", "narrow_bonus"),
-    MatchDegree.DEFAULT: ("slot-default", "default_bonus"),
+_DEGREE_RULES = {  # rule, config bonus, degree as notes print it
+    MatchDegree.EXACT: ("slot-exact", "exact_bonus", "exact"),
+    MatchDegree.NARROW: ("slot-narrow", "narrow_bonus", "narrow"),
+    MatchDegree.DEFAULT: ("slot-default", "default_bonus", "default"),
 }
 
 
-def _score_binding(entries: list[LedgerEntry], choice: CandidateSense, filler,
+def _score_binding(entries: list[LedgerEntry], choice: CandidateSense, concept: str | None,
                    prop: str, binding: VarBinding, kb: KnowledgeBase,
                    config: GenerationConfig) -> str | None:
-    if filler is None:
-        return None
-    concept = _filler_concept(filler)
     if concept is None:
         return None
-    base = kb.ontology.constraint_on(choice.sense.sem_struc.head, prop)
+    base = choice.sense.role_bases[prop]
     degree = match_degree(kb.ontology, concept, base, binding.override)
     if degree is MatchDegree.NONE:
         effective = binding.override.effective_sem if binding.override and binding.override.sem \
@@ -405,9 +388,9 @@ def _score_binding(entries: list[LedgerEntry], choice: CandidateSense, filler,
         return f"{prop} {concept} violates {constraint_text(effective)}"
     hit = _DEGREE_RULES.get(degree)
     if hit:
-        rule, attr = hit
+        rule, attr, name = hit
         entries.append(LedgerEntry(rule, getattr(config, attr),
-                                   f"{prop} {concept} matches at degree {degree.name.lower()}"))
+                                   f"{prop} {concept} matches at degree {name}"))
     return None
 
 
@@ -433,12 +416,12 @@ def _score_feature(entries: list[LedgerEntry], prop: str, declared: float, actua
     return f"{prop} {declared:g} is too far from the specified {float(actual):g}"
 
 
-def _score_assertion(entries: list[LedgerEntry], value, prop: str,
+def _score_assertion(entries: list[LedgerEntry], value, tmr: Tmr, prop: str,
                      constraint: Constraint, kb: KnowledgeBase,
                      config: GenerationConfig) -> str | None:
     if value is None:
         return f"asserts {prop} {constraint_text(constraint)}, absent from the meaning"
-    filler = _filler_concept(value)
+    filler = _filler_concept(value, tmr)
     if filler is None:
         filler = value
     if kb.ontology.satisfies(filler, constraint):
@@ -478,27 +461,34 @@ def _score_candidate(entries: list[LedgerEntry], choice: CandidateSense, unit: U
     for prop, slot in choice.sense.sem_struc.slots.items():
         value = tmr.filler(frame, prop)
         if isinstance(slot, VarBinding):
-            reason = _score_binding(entries, choice, value, prop, slot, kb, config)
+            reason = _score_binding(entries, choice, _filler_concept(value, tmr), prop, slot,
+                                    kb, config)
             rule = kind
         elif isinstance(slot, float):
             reason = _score_feature(entries, prop, slot, value, config)
             rule = "feature-mismatch"
         else:
-            reason = _score_assertion(entries, value, prop, slot, kb, config)
+            reason = _score_assertion(entries, value, tmr, prop, slot, kb, config)
             rule = kind
         if reason:
             return rule, reason
     return None
 
 
-def _uncovered_slots(choice: CandidateSense, frame: TmrFrame, tmr: Tmr,
+def _expressible_slots(frame: TmrFrame, tmr: Tmr) -> tuple[str, ...]:
+    """The frame's filled slots that some sense or modifier should express."""
+    return tuple(prop for prop in frame.slots
+                 if prop not in RESERVED_SLOTS and not prop.endswith("-OF")
+                 and tmr.filler(frame, prop) is not None)
+
+
+def _uncovered_slots(choice: CandidateSense, expressible: tuple[str, ...],
                      config: GenerationConfig) -> tuple[LedgerEntry, ...]:
-    mentioned = set(choice.sense.sem_struc.slots).union(choice.modifiers)
+    slots = choice.sense.sem_struc.slots
     return tuple(LedgerEntry("uncovered-slot", -config.uncovered_penalty,
                              f"{prop} is not expressed by {choice.sense.id}")
-                 for prop in frame.slots
-                 if prop not in RESERVED_SLOTS and not prop.endswith("-OF")
-                 and prop not in mentioned and tmr.filler(frame, prop) is not None)
+                 for prop in expressible
+                 if prop not in slots and prop not in choice.modifiers)
 
 
 def _exclude(trace: list[TraceRecord], stage: str, choice: CandidateSense,
@@ -518,15 +508,19 @@ def prune_semantic(units: list[Unit], tmr: Tmr, kb: KnowledgeBase,
     out: list[Unit] = []
     for unit in units:
         kept = []
+        expressible = () if unit.kind == "modifier" else \
+            _expressible_slots(tmr.by_id[unit.frame_id], tmr)
         for choice in unit.candidates:
             entries: list[LedgerEntry] = []
             failure = _score_candidate(entries, choice, unit, tmr, kb, config)
             if failure:
                 _exclude(trace, "semantic", choice, *failure)
                 continue
-            uncovered = () if unit.kind == "modifier" else _uncovered_slots(
-                choice, tmr.by_id[unit.frame_id], tmr, config)
-            kept.append(choice._replace(semantic=tuple(entries), uncovered=uncovered))
+            uncovered = _uncovered_slots(choice, expressible, config) if expressible else ()
+            # a copy only when the choice changes
+            if entries or uncovered or choice.semantic or choice.uncovered:
+                choice = choice._replace(semantic=tuple(entries), uncovered=uncovered)
+            kept.append(choice)
         out.append(unit.with_candidates(kept))
     if not all(unit.candidates for unit in out):
         raise AllSetsPruned("every candidate set was excluded on semantic grounds",
@@ -568,7 +562,6 @@ def _check_syntax(choice: CandidateSense, tmr: Tmr) -> tuple[tuple[str, str] | N
 
     passive = False
     bound = sense.bound_roles
-    transitive = any(n.category == "directobject" for n in sense.syn_struc)
     for node in sense.syn_struc:
         if node.var == 0 or node.var in sense.sem_struc.null_sem:
             continue
@@ -581,7 +574,7 @@ def _check_syntax(choice: CandidateSense, tmr: Tmr) -> tuple[tuple[str, str] | N
         if filler is None:
             if node.optional:
                 continue
-            if prop == "AGENT" and node.category == "subj" and transitive \
+            if prop == "AGENT" and node.category == "subj" and sense.transitive \
                     and tmr.filler(frame, "THEME") is not None:
                 passive = True
                 continue
@@ -612,7 +605,8 @@ def prune_syntactic(units: list[Unit], tmr: Tmr, trace: list[TraceRecord]) -> li
             if failure:
                 _exclude(trace, "syntactic", choice, *failure)
             else:
-                kept.append(choice._replace(passive=passive))
+                kept.append(choice if choice.passive == passive
+                            else choice._replace(passive=passive))
         out.append(unit.with_candidates(kept))
     if not all(unit.candidates for unit in out):
         raise AllSetsPruned("every candidate set was excluded on syntactic grounds",
@@ -623,28 +617,30 @@ def prune_syntactic(units: list[Unit], tmr: Tmr, trace: list[TraceRecord]) -> li
 # ---------------------------------------------------------------------------
 # between stages 4 and 5: hold the frames the root never reaches
 
-def _reached_frames(units: list[Unit], tmr: Tmr) -> set[str]:
+def _reached_frames(units: list[Unit], tmr: Tmr, root: TmrFrame) -> set[str]:
     """The root frame and every frame reachable from it through instance
     fillers: of every slot but an -OF inverse, and of an -OF slot that a
     surviving sense of the frame binds. The tree builder follows no other
     edge, whichever senses are chosen."""
     bound: dict[str, set[str]] = {}  # per frame, every slot a surviving sense binds
     for unit in units:
+        roles = bound.setdefault(unit.frame_id, set())
         for choice in unit.candidates:
-            bound.setdefault(unit.frame_id, set()).update(choice.sense.bound_roles.values())
+            roles.update(choice.sense.bound_roles.values())
+    by_id = tmr.by_id
     reached: set[str] = set()
-    stack = [find_root_frame(tmr).instance_id]
+    stack = [root.instance_id]
     while stack:
         frame_id = stack.pop()
         if frame_id in reached:
             continue
         reached.add(frame_id)
-        for prop, values in tmr.by_id[frame_id].slots.items():
-            targets = [v.id for v in values if isinstance(v, InstanceRef)
-                       and tmr.has(v.id) and v.id not in reached]
-            if targets and prop.endswith("-OF") and prop not in bound.get(frame_id, ()):
+        roles = bound.get(frame_id, ())
+        for prop, values in by_id[frame_id].slots.items():
+            if prop.endswith("-OF") and prop not in roles:
                 continue
-            stack.extend(targets)
+            stack.extend(v.id for v in values if isinstance(v, InstanceRef)
+                         and v.id in by_id and v.id not in reached)
     return reached
 
 
@@ -652,13 +648,15 @@ def _own_score(choice: CandidateSense) -> float:
     return sum(entry.delta for entry in choice.ledger + choice.semantic + choice.uncovered)
 
 
-def hold_unreached(units: list[Unit], tmr: Tmr) -> tuple[list[Unit], frozenset[str]]:
-    """Hold each unit of a frame the root never reaches at its first
-    candidate with the highest own score; return the units and the held
-    keys. Such a choice never changes the sentence and adds only its own
-    deltas to the total, and ranking keeps the first set with the highest
-    total per sentence, so every winning set already holds it there."""
-    reached = _reached_frames(units, tmr)
+def hold_unreached(units: list[Unit], tmr: Tmr,
+                   root: TmrFrame | None = None) -> tuple[list[Unit], frozenset[str]]:
+    """Hold each unit of a frame the root (find_root_frame's, unless given)
+    never reaches at its first candidate with the highest own score; return
+    the units and the held keys. Such a choice never changes the sentence
+    and adds only its own deltas to the total, and ranking keeps the first
+    set with the highest total per sentence, so every winning set already
+    holds it there."""
+    reached = _reached_frames(units, tmr, root or find_root_frame(tmr))
     held = frozenset(unit.key for unit in units if unit.frame_id not in reached)
     return [unit.with_candidates([max(unit.candidates, key=_own_score)])
             if unit.key in held else unit for unit in units], held
@@ -728,8 +726,9 @@ def run_lexical_selection(tmr: Tmr, kb: KnowledgeBase, config: GenerationConfig,
     counts["after-semantic"] = _product(survivors)
     survivors = prune_syntactic(survivors, tmr, trace)
     counts["after-syntactic"] = _product(survivors)
-    survivors, held = hold_unreached(survivors, tmr)
+    root = find_root_frame(tmr)
+    survivors, held = hold_unreached(survivors, tmr, root)
     sets, messages = aggregate_sets(survivors, config)
     sets = expand_synonyms(sets, held)
     counts["after-synonyms"] = len(sets)
-    return SelectionResult(sets=sets, trace=trace, messages=messages, counts=counts)
+    return SelectionResult(sets=sets, trace=trace, messages=messages, counts=counts, root=root)

@@ -127,9 +127,9 @@ def _pronoun_number(form: str) -> str:
 
 
 class Forest:
-    """What the candidate sets of one request share: the root frame and its
-    tense, every plan, and every nominal, phrase and agreeing verb built so
-    far.
+    """What the candidate sets of one request share: the root frame (the one
+    given, else find_root_frame's) and its tense, every plan, and every
+    nominal, phrase and agreeing verb built so far.
 
     A plan is keyed by frame, sense, lemma, voice, tense and construction
     flags, not by the choice, since synonym clones are new choice objects
@@ -141,11 +141,11 @@ class Forest:
     forest is in use, and the forest keeps every leaf it keys; a forest must
     not outlive the sets it builds."""
 
-    def __init__(self, tmr: Tmr):
+    def __init__(self, tmr: Tmr, root: TmrFrame | None = None):
         if not tmr.frames:
             raise EmptySolution("the meaning representation has no frames")
         self.tmr = tmr
-        self.root = find_root_frame(tmr)
+        self.root = root or find_root_frame(tmr)
         self.tense = derive_tense(self.root, tmr)
         self.built: dict[tuple, object] = {}
 

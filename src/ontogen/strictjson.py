@@ -1,4 +1,4 @@
-"""The one reader for every JSON input file.
+"""The one reader for every JSON input file, and the writer of reports.
 
 Each input shares one shape: UTF-8 text holding strict JSON (no key
 repeated in any object, no NaN or Infinity, no number beyond the float
@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 import sys
+from json.encoder import encode_basestring
 from pathlib import Path
 from typing import NoReturn
 
@@ -19,11 +20,13 @@ from .errors import SchemaError
 
 
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
-    obj = {}
-    for key, value in pairs:
-        if key in obj:
-            raise ValueError(f"duplicate key {key!r}")
-        obj[key] = value
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ValueError(f"duplicate key {key!r}")
+            seen.add(key)
     return obj
 
 
@@ -44,7 +47,10 @@ def _finite_float(literal: str) -> float:
 
 
 def _float_sized_int(literal: str) -> int:
-    # the largest float has 309 digits; a longer literal need not be converted
+    # the largest float has 309 digits: a shorter literal always fits, and a
+    # longer one need not be converted
+    if len(literal) < 309:
+        return int(literal)
     if len(literal.lstrip("-")) <= 309:
         value = int(literal)
         if abs(value) <= sys.float_info.max:
@@ -87,3 +93,64 @@ def document(value, schema: str, source: str, error: type[SchemaError] = SchemaE
 def read_json(path, error: type[SchemaError] = SchemaError):
     """A UTF-8 strict JSON file to its value."""
     return decode(read_text(path, error), str(path), error)
+
+
+def _float_text(value: float) -> str:
+    if value != value:
+        return "NaN"
+    if value in (math.inf, -math.inf):
+        return "Infinity" if value > 0 else "-Infinity"
+    return float.__repr__(value)
+
+
+def _write(value, pad: str, out: list[str]) -> None:
+    if isinstance(value, str):
+        out.append(encode_basestring(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, float):
+        out.append(_float_text(value))
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = pad + "  "
+        opener = "{\n" + inner
+        for key, item in value.items():
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            out.append(opener)
+            out.append(encode_basestring(key))
+            out.append(": ")
+            _write(item, inner, out)
+            opener = ",\n" + inner
+        out.append("\n" + pad + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = pad + "  "
+        opener = "[\n" + inner
+        for item in value:
+            out.append(opener)
+            _write(item, inner, out)
+            opener = ",\n" + inner
+        out.append("\n" + pad + "]")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def encode(value) -> str:
+    """json.dumps(value, indent=2, ensure_ascii=False), byte for byte, for
+    values built of dicts with str keys, lists, tuples, str, int, float,
+    bool and None. It quotes strings with json's C encoder; json.dumps
+    runs its pure-Python encoder whenever indent is set."""
+    out: list[str] = []
+    _write(value, "", out)
+    return "".join(out)

@@ -10,15 +10,19 @@ and anything else a string literal.
 
 from __future__ import annotations
 
-import datetime as dt
 import itertools
-import json
 import re
 from enum import Enum
+from typing import TYPE_CHECKING
 
 from .errors import MalformedInstanceId, TmrError
 from .knowledge import CONCEPT_RE, INSTANCE_RE
-from .strictjson import decode, document, read_text
+from .strictjson import decode, document, encode, read_text
+
+if TYPE_CHECKING:
+    # datetime is imported where a DATE, CLOCK-TIME or reference time is
+    # parsed, printed or compared: most meanings hold none
+    import datetime as dt
 
 SCHEMA_TMR = "ontogen-tmr/1"
 
@@ -85,7 +89,8 @@ class ProceduralCall(_Value):
         self.routine = routine
 
 
-Filler = InstanceRef | ConceptRef | ProceduralCall | RelativeTime | dt.date | dt.time | float | str
+# a string, so that naming dt.date here does not import datetime
+Filler = "InstanceRef | ConceptRef | ProceduralCall | RelativeTime | dt.date | dt.time | float | str"
 
 
 def concept_of(instance_id: str, source: str | None = None) -> str:
@@ -103,16 +108,17 @@ class Metadata:
 
 
 class TmrFrame:
+    """concept is the instance id without its index, read once, here,
+    unless the caller already knows it."""
+
     def __init__(self, instance_id: str, slots: dict[str, tuple[Filler, ...]] | None = None,
-                 metadata: Metadata | None = None, coref: str | None = None):
+                 metadata: Metadata | None = None, coref: str | None = None,
+                 concept: str | None = None):
         self.instance_id = instance_id
+        self.concept = concept_of(instance_id) if concept is None else concept
         self.slots = {} if slots is None else slots
         self.metadata = metadata
         self.coref = coref
-
-    @property
-    def concept(self) -> str:
-        return concept_of(self.instance_id)
 
     def get(self, prop: str) -> Filler | None:
         values = self.slots.get(prop)
@@ -151,7 +157,10 @@ class Tmr:
     def filler(self, frame: TmrFrame, prop: str) -> Filler | None:
         """frame's first filler for prop; an instance outside this TMR
         counts as absent, so a dangling role reads as a missing one."""
-        value = frame.get(prop)
+        values = frame.slots.get(prop)
+        if not values:
+            return None
+        value = values[0]
         if isinstance(value, InstanceRef) and value.id not in self.by_id:
             return None
         return value
@@ -176,25 +185,41 @@ def find_root_frame(tmr: Tmr) -> TmrFrame:
 # ---------------------------------------------------------------------------
 # parsing
 
+_RELATIVE_TIMES = {member.value: member for member in RelativeTime}
+
+
 def _parse_filler(slot: str, raw, source: str) -> Filler:
-    if isinstance(raw, bool):
-        raise TmrError(f"boolean filler in {slot}", source=source)
-    if isinstance(raw, (int, float)):
-        return float(raw)
     if not isinstance(raw, str):
+        if isinstance(raw, bool):
+            raise TmrError(f"boolean filler in {slot}", source=source)
+        if isinstance(raw, (int, float)):
+            return float(raw)
         raise TmrError(f"unsupported filler {raw!r} in {slot}", source=source)
-    call = _CALL_RE.fullmatch(raw)
-    if call:
-        if slot != "TIME":
-            raise TmrError(f"procedural call {raw!r} outside a TIME slot", source=source)
-        return ProceduralCall(op=call.group(1), routine=call.group(2))
-    if slot in TIME_SLOTS:
-        try:
-            return RelativeTime(raw)
-        except ValueError:
-            pass
+    # each pattern below fixes its first character, so at most two are tried
+    first = raw[:1]
+    if first == "(":
+        call = _CALL_RE.fullmatch(raw)
+        if call:
+            if slot != "TIME":
+                raise TmrError(f"procedural call {raw!r} outside a TIME slot", source=source)
+            return ProceduralCall(op=call.group(1), routine=call.group(2))
+    elif "A" <= first <= "Z":
+        if INSTANCE_RE.fullmatch(raw):
+            return InstanceRef(raw)
+        if CONCEPT_RE.fullmatch(raw):
+            return ConceptRef(raw)
+    elif first.isdecimal():  # what \d matches
+        return _parse_moment(raw, source)
+    elif slot in TIME_SLOTS and raw in _RELATIVE_TIMES:
+        return _RELATIVE_TIMES[raw]
+    return raw
+
+
+def _parse_moment(raw: str, source: str) -> Filler:
+    """A DD.MM.YYYY date, an HH:MM clock time, or else the string itself."""
     m = _DATE_RE.fullmatch(raw)
     if m:
+        import datetime as dt
         day, month, year = (int(g) for g in m.groups())
         try:
             return dt.date(year, month, day)
@@ -202,19 +227,17 @@ def _parse_filler(slot: str, raw, source: str) -> Filler:
             raise TmrError(f"bad date {raw!r}: {exc}", source=source) from None
     m = _CLOCK_RE.fullmatch(raw)
     if m:
+        import datetime as dt
         hour, minute = int(m.group(1)), int(m.group(2))
         try:
             return dt.time(hour, minute)
         except ValueError as exc:
             raise TmrError(f"bad clock time {raw!r}: {exc}", source=source) from None
-    if INSTANCE_RE.fullmatch(raw):
-        return InstanceRef(raw)
-    if CONCEPT_RE.fullmatch(raw):
-        return ConceptRef(raw)
     return raw
 
 
 def _parse_reference_time(raw: str, source: str) -> dt.datetime:
+    import datetime as dt
     parts = raw.split()
     date = clock = None
     for part in parts:
@@ -234,7 +257,6 @@ def _parse_reference_time(raw: str, source: str) -> dt.datetime:
     return dt.datetime.combine(date, clock or dt.time(0, 0))
 
 
-_META_KEYS = {"from-sense", "word-num"}
 _COREF_KEYS = {"COREF", "COREFER"}
 
 
@@ -251,20 +273,21 @@ def parse_tmr(text: str, source: str = "<string>") -> Tmr:
 
     frames: list[TmrFrame] = []
     for iid, body in raw_frames.items():
-        concept_of(iid, source)  # validates the id shape
+        concept = concept_of(iid, source)
         if not isinstance(body, dict):
             raise TmrError(f"{iid}: frame body must be an object", source=source)
         slots: dict[str, tuple[Filler, ...]] = {}
-        meta = Metadata()
-        coref = None
+        meta = coref = None
         for prop, raw in body.items():
             if prop == "from-sense":
+                meta = meta or Metadata()
                 meta.from_sense = str(raw)
                 continue
             if prop == "word-num":
                 if isinstance(raw, bool) or not isinstance(raw, int):
                     raise TmrError(f"{iid}: word-num must be an integer, got {raw!r}",
                                    source=source)
+                meta = meta or Metadata()
                 meta.word_num = raw
                 continue
             if prop in _COREF_KEYS:
@@ -273,14 +296,15 @@ def parse_tmr(text: str, source: str = "<string>") -> Tmr:
                 if coref == iid:
                     raise TmrError(f"{iid}: {prop} names the frame itself", source=source)
                 continue
-            values = raw if isinstance(raw, list) else [raw]
-            slots[prop] = tuple(_parse_filler(prop, v, source) for v in values)
+            if isinstance(raw, list):
+                slots[prop] = tuple([_parse_filler(prop, v, source) for v in raw])
+            else:
+                slots[prop] = (_parse_filler(prop, raw, source),)
             if prop == "HAS-NAME" and any(isinstance(v, str) and not v.strip()
                                           for v in slots[prop]):
                 raise TmrError(f"{iid}: HAS-NAME must not be blank", source=source)
-        has_meta = meta.from_sense is not None or meta.word_num is not None
-        frames.append(TmrFrame(instance_id=iid, slots=slots,
-                               metadata=meta if has_meta else None, coref=coref))
+        frames.append(TmrFrame(instance_id=iid, slots=slots, metadata=meta, coref=coref,
+                               concept=concept))
 
     ref_time = None
     if "reference-time" in data:
@@ -298,54 +322,58 @@ def parse_tmr_file(path) -> Tmr:
     return parse_tmr(read_text(path, TmrError), source=str(path))
 
 
+_INVERSES = {role + "-OF": role for role in CASE_ROLES}
+
+
 def _complete_inverses(tmr: Tmr, source: str) -> None:
     """Make case roles and their -OF inverses mutually consistent.
 
     Case roles are single-valued per frame; inverses are lists. A
     completion that would force a second distinct filler into a case
-    role is a contradiction.
+    role is a contradiction, whatever that role holds now.
     """
     for frame in tmr.frames:
         for role in CASE_ROLES:
-            if len(frame.all(role)) > 1:
+            if len(frame.slots.get(role, ())) > 1:
                 raise TmrError(f"{frame.instance_id}: case role {role} has multiple fillers",
                                source=source)
 
-    def add_inverse(target: TmrFrame, inverse: str, owner_id: str):
-        current = list(target.slots.get(inverse, ()))
-        ref = InstanceRef(owner_id)
-        if ref not in current:
-            current.append(ref)
-            target.slots[inverse] = tuple(current)
-
-    def set_role(target: TmrFrame, role: str, filler_id: str):
-        existing = target.get(role)
-        if existing is None:
-            target.slots[role] = (InstanceRef(filler_id),)
-        elif isinstance(existing, InstanceRef) and existing.id != filler_id:
-            raise TmrError(
-                f"{target.instance_id}: {role} is {existing.id} but an inverse slot names {filler_id}",
-                source=source)
-
+    by_id = tmr.by_id
     for frame in tmr.frames:
+        frame_id, slots = frame.instance_id, frame.slots
         for role in CASE_ROLES:
-            filler = frame.get(role)
-            if isinstance(filler, InstanceRef):
-                target = tmr.frame(filler.id)
-                if target is None:
-                    tmr.warnings.append(f"{frame.instance_id} {role} points outside the TMR")
-                    continue
-                add_inverse(target, role + "-OF", frame.instance_id)
-        for prop in list(frame.slots):
-            if not prop.endswith("-OF") or prop[:-3] not in CASE_ROLES:
+            values = slots.get(role)
+            if not values or not isinstance(values[0], InstanceRef):
                 continue
-            for value in frame.all(prop):
-                if isinstance(value, InstanceRef):
-                    owner = tmr.frame(value.id)
-                    if owner is None:
-                        tmr.warnings.append(f"{frame.instance_id} {prop} points outside the TMR")
-                        continue
-                    set_role(owner, prop[:-3], frame.instance_id)
+            target = by_id.get(values[0].id)
+            if target is None:
+                tmr.warnings.append(f"{frame_id} {role} points outside the TMR")
+                continue
+            inverse = role + "-OF"
+            current = target.slots.get(inverse, ())
+            for value in current:
+                if type(value) is InstanceRef and value.id == frame_id:
+                    break
+            else:
+                target.slots[inverse] = current + (InstanceRef(frame_id),)
+        for prop in list(slots):
+            role = _INVERSES.get(prop)
+            if role is None:
+                continue
+            for value in slots[prop]:
+                if not isinstance(value, InstanceRef):
+                    continue
+                owner = by_id.get(value.id)
+                if owner is None:
+                    tmr.warnings.append(f"{frame_id} {prop} points outside the TMR")
+                    continue
+                existing = owner.slots.get(role)
+                if not existing:
+                    owner.slots[role] = (InstanceRef(frame_id),)
+                elif type(existing[0]) is not InstanceRef or existing[0].id != frame_id:
+                    raise TmrError(f"{owner.instance_id}: {role} is "
+                                   f"{_unparse_filler(existing[0])} but an inverse slot "
+                                   f"names {frame_id}", source=source)
 
 
 # ---------------------------------------------------------------------------
@@ -360,12 +388,15 @@ def _unparse_filler(value: Filler):
         return f"({value.op} {value.routine})"
     if isinstance(value, RelativeTime):
         return value.value
+    if isinstance(value, float):
+        return int(value) if value == int(value) else value
+    if isinstance(value, str):
+        return value
+    import datetime as dt  # loaded already: the value is a date or a clock time
     if isinstance(value, dt.date):
         return f"{value.day:02d}.{value.month:02d}.{value.year:04d}"
     if isinstance(value, dt.time):
         return f"{value.hour:02d}:{value.minute:02d}"
-    if isinstance(value, float):
-        return int(value) if value == int(value) else value
     return value
 
 
@@ -395,7 +426,7 @@ def serialize_tmr(tmr: Tmr) -> str:
                 body["word-num"] = frame.metadata.word_num
         frames[frame.instance_id] = body
     doc["frames"] = frames
-    return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+    return encode(doc) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -428,7 +459,7 @@ def strip_metadata(tmr: Tmr) -> Tmr:
                 out.append(value)
             slots[prop] = tuple(out)
         frames.append(TmrFrame(instance_id=frame.instance_id, slots=slots,
-                               metadata=None, coref=frame.coref))
+                               metadata=None, coref=frame.coref, concept=frame.concept))
     return Tmr(frames=frames, speaker_id=tmr.speaker_id, hearer_id=tmr.hearer_id,
                reference_time=tmr.reference_time, source=tmr.source, warnings=warnings)
 
@@ -443,7 +474,10 @@ def relative_time_of(frame: TmrFrame, tmr: Tmr) -> RelativeTime | None:
             return RelativeTime.BEFORE
         return None
     date = frame.get("DATE")
-    if isinstance(date, dt.date) and tmr.reference_time is not None:
+    if date is None or tmr.reference_time is None:
+        return None
+    import datetime as dt  # loaded already: the reference time is a datetime
+    if isinstance(date, dt.date):
         clock = frame.get("CLOCK-TIME")
         moment = dt.datetime.combine(date, clock if isinstance(clock, dt.time) else dt.time(0, 0))
         if moment < tmr.reference_time:
@@ -541,6 +575,6 @@ def renumber(tmr: Tmr, offset: int = 100) -> Tmr:
         slots = {prop: tuple(remap(v) for v in values) for prop, values in frame.slots.items()}
         coref = mapping.get(frame.coref, frame.coref) if frame.coref else None
         frames.append(TmrFrame(instance_id=mapping[frame.instance_id], slots=slots,
-                               metadata=frame.metadata, coref=coref))
+                               metadata=frame.metadata, coref=coref, concept=frame.concept))
     return Tmr(frames=frames, speaker_id=tmr.speaker_id, hearer_id=tmr.hearer_id,
                reference_time=tmr.reference_time, source=tmr.source)

@@ -7,6 +7,8 @@ import subprocess
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import DATA, KB_DIR, fixture_path, run_cli
 from ontogen import (
@@ -18,6 +20,7 @@ from ontogen import (
     tmr_isomorphic,
 )
 from ontogen.cli import main
+from ontogen.strictjson import encode
 
 
 def test_generate_prints_ranked_sentences():
@@ -79,6 +82,24 @@ def test_json_format_is_parseable_and_byte_stable():
                                                  "repetition", "length"}
     assert doc["counts"]["units"] == 4
     assert any(r["rule"] == "argument-mismatch" for r in doc["trace"])
+
+
+# what a report can hold: str keys; text, numbers, booleans, null, lists, objects
+_report_values = st.recursive(
+    st.none() | st.booleans() | st.text()
+    | st.integers() | st.integers(min_value=-2 ** 200, max_value=2 ** 200) | st.floats(),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(), children, max_size=4),
+    max_leaves=20)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_report_values)
+@example({"sentence": "caf\u00e9 \u2028\u2029 \x00\x1f\x7f \"\\ \U0001f600", "total": -0.0,
+          "big": [10 ** 40, -(10 ** 40), 1e308, -1.5e-300, 5e-324, float("inf")],
+          "empty": [[], {}, [[]], {"": {}}, [{}]]})
+def test_the_report_writer_matches_json_dumps(value):
+    assert encode(value) == json.dumps(value, indent=2, ensure_ascii=False)
 
 
 def test_out_writes_the_report_to_a_file(tmp_path):
@@ -225,6 +246,20 @@ def test_a_blank_name_is_rejected_at_load(tmp_path, capsys, command):
     assert len(err.splitlines()) == 1
     assert err.startswith(f"error: {path}: ")
     assert "HAS-NAME must not be blank" in err
+
+
+@pytest.mark.parametrize("agent, shown", [("HUMAN-2", "HUMAN-2"), ("HUMAN", "HUMAN"),
+                                          ("tall", "tall"), (0.5, "0.5")],
+                         ids=["instance", "concept", "literal", "scalar"])
+def test_an_inverse_that_contradicts_its_role_is_an_error(tmp_path, capsys, agent, shown):
+    path = tmp_path / "contradiction.json"
+    path.write_text(json.dumps({"schema": "ontogen-tmr/1", "frames": {
+        "WALK-1": {"AGENT": agent}, "HUMAN-1": {"AGENT-OF": ["WALK-1"]}}}))
+    assert main(["generate", "--tmr", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"error: {path}: WALK-1: AGENT is {shown} "
+                   f"but an inverse slot names HUMAN-1\n")
 
 
 def test_usage_mistakes_exit_1():

@@ -7,14 +7,17 @@ from itertools import product
 import pytest
 
 from conftest import KB_DIR, make_kb
+from genscen import build_scenario
 from ontogen.errors import KbValidationError, SchemaError
 from ontogen.knowledge import (
+    MODIFIER_POS,
     ConceptConstraint,
     FacetedConstraint,
     LiteralConstraint,
     MatchDegree,
     RangeConstraint,
     VarBinding,
+    _grade_match,
     load_knowledge_base,
     match_degree,
     parse_constraint,
@@ -29,17 +32,112 @@ def test_bundled_kb_loads_clean(kb):
 
 
 def test_each_sense_reads_its_bound_roles_once_at_load(kb):
-    taking = 0
+    taking = transitive = 0
     for sense in kb.lexicon.senses.values():
         slots = sense.sem_struc.slots
         assert sense.bound_roles == {v.var: prop for prop, v in slots.items()
                                      if isinstance(v, VarBinding)}
         assert sense.is_argument_taking == any(isinstance(v, VarBinding) for v in slots.values())
+        assert sense.transitive == any(n.category == "directobject" for n in sense.syn_struc)
+        assert sense.role_bases == {
+            prop: kb.ontology.constraint_on(sense.sem_struc.head, prop)
+            for prop, v in slots.items() if isinstance(v, VarBinding)}
         # stored on the sense, not rebuilt on every read
-        assert vars(sense)["bound_roles"] is sense.bound_roles
-        assert vars(sense)["is_argument_taking"] is sense.is_argument_taking
+        for fact in ("bound_roles", "is_argument_taking", "transitive", "role_bases"):
+            assert vars(sense)[fact] is getattr(sense, fact)
         taking += sense.is_argument_taking
-    assert 0 < taking < len(kb.lexicon)
+        transitive += sense.transitive
+    assert 0 < transitive < taking < len(kb.lexicon)
+
+
+# --- tables worked out at load, against fresh computations ------------------------
+
+_GENSCEN_SEEDS = range(0, 300, 10)
+
+
+@pytest.fixture(params=["bundled", *(f"genscen-{seed}" for seed in _GENSCEN_SEEDS)])
+def any_kb(request, kb):
+    if request.param == "bundled":
+        return kb
+    return build_scenario(int(request.param.split("-")[1]))[0]
+
+
+def _modifier_senses(kb, prop, value):
+    """senses_for_property as a walk over the whole lexicon in sense-id order."""
+    out = []
+    for sid in sorted(kb.lexicon.senses):
+        sense = kb.lexicon.senses[sid]
+        slot = sense.sem_struc.slots.get(prop)
+        if sense.pos not in MODIFIER_POS or slot is None or isinstance(slot, VarBinding):
+            continue
+        if isinstance(slot, float):
+            if isinstance(value, (int, float)) and abs(float(value) - slot) < 1e-9:
+                out.append(sense)
+        elif kb.ontology.satisfies(value, slot):
+            out.append(sense)
+    return out
+
+
+def test_the_modifier_index_equals_a_walk_over_the_lexicon(any_kb):
+    kb = any_kb
+    props = {prop for sense in kb.lexicon.senses.values() for prop in sense.sem_struc.slots}
+    values = [*kb.ontology.concepts, "blue", "green", "tall", 0, 0.0, 0.2, 0.5, 0.8, 1.0, 2]
+    for sense in kb.lexicon.senses.values():
+        for slot in sense.sem_struc.slots.values():
+            if isinstance(slot, float):
+                values.append(slot)
+            elif isinstance(slot, LiteralConstraint):
+                values.extend(slot.values)
+            elif isinstance(slot, RangeConstraint):
+                values.extend((slot.low, slot.high))
+    for prop in sorted(props) + ["NOT-A-PROPERTY"]:
+        for value in values:
+            found = kb.lexicon.senses_for_property(kb.ontology, prop, value)
+            assert found == _modifier_senses(kb, prop, value), (prop, value)
+
+
+def test_head_senses_equal_a_fresh_walk_up_the_ontology(any_kb):
+    kb = any_kb
+    for concept in kb.ontology.concepts:
+        expected, note = (), ""
+        for ancestor in kb.ontology.ancestors(concept):
+            senses = kb.lexicon.senses_by_head_concept(ancestor)
+            if senses:
+                expected = tuple(senses)
+                if ancestor != concept:
+                    note = f"no sense heads {concept}; using ancestor {ancestor}"
+                break
+        assert kb.head_senses(concept) == (expected, note)
+        assert kb.head_senses(concept) is kb.head_senses(concept)  # worked out once
+    with pytest.raises(KbValidationError, match="unknown concept NOT-A-CONCEPT"):
+        kb.head_senses("NOT-A-CONCEPT")
+    assert set(kb._heads) == set(kb.ontology.concepts)
+
+
+def test_match_degree_memo_equals_a_fresh_grading(any_kb):
+    kb = any_kb
+    onto = kb.ontology
+    needs = {onto.constraint_on(concept, prop)
+             for concept in onto.concepts
+             for ancestor in onto.ancestors(concept)
+             for prop in onto.concepts[ancestor].slots}
+    needs |= {base for sense in kb.lexicon.senses.values() for base in sense.role_bases.values()}
+    needs.add(None)
+    overrides = {slot.override for sense in kb.lexicon.senses.values()
+                 for slot in sense.sem_struc.slots.values() if isinstance(slot, VarBinding)}
+    overrides.add(None)
+    onto.degrees.clear()
+    for _ in range(2):  # the first pass fills the memo, the second reads it
+        for concept, needed, override in product(onto.concepts, needs, overrides):
+            assert match_degree(onto, concept, needed, override) == \
+                _grade_match(onto, concept, needed, override)
+    assert {key[0] for key in onto.degrees} == set(onto.concepts)
+    assert len(onto.degrees) == len(onto.concepts) * len(needs) * len(overrides)
+    # what the ontology does not know is graded every time, never kept
+    for filler in ("NOT-A-CONCEPT", "blue", 0.5):
+        for needed in needs:
+            assert match_degree(onto, filler, needed) == _grade_match(onto, filler, needed)
+    assert len(onto.degrees) == len(onto.concepts) * len(needs) * len(overrides)
 
 
 def test_is_a_is_reflexive_and_transitive(kb):

@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import ontogen
 
 PUBLIC = [
@@ -28,18 +30,31 @@ def test_all_is_the_public_surface_and_every_name_resolves():
         assert getattr(ontogen, name) is not None, name
 
 
-def test_importing_the_cli_loads_neither_dataclasses_nor_logging():
-    """A fresh `import ontogen.cli` adds none of these modules; whatever the
-    interpreter's start-up already loaded does not count."""
+def _modules_added(probe: str) -> set[str]:
+    """The modules a fresh interpreter loads while it runs probe after
+    `import json, sys`; whatever its start-up already loaded does not count."""
     src = Path(ontogen.__file__).parents[1]
-    probe = ("import json, sys\n"
-             "before = set(sys.modules)\n"
-             "import ontogen.cli\n"
-             "print(json.dumps(sorted(set(sys.modules) - before)))\n")
+    script = ("import json, sys\n"
+              "before = set(sys.modules)\n"
+              f"{probe}\n"
+              "print(json.dumps(sorted(set(sys.modules) - before)))\n")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, (str(src), os.environ.get("PYTHONPATH"))))}
-    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env=env, check=True)
-    added = set(json.loads(proc.stdout))
+    return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_logging_nor_datetime():
+    added = _modules_added("import ontogen.cli")
     assert "ontogen.cli" in added
-    assert added.isdisjoint({"dataclasses", "inspect", "logging"})
+    assert added.isdisjoint({"dataclasses", "inspect", "logging", "datetime"})
+
+
+@pytest.mark.parametrize("fixture, dated", [("walk_transitive", False), ("request_blunt", False),
+                                            ("fasten_painting", True)])
+def test_datetime_is_loaded_only_for_a_meaning_with_a_date(fixture, dated):
+    path = Path(ontogen.__file__).parent / "data" / "tmr" / f"{fixture}.json"
+    added = _modules_added(f"import ontogen.cli\n"
+                           f"ontogen.cli.main(['generate', '--tmr', {str(path)!r}])")
+    assert ("datetime" in added) == dated

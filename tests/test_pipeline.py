@@ -6,9 +6,19 @@ import math
 
 import pytest
 
-from conftest import fixture_path, load_fixture, make_kb
+from conftest import TMR_DIR, fixture_path, load_fixture, make_kb
 from genscen import rank_every_set, ranked_rows
-from ontogen import AllSetsPruned, GenerationConfig, NoRealizableSense, generate, parse_tmr
+from ontogen import (
+    AllSetsPruned,
+    GenerationConfig,
+    NoRealizableSense,
+    generate,
+    knowledge,
+    parse_tmr,
+    pipeline,
+    solution,
+    tmr as tmr_module,
+)
 from ontogen.pipeline import (
     ReferenceDecoration,
     TraceRecord,
@@ -470,3 +480,28 @@ def test_expressing_an_extra_slot_outranks_ignoring_it(kb, config):
         return max(cs.score for cs in result.sets
                    if cs.choices["PICTURE-10"].sense.id == sense_id)
     assert best("landscape-n1") > best("painting-n1")
+
+
+def test_a_request_reads_the_tables_of_its_kb_and_its_parse(kb, monkeypatch):
+    """After the parse, no request sorts the lexicon or reads an instance id
+    for its concept, and each finds its root frame once."""
+    tmrs = [load_fixture(path.stem) for path in sorted(TMR_DIR.glob("*.json"))
+            if path.stem != "empty"]
+    calls = {"sorted-lexicon": 0, "concept_of": 0, "find_root_frame": 0}
+
+    def counting(name, fn, counts=lambda *args: True):
+        def counted(*args, **kwargs):
+            calls[name] += counts(*args)
+            return fn(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(knowledge, "sorted", counting("sorted-lexicon", sorted,
+                                                      lambda items, **_: items is kb.lexicon.senses),
+                        raising=False)
+    for module in (tmr_module, pipeline, solution):
+        for name in ("concept_of", "find_root_frame"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    for number, tmr in enumerate(tmrs, start=1):
+        assert generate(tmr, kb).sentences
+        assert calls == {"sorted-lexicon": 0, "concept_of": 0, "find_root_frame": number}

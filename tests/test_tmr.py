@@ -1,18 +1,24 @@
 """Meaning-representation parsing, completion, stripping, and isomorphism."""
 from __future__ import annotations
 
+import datetime as dt
 import json
+import re
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import TMR_DIR, load_fixture
 from ontogen import parse_tmr, serialize_tmr, strip_metadata, tmr_isomorphic
 from ontogen.errors import MalformedInstanceId, TmrError
 from ontogen.tmr import (
+    TIME_SLOTS,
     ConceptRef,
     InstanceRef,
     ProceduralCall,
     RelativeTime,
+    _parse_filler,
     concept_of,
     relative_time_of,
     renumber,
@@ -132,13 +138,55 @@ def test_bad_dates_and_clocks_are_rejected():
     (_tmr({}, **{"reference-time": "32.13.2021 09:05"}), "bad reference-time"),
     (_tmr({}, **{"reference-time": "05.01.2021 25:00"}), "bad reference-time"),
     (_tmr({"PICTURE-1": {"CARDINALITY": 10 ** 400}}), "outside the float range"),
+    ('{"schema": "ontogen-tmr/1", "frames": {"WALK-1": {"TIME": "x", "AGENT": "HUMAN-1", '
+     '"AGENT": "HUMAN-2", "TIME": "y"}}}', "duplicate key 'AGENT'"),
     ('{"schema": "ontogen-tmr/1", "frames": {"PICTURE-1": {"CARDINALITY": 1e400}}}',
      "number 1e400 is outside the float range"),
 ], ids=["word-num", "frames-list", "speaker-number", "speaker-list", "hearer-number",
-        "self-coref", "reference-date", "reference-clock", "huge-integer", "huge-float"])
+        "self-coref", "reference-date", "reference-clock", "huge-integer", "repeated-keys",
+        "huge-float"])
 def test_malformed_content_is_a_tmr_error(text, match):
     with pytest.raises(TmrError, match=match):
         parse_tmr(text)
+
+
+def _filler_by_cascade(slot: str, raw: str):
+    """Every filler pattern tried in precedence order, as the docs list them."""
+    call = re.fullmatch(r"\(\s*(\S+)\s+([A-Za-z][A-Za-z0-9-]*)\s*\)", raw)
+    if call:
+        return ProceduralCall(call.group(1), call.group(2)) if slot == "TIME" else "error"
+    if slot in TIME_SLOTS and raw in {t.value for t in RelativeTime}:
+        return RelativeTime(raw)
+    date = re.fullmatch(r"(\d{2})\.(\d{2})\.(\d{4})", raw)
+    clock = re.fullmatch(r"(\d{1,2}):(\d{2})", raw)
+    try:
+        if date:
+            return dt.date(int(date.group(3)), int(date.group(2)), int(date.group(1)))
+        if clock:
+            return dt.time(int(clock.group(1)), int(clock.group(2)))
+    except ValueError:
+        return "error"
+    if re.fullmatch(r"[A-Z][A-Z0-9]*(?:-[A-Z0-9]+)*-[0-9]+", raw):
+        return InstanceRef(raw)
+    if re.fullmatch(r"[A-Z][A-Z0-9]*(?:-[A-Z0-9]+)*", raw):
+        return ConceptRef(raw)
+    return raw
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(slot=st.sampled_from(["TIME", "DATE", "CLOCK-TIME", "AGENT", "COLOR"]),
+       raw=st.text(alphabet="019٣.:()<- \tAZaz-frtbeo", max_size=12)
+       | st.sampled_from(["(< find-anchor-time)", "( > x )", "before-reference",
+                          "at-reference", "05.01.2021", "9:02", "٠٥.٠١.٢٠٢١", "HUMAN-1",
+                          "A-1-2", "HUMAN", "Human", "1-A", "", "31.02.2021", "25:00"]))
+@example(slot="COLOR", raw="after-reference")
+def test_filler_typing_keeps_its_precedence(slot, raw):
+    expected = _filler_by_cascade(slot, raw)
+    try:
+        parsed = _parse_filler(slot, raw, "<test>")
+    except TmrError:
+        parsed = "error"
+    assert parsed == expected and type(parsed) is type(expected)
 
 
 def test_relative_time_against_the_reference_moment():
