@@ -167,12 +167,10 @@ class Ontology:
 
     Built once the graph is known to be sound. The ontology is immutable,
     so each concept's ancestry and inherited constraints are worked out
-    here, and the lookups below are table reads. degrees memoises
-    match_degree for the concepts the ontology knows."""
+    here, and the lookups below are table reads."""
 
     def __init__(self, concepts: dict[str, Concept]):
         self.concepts = concepts
-        self.degrees: dict[tuple, MatchDegree] = {}
         self._chains = {name: self._breadth_first(name) for name in concepts}
         self._lineages = {name: frozenset(chain) for name, chain in self._chains.items()}
         self._constraints: dict[str, dict[str, FacetedConstraint]] = {}
@@ -257,23 +255,8 @@ def match_degree(onto: Ontology, filler, needed, override=None) -> MatchDegree:
     Returns NONE when the filler violates the effective sem facet, EXACT when
     it equals the most specific constraining value, NARROW when it satisfies an
     override strictly tighter than the ontological sem, DEFAULT when it also
-    satisfies the default facet, and SEM otherwise. A grade of a concept the
-    ontology knows is worked out once per constraint pair and then read from
-    onto.degrees.
+    satisfies the default facet, and SEM otherwise.
     """
-    key = (filler, needed, override)
-    try:
-        return onto.degrees[key]
-    except (KeyError, TypeError):  # not graded yet, or an unhashable filler
-        pass
-    degree = _grade_match(onto, filler, needed, override)
-    if isinstance(filler, str) and filler in onto.concepts:
-        onto.degrees[key] = degree
-    return degree
-
-
-def _grade_match(onto: Ontology, filler, needed, override=None) -> MatchDegree:
-    """match_degree worked out afresh, without the memo."""
     base = _as_faceted(needed)
     over = _as_faceted(override) if override is not None else None
 
@@ -444,11 +427,8 @@ class EpisodicMemory:
 
 class KnowledgeBase:
     """The three stores, with the warnings their loading raised; every
-    warning so far is about the ontology file.
-
-    The stores are immutable, so what joins them is worked out once: each
-    sense's role_bases here, and each concept's head senses when they are
-    first asked for (see head_senses)."""
+    warning so far is about the ontology file. The stores are immutable,
+    so each sense's role_bases are worked out once, here."""
 
     def __init__(self, ontology: Ontology, lexicon: Lexicon, memory: EpisodicMemory,
                  warnings: list[str] | None = None):
@@ -456,30 +436,22 @@ class KnowledgeBase:
         self.lexicon = lexicon
         self.memory = memory
         self.warnings = [] if warnings is None else warnings
-        self._heads: dict[str, tuple[tuple[LexSense, ...], str]] = {}
         for sense in lexicon.senses.values():
             if sense.is_argument_taking:
                 sense.role_bases = {prop: ontology.constraint_on(sense.sem_struc.head, prop)
                                     for prop in sense.bound_roles.values()}
 
-    def head_senses(self, concept: str) -> tuple[tuple[LexSense, ...], str]:
+    def head_senses(self, concept: str) -> tuple[list[LexSense], str]:
         """The senses that head concept, by sense id, else those of its
         nearest ancestor that has any, with a note naming that ancestor;
-        no senses at all when none has any. Worked out once per concept."""
-        heads = self._heads.get(concept)
-        if heads is None:
-            heads = self._heads[concept] = _head_senses(self.ontology, self.lexicon, concept)
-        return heads
-
-
-def _head_senses(onto: Ontology, lex: Lexicon, concept: str) -> tuple[tuple[LexSense, ...], str]:
-    for ancestor in onto.ancestors(concept):  # raises for an unknown concept
-        senses = lex.senses_by_head_concept(ancestor)
-        if senses:
-            note = "" if ancestor == concept else \
-                f"no sense heads {concept}; using ancestor {ancestor}"
-            return tuple(senses), note
-    return (), ""
+        no senses at all when none has any."""
+        for ancestor in self.ontology.ancestors(concept):  # raises for an unknown concept
+            senses = self.lexicon.senses_by_head_concept(ancestor)
+            if senses:
+                note = "" if ancestor == concept else \
+                    f"no sense heads {concept}; using ancestor {ancestor}"
+                return senses, note
+        return [], ""
 
 
 def _kb_document(path, kind: str) -> dict:

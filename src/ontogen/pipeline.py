@@ -160,7 +160,7 @@ class SelectionResult:
     """root is the TMR's root frame, which the sets' trees are built from."""
 
     def __init__(self, sets: list[CandidateSet], trace: list[TraceRecord], messages: list[str],
-                 counts: dict[str, int], root: TmrFrame | None = None):
+                 counts: dict[str, int], root: TmrFrame):
         self.sets = sets
         self.trace = trace
         self.messages = messages
@@ -649,14 +649,13 @@ def _own_score(choice: CandidateSense) -> float:
 
 
 def hold_unreached(units: list[Unit], tmr: Tmr,
-                   root: TmrFrame | None = None) -> tuple[list[Unit], frozenset[str]]:
-    """Hold each unit of a frame the root (find_root_frame's, unless given)
-    never reaches at its first candidate with the highest own score; return
-    the units and the held keys. Such a choice never changes the sentence
-    and adds only its own deltas to the total, and ranking keeps the first
-    set with the highest total per sentence, so every winning set already
-    holds it there."""
-    reached = _reached_frames(units, tmr, root or find_root_frame(tmr))
+                   root: TmrFrame) -> tuple[list[Unit], frozenset[str]]:
+    """Hold each unit of a frame the root never reaches at its first
+    candidate with the highest own score; return the units and the held
+    keys. Such a choice never changes the sentence and adds only its own
+    deltas to the total, and ranking keeps the first set with the highest
+    total per sentence, so every winning set already holds it there."""
+    reached = _reached_frames(units, tmr, root)
     held = frozenset(unit.key for unit in units if unit.frame_id not in reached)
     return [unit.with_candidates([max(unit.candidates, key=_own_score)])
             if unit.key in held else unit for unit in units], held

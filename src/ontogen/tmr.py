@@ -108,14 +108,12 @@ class Metadata:
 
 
 class TmrFrame:
-    """concept is the instance id without its index, read once, here,
-    unless the caller already knows it."""
+    """concept is the instance id without its index, read once, here."""
 
     def __init__(self, instance_id: str, slots: dict[str, tuple[Filler, ...]] | None = None,
-                 metadata: Metadata | None = None, coref: str | None = None,
-                 concept: str | None = None):
+                 metadata: Metadata | None = None, coref: str | None = None):
         self.instance_id = instance_id
-        self.concept = concept_of(instance_id) if concept is None else concept
+        self.concept = concept_of(instance_id)
         self.slots = {} if slots is None else slots
         self.metadata = metadata
         self.coref = coref
@@ -273,7 +271,7 @@ def parse_tmr(text: str, source: str = "<string>") -> Tmr:
 
     frames: list[TmrFrame] = []
     for iid, body in raw_frames.items():
-        concept = concept_of(iid, source)
+        concept_of(iid, source)  # validates the id shape
         if not isinstance(body, dict):
             raise TmrError(f"{iid}: frame body must be an object", source=source)
         slots: dict[str, tuple[Filler, ...]] = {}
@@ -303,8 +301,7 @@ def parse_tmr(text: str, source: str = "<string>") -> Tmr:
             if prop == "HAS-NAME" and any(isinstance(v, str) and not v.strip()
                                           for v in slots[prop]):
                 raise TmrError(f"{iid}: HAS-NAME must not be blank", source=source)
-        frames.append(TmrFrame(instance_id=iid, slots=slots, metadata=meta, coref=coref,
-                               concept=concept))
+        frames.append(TmrFrame(instance_id=iid, slots=slots, metadata=meta, coref=coref))
 
     ref_time = None
     if "reference-time" in data:
@@ -459,7 +456,7 @@ def strip_metadata(tmr: Tmr) -> Tmr:
                 out.append(value)
             slots[prop] = tuple(out)
         frames.append(TmrFrame(instance_id=frame.instance_id, slots=slots,
-                               metadata=None, coref=frame.coref, concept=frame.concept))
+                               metadata=None, coref=frame.coref))
     return Tmr(frames=frames, speaker_id=tmr.speaker_id, hearer_id=tmr.hearer_id,
                reference_time=tmr.reference_time, source=tmr.source, warnings=warnings)
 
@@ -575,6 +572,6 @@ def renumber(tmr: Tmr, offset: int = 100) -> Tmr:
         slots = {prop: tuple(remap(v) for v in values) for prop, values in frame.slots.items()}
         coref = mapping.get(frame.coref, frame.coref) if frame.coref else None
         frames.append(TmrFrame(instance_id=mapping[frame.instance_id], slots=slots,
-                               metadata=frame.metadata, coref=coref, concept=frame.concept))
+                               metadata=frame.metadata, coref=coref))
     return Tmr(frames=frames, speaker_id=tmr.speaker_id, hearer_id=tmr.hearer_id,
                reference_time=tmr.reference_time, source=tmr.source)

@@ -17,7 +17,6 @@ from ontogen.knowledge import (
     MatchDegree,
     RangeConstraint,
     VarBinding,
-    _grade_match,
     load_knowledge_base,
     match_degree,
     parse_constraint,
@@ -94,50 +93,6 @@ def test_the_modifier_index_equals_a_walk_over_the_lexicon(any_kb):
         for value in values:
             found = kb.lexicon.senses_for_property(kb.ontology, prop, value)
             assert found == _modifier_senses(kb, prop, value), (prop, value)
-
-
-def test_head_senses_equal_a_fresh_walk_up_the_ontology(any_kb):
-    kb = any_kb
-    for concept in kb.ontology.concepts:
-        expected, note = (), ""
-        for ancestor in kb.ontology.ancestors(concept):
-            senses = kb.lexicon.senses_by_head_concept(ancestor)
-            if senses:
-                expected = tuple(senses)
-                if ancestor != concept:
-                    note = f"no sense heads {concept}; using ancestor {ancestor}"
-                break
-        assert kb.head_senses(concept) == (expected, note)
-        assert kb.head_senses(concept) is kb.head_senses(concept)  # worked out once
-    with pytest.raises(KbValidationError, match="unknown concept NOT-A-CONCEPT"):
-        kb.head_senses("NOT-A-CONCEPT")
-    assert set(kb._heads) == set(kb.ontology.concepts)
-
-
-def test_match_degree_memo_equals_a_fresh_grading(any_kb):
-    kb = any_kb
-    onto = kb.ontology
-    needs = {onto.constraint_on(concept, prop)
-             for concept in onto.concepts
-             for ancestor in onto.ancestors(concept)
-             for prop in onto.concepts[ancestor].slots}
-    needs |= {base for sense in kb.lexicon.senses.values() for base in sense.role_bases.values()}
-    needs.add(None)
-    overrides = {slot.override for sense in kb.lexicon.senses.values()
-                 for slot in sense.sem_struc.slots.values() if isinstance(slot, VarBinding)}
-    overrides.add(None)
-    onto.degrees.clear()
-    for _ in range(2):  # the first pass fills the memo, the second reads it
-        for concept, needed, override in product(onto.concepts, needs, overrides):
-            assert match_degree(onto, concept, needed, override) == \
-                _grade_match(onto, concept, needed, override)
-    assert {key[0] for key in onto.degrees} == set(onto.concepts)
-    assert len(onto.degrees) == len(onto.concepts) * len(needs) * len(overrides)
-    # what the ontology does not know is graded every time, never kept
-    for filler in ("NOT-A-CONCEPT", "blue", 0.5):
-        for needed in needs:
-            assert match_degree(onto, filler, needed) == _grade_match(onto, filler, needed)
-    assert len(onto.degrees) == len(onto.concepts) * len(needs) * len(overrides)
 
 
 def test_is_a_is_reflexive_and_transitive(kb):
