@@ -289,9 +289,10 @@ def cmd_inspect(args) -> int:
         lines.append("slots:")
         for prop in sorted(declared):
             lines.append(f"  {prop}: {_facet_text(declared[prop])}")
-    senses = kb.lexicon.senses_by_head_concept(concept)
     lines.append("senses:")
-    for sense in senses:
+    for _, sense in sorted(kb.lexicon.senses.items()):
+        if sense.sem_struc.head != concept:
+            continue
         parts = []
         for prop, slot in sense.sem_struc.slots.items():
             if isinstance(slot, VarBinding):

@@ -37,7 +37,7 @@ def generate(tmr: Tmr, kb: KnowledgeBase, config: GenerationConfig | None = None
         solution = build_solution(cs, tmr, forest)
         realize(solution, morph, inflected)
         solutions.append(solution)
-    sentences = rank(solutions, tmr, freq, config, history)
+    sentences = rank(solutions, freq, config, history)
     counts = dict(selection.counts)
     counts["sentences"] = len(sentences)
     return RunReport(sentences=sentences, counts=counts, trace=selection.trace,

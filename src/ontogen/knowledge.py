@@ -367,8 +367,10 @@ class LexSense:
 
 
 class Lexicon:
-    """Sense store indexed by head concept, and its modifier senses (adj/adv)
-    by each property they give a value, each index in sense-id order."""
+    """Sense store with its noun and verb senses indexed by head concept, and
+    its modifier senses (adj/adv) by each property they give a value, each
+    index in sense-id order. Only a noun or verb sense heads a frame: a
+    modifier's head names what it may modify."""
 
     def __init__(self, senses: dict[str, LexSense]):
         self.senses = senses
@@ -376,8 +378,8 @@ class Lexicon:
         self.by_property: dict[str, list[tuple[Constraint | float, LexSense]]] = {}
         for sid in sorted(senses):
             sense = senses[sid]
-            self.by_head.setdefault(sense.sem_struc.head, []).append(sid)
             if sense.pos not in MODIFIER_POS:
+                self.by_head.setdefault(sense.sem_struc.head, []).append(sid)
                 continue
             for prop, slot in sense.sem_struc.slots.items():
                 if not isinstance(slot, VarBinding):
@@ -387,7 +389,8 @@ class Lexicon:
         return len(self.senses)
 
     def senses_by_head_concept(self, concept: str) -> list[LexSense]:
-        """All senses whose sem-struc head is exactly this concept, by sense id."""
+        """The noun and verb senses whose sem-struc head is exactly this
+        concept, by sense id."""
         return [self.senses[sid] for sid in self.by_head.get(concept, [])]
 
     def senses_for_property(self, onto: Ontology, prop: str, value) -> list[LexSense]:

@@ -140,8 +140,19 @@ class CandidateSet:
     def score(self) -> float:
         return ledger_score(self.ledger)
 
-    def signature(self) -> str:
-        return " ".join(f"{key}={choice.describe()}" for key, choice in self.choices.items())
+    def signature(self, described: dict[int, str] | None = None) -> str:
+        """Each unit as "key=description". The sets of one ranking may share
+        described, which holds each choice's word by identity, so a choice
+        they share is described once; it must not outlive those sets."""
+        if described is None:
+            described = {}
+        words = []
+        for key, choice in self.choices.items():
+            word = described.get(id(choice))
+            if word is None:
+                word = described[id(choice)] = f"{key}={choice.describe()}"
+            words.append(word)
+        return " ".join(words)
 
 
 def ledger_score(ledger) -> float:

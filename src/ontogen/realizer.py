@@ -3,7 +3,15 @@
 Inflection is table-first (irregular verbs, irregular plurals, the pronoun
 paradigm, the paradigm of "be"), with regular rules as the fallback. The
 tree is linearized depth-first; tokens opening with a comma or apostrophe
-attach to the word on their left.
+attach to the word on their left, and "a" becomes "an" before a word that
+takes it.
+
+A set's clause is the only node it owns: its children are pieces the
+request's sets share. Each piece is realized once per request into its
+text, its first token, whether it ends in "a", and its proper names. One
+more set then costs one assembly over its clause's children: their texts
+joined, a piece's final "a" resolved against the next piece, the capital
+and the terminal mark.
 """
 
 from __future__ import annotations
@@ -198,43 +206,46 @@ def _leaf_token(tables: MorphTables, leaf: Constituent) -> str:
     return lemma
 
 
-def _tokens(tables: MorphTables, node: Constituent, memo: dict) -> list[str]:
-    """The node's tokens, each shared leaf and subtree inflected once per
-    memo. The memo holds every node it keys by identity, so no key can be
-    reused."""
-    seen = memo.get(id(node))
-    if seen is None:
-        if node.is_leaf:
-            token = _leaf_token(tables, node)
-            tokens = [token] if token else []
-        else:
-            tokens = []
-            for child in node.children:
-                tokens.extend(_tokens(tables, child, memo))
-        seen = memo[id(node)] = (node, tokens)
-    return seen[1]
+def _piece(tables: MorphTables, node: Constituent, memo: dict) -> tuple:
+    """The node as a piece of text, made once per memo: (text, first token,
+    whether its last token is "a", proper-name lemmas in surface order,
+    node). The text is the node's tokens joined, every article resolved
+    but a final "a", which waits for the word that follows the node. The
+    memo holds every node it keys by identity, so no key can be reused."""
+    if node.is_leaf:
+        token = _leaf_token(tables, node)
+        names = (node.lemma,) if node.proper and node.lemma else ()
+        piece = (token, token, token == "a", names, node)
+    else:
+        pieces = [memo.get(id(child)) or _piece(tables, child, memo) for child in node.children]
+        piece = _assemble(tables, pieces) + (node,)
+    memo[id(node)] = piece
+    return piece
 
 
-def _resolve_articles(tables: MorphTables, tokens: list[str]) -> list[str]:
-    out = []
-    for index, token in enumerate(tokens):
-        if token == "a" and index + 1 < len(tokens):
-            head = tokens[index + 1].split()[0] if tokens[index + 1] else ""
-            token = indefinite_article(tables, head) if head else token
-        out.append(token)
-    return out
-
-
-def _join(tokens: list[str]) -> str:
-    text = ""
-    for token in tokens:
+def _assemble(tables: MorphTables, pieces: list[tuple]) -> tuple[str, str, bool, tuple]:
+    """Pieces in surface order as one: (text, first token, whether the last
+    token is "a", names). A piece's final "a" becomes "a" or "an" for the
+    first word of the next piece with text; a piece opening with a comma or
+    an apostrophe attaches to the text on its left."""
+    text = first = ""
+    ends_in_a = False
+    names: tuple[str, ...] = ()
+    for word, head, last_is_a, piece_names, _ in pieces:
+        if piece_names:
+            names += piece_names
+        if not word:
+            continue
         if not text:
-            text = token
-        elif token.startswith(",") or token.startswith("'"):
-            text += token
+            first = head
         else:
-            text += " " + token
-    return text
+            if ends_in_a:
+                text = text[:-1] + indefinite_article(tables, head.split()[0])
+            if not word.startswith((",", "'")):
+                text += " "
+        text += word
+        ends_in_a = last_is_a
+    return text, first, ends_in_a, names
 
 
 def _capitalize(text: str) -> str:
@@ -245,12 +256,15 @@ def _capitalize(text: str) -> str:
 
 
 def realize(solution: CandidateSolution, tables: MorphTables, memo: dict | None = None) -> str:
-    """The finished sentence; also stored on the solution. The solutions of
-    one request pass one memo, so a leaf or subtree they share is inflected
-    once."""
-    tokens = _tokens(tables, solution.root, {} if memo is None else memo)
-    tokens = _resolve_articles(tables, tokens)
-    text = _capitalize(_join(tokens))
-    text += _TERMINAL.get(solution.mood, ".")
+    """The finished sentence; stored on the solution with its proper names.
+    The solutions of one request pass one memo, so each piece their clauses
+    share is realized once; the clause a solution owns is assembled from
+    its children's pieces and is not kept."""
+    if memo is None:
+        memo = {}
+    pieces = [memo.get(id(child)) or _piece(tables, child, memo)
+              for child in solution.root.children]
+    text, _, _, solution.names = _assemble(tables, pieces)
+    text = _capitalize(text) + _TERMINAL.get(solution.mood, ".")
     solution.sentence = text
     return text

@@ -5,12 +5,13 @@ always be explained. Ties break lexicographically on the sentence text,
 which keeps output order stable across runs.
 
 Repetition counts whole-word mentions (``\\b<name>\\b``) of each proper name
-a sentence contains. One rank() call reads every set's ledger once, for its
-score and its report; finds the proper names of each subtree its solutions
-share once; and scans the discourse history once per distinct name, sharing
-that count among all its solutions. Only the extra mentions inside a
-sentence are counted per solution, and only when the sentence holds the
-name twice as a substring.
+a sentence contains. What one set costs rank(): its ledger, built once for
+its score and its report; its root choice's frequency; and, for a set whose
+sentence holds a name, that name's extra mentions inside the sentence,
+counted only when the sentence holds it twice as a substring. It reads the
+names realize recorded and walks no tree. Per rank() call, the history is
+scanned once per distinct name and each choice is described once, for the
+signatures of every set that holds it.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from .errors import SchemaError
 from .pipeline import LedgerEntry, ledger_score
 from .solution import CandidateSolution
 from .strictjson import document, read_json
-from .tmr import Tmr
 
 SCHEMA_FREQ = "ontogen-freq/1"
 
@@ -105,46 +105,55 @@ def extra_mentions(name: str, sentence: str) -> int:
     return max(0, len(_pattern(name).findall(sentence)) - 1)
 
 
-def repetition_count(solution: CandidateSolution, history: tuple[str, ...],
-                     mentions: dict[str, int] | None = None, names: dict | None = None) -> int:
+class HistoryMentions(dict):
+    """Each proper name's whole-word mentions in a discourse history, counted
+    the first time the name is looked up."""
+
+    def __init__(self, history: tuple[str, ...]):
+        super().__init__()
+        self.history = history
+
+    def __missing__(self, name: str) -> int:
+        count = self[name] = history_mentions(name, self.history)
+        return count
+
+
+def repetition_count(solution: CandidateSolution, mentions: HistoryMentions) -> int:
     """Proper-name mentions already present in the discourse history, plus
-    extra mentions inside the sentence itself. mentions caches each name's
-    history count and names each subtree's proper names; rank shares one of
-    each across all of a request's solutions."""
-    if mentions is None:
-        mentions = {}
+    extra mentions inside the sentence itself, for the names realize found."""
     sentence = solution.sentence or ""
     repeats = 0
-    for name in dict.fromkeys(solution.proper_names(names)):
-        if name not in mentions:
-            mentions[name] = history_mentions(name, history)
+    for name in dict.fromkeys(solution.names):
         repeats += mentions[name] + extra_mentions(name, sentence)
     return repeats
 
 
-def rank(solutions: list[CandidateSolution], tmr: Tmr, freq: FrequencyTable,
-         config: GenerationConfig, history: tuple[str, ...] = ()) -> list[ScoredSentence]:
-    """Scored, deduplicated, ordered best-first with ranks assigned. tmr is
-    the meaning the solutions express; each solution names its root frame."""
-    mentions: dict[str, int] = {}
-    names: dict = {}
+def rank(solutions: list[CandidateSolution], freq: FrequencyTable, config: GenerationConfig,
+         history: tuple[str, ...] = ()) -> list[ScoredSentence]:
+    """Scored, deduplicated, ordered best-first with ranks assigned. Each
+    solution names its root frame and holds the names realize found; the
+    sets share one description of each choice they hold."""
+    mentions = HistoryMentions(history)
+    described: dict[int, str] = {}
+    pipeline_weight, frequency_weight = config.pipeline_weight, config.frequency_weight
+    repetition_penalty, length_tie_break = config.repetition_penalty, config.length_tie_break
     scored: list[tuple[float, str, CandidateSolution, tuple, tuple]] = []
     for solution in solutions:
         sentence = solution.sentence
         if not sentence:
             continue
-        ledger = tuple(solution.candidate_set.ledger)
-        choice = solution.candidate_set.choices[solution.root_id]
-        repeats = repetition_count(solution, history, mentions, names)
-        terms = (
-            ("pipeline", config.pipeline_weight * ledger_score(ledger)),
-            ("frequency", config.frequency_weight * freq.lookup(choice.lemma.lower(),
-                                                                choice.sense.id)),
-            ("repetition", -config.repetition_penalty * repeats),
-            ("length", -config.length_tie_break * len(sentence)),
-        )
-        total = sum(value for _, value in terms)
-        scored.append((total, sentence, solution, terms, ledger))
+        candidate_set = solution.candidate_set
+        ledger = tuple(candidate_set.ledger)
+        choice = candidate_set.choices[solution.root_id]
+        repeats = repetition_count(solution, mentions) if solution.names else 0
+        pipeline = pipeline_weight * ledger_score(ledger)
+        frequency = frequency_weight * freq.lookup(choice.lemma.lower(), choice.sense.id)
+        repetition = -repetition_penalty * repeats
+        length = -length_tie_break * len(sentence)
+        terms = (("pipeline", pipeline), ("frequency", frequency), ("repetition", repetition),
+                 ("length", length))
+        scored.append((sum((pipeline, frequency, repetition, length)), sentence, solution,
+                       terms, ledger))
     scored.sort(key=lambda item: (-item[0], item[1]))
 
     out: list[ScoredSentence] = []
@@ -158,7 +167,7 @@ def rank(solutions: list[CandidateSolution], tmr: Tmr, freq: FrequencyTable,
             sentence=sentence,
             total=total,
             terms=terms,
-            signature=solution.candidate_set.signature(),
+            signature=solution.candidate_set.signature(described),
             ledger=ledger,
             solution=solution,
         ))

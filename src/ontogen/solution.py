@@ -7,9 +7,10 @@ case); containers carry ordered children.
 The sets of one request share a Forest. It compiles each construction once
 into a plan, whose fixed leaves are built once and whose holes each set
 fills from its own choices, and it holds every nominal, phrase and agreeing
-verb built so far. Building one more set fills the root plan's holes from
-the forest and stamps subject agreement: it costs about its number of
-slots, and it walks no syn-struc.
+verb built so far. Building one more set looks up the root plan, fills its
+holes from the forest and stamps subject agreement: it costs one lookup per
+slot, keyed by the identities of the choices the slot reads, and one new
+node, its clause. It walks no syn-struc.
 """
 
 from __future__ import annotations
@@ -65,7 +66,8 @@ class Constituent:
 
 class CandidateSolution:
     """mood is declarative, interrogative or imperative; root_id names the
-    root frame, whose choice heads the tree; realize sets the sentence."""
+    root frame, whose choice heads the tree; realize sets the sentence and
+    names, the proper-name lemmas of the tree in surface order."""
 
     def __init__(self, candidate_set: CandidateSet, root: Constituent, mood: str, tense: str,
                  voice: str, root_id: str, sentence: str | None = None):
@@ -76,25 +78,7 @@ class CandidateSolution:
         self.voice = voice
         self.root_id = root_id
         self.sentence = sentence
-
-    def proper_names(self, memo: dict | None = None) -> list[str]:
-        """The proper-name lemmas of the tree in surface order. The solutions
-        of one request may pass one memo, so a subtree they share is walked
-        once; it holds every node it keys by identity."""
-        return list(_names(self.root, {} if memo is None else memo))
-
-
-def _names(node: Constituent, memo: dict) -> tuple[str, ...]:
-    seen = memo.get(id(node))
-    if seen is None:
-        if node.is_leaf:
-            names = (node.lemma,) if node.proper and node.lemma else ()
-        else:
-            names = ()
-            for child in node.children:
-                names += _names(child, memo)
-        seen = memo[id(node)] = (node, names)
-    return seen[1]
+        self.names: tuple[str, ...] = ()
 
 
 def derive_tense(frame: TmrFrame, tmr: Tmr) -> str:
@@ -133,9 +117,10 @@ class Forest:
 
     A plan is keyed by frame, sense, lemma, voice, tense and construction
     flags, not by the choice, since synonym clones are new choice objects
-    in every base set; a nominal or embedded phrase by its frame, its function and the
-    identities of every choice it reads; a prepositional phrase by its
-    preposition and the nominal it holds; an agreeing verb by its plan leaf
+    in every base set; a nominal by its function and the identities of the
+    choices it reads (a choice belongs to one frame); an embedded phrase by
+    its frame and the identities of every choice it reads; a prepositional
+    phrase by its preposition and the nominal it holds; an agreeing verb by its plan leaf
     and the subject's number and person. Identity keys are sound because a
     request's sets share their choice objects and keep them alive while the
     forest is in use, and the forest keeps every leaf it keys; a forest must
@@ -253,18 +238,11 @@ class _Builder:
         self.tmr = forest.tmr
         self.built = forest.built
 
-    def _shared(self, key: tuple, make):
-        """What make builds, built once per key in the forest."""
-        built = self.built.get(key)
-        if built is None:
-            built = self.built[key] = make()
-        return built
-
-    def _reads(self, frame: TmrFrame, choice: CandidateSense) -> tuple[int, ...]:
-        """Identities of the choices a nominal for frame reads: its own and
-        its modifiers'."""
+    def _reads(self, frame: TmrFrame, choice: CandidateSense) -> int | tuple[int, ...]:
+        """Identities of the choices a nominal for frame reads: its own, and
+        its modifiers' when it has any."""
         if not choice.modifiers:
-            return (id(choice),)
+            return id(choice)
         return (id(choice),) + tuple(id(self.cs.choices[modifier_key(frame.instance_id, prop)])
                                      for prop in choice.modifiers)
 
@@ -288,7 +266,8 @@ class _Builder:
         choice = self.cs.choices.get(frame.instance_id)
         if choice is None:
             raise EmptySolution(f"no chosen sense for {frame.instance_id}")
-        key = (frame.instance_id, function, self._reads(frame, choice))
+        # a choice belongs to one frame, so its identity stands for the frame
+        key = (function, self._reads(frame, choice))
         built = self.built.get(key)
         if built is None:
             built = self.built[key] = self._nominal(frame, function, choice)
@@ -296,8 +275,12 @@ class _Builder:
 
     def prepositional_phrase(self, word: str | None, frame: TmrFrame) -> Constituent:
         obj, _ = self.nominal(frame, "nominal")
-        return self._shared(("prepositional-phrase", word, id(obj)), lambda: Constituent(
-            "prepositional-phrase", children=(Constituent("preposition", lemma=word), obj)))
+        key = ("prepositional-phrase", word, id(obj))
+        built = self.built.get(key)
+        if built is None:
+            built = self.built[key] = Constituent(
+                "prepositional-phrase", children=(Constituent("preposition", lemma=word), obj))
+        return built
 
     def _nominal(self, frame: TmrFrame, function: str,
                  choice: CandidateSense) -> tuple[Constituent, Features]:
@@ -336,11 +319,14 @@ class _Builder:
              suppress_subject: bool, base_only: bool) -> tuple:
         """The choice's construction for frame, compiled once per forest."""
         passive = choice.passive and not suppress_subject
-        return self._shared(
-            ("plan", frame.instance_id, choice.sense, choice.lemma, passive, tense,
-             suppress_subject, base_only),
-            lambda: _compile(self.tmr, frame, choice.sense, choice.lemma, passive=passive,
-                             tense=tense, suppress_subject=suppress_subject, base_only=base_only))
+        key = ("plan", frame.instance_id, choice.sense, choice.lemma, passive, tense,
+               suppress_subject, base_only)
+        built = self.built.get(key)
+        if built is None:
+            built = self.built[key] = _compile(
+                self.tmr, frame, choice.sense, choice.lemma, passive=passive, tense=tense,
+                suppress_subject=suppress_subject, base_only=base_only)
+        return built
 
     def fill(self, plan: tuple) -> list[Constituent]:
         """The plan's children for this set: each hole filled from the
@@ -349,14 +335,15 @@ class _Builder:
         children: list[Constituent] = []
         subject = _THIRD_SINGULAR
         for kind, held, function in items:
-            inner = self.cs.choices.get(held.instance_id) if kind == _VERBAL else None
             if kind == _LEAF:
                 children.append(held)
             elif kind == _PREPOSITIONAL:
                 children.append(self.prepositional_phrase(function, held))
-            elif inner is not None and inner.sense.is_argument_taking:
-                children.append(self.embedded_phrase(held, inner))
             else:
+                inner = self.cs.choices.get(held.instance_id) if kind == _VERBAL else None
+                if inner is not None and inner.sense.is_argument_taking:
+                    children.append(self.embedded_phrase(held, inner))
+                    continue
                 constituent, features = self.nominal(held, function)
                 children.append(constituent)
                 if kind == _SUBJECT:
@@ -367,18 +354,23 @@ class _Builder:
 
     def _agreeing(self, verb: Constituent, subject: Features) -> Constituent:
         """verb stamped with the subject's number and person, once per forest."""
-        return self._shared(("agreement", id(verb), subject.number, subject.person),
-                            lambda: Constituent(verb.function, lemma=verb.lemma, features=Features(
-                                tense=verb.features.tense, number=subject.number,
-                                person=subject.person)))
+        key = ("agreement", id(verb), subject.number, subject.person)
+        built = self.built.get(key)
+        if built is None:
+            built = self.built[key] = Constituent(verb.function, lemma=verb.lemma,
+                                                  features=Features(tense=verb.features.tense,
+                                                                    number=subject.number,
+                                                                    person=subject.person))
+        return built
 
     def embedded_phrase(self, frame: TmrFrame, choice: CandidateSense) -> Constituent:
-        def make():
+        key = (frame.instance_id, "verb-phrase", self._phrase_reads(frame, choice))
+        built = self.built.get(key)
+        if built is None:
             plan = self.plan(frame, choice, tense="present", suppress_subject=True,
                              base_only=True)
-            return Constituent("verb-phrase", children=tuple(self.fill(plan)))
-        return self._shared((frame.instance_id, "verb-phrase",
-                             self._phrase_reads(frame, choice)), make)
+            built = self.built[key] = Constituent("verb-phrase", children=tuple(self.fill(plan)))
+        return built
 
     def clause(self, frame: TmrFrame, choice: CandidateSense,
                tense: str) -> tuple[Constituent, str, str]:

@@ -211,7 +211,7 @@ def rank_every_set(tmr: Tmr, kb: KnowledgeBase, config: GenerationConfig | None 
     tables = bundled_morphology()
     for solution in solutions:
         realize(solution, tables)
-    return rank(solutions, tmr, bundled_frequency(), config)
+    return rank(solutions, bundled_frequency(), config)
 
 
 def ranked_rows(sentences) -> list[tuple]:

@@ -149,6 +149,20 @@ def test_pruned_meaning_exits_2_with_trace_on_stderr(tmp_path):
                for line in proc.stderr.splitlines())
 
 
+@pytest.mark.parametrize("animal", [{"COLOR": "blue"}, {}], ids=["modified", "bare"])
+def test_an_adjective_never_heads_a_frame(tmp_path, animal):
+    """ANIMAL and its ancestors below OBJECT have no noun, and the bundled
+    adjectives have head OBJECT: no sense covers the frame."""
+    path = tmp_path / "animal.json"
+    path.write_text(json.dumps({"schema": "ontogen-tmr/1", "frames": {
+        "WALK-1": {"AGENT": "ANIMAL-2"}, "ANIMAL-2": animal}}))
+    proc = run_cli("generate", "--tmr", str(path))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines()[-1] == \
+        "error: no lexical sense covers ANIMAL-2 (concept ANIMAL or any ancestor)"
+
+
 def test_malformed_input_exits_1(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{ not json")
@@ -403,6 +417,13 @@ def test_inspect_shows_ancestry_constraints_and_senses():
     assert "moor-v1" in body
     assert "narrowed to" in body
     assert "synonyms: " in body
+
+
+def test_inspect_lists_every_sense_a_concept_heads_modifiers_included():
+    proc = run_cli("inspect", "--concept", "OBJECT")
+    assert proc.returncode == 0
+    assert [line.split()[0] for line in proc.stdout.splitlines()[3:]] == [
+        "attractive-adj1", "blue-adj1", "funny-adj1", "lovely-adj1", "pretty-adj1"]
 
 
 def test_inspect_unknown_concept_exits_1():

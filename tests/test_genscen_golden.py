@@ -1,0 +1,63 @@
+"""Golden digests of the 300 `tests/genscen.py` scenarios.
+
+For every seed in 0-299, each scenario is generated twice: plain, and with
+a one-line discourse history. The full JSON report
+(``cli._render_json(report, every sentence, trace=True, dump=True)``) is
+hashed with SHA-256; a scenario that cannot be expressed is hashed as its
+error type and message. Genscen KBs hold no proper names, so the history
+variant pins that a history without the sentence's names changes nothing.
+No report names the temporary directory a scenario's KB is written to.
+So sentences, totals, terms, signatures, ledgers,
+trees, counts, messages and trace are all pinned for 600 reports without
+committing them.
+
+After a deliberate output change, regenerate the digests from the
+repository root with
+
+    PYTHONPATH=src python tests/test_genscen_golden.py
+
+and say in the change which seeds moved and why.
+"""
+from __future__ import annotations
+
+import hashlib
+import json
+from pathlib import Path
+
+from genscen import build_scenario
+from ontogen import OntogenError, generate
+from ontogen.cli import _render_json
+
+DIGESTS = Path(__file__).resolve().parent / "golden" / "genscen" / "digests.json"
+SEEDS = range(300)
+HISTORY = ("Tom met a person and a box.",)
+VARIANTS = {"plain": (), "history": HISTORY}
+
+
+def report_text(seed: int, history: tuple[str, ...]) -> str:
+    """The seed's full JSON report, or its error type and message."""
+    kb, tmr = build_scenario(seed)
+    try:
+        report = generate(tmr, kb, history=history)
+    except OntogenError as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return _render_json(report, len(report.sentences), trace=True, dump=True)
+
+
+def digests() -> dict[str, str]:
+    return {f"{seed}/{variant}": hashlib.sha256(
+                report_text(seed, history).encode("utf-8")).hexdigest()
+            for seed in SEEDS for variant, history in VARIANTS.items()}
+
+
+def test_every_genscen_report_matches_its_digest():
+    expected = json.loads(DIGESTS.read_text(encoding="utf-8"))
+    actual = digests()
+    assert actual.keys() == expected.keys()
+    moved = [key for key in actual if actual[key] != expected[key]]
+    assert not moved, f"{len(moved)} genscen reports moved: {', '.join(moved)}"
+
+
+if __name__ == "__main__":
+    DIGESTS.parent.mkdir(parents=True, exist_ok=True)
+    DIGESTS.write_text(json.dumps(digests(), indent=1, sort_keys=False) + "\n", encoding="utf-8")

@@ -4,18 +4,22 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import DATA, load_fixture
 from morphdata import ARTICLE_CASES, PLURAL_CASES, REGULAR_VERBS, VERB_CASES
 from ontogen import SchemaError, generate, parse_tmr, realizer, selector
 from ontogen.realizer import (
+    bundled_morphology,
     indefinite_article,
     inflect_verb,
     parse_morphology,
     pluralize,
     pronoun_form,
+    realize,
 )
-from ontogen.solution import Features
+from ontogen.solution import CandidateSolution, Constituent, Features
 
 
 def test_the_tables_cover_at_least_fifty_forms():
@@ -156,6 +160,87 @@ def test_sentences_are_capitalized_and_terminated(kb):
             assert first_alpha == first_alpha.upper()
             assert text[-1] in ".?!"
             assert "  " not in text
+
+
+# --- assembly from shared pieces -----------------------------------------------
+
+# Leaf words: articles, exception-list heads, multiword tokens, tokens that
+# open with or contain a comma or apostrophe, a first character that is not
+# a letter, non-ASCII letters, and an empty lemma that yields no token.
+_WORDS = ["a", "a", "A", "an", "the", "hour", "unicorn", "apple", "box", "will be", "will",
+          ",", ", dammit", "'s", "'", "x ,y", "x 'y", "1st", "  egg", "élan", "Ünit", "?", ""]
+_MOODS = ["declarative", "interrogative", "imperative"]
+
+
+def _piece_spec():
+    """A leaf word, a proper name ("P", word), or a list of pieces."""
+    leaf = st.sampled_from(_WORDS) | st.tuples(st.just("P"), st.sampled_from(_WORDS))
+    return st.recursive(leaf, lambda inner: st.lists(inner, max_size=4), max_leaves=10)
+
+
+@st.composite
+def _clauses(draw):
+    """A pool of pieces and clauses that each pick pieces from the pool, so
+    clauses share pieces as a request's sets do."""
+    pool = draw(st.lists(_piece_spec(), min_size=1, max_size=5))
+    picks = st.lists(st.integers(min_value=0, max_value=len(pool) - 1), max_size=5)
+    return pool, draw(st.lists(picks, min_size=1, max_size=4)), draw(st.sampled_from(_MOODS))
+
+
+def _build(spec) -> Constituent:
+    if isinstance(spec, str):
+        return Constituent("fixed-word", lemma=spec)
+    if isinstance(spec, tuple):
+        return Constituent("noun-head", lemma=spec[1], proper=True)
+    return Constituent("nominal", children=tuple(_build(child) for child in spec))
+
+
+def _reference(tables, root: Constituent, mood: str) -> tuple[str, tuple[str, ...]]:
+    """The whole tree's tokens, then articles token by token, then the join
+    and the capital: the sentence and names realize must give."""
+    leaves = [node for node in root.walk() if node.is_leaf]
+    tokens = [node.lemma for node in leaves if node.lemma]
+    names = tuple(node.lemma for node in leaves if node.proper and node.lemma)
+    resolved = []
+    for index, token in enumerate(tokens):
+        if token == "a" and index + 1 < len(tokens):
+            token = indefinite_article(tables, tokens[index + 1].split()[0])
+        resolved.append(token)
+    text = ""
+    for token in resolved:
+        if not text:
+            text = token
+        elif token.startswith(",") or token.startswith("'"):
+            text += token
+        else:
+            text += " " + token
+    for index, char in enumerate(text):
+        if char.isalpha():
+            text = text[:index] + char.upper() + text[index + 1:]
+            break
+    return text + {"declarative": ".", "interrogative": "?", "imperative": "!"}[mood], names
+
+
+@given(_clauses())
+@example(([["the", "a"], ["hour", "x"], "a"], [[0, 1], [1, 2], [2, 2, 0]], "declarative"))
+@example(([", x", "'s", "1st", ["x ,y", "x 'y"], "will be"], [[0, 1, 3], [2, 4], [1]],
+          "interrogative"))
+@example(([["a", ("P", "Ünit")], ["a"], [[["a"]], "  egg"]], [[1, 0], [1, 2], [2, 1]],
+          "imperative"))
+@example(([""], [[0], []], "declarative"))
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_realize_matches_a_whole_tree_linearization(case):
+    pool_specs, picks, mood = case
+    tables = bundled_morphology()
+    pool = [_build(spec) for spec in pool_specs]
+    memo: dict = {}
+    for chosen in picks:
+        root = Constituent("clause", children=tuple(pool[index] for index in chosen))
+        expected = _reference(tables, root, mood)
+        for shared in (memo, None):
+            solution = CandidateSolution(None, root, mood, "present", "active", "X")
+            assert (realize(solution, tables, shared), solution.names) == expected
+            assert solution.sentence == expected[0]
 
 
 def test_the_bundled_tables_are_read_once_per_process(kb, monkeypatch):

@@ -11,8 +11,8 @@ from conftest import load_fixture
 from ontogen import FrequencyTable, SchemaError, generate, selector
 from ontogen.pipeline import run_lexical_selection
 from ontogen.realizer import realize
-from ontogen.selector import (extra_mentions, history_mentions, load_frequency, parse_frequency,
-                              rank, repetition_count)
+from ontogen.selector import (HistoryMentions, extra_mentions, history_mentions, load_frequency,
+                              parse_frequency, rank, repetition_count)
 from ontogen.solution import build_solution
 
 
@@ -67,11 +67,11 @@ def test_frequency_numbers_beyond_the_float_range_are_rejected(tmp_path, text, m
 def test_repetition_counts_whole_word_mentions_only(kb, config, morph):
     _, solutions = _solutions("walk_named_agent", kb, config, morph)
     johnny = next(s for s in solutions if "Johnny" in (s.sentence or ""))
-    assert repetition_count(johnny, ()) == 0
-    assert repetition_count(johnny, ("Johnny jumped.",)) == 1
-    assert repetition_count(johnny, ("Johnny met Johnny's twin.",)) == 2
+    assert repetition_count(johnny, HistoryMentions(())) == 0
+    assert repetition_count(johnny, HistoryMentions(("Johnny jumped.",))) == 1
+    assert repetition_count(johnny, HistoryMentions(("Johnny met Johnny's twin.",))) == 2
     # substrings of other words never count
-    assert repetition_count(johnny, ("Johnnyson ran.",)) == 0
+    assert repetition_count(johnny, HistoryMentions(("Johnnyson ran.",))) == 0
 
 
 # Names and the text around them: regex metacharacters, white space,
@@ -123,7 +123,7 @@ def test_extra_mentions_equal_the_regex_count_past_the_first(case):
 
 def test_rank_scans_the_history_once_per_distinct_name(kb, freq, morph, config, monkeypatch):
     tmr, solutions = _solutions("fasten_painting_nlu", kb, config, morph)
-    names = {name for sol in solutions for name in sol.proper_names()}
+    names = {name for sol in solutions for name in sol.names}
     assert names == {"Tom"} and len(solutions) >= 10
     history = ("Tom walked.", "Johnny met Tom's dog.") * 100
     scans = []
@@ -133,7 +133,7 @@ def test_rank_scans_the_history_once_per_distinct_name(kb, freq, morph, config, 
         return history_mentions(name, lines)
 
     monkeypatch.setattr(selector, "history_mentions", counting)
-    ranked = rank(solutions, tmr, freq, config, history)
+    ranked = rank(solutions, freq, config, history)
     assert sorted(scans) == sorted(names)
     assert {dict(s.terms)["repetition"] for s in ranked} == {-config.repetition_penalty * 200}
 
@@ -142,7 +142,7 @@ def test_pronoun_sentences_never_accrue_repetition(kb, config, morph):
     _, solutions = _solutions("walk_named_agent", kb, config, morph)
     for sol in solutions:
         if "Johnny" not in (sol.sentence or ""):
-            assert repetition_count(sol, ("Johnny walked.",) * 3) == 0
+            assert repetition_count(sol, HistoryMentions(("Johnny walked.",) * 3)) == 0
 
 
 # --- scoring terms -----------------------------------------------------------------
@@ -195,7 +195,7 @@ def test_equal_totals_break_ties_alphabetically(kb):
 def test_length_tie_break_prefers_shorter_sentences(kb, freq, morph, config):
     tmr, solutions = _solutions("fasten_painting", kb, config, morph)
     stretched = config._replace(length_tie_break=0.5)
-    report = rank(solutions, tmr, freq, stretched)
+    report = rank(solutions, freq, stretched)
     texts = [s.sentence for s in report]
     # "picture" is a letter shorter than "painting", so it now wins the tie
     assert texts.index("Tom secured a picture to the wall.") \
@@ -207,7 +207,7 @@ def test_length_tie_break_prefers_shorter_sentences(kb, freq, morph, config):
 
 def test_duplicate_sentences_keep_only_the_best_row(kb, freq, morph, config):
     tmr, solutions = _solutions("moor_ship", kb, config, morph)
-    report = rank(solutions + solutions, tmr, freq, config)
+    report = rank(solutions + solutions, freq, config)
     texts = [s.sentence for s in report]
     assert len(texts) == len(set(texts))
     assert report[0].sentence == "They moored the ship."
@@ -216,5 +216,5 @@ def test_duplicate_sentences_keep_only_the_best_row(kb, freq, morph, config):
 def test_unrealized_solutions_are_skipped(kb, freq, morph, config):
     tmr, solutions = _solutions("moor_ship", kb, config, morph)
     solutions[0].sentence = None
-    report = rank(solutions, tmr, freq, config)
+    report = rank(solutions, freq, config)
     assert all(s.sentence for s in report)

@@ -6,8 +6,8 @@ import json
 import pytest
 
 from conftest import TMR_DIR, load_fixture
-from ontogen import AllSetsPruned, NoRealizableSense, generate, parse_tmr, realizer, solution
-from ontogen.pipeline import run_lexical_selection
+from ontogen import AllSetsPruned, NoRealizableSense, engine, generate, parse_tmr, realizer, solution
+from ontogen.pipeline import CandidateSense, run_lexical_selection
 from ontogen.solution import build_solution, derive_tense, find_root_frame
 
 
@@ -254,6 +254,55 @@ def test_a_request_compiles_each_construction_once_and_inflects_each_leaf_once(
     # the main verb of every set is one shared leaf per lemma, inflected once
     verbs = [leaf.lemma for leaf in inflected if leaf.function == "main-verb"]
     assert sorted(verbs) == sorted(set(verbs))
+
+
+class _NoTree:
+    def __getattr__(self, name):
+        raise AssertionError(f"rank read {name!r} of a constituent tree")
+
+
+def test_a_set_is_assembled_from_shared_pieces_and_ranked_without_its_tree(kb, monkeypatch):
+    memos, ranked_choices, described = [], [], []
+    realize_real, rank_real, describe_real = engine.realize, engine.rank, CandidateSense.describe
+
+    def realize_seen(solution, tables, memo=None):
+        memos.append(memo)
+        return realize_real(solution, tables, memo)
+
+    def rank_without_trees(solutions, *args):
+        roots = [sol.root for sol in solutions]
+        for sol in solutions:
+            sol.root = _NoTree()
+        try:
+            ranked = rank_real(solutions, *args)
+        finally:
+            for sol, root in zip(solutions, roots):
+                sol.root = root
+        ranked_choices.extend(c for s in ranked for c in s.solution.candidate_set.choices.values())
+        return ranked
+
+    def describe_counted(choice):
+        described.append(choice)  # held, so no two choices share an id
+        return describe_real(choice)
+
+    expected = generate(load_fixture("fasten_painting_nlu"), kb)
+    monkeypatch.setattr(engine, "realize", realize_seen)
+    monkeypatch.setattr(engine, "rank", rank_without_trees)
+    monkeypatch.setattr(CandidateSense, "describe", describe_counted)
+    report = generate(load_fixture("fasten_painting_nlu"), kb)
+
+    assert report.counts["after-synonyms"] == len(memos) == 20
+    assert [(s.sentence, s.total, s.signature, s.ledger) for s in report.sentences] == [
+        (s.sentence, s.total, s.signature, s.ledger) for s in expected.sentences]
+    # one memo per request, holding the pieces the clauses share but no clause
+    memo = memos[0]
+    assert all(m is memo for m in memos) and memo
+    assert {piece[-1].function for piece in memo.values()}.isdisjoint({"clause"})
+    assert not {id(s.solution.root) for s in report.sentences} & memo.keys()
+    # each choice of the ranked sets is described once per rank call
+    assert len({id(c) for c in described}) == len(described)
+    assert {id(c) for c in described} == {id(c) for c in ranked_choices}
+    assert len(described) < len(ranked_choices)
 
 
 # --- totality over the corpus -------------------------------------------------------
