@@ -3,17 +3,24 @@
 Four subcommands: generate (TMR to ranked sentences), strip (drop analyzer
 metadata from a TMR), validate (load-time invariant checks), inspect
 (show a concept with its constraints and senses). Exit codes are stable:
-0 success, 1 input or schema error, 2 inexpressible meaning. All report
-content goes to standard output and is byte-stable for fixed inputs;
-timing and load-time warnings go to standard error.
+0 success, 1 input or schema error or a report that cannot be written,
+2 inexpressible meaning. All report content goes to standard output and
+is byte-stable for fixed inputs; timing and load-time warnings go to
+standard error.
+
+`run()` is the process entry point (`ontogen`, `python -m ontogen.cli`):
+it ends the process without interpreter teardown once the output is
+flushed. `main()` returns its exit code to a Python caller.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from pathlib import Path
+from typing import NoReturn
 
 from .config import GenerationConfig, load_config
 from .engine import RunReport, generate
@@ -220,11 +227,21 @@ def _warn(source: str, warnings: list[str]) -> None:
         print(f"warning: {source}: {message}", file=sys.stderr)
 
 
+class _WriteError(OntogenError):
+    def __init__(self, target: str, exc: OSError):
+        super().__init__(f"{target}: cannot write file: {exc.strerror or exc}")
+
+
 def _emit(text: str, out_path: str | None) -> None:
-    if out_path:
-        Path(out_path).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+    """Write the report to out_path, or to stdout and flush it there."""
+    try:
+        if out_path:
+            Path(out_path).write_text(text, encoding="utf-8")
+        else:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+    except OSError as exc:
+        raise _WriteError(out_path or "<stdout>", exc) from None
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +288,7 @@ def cmd_validate(args) -> int:
         tmr = parse_tmr_file(args.tmr)
         _warn(tmr.source, tmr.warnings)
         lines.append(f"ok: tmr {len(tmr.frames)} frames")
-    sys.stdout.write("\n".join(lines) + "\n")
+    _emit("\n".join(lines) + "\n", None)
     return 0
 
 
@@ -308,7 +325,7 @@ def cmd_inspect(args) -> int:
         lines.append(f"  {sense.id} \"{sense.headword}\" ({sense.pos}): {summary}")
         if sense.synonyms:
             lines.append(f"    synonyms: {', '.join(sense.synonyms)}")
-    sys.stdout.write("\n".join(lines) + "\n")
+    _emit("\n".join(lines) + "\n", None)
     return 0
 
 
@@ -330,5 +347,21 @@ def main(argv=None) -> int:
         return 1
 
 
+def run() -> NoReturn:
+    """Run main() as the whole process: flush the output, then end with
+    os._exit, so the interpreter does not tear down every module and object.
+    What escapes main() still takes the normal exit: argparse's SystemExit,
+    or an unexpected exception with its traceback."""
+    code = main()
+    try:
+        sys.stdout.flush()
+    except OSError as exc:
+        if code == 0:  # otherwise the failed _emit has reported it
+            print(f"error: {_WriteError('<stdout>', exc)}", file=sys.stderr)
+            code = 1
+    sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

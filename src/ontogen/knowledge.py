@@ -572,6 +572,9 @@ def _parse_lexicon(data: dict, source: str) -> Lexicon:
                                         source=source)
             roots = _strings(n["root"], f"{sid}: syn-struc {cat} root", source) \
                 if "root" in n else None
+            if roots and not all(word.strip() for word in roots):
+                raise KbValidationError(f"{sid}: syn-struc {cat} root words must not be blank",
+                                        source=source)
             optional = n.get("opt", False)
             if not isinstance(optional, bool):
                 raise KbValidationError(f"{sid}: syn-struc {cat} opt must be true or false, "

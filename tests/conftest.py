@@ -54,12 +54,19 @@ def load_fixture(name: str):
     return parse_tmr_file(fixture_path(name))
 
 
-def run_cli(*argv, stdin=None):
-    """`python -m ontogen.cli` with the same ontogen this test run imported."""
+def cli_env() -> dict[str, str]:
+    """An environment in which a child process imports the ontogen this test run imported."""
     paths = (str(Path(ontogen.__file__).parents[1]), os.environ.get("PYTHONPATH"))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
-    return subprocess.run([sys.executable, "-m", "ontogen.cli", *argv],
-                          capture_output=True, text=True, input=stdin, env=env)
+    # stdout buffered, as by default: a report the process does not flush is lost
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
+
+
+def run_cli(*argv, stdin=None, stdout=subprocess.PIPE, text=True):
+    """`python -m ontogen.cli` with the same ontogen this test run imported."""
+    return subprocess.run([sys.executable, "-m", "ontogen.cli", *argv], stdout=stdout,
+                          stderr=subprocess.PIPE, text=text, input=stdin, env=cli_env())
 
 
 @pytest.fixture

@@ -1,16 +1,20 @@
 """End-to-end command line behavior via subprocess."""
 from __future__ import annotations
 
+import errno
 import json
+import os
+import re
 import shutil
 import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import DATA, KB_DIR, fixture_path, run_cli
+from conftest import DATA, KB_DIR, cli_env, fixture_path, run_cli
 from ontogen import (
     generate,
     parse_tmr,
@@ -262,6 +266,19 @@ def test_a_blank_name_is_rejected_at_load(tmp_path, capsys, command):
     assert "HAS-NAME must not be blank" in err
 
 
+def test_a_blank_root_word_is_rejected_at_load(tmp_path, capsys):
+    doc = json.loads((KB_DIR / "lexicon.json").read_text())
+    walk = next(sense for sense in doc["senses"] if sense["id"] == "walk-v1")
+    walk["syn-struc"] += [{"cat": "adv", "var": 9, "root": ["a"]},
+                          {"cat": "adv", "var": 8, "root": [" "]}]
+    path = tmp_path / "lexicon.json"
+    path.write_text(json.dumps(doc))
+    argv = ["generate", "--lexicon", str(path), "--tmr", str(fixture_path("walk_intransitive"))]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == \
+        f"error: {path}: walk-v1: syn-struc adv root words must not be blank\n"
+
+
 @pytest.mark.parametrize("agent, shown", [("HUMAN-2", "HUMAN-2"), ("HUMAN", "HUMAN"),
                                           ("tall", "tall"), (0.5, "0.5")],
                          ids=["instance", "concept", "literal", "scalar"])
@@ -432,6 +449,38 @@ def test_inspect_unknown_concept_exits_1():
     assert "unknown concept" in proc.stderr
 
 
+# --- write failures ----------------------------------------------------------------
+
+@pytest.mark.parametrize("command, target, code", [
+    ("generate", Path("missing") / "x.json", errno.ENOENT),
+    ("strip", Path("."), errno.EISDIR),
+], ids=["missing-directory", "a-directory"])
+def test_an_out_file_that_cannot_be_written_is_a_one_line_error(tmp_path, command, target,
+                                                                 code):
+    out = tmp_path / target
+    proc = run_cli(command, "--tmr", str(fixture_path("moor_ship")), "--out", str(out))
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == f"error: {out}: cannot write file: {os.strerror(code)}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate"],
+    ["generate", "--tmr", str(fixture_path("fasten_painting_nlu")), "--format", "json",
+     "--trace", "--dump-solutions", "--top", "1000000"],
+], ids=["short-report", "long-report"])
+def test_a_closed_stdout_pipe_is_a_one_line_error(argv):
+    # a short report fails when it is flushed, a long one when it is written
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = run_cli(*argv, stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == f"error: <stdout>: cannot write file: {os.strerror(errno.EPIPE)}\n"
+
+
 # --- console script ------------------------------------------------------------------
 
 def test_console_script_is_installed():
@@ -439,5 +488,17 @@ def test_console_script_is_installed():
     if exe is None:
         pytest.skip("console script not on PATH in this environment")
     proc = subprocess.run([exe, "validate"], capture_output=True, text=True)
+    assert proc.returncode == 0
+    assert "ok: ontology" in proc.stdout
+
+
+def test_the_console_script_runs_the_process_entry_point():
+    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    scripts = re.search(r"^\[project\.scripts\]\n(.*?)(?=^\[|\Z)", pyproject, re.M | re.S)
+    assert re.findall(r'^(\S+)\s*=\s*"([^"]*)"', scripts.group(1), re.M) == \
+        [("ontogen", "ontogen.cli:run")]
+    code = "import sys; from ontogen.cli import run; sys.argv[0] = 'ontogen'; run()"
+    proc = subprocess.run([sys.executable, "-c", code, "validate"], capture_output=True,
+                          text=True, env=cli_env())
     assert proc.returncode == 0
     assert "ok: ontology" in proc.stdout

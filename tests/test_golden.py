@@ -7,7 +7,9 @@ Each file under tests/golden/ is the stdout of
 
 so sentences, totals, terms, ledgers, exclusions, counts, messages and
 constituent trees are all pinned. After a deliberate output change,
-regenerate them with that command and review the diff.
+regenerate them with that command and review the diff. Each report is
+checked twice: from main() in-process, and from the stdout of a
+`python -m ontogen.cli` process.
 """
 from __future__ import annotations
 
@@ -15,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import TMR_DIR, fixture_path
+from conftest import TMR_DIR, fixture_path, run_cli
 from ontogen.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -27,10 +29,33 @@ def test_every_expressible_fixture_has_a_golden():
     assert {path.stem for path in GOLDEN.glob("*.json")} == fixtures
 
 
-@pytest.mark.parametrize("name", sorted(path.stem for path in GOLDEN.glob("*.json")))
+GOLDENS = sorted(path.stem for path in GOLDEN.glob("*.json"))
+
+
+def _argv(name: str) -> list[str]:
+    return ["generate", "--tmr", str(fixture_path(name)), "--format", "json",
+            "--trace", "--dump-solutions", "--top", "1000000"]
+
+
+@pytest.mark.parametrize("name", GOLDENS)
 def test_report_matches_the_golden_bytes(name, tmp_path):
     out = tmp_path / f"{name}.json"
-    assert main(["generate", "--tmr", str(fixture_path(name)), "--format", "json",
-                 "--trace", "--dump-solutions", "--top", "1000000",
-                 "--out", str(out)]) == 0
+    assert main(_argv(name) + ["--out", str(out)]) == 0
     assert out.read_bytes() == (GOLDEN / f"{name}.json").read_bytes()
+
+
+@pytest.mark.parametrize("name", GOLDENS)
+def test_a_process_prints_the_golden_bytes(name):
+    # the process ends in os._exit: its report must be flushed before that
+    proc = run_cli(*_argv(name), text=False)
+    assert proc.returncode == 0
+    assert proc.stdout == (GOLDEN / f"{name}.json").read_bytes()
+
+
+def test_a_process_writes_the_largest_golden_to_its_out_file(tmp_path):
+    golden = max(GOLDEN.glob("*.json"), key=lambda path: path.stat().st_size)
+    out = tmp_path / golden.name
+    proc = run_cli(*_argv(golden.stem), "--out", str(out))
+    assert proc.returncode == 0
+    assert proc.stdout == ""
+    assert out.read_bytes() == golden.read_bytes()
