@@ -9,9 +9,11 @@ a sentence contains. What one set costs rank(): its ledger, built once for
 its score and its report; its root choice's frequency; and, for a set whose
 sentence holds a name, that name's extra mentions inside the sentence,
 counted only when the sentence holds it twice as a substring. It reads the
-names realize recorded and walks no tree. Per rank() call, the history is
-scanned once per distinct name and each choice is described once, for the
-signatures of every set that holds it.
+names realize recorded and walks no tree. Per rank() call, the whole
+history is scanned once per distinct name, as one text, by a pattern that
+leads with the name so that ``re`` looks for it as a literal prefix; and
+each choice is described once, for the signatures of every set that holds
+it.
 """
 
 from __future__ import annotations
@@ -85,14 +87,27 @@ class ScoredSentence:
 
 
 def _pattern(name: str) -> re.Pattern:
-    return re.compile(rf"\b{re.escape(name)}\b")
+    """Whole-word mentions of name: a match of ``\\b<name>\\b``. The name
+    leads, so ``re`` finds candidates by its literal-prefix search; the
+    leading ``\\b`` becomes a lookbehind over the character before it."""
+    if not name:
+        return re.compile(r"\b")
+    escaped = re.escape(name)
+    first = name[0]
+    # what \b reads as a word character
+    if first.isalnum() or first == "_":
+        return re.compile(rf"{escaped}(?<!\w{escaped})\b")
+    return re.compile(rf"{escaped}(?<=\w{escaped})\b")
 
 
 def history_mentions(name: str, history: tuple[str, ...]) -> int:
-    """Whole-word mentions of name summed over the history lines. A line
-    without name as a substring holds no match, so only the rest are
-    searched."""
+    """Whole-word mentions of name summed over the history lines, in one
+    scan of the lines joined by newlines. A match of a name without a
+    newline stays inside one line, and the newline reads as the line's
+    edge; an empty name, or one with a newline, is counted line by line."""
     pattern = _pattern(name)
+    if name and "\n" not in name:
+        return len(pattern.findall("\n".join(history)))
     return sum(len(pattern.findall(line)) for line in history if name in line)
 
 
@@ -107,7 +122,7 @@ def extra_mentions(name: str, sentence: str) -> int:
 
 class HistoryMentions(dict):
     """Each proper name's whole-word mentions in a discourse history, counted
-    the first time the name is looked up."""
+    by one scan of the whole history the first time the name is looked up."""
 
     def __init__(self, history: tuple[str, ...]):
         super().__init__()

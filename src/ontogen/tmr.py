@@ -5,7 +5,8 @@ attributes, and time information. Files use schema "ontogen-tmr/1".
 Filler typing is conventional: UPPER-CASE-42 is an instance reference,
 UPPER-CASE a concept reference, numbers are scalars, "(< routine)" is a
 procedural time call, DD.MM.YYYY a calendar date, HH:MM a clock time,
-and anything else a string literal.
+and anything else a string literal. HAS-NAME and GENDER are never
+typed: each holds one string, as written.
 """
 
 from __future__ import annotations
@@ -28,12 +29,15 @@ SCHEMA_TMR = "ontogen-tmr/1"
 
 CASE_ROLES = ("AGENT", "THEME", "DESTINATION", "INSTRUMENT", "BENEFICIARY", "SOURCE")
 TIME_SLOTS = ("TIME", "DATE", "CLOCK-TIME")
+# Slots whose filler is one string, kept as written and never typed.
+_NAME_SLOTS = ("HAS-NAME", "GENDER")
 # Bookkeeping slots that no lexical sense is asked to express.
-RESERVED_SLOTS = TIME_SLOTS + ("CARDINALITY", "HAS-NAME", "GENDER")
+RESERVED_SLOTS = TIME_SLOTS + ("CARDINALITY",) + _NAME_SLOTS
 
-_DATE_RE = re.compile(r"(\d{2})\.(\d{2})\.(\d{4})")
-_CLOCK_RE = re.compile(r"(\d{1,2}):(\d{2})")
-_CALL_RE = re.compile(r"\(\s*(\S+)\s+([A-Za-z][A-Za-z0-9-]*)\s*\)")
+# Pattern texts, compiled by re on first use: only time fillers read them.
+_DATE_RE = r"(\d{2})\.(\d{2})\.(\d{4})"
+_CLOCK_RE = r"(\d{1,2}):(\d{2})"
+_CALL_RE = r"\(\s*(\S+)\s+([A-Za-z][A-Za-z0-9-]*)\s*\)"
 
 
 class RelativeTime(str, Enum):
@@ -196,7 +200,7 @@ def _parse_filler(slot: str, raw, source: str) -> Filler:
     # each pattern below fixes its first character, so at most two are tried
     first = raw[:1]
     if first == "(":
-        call = _CALL_RE.fullmatch(raw)
+        call = re.fullmatch(_CALL_RE, raw)
         if call:
             if slot != "TIME":
                 raise TmrError(f"procedural call {raw!r} outside a TIME slot", source=source)
@@ -215,7 +219,7 @@ def _parse_filler(slot: str, raw, source: str) -> Filler:
 
 def _parse_moment(raw: str, source: str) -> Filler:
     """A DD.MM.YYYY date, an HH:MM clock time, or else the string itself."""
-    m = _DATE_RE.fullmatch(raw)
+    m = re.fullmatch(_DATE_RE, raw)
     if m:
         import datetime as dt
         day, month, year = (int(g) for g in m.groups())
@@ -223,7 +227,7 @@ def _parse_moment(raw: str, source: str) -> Filler:
             return dt.date(year, month, day)
         except ValueError as exc:
             raise TmrError(f"bad date {raw!r}: {exc}", source=source) from None
-    m = _CLOCK_RE.fullmatch(raw)
+    m = re.fullmatch(_CLOCK_RE, raw)
     if m:
         import datetime as dt
         hour, minute = int(m.group(1)), int(m.group(2))
@@ -240,11 +244,9 @@ def _parse_reference_time(raw: str, source: str) -> dt.datetime:
     date = clock = None
     for part in parts:
         try:
-            if _DATE_RE.fullmatch(part):
-                m = _DATE_RE.fullmatch(part)
+            if m := re.fullmatch(_DATE_RE, part):
                 date = dt.date(int(m.group(3)), int(m.group(2)), int(m.group(1)))
-            elif _CLOCK_RE.fullmatch(part):
-                m = _CLOCK_RE.fullmatch(part)
+            elif m := re.fullmatch(_CLOCK_RE, part):
                 clock = dt.time(int(m.group(1)), int(m.group(2)))
             else:
                 raise TmrError(f"bad reference-time {raw!r}", source=source)
@@ -294,13 +296,17 @@ def parse_tmr(text: str, source: str = "<string>") -> Tmr:
                 if coref == iid:
                     raise TmrError(f"{iid}: {prop} names the frame itself", source=source)
                 continue
-            if isinstance(raw, list):
+            if prop in _NAME_SLOTS:
+                if not isinstance(raw, str):
+                    raise TmrError(f"{iid}: {prop} must be one string, got {raw!r}",
+                                   source=source)
+                if prop == "HAS-NAME" and not raw.strip():
+                    raise TmrError(f"{iid}: HAS-NAME must not be blank", source=source)
+                slots[prop] = (raw,)
+            elif isinstance(raw, list):
                 slots[prop] = tuple([_parse_filler(prop, v, source) for v in raw])
             else:
                 slots[prop] = (_parse_filler(prop, raw, source),)
-            if prop == "HAS-NAME" and any(isinstance(v, str) and not v.strip()
-                                          for v in slots[prop]):
-                raise TmrError(f"{iid}: HAS-NAME must not be blank", source=source)
         frames.append(TmrFrame(instance_id=iid, slots=slots, metadata=meta, coref=coref))
 
     ref_time = None

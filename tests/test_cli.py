@@ -266,6 +266,30 @@ def test_a_blank_name_is_rejected_at_load(tmp_path, capsys, command):
     assert "HAS-NAME must not be blank" in err
 
 
+def _walk_named_agent_with(path: Path, prop: str, value) -> list[str]:
+    doc = json.loads(fixture_path("walk_named_agent").read_text())
+    doc["frames"]["HUMAN-77"][prop] = value
+    path.write_text(json.dumps(doc))
+    return ["generate", "--tmr", str(path), "--top", "1"]
+
+
+@pytest.mark.parametrize("name", ["NASA", "R2-D2", "HAL-9000"])
+def test_a_name_shaped_like_an_id_is_still_a_name(tmp_path, capsys, name):
+    assert main(_walk_named_agent_with(tmp_path / "input.json", "HAS-NAME", name)) == 0
+    assert capsys.readouterr().out == f"1. {name} walked.\n"
+
+
+@pytest.mark.parametrize("prop, value", [("HAS-NAME", 5), ("HAS-NAME", ["Bob", "Tom"]),
+                                         ("GENDER", 5)],
+                         ids=["number-name", "two-names", "number-gender"])
+def test_a_name_or_gender_that_is_not_one_string_is_an_error(tmp_path, capsys, prop, value):
+    path = tmp_path / "input.json"
+    assert main(_walk_named_agent_with(path, prop, value)) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {path}: HUMAN-77: {prop} must be one string, got {value!r}\n"
+
+
 def test_a_blank_root_word_is_rejected_at_load(tmp_path, capsys):
     doc = json.loads((KB_DIR / "lexicon.json").read_text())
     walk = next(sense for sense in doc["senses"] if sense["id"] == "walk-v1")
