@@ -11,7 +11,6 @@ from .config import GenerationConfig, load_config
 from .engine import RunReport, generate
 from .errors import (
     AllSetsPruned,
-    EmptySolution,
     KbValidationError,
     MalformedInstanceId,
     NoRealizableSense,
@@ -28,7 +27,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AllSetsPruned",
-    "EmptySolution",
     "FrequencyTable",
     "GenerationConfig",
     "KbValidationError",

@@ -34,7 +34,7 @@ def generate(tmr: Tmr, kb: KnowledgeBase, config: GenerationConfig | None = None
     inflected: dict = {}
     solutions = []
     for cs in selection.sets:
-        solution = build_solution(cs, tmr, forest)
+        solution = build_solution(cs, forest)
         realize(solution, morph, inflected)
         solutions.append(solution)
     sentences = rank(solutions, freq, config, history)

@@ -47,7 +47,3 @@ class AllSetsPruned(OntogenError):
     def __init__(self, message: str, trace=None):
         self.trace = trace
         super().__init__(message)
-
-
-class EmptySolution(OntogenError):
-    """A solution produced no tokens to realize."""

@@ -24,6 +24,7 @@ SYN_CATEGORIES = ("subj", "v", "directobject", "n", "pp", "prep", "aux", "adv", 
 FUNCTION_CATEGORIES = ("prep", "aux")
 MODIFIER_POS = ("adj", "adv")
 LEXICON_POS = ("n", "v") + MODIFIER_POS
+GENDERS = ("male", "female")
 
 CONCEPT_RE = re.compile(r"[A-Z][A-Z0-9]*(?:-[A-Z0-9]+)*")
 # Trailing "-<digits>" is reserved for instance ids; concept names never end that way.
@@ -229,14 +230,6 @@ class Ontology:
         return False
 
 
-def _as_faceted(needed) -> FacetedConstraint:
-    if needed is None:
-        return FacetedConstraint(sem=ANYTHING)
-    if isinstance(needed, FacetedConstraint):
-        return needed
-    return FacetedConstraint(sem=needed)
-
-
 def _strictly_tighter(onto: Ontology, inner: Constraint, outer: Constraint) -> bool:
     if isinstance(outer, AnythingConstraint):
         return not isinstance(inner, AnythingConstraint)
@@ -249,7 +242,8 @@ def _strictly_tighter(onto: Ontology, inner: Constraint, outer: Constraint) -> b
     return False
 
 
-def match_degree(onto: Ontology, filler, needed, override=None) -> MatchDegree:
+def match_degree(onto: Ontology, filler, base: FacetedConstraint,
+                 over: FacetedConstraint | None) -> MatchDegree:
     """Grade a filler against a faceted constraint, honoring a lexical override.
 
     Returns NONE when the filler violates the effective sem facet, EXACT when
@@ -257,9 +251,6 @@ def match_degree(onto: Ontology, filler, needed, override=None) -> MatchDegree:
     override strictly tighter than the ontological sem, DEFAULT when it also
     satisfies the default facet, and SEM otherwise.
     """
-    base = _as_faceted(needed)
-    over = _as_faceted(override) if override is not None else None
-
     effective = over.effective_sem if over is not None and over.sem is not None else base.effective_sem
     if not onto.satisfies(filler, effective):
         return MatchDegree.NONE
@@ -385,9 +376,6 @@ class Lexicon:
                 if not isinstance(slot, VarBinding):
                     self.by_property.setdefault(prop, []).append((slot, sense))
 
-    def __len__(self) -> int:
-        return len(self.senses)
-
     def senses_by_head_concept(self, concept: str) -> list[LexSense]:
         """The noun and verb senses whose sem-struc head is exactly this
         concept, by sense id."""
@@ -409,14 +397,26 @@ class Lexicon:
 # ---------------------------------------------------------------------------
 # episodic memory
 
+def identity_problem(prop: str, value: str) -> str | None:
+    """What is wrong with a HAS-NAME or GENDER string, if anything: a name
+    is one line, not blank, with no white space at either end; a gender is
+    one of GENDERS, as for a pronoun sense."""
+    if prop == "GENDER":
+        return None if value in GENDERS else f"GENDER must be male or female, got {value!r}"
+    if not value.strip():
+        return "HAS-NAME must not be blank"
+    if len(value.splitlines()) > 1:
+        return f"HAS-NAME must be one line, got {value!r}"
+    if value != value.strip():
+        return f"HAS-NAME must not begin or end with white space, got {value!r}"
+    return None
+
+
 class EpisodicMemory:
     """Remembered instances: identification attributes and event participation."""
 
     def __init__(self, instances: dict[str, dict]):
         self.instances = instances
-
-    def __len__(self) -> int:
-        return len(self.instances)
 
     def knows(self, instance_id: str) -> bool:
         return instance_id in self.instances
@@ -613,7 +613,7 @@ def _parse_lexicon(data: dict, source: str) -> Lexicon:
                 raise KbValidationError(f"{sid}: reference needs person 1-3 and singular/plural",
                                         source=source)
             gender = r.get("gender")
-            if gender not in (None, "male", "female"):
+            if gender not in (None, *GENDERS):
                 raise KbValidationError(f"{sid}: reference gender must be male or female",
                                         source=source)
             reference = PronounRef(person=person, number=number, gender=gender)
@@ -700,8 +700,10 @@ def _parse_memory(data: dict, onto: Ontology, source: str) -> EpisodicMemory:
             raise KbValidationError(
                 f"{iid}: an instance must be an object whose HAS-NAME and GENDER are strings, "
                 f"got {body!r}", source=source)
-        if "HAS-NAME" in body and not body["HAS-NAME"].strip():
-            raise KbValidationError(f"{iid}: HAS-NAME must not be blank", source=source)
+        for prop in ("HAS-NAME", "GENDER"):
+            problem = identity_problem(prop, body[prop]) if prop in body else None
+            if problem:
+                raise KbValidationError(f"{iid}: {problem}", source=source)
     return EpisodicMemory(raw)
 
 

@@ -136,16 +136,10 @@ class CandidateSet:
                 + [(c.unit_key, entry) for c in combo for entry in c.semantic]
                 + [(c.unit_key, entry) for c in combo for entry in c.uncovered])
 
-    @property
-    def score(self) -> float:
-        return ledger_score(self.ledger)
-
-    def signature(self, described: dict[int, str] | None = None) -> str:
+    def signature(self, described: dict[int, str]) -> str:
         """Each unit as "key=description". The sets of one ranking may share
         described, which holds each choice's word by identity, so a choice
         they share is described once; it must not outlive those sets."""
-        if described is None:
-            described = {}
         words = []
         for key, choice in self.choices.items():
             word = described.get(id(choice))

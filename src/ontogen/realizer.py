@@ -255,13 +255,11 @@ def _capitalize(text: str) -> str:
     return text
 
 
-def realize(solution: CandidateSolution, tables: MorphTables, memo: dict | None = None) -> str:
+def realize(solution: CandidateSolution, tables: MorphTables, memo: dict) -> str:
     """The finished sentence; stored on the solution with its proper names.
     The solutions of one request pass one memo, so each piece their clauses
     share is realized once; the clause a solution owns is assembled from
     its children's pieces and is not kept."""
-    if memo is None:
-        memo = {}
     pieces = [memo.get(id(child)) or _piece(tables, child, memo)
               for child in solution.root.children]
     text, _, _, solution.names = _assemble(tables, pieces)

@@ -120,35 +120,14 @@ def extra_mentions(name: str, sentence: str) -> int:
     return max(0, len(_pattern(name).findall(sentence)) - 1)
 
 
-class HistoryMentions(dict):
-    """Each proper name's whole-word mentions in a discourse history, counted
-    by one scan of the whole history the first time the name is looked up."""
-
-    def __init__(self, history: tuple[str, ...]):
-        super().__init__()
-        self.history = history
-
-    def __missing__(self, name: str) -> int:
-        count = self[name] = history_mentions(name, self.history)
-        return count
-
-
-def repetition_count(solution: CandidateSolution, mentions: HistoryMentions) -> int:
-    """Proper-name mentions already present in the discourse history, plus
-    extra mentions inside the sentence itself, for the names realize found."""
-    sentence = solution.sentence or ""
-    repeats = 0
-    for name in dict.fromkeys(solution.names):
-        repeats += mentions[name] + extra_mentions(name, sentence)
-    return repeats
-
-
 def rank(solutions: list[CandidateSolution], freq: FrequencyTable, config: GenerationConfig,
          history: tuple[str, ...] = ()) -> list[ScoredSentence]:
     """Scored, deduplicated, ordered best-first with ranks assigned. Each
     solution names its root frame and holds the names realize found; the
-    sets share one description of each choice they hold."""
-    mentions = HistoryMentions(history)
+    sets share one description of each choice they hold. A set's repeats are
+    its names' mentions in the history, each name counted on its first
+    lookup, plus their extra mentions inside its own sentence."""
+    mentions: dict[str, int] = {}
     described: dict[int, str] = {}
     pipeline_weight, frequency_weight = config.pipeline_weight, config.frequency_weight
     repetition_penalty, length_tie_break = config.repetition_penalty, config.length_tie_break
@@ -160,7 +139,13 @@ def rank(solutions: list[CandidateSolution], freq: FrequencyTable, config: Gener
         candidate_set = solution.candidate_set
         ledger = tuple(candidate_set.ledger)
         choice = candidate_set.choices[solution.root_id]
-        repeats = repetition_count(solution, mentions) if solution.names else 0
+        repeats = 0
+        if solution.names:
+            for name in dict.fromkeys(solution.names):
+                count = mentions.get(name)
+                if count is None:
+                    count = mentions[name] = history_mentions(name, history)
+                repeats += count + extra_mentions(name, sentence)
         pipeline = pipeline_weight * ledger_score(ledger)
         frequency = frequency_weight * freq.lookup(choice.lemma.lower(), choice.sense.id)
         repetition = -repetition_penalty * repeats

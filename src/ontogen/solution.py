@@ -15,10 +15,9 @@ node, its clause. It walks no syn-struc.
 
 from __future__ import annotations
 
-from .errors import EmptySolution
 from .knowledge import LexSense
 from .pipeline import CandidateSense, CandidateSet, modifier_key
-from .tmr import InstanceRef, RelativeTime, Tmr, TmrFrame, find_root_frame, relative_time_of
+from .tmr import InstanceRef, RelativeTime, Tmr, TmrFrame, relative_time_of
 
 _TENSE_BY_TIME = {
     RelativeTime.BEFORE: "past",
@@ -111,9 +110,9 @@ def _pronoun_number(form: str) -> str:
 
 
 class Forest:
-    """What the candidate sets of one request share: the root frame (the one
-    given, else find_root_frame's) and its tense, every plan, and every
-    nominal, phrase and agreeing verb built so far.
+    """What the candidate sets of one request share: the root frame and its
+    tense, every plan, and every nominal, phrase and agreeing verb built so
+    far.
 
     A plan is keyed by frame, sense, lemma, voice, tense and construction
     flags, not by the choice, since synonym clones are new choice objects
@@ -126,11 +125,9 @@ class Forest:
     forest is in use, and the forest keeps every leaf it keys; a forest must
     not outlive the sets it builds."""
 
-    def __init__(self, tmr: Tmr, root: TmrFrame | None = None):
-        if not tmr.frames:
-            raise EmptySolution("the meaning representation has no frames")
+    def __init__(self, tmr: Tmr, root: TmrFrame):
         self.tmr = tmr
-        self.root = root or find_root_frame(tmr)
+        self.root = root
         self.tense = derive_tense(self.root, tmr)
         self.built: dict[tuple, object] = {}
 
@@ -263,9 +260,7 @@ class _Builder:
     # -- nominals ----------------------------------------------------------
 
     def nominal(self, frame: TmrFrame, function: str) -> tuple[Constituent, Features]:
-        choice = self.cs.choices.get(frame.instance_id)
-        if choice is None:
-            raise EmptySolution(f"no chosen sense for {frame.instance_id}")
+        choice = self.cs.choices[frame.instance_id]
         # a choice belongs to one frame, so its identity stands for the frame
         key = (function, self._reads(frame, choice))
         built = self.built.get(key)
@@ -385,14 +380,11 @@ class _Builder:
         return Constituent("clause", children=tuple(self.fill(plan))), mood, plan[2]
 
 
-def build_solution(cs: CandidateSet, tmr: Tmr, forest: Forest | None = None) -> CandidateSolution:
+def build_solution(cs: CandidateSet, forest: Forest) -> CandidateSolution:
     """Tree for the root frame's construction; unbound frames stay silent.
     The sets of one request pass one forest and share what they build."""
-    forest = forest or Forest(tmr)
     root_frame = forest.root
-    choice = cs.choices.get(root_frame.instance_id)
-    if choice is None:
-        raise EmptySolution(f"no chosen sense for root frame {root_frame.instance_id}")
+    choice = cs.choices[root_frame.instance_id]
     root, mood, voice = _Builder(cs, forest).clause(root_frame, choice, forest.tense)
     return CandidateSolution(candidate_set=cs, root=root, mood=mood, tense=forest.tense,
                              voice=voice, root_id=root_frame.instance_id)

@@ -6,7 +6,8 @@ Filler typing is conventional: UPPER-CASE-42 is an instance reference,
 UPPER-CASE a concept reference, numbers are scalars, "(< routine)" is a
 procedural time call, DD.MM.YYYY a calendar date, HH:MM a clock time,
 and anything else a string literal. HAS-NAME and GENDER are never
-typed: each holds one string, as written.
+typed: each holds one string, as written. A name is one line with no
+white space at either end; a gender is male or female.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from enum import Enum
 from typing import TYPE_CHECKING
 
 from .errors import MalformedInstanceId, TmrError
-from .knowledge import CONCEPT_RE, INSTANCE_RE
+from .knowledge import CONCEPT_RE, INSTANCE_RE, identity_problem
 from .strictjson import decode, document, encode, read_text
 
 if TYPE_CHECKING:
@@ -126,9 +127,6 @@ class TmrFrame:
         values = self.slots.get(prop)
         return values[0] if values else None
 
-    def all(self, prop: str) -> tuple[Filler, ...]:
-        return self.slots.get(prop, ())
-
     @property
     def plural(self) -> bool:
         card = self.get("CARDINALITY")
@@ -149,9 +147,6 @@ class Tmr:
         self.source = source
         self.warnings = [] if warnings is None else warnings
         self.by_id = {f.instance_id: f for f in frames}
-
-    def frame(self, instance_id: str) -> TmrFrame | None:
-        return self.by_id.get(instance_id)
 
     def has(self, instance_id: str) -> bool:
         return instance_id in self.by_id
@@ -300,8 +295,9 @@ def parse_tmr(text: str, source: str = "<string>") -> Tmr:
                 if not isinstance(raw, str):
                     raise TmrError(f"{iid}: {prop} must be one string, got {raw!r}",
                                    source=source)
-                if prop == "HAS-NAME" and not raw.strip():
-                    raise TmrError(f"{iid}: HAS-NAME must not be blank", source=source)
+                problem = identity_problem(prop, raw)
+                if problem:
+                    raise TmrError(f"{iid}: {problem}", source=source)
                 slots[prop] = (raw,)
             elif isinstance(raw, list):
                 slots[prop] = tuple([_parse_filler(prop, v, source) for v in raw])
@@ -560,24 +556,3 @@ def tmr_isomorphic(a: Tmr, b: Tmr) -> tuple[bool, dict[str, str] | None]:
             return True, mapping
     return False, None
 
-
-def renumber(tmr: Tmr, offset: int = 100) -> Tmr:
-    """Copy with every instance index shifted; handy for isomorphism tests."""
-    mapping = {}
-    for frame in tmr.frames:
-        m = INSTANCE_RE.fullmatch(frame.instance_id)
-        mapping[frame.instance_id] = f"{m.group(1)}-{int(m.group(2)) + offset}"
-
-    def remap(value: Filler) -> Filler:
-        if isinstance(value, InstanceRef) and value.id in mapping:
-            return InstanceRef(mapping[value.id])
-        return value
-
-    frames = []
-    for frame in tmr.frames:
-        slots = {prop: tuple(remap(v) for v in values) for prop, values in frame.slots.items()}
-        coref = mapping.get(frame.coref, frame.coref) if frame.coref else None
-        frames.append(TmrFrame(instance_id=mapping[frame.instance_id], slots=slots,
-                               metadata=frame.metadata, coref=coref))
-    return Tmr(frames=frames, speaker_id=tmr.speaker_id, hearer_id=tmr.hearer_id,
-               reference_time=tmr.reference_time, source=tmr.source)

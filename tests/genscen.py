@@ -32,7 +32,8 @@ from ontogen.pipeline import (
 )
 from ontogen.realizer import inflect_verb, pluralize, pronoun_form, realize
 from ontogen.selector import rank
-from ontogen.solution import build_solution
+from ontogen.solution import Forest, build_solution
+from ontogen.tmr import find_root_frame
 
 # concept name -> its two noun lemmas
 OBJECT_POOL = {
@@ -200,17 +201,19 @@ def tokens_conserved(scored, tables) -> bool:
 def rank_every_set(tmr: Tmr, kb: KnowledgeBase, config: GenerationConfig | None = None):
     """The ranked sentences of generate() built the long way: every survivor
     of every unit combined, every synonym cloned, every set built, realized
-    and ranked, with no frame held at one candidate."""
+    and ranked, with no frame held at one candidate, and no set sharing a
+    forest or a realization memo with another."""
     config = config or GenerationConfig()
     units = manage_reference(extract_candidates(tmr, kb), tmr, kb, config)
     trace: list = []
     survivors = prune_syntactic(prune_semantic(units, tmr, kb, config, trace), tmr, trace)
     sets, messages = aggregate_sets(survivors, config)
     assert messages == [], "the reference must not be truncated"
-    solutions = [build_solution(cs, tmr) for cs in expand_synonyms(sets)]
+    root = find_root_frame(tmr)
+    solutions = [build_solution(cs, Forest(tmr, root)) for cs in expand_synonyms(sets)]
     tables = bundled_morphology()
     for solution in solutions:
-        realize(solution, tables)
+        realize(solution, tables, {})
     return rank(solutions, bundled_frequency(), config)
 
 

@@ -248,22 +248,35 @@ def _tmr_with_blank_name(path: Path) -> list[str]:
     return ["generate", "--tmr", str(path)]
 
 
-def _memory_with_blank_name(path: Path) -> list[str]:
-    doc = json.loads((KB_DIR / "memory.json").read_text())
-    doc["instances"]["HUMAN-104"]["HAS-NAME"] = "\t "
-    path.write_text(json.dumps(doc))
-    return ["generate", "--tmr", str(fixture_path("walk_intransitive")), "--memory", str(path)]
+def _memory_with(prop: str, value: str):
+    def command(path: Path) -> list[str]:
+        doc = json.loads((KB_DIR / "memory.json").read_text())
+        doc["instances"]["HUMAN-104"][prop] = value
+        path.write_text(json.dumps(doc))
+        return ["generate", "--tmr", str(fixture_path("walk_intransitive")),
+                "--memory", str(path)]
+    return command
 
 
-@pytest.mark.parametrize("command", [_tmr_with_blank_name, _memory_with_blank_name],
-                         ids=["tmr", "memory"])
-def test_a_blank_name_is_rejected_at_load(tmp_path, capsys, command):
+@pytest.mark.parametrize("command, problem", [
+    (_tmr_with_blank_name, "HAS-NAME must not be blank"),
+    (_memory_with("HAS-NAME", "\t "), "HAS-NAME must not be blank"),
+    (_memory_with("HAS-NAME", "Tom\nSmith"), "HAS-NAME must be one line, got 'Tom\\nSmith'"),
+    (_memory_with("HAS-NAME", " Tom"),
+     "HAS-NAME must not begin or end with white space, got ' Tom'"),
+    (_memory_with("HAS-NAME", "Tom "),
+     "HAS-NAME must not begin or end with white space, got 'Tom '"),
+    (_memory_with("GENDER", "Male"), "GENDER must be male or female, got 'Male'"),
+    (_memory_with("GENDER", "robot"), "GENDER must be male or female, got 'robot'"),
+], ids=["tmr", "memory", "memory-two-line-name", "memory-leading-space", "memory-trailing-space",
+        "memory-capital-gender", "memory-unknown-gender"])
+def test_a_blank_name_is_rejected_at_load(tmp_path, capsys, command, problem):
     path = tmp_path / "input.json"
     assert main(command(path)) == 1
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1
     assert err.startswith(f"error: {path}: ")
-    assert "HAS-NAME must not be blank" in err
+    assert problem in err
 
 
 def _walk_named_agent_with(path: Path, prop: str, value) -> list[str]:
@@ -279,15 +292,24 @@ def test_a_name_shaped_like_an_id_is_still_a_name(tmp_path, capsys, name):
     assert capsys.readouterr().out == f"1. {name} walked.\n"
 
 
-@pytest.mark.parametrize("prop, value", [("HAS-NAME", 5), ("HAS-NAME", ["Bob", "Tom"]),
-                                         ("GENDER", 5)],
-                         ids=["number-name", "two-names", "number-gender"])
-def test_a_name_or_gender_that_is_not_one_string_is_an_error(tmp_path, capsys, prop, value):
+@pytest.mark.parametrize("prop, value, problem", [
+    ("HAS-NAME", 5, "must be one string"),
+    ("HAS-NAME", ["Bob", "Tom"], "must be one string"),
+    ("GENDER", 5, "must be one string"),
+    ("HAS-NAME", "Tom\nSmith", "must be one line"),
+    ("HAS-NAME", " Tom", "must not begin or end with white space"),
+    ("HAS-NAME", "Tom ", "must not begin or end with white space"),
+    ("GENDER", "Male", "must be male or female"),
+    ("GENDER", "robot", "must be male or female"),
+], ids=["number-name", "two-names", "number-gender", "two-line-name", "leading-space-name",
+        "trailing-space-name", "capital-gender", "unknown-gender"])
+def test_a_name_or_gender_that_is_not_one_string_is_an_error(tmp_path, capsys, prop, value,
+                                                             problem):
     path = tmp_path / "input.json"
     assert main(_walk_named_agent_with(path, prop, value)) == 1
     out, err = capsys.readouterr()
     assert out == ""
-    assert err == f"error: {path}: HUMAN-77: {prop} must be one string, got {value!r}\n"
+    assert err == f"error: {path}: HUMAN-77: {prop} {problem}, got {value!r}\n"
 
 
 def test_a_blank_root_word_is_rejected_at_load(tmp_path, capsys):

@@ -25,8 +25,8 @@ from ontogen.knowledge import (
 
 def test_bundled_kb_loads_clean(kb):
     assert len(kb.ontology.concepts) == 27
-    assert len(kb.lexicon) == 33
-    assert len(kb.memory) == 8
+    assert len(kb.lexicon.senses) == 33
+    assert len(kb.memory.instances) == 8
     assert kb.warnings == []
 
 
@@ -46,7 +46,7 @@ def test_each_sense_reads_its_bound_roles_once_at_load(kb):
             assert vars(sense)[fact] is getattr(sense, fact)
         taking += sense.is_argument_taking
         transitive += sense.transitive
-    assert 0 < transitive < taking < len(kb.lexicon)
+    assert 0 < transitive < taking < len(kb.lexicon.senses)
 
 
 # --- tables worked out at load, against fresh computations ------------------------
@@ -160,7 +160,8 @@ def test_match_degree_orders_consistently_with_is_a(kb):
     onto = kb.ontology
     names = sorted(onto.concepts)
     for filler, target in product(names, names):
-        degree = match_degree(onto, filler, ConceptConstraint(target))
+        needed = FacetedConstraint(sem=ConceptConstraint(target))
+        degree = match_degree(onto, filler, needed, None)
         if filler == target:
             assert degree == MatchDegree.EXACT
         elif onto.is_a(filler, target):
@@ -171,15 +172,15 @@ def test_match_degree_orders_consistently_with_is_a(kb):
 
 def test_match_degree_grades_default_facet(kb):
     walker = kb.ontology.constraint_on("WALK", "AGENT")
-    assert match_degree(kb.ontology, "HUMAN", walker) == MatchDegree.DEFAULT
-    assert match_degree(kb.ontology, "WAITER", walker) == MatchDegree.DEFAULT
-    assert match_degree(kb.ontology, "DOG", walker) == MatchDegree.SEM
-    assert match_degree(kb.ontology, "WALL", walker) == MatchDegree.NONE
+    assert match_degree(kb.ontology, "HUMAN", walker, None) == MatchDegree.DEFAULT
+    assert match_degree(kb.ontology, "WAITER", walker, None) == MatchDegree.DEFAULT
+    assert match_degree(kb.ontology, "DOG", walker, None) == MatchDegree.SEM
+    assert match_degree(kb.ontology, "WALL", walker, None) == MatchDegree.NONE
 
 
 def test_match_degree_rewards_narrowed_override(kb):
     base = FacetedConstraint(sem=ConceptConstraint("PHYSICAL-OBJECT"))
-    override = ConceptConstraint("SURFACE-WATER-VEHICLE")
+    override = FacetedConstraint(sem=ConceptConstraint("SURFACE-WATER-VEHICLE"))
     assert match_degree(kb.ontology, "SHIP", base, override) == MatchDegree.NARROW
     assert match_degree(kb.ontology, "SURFACE-WATER-VEHICLE", base, override) == MatchDegree.EXACT
     assert match_degree(kb.ontology, "WALL", base, override) == MatchDegree.NONE

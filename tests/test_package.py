@@ -1,10 +1,12 @@
 """The package's public surface."""
 from __future__ import annotations
 
+import ast
 import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -19,15 +21,43 @@ PUBLIC = [
     "FrequencyTable", "bundled_frequency", "load_frequency",
     "MorphTables", "bundled_morphology", "load_morphology",
     "OntogenError", "SchemaError", "KbValidationError", "TmrError", "MalformedInstanceId",
-    "NoRealizableSense", "AllSetsPruned", "EmptySolution",
+    "NoRealizableSense", "AllSetsPruned",
 ]
 
 
 def test_all_is_the_public_surface_and_every_name_resolves():
     assert sorted(ontogen.__all__) == sorted(PUBLIC)
-    assert len(ontogen.__all__) == len(set(ontogen.__all__)) == 27
+    assert len(ontogen.__all__) == len(set(ontogen.__all__)) == 26
     for name in ontogen.__all__:
         assert getattr(ontogen, name) is not None, name
+
+
+def _names(node: ast.AST) -> Counter:
+    """How often each name is read, imported or looked up as an attribute
+    inside node."""
+    names: Counter = Counter()
+    for child in ast.walk(node):
+        if isinstance(child, ast.Name):
+            names[child.id] += 1
+        elif isinstance(child, ast.Attribute):
+            names[child.attr] += 1
+        elif isinstance(child, ast.alias):
+            names[child.asname or child.name] += 1
+    return names
+
+
+def test_every_module_level_function_and_class_is_used_by_the_library():
+    """A function or class defined at module level is public, or named
+    somewhere in the package outside its own definition: the library holds
+    no code that only tests call."""
+    trees = [ast.parse(path.read_text(encoding="utf-8"), str(path))
+             for path in sorted(Path(ontogen.__file__).parent.glob("*.py"))]
+    named = sum((_names(tree) for tree in trees), Counter())
+    unused = [node.name for tree in trees for node in tree.body
+              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+              and node.name not in ontogen.__all__
+              and named[node.name] == _names(node)[node.name]]
+    assert unused == []
 
 
 def _modules_added(probe: str) -> set[str]:

@@ -26,6 +26,7 @@ from ontogen.pipeline import (
     aggregate_sets,
     expand_synonyms,
     extract_candidates,
+    ledger_score,
     manage_reference,
     prune_semantic,
     prune_syntactic,
@@ -340,7 +341,7 @@ def test_aggregation_cap_truncates_with_a_message(kb, config):
     survivors = _survivors_for("fasten_painting", kb, config)
     full, _ = aggregate_sets(survivors, config)
     sets, messages = aggregate_sets(survivors, config._replace(set_cap=3))
-    assert [cs.signature() for cs in sets] == [cs.signature() for cs in full[:3]]
+    assert [cs.signature({}) for cs in sets] == [cs.signature({}) for cs in full[:3]]
     assert len(messages) == 1
     assert "3" in messages[0]
 
@@ -447,7 +448,7 @@ def test_synonym_clones_share_everything_but_the_lemma(kb, config):
               and cs.choices["PICTURE-7"].sense.id == "painting-n1"]
     assert {cs.choices["FASTEN-18"].lemma for cs in family} == {
         "fix", "attach", "fasten", "secure"}
-    assert len({cs.score for cs in family}) == 1
+    assert len({ledger_score(cs.ledger) for cs in family}) == 1
     others = {tuple(sorted((k, c.sense.id) for k, c in cs.choices.items()))
               for cs in family}
     assert len(others) == 1
@@ -477,7 +478,7 @@ def test_an_empty_meaning_is_reported_as_inexpressible(kb, config):
 def test_expressing_an_extra_slot_outranks_ignoring_it(kb, config):
     result = run_lexical_selection(load_fixture("fasten_depicts"), kb, config)
     def best(sense_id):
-        return max(cs.score for cs in result.sets
+        return max(ledger_score(cs.ledger) for cs in result.sets
                    if cs.choices["PICTURE-10"].sense.id == sense_id)
     assert best("landscape-n1") > best("painting-n1")
 

@@ -237,7 +237,7 @@ def test_realize_matches_a_whole_tree_linearization(case):
     for chosen in picks:
         root = Constituent("clause", children=tuple(pool[index] for index in chosen))
         expected = _reference(tables, root, mood)
-        for shared in (memo, None):
+        for shared in (memo, {}):
             solution = CandidateSolution(None, root, mood, "present", "active", "X")
             assert (realize(solution, tables, shared), solution.names) == expected
             assert solution.sentence == expected[0]

@@ -11,18 +11,24 @@ from conftest import load_fixture
 from ontogen import FrequencyTable, SchemaError, generate, selector
 from ontogen.pipeline import run_lexical_selection
 from ontogen.realizer import realize
-from ontogen.selector import (HistoryMentions, extra_mentions, history_mentions, load_frequency,
-                              parse_frequency, rank, repetition_count)
-from ontogen.solution import build_solution
+from ontogen.selector import extra_mentions, history_mentions, load_frequency, parse_frequency, rank
+from ontogen.solution import Forest, build_solution
 
 
 def _solutions(name, kb, config, morph):
     tmr = load_fixture(name)
     result = run_lexical_selection(tmr, kb, config)
-    solutions = [build_solution(cs, tmr) for cs in result.sets]
+    forest, memo = Forest(tmr, result.root), {}
+    solutions = [build_solution(cs, forest) for cs in result.sets]
     for sol in solutions:
-        sol.sentence = realize(sol, morph)
+        realize(sol, morph, memo)
     return tmr, solutions
+
+
+def _repetition(solution, freq, config, history):
+    """The repeats rank() charges solution for, given the history."""
+    [scored] = rank([solution], freq, config, history)
+    return dict(scored.terms)["repetition"] / -config.repetition_penalty
 
 
 # --- frequency table ----------------------------------------------------------
@@ -64,14 +70,14 @@ def test_frequency_numbers_beyond_the_float_range_are_rejected(tmp_path, text, m
 
 # --- repetition ------------------------------------------------------------------
 
-def test_repetition_counts_whole_word_mentions_only(kb, config, morph):
+def test_repetition_counts_whole_word_mentions_only(kb, freq, config, morph):
     _, solutions = _solutions("walk_named_agent", kb, config, morph)
     johnny = next(s for s in solutions if "Johnny" in (s.sentence or ""))
-    assert repetition_count(johnny, HistoryMentions(())) == 0
-    assert repetition_count(johnny, HistoryMentions(("Johnny jumped.",))) == 1
-    assert repetition_count(johnny, HistoryMentions(("Johnny met Johnny's twin.",))) == 2
+    assert _repetition(johnny, freq, config, ()) == 0
+    assert _repetition(johnny, freq, config, ("Johnny jumped.",)) == 1
+    assert _repetition(johnny, freq, config, ("Johnny met Johnny's twin.",)) == 2
     # substrings of other words never count
-    assert repetition_count(johnny, HistoryMentions(("Johnnyson ran.",))) == 0
+    assert _repetition(johnny, freq, config, ("Johnnyson ran.",)) == 0
 
 
 # Names and the text around them: regex metacharacters, white space,
@@ -173,11 +179,11 @@ def test_rank_scans_the_history_once_per_distinct_name(kb, freq, morph, config, 
     assert {dict(s.terms)["repetition"] for s in ranked} == {-config.repetition_penalty * 200}
 
 
-def test_pronoun_sentences_never_accrue_repetition(kb, config, morph):
+def test_pronoun_sentences_never_accrue_repetition(kb, freq, config, morph):
     _, solutions = _solutions("walk_named_agent", kb, config, morph)
     for sol in solutions:
         if "Johnny" not in (sol.sentence or ""):
-            assert repetition_count(sol, HistoryMentions(("Johnny walked.",) * 3)) == 0
+            assert _repetition(sol, freq, config, ("Johnny walked.",) * 3) == 0
 
 
 # --- scoring terms -----------------------------------------------------------------

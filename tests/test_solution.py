@@ -9,13 +9,15 @@ from conftest import TMR_DIR, load_fixture
 from ontogen import (AllSetsPruned, NoRealizableSense, engine, generate, parse_tmr, realizer,
                      solution)
 from ontogen.pipeline import CandidateSense, run_lexical_selection
-from ontogen.solution import build_solution, derive_tense, find_root_frame
+from ontogen.solution import Forest, build_solution, derive_tense
+from ontogen.tmr import find_root_frame
 
 
 def _solutions(name, kb, config, context=()):
     tmr = load_fixture(name)
     result = run_lexical_selection(tmr, kb, config, context=context)
-    return tmr, [build_solution(cs, tmr) for cs in result.sets]
+    forest = Forest(tmr, result.root)
+    return tmr, [build_solution(cs, forest) for cs in result.sets]
 
 
 def _leaves(root):
@@ -266,7 +268,7 @@ def test_a_set_is_assembled_from_shared_pieces_and_ranked_without_its_tree(kb, m
     memos, ranked_choices, described = [], [], []
     realize_real, rank_real, describe_real = engine.realize, engine.rank, CandidateSense.describe
 
-    def realize_seen(solution, tables, memo=None):
+    def realize_seen(solution, tables, memo):
         memos.append(memo)
         return realize_real(solution, tables, memo)
 
@@ -316,8 +318,9 @@ def test_every_expressible_fixture_builds_trees(kb, config):
             result = run_lexical_selection(tmr, kb, config)
         except (AllSetsPruned, NoRealizableSense):
             continue
+        forest = Forest(tmr, result.root)
         for cs in result.sets:
-            sol = build_solution(cs, tmr)
+            sol = build_solution(cs, forest)
             assert sol.root.function == "clause"
             assert any(c.is_leaf for c in sol.root.walk())
             built += 1
@@ -340,7 +343,8 @@ def test_leaf_lemmas_come_from_the_knowledge_base(kb, config):
     for name in ("fasten_painting", "moor_ship", "request_polite", "walk_transitive"):
         tmr = load_fixture(name)
         result = run_lexical_selection(tmr, kb, config)
+        forest = Forest(tmr, result.root)
         for cs in result.sets:
-            sol = build_solution(cs, tmr)
+            sol = build_solution(cs, forest)
             for leaf in _leaves(sol.root):
                 assert leaf.lemma.lower() in allowed, leaf

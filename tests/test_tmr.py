@@ -12,16 +12,18 @@ from hypothesis import strategies as st
 from conftest import TMR_DIR, load_fixture
 from ontogen import parse_tmr, serialize_tmr, strip_metadata, tmr_isomorphic
 from ontogen.errors import MalformedInstanceId, TmrError
+from ontogen.knowledge import INSTANCE_RE
 from ontogen.tmr import (
     TIME_SLOTS,
     ConceptRef,
     InstanceRef,
     ProceduralCall,
     RelativeTime,
+    Tmr,
+    TmrFrame,
     _parse_filler,
     concept_of,
     relative_time_of,
-    renumber,
 )
 
 ALL_FIXTURES = sorted(p.stem for p in TMR_DIR.glob("*.json"))
@@ -67,7 +69,7 @@ def test_strip_drops_source_words_and_normalizes_anchored_time():
     assert any(f.metadata is not None for f in tmr.frames)
     stripped = strip_metadata(tmr)
     assert all(f.metadata is None for f in stripped.frames)
-    event = stripped.frame("FASTEN-1")
+    event = stripped.by_id["FASTEN-1"]
     assert event.get("TIME") == RelativeTime.BEFORE
 
 
@@ -77,14 +79,14 @@ def test_case_role_inverses_are_completed():
         "HUMAN-1": {},
         "WALL-1": {},
     }))
-    assert tmr.frame("HUMAN-1").all("AGENT-OF")[0].id == "FASTEN-1"
-    assert tmr.frame("WALL-1").all("THEME-OF")[0].id == "FASTEN-1"
+    assert tmr.by_id["HUMAN-1"].slots["AGENT-OF"][0].id == "FASTEN-1"
+    assert tmr.by_id["WALL-1"].slots["THEME-OF"][0].id == "FASTEN-1"
     # and the other direction: an inverse fills in the forward role
     tmr = parse_tmr(_tmr({
         "FASTEN-2": {},
         "HUMAN-2": {"AGENT-OF": ["FASTEN-2"]},
     }))
-    assert tmr.frame("FASTEN-2").get("AGENT").id == "HUMAN-2"
+    assert tmr.by_id["FASTEN-2"].get("AGENT").id == "HUMAN-2"
 
 
 def test_contradictory_inverse_is_rejected():
@@ -116,7 +118,7 @@ def test_boolean_fillers_are_rejected():
 
 def test_procedural_calls_live_only_in_time_slots():
     tmr = parse_tmr(_tmr({"WALK-1": {"TIME": "(< find-anchor-time)"}}))
-    assert relative_time_of(tmr.frame("WALK-1"), tmr) == RelativeTime.BEFORE
+    assert relative_time_of(tmr.by_id["WALK-1"], tmr) == RelativeTime.BEFORE
     with pytest.raises(TmrError, match="procedural"):
         parse_tmr(_tmr({"WALK-1": {"AGENT": "(< find-anchor-time)"}}))
 
@@ -195,20 +197,20 @@ def test_relative_time_against_the_reference_moment():
                               **{"reference-time": "05.01.2021 09:05"}))
 
     before = walk_at("05.01.2021", "09:02")
-    assert relative_time_of(before.frame("WALK-1"), before) == RelativeTime.BEFORE
+    assert relative_time_of(before.by_id["WALK-1"], before) == RelativeTime.BEFORE
     after = walk_at("06.01.2021", "08:00")
-    assert relative_time_of(after.frame("WALK-1"), after) == RelativeTime.AFTER
+    assert relative_time_of(after.by_id["WALK-1"], after) == RelativeTime.AFTER
     same = walk_at("05.01.2021", "09:05")
-    assert relative_time_of(same.frame("WALK-1"), same) == RelativeTime.AT
+    assert relative_time_of(same.by_id["WALK-1"], same) == RelativeTime.AT
     untimed = parse_tmr(_tmr({"WALK-1": {}}))
-    assert relative_time_of(untimed.frame("WALK-1"), untimed) is None
+    assert relative_time_of(untimed.by_id["WALK-1"], untimed) is None
 
 
 def test_plurality_comes_from_cardinality():
     tmr = parse_tmr(_tmr({"WALK-1": {"AGENT": "HUMAN-1"},
                           "HUMAN-1": {"CARDINALITY": 3}}))
-    assert tmr.frame("HUMAN-1").plural
-    assert not tmr.frame("WALK-1").plural
+    assert tmr.by_id["HUMAN-1"].plural
+    assert not tmr.by_id["WALK-1"].plural
 
 
 def test_stripped_capture_matches_the_canonical_fixture():
@@ -228,6 +230,28 @@ def test_isomorphism_is_reflexive(name):
     ok, mapping = tmr_isomorphic(tmr, tmr)
     assert ok
     assert mapping == {f.instance_id: f.instance_id for f in tmr.frames}
+
+
+def renumber(tmr: Tmr, offset: int) -> Tmr:
+    """A copy with every instance index shifted by offset."""
+    mapping = {}
+    for frame in tmr.frames:
+        m = INSTANCE_RE.fullmatch(frame.instance_id)
+        mapping[frame.instance_id] = f"{m.group(1)}-{int(m.group(2)) + offset}"
+
+    def remap(value):
+        if isinstance(value, InstanceRef) and value.id in mapping:
+            return InstanceRef(mapping[value.id])
+        return value
+
+    frames = []
+    for frame in tmr.frames:
+        slots = {prop: tuple(remap(v) for v in values) for prop, values in frame.slots.items()}
+        coref = mapping.get(frame.coref, frame.coref) if frame.coref else None
+        frames.append(TmrFrame(instance_id=mapping[frame.instance_id], slots=slots,
+                               metadata=frame.metadata, coref=coref))
+    return Tmr(frames=frames, speaker_id=tmr.speaker_id, hearer_id=tmr.hearer_id,
+               reference_time=tmr.reference_time, source=tmr.source)
 
 
 def test_isomorphism_is_symmetric_and_survives_renumbering():
