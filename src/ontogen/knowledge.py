@@ -82,10 +82,6 @@ class FacetedConstraint(NamedTuple):
     sem: Constraint | None = None
     default: Constraint | None = None
 
-    @property
-    def effective_sem(self) -> Constraint:
-        return self.sem if self.sem is not None else ANYTHING
-
 
 _UNCONSTRAINED = FacetedConstraint(sem=ANYTHING)
 
@@ -143,12 +139,20 @@ def parse_constraint(raw, where: str, source: str | None = None) -> Constraint:
     raise KbValidationError(f"{where}: unrecognized constraint {raw!r}", source=source)
 
 
-def _faceted(raw, where: str, source: str | None) -> FacetedConstraint:
+def _known(constraint: Constraint, concepts, where: str, source: str) -> Constraint:
+    """constraint, once a concept it names is one of concepts."""
+    if isinstance(constraint, ConceptConstraint) and constraint.concept not in concepts:
+        raise KbValidationError(f"{where}: constraint names unknown concept {constraint.concept}",
+                                source=source)
+    return constraint
+
+
+def _faceted(raw, where: str, source: str, concepts) -> FacetedConstraint:
     if not isinstance(raw, dict) or not (set(raw) <= {"sem", "default"}):
         raise KbValidationError(f"{where}: expected an object with sem/default facets, got {raw!r}",
                                 source=source)
-    sem = parse_constraint(raw["sem"], where, source) if "sem" in raw else None
-    default = parse_constraint(raw["default"], where, source) if "default" in raw else None
+    sem, default = (_known(parse_constraint(raw[facet], where, source), concepts, where, source)
+                    if facet in raw else None for facet in ("sem", "default"))
     return FacetedConstraint(sem=sem, default=default)
 
 
@@ -242,6 +246,14 @@ def _strictly_tighter(onto: Ontology, inner: Constraint, outer: Constraint) -> b
     return False
 
 
+def effective_sem(base: FacetedConstraint, over: FacetedConstraint | None = None) -> Constraint:
+    """The sem facet a filler must meet: a lexical override's when it has
+    one, else the ontology's, else anything."""
+    if over is not None and over.sem is not None:
+        return over.sem
+    return base.sem if base.sem is not None else ANYTHING
+
+
 def match_degree(onto: Ontology, filler, base: FacetedConstraint,
                  over: FacetedConstraint | None) -> MatchDegree:
     """Grade a filler against a faceted constraint, honoring a lexical override.
@@ -251,7 +263,7 @@ def match_degree(onto: Ontology, filler, base: FacetedConstraint,
     override strictly tighter than the ontological sem, DEFAULT when it also
     satisfies the default facet, and SEM otherwise.
     """
-    effective = over.effective_sem if over is not None and over.sem is not None else base.effective_sem
+    effective = effective_sem(base, over)
     if not onto.satisfies(filler, effective):
         return MatchDegree.NONE
 
@@ -260,7 +272,8 @@ def match_degree(onto: Ontology, filler, base: FacetedConstraint,
     if isinstance(effective, LiteralConstraint) and len(effective.values) == 1 and filler == effective.values[0]:
         return MatchDegree.EXACT
 
-    if over is not None and over.sem is not None and _strictly_tighter(onto, over.sem, base.effective_sem):
+    if over is not None and over.sem is not None \
+            and _strictly_tighter(onto, over.sem, effective_sem(base)):
         return MatchDegree.NARROW
 
     if base.default is not None and onto.satisfies(filler, base.default):
@@ -313,13 +326,14 @@ class LexSense:
     transitive says whether the syn-struc has a direct object. All three
     are read from the structures once, here, so neither structure may
     change later. role_bases maps each bound property to the ontology's
-    constraint on it for the head concept; the knowledge base that holds
-    the sense fills it in."""
+    constraint on it for the head concept; the loader reads it from the
+    ontology and passes it in."""
 
     def __init__(self, id: str, headword: str, pos: str, syn_struc: tuple[SynNode, ...],
                  sem_struc: SemFrame, definition: str = "", example: str = "",
                  synonyms: tuple[str, ...] = (), example_bindings: tuple[tuple[str, int], ...] = (),
-                 reference: PronounRef | None = None):
+                 reference: PronounRef | None = None,
+                 role_bases: dict[str, FacetedConstraint] | None = None):
         self.id = id
         self.headword = headword
         self.pos = pos
@@ -334,7 +348,7 @@ class LexSense:
                             if isinstance(v, VarBinding)}
         self.is_argument_taking = bool(self.bound_roles)
         self.transitive = any(node.category == "directobject" for node in syn_struc)
-        self.role_bases: dict[str, FacetedConstraint] = {}
+        self.role_bases = {} if role_bases is None else role_bases
 
     def binding_word(self, var: int) -> str | None:
         """The example-bindings word recorded for a variable, if any."""
@@ -430,8 +444,7 @@ class EpisodicMemory:
 
 class KnowledgeBase:
     """The three stores, with the warnings their loading raised; every
-    warning so far is about the ontology file. The stores are immutable,
-    so each sense's role_bases are worked out once, here."""
+    warning so far is about the ontology file."""
 
     def __init__(self, ontology: Ontology, lexicon: Lexicon, memory: EpisodicMemory,
                  warnings: list[str] | None = None):
@@ -439,10 +452,6 @@ class KnowledgeBase:
         self.lexicon = lexicon
         self.memory = memory
         self.warnings = [] if warnings is None else warnings
-        for sense in lexicon.senses.values():
-            if sense.is_argument_taking:
-                sense.role_bases = {prop: ontology.constraint_on(sense.sem_struc.head, prop)
-                                    for prop in sense.bound_roles.values()}
 
     def head_senses(self, concept: str) -> tuple[list[LexSense], str]:
         """The senses that head concept, by sense id, else those of its
@@ -464,7 +473,11 @@ def _kb_document(path, kind: str) -> dict:
     return data
 
 
-def _parse_ontology(data: dict, source: str) -> Ontology:
+def _parse_ontology(data: dict, source: str, warnings: list[str]) -> Ontology:
+    """Read and check each concept in turn. A parent or a constraint is
+    checked against every name the document declares, so it may name a
+    concept declared further on; a cycle and a default facet that does not
+    narrow its sem facet need the whole graph, so they are checked last."""
     raw = data.get("concepts")
     if not isinstance(raw, dict) or not raw:
         raise KbValidationError("no concepts", source=source)
@@ -476,52 +489,39 @@ def _parse_ontology(data: dict, source: str) -> Ontology:
             raise KbValidationError(f"{name}: concept body must be an object, got {body!r}",
                                     source=source)
         parents = _strings(body.get("parents", []), f"{name}: parents", source)
+        for parent in parents:
+            if parent not in raw:
+                raise KbValidationError(f"{name}: unknown parent {parent}", source=source)
         raw_slots = body.get("slots", {})
         if not isinstance(raw_slots, dict):
             raise KbValidationError(f"{name}: slots must be an object, got {raw_slots!r}",
                                     source=source)
-        slots = {}
-        for prop, rawc in raw_slots.items():
-            slots[prop] = _faceted(rawc, f"{name}.{prop}", source)
+        slots = {prop: _faceted(rawc, f"{name}.{prop}", source, raw)
+                 for prop, rawc in raw_slots.items()}
         concepts[name] = Concept(name=name, parents=parents, slots=slots)
-    # parents exist, graph acyclic
-    for concept in concepts.values():
-        for parent in concept.parents:
-            if parent not in concepts:
-                raise KbValidationError(f"{concept.name}: unknown parent {parent}", source=source)
     try:
         TopologicalSorter({c.name: c.parents for c in concepts.values()}).prepare()
     except CycleError as exc:
         cycle = " -> ".join(reversed(exc.args[1]))
         raise KbValidationError(f"IS-A cycle: {cycle}", source=source) from None
-    return Ontology(concepts)
+    onto = Ontology(concepts)
+    for concept in concepts.values():
+        for prop, (sem, default) in concept.slots.items():
+            if sem is None or default is None:
+                continue
+            if isinstance(default, ConceptConstraint):
+                values = (default.concept,)
+            elif isinstance(default, RangeConstraint):
+                values = (default.low, default.high)
+            else:
+                values = default.values
+            if not all(onto.satisfies(value, sem) for value in values):
+                warnings.append(f"{concept.name}.{prop}: default facet does not narrow "
+                                f"the sem facet")
+    return onto
 
 
-def _validate_ontology(onto: Ontology, source: str, warnings: list[str]) -> None:
-    # constraint references resolve; default facets narrow sem facets
-    for concept in onto.concepts.values():
-        for prop, faceted in concept.slots.items():
-            for facet in (faceted.sem, faceted.default):
-                if isinstance(facet, ConceptConstraint) and facet.concept not in onto.concepts:
-                    raise KbValidationError(
-                        f"{concept.name}.{prop}: constraint names unknown concept {facet.concept}",
-                        source=source)
-            if faceted.sem is not None and faceted.default is not None:
-                if isinstance(faceted.default, ConceptConstraint):
-                    ok = onto.satisfies(faceted.default.concept, faceted.sem)
-                elif isinstance(faceted.default, LiteralConstraint):
-                    ok = all(onto.satisfies(v, faceted.sem) for v in faceted.default.values)
-                elif isinstance(faceted.default, RangeConstraint):
-                    ok = onto.satisfies(faceted.default.low, faceted.sem) and \
-                        onto.satisfies(faceted.default.high, faceted.sem)
-                else:
-                    ok = True
-                if not ok:
-                    warnings.append(f"{concept.name}.{prop}: default facet does not narrow "
-                                    f"the sem facet")
-
-
-def _parse_slot_value(raw, where: str, source: str) -> SlotValue:
+def _parse_slot_value(raw, where: str, source: str, concepts) -> SlotValue:
     if _is_number(raw):
         if not 0 <= raw <= 1:
             raise KbValidationError(f"{where}: scalar slot values must lie in [0, 1]",
@@ -534,12 +534,13 @@ def _parse_slot_value(raw, where: str, source: str) -> SlotValue:
         override = None
         facets = {k: raw[k] for k in ("sem", "default") if k in raw}
         if facets:
-            override = _faceted(facets, where, source)
+            override = _faceted(facets, where, source, concepts)
         return VarBinding(var=raw["var"], override=override)
-    return parse_constraint(raw, where, source)
+    return _known(parse_constraint(raw, where, source), concepts, where, source)
 
 
-def _parse_lexicon(data: dict, source: str) -> Lexicon:
+def _parse_lexicon(data: dict, onto: Ontology, source: str) -> Lexicon:
+    """Read and check each sense in full before the next one."""
     raw = data.get("senses")
     if not isinstance(raw, list):
         raise KbValidationError("senses must be a list", source=source)
@@ -575,11 +576,18 @@ def _parse_lexicon(data: dict, source: str) -> Lexicon:
             if roots and not all(word.strip() for word in roots):
                 raise KbValidationError(f"{sid}: syn-struc {cat} root words must not be blank",
                                         source=source)
+            if cat in FUNCTION_CATEGORIES and not roots:
+                raise KbValidationError(f"{sid}: {cat} node $var{var} lacks a root word",
+                                        source=source)
             optional = n.get("opt", False)
             if not isinstance(optional, bool):
                 raise KbValidationError(f"{sid}: syn-struc {cat} opt must be true or false, "
                                         f"got {optional!r}", source=source)
             nodes.append(SynNode(category=cat, var=var, roots=roots, optional=optional))
+        declared = [node.var for node in nodes]
+        if declared.count(0) != 1:
+            raise KbValidationError(f"{sid}: expected exactly one $var0 head node, "
+                                    f"found {declared.count(0)}", source=source)
         sem_raw = body.get("sem-struc", {})
         if not isinstance(sem_raw, dict):
             raise KbValidationError(f"{sid}: sem-struc must be an object, got {sem_raw!r}",
@@ -590,10 +598,26 @@ def _parse_lexicon(data: dict, source: str) -> Lexicon:
                 or not isinstance(null_sem, list) or not all(map(_is_integer, null_sem)):
             raise KbValidationError(f"{sid}: sem-struc needs a head string, a slots object "
                                     f"and a null-sem list of integers", source=source)
-        slots = {}
+        if not onto.exists(head):
+            raise KbValidationError(f"{sid}: sem-struc head names unknown concept {head}",
+                                    source=source)
+        for var in null_sem:
+            if var not in declared:
+                raise KbValidationError(
+                    f"{sid}: null-sem references $var{var} with no syn-struc node", source=source)
+        slots, bases = {}, {}
         for prop, rawv in slots_raw.items():
-            slots[prop] = _parse_slot_value(rawv, f"{sid}.{prop}", source)
-        sem = SemFrame(head=head, slots=slots, null_sem=tuple(null_sem))
+            value = slots[prop] = _parse_slot_value(rawv, f"{sid}.{prop}", source, onto.concepts)
+            if isinstance(value, VarBinding):
+                if value.var not in declared:
+                    raise KbValidationError(f"{sid}: sem-struc slot {prop} references "
+                                            f"$var{value.var} with no syn-struc node",
+                                            source=source)
+                bases[prop] = onto.constraint_on(head, prop)
+        overlap = {v.var for v in slots.values() if isinstance(v, VarBinding)} & set(null_sem)
+        if overlap:
+            raise KbValidationError(
+                f"{sid}: null-sem variables fill case-role slots: {sorted(overlap)}", source=source)
         bindings = body.get("example-bindings", [])
         if not isinstance(bindings, list) or not all(
                 isinstance(b, list) and len(b) == 2 and isinstance(b[0], str) and _is_integer(b[1])
@@ -637,51 +661,12 @@ def _parse_lexicon(data: dict, source: str) -> Lexicon:
             example=text["ex"],
             synonyms=synonyms,
             syn_struc=tuple(nodes),
-            sem_struc=sem,
+            sem_struc=SemFrame(head=head, slots=slots, null_sem=tuple(null_sem)),
             example_bindings=tuple((w, i) for w, i in bindings),
             reference=reference,
+            role_bases=bases,
         )
     return Lexicon(senses)
-
-
-def _validate_lexicon(lex: Lexicon, onto: Ontology, source: str) -> None:
-    for sid, sense in lex.senses.items():
-        heads = [n for n in sense.syn_struc if n.var == 0]
-        if len(heads) != 1:
-            raise KbValidationError(f"{sid}: expected exactly one $var0 head node, found {len(heads)}",
-                                    source=source)
-        declared = {n.var for n in sense.syn_struc}
-        for prop, value in sense.sem_struc.slots.items():
-            if isinstance(value, VarBinding) and value.var not in declared:
-                raise KbValidationError(
-                    f"{sid}: sem-struc slot {prop} references $var{value.var} with no syn-struc node",
-                    source=source)
-        for var in sense.sem_struc.null_sem:
-            if var not in declared:
-                raise KbValidationError(
-                    f"{sid}: null-sem references $var{var} with no syn-struc node", source=source)
-        bound = {v.var for v in sense.sem_struc.slots.values() if isinstance(v, VarBinding)}
-        overlap = bound & set(sense.sem_struc.null_sem)
-        if overlap:
-            raise KbValidationError(
-                f"{sid}: null-sem variables fill case-role slots: {sorted(overlap)}", source=source)
-        for node in sense.syn_struc:
-            if node.category in FUNCTION_CATEGORIES and not node.roots:
-                raise KbValidationError(
-                    f"{sid}: {node.category} node $var{node.var} lacks a root word", source=source)
-        if not onto.exists(sense.sem_struc.head):
-            raise KbValidationError(
-                f"{sid}: sem-struc head names unknown concept {sense.sem_struc.head}", source=source)
-        for prop, value in sense.sem_struc.slots.items():
-            constraints = []
-            if isinstance(value, VarBinding) and value.override is not None:
-                constraints.extend(c for c in (value.override.sem, value.override.default) if c)
-            elif isinstance(value, ConceptConstraint):
-                constraints.append(value)
-            for c in constraints:
-                if isinstance(c, ConceptConstraint) and not onto.exists(c.concept):
-                    raise KbValidationError(
-                        f"{sid}.{prop}: constraint names unknown concept {c.concept}", source=source)
 
 
 def _parse_memory(data: dict, onto: Ontology, source: str) -> EpisodicMemory:
@@ -708,11 +693,9 @@ def _parse_memory(data: dict, onto: Ontology, source: str) -> EpisodicMemory:
 
 
 def load_knowledge_base(ontology_path, lexicon_path, memory_path) -> KnowledgeBase:
-    """Load and cross-validate the three knowledge files."""
+    """Load the three knowledge files, each read and checked in one pass."""
     warnings: list[str] = []
-    onto = _parse_ontology(_kb_document(ontology_path, "ontology"), str(ontology_path))
-    _validate_ontology(onto, str(ontology_path), warnings)
-    lex = _parse_lexicon(_kb_document(lexicon_path, "lexicon"), str(lexicon_path))
-    _validate_lexicon(lex, onto, str(lexicon_path))
+    onto = _parse_ontology(_kb_document(ontology_path, "ontology"), str(ontology_path), warnings)
+    lex = _parse_lexicon(_kb_document(lexicon_path, "lexicon"), onto, str(lexicon_path))
     memory = _parse_memory(_kb_document(memory_path, "memory"), onto, str(memory_path))
     return KnowledgeBase(ontology=onto, lexicon=lex, memory=memory, warnings=warnings)

@@ -18,7 +18,7 @@ import math
 from typing import NamedTuple
 
 from .config import GenerationConfig
-from .errors import AllSetsPruned, NoRealizableSense
+from .errors import AllSetsPruned, NoRealizableSense, TmrError
 from .knowledge import (
     Constraint,
     KnowledgeBase,
@@ -29,6 +29,7 @@ from .knowledge import (
     SynNode,
     VarBinding,
     constraint_text,
+    effective_sem,
     match_degree,
 )
 from .tmr import (
@@ -181,6 +182,9 @@ def extract_candidates(tmr: Tmr, kb: KnowledgeBase) -> list[Unit]:
     ancestor), plus modifier units for lexicalizable property slots."""
     units: list[Unit] = []
     for frame in tmr.frames:
+        if not kb.ontology.exists(frame.concept):
+            raise TmrError(f"{frame.instance_id}: concept {frame.concept} is not in the ontology",
+                           source=tmr.source)
         senses, note = kb.head_senses(frame.concept)
         if not senses:
             raise NoRealizableSense(frame.instance_id, frame.concept)
@@ -388,9 +392,7 @@ def _score_binding(entries: list[LedgerEntry], choice: CandidateSense, concept: 
     base = choice.sense.role_bases[prop]
     degree = match_degree(kb.ontology, concept, base, binding.override)
     if degree is MatchDegree.NONE:
-        effective = binding.override.effective_sem if binding.override and binding.override.sem \
-            else base.effective_sem
-        return f"{prop} {concept} violates {constraint_text(effective)}"
+        return f"{prop} {concept} violates {constraint_text(effective_sem(base, binding.override))}"
     hit = _DEGREE_RULES.get(degree)
     if hit:
         rule, attr, name = hit

@@ -105,10 +105,6 @@ def _mood_of(sense: LexSense) -> str:
     return "declarative"
 
 
-def _pronoun_number(form: str) -> str:
-    return "plural" if form in ("they", "them", "we", "us") else "singular"
-
-
 class Forest:
     """What the candidate sets of one request share: the root frame and its
     tense, every plan, and every nominal, phrase and agreeing verb built so
@@ -287,8 +283,7 @@ class _Builder:
             if ref is not None:
                 lemma, number, person = choice.lemma, ref.number, ref.person
             else:
-                lemma = choice.decoration.pronoun_form
-                number, person = _pronoun_number(lemma), 3
+                lemma, person = choice.decoration.pronoun_form, 3
             head = Constituent("noun-head", lemma=lemma, pronoun=True,
                                features=Features(number=number, person=person, case=case))
             return (Constituent(function, children=(head,)),

@@ -167,6 +167,16 @@ def test_an_adjective_never_heads_a_frame(tmp_path, animal):
         "error: no lexical sense covers ANIMAL-2 (concept ANIMAL or any ancestor)"
 
 
+@pytest.mark.parametrize("fmt", ["human", "json"])
+def test_a_frame_of_an_unknown_concept_names_the_file_and_the_frame(tmp_path, capsys, fmt):
+    path = tmp_path / "blorp.json"
+    path.write_text(json.dumps({"schema": "ontogen-tmr/1", "frames": {"BLORP-1": {}}}))
+    assert main(["generate", "--tmr", str(path), "--format", fmt]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {path}: BLORP-1: concept BLORP is not in the ontology\n"
+
+
 def test_malformed_input_exits_1(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{ not json")

@@ -312,6 +312,91 @@ def test_json_shaped_junk_in_a_body_is_a_kb_validation_error(tmp_path, case):
     assert str(exc.value).startswith(f"{path}: {name}")
 
 
+def _setting(parent, key, value):
+    def mutate(doc):
+        parent(doc)[key] = value
+    return mutate
+
+
+def _deleting(parent, key):
+    def mutate(doc):
+        del parent(doc)[key]
+    return mutate
+
+
+def _both(*mutations):
+    def mutate(doc):
+        for mutation in mutations:
+            mutation(doc)
+    return mutate
+
+
+def _fix(doc: dict) -> dict:
+    return _sense(doc, "fix-v2")
+
+
+# (document, the one fault put in it, the message after "<path>: ")
+_LOAD_RULES = {
+    "no-concepts": ("ontology", _setting(lambda d: d, "concepts", {}), "no concepts"),
+    "bad-concept-name": ("ontology", _setting(lambda d: d["concepts"], "wall", {}),
+                         "bad concept name 'wall'"),
+    "instance-shaped-concept-name": ("ontology", _setting(lambda d: d["concepts"], "WALL-2", {}),
+                                     "bad concept name 'WALL-2'"),
+    "unknown-parent": ("ontology", _setting(lambda d: d["concepts"]["WALL"], "parents",
+                                            ["NOWHERE"]),
+                       "WALL: unknown parent NOWHERE"),
+    "ontology-constraint": ("ontology", _setting(lambda d: d["concepts"]["FASTEN"]["slots"],
+                                                 "AGENT", {"sem": "NOWHERE"}),
+                            "FASTEN.AGENT: constraint names unknown concept NOWHERE"),
+    "ontology-default": ("ontology", _setting(lambda d: d["concepts"]["FASTEN"]["slots"],
+                                              "AGENT", {"sem": "HUMAN", "default": "NOWHERE"}),
+                         "FASTEN.AGENT: constraint names unknown concept NOWHERE"),
+    "lexicon-constraint": ("lexicon", _setting(lambda d: _fix(d)["sem-struc"]["slots"],
+                                               "INSTRUMENT", "NOWHERE"),
+                           "fix-v2.INSTRUMENT: constraint names unknown concept NOWHERE"),
+    "lexicon-override": ("lexicon", _setting(lambda d: _fix(d)["sem-struc"]["slots"],
+                                             "THEME", {"var": 2, "sem": "NOWHERE"}),
+                         "fix-v2.THEME: constraint names unknown concept NOWHERE"),
+    "duplicate-sense-id": ("lexicon", lambda d: d["senses"].append(dict(_fix(d))),
+                           "duplicate sense id fix-v2"),
+    "null-sem-undeclared": ("lexicon", _setting(lambda d: _fix(d)["sem-struc"], "null-sem",
+                                                [3, 7]),
+                            "fix-v2: null-sem references $var7 with no syn-struc node"),
+    "null-sem-in-a-role": ("lexicon", _setting(lambda d: _fix(d)["sem-struc"], "null-sem",
+                                               [3, 4]),
+                           "fix-v2: null-sem variables fill case-role slots: [4]"),
+    "prep-without-root": ("lexicon", _deleting(lambda d: _fix(d)["syn-struc"][3], "root"),
+                          "fix-v2: prep node $var3 lacks a root word"),
+    "bad-instance-id": ("memory", _setting(lambda d: d["instances"], "HUMAN", {}),
+                        "bad instance id 'HUMAN'"),
+    "unknown-instance-concept": ("memory", _setting(lambda d: d["instances"], "GHOST-1", {}),
+                                 "GHOST-1: concept prefix GHOST is not in the ontology"),
+    # two faults: the one read first is the one reported
+    "ontology-first-of-two": ("ontology", _both(
+        _setting(lambda d: d["concepts"]["OBJECT"], "parents", ["NOWHERE"]),
+        _setting(lambda d: d["concepts"], "DINNER", 5)),
+        "OBJECT: unknown parent NOWHERE"),
+    "lexicon-first-of-two": ("lexicon", _both(
+        _setting(lambda d: _fix(d)["sem-struc"], "head", "NOWHERE"),
+        _setting(lambda d: _sense(d, "blue-adj1"), "pos", "adjective")),
+        "fix-v2: sem-struc head names unknown concept NOWHERE"),
+}
+
+
+@pytest.mark.parametrize("case", list(_LOAD_RULES))
+def test_each_load_rule_names_its_file_and_its_subject(tmp_path, case):
+    kind, mutate, message = _LOAD_RULES[case]
+    doc = json.loads((KB_DIR / f"{kind}.json").read_text())
+    mutate(doc)
+    path = tmp_path / f"{kind}.json"
+    path.write_text(json.dumps(doc))
+    files = {k: KB_DIR / f"{k}.json" for k in ("ontology", "lexicon", "memory")}
+    files[kind] = path
+    with pytest.raises(KbValidationError) as exc:
+        load_knowledge_base(files["ontology"], files["lexicon"], files["memory"])
+    assert str(exc.value) == f"{path}: {message}"
+
+
 def test_a_concept_declared_twice_is_rejected(tmp_path):
     onto = tmp_path / "ontology.json"
     onto.write_text('{"schema": "ontogen-kb/1", "kind": "ontology", "concepts": {'
