@@ -26,7 +26,7 @@ from .config import GenerationConfig, load_config
 from .engine import RunReport, generate
 from .errors import AllSetsPruned, NoRealizableSense, OntogenError
 from .knowledge import FacetedConstraint, VarBinding, constraint_text, load_knowledge_base
-from .pipeline import TraceRecord
+from .pipeline import TraceRecord, check_concepts
 from .selector import bundled_frequency, load_frequency
 from .solution import Constituent
 from .strictjson import encode
@@ -287,6 +287,7 @@ def cmd_validate(args) -> int:
     if args.tmr:
         tmr = parse_tmr_file(args.tmr)
         _warn(tmr.source, tmr.warnings)
+        check_concepts(tmr, kb)
         lines.append(f"ok: tmr {len(tmr.frames)} frames")
     _emit("\n".join(lines) + "\n", None)
     return 0

@@ -322,10 +322,10 @@ class LexSense:
     """One lexical sense: a headword with paired syn-struc and sem-struc.
     reference is present only on pronoun senses (I/you/he/she/they).
     bound_roles maps each syn-struc variable a sem-struc slot binds to that
-    slot's property; is_argument_taking says whether there is any;
-    transitive says whether the syn-struc has a direct object. All three
-    are read from the structures once, here, so neither structure may
-    change later. role_bases maps each bound property to the ontology's
+    slot's property (the loader lets a variable fill one slot only);
+    is_argument_taking says whether there is any; transitive says whether
+    the syn-struc has a direct object. All three are read from the
+    structures once, here, so neither structure may change later. role_bases maps each bound property to the ontology's
     constraint on it for the head concept; the loader reads it from the
     ontology and passes it in."""
 
@@ -605,7 +605,7 @@ def _parse_lexicon(data: dict, onto: Ontology, source: str) -> Lexicon:
             if var not in declared:
                 raise KbValidationError(
                     f"{sid}: null-sem references $var{var} with no syn-struc node", source=source)
-        slots, bases = {}, {}
+        slots, bases, bound = {}, {}, {}  # bound: the slot each variable fills
         for prop, rawv in slots_raw.items():
             value = slots[prop] = _parse_slot_value(rawv, f"{sid}.{prop}", source, onto.concepts)
             if isinstance(value, VarBinding):
@@ -613,8 +613,12 @@ def _parse_lexicon(data: dict, onto: Ontology, source: str) -> Lexicon:
                     raise KbValidationError(f"{sid}: sem-struc slot {prop} references "
                                             f"$var{value.var} with no syn-struc node",
                                             source=source)
+                if value.var in bound:
+                    raise KbValidationError(f"{sid}: sem-struc binds $var{value.var} in both "
+                                            f"{bound[value.var]} and {prop}", source=source)
+                bound[value.var] = prop
                 bases[prop] = onto.constraint_on(head, prop)
-        overlap = {v.var for v in slots.values() if isinstance(v, VarBinding)} & set(null_sem)
+        overlap = set(bound) & set(null_sem)
         if overlap:
             raise KbValidationError(
                 f"{sid}: null-sem variables fill case-role slots: {sorted(overlap)}", source=source)

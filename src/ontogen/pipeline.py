@@ -3,12 +3,14 @@
 Six stages run in a fixed order: extract candidate senses per unit,
 manage referring expressions, prune semantically (with an additive score
 ledger), prune syntactically, aggregate the surviving candidates into
-candidate sets, and expand synonyms. Every pruning rule reads one candidate
-and its own frame, so each candidate is scored and checked once, and only
-survivors are combined; a frame the root never reaches cannot change the
-sentence, so its units enter the combination at their best candidate only.
-Every score delta and every exclusion is recorded, so a set's score is
-fully explained by its ledger.
+candidate sets, and expand synonyms. Up to aggregation, each stage narrows
+the units' candidate lists in place and returns the list it was given.
+Every pruning rule reads one candidate and its own frame, so each
+candidate is scored and checked once, and only survivors are combined; a
+frame the root never reaches cannot change the sentence, so its units
+enter the combination at their best candidate only. Every score delta and
+every exclusion is recorded, so a set's score is fully explained by its
+ledger.
 """
 
 from __future__ import annotations
@@ -42,23 +44,6 @@ from .tmr import (
     find_root_frame,
 )
 
-DETERMINERS = ("indefinite", "definite", "some", "bare", "none")
-
-
-class ReferenceDecoration:
-    """How a nominal should be realized: article choice or a pronoun form."""
-
-    __slots__ = ("determiner", "pronoun_form")
-
-    def __init__(self, determiner: str = "none", pronoun_form: str | None = None):
-        if determiner not in DETERMINERS:
-            raise ValueError(f"bad determiner {determiner!r}")
-        if pronoun_form is not None and determiner != "none":
-            raise ValueError("a pronoun form excludes a determiner")
-        self.determiner = determiner
-        self.pronoun_form = pronoun_form
-
-
 class LedgerEntry(NamedTuple):
     rule: str
     delta: float
@@ -66,12 +51,13 @@ class LedgerEntry(NamedTuple):
 
 
 class CandidateSense(NamedTuple):
-    """One sense option for one unit, with any reference decoration applied."""
+    """One sense option for one unit, and how its referent is mentioned."""
 
     sense: LexSense
     frame_id: str
     unit_key: str
-    decoration: ReferenceDecoration | None = None
+    determiner: str = "none"  # set by manage_reference for a described referent
+    pronoun_form: str | None = None  # set by manage_reference for a pronoun clone
     lemma_override: str | None = None
     proper: bool = False
     modifiers: tuple[str, ...] = ()  # the frame's props that modifier units express
@@ -86,19 +72,16 @@ class CandidateSense(NamedTuple):
 
     @property
     def is_pronoun(self) -> bool:
-        if self.sense.reference is not None:
-            return True
-        return self.decoration is not None and self.decoration.pronoun_form is not None
+        return self.sense.reference is not None or self.pronoun_form is not None
 
     def describe(self) -> str:
         text = self.sense.id
         if self.lemma_override:
             text += f"({self.lemma_override})"
-        if self.decoration:
-            if self.decoration.pronoun_form:
-                text += f"[{self.decoration.pronoun_form}]"
-            elif self.decoration.determiner != "none":
-                text += f"[{self.decoration.determiner}]"
+        if self.pronoun_form:
+            text += f"[{self.pronoun_form}]"
+        elif self.determiner != "none":
+            text += f"[{self.determiner}]"
         return text
 
 
@@ -106,18 +89,14 @@ class Unit:
     """One thing to express: a TMR frame, or one property slot of a frame.
     kind is "frame" or "modifier"."""
 
-    def __init__(self, key: str, frame_id: str, kind: str = "frame", prop: str | None = None,
-                 value: object | None = None, candidates: list[CandidateSense] | None = None):
+    def __init__(self, key: str, frame_id: str, candidates: list[CandidateSense],
+                 kind: str = "frame", prop: str | None = None, value: object | None = None):
         self.key = key
         self.frame_id = frame_id
+        self.candidates = candidates
         self.kind = kind
         self.prop = prop
         self.value = value
-        self.candidates = [] if candidates is None else candidates
-
-    def with_candidates(self, candidates: list[CandidateSense]) -> Unit:
-        """A copy of this unit holding other candidates."""
-        return Unit(self.key, self.frame_id, self.kind, self.prop, self.value, candidates)
 
 
 class CandidateSet:
@@ -177,14 +156,21 @@ class SelectionResult:
 # ---------------------------------------------------------------------------
 # stage 1: extract candidate senses
 
-def extract_candidates(tmr: Tmr, kb: KnowledgeBase) -> list[Unit]:
-    """Per frame, every sense headed by its concept (or nearest lexicalized
-    ancestor), plus modifier units for lexicalizable property slots."""
-    units: list[Unit] = []
+def check_concepts(tmr: Tmr, kb: KnowledgeBase) -> None:
+    """Raise a TmrError, with the TMR's source, for the first frame whose
+    concept the ontology lacks."""
     for frame in tmr.frames:
         if not kb.ontology.exists(frame.concept):
             raise TmrError(f"{frame.instance_id}: concept {frame.concept} is not in the ontology",
                            source=tmr.source)
+
+
+def extract_candidates(tmr: Tmr, kb: KnowledgeBase) -> list[Unit]:
+    """Per frame, every sense headed by its concept (or nearest lexicalized
+    ancestor), plus modifier units for lexicalizable property slots. Every
+    frame's concept must be in the ontology (check_concepts)."""
+    units: list[Unit] = []
+    for frame in tmr.frames:
         senses, note = kb.head_senses(frame.concept)
         if not senses:
             raise NoRealizableSense(frame.instance_id, frame.concept)
@@ -192,7 +178,7 @@ def extract_candidates(tmr: Tmr, kb: KnowledgeBase) -> list[Unit]:
         modifier_units = _modifier_units(frame, kb)
         modifiers = tuple(m.prop for m in modifier_units)
         ledger = (LedgerEntry("ancestor-fallback", 0.0, note),) if note else ()
-        units.append(Unit(key=frame_id, frame_id=frame_id, candidates=[
+        units.append(Unit(frame_id, frame_id, [
             CandidateSense(sense, frame_id, frame_id, modifiers=modifiers, ledger=ledger)
             for sense in senses]))
         units.extend(modifier_units)
@@ -217,11 +203,9 @@ def _modifier_units(frame: TmrFrame, kb: KnowledgeBase) -> list[Unit]:
         if not senses:
             continue
         key = modifier_key(frame.instance_id, prop)
-        unit = Unit(key=key, frame_id=frame.instance_id, kind="modifier",
-                    prop=prop, value=query)
-        unit.candidates = [CandidateSense(sense=s, frame_id=frame.instance_id, unit_key=key)
-                           for s in senses]
-        out.append(unit)
+        out.append(Unit(key, frame.instance_id,
+                        [CandidateSense(s, frame.instance_id, key) for s in senses],
+                        kind="modifier", prop=prop, value=query))
     return out
 
 
@@ -257,16 +241,11 @@ def _pronoun_candidates(unit: Unit, person: int, number: str, gender: str | None
             continue
         if ref.gender is not None and ref.gender != gender:
             continue
-        ledger = cand.ledger
         if bonus:
-            ledger = ledger + (LedgerEntry("reference-pronoun", bonus,
-                                           "pronoun preferred for a known referent"),)
-        out.append(cand._replace(decoration=ReferenceDecoration(), ledger=ledger))
+            cand = cand._replace(ledger=cand.ledger + (LedgerEntry(
+                "reference-pronoun", bonus, "pronoun preferred for a known referent"),))
+        out.append(cand)
     return out
-
-
-def _described(cand: CandidateSense, determiner: str) -> CandidateSense:
-    return cand._replace(decoration=ReferenceDecoration(determiner=determiner))
 
 
 def _name_candidate(unit: Unit, name: str, concept: str) -> CandidateSense:
@@ -278,19 +257,16 @@ def _name_candidate(unit: Unit, name: str, concept: str) -> CandidateSense:
         sem_struc=SemFrame(head=concept, slots={}),
         definition=f"proper name of a remembered {concept}",
     )
-    return CandidateSense(sense=sense, frame_id=unit.frame_id, unit_key=unit.key,
-                          decoration=ReferenceDecoration(), proper=True,
+    return CandidateSense(sense=sense, frame_id=unit.frame_id, unit_key=unit.key, proper=True,
                           modifiers=unit.candidates[0].modifiers)
 
 
 def manage_reference(units: list[Unit], tmr: Tmr, kb: KnowledgeBase,
                      config: GenerationConfig, context: tuple[str, ...] = ()) -> list[Unit]:
-    """Prune person/number/gender-incompatible senses and decorate the rest
-    with article or pronoun instructions."""
-    out: list[Unit] = []
+    """Prune person/number/gender-incompatible senses and give the rest a
+    determiner or a pronoun form."""
     for unit in units:
         if unit.kind != "frame":
-            out.append(unit)
             continue
         frame = tmr.by_id[unit.frame_id]
         concept = frame.concept
@@ -301,7 +277,6 @@ def manage_reference(units: list[Unit], tmr: Tmr, kb: KnowledgeBase,
                  or in_context)
 
         if kb.ontology.within(concept, "EVENT"):
-            out.append(unit)
             continue
 
         gender = _frame_attr(frame, kb, "GENDER")
@@ -310,7 +285,6 @@ def manage_reference(units: list[Unit], tmr: Tmr, kb: KnowledgeBase,
             chosen = _pronoun_candidates(unit, person, number, gender, 0.0)
             if chosen:
                 unit.candidates = chosen
-                out.append(unit)
                 continue
             # degenerate lexicon without the pronoun: fall through to description
 
@@ -325,21 +299,20 @@ def manage_reference(units: list[Unit], tmr: Tmr, kb: KnowledgeBase,
             elif known:
                 chosen.extend(_pronoun_candidates(unit, 3, number, gender,
                                                   config.pronoun_bonus))
-                chosen.extend(_described(c, "definite")
+                chosen.extend(c._replace(determiner="definite")
                               for c in unit.candidates if c.sense.reference is None)
             else:
                 determiner = "indefinite" if number == "singular" else "some"
-                chosen.extend(_described(c, determiner)
+                chosen.extend(c._replace(determiner=determiner)
                               for c in unit.candidates if c.sense.reference is None)
             unit.candidates = chosen
-            out.append(unit)
             continue
 
         # non-human objects
         plain = [c for c in unit.candidates if c.sense.reference is None]
         chosen = []
         if known:
-            chosen.extend(_described(c, "definite") for c in plain)
+            chosen.extend(c._replace(determiner="definite") for c in plain)
             if frame.coref is not None and plain:
                 # pronominalization needs an explicit coreference link; base
                 # the clone on a sense that asserts nothing beyond its head,
@@ -348,21 +321,19 @@ def manage_reference(units: list[Unit], tmr: Tmr, kb: KnowledgeBase,
                              if all(isinstance(v, VarBinding)
                                     for v in c.sense.sem_struc.slots.values())),
                             plain[0])
-                pron = "they" if number == "plural" else "it"
                 ledger = base.ledger + (LedgerEntry(
                     "reference-pronoun", config.pronoun_bonus,
                     "pronoun preferred for a known referent"),)
-                chosen.append(base._replace(decoration=ReferenceDecoration(pronoun_form=pron),
+                chosen.append(base._replace(pronoun_form="they" if number == "plural" else "it",
                                             ledger=ledger))
         elif number == "plural":
             for c in plain:
-                chosen.append(_described(c, "some"))
-                chosen.append(_described(c, "bare"))
+                chosen.append(c._replace(determiner="some"))
+                chosen.append(c._replace(determiner="bare"))
         else:
-            chosen.extend(_described(c, "indefinite") for c in plain)
+            chosen.extend(c._replace(determiner="indefinite") for c in plain)
         unit.candidates = chosen or plain
-        out.append(unit)
-    return out
+    return units
 
 
 # ---------------------------------------------------------------------------
@@ -512,7 +483,6 @@ def prune_semantic(units: list[Unit], tmr: Tmr, kb: KnowledgeBase,
     """Score each candidate once: exclude senses that assert content the
     meaning lacks or contradicts; bonus exact/narrow/default matches and
     in-tolerance feature values; penalize frame slots nothing expresses."""
-    out: list[Unit] = []
     for unit in units:
         kept = []
         expressible = () if unit.kind == "modifier" else \
@@ -528,11 +498,11 @@ def prune_semantic(units: list[Unit], tmr: Tmr, kb: KnowledgeBase,
             if entries or uncovered or choice.semantic or choice.uncovered:
                 choice = choice._replace(semantic=tuple(entries), uncovered=uncovered)
             kept.append(choice)
-        out.append(unit.with_candidates(kept))
-    if not all(unit.candidates for unit in out):
+        unit.candidates = kept
+    if not all(unit.candidates for unit in units):
         raise AllSetsPruned("every candidate set was excluded on semantic grounds",
                             trace=trace)
-    return out
+    return units
 
 
 # ---------------------------------------------------------------------------
@@ -601,10 +571,8 @@ def prune_syntactic(units: list[Unit], tmr: Tmr, trace: list[TraceRecord]) -> li
     """Check each frame candidate once: exclude it when an obligatory
     syntactic slot cannot be filled, a supplied argument cannot be hosted,
     or it is a pronoun for a modified referent."""
-    out: list[Unit] = []
     for unit in units:
         if unit.kind == "modifier":
-            out.append(unit)
             continue
         kept = []
         for choice in unit.candidates:
@@ -614,11 +582,11 @@ def prune_syntactic(units: list[Unit], tmr: Tmr, trace: list[TraceRecord]) -> li
             else:
                 kept.append(choice if choice.passive == passive
                             else choice._replace(passive=passive))
-        out.append(unit.with_candidates(kept))
-    if not all(unit.candidates for unit in out):
+        unit.candidates = kept
+    if not all(unit.candidates for unit in units):
         raise AllSetsPruned("every candidate set was excluded on syntactic grounds",
                             trace=trace)
-    return out
+    return units
 
 
 # ---------------------------------------------------------------------------
@@ -664,8 +632,10 @@ def hold_unreached(units: list[Unit], tmr: Tmr,
     total per sentence, so every winning set already holds it there."""
     reached = _reached_frames(units, tmr, root)
     held = frozenset(unit.key for unit in units if unit.frame_id not in reached)
-    return [unit.with_candidates([max(unit.candidates, key=_own_score)])
-            if unit.key in held else unit for unit in units], held
+    for unit in units:
+        if unit.key in held:
+            unit.candidates = [max(unit.candidates, key=_own_score)]
+    return units, held
 
 
 # ---------------------------------------------------------------------------
@@ -715,11 +685,12 @@ def expand_synonyms(sets: list[CandidateSet],
 def run_lexical_selection(tmr: Tmr, kb: KnowledgeBase, config: GenerationConfig,
                           context: tuple[str, ...] = ()) -> SelectionResult:
     """All six stages in order, with the full trace retained."""
+    check_concepts(tmr, kb)
     trace: list[TraceRecord] = []
     if not tmr.frames:
         raise AllSetsPruned("the meaning representation has no frames", trace=trace)
     units = extract_candidates(tmr, kb)
-    units = manage_reference(units, tmr, kb, config, context)
+    manage_reference(units, tmr, kb, config, context)
     empty = [u.key for u in units if not u.candidates]
     if empty:
         raise AllSetsPruned(f"no referring expression fits: {', '.join(empty)}", trace=trace)
@@ -728,13 +699,13 @@ def run_lexical_selection(tmr: Tmr, kb: KnowledgeBase, config: GenerationConfig,
         "candidates": sum(len(u.candidates) for u in units),
         "sets": _product(units),
     }
-    survivors = prune_semantic(units, tmr, kb, config, trace)
-    counts["after-semantic"] = _product(survivors)
-    survivors = prune_syntactic(survivors, tmr, trace)
-    counts["after-syntactic"] = _product(survivors)
+    prune_semantic(units, tmr, kb, config, trace)
+    counts["after-semantic"] = _product(units)
+    prune_syntactic(units, tmr, trace)
+    counts["after-syntactic"] = _product(units)
     root = find_root_frame(tmr)
-    survivors, held = hold_unreached(survivors, tmr, root)
-    sets, messages = aggregate_sets(survivors, config)
+    units, held = hold_unreached(units, tmr, root)
+    sets, messages = aggregate_sets(units, config)
     sets = expand_synonyms(sets, held)
     counts["after-synonyms"] = len(sets)
     return SelectionResult(sets=sets, trace=trace, messages=messages, counts=counts, root=root)

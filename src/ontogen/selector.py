@@ -87,11 +87,10 @@ class ScoredSentence:
 
 
 def _pattern(name: str) -> re.Pattern:
-    """Whole-word mentions of name: a match of ``\\b<name>\\b``. The name
-    leads, so ``re`` finds candidates by its literal-prefix search; the
-    leading ``\\b`` becomes a lookbehind over the character before it."""
-    if not name:
-        return re.compile(r"\b")
+    """Whole-word mentions of name, a non-blank name: a match of
+    ``\\b<name>\\b``. The name leads, so ``re`` finds candidates by its
+    literal-prefix search; the leading ``\\b`` becomes a lookbehind over the
+    character before it."""
     escaped = re.escape(name)
     first = name[0]
     # what \b reads as a word character
@@ -102,13 +101,10 @@ def _pattern(name: str) -> re.Pattern:
 
 def history_mentions(name: str, history: tuple[str, ...]) -> int:
     """Whole-word mentions of name summed over the history lines, in one
-    scan of the lines joined by newlines. A match of a name without a
-    newline stays inside one line, and the newline reads as the line's
-    edge; an empty name, or one with a newline, is counted line by line."""
-    pattern = _pattern(name)
-    if name and "\n" not in name:
-        return len(pattern.findall("\n".join(history)))
-    return sum(len(pattern.findall(line)) for line in history if name in line)
+    scan of the lines joined by newlines. A name is one line, not blank
+    (knowledge.identity_problem), so a match stays inside one line, and the
+    newline reads as the line's edge."""
+    return len(_pattern(name).findall("\n".join(history)))
 
 
 def extra_mentions(name: str, sentence: str) -> int:

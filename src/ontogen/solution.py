@@ -283,16 +283,14 @@ class _Builder:
             if ref is not None:
                 lemma, number, person = choice.lemma, ref.number, ref.person
             else:
-                lemma, person = choice.decoration.pronoun_form, 3
+                lemma, person = choice.pronoun_form, 3
             head = Constituent("noun-head", lemma=lemma, pronoun=True,
                                features=Features(number=number, person=person, case=case))
             return (Constituent(function, children=(head,)),
                     Features(number=number, person=person))
 
         children: list[Constituent] = []
-        decoration = choice.decoration
-        determiner = decoration.determiner if decoration else "none"
-        word = _DETERMINER_WORDS.get(determiner)
+        word = _DETERMINER_WORDS.get(choice.determiner)
         if word:
             children.append(Constituent("determiner", lemma=word))
         for prop in choice.modifiers:

@@ -177,6 +177,22 @@ def test_a_frame_of_an_unknown_concept_names_the_file_and_the_frame(tmp_path, ca
     assert err == f"error: {path}: BLORP-1: concept BLORP is not in the ontology\n"
 
 
+@pytest.mark.parametrize("command, frames", [
+    ("validate", {"BLORP-1": {}}),
+    ("validate", {"ANIMAL-2": {}, "BLORP-1": {}}),
+    ("generate", {"ANIMAL-2": {}, "BLORP-1": {}}),
+], ids=["validate", "validate-after-an-uncovered-frame", "generate-after-an-uncovered-frame"])
+def test_every_frame_concept_is_checked_before_selection(tmp_path, capsys, command, frames):
+    """ANIMAL-2 alone exits 2 (no sense covers it); the unknown concept
+    after it is still the error reported, by both commands."""
+    path = tmp_path / "blorp.json"
+    path.write_text(json.dumps({"schema": "ontogen-tmr/1", "frames": frames}))
+    assert main([command, "--tmr", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {path}: BLORP-1: concept BLORP is not in the ontology\n"
+
+
 def test_malformed_input_exits_1(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{ not json")

@@ -206,6 +206,16 @@ def test_is_a_cycle_is_rejected_at_load(tmp_path):
         }})
 
 
+def test_an_ontology_may_have_two_roots(tmp_path):
+    kb = make_kb(tmp_path, ontology={"concepts": {
+        "ALL": {"parents": []},
+        "OTHER": {"parents": []},
+        "A": {"parents": ["OTHER"]},
+    }})
+    assert kb.warnings == []
+    assert kb.ontology.ancestors("A") == ("A", "OTHER")
+
+
 def test_unknown_parent_is_rejected(tmp_path):
     with pytest.raises(KbValidationError):
         make_kb(tmp_path, ontology={"concepts": {
@@ -250,7 +260,11 @@ def test_sense_head_variable_is_required_and_unique(tmp_path):
       "sem-struc": {"head": "EVENT", "slots": {}}},
      "act-v1: syn-struc v node needs an integer var"),
     ("act-v1", r"senses\[0\] must be an object"),
-], ids=["node-without-var", "sense-not-object"])
+    ({"id": "walk-v1", "headword": "walk", "pos": "v",
+      "syn-struc": [{"cat": "subj", "var": 1}, {"cat": "v", "var": 0}],
+      "sem-struc": {"head": "EVENT", "slots": {"AGENT": {"var": 1}, "THEME": {"var": 1}}}},
+     r"walk-v1: sem-struc binds \$var1 in both AGENT and THEME"),
+], ids=["node-without-var", "sense-not-object", "variable-bound-twice"])
 def test_malformed_sense_is_a_kb_validation_error(tmp_path, sense, match):
     with pytest.raises(KbValidationError, match=match):
         _lexicon_with(sense, tmp_path)

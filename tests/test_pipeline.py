@@ -20,12 +20,12 @@ from ontogen import (
     tmr as tmr_module,
 )
 from ontogen.pipeline import (
-    ReferenceDecoration,
     TraceRecord,
     _exclude,
     aggregate_sets,
     expand_synonyms,
     extract_candidates,
+    hold_unreached,
     ledger_score,
     manage_reference,
     prune_semantic,
@@ -128,47 +128,49 @@ def test_known_plural_human_pronominalizes_as_they(kb, config):
     agent = _unit(units, "HUMAN-30")
     ids = [c.sense.id for c in agent.candidates]
     assert "they-n1" in ids
-    assert all(c.is_pronoun or c.decoration.determiner == "definite"
-               for c in agent.candidates)
-
-
-@pytest.mark.parametrize("kwargs", [{"determiner": "an"},
-                                    {"determiner": "definite", "pronoun_form": "it"}],
-                         ids=["bad-determiner", "pronoun-with-determiner"])
-def test_a_reference_decoration_rejects_what_cannot_be_realized(kwargs):
-    with pytest.raises(ValueError):
-        ReferenceDecoration(**kwargs)
+    assert all(c.is_pronoun or c.determiner == "definite" for c in agent.candidates)
 
 
 def test_new_referents_take_indefinite_or_plural_articles(kb, config):
     _, units = _units_for("fasten_painting", kb, config)
-    assert {c.decoration.determiner for c in _unit(units, "PICTURE-7").candidates} == {"indefinite"}
+    assert {c.determiner for c in _unit(units, "PICTURE-7").candidates} == {"indefinite"}
 
     _, units = _units_for("plural_paintings", kb, config)
-    assert {c.decoration.determiner for c in _unit(units, "PICTURE-8").candidates} == {"some", "bare"}
+    assert {c.determiner for c in _unit(units, "PICTURE-8").candidates} == {"some", "bare"}
 
 
 def test_coreferred_object_gets_definite_and_a_pronoun_clone(kb, config):
     tmr, units = _units_for("fasten_painting_nlu", kb, config)
     wall = _unit(units, "WALL-2")
-    determiners = [c.decoration.determiner for c in wall.candidates
-                   if c.decoration and c.decoration.pronoun_form is None]
+    determiners = [c.determiner for c in wall.candidates if c.pronoun_form is None]
     assert determiners == ["definite"]
-    clones = [c for c in wall.candidates if c.decoration and c.decoration.pronoun_form]
-    assert [c.decoration.pronoun_form for c in clones] == ["it"]
+    clones = [c for c in wall.candidates if c.pronoun_form]
+    assert [(c.pronoun_form, c.determiner) for c in clones] == [("it", "none")]
     assert any(e.rule == "reference-pronoun" for c in clones for e in c.ledger)
 
 
 def test_fresh_objects_never_pronominalize(kb, config):
     _, units = _units_for("fasten_painting", kb, config)
     wall = _unit(units, "WALL-40")  # coreferring frame absent here
-    assert all(c.decoration.pronoun_form is None for c in wall.candidates)
+    assert all(c.pronoun_form is None for c in wall.candidates)
 
 
 def _survivors_for(name: str, kb, config):
     tmr, units = _units_for(name, kb, config)
     trace = []
     return prune_syntactic(prune_semantic(units, tmr, kb, config, trace), tmr, trace)
+
+
+def test_each_stage_narrows_the_units_it_is_given_in_place(kb, config):
+    tmr = load_fixture("fasten_painting")
+    units = extract_candidates(tmr, kb)
+    given = list(units)
+    trace = []
+    assert manage_reference(units, tmr, kb, config) is units
+    assert prune_semantic(units, tmr, kb, config, trace) is units
+    assert prune_syntactic(units, tmr, trace) is units
+    assert all(a is b for a, b in zip(units, given, strict=True))
+    assert [c.sense.id for c in _unit(units, "FASTEN-18").candidates] == ["affix-v1", "fix-v2"]
 
 
 # --- stage 3: semantic pruning -----------------------------------------------
@@ -260,7 +262,7 @@ def test_a_candidate_excluded_twice_for_one_reason_is_traced_once(kb, config):
     _, units = _units_for("moor_ship", kb, config)
     choice = _unit(units, "HUMAN-30").candidates[0]
     trace: list[TraceRecord] = []
-    for copy in (choice, choice._replace(decoration=ReferenceDecoration("definite"))):
+    for copy in (choice, choice._replace(determiner="definite")):
         _exclude(trace, "syntactic", copy, "unfillable", "no meaning to express")
     assert trace == [TraceRecord("syntactic", f"HUMAN-30/{choice.sense.id}", "unfillable",
                                  "no meaning to express")]
@@ -304,9 +306,8 @@ def test_modified_referents_cannot_be_pronouns(kb, config):
     assert any(r.rule == "pronoun-with-modifiers" for r in result.trace)
     for cs in result.sets:
         choice = cs.choices["PICTURE-3"]
-        assert choice.decoration.pronoun_form is None
+        assert choice.pronoun_form is None
         assert choice.modifiers == ("COLOR",)
-        assert not hasattr(choice.decoration, "modifiers")
 
 
 @pytest.mark.parametrize("fixture, referent", [("speaker_agent", "HUMAN-1"),
@@ -368,6 +369,23 @@ def _with_frames(name: str, frames: dict):
     doc = json.loads(fixture_path(name).read_text())
     doc["frames"].update(frames)
     return parse_tmr(json.dumps(doc))
+
+
+def test_hold_unreached_leaves_exactly_the_unreached_units_at_one_candidate(kb, config):
+    tmr = _with_frames("fasten_painting", {"PICTURE-101": {}, "PICTURE-102": {"COLOR": "blue"}})
+    units, trace = extract_candidates(tmr, kb), []
+    manage_reference(units, tmr, kb, config)
+    prune_syntactic(prune_semantic(units, tmr, kb, config, trace), tmr, trace)
+    before = {unit.key: unit.candidates for unit in units}
+    returned, held = hold_unreached(units, tmr, tmr_module.find_root_frame(tmr))
+    assert returned is units
+    assert held == {"PICTURE-101", "PICTURE-102", "PICTURE-102/COLOR"}
+    assert len(before["PICTURE-101"]) > 1
+    for unit in units:
+        if unit.key in held:
+            assert len(unit.candidates) == 1 and unit.candidates[0] in before[unit.key]
+        else:
+            assert unit.candidates is before[unit.key]
 
 
 @pytest.mark.parametrize("silent", range(7))

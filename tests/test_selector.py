@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import load_fixture
 from ontogen import FrequencyTable, SchemaError, generate, selector
+from ontogen.knowledge import identity_problem
 from ontogen.pipeline import run_lexical_selection
 from ontogen.realizer import realize
 from ontogen.selector import extra_mentions, history_mentions, load_frequency, parse_frequency, rank
@@ -88,8 +89,11 @@ _AROUND_CHARS = _NAME_CHARS + "ëø,\t"
 
 @st.composite
 def _name_and_history(draw):
-    name = draw(st.text(alphabet=_NAME_CHARS, max_size=5)
-                | st.sampled_from(["Tom", "O'Brien", "Jean Luc", "C++", "(x)", "Åsa", "Zoë"]))
+    """A name a TMR or memory may hold (identity_problem accepts it), and
+    history lines around it."""
+    name = draw((st.text(alphabet=_NAME_CHARS, max_size=5)
+                 | st.sampled_from(["Tom", "O'Brien", "Jean Luc", "C++", "(x)", "Åsa", "Zoë"]))
+                .filter(lambda name: identity_problem("HAS-NAME", name) is None))
     piece = st.just(name) | st.text(alphabet=_AROUND_CHARS, max_size=3)
     lines = draw(st.lists(st.lists(piece, max_size=6).map("".join), max_size=6))
     return name, tuple(lines)
@@ -109,7 +113,6 @@ def _per_line_reference(name: str, history: tuple[str, ...]) -> int:
 @example(("Tom", ("Tom", " Tom", "Tom.", "Tom's", "TomTom", "Tomás", "Tom_", "éTom")))
 @example(("Åsa", ("Åsa", "xÅsa Åsa", "Åsaë")))
 @example(("C++", ("C++ C++", "xC++", "C+++")))
-@example(("Tom\nTom", ("Tom", "Tom")))  # a match never spans two lines
 @example(("Tom", ("x Tom", "Tom y")))  # nor the seam between two lines
 @example(("aa", ("aaa aa", "aa", "aaaa")))  # self-overlapping names
 @example(("a-a", ("xa-a-a", "a-a-a", "a-a")))
@@ -129,8 +132,6 @@ def test_history_mentions_equal_the_per_line_regex_count(case):
 @example(("Tom", ("Tom Tom", "Tom and Tom's", "TomTom Tom", "Tom Tomás", "TomTomTom")))
 @example(("Åsa", ("Åsa", "xÅsa Åsa", "Åsaë", "Åsa Åsaë Åsa")))
 @example(("C++", ("C++ C++", "xC++", "C+++", "C++C++")))
-@example(("Tom\nTom", ("Tom", "Tom", "Tom\nTom\nTom")))
-@example(("", ("", "a", "a b")))
 @example(("Tom", ("x Tom\nTom y",)))
 @example(("aa", ("aaa aa aa", "aa aa", "aaaa aa")))
 @example(("a-a", ("xa-a-a a-a", "a-a-a a-a", "a-a a-a")))
