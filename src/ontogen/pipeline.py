@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .config import GenerationConfig
 from .errors import AllSetsPruned, NoRealizableSense, TmrError
@@ -107,30 +107,33 @@ class CandidateSet:
     def __init__(self, choices: dict[str, CandidateSense]):
         self.choices = choices
 
+    def entries(self) -> Iterator[tuple[str, LedgerEntry]]:
+        """(unit key, entry) pairs in ledger order: reference entries, then
+        semantic entries, then uncovered-slot entries, each in choice order."""
+        combo = self.choices.values()
+        for c in combo:
+            for entry in c.ledger:
+                yield c.unit_key, entry
+        for c in combo:
+            for entry in c.semantic:
+                yield c.unit_key, entry
+        for c in combo:
+            for entry in c.uncovered:
+                yield c.unit_key, entry
+
     @property
     def ledger(self) -> list[tuple[str, LedgerEntry]]:
-        """Reference entries, then semantic entries, then uncovered-slot
-        entries, each in choice order: the ledger is printed as is."""
-        combo = self.choices.values()
-        return ([(c.unit_key, entry) for c in combo for entry in c.ledger]
-                + [(c.unit_key, entry) for c in combo for entry in c.semantic]
-                + [(c.unit_key, entry) for c in combo for entry in c.uncovered])
+        """The entries, as printed."""
+        return list(self.entries())
 
-    def signature(self, described: dict[int, str]) -> str:
-        """Each unit as "key=description". The sets of one ranking may share
-        described, which holds each choice's word by identity, so a choice
-        they share is described once; it must not outlive those sets."""
-        words = []
-        for key, choice in self.choices.items():
-            word = described.get(id(choice))
-            if word is None:
-                word = described[id(choice)] = f"{key}={choice.describe()}"
-            words.append(word)
-        return " ".join(words)
+    def signature(self) -> str:
+        """Each unit as "key=description", described when asked for."""
+        return " ".join(f"{key}={choice.describe()}" for key, choice in self.choices.items())
 
 
-def ledger_score(ledger) -> float:
-    """The sum of a ledger's deltas, in ledger order: a set's score."""
+def ledger_score(ledger: Iterable[tuple[str, LedgerEntry]]) -> float:
+    """The builtin sum of a ledger's deltas, in ledger order: a set's score.
+    A ledger list and CandidateSet.entries() give the same float."""
     return sum(entry.delta for _, entry in ledger)
 
 
@@ -378,9 +381,12 @@ def _within_tolerance(entries: list[LedgerEntry], dist: float, config: Generatio
     the feature bonus, graded by closeness."""
     if dist > config.feature_tolerance + 1e-9:
         return False
-    bonus = int(round((1.0 - dist / config.feature_tolerance) * config.feature_bonus))
+    bonus = round((1.0 - dist / config.feature_tolerance) * config.feature_bonus)
     if bonus:
-        entries.append(LedgerEntry("feature-match", bonus, note))
+        # whole points, a float from 2**53 on: a sum of such bonuses then
+        # overflows to inf instead of to an int too large for a float
+        entries.append(LedgerEntry("feature-match", bonus if abs(bonus) < 2**53 else float(bonus),
+                                   note))
     return True
 
 
@@ -647,15 +653,15 @@ def _product(units: list[Unit]) -> int:
 
 def aggregate_sets(units: list[Unit], config: GenerationConfig) -> tuple[list[CandidateSet], list[str]]:
     """Cartesian product of the units' candidates, one per unit, with the
-    last unit varying fastest, truncated at the cap."""
+    last unit varying fastest, truncated at the cap; a cap at or above the
+    product is no cap."""
     messages: list[str] = []
     total = _product(units)
+    product = itertools.product(*(unit.candidates for unit in units))
     if total > config.set_cap:
         messages.append(f"candidate product {total} exceeds cap {config.set_cap}; truncated")
-
-    product = itertools.product(*(unit.candidates for unit in units))
-    sets = [CandidateSet(choices={c.unit_key: c for c in combo})
-            for combo in itertools.islice(product, config.set_cap)]
+        product = itertools.islice(product, config.set_cap)
+    sets = [CandidateSet(choices={c.unit_key: c for c in combo}) for combo in product]
     return sets, messages
 
 

@@ -5,25 +5,26 @@ always be explained. Ties break lexicographically on the sentence text,
 which keeps output order stable across runs.
 
 Repetition counts whole-word mentions (``\\b<name>\\b``) of each proper name
-a sentence contains. What one set costs rank(): its ledger, built once for
-its score and its report; its root choice's frequency; and, for a set whose
+a sentence contains. What one set costs rank(): one sum of its choices'
+deltas, in ledger order; its root choice's frequency; and, for a set whose
 sentence holds a name, that name's extra mentions inside the sentence,
 counted only when the sentence holds it twice as a substring. It reads the
-names realize recorded and walks no tree. Per rank() call, the whole
-history is scanned once per distinct name, as one text, by a pattern that
-leads with the name so that ``re`` looks for it as a literal prefix; and
-each choice is described once, for the signatures of every set that holds
-it.
+names realize recorded, walks no tree, builds no ledger and describes no
+choice: a ranked sentence's ledger and signature are made when first read.
+Per rank() call, the whole history is scanned once per distinct name, as
+one text, by a pattern that leads with the name so that ``re`` looks for it
+as a literal prefix. A total that is not finite is an error.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import re
 from pathlib import Path
 
 from .config import GenerationConfig
-from .errors import SchemaError
+from .errors import OntogenError, SchemaError
 from .pipeline import LedgerEntry, ledger_score
 from .solution import CandidateSolution
 from .strictjson import document, read_json
@@ -74,16 +75,24 @@ def bundled_frequency() -> FrequencyTable:
 
 
 class ScoredSentence:
+    """One ranked sentence. Its ledger and its set's signature are read
+    from solution.candidate_set when first asked for, then kept."""
+
     def __init__(self, rank: int, sentence: str, total: float,
-                 terms: tuple[tuple[str, float], ...], signature: str,
-                 ledger: tuple[tuple[str, LedgerEntry], ...], solution: CandidateSolution):
+                 terms: tuple[tuple[str, float], ...], solution: CandidateSolution):
         self.rank = rank
         self.sentence = sentence
         self.total = total
         self.terms = terms
-        self.signature = signature
-        self.ledger = ledger
         self.solution = solution
+
+    @functools.cached_property
+    def ledger(self) -> tuple[tuple[str, LedgerEntry], ...]:
+        return tuple(self.solution.candidate_set.entries())
+
+    @functools.cached_property
+    def signature(self) -> str:
+        return self.solution.candidate_set.signature()
 
 
 def _pattern(name: str) -> re.Pattern:
@@ -124,16 +133,14 @@ def rank(solutions: list[CandidateSolution], freq: FrequencyTable, config: Gener
     its names' mentions in the history, each name counted on its first
     lookup, plus their extra mentions inside its own sentence."""
     mentions: dict[str, int] = {}
-    described: dict[int, str] = {}
     pipeline_weight, frequency_weight = config.pipeline_weight, config.frequency_weight
     repetition_penalty, length_tie_break = config.repetition_penalty, config.length_tie_break
-    scored: list[tuple[float, str, CandidateSolution, tuple, tuple]] = []
+    scored: list[tuple[float, str, CandidateSolution, tuple]] = []
     for solution in solutions:
         sentence = solution.sentence
         if not sentence:
             continue
         candidate_set = solution.candidate_set
-        ledger = tuple(candidate_set.ledger)
         choice = candidate_set.choices[solution.root_id]
         repeats = 0
         if solution.names:
@@ -142,29 +149,24 @@ def rank(solutions: list[CandidateSolution], freq: FrequencyTable, config: Gener
                 if count is None:
                     count = mentions[name] = history_mentions(name, history)
                 repeats += count + extra_mentions(name, sentence)
-        pipeline = pipeline_weight * ledger_score(ledger)
+        pipeline = pipeline_weight * ledger_score(candidate_set.entries())
         frequency = frequency_weight * freq.lookup(choice.lemma.lower(), choice.sense.id)
         repetition = -repetition_penalty * repeats
         length = -length_tie_break * len(sentence)
         terms = (("pipeline", pipeline), ("frequency", frequency), ("repetition", repetition),
                  ("length", length))
-        scored.append((sum((pipeline, frequency, repetition, length)), sentence, solution,
-                       terms, ledger))
+        total = sum((pipeline, frequency, repetition, length))
+        if not math.isfinite(total):
+            raise OntogenError(f"{sentence!r} totals {total}: a config weight or bonus "
+                               "is too large for the score arithmetic")
+        scored.append((total, sentence, solution, terms))
     scored.sort(key=lambda item: (-item[0], item[1]))
 
     out: list[ScoredSentence] = []
     seen: set[str] = set()
-    for total, sentence, solution, terms, ledger in scored:
+    for total, sentence, solution, terms in scored:
         if sentence in seen:
             continue
         seen.add(sentence)
-        out.append(ScoredSentence(
-            rank=len(out) + 1,
-            sentence=sentence,
-            total=total,
-            terms=terms,
-            signature=solution.candidate_set.signature(described),
-            ledger=ledger,
-            solution=solution,
-        ))
+        out.append(ScoredSentence(len(out) + 1, sentence, total, terms, solution))
     return out

@@ -137,6 +137,39 @@ def test_silent_frames_past_the_cap_exit_0(tmp_path):
     assert lines[0] == "1. Tom secured a painting to the wall."
 
 
+_MAX = 1.7976931348623157e308
+
+
+@pytest.mark.parametrize("fixture, values", [
+    ("fasten_painting", {"pipeline-weight": 1e308}),
+    ("fasten_painting", {"length-tie-break": -1e308}),
+    ("fasten_painting", {"pipeline-weight": 1e308, "uncovered-penalty": 1e308}),
+    ("request_blunt", {"feature-bonus": _MAX, "exact-bonus": _MAX}),
+], ids=["pipeline-weight", "length-tie-break", "uncovered-penalty", "feature-bonus"])
+@pytest.mark.parametrize("flags", [[], ["--format", "json"], ["--trace"]],
+                         ids=["human", "json", "trace"])
+def test_a_config_too_large_for_the_score_arithmetic_is_a_one_line_error(
+        tmp_path, capsys, fixture, values, flags):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"schema": "ontogen-config/1", **values}))
+    argv = ["generate", "--tmr", str(fixture_path(fixture)), "--config", str(path), *flags]
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert re.fullmatch(r"error: '[^']+' totals (inf|-inf|nan): a config weight or bonus "
+                        r"is too large for the score arithmetic\n", err)
+
+
+def test_a_set_cap_past_the_product_is_no_cap(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"schema": "ontogen-config/1", "set-cap": 10 ** 20}))
+    argv = ["generate", "--tmr", str(fixture_path("moor_ship")), "--format", "json", "--trace"]
+    assert main(argv) == 0
+    default, _ = capsys.readouterr()
+    assert main(argv + ["--config", str(path)]) == 0
+    assert capsys.readouterr().out == default
+
+
 def test_pruned_meaning_exits_2_with_trace_on_stderr(tmp_path):
     doc = {"schema": "ontogen-tmr/1", "speaker": "HUMAN-1", "hearer": "HUMAN-2",
            "frames": {

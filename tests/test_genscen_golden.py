@@ -16,12 +16,15 @@ repository root with
 
     PYTHONPATH=src python tests/test_genscen_golden.py
 
-and say in the change which seeds moved and why.
+and say in the change which seeds moved and why. With ``--check`` the
+script compares instead of rewriting: it prints each moved key and exits 1
+if any moved. It imports no pytest, so it runs on any interpreter.
 """
 from __future__ import annotations
 
 import hashlib
 import json
+import sys
 from pathlib import Path
 
 from genscen import build_scenario
@@ -50,14 +53,22 @@ def digests() -> dict[str, str]:
             for seed in SEEDS for variant, history in VARIANTS.items()}
 
 
-def test_every_genscen_report_matches_its_digest():
+def moved_keys() -> list[str]:
+    """Every key whose digest differs from the committed one, or is on one side only."""
     expected = json.loads(DIGESTS.read_text(encoding="utf-8"))
     actual = digests()
-    assert actual.keys() == expected.keys()
-    moved = [key for key in actual if actual[key] != expected[key]]
+    return [key for key in {**expected, **actual} if actual.get(key) != expected.get(key)]
+
+
+def test_every_genscen_report_matches_its_digest():
+    moved = moved_keys()
     assert not moved, f"{len(moved)} genscen reports moved: {', '.join(moved)}"
 
 
 if __name__ == "__main__":
+    if sys.argv[1:] == ["--check"]:
+        moved = moved_keys()
+        print("\n".join(moved + [f"{len(moved)} of {2 * len(SEEDS)} digests moved"]))
+        sys.exit(1 if moved else 0)
     DIGESTS.parent.mkdir(parents=True, exist_ok=True)
     DIGESTS.write_text(json.dumps(digests(), indent=1, sort_keys=False) + "\n", encoding="utf-8")

@@ -342,7 +342,7 @@ def test_aggregation_cap_truncates_with_a_message(kb, config):
     survivors = _survivors_for("fasten_painting", kb, config)
     full, _ = aggregate_sets(survivors, config)
     sets, messages = aggregate_sets(survivors, config._replace(set_cap=3))
-    assert [cs.signature({}) for cs in sets] == [cs.signature({}) for cs in full[:3]]
+    assert [cs.signature() for cs in sets] == [cs.signature() for cs in full[:3]]
     assert len(messages) == 1
     assert "3" in messages[0]
 

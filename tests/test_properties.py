@@ -72,10 +72,10 @@ def check_product_cardinality(seed: int) -> None:
     sets, messages = aggregate_sets(survivors, config)
     assert len(sets) == expected
     assert messages == []
-    signatures = [cs.signature({}) for cs in sets]
+    signatures = [cs.signature() for cs in sets]
     assert len(set(signatures)) == expected
     capped, messages = aggregate_sets(survivors, config._replace(set_cap=2))
-    assert [cs.signature({}) for cs in capped] == signatures[:2]
+    assert [cs.signature() for cs in capped] == signatures[:2]
     assert len(messages) == (expected > 2)
 
 

@@ -2,15 +2,18 @@
 from __future__ import annotations
 
 import re
+import sys
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import load_fixture
-from ontogen import FrequencyTable, SchemaError, generate, selector
+from conftest import fixture_path, load_fixture
+from ontogen import (FrequencyTable, GenerationConfig, OntogenError, SchemaError, generate,
+                     selector)
+from ontogen.cli import main
 from ontogen.knowledge import identity_problem
-from ontogen.pipeline import run_lexical_selection
+from ontogen.pipeline import CandidateSense, CandidateSet, run_lexical_selection
 from ontogen.realizer import realize
 from ontogen.selector import extra_mentions, history_mentions, load_frequency, parse_frequency, rank
 from ontogen.solution import Forest, build_solution
@@ -180,6 +183,38 @@ def test_rank_scans_the_history_once_per_distinct_name(kb, freq, morph, config, 
     assert {dict(s.terms)["repetition"] for s in ranked} == {-config.repetition_penalty * 200}
 
 
+def test_rank_builds_no_ledger_and_describes_no_choice(kb, monkeypatch):
+    described, ledgers, entries = [], [], []
+    describe, ledger, entries_of = CandidateSense.describe, CandidateSet.ledger, CandidateSet.entries
+    monkeypatch.setattr(CandidateSense, "describe",
+                        lambda choice: described.append(choice) or describe(choice))
+    monkeypatch.setattr(CandidateSet, "ledger",
+                        property(lambda cs: ledgers.append(cs) or ledger.fget(cs)))
+    report = generate(load_fixture("fasten_painting_nlu"), kb)
+    assert report.counts["after-synonyms"] == 20
+    assert described == [] and ledgers == []
+
+    # an explanation is made for the sentence that is read, once
+    first = report.sentences[0]
+    choices = list(first.solution.candidate_set.choices.values())
+    signature = first.signature
+    assert described == choices
+    assert first.signature is signature and described == choices
+    monkeypatch.setattr(CandidateSet, "entries", lambda cs: entries.append(cs) or entries_of(cs))
+    first_ledger = first.ledger
+    assert entries == [first.solution.candidate_set]
+    assert first.ledger is first_ledger and len(entries) == 1
+    assert ledgers == []
+
+    # the CLI explains only the sentences it prints, and only when it prints explanations
+    described.clear()
+    argv = ["generate", "--tmr", str(fixture_path("fasten_painting_nlu")), "--top", "5"]
+    assert main(argv) == 0 and described == []
+    assert main(argv + ["--trace"]) == 0
+    assert len(described) == sum(len(s.solution.candidate_set.choices)
+                                 for s in report.sentences[:5])
+
+
 def test_pronoun_sentences_never_accrue_repetition(kb, freq, config, morph):
     _, solutions = _solutions("walk_named_agent", kb, config, morph)
     for sol in solutions:
@@ -217,6 +252,20 @@ def test_history_penalty_reranks_a_repeated_name(kb):
 
 
 # --- ordering -----------------------------------------------------------------------
+
+@pytest.mark.parametrize("name, config, total", [
+    ("fasten_painting", GenerationConfig(pipeline_weight=1e308), "inf"),
+    ("fasten_painting", GenerationConfig(pipeline_weight=1e308, length_tie_break=1e308), "nan"),
+    ("request_blunt", GenerationConfig(feature_bonus=sys.float_info.max,
+                                       exact_bonus=sys.float_info.max), "inf"),
+], ids=["infinite", "not-a-number", "feature-bonus"])
+def test_a_total_that_is_not_finite_is_an_error_naming_its_sentence(kb, name, config, total):
+    with pytest.raises(OntogenError) as caught:
+        generate(load_fixture(name), kb, config=config)
+    assert type(caught.value) is OntogenError
+    assert re.fullmatch(rf"'[^']+' totals {total}: a config weight or bonus is too large "
+                        "for the score arithmetic", str(caught.value))
+
 
 def test_ranks_are_contiguous_and_order_is_total_then_text(kb):
     report = generate(load_fixture("fasten_painting"), kb)
