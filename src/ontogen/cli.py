@@ -22,7 +22,7 @@ import time
 from pathlib import Path
 from typing import NoReturn
 
-from .config import GenerationConfig, load_config
+from .config import load_config
 from .engine import RunReport, generate
 from .errors import AllSetsPruned, NoRealizableSense, OntogenError
 from .knowledge import FacetedConstraint, VarBinding, constraint_text, load_knowledge_base
@@ -252,7 +252,7 @@ def cmd_generate(args) -> int:
     _warn(args.ontology, kb.warnings)
     tmr = parse_tmr_file(args.tmr)
     _warn(tmr.source, tmr.warnings)
-    config = load_config(args.config) if args.config else GenerationConfig()
+    config = load_config(args.config) if args.config else None
     freq = load_frequency(args.freq) if args.freq else bundled_frequency()
     started = time.perf_counter()
     report = generate(tmr, kb, config=config, freq=freq)
@@ -298,8 +298,7 @@ def cmd_inspect(args) -> int:
     _warn(args.ontology, kb.warnings)
     concept = args.concept
     if not kb.ontology.exists(concept):
-        print(f"error: unknown concept {concept!r}", file=sys.stderr)
-        return 1
+        raise OntogenError(f"unknown concept {concept!r}")
     lines = [f"concept: {concept}",
              "is-a: " + " -> ".join(kb.ontology.ancestors(concept))]
     declared = kb.ontology.concepts[concept].slots

@@ -7,6 +7,7 @@ optional and may set any subset.
 
 from __future__ import annotations
 
+import sys
 from typing import NamedTuple
 
 from .errors import SchemaError
@@ -36,9 +37,28 @@ class GenerationConfig(NamedTuple):
     length_tie_break: float = 0.0
 
 
-# kebab-case key -> (field name, whether the field takes integers only)
-_FIELD_BY_KEY = {name.replace("_", "-"): (name, isinstance(default, int))
-                 for name, default in GenerationConfig._field_defaults.items()}
+_FIELD_BY_KEY = {name.replace("_", "-"): name for name in GenerationConfig._fields}
+_INTEGER_FIELDS = frozenset(name for name, default in GenerationConfig._field_defaults.items()
+                            if isinstance(default, int))
+
+
+def check_config(config: GenerationConfig, source: str | None = None) -> GenerationConfig:
+    """config, once every field is a number, not a bool, inside the float
+    range, set-cap is an integer of at least 1 and feature-tolerance is
+    positive; otherwise a SchemaError naming the first field that is not."""
+    for name, value in zip(GenerationConfig._fields, config):
+        key = name.replace("_", "-")
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise SchemaError(f"{key} must be a number, got {value!r}", source=source)
+        if not abs(value) <= sys.float_info.max:
+            raise SchemaError(f"{key} must be a finite number, got {value!r}", source=source)
+        if name in _INTEGER_FIELDS and not isinstance(value, int):
+            raise SchemaError(f"{key} must be an integer, got {value!r}", source=source)
+    if config.set_cap < 1:
+        raise SchemaError("set-cap must be at least 1", source=source)
+    if config.feature_tolerance <= 0:
+        raise SchemaError("feature-tolerance must be positive", source=source)
+    return config
 
 
 def parse_config(text: str, source: str = "<config>") -> GenerationConfig:
@@ -47,21 +67,13 @@ def parse_config(text: str, source: str = "<config>") -> GenerationConfig:
     for key, value in data.items():
         if key == "schema":
             continue
-        spec = _FIELD_BY_KEY.get(key)
-        if spec is None:
+        name = _FIELD_BY_KEY.get(key)
+        if name is None:
             raise SchemaError(f"unknown config key {key!r}", source=source)
-        name, integer = spec
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise SchemaError(f"{key} must be a number, got {value!r}", source=source)
-        if integer and not isinstance(value, int):
-            raise SchemaError(f"{key} must be an integer, got {value!r}", source=source)
-        kwargs[name] = value if integer else float(value)
-    cfg = GenerationConfig(**kwargs)
-    if cfg.set_cap < 1:
-        raise SchemaError("set-cap must be at least 1", source=source)
-    if cfg.feature_tolerance <= 0:
-        raise SchemaError("feature-tolerance must be positive", source=source)
-    return cfg
+        # a whole number in a float field is held as a float
+        widen = type(value) is int and name not in _INTEGER_FIELDS
+        kwargs[name] = float(value) if widen else value
+    return check_config(GenerationConfig(**kwargs), source)
 
 
 def load_config(path) -> GenerationConfig:

@@ -6,12 +6,12 @@ tree is linearized depth-first; tokens opening with a comma or apostrophe
 attach to the word on their left, and "a" becomes "an" before a word that
 takes it.
 
-A set's clause is the only node it owns: its children are pieces the
-request's sets share. Each piece is realized once per request into its
-text, its first token, whether it ends in "a", and its proper names. One
-more set then costs one assembly over its clause's children: their texts
-joined, a piece's final "a" resolved against the next piece, the capital
-and the terminal mark.
+A set owns its clause and any embedded verb phrase; every other node is
+a piece the request's sets share. Each piece is realized once per request
+into its text, its first token, whether it ends in "a", and its proper
+names. One more set then costs one assembly over its clause's children
+(and over each verb phrase it owns): their texts joined, a piece's final
+"a" resolved against the next piece, the capital and the terminal mark.
 """
 
 from __future__ import annotations

@@ -138,8 +138,6 @@ def rank(solutions: list[CandidateSolution], freq: FrequencyTable, config: Gener
     scored: list[tuple[float, str, CandidateSolution, tuple]] = []
     for solution in solutions:
         sentence = solution.sentence
-        if not sentence:
-            continue
         candidate_set = solution.candidate_set
         choice = candidate_set.choices[solution.root_id]
         repeats = 0

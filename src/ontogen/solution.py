@@ -6,15 +6,18 @@ case); containers carry ordered children.
 
 The sets of one request share a Forest. It compiles each construction once
 into a plan, whose fixed leaves are built once and whose holes each set
-fills from its own choices, and it holds every nominal, phrase and agreeing
-verb built so far. Building one more set looks up the root plan, fills its
-holes from the forest and stamps subject agreement: it costs one lookup per
-slot, keyed by the identities of the choices the slot reads, and one new
-node, its clause. It walks no syn-struc.
+fills from its own choices, and it holds every nominal, prepositional
+phrase and agreeing verb built so far. Building one more set looks up the
+root plan, fills its holes from the forest and stamps subject agreement: it
+costs one lookup per slot, keyed by the identities of the choices the slot
+reads, and one new node for its clause and for each embedded verb phrase,
+which is filled the same way from its own plan. It walks no syn-struc. A
+frame that embeds itself, directly or through other frames, is a TmrError.
 """
 
 from __future__ import annotations
 
+from .errors import TmrError
 from .knowledge import LexSense
 from .pipeline import CandidateSense, CandidateSet, modifier_key
 from .tmr import InstanceRef, RelativeTime, Tmr, TmrFrame, relative_time_of
@@ -69,14 +72,14 @@ class CandidateSolution:
     names, the proper-name lemmas of the tree in surface order."""
 
     def __init__(self, candidate_set: CandidateSet, root: Constituent, mood: str, tense: str,
-                 voice: str, root_id: str, sentence: str | None = None):
+                 voice: str, root_id: str):
         self.candidate_set = candidate_set
         self.root = root
         self.mood = mood
         self.tense = tense
         self.voice = voice
         self.root_id = root_id
-        self.sentence = sentence
+        self.sentence = ""
         self.names: tuple[str, ...] = ()
 
 
@@ -107,19 +110,18 @@ def _mood_of(sense: LexSense) -> str:
 
 class Forest:
     """What the candidate sets of one request share: the root frame and its
-    tense, every plan, and every nominal, phrase and agreeing verb built so
-    far.
+    tense, every plan, and every nominal, prepositional phrase and agreeing
+    verb built so far. An embedded verb phrase is built per set.
 
-    A plan is keyed by frame, sense, lemma, voice, tense and construction
-    flags, not by the choice, since synonym clones are new choice objects
-    in every base set; a nominal by its function and the identities of the
-    choices it reads (a choice belongs to one frame); an embedded phrase by
-    its frame and the identities of every choice it reads; a prepositional
-    phrase by its preposition and the nominal it holds; an agreeing verb by its plan leaf
-    and the subject's number and person. Identity keys are sound because a
-    request's sets share their choice objects and keep them alive while the
-    forest is in use, and the forest keeps every leaf it keys; a forest must
-    not outlive the sets it builds."""
+    A plan is keyed by frame, sense, lemma, voice and whether it is
+    embedded, not by the choice, since synonym clones are new choice
+    objects in every base set; a nominal by its function and the identities
+    of the choices it reads (a choice belongs to one frame); a prepositional
+    phrase by its preposition and the nominal it holds; an agreeing verb by
+    its plan leaf and the subject's number and person. Identity keys are
+    sound because a request's sets share their choice objects and keep them
+    alive while the forest is in use, and the forest keeps every leaf it
+    keys; a forest must not outlive the sets it builds."""
 
     def __init__(self, tmr: Tmr, root: TmrFrame):
         self.tmr = tmr
@@ -135,15 +137,17 @@ _LEAF, _NOMINAL, _SUBJECT, _VERBAL, _PREPOSITIONAL = range(5)
 
 
 def _compile(tmr: Tmr, frame: TmrFrame, sense: LexSense, lemma: str, *, passive: bool,
-             tense: str, suppress_subject: bool, base_only: bool) -> tuple:
+             tense: str, embedded: bool) -> tuple:
     """The construction as a plan, which no set changes: its items in
     surface order, each (kind, leaf or target frame, function or
     preposition); the positions of the verb leaves that agree with the
     subject; and the voice. Fixed leaves are built here, once, and a hole
-    is left for each role whose filler is in the TMR."""
+    is left for each role whose filler is in the TMR. An embedded
+    construction has no subject and a base-form verb."""
     syn = sense.syn_struc
     bound = sense.bound_roles
-    has_aux = any(node.category == "aux" for node in syn)
+    base = embedded or _mood_of(sense) == "imperative" \
+        or any(node.category == "aux" for node in syn)
 
     # a bound bare nominal ahead of the head verb is the grammatical subject
     subject_var: int | None = None
@@ -189,7 +193,7 @@ def _compile(tmr: Tmr, frame: TmrFrame, sense: LexSense, lemma: str, *, passive:
                                                  features=Features(tense=tense)), None))
                 items.append((_LEAF, Constituent("main-verb", lemma=lemma,
                                                  features=Features(verb_form="participle")), None))
-            elif base_only or has_aux:
+            elif base:
                 items.append((_LEAF, Constituent("main-verb", lemma=lemma,
                                                  features=Features(verb_form="base")), None))
             else:
@@ -213,7 +217,7 @@ def _compile(tmr: Tmr, frame: TmrFrame, sense: LexSense, lemma: str, *, passive:
                 if isinstance(theme, InstanceRef):
                     items.append((_SUBJECT, tmr.by_id[theme.id], "subject"))
             continue
-        if (category == "subj" and suppress_subject) or not isinstance(filler, InstanceRef):
+        if (category == "subj" and embedded) or not isinstance(filler, InstanceRef):
             continue
         target = tmr.by_id[filler.id]
         if category == "v":
@@ -229,36 +233,20 @@ class _Builder:
     def __init__(self, cs: CandidateSet, forest: Forest):
         self.cs = cs
         self.tmr = forest.tmr
+        self.tense = forest.tense
         self.built = forest.built
-
-    def _reads(self, frame: TmrFrame, choice: CandidateSense) -> int | tuple[int, ...]:
-        """Identities of the choices a nominal for frame reads: its own, and
-        its modifiers' when it has any."""
-        if not choice.modifiers:
-            return id(choice)
-        return (id(choice),) + tuple(id(self.cs.choices[modifier_key(frame.instance_id, prop)])
-                                     for prop in choice.modifiers)
-
-    def _phrase_reads(self, frame: TmrFrame, choice: CandidateSense,
-                      outer: tuple[str, ...] = ()) -> tuple:
-        """What an embedded phrase for frame reads: its nominal reads and,
-        for each frame its roles bind, that frame's, recursively."""
-        outer += (frame.instance_id,)
-        reads = [self._reads(frame, choice)]
-        for prop in choice.sense.bound_roles.values():
-            filler = self.tmr.filler(frame, prop)
-            if isinstance(filler, InstanceRef) and filler.id not in outer:
-                inner = self.cs.choices.get(filler.id)
-                if inner is not None:
-                    reads.append(self._phrase_reads(self.tmr.by_id[filler.id], inner, outer))
-        return tuple(reads)
 
     # -- nominals ----------------------------------------------------------
 
     def nominal(self, frame: TmrFrame, function: str) -> tuple[Constituent, Features]:
         choice = self.cs.choices[frame.instance_id]
-        # a choice belongs to one frame, so its identity stands for the frame
-        key = (function, self._reads(frame, choice))
+        # keyed by the identities of the choices it reads: its own, which
+        # stands for the frame since a choice belongs to one frame, and its
+        # modifiers'
+        key = (function, id(choice))
+        if choice.modifiers:
+            key += tuple(id(self.cs.choices[modifier_key(frame.instance_id, prop)])
+                         for prop in choice.modifiers)
         built = self.built.get(key)
         if built is None:
             built = self.built[key] = self._nominal(frame, function, choice)
@@ -303,22 +291,22 @@ class _Builder:
 
     # -- verbal material ----------------------------------------------------
 
-    def plan(self, frame: TmrFrame, choice: CandidateSense, *, tense: str,
-             suppress_subject: bool, base_only: bool) -> tuple:
-        """The choice's construction for frame, compiled once per forest."""
-        passive = choice.passive and not suppress_subject
-        key = ("plan", frame.instance_id, choice.sense, choice.lemma, passive, tense,
-               suppress_subject, base_only)
+    def plan(self, frame: TmrFrame, choice: CandidateSense, embedded: bool) -> tuple:
+        """The choice's construction for frame, compiled once per forest: in
+        the forest's tense, or in the present when embedded."""
+        passive = choice.passive and not embedded
+        key = ("plan", frame.instance_id, choice.sense, choice.lemma, passive, embedded)
         built = self.built.get(key)
         if built is None:
             built = self.built[key] = _compile(
-                self.tmr, frame, choice.sense, choice.lemma, passive=passive, tense=tense,
-                suppress_subject=suppress_subject, base_only=base_only)
+                self.tmr, frame, choice.sense, choice.lemma, passive=passive,
+                tense="present" if embedded else self.tense, embedded=embedded)
         return built
 
-    def fill(self, plan: tuple) -> list[Constituent]:
+    def fill(self, plan: tuple, path: tuple[str, ...]) -> list[Constituent]:
         """The plan's children for this set: each hole filled from the
-        forest, then each finite verb agreeing with the subject."""
+        forest, then each finite verb agreeing with the subject. path names
+        the frames whose phrases hold this one, outermost first."""
         items, finite, _ = plan
         children: list[Constituent] = []
         subject = _THIRD_SINGULAR
@@ -330,7 +318,7 @@ class _Builder:
             else:
                 inner = self.cs.choices.get(held.instance_id) if kind == _VERBAL else None
                 if inner is not None and inner.sense.is_argument_taking:
-                    children.append(self.embedded_phrase(held, inner))
+                    children.append(self.embedded_phrase(held, inner, path))
                     continue
                 constituent, features = self.nominal(held, function)
                 children.append(constituent)
@@ -351,26 +339,23 @@ class _Builder:
                                                                     person=subject.person))
         return built
 
-    def embedded_phrase(self, frame: TmrFrame, choice: CandidateSense) -> Constituent:
-        key = (frame.instance_id, "verb-phrase", self._phrase_reads(frame, choice))
-        built = self.built.get(key)
-        if built is None:
-            plan = self.plan(frame, choice, tense="present", suppress_subject=True,
-                             base_only=True)
-            built = self.built[key] = Constituent("verb-phrase", children=tuple(self.fill(plan)))
-        return built
+    def embedded_phrase(self, frame: TmrFrame, choice: CandidateSense,
+                        path: tuple[str, ...]) -> Constituent:
+        path += (frame.instance_id,)
+        if frame.instance_id in path[:-1]:
+            raise TmrError(f"a frame embeds itself: {' -> '.join(path)}", source=self.tmr.source)
+        plan = self.plan(frame, choice, embedded=True)
+        return Constituent("verb-phrase", children=tuple(self.fill(plan, path)))
 
-    def clause(self, frame: TmrFrame, choice: CandidateSense,
-               tense: str) -> tuple[Constituent, str, str]:
+    def clause(self, frame: TmrFrame, choice: CandidateSense) -> tuple[Constituent, str, str]:
         """The clause, its mood and its voice."""
         sense = choice.sense
         if not sense.is_argument_taking:
             nominal, _ = self.nominal(frame, "nominal")
             return Constituent("clause", children=(nominal,)), "declarative", "active"
-        mood = _mood_of(sense)
-        plan = self.plan(frame, choice, tense=tense, suppress_subject=False,
-                         base_only=mood == "imperative")
-        return Constituent("clause", children=tuple(self.fill(plan))), mood, plan[2]
+        plan = self.plan(frame, choice, embedded=False)
+        clause = Constituent("clause", children=tuple(self.fill(plan, (frame.instance_id,))))
+        return clause, _mood_of(sense), plan[2]
 
 
 def build_solution(cs: CandidateSet, forest: Forest) -> CandidateSolution:
@@ -378,6 +363,6 @@ def build_solution(cs: CandidateSet, forest: Forest) -> CandidateSolution:
     The sets of one request pass one forest and share what they build."""
     root_frame = forest.root
     choice = cs.choices[root_frame.instance_id]
-    root, mood, voice = _Builder(cs, forest).clause(root_frame, choice, forest.tense)
+    root, mood, voice = _Builder(cs, forest).clause(root_frame, choice)
     return CandidateSolution(candidate_set=cs, root=root, mood=mood, tense=forest.tense,
                              voice=voice, root_id=root_frame.instance_id)

@@ -210,6 +210,55 @@ def test_a_frame_of_an_unknown_concept_names_the_file_and_the_frame(tmp_path, ca
     assert err == f"error: {path}: BLORP-1: concept BLORP is not in the ontology\n"
 
 
+_REQUEST = {"POLITENESS": 0, "REFUSAL-OPPORTUNITY": 0}
+
+
+@pytest.mark.parametrize("frames, shown", [
+    ({"REQUEST-ACTION-1": {"THEME": "REQUEST-ACTION-2", **_REQUEST},
+      "REQUEST-ACTION-2": {"THEME": "REQUEST-ACTION-1", **_REQUEST}},
+     "REQUEST-ACTION-1 -> REQUEST-ACTION-2 -> REQUEST-ACTION-1"),
+    ({"REQUEST-ACTION-1": {"THEME": "REQUEST-ACTION-1", **_REQUEST}},
+     "REQUEST-ACTION-1 -> REQUEST-ACTION-1"),
+], ids=["through-another-frame", "directly"])
+@pytest.mark.parametrize("fmt", ["human", "json"])
+def test_a_frame_that_embeds_itself_names_the_file_and_the_path(tmp_path, capsys, frames,
+                                                                  shown, fmt):
+    path = tmp_path / "loop.json"
+    path.write_text(json.dumps({"schema": "ontogen-tmr/1", "frames": frames}))
+    assert main(["generate", "--tmr", str(path), "--format", fmt]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {path}: a frame embeds itself: {shown}\n"
+
+
+def _walk_with_an_agent_cycle() -> dict:
+    return {"schema": "ontogen-tmr/1",
+            "frames": {"WALK-1": {"AGENT": "HUMAN-104"}, "HUMAN-104": {"AGENT": "WALK-1"}}}
+
+
+def _fasten_painting_with_a_theme_cycle() -> dict:
+    doc = json.loads(fixture_path("fasten_painting").read_text())
+    doc["frames"]["PICTURE-7"]["THEME"] = "FASTEN-18"
+    return doc
+
+
+@pytest.mark.parametrize("make, first", [
+    (_walk_with_an_agent_cycle, "Tom walks."),
+    (_fasten_painting_with_a_theme_cycle, "Tom secured a painting to the wall."),
+], ids=["walk", "fasten-painting"])
+@pytest.mark.parametrize("fmt", ["human", "json"])
+def test_a_case_role_cycle_the_builder_never_follows_generates(tmp_path, capsys, make, first,
+                                                                fmt):
+    path = tmp_path / "cycle.json"
+    path.write_text(json.dumps(make()))
+    assert main(["generate", "--tmr", str(path), "--format", fmt]) == 0
+    out, _ = capsys.readouterr()
+    if fmt == "json":
+        assert json.loads(out)["sentences"][0]["sentence"] == first
+    else:
+        assert out.splitlines()[0] == f"1. {first}"
+
+
 @pytest.mark.parametrize("command, frames", [
     ("validate", {"BLORP-1": {}}),
     ("validate", {"ANIMAL-2": {}, "BLORP-1": {}}),
@@ -551,7 +600,8 @@ def test_inspect_lists_every_sense_a_concept_heads_modifiers_included():
 def test_inspect_unknown_concept_exits_1():
     proc = run_cli("inspect", "--concept", "ZEPPELIN")
     assert proc.returncode == 1
-    assert "unknown concept" in proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr == "error: unknown concept 'ZEPPELIN'\n"
 
 
 # --- write failures ----------------------------------------------------------------

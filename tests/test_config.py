@@ -7,8 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from conftest import DATA, fixture_path, run_cli
-from ontogen import GenerationConfig, SchemaError, load_config
+from conftest import DATA, fixture_path, load_fixture, run_cli
+from ontogen import GenerationConfig, SchemaError, generate, load_config
 from ontogen.config import parse_config
 
 
@@ -52,6 +52,23 @@ def test_invalid_documents_are_rejected(doc, match):
 def test_config_text_must_be_strict_json(text, match):
     with pytest.raises(SchemaError, match=match):
         parse_config(text)
+
+
+@pytest.mark.parametrize("fixture, fields, message", [
+    ("request_blunt", {"feature_bonus": math.inf},
+     "feature-bonus must be a finite number, got inf"),
+    ("request_blunt", {"feature_tolerance": 0.0}, "feature-tolerance must be positive"),
+    ("fasten_painting", {"set_cap": 0}, "set-cap must be at least 1"),
+    ("fasten_painting", {"set_cap": 2.5}, "set-cap must be an integer, got 2.5"),
+    ("fasten_painting", {"exact_bonus": "20"}, "exact-bonus must be a number, got '20'"),
+    ("fasten_painting", {"pipeline_weight": math.nan},
+     "pipeline-weight must be a finite number, got nan"),
+], ids=["infinite-bonus", "zero-tolerance", "zero-cap", "fractional-cap", "string-bonus",
+        "nan-weight"])
+def test_a_config_built_in_code_obeys_the_file_rules(kb, fixture, fields, message):
+    with pytest.raises(SchemaError) as caught:
+        generate(load_fixture(fixture), kb, config=GenerationConfig(**fields))
+    assert str(caught.value) == message
 
 
 def test_cli_config_flag_changes_the_run(tmp_path):

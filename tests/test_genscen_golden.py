@@ -17,21 +17,31 @@ repository root with
     PYTHONPATH=src python tests/test_genscen_golden.py
 
 and say in the change which seeds moved and why. With ``--check`` the
-script compares instead of rewriting: it prints each moved key and exits 1
-if any moved. It imports no pytest, so it runs on any interpreter.
+script compares instead of rewriting: it prints each moved key, then each
+fixture golden under ``tests/golden/*.json`` whose report, written by
+``ontogen.cli.main([... "--out", path])``, moved from the committed bytes,
+and exits 1 if anything moved. It imports no pytest, so it runs on any
+interpreter:
+
+    PYTHONPATH=src:tests python tests/test_genscen_golden.py --check
 """
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
 import sys
+import tempfile
 from pathlib import Path
 
 from genscen import build_scenario
 from ontogen import OntogenError, generate
-from ontogen.cli import _render_json
+from ontogen.cli import _render_json, main
 
-DIGESTS = Path(__file__).resolve().parent / "golden" / "genscen" / "digests.json"
+GOLDEN = Path(__file__).resolve().parent / "golden"
+DIGESTS = GOLDEN / "genscen" / "digests.json"
+TMR_DIR = Path(__file__).resolve().parents[1] / "src" / "ontogen" / "data" / "tmr"
 SEEDS = range(300)
 HISTORY = ("Tom met a person and a box.",)
 VARIANTS = {"plain": (), "history": HISTORY}
@@ -60,6 +70,20 @@ def moved_keys() -> list[str]:
     return [key for key in {**expected, **actual} if actual.get(key) != expected.get(key)]
 
 
+def moved_fixture_goldens() -> list[str]:
+    """Every fixture golden whose report, as the golden's command writes it
+    to a file, differs from the committed bytes (see tests/test_golden.py)."""
+    moved = []
+    with tempfile.TemporaryDirectory() as scratch, contextlib.redirect_stderr(io.StringIO()):
+        for golden in sorted(GOLDEN.glob("*.json")):
+            out = Path(scratch) / golden.name
+            argv = ["generate", "--tmr", str(TMR_DIR / golden.name), "--format", "json",
+                    "--trace", "--dump-solutions", "--top", "1000000", "--out", str(out)]
+            if main(argv) != 0 or out.read_bytes() != golden.read_bytes():
+                moved.append(f"golden/{golden.name}")
+    return moved
+
+
 def test_every_genscen_report_matches_its_digest():
     moved = moved_keys()
     assert not moved, f"{len(moved)} genscen reports moved: {', '.join(moved)}"
@@ -68,7 +92,10 @@ def test_every_genscen_report_matches_its_digest():
 if __name__ == "__main__":
     if sys.argv[1:] == ["--check"]:
         moved = moved_keys()
-        print("\n".join(moved + [f"{len(moved)} of {2 * len(SEEDS)} digests moved"]))
-        sys.exit(1 if moved else 0)
+        goldens = moved_fixture_goldens()
+        print("\n".join(moved + goldens + [
+            f"{len(moved)} of {2 * len(SEEDS)} digests moved",
+            f"{len(goldens)} of {len(list(GOLDEN.glob('*.json')))} fixture goldens moved"]))
+        sys.exit(1 if moved or goldens else 0)
     DIGESTS.parent.mkdir(parents=True, exist_ok=True)
     DIGESTS.write_text(json.dumps(digests(), indent=1, sort_keys=False) + "\n", encoding="utf-8")

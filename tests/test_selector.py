@@ -303,9 +303,3 @@ def test_duplicate_sentences_keep_only_the_best_row(kb, freq, morph, config):
     assert len(texts) == len(set(texts))
     assert report[0].sentence == "They moored the ship."
 
-
-def test_unrealized_solutions_are_skipped(kb, freq, morph, config):
-    tmr, solutions = _solutions("moor_ship", kb, config, morph)
-    solutions[0].sentence = None
-    report = rank(solutions, freq, config)
-    assert all(s.sentence for s in report)

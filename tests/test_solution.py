@@ -6,8 +6,8 @@ import json
 import pytest
 
 from conftest import TMR_DIR, load_fixture
-from ontogen import (AllSetsPruned, NoRealizableSense, engine, generate, parse_tmr, realizer,
-                     solution)
+from ontogen import (AllSetsPruned, NoRealizableSense, TmrError, engine, generate, parse_tmr,
+                     realizer, solution)
 from ontogen.pipeline import CandidateSense, run_lexical_selection
 from ontogen.solution import Forest, build_solution, derive_tense
 from ontogen.tmr import find_root_frame
@@ -225,6 +225,17 @@ def test_participant_pronouns_carry_person_and_case(kb, config):
     assert "you" in fixed
 
 
+def test_a_frame_that_embeds_itself_is_a_tmr_error_naming_the_path(kb):
+    request = {"POLITENESS": 0, "REFUSAL-OPPORTUNITY": 0}
+    frames = {"REQUEST-ACTION-1": {"THEME": "REQUEST-ACTION-2", **request},
+              "REQUEST-ACTION-2": {"THEME": "REQUEST-ACTION-1", **request}}
+    tmr = parse_tmr(json.dumps({"schema": "ontogen-tmr/1", "frames": frames}), source="loop.json")
+    with pytest.raises(TmrError) as caught:
+        generate(tmr, kb)
+    assert str(caught.value) == ("loop.json: a frame embeds itself: "
+                                 "REQUEST-ACTION-1 -> REQUEST-ACTION-2 -> REQUEST-ACTION-1")
+
+
 # --- sharing within one request ---------------------------------------------------
 
 def test_a_request_compiles_each_construction_once_and_inflects_each_leaf_once(
@@ -233,7 +244,7 @@ def test_a_request_compiles_each_construction_once_and_inflects_each_leaf_once(
 
     def compile_counted(tmr, frame, sense, lemma, **flags):
         compiled.append((frame.instance_id, sense.id, lemma, flags["passive"], flags["tense"],
-                         flags["suppress_subject"], flags["base_only"]))
+                         flags["embedded"]))
         return compile_plan(tmr, frame, sense, lemma, **flags)
 
     def leaf_counted(tables, leaf):
