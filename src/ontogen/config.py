@@ -11,7 +11,7 @@ import sys
 from typing import NamedTuple
 
 from .errors import SchemaError
-from .strictjson import decode, document, read_text
+from .strictjson import decode, document, read_text, shortened
 
 SCHEMA_CONFIG = "ontogen-config/1"
 
@@ -47,13 +47,16 @@ def check_config(config: GenerationConfig, source: str | None = None) -> Generat
     range, set-cap is an integer of at least 1 and feature-tolerance is
     positive; otherwise a SchemaError naming the first field that is not."""
     for name, value in zip(GenerationConfig._fields, config):
-        key = name.replace("_", "-")
         if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise SchemaError(f"{key} must be a number, got {value!r}", source=source)
-        if not abs(value) <= sys.float_info.max:
-            raise SchemaError(f"{key} must be a finite number, got {value!r}", source=source)
-        if name in _INTEGER_FIELDS and not isinstance(value, int):
-            raise SchemaError(f"{key} must be an integer, got {value!r}", source=source)
+            expected = "a number"
+        elif not abs(value) <= sys.float_info.max:
+            expected = "a finite number"
+        elif name in _INTEGER_FIELDS and not isinstance(value, int):
+            expected = "an integer"
+        else:
+            continue
+        raise SchemaError(f"{name.replace('_', '-')} must be {expected}, "
+                          f"got {shortened(repr(value))}", source=source)
     if config.set_cap < 1:
         raise SchemaError("set-cap must be at least 1", source=source)
     if config.feature_tolerance <= 0:

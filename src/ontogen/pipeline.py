@@ -1,16 +1,16 @@
 """Lexical selection: from a meaning representation to scored candidate sets.
 
-Six stages run in a fixed order: extract candidate senses per unit,
+Five stages run in a fixed order: extract candidate senses per unit,
 manage referring expressions, prune semantically (with an additive score
-ledger), prune syntactically, aggregate the surviving candidates into
-candidate sets, and expand synonyms. Up to aggregation, each stage narrows
-the units' candidate lists in place and returns the list it was given.
-Every pruning rule reads one candidate and its own frame, so each
+ledger), prune syntactically, and aggregate the surviving candidates into
+candidate sets with their synonym clones. Up to aggregation, each stage
+narrows the units' candidate lists in place and returns the list it was
+given. Every pruning rule reads one candidate and its own frame, so each
 candidate is scored and checked once, and only survivors are combined; a
-frame the root never reaches cannot change the sentence, so its units
-enter the combination at their best candidate only. Every score delta and
-every exclusion is recorded, so a set's score is fully explained by its
-ledger.
+frame the root never reaches cannot change the sentence, so aggregation
+takes its units at their best candidate only and clones none of them.
+Every score delta and every exclusion is recorded, so a set's score is
+fully explained by its ledger.
 """
 
 from __future__ import annotations
@@ -120,11 +120,6 @@ class CandidateSet:
         for c in combo:
             for entry in c.uncovered:
                 yield c.unit_key, entry
-
-    @property
-    def ledger(self) -> list[tuple[str, LedgerEntry]]:
-        """The entries, as printed."""
-        return list(self.entries())
 
     def signature(self) -> str:
         """Each unit as "key=description", described when asked for."""
@@ -596,7 +591,7 @@ def prune_syntactic(units: list[Unit], tmr: Tmr, trace: list[TraceRecord]) -> li
 
 
 # ---------------------------------------------------------------------------
-# between stages 4 and 5: hold the frames the root never reaches
+# stage 5: aggregate the survivors into candidate sets
 
 def _reached_frames(units: list[Unit], tmr: Tmr, root: TmrFrame) -> set[str]:
     """The root frame and every frame reachable from it through instance
@@ -629,60 +624,46 @@ def _own_score(choice: CandidateSense) -> float:
     return sum(entry.delta for entry in choice.ledger + choice.semantic + choice.uncovered)
 
 
-def hold_unreached(units: list[Unit], tmr: Tmr,
-                   root: TmrFrame) -> tuple[list[Unit], frozenset[str]]:
-    """Hold each unit of a frame the root never reaches at its first
-    candidate with the highest own score; return the units and the held
-    keys. Such a choice never changes the sentence and adds only its own
-    deltas to the total, and ranking keeps the first set with the highest
-    total per sentence, so every winning set already holds it there."""
-    reached = _reached_frames(units, tmr, root)
-    held = frozenset(unit.key for unit in units if unit.frame_id not in reached)
-    for unit in units:
-        if unit.key in held:
-            unit.candidates = [max(unit.candidates, key=_own_score)]
-    return units, held
-
-
-# ---------------------------------------------------------------------------
-# stage 5: aggregate the survivors into candidate sets
-
 def _product(units: list[Unit]) -> int:
     return math.prod(len(unit.candidates) for unit in units)
 
 
-def aggregate_sets(units: list[Unit], config: GenerationConfig) -> tuple[list[CandidateSet], list[str]]:
+def aggregate_sets(units: list[Unit], tmr: Tmr, root: TmrFrame,
+                   config: GenerationConfig) -> tuple[list[CandidateSet], list[str]]:
     """Cartesian product of the units' candidates, one per unit, with the
-    last unit varying fastest, truncated at the cap; a cap at or above the
-    product is no cap."""
+    last unit varying fastest, truncated at the cap (a cap at or above the
+    product is no cap); each set followed by its synonym clones, in unit
+    and synonym order, which replace one chosen head lemma and keep the
+    full ledger.
+
+    A unit of a frame the root never reaches enters at its first candidate
+    with the highest own score and is not cloned. Such a choice never
+    changes the sentence and adds only its own deltas to the total, and
+    ranking keeps the first set with the highest total per sentence, so
+    every winning set already holds it there. A clone is made once per
+    candidate and synonym, so sets share clones as they share their other
+    choices."""
+    reached = _reached_frames(units, tmr, root)
+    columns = [unit.candidates if unit.frame_id in reached
+               else [max(unit.candidates, key=_own_score)] for unit in units]
+    clones = {id(choice): [choice._replace(lemma_override=synonym)
+                           for synonym in choice.sense.synonyms]
+              for unit in units if unit.frame_id in reached
+              for choice in unit.candidates if choice.sense.synonyms}
     messages: list[str] = []
-    total = _product(units)
-    product = itertools.product(*(unit.candidates for unit in units))
+    total = math.prod(len(column) for column in columns)
+    product = itertools.product(*columns)
     if total > config.set_cap:
         messages.append(f"candidate product {total} exceeds cap {config.set_cap}; truncated")
         product = itertools.islice(product, config.set_cap)
-    sets = [CandidateSet(choices={c.unit_key: c for c in combo}) for combo in product]
+    sets: list[CandidateSet] = []
+    for combo in product:
+        choices = {c.unit_key: c for c in combo}
+        sets.append(CandidateSet(choices))
+        for choice in combo:
+            for clone in clones.get(id(choice), ()):
+                sets.append(CandidateSet({**choices, choice.unit_key: clone}))
     return sets, messages
-
-
-# ---------------------------------------------------------------------------
-# stage 6: synonym expansion
-
-def expand_synonyms(sets: list[CandidateSet],
-                    held: frozenset[str] = frozenset()) -> list[CandidateSet]:
-    """For every synonym of every chosen sense outside the held units, clone
-    the set with the head lemma replaced; clones inherit the full ledger."""
-    out: list[CandidateSet] = []
-    for cs in sets:
-        out.append(cs)
-        for key in cs.choices:
-            if key in held:
-                continue
-            choice = cs.choices[key]
-            for synonym in choice.sense.synonyms:
-                out.append(CandidateSet({**cs.choices,
-                                         key: choice._replace(lemma_override=synonym)}))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -690,7 +671,9 @@ def expand_synonyms(sets: list[CandidateSet],
 
 def run_lexical_selection(tmr: Tmr, kb: KnowledgeBase, config: GenerationConfig,
                           context: tuple[str, ...] = ()) -> SelectionResult:
-    """All six stages in order, with the full trace retained."""
+    """All five stages in order, with the full trace retained; holding the
+    frames the root never reaches and cloning synonyms are part of
+    aggregation."""
     check_concepts(tmr, kb)
     trace: list[TraceRecord] = []
     if not tmr.frames:
@@ -710,8 +693,6 @@ def run_lexical_selection(tmr: Tmr, kb: KnowledgeBase, config: GenerationConfig,
     prune_syntactic(units, tmr, trace)
     counts["after-syntactic"] = _product(units)
     root = find_root_frame(tmr)
-    units, held = hold_unreached(units, tmr, root)
-    sets, messages = aggregate_sets(units, config)
-    sets = expand_synonyms(sets, held)
+    sets, messages = aggregate_sets(units, tmr, root, config)
     counts["after-synonyms"] = len(sets)
     return SelectionResult(sets=sets, trace=trace, messages=messages, counts=counts, root=root)

@@ -108,28 +108,6 @@ def _mood_of(sense: LexSense) -> str:
     return "declarative"
 
 
-class Forest:
-    """What the candidate sets of one request share: the root frame and its
-    tense, every plan, and every nominal, prepositional phrase and agreeing
-    verb built so far. An embedded verb phrase is built per set.
-
-    A plan is keyed by frame, sense, lemma, voice and whether it is
-    embedded, not by the choice, since synonym clones are new choice
-    objects in every base set; a nominal by its function and the identities
-    of the choices it reads (a choice belongs to one frame); a prepositional
-    phrase by its preposition and the nominal it holds; an agreeing verb by
-    its plan leaf and the subject's number and person. Identity keys are
-    sound because a request's sets share their choice objects and keep them
-    alive while the forest is in use, and the forest keeps every leaf it
-    keys; a forest must not outlive the sets it builds."""
-
-    def __init__(self, tmr: Tmr, root: TmrFrame):
-        self.tmr = tmr
-        self.root = root
-        self.tense = derive_tense(self.root, tmr)
-        self.built: dict[tuple, object] = {}
-
-
 # A plan item is a fixed leaf or a hole a set fills from its choices: a
 # nominal, the subject nominal, a "v" slot (an embedded phrase when its
 # frame's choice takes arguments, else a nominal) or a prepositional phrase.
@@ -229,31 +207,47 @@ def _compile(tmr: Tmr, frame: TmrFrame, sense: LexSense, lemma: str, *, passive:
     return tuple(items), tuple(finite), "passive" if passive else "active"
 
 
-class _Builder:
-    def __init__(self, cs: CandidateSet, forest: Forest):
-        self.cs = cs
-        self.tmr = forest.tmr
-        self.tense = forest.tense
-        self.built = forest.built
+class Forest:
+    """What the candidate sets of one request share: the root frame and its
+    tense, every plan, and every nominal, prepositional phrase and agreeing
+    verb built so far. An embedded verb phrase is built per set.
+
+    A plan is keyed by the values it reads: frame, sense, lemma, voice and
+    whether it is embedded; a nominal by its function and the identities of
+    the choices it reads (a choice belongs to one frame); a prepositional
+    phrase by its preposition and the nominal it holds; an agreeing verb by
+    its plan leaf and the subject's number and person. Identity keys are
+    sound because a request's sets share their choice objects, synonym
+    clones too, and keep them alive while the forest is in use, and the
+    forest keeps every leaf it keys; a forest must not outlive the sets it
+    builds."""
+
+    def __init__(self, tmr: Tmr, root: TmrFrame):
+        self.tmr = tmr
+        self.root = root
+        self.tense = derive_tense(self.root, tmr)
+        self.built: dict[tuple, object] = {}
 
     # -- nominals ----------------------------------------------------------
 
-    def nominal(self, frame: TmrFrame, function: str) -> tuple[Constituent, Features]:
-        choice = self.cs.choices[frame.instance_id]
+    def nominal(self, cs: CandidateSet, frame: TmrFrame,
+                function: str) -> tuple[Constituent, Features]:
+        choice = cs.choices[frame.instance_id]
         # keyed by the identities of the choices it reads: its own, which
         # stands for the frame since a choice belongs to one frame, and its
         # modifiers'
         key = (function, id(choice))
         if choice.modifiers:
-            key += tuple(id(self.cs.choices[modifier_key(frame.instance_id, prop)])
+            key += tuple(id(cs.choices[modifier_key(frame.instance_id, prop)])
                          for prop in choice.modifiers)
         built = self.built.get(key)
         if built is None:
-            built = self.built[key] = self._nominal(frame, function, choice)
+            built = self.built[key] = self._nominal(cs, frame, function, choice)
         return built
 
-    def prepositional_phrase(self, word: str | None, frame: TmrFrame) -> Constituent:
-        obj, _ = self.nominal(frame, "nominal")
+    def prepositional_phrase(self, cs: CandidateSet, word: str | None,
+                             frame: TmrFrame) -> Constituent:
+        obj, _ = self.nominal(cs, frame, "nominal")
         key = ("prepositional-phrase", word, id(obj))
         built = self.built.get(key)
         if built is None:
@@ -261,7 +255,7 @@ class _Builder:
                 "prepositional-phrase", children=(Constituent("preposition", lemma=word), obj))
         return built
 
-    def _nominal(self, frame: TmrFrame, function: str,
+    def _nominal(self, cs: CandidateSet, frame: TmrFrame, function: str,
                  choice: CandidateSense) -> tuple[Constituent, Features]:
         case = "subjective" if function == "subject" else "objective"
         number = "plural" if frame.plural else "singular"
@@ -282,7 +276,7 @@ class _Builder:
         if word:
             children.append(Constituent("determiner", lemma=word))
         for prop in choice.modifiers:
-            mod = self.cs.choices[modifier_key(frame.instance_id, prop)]
+            mod = cs.choices[modifier_key(frame.instance_id, prop)]
             children.append(Constituent("modifier", lemma=mod.lemma))
         children.append(Constituent("noun-head", lemma=choice.lemma, proper=choice.proper,
                                     features=Features(number=number, person=3)))
@@ -303,7 +297,7 @@ class _Builder:
                 tense="present" if embedded else self.tense, embedded=embedded)
         return built
 
-    def fill(self, plan: tuple, path: tuple[str, ...]) -> list[Constituent]:
+    def fill(self, cs: CandidateSet, plan: tuple, path: tuple[str, ...]) -> list[Constituent]:
         """The plan's children for this set: each hole filled from the
         forest, then each finite verb agreeing with the subject. path names
         the frames whose phrases hold this one, outermost first."""
@@ -314,13 +308,13 @@ class _Builder:
             if kind == _LEAF:
                 children.append(held)
             elif kind == _PREPOSITIONAL:
-                children.append(self.prepositional_phrase(function, held))
+                children.append(self.prepositional_phrase(cs, function, held))
             else:
-                inner = self.cs.choices.get(held.instance_id) if kind == _VERBAL else None
+                inner = cs.choices.get(held.instance_id) if kind == _VERBAL else None
                 if inner is not None and inner.sense.is_argument_taking:
-                    children.append(self.embedded_phrase(held, inner, path))
+                    children.append(self.embedded_phrase(cs, held, inner, path))
                     continue
-                constituent, features = self.nominal(held, function)
+                constituent, features = self.nominal(cs, held, function)
                 children.append(constituent)
                 if kind == _SUBJECT:
                     subject = features
@@ -339,22 +333,23 @@ class _Builder:
                                                                     person=subject.person))
         return built
 
-    def embedded_phrase(self, frame: TmrFrame, choice: CandidateSense,
+    def embedded_phrase(self, cs: CandidateSet, frame: TmrFrame, choice: CandidateSense,
                         path: tuple[str, ...]) -> Constituent:
         path += (frame.instance_id,)
         if frame.instance_id in path[:-1]:
             raise TmrError(f"a frame embeds itself: {' -> '.join(path)}", source=self.tmr.source)
         plan = self.plan(frame, choice, embedded=True)
-        return Constituent("verb-phrase", children=tuple(self.fill(plan, path)))
+        return Constituent("verb-phrase", children=tuple(self.fill(cs, plan, path)))
 
-    def clause(self, frame: TmrFrame, choice: CandidateSense) -> tuple[Constituent, str, str]:
+    def clause(self, cs: CandidateSet, frame: TmrFrame,
+               choice: CandidateSense) -> tuple[Constituent, str, str]:
         """The clause, its mood and its voice."""
         sense = choice.sense
         if not sense.is_argument_taking:
-            nominal, _ = self.nominal(frame, "nominal")
+            nominal, _ = self.nominal(cs, frame, "nominal")
             return Constituent("clause", children=(nominal,)), "declarative", "active"
         plan = self.plan(frame, choice, embedded=False)
-        clause = Constituent("clause", children=tuple(self.fill(plan, (frame.instance_id,))))
+        clause = Constituent("clause", children=tuple(self.fill(cs, plan, (frame.instance_id,))))
         return clause, _mood_of(sense), plan[2]
 
 
@@ -363,6 +358,6 @@ def build_solution(cs: CandidateSet, forest: Forest) -> CandidateSolution:
     The sets of one request pass one forest and share what they build."""
     root_frame = forest.root
     choice = cs.choices[root_frame.instance_id]
-    root, mood, voice = _Builder(cs, forest).clause(root_frame, choice)
+    root, mood, voice = forest.clause(cs, root_frame, choice)
     return CandidateSolution(candidate_set=cs, root=root, mood=mood, tense=forest.tense,
                              voice=voice, root_id=root_frame.instance_id)

@@ -34,9 +34,14 @@ def _no_constant(name: str):
     raise ValueError(f"{name} is not JSON")
 
 
+def shortened(text: str) -> str:
+    """text as an error message quotes it: its first 20 characters and its
+    length when it is longer than 24."""
+    return text if len(text) <= 24 else f"{text[:20]}...({len(text)} characters)"
+
+
 def _out_of_range(literal: str) -> NoReturn:
-    shown = literal if len(literal) <= 24 else f"{literal[:20]}...({len(literal)} characters)"
-    raise ValueError(f"number {shown} is outside the float range")
+    raise ValueError(f"number {shortened(literal)} is outside the float range")
 
 
 def _finite_float(literal: str) -> float:

@@ -7,7 +7,9 @@ survives the pipeline unless the draw deliberately removes the subject.
 """
 from __future__ import annotations
 
+import itertools
 import json
+import math
 import random
 import tempfile
 from collections import Counter
@@ -23,8 +25,7 @@ from ontogen import (
     parse_tmr,
 )
 from ontogen.pipeline import (
-    aggregate_sets,
-    expand_synonyms,
+    CandidateSet,
     extract_candidates,
     manage_reference,
     prune_semantic,
@@ -207,10 +208,16 @@ def rank_every_set(tmr: Tmr, kb: KnowledgeBase, config: GenerationConfig | None 
     units = manage_reference(extract_candidates(tmr, kb), tmr, kb, config)
     trace: list = []
     survivors = prune_syntactic(prune_semantic(units, tmr, kb, config, trace), tmr, trace)
-    sets, messages = aggregate_sets(survivors, config)
-    assert messages == [], "the reference must not be truncated"
+    columns = [unit.candidates for unit in survivors]
+    assert math.prod(map(len, columns)) <= config.set_cap, "the reference must not be truncated"
+    sets = []
+    for combo in itertools.product(*columns):
+        choices = {choice.unit_key: choice for choice in combo}
+        sets.append(CandidateSet(choices))
+        sets.extend(CandidateSet({**choices, choice.unit_key: choice._replace(lemma_override=word)})
+                    for choice in combo for word in choice.sense.synonyms)
     root = find_root_frame(tmr)
-    solutions = [build_solution(cs, Forest(tmr, root)) for cs in expand_synonyms(sets)]
+    solutions = [build_solution(cs, Forest(tmr, root)) for cs in sets]
     tables = bundled_morphology()
     for solution in solutions:
         realize(solution, tables, {})

@@ -9,7 +9,7 @@ import pytest
 
 from conftest import DATA, fixture_path, load_fixture, run_cli
 from ontogen import GenerationConfig, SchemaError, generate, load_config
-from ontogen.config import parse_config
+from ontogen.config import check_config, parse_config
 
 
 def test_the_bundled_sample_spells_out_the_defaults():
@@ -69,6 +69,18 @@ def test_a_config_built_in_code_obeys_the_file_rules(kb, fixture, fields, messag
     with pytest.raises(SchemaError) as caught:
         generate(load_fixture(fixture), kb, config=GenerationConfig(**fields))
     assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("fields, key", [
+    ({"exact_bonus": 10 ** 400}, "exact-bonus"),
+    ({"exact_bonus": "x" * 500}, "exact-bonus"),
+    ({"set_cap": [0] * 300}, "set-cap"),
+], ids=["huge-integer", "long-string", "long-list"])
+def test_a_rejected_value_is_quoted_short(fields, key):
+    with pytest.raises(SchemaError) as caught:
+        check_config(GenerationConfig(**fields))
+    message = str(caught.value)
+    assert message.startswith(f"{key} must be ") and len(message) < 100
 
 
 def test_cli_config_flag_changes_the_run(tmp_path):

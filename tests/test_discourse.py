@@ -22,10 +22,11 @@ import random
 from collections import deque
 from pathlib import Path
 
-from conftest import KB_DIR, TMR_DIR, load_fixture
-from ontogen import generate, load_knowledge_base
+from ontogen import generate, load_knowledge_base, parse_tmr_file
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "discourse" / "history200.json"
+DATA = Path(__file__).resolve().parents[1] / "src" / "ontogen" / "data"
+KB_DIR, TMR_DIR = DATA / "kb", DATA / "tmr"
 
 FIXTURES = (
     "blue_painting", "fasten_depicts", "fasten_painting", "fasten_painting_nlu",
@@ -76,10 +77,16 @@ def conversation():
         window.append(turns[FIXTURES.index(name)])
 
 
+def bundled_kb():
+    return load_knowledge_base(KB_DIR / "ontology.json", KB_DIR / "lexicon.json",
+                               KB_DIR / "memory.json")
+
+
 def discourse_report(kb) -> dict:
     out = {}
     for name, history, context in conversation():
-        report = generate(load_fixture(name), kb, context=context, history=history)
+        tmr = parse_tmr_file(TMR_DIR / f"{name}.json")
+        report = generate(tmr, kb, context=context, history=history)
         out[name] = [
             {"sentence": s.sentence, "total": s.total,
              "terms": {term: value for term, value in s.terms},
@@ -91,8 +98,9 @@ def discourse_report(kb) -> dict:
     return out
 
 
-def _text(report: dict) -> str:
-    return json.dumps(report, indent=1, ensure_ascii=False) + "\n"
+def discourse_text(kb) -> str:
+    """The golden's text."""
+    return json.dumps(discourse_report(kb), indent=1, ensure_ascii=False) + "\n"
 
 
 def test_the_conversation_repeats_both_names():
@@ -104,11 +112,9 @@ def test_the_conversation_repeats_both_names():
 
 
 def test_discourse_report_matches_the_golden(kb):
-    assert _text(discourse_report(kb)) == GOLDEN.read_text(encoding="utf-8")
+    assert discourse_text(kb) == GOLDEN.read_text(encoding="utf-8")
 
 
 if __name__ == "__main__":
-    knowledge = load_knowledge_base(KB_DIR / "ontology.json", KB_DIR / "lexicon.json",
-                                    KB_DIR / "memory.json")
     GOLDEN.parent.mkdir(exist_ok=True)
-    GOLDEN.write_text(_text(discourse_report(knowledge)), encoding="utf-8")
+    GOLDEN.write_text(discourse_text(bundled_kb()), encoding="utf-8")

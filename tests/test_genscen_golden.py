@@ -20,7 +20,8 @@ and say in the change which seeds moved and why. With ``--check`` the
 script compares instead of rewriting: it prints each moved key, then each
 fixture golden under ``tests/golden/*.json`` whose report, written by
 ``ontogen.cli.main([... "--out", path])``, moved from the committed bytes,
-and exits 1 if anything moved. It imports no pytest, so it runs on any
+then the discourse golden (see tests/test_discourse.py) if it moved, and
+exits 1 if anything moved. It imports no pytest, so it runs on any
 interpreter:
 
     PYTHONPATH=src:tests python tests/test_genscen_golden.py --check
@@ -35,6 +36,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+import test_discourse
 from genscen import build_scenario
 from ontogen import OntogenError, generate
 from ontogen.cli import _render_json, main
@@ -84,6 +86,14 @@ def moved_fixture_goldens() -> list[str]:
     return moved
 
 
+def moved_discourse_golden() -> list[str]:
+    """The discourse golden, if its report differs from the committed bytes."""
+    golden = test_discourse.GOLDEN
+    text = test_discourse.discourse_text(test_discourse.bundled_kb())
+    return [] if text == golden.read_text(encoding="utf-8") else [
+        str(golden.relative_to(GOLDEN.parent))]
+
+
 def test_every_genscen_report_matches_its_digest():
     moved = moved_keys()
     assert not moved, f"{len(moved)} genscen reports moved: {', '.join(moved)}"
@@ -93,9 +103,11 @@ if __name__ == "__main__":
     if sys.argv[1:] == ["--check"]:
         moved = moved_keys()
         goldens = moved_fixture_goldens()
-        print("\n".join(moved + goldens + [
+        discourse = moved_discourse_golden()
+        print("\n".join(moved + goldens + discourse + [
             f"{len(moved)} of {2 * len(SEEDS)} digests moved",
-            f"{len(goldens)} of {len(list(GOLDEN.glob('*.json')))} fixture goldens moved"]))
-        sys.exit(1 if moved or goldens else 0)
+            f"{len(goldens)} of {len(list(GOLDEN.glob('*.json')))} fixture goldens moved",
+            f"{len(discourse)} of 1 discourse golden moved"]))
+        sys.exit(1 if moved or goldens or discourse else 0)
     DIGESTS.parent.mkdir(parents=True, exist_ok=True)
     DIGESTS.write_text(json.dumps(digests(), indent=1, sort_keys=False) + "\n", encoding="utf-8")

@@ -23,9 +23,7 @@ from ontogen.pipeline import (
     TraceRecord,
     _exclude,
     aggregate_sets,
-    expand_synonyms,
     extract_candidates,
-    hold_unreached,
     ledger_score,
     manage_reference,
     prune_semantic,
@@ -242,7 +240,7 @@ def test_feature_distance_grades_the_bonus_and_prunes_beyond_tolerance(kb, confi
     appreciations = [cs for cs in result.sets
                      if cs.choices["REQUEST-ACTION-1"].sense.id == "appreciate-v8"]
     assert appreciations
-    graded = [entry.delta for _, entry in appreciations[0].ledger
+    graded = [entry.delta for _, entry in appreciations[0].entries()
               if entry.rule == "feature-match"]
     assert graded.count(6) == 2  # politeness and refusal-opportunity, 0.1 away each
     assert any(r.subject == "REQUEST-ACTION-1/dammit-v1" and r.rule == "feature-mismatch"
@@ -323,14 +321,24 @@ def test_a_modified_speaker_or_hearer_cannot_be_a_pronoun_either(kb, config, fix
 
 # --- stage 5: aggregation ----------------------------------------------------
 
+def _aggregate(survivors, tmr, config):
+    return aggregate_sets(survivors, tmr, tmr_module.find_root_frame(tmr), config)
+
+
+def _bases(sets):
+    """The sets that clone no synonym."""
+    return [cs for cs in sets if not any(c.lemma_override for c in cs.choices.values())]
+
+
 def test_aggregation_is_the_cartesian_product_of_units(kb, config):
     survivors = _survivors_for("fasten_painting", kb, config)
     assert [c.sense.id for c in _unit(survivors, "FASTEN-18").candidates] == [
         "affix-v1", "fix-v2"]
-    sets, messages = aggregate_sets(survivors, config)
+    sets, messages = _aggregate(survivors, load_fixture("fasten_painting"), config)
     expected = math.prod(len(unit.candidates) for unit in survivors)
     assert expected == 4
-    assert len(sets) == expected
+    assert len(_bases(sets)) == expected
+    assert len({cs.signature() for cs in _bases(sets)}) == expected
     assert messages == []
     counts = run_lexical_selection(load_fixture("fasten_painting"), kb, config).counts
     assert counts["after-syntactic"] == expected
@@ -340,9 +348,11 @@ def test_aggregation_is_the_cartesian_product_of_units(kb, config):
 
 def test_aggregation_cap_truncates_with_a_message(kb, config):
     survivors = _survivors_for("fasten_painting", kb, config)
-    full, _ = aggregate_sets(survivors, config)
-    sets, messages = aggregate_sets(survivors, config._replace(set_cap=3))
-    assert [cs.signature() for cs in sets] == [cs.signature() for cs in full[:3]]
+    tmr = load_fixture("fasten_painting")
+    full, _ = _aggregate(survivors, tmr, config)
+    sets, messages = _aggregate(survivors, tmr, config._replace(set_cap=3))
+    assert len(_bases(sets)) == 3
+    assert [cs.signature() for cs in sets] == [cs.signature() for cs in full[:len(sets)]]
     assert len(messages) == 1
     assert "3" in messages[0]
 
@@ -376,16 +386,19 @@ def test_hold_unreached_leaves_exactly_the_unreached_units_at_one_candidate(kb, 
     units, trace = extract_candidates(tmr, kb), []
     manage_reference(units, tmr, kb, config)
     prune_syntactic(prune_semantic(units, tmr, kb, config, trace), tmr, trace)
-    before = {unit.key: unit.candidates for unit in units}
-    returned, held = hold_unreached(units, tmr, tmr_module.find_root_frame(tmr))
-    assert returned is units
-    assert held == {"PICTURE-101", "PICTURE-102", "PICTURE-102/COLOR"}
+    before = {unit.key: list(unit.candidates) for unit in units}
+    sets, _ = _aggregate(units, tmr, config)
+    assert [unit.candidates for unit in units] == list(before.values())
+    held = {"PICTURE-101", "PICTURE-102", "PICTURE-102/COLOR"}
     assert len(before["PICTURE-101"]) > 1
     for unit in units:
+        chosen = {id(cs.choices[unit.key]) for cs in _bases(sets)}
         if unit.key in held:
-            assert len(unit.candidates) == 1 and unit.candidates[0] in before[unit.key]
+            top = max(map(pipeline._own_score, unit.candidates))
+            first_best = next(c for c in unit.candidates if pipeline._own_score(c) == top)
+            assert chosen == {id(first_best)}
         else:
-            assert unit.candidates is before[unit.key]
+            assert chosen == {id(choice) for choice in unit.candidates}
 
 
 @pytest.mark.parametrize("silent", range(7))
@@ -466,16 +479,36 @@ def test_synonym_clones_share_everything_but_the_lemma(kb, config):
               and cs.choices["PICTURE-7"].sense.id == "painting-n1"]
     assert {cs.choices["FASTEN-18"].lemma for cs in family} == {
         "fix", "attach", "fasten", "secure"}
-    assert len({ledger_score(cs.ledger) for cs in family}) == 1
+    assert len({ledger_score(tuple(cs.entries())) for cs in family}) == 1
     others = {tuple(sorted((k, c.sense.id) for k, c in cs.choices.items()))
               for cs in family}
     assert len(others) == 1
 
 
 def test_held_units_are_not_cloned(kb, config):
-    sets, _ = aggregate_sets(_survivors_for("fasten_painting", kb, config), config)
-    assert len(expand_synonyms(sets)) == 10
-    assert expand_synonyms(sets, frozenset({"FASTEN-18"})) == sets
+    """The unattached FASTEN-99 is held; put fix-v2, whose lemma has
+    synonyms, first among its tied best candidates, so it is the one held."""
+    tmr = _with_frames("fasten_painting", {
+        "FASTEN-99": {"THEME": "PICTURE-99", "DESTINATION": "WALL-99"},
+        "PICTURE-99": {}, "WALL-99": {}})
+    units, trace = extract_candidates(tmr, kb), []
+    manage_reference(units, tmr, kb, config)
+    prune_syntactic(prune_semantic(units, tmr, kb, config, trace), tmr, trace)
+    _unit(units, "FASTEN-99").candidates.reverse()
+    sets, _ = _aggregate(units, tmr, config)
+    held = {cs.choices["FASTEN-99"] for cs in sets}
+    assert [(c.sense.id, c.lemma_override) for c in held] == [("fix-v2", None)]
+    assert len(sets) == 10
+    assert {cs.choices["FASTEN-18"].lemma for cs in sets} == {
+        "affix", "fix", "attach", "fasten", "secure"}
+
+
+def test_sets_share_each_synonym_clone(kb, config):
+    result = run_lexical_selection(load_fixture("fasten_painting"), kb, config)
+    attach = [cs.choices["FASTEN-18"] for cs in result.sets
+              if cs.choices["FASTEN-18"].lemma == "attach"]
+    assert len(attach) == 2
+    assert len({id(choice) for choice in attach}) == 1
 
 
 # --- whole stage run ----------------------------------------------------------
@@ -496,7 +529,7 @@ def test_an_empty_meaning_is_reported_as_inexpressible(kb, config):
 def test_expressing_an_extra_slot_outranks_ignoring_it(kb, config):
     result = run_lexical_selection(load_fixture("fasten_depicts"), kb, config)
     def best(sense_id):
-        return max(ledger_score(cs.ledger) for cs in result.sets
+        return max(ledger_score(tuple(cs.entries())) for cs in result.sets
                    if cs.choices["PICTURE-10"].sense.id == sense_id)
     assert best("landscape-n1") > best("painting-n1")
 

@@ -28,6 +28,7 @@ from ontogen import (
     serialize_tmr,
 )
 from ontogen.pipeline import (
+    _reached_frames,
     aggregate_sets,
     extract_candidates,
     manage_reference,
@@ -53,9 +54,11 @@ def _report(seed: int, config: GenerationConfig | None = None):
 
 
 def check_product_cardinality(seed: int) -> None:
-    """Aggregation combines exactly the per-unit survivors of pruning, a
-    smaller cap keeps the first `cap` sets with one message, and pruning
-    traces each exclusion once."""
+    """Aggregation combines exactly the per-unit survivors of pruning, with
+    each unit of a frame the root never reaches at one candidate, into its
+    base sets (those with no synonym clone); a smaller cap keeps the first
+    `cap` base sets with one message; and pruning traces each exclusion
+    once."""
     kb, tmr = build_scenario(seed)
     config = GenerationConfig()
     units = manage_reference(extract_candidates(tmr, kb), tmr, kb, config)
@@ -67,15 +70,22 @@ def check_product_cardinality(seed: int) -> None:
     assert len(set(trace)) == len(trace)
     if survivors is None:
         return
-    expected = math.prod(len(u.candidates) for u in survivors)
+    root = find_root_frame(tmr)
+    reached = _reached_frames(survivors, tmr, root)
+    expected = math.prod(len(u.candidates) if u.frame_id in reached else 1 for u in survivors)
     assert expected <= config.set_cap
-    sets, messages = aggregate_sets(survivors, config)
-    assert len(sets) == expected
+
+    def base_signatures(sets):
+        return [cs.signature() for cs in sets
+                if not any(c.lemma_override for c in cs.choices.values())]
+
+    sets, messages = aggregate_sets(survivors, tmr, root, config)
+    signatures = base_signatures(sets)
+    assert len(signatures) == expected
     assert messages == []
-    signatures = [cs.signature() for cs in sets]
     assert len(set(signatures)) == expected
-    capped, messages = aggregate_sets(survivors, config._replace(set_cap=2))
-    assert [cs.signature() for cs in capped] == signatures[:2]
+    capped, messages = aggregate_sets(survivors, tmr, root, config._replace(set_cap=2))
+    assert base_signatures(capped) == signatures[:2]
     assert len(messages) == (expected > 2)
 
 

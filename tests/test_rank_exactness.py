@@ -5,10 +5,10 @@ and a sentence's ledger and signature are made when first read. This
 checks, for every expressible fixture and genscen seeds 0-49, under the
 default config and three configs with non-dyadic values, that:
 
-- the pipeline term equals ``pipeline_weight * ledger_score(tuple(cs.ledger))``,
+- the pipeline term equals ``pipeline_weight * ledger_score(tuple(cs.entries()))``,
   compared by ``float.hex``, so a sum in another order or another loop
   shows even where it differs in the last bit;
-- ``.ledger`` and ``.signature`` equal a fresh ``tuple(cs.ledger)`` and
+- ``.ledger`` and ``.signature`` equal a fresh ``tuple(cs.entries())`` and
   ``cs.signature()``.
 
 The check imports no pytest, so it also runs on its own, from the
@@ -61,12 +61,12 @@ def exactness_failures() -> tuple[int, list[str]]:
             for s in report.sentences:
                 checked += 1
                 cs = s.solution.candidate_set
-                pipeline = config.pipeline_weight * ledger_score(tuple(cs.ledger))
+                pipeline = config.pipeline_weight * ledger_score(tuple(cs.entries()))
                 where = f"{label} [{name}] rank {s.rank}"
                 if dict(s.terms)["pipeline"].hex() != float(pipeline).hex():
                     failures.append(f"{where}: pipeline {dict(s.terms)['pipeline']!r} "
                                     f"!= {pipeline!r}")
-                if s.ledger != tuple(cs.ledger) or s.signature != cs.signature():
+                if s.ledger != tuple(cs.entries()) or s.signature != cs.signature():
                     failures.append(f"{where}: ledger or signature differs from the set's")
     return checked, failures
 

@@ -184,15 +184,13 @@ def test_rank_scans_the_history_once_per_distinct_name(kb, freq, morph, config, 
 
 
 def test_rank_builds_no_ledger_and_describes_no_choice(kb, monkeypatch):
-    described, ledgers, entries = [], [], []
-    describe, ledger, entries_of = CandidateSense.describe, CandidateSet.ledger, CandidateSet.entries
+    described, entries = [], []
+    describe, entries_of = CandidateSense.describe, CandidateSet.entries
     monkeypatch.setattr(CandidateSense, "describe",
                         lambda choice: described.append(choice) or describe(choice))
-    monkeypatch.setattr(CandidateSet, "ledger",
-                        property(lambda cs: ledgers.append(cs) or ledger.fget(cs)))
     report = generate(load_fixture("fasten_painting_nlu"), kb)
     assert report.counts["after-synonyms"] == 20
-    assert described == [] and ledgers == []
+    assert described == []
 
     # an explanation is made for the sentence that is read, once
     first = report.sentences[0]
@@ -204,7 +202,6 @@ def test_rank_builds_no_ledger_and_describes_no_choice(kb, monkeypatch):
     first_ledger = first.ledger
     assert entries == [first.solution.candidate_set]
     assert first.ledger is first_ledger and len(entries) == 1
-    assert ledgers == []
 
     # the CLI explains only the sentences it prints, and only when it prints explanations
     described.clear()
