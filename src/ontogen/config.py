@@ -55,8 +55,12 @@ def check_config(config: GenerationConfig, source: str | None = None) -> Generat
             expected = "an integer"
         else:
             continue
-        raise SchemaError(f"{name.replace('_', '-')} must be {expected}, "
-                          f"got {shortened(repr(value))}", source=source)
+        try:
+            quoted = shortened(repr(value))
+        except ValueError:  # an int past Python's limit on integer string conversion
+            quoted = f"an integer of {value.bit_length()} bits"
+        raise SchemaError(f"{name.replace('_', '-')} must be {expected}, got {quoted}",
+                          source=source)
     if config.set_cap < 1:
         raise SchemaError("set-cap must be at least 1", source=source)
     if config.feature_tolerance <= 0:

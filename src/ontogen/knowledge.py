@@ -171,19 +171,13 @@ class Ontology:
     """Acyclic IS-A graph of concepts with inheritable faceted constraints.
 
     Built once the graph is known to be sound. The ontology is immutable,
-    so each concept's ancestry and inherited constraints are worked out
-    here, and the lookups below are table reads."""
+    so each concept's breadth-first ancestry is worked out here, as a tuple
+    and as a set; an inherited constraint is read along that tuple."""
 
     def __init__(self, concepts: dict[str, Concept]):
         self.concepts = concepts
         self._chains = {name: self._breadth_first(name) for name in concepts}
         self._lineages = {name: frozenset(chain) for name, chain in self._chains.items()}
-        self._constraints: dict[str, dict[str, FacetedConstraint]] = {}
-        for name, chain in self._chains.items():
-            inherited: dict[str, FacetedConstraint] = {}
-            for ancestor in reversed(chain):  # nearer declarations overwrite
-                inherited.update(concepts[ancestor].slots)
-            self._constraints[name] = inherited
 
     def _breadth_first(self, name: str) -> tuple[str, ...]:
         chain = [name]
@@ -219,7 +213,11 @@ class Ontology:
 
     def constraint_on(self, concept: str, prop: str) -> FacetedConstraint:
         """Nearest declared constraint walking up IS-A; absent means anything."""
-        return self._lookup(self._constraints, concept).get(prop, _UNCONSTRAINED)
+        for ancestor in self._lookup(self._chains, concept):
+            declared = self.concepts[ancestor].slots.get(prop)
+            if declared is not None:
+                return declared
+        return _UNCONSTRAINED
 
     def satisfies(self, filler, constraint: Constraint) -> bool:
         """Whether a filler value (concept name, literal, or scalar) meets one constraint."""
@@ -285,11 +283,11 @@ def match_degree(onto: Ontology, filler, base: FacetedConstraint,
 # lexicon
 
 class SynNode(NamedTuple):
-    """One syntactic slot: category, its $var index, fixed-word roots, optionality."""
+    """One syntactic slot: category, its $var index, fixed surface word, optionality."""
 
     category: str
     var: int
-    roots: tuple[str, ...] | None = None
+    word: str | None = None
     optional: bool = False
 
 
@@ -327,11 +325,11 @@ class LexSense:
     the syn-struc has a direct object. All three are read from the
     structures once, here, so neither structure may change later. role_bases maps each bound property to the ontology's
     constraint on it for the head concept; the loader reads it from the
-    ontology and passes it in."""
+    ontology and passes it in. The loader checks def, ex and
+    example-bindings, which pick each fixed node's word, and keeps none."""
 
     def __init__(self, id: str, headword: str, pos: str, syn_struc: tuple[SynNode, ...],
-                 sem_struc: SemFrame, definition: str = "", example: str = "",
-                 synonyms: tuple[str, ...] = (), example_bindings: tuple[tuple[str, int], ...] = (),
+                 sem_struc: SemFrame, synonyms: tuple[str, ...] = (),
                  reference: PronounRef | None = None,
                  role_bases: dict[str, FacetedConstraint] | None = None):
         self.id = id
@@ -339,36 +337,13 @@ class LexSense:
         self.pos = pos
         self.syn_struc = syn_struc
         self.sem_struc = sem_struc
-        self.definition = definition
-        self.example = example
         self.synonyms = synonyms
-        self.example_bindings = example_bindings
         self.reference = reference
         self.bound_roles = {v.var: prop for prop, v in sem_struc.slots.items()
                             if isinstance(v, VarBinding)}
         self.is_argument_taking = bool(self.bound_roles)
         self.transitive = any(node.category == "directobject" for node in syn_struc)
         self.role_bases = {} if role_bases is None else role_bases
-
-    def binding_word(self, var: int) -> str | None:
-        """The example-bindings word recorded for a variable, if any."""
-        for word, idx in self.example_bindings:
-            if idx == var:
-                return word
-        return None
-
-    def root_choice(self, node: SynNode) -> str | None:
-        """Pick the surface word for a fixed-root node.
-
-        The example-bindings word wins when it is one of the listed
-        alternatives; otherwise the first listed root is used.
-        """
-        if not node.roots:
-            return None
-        bound = self.binding_word(node.var)
-        if bound is not None and bound in node.roots:
-            return bound
-        return node.roots[0]
 
 
 class Lexicon:
@@ -379,12 +354,12 @@ class Lexicon:
 
     def __init__(self, senses: dict[str, LexSense]):
         self.senses = senses
-        self.by_head: dict[str, list[str]] = {}
+        self.by_head: dict[str, list[LexSense]] = {}
         self.by_property: dict[str, list[tuple[Constraint | float, LexSense]]] = {}
         for sid in sorted(senses):
             sense = senses[sid]
             if sense.pos not in MODIFIER_POS:
-                self.by_head.setdefault(sense.sem_struc.head, []).append(sid)
+                self.by_head.setdefault(sense.sem_struc.head, []).append(sense)
                 continue
             for prop, slot in sense.sem_struc.slots.items():
                 if not isinstance(slot, VarBinding):
@@ -393,7 +368,7 @@ class Lexicon:
     def senses_by_head_concept(self, concept: str) -> list[LexSense]:
         """The noun and verb senses whose sem-struc head is exactly this
         concept, by sense id."""
-        return [self.senses[sid] for sid in self.by_head.get(concept, [])]
+        return self.by_head.get(concept, [])
 
     def senses_for_property(self, onto: Ontology, prop: str, value) -> list[LexSense]:
         """Modifier senses (adj/adv) whose sem-struc covers property=value."""
@@ -559,7 +534,7 @@ def _parse_lexicon(data: dict, onto: Ontology, source: str) -> Lexicon:
         if not isinstance(syn_raw, list):
             raise KbValidationError(f"{sid}: syn-struc must be a list, got {syn_raw!r}",
                                     source=source)
-        nodes = []
+        nodes = []  # (category, var, roots, optional); words are picked once all is checked
         for n in syn_raw:
             if not isinstance(n, dict):
                 raise KbValidationError(f"{sid}: syn-struc node must be an object, got {n!r}",
@@ -583,8 +558,8 @@ def _parse_lexicon(data: dict, onto: Ontology, source: str) -> Lexicon:
             if not isinstance(optional, bool):
                 raise KbValidationError(f"{sid}: syn-struc {cat} opt must be true or false, "
                                         f"got {optional!r}", source=source)
-            nodes.append(SynNode(category=cat, var=var, roots=roots, optional=optional))
-        declared = [node.var for node in nodes]
+            nodes.append((cat, var, roots, optional))
+        declared = [var for _, var, _, _ in nodes]
         if declared.count(0) != 1:
             raise KbValidationError(f"{sid}: expected exactly one $var0 head node, "
                                     f"found {declared.count(0)}", source=source)
@@ -657,16 +632,21 @@ def _parse_lexicon(data: dict, onto: Ontology, source: str) -> Lexicon:
         if not all(word.strip() for word in (text["headword"],) + synonyms):
             raise KbValidationError(f"{sid}: headword and synonyms must not be blank",
                                     source=source)
+        # a fixed node's word: its variable's first binding word when that is
+        # one of the node's roots, else the first root
+        first_binding = {var: word for word, var in reversed(bindings)}
+        syn_struc = []
+        for cat, var, roots, optional in nodes:
+            bound = first_binding.get(var)
+            word = (bound if bound in roots else roots[0]) if roots else None
+            syn_struc.append(SynNode(cat, var, word, optional))
         senses[sid] = LexSense(
             id=sid,
             headword=text["headword"],
             pos=text["pos"],
-            definition=text["def"],
-            example=text["ex"],
             synonyms=synonyms,
-            syn_struc=tuple(nodes),
+            syn_struc=tuple(syn_struc),
             sem_struc=SemFrame(head=head, slots=slots, null_sem=tuple(null_sem)),
-            example_bindings=tuple((w, i) for w, i in bindings),
             reference=reference,
             role_bases=bases,
         )

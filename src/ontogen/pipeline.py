@@ -253,7 +253,6 @@ def _name_candidate(unit: Unit, name: str, concept: str) -> CandidateSense:
         pos="n",
         syn_struc=(SynNode(category="n", var=0),),
         sem_struc=SemFrame(head=concept, slots={}),
-        definition=f"proper name of a remembered {concept}",
     )
     return CandidateSense(sense=sense, frame_id=unit.frame_id, unit_key=unit.key, proper=True,
                           modifiers=unit.candidates[0].modifiers)
@@ -513,10 +512,7 @@ _SPEAKER_ROOTS = {"i", "me", "myself"}
 _HEARER_ROOTS = {"you", "yourself"}
 
 
-def _participant_ok(sense: LexSense, node: SynNode, bound_frame: TmrFrame, tmr: Tmr) -> bool:
-    word = sense.root_choice(node)
-    if word is None:
-        return True
+def _participant_ok(word: str, bound_frame: TmrFrame, tmr: Tmr) -> bool:
     lowered = word.lower()
     if lowered in _SPEAKER_ROOTS:
         return _participant(bound_frame, tmr.speaker_id)
@@ -545,7 +541,7 @@ def _check_syntax(choice: CandidateSense, tmr: Tmr) -> tuple[tuple[str, str] | N
             continue
         prop = bound.get(node.var)
         if prop is None:
-            if node.roots or node.optional:
+            if node.word or node.optional:
                 continue
             return ("unfillable", f"{node.category} $var{node.var} has no meaning to express"), False
         filler = tmr.filler(frame, prop)
@@ -558,10 +554,10 @@ def _check_syntax(choice: CandidateSense, tmr: Tmr) -> tuple[tuple[str, str] | N
                 continue
             return ("unfillable",
                     f"{node.category} $var{node.var} needs {prop}, absent from the meaning"), False
-        if isinstance(filler, InstanceRef) and node.roots:
-            if not _participant_ok(sense, node, tmr.by_id[filler.id], tmr):
+        if isinstance(filler, InstanceRef) and node.word:
+            if not _participant_ok(node.word, tmr.by_id[filler.id], tmr):
                 return ("participant-mismatch",
-                        f"fixed word {sense.root_choice(node)!r} does not fit {filler.id}"), False
+                        f"fixed word {node.word!r} does not fit {filler.id}"), False
     if tmr.filler(frame, "THEME") is not None and "THEME" not in sense.sem_struc.slots:
         return ("unhosted-theme",
                 f"the meaning has a THEME that {sense.id} cannot host"), False

@@ -130,9 +130,9 @@ def _compile(tmr: Tmr, frame: TmrFrame, sense: LexSense, lemma: str, *, passive:
     # a bound bare nominal ahead of the head verb is the grammatical subject
     subject_var: int | None = None
     for node in syn:
-        if node.var == 0 and not node.roots:
+        if node.var == 0 and not node.word:
             break
-        if node.category in ("subj", "n") and not node.roots and node.var in bound:
+        if node.category in ("subj", "n") and not node.word and node.var in bound:
             subject_var = node.var
             break
 
@@ -151,19 +151,18 @@ def _compile(tmr: Tmr, frame: TmrFrame, sense: LexSense, lemma: str, *, passive:
         if category == "prep":
             following = syn[index + 1] if index + 1 < len(syn) else None
             if following is not None and following.category == "n" \
-                    and not following.roots and following.var in bound:
+                    and not following.word and following.var in bound:
                 skip = True
                 filler = tmr.filler(frame, bound[following.var])
                 # without an instance filler the whole phrase is omitted
                 if isinstance(filler, InstanceRef):
-                    items.append((_PREPOSITIONAL, tmr.by_id[filler.id], sense.root_choice(node)))
+                    items.append((_PREPOSITIONAL, tmr.by_id[filler.id], node.word))
                 continue
-            word = sense.root_choice(node)
-            if word:
-                items.append((_LEAF, Constituent("preposition", lemma=word), None))
+            if node.word:
+                items.append((_LEAF, Constituent("preposition", lemma=node.word), None))
             continue
 
-        if node.var == 0 and not node.roots:
+        if node.var == 0 and not node.word:
             # finite forms agree with the subject once the clause is filled
             if passive:
                 finite.append(len(items))
@@ -180,9 +179,9 @@ def _compile(tmr: Tmr, frame: TmrFrame, sense: LexSense, lemma: str, *, passive:
                                                  features=Features(tense=tense)), None))
             continue
 
-        if node.roots:
+        if node.word:
             function = _FIXED_BY_CATEGORY.get(category, "fixed-word")
-            items.append((_LEAF, Constituent(function, lemma=sense.root_choice(node)), None))
+            items.append((_LEAF, Constituent(function, lemma=node.word), None))
             continue
 
         prop = bound.get(node.var)

@@ -75,7 +75,9 @@ def test_a_config_built_in_code_obeys_the_file_rules(kb, fixture, fields, messag
     ({"exact_bonus": 10 ** 400}, "exact-bonus"),
     ({"exact_bonus": "x" * 500}, "exact-bonus"),
     ({"set_cap": [0] * 300}, "set-cap"),
-], ids=["huge-integer", "long-string", "long-list"])
+    ({"exact_bonus": 10 ** 5000}, "exact-bonus"),
+    ({"set_cap": 10 ** 5000}, "set-cap"),
+], ids=["huge-integer", "long-string", "long-list", "unprintable-integer", "unprintable-cap"])
 def test_a_rejected_value_is_quoted_short(fields, key):
     with pytest.raises(SchemaError) as caught:
         check_config(GenerationConfig(**fields))

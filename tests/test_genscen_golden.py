@@ -72,6 +72,16 @@ def moved_keys() -> list[str]:
     return [key for key in {**expected, **actual} if actual.get(key) != expected.get(key)]
 
 
+def golden_argv(name: str) -> list[str]:
+    """The arguments whose stdout is the fixture golden golden/<name>.json:
+
+        ontogen generate --tmr src/ontogen/data/tmr/<name>.json \\
+            --format json --trace --dump-solutions --top 1000000
+    """
+    return ["generate", "--tmr", str(TMR_DIR / f"{name}.json"), "--format", "json",
+            "--trace", "--dump-solutions", "--top", "1000000"]
+
+
 def moved_fixture_goldens() -> list[str]:
     """Every fixture golden whose report, as the golden's command writes it
     to a file, differs from the committed bytes (see tests/test_golden.py)."""
@@ -79,8 +89,7 @@ def moved_fixture_goldens() -> list[str]:
     with tempfile.TemporaryDirectory() as scratch, contextlib.redirect_stderr(io.StringIO()):
         for golden in sorted(GOLDEN.glob("*.json")):
             out = Path(scratch) / golden.name
-            argv = ["generate", "--tmr", str(TMR_DIR / golden.name), "--format", "json",
-                    "--trace", "--dump-solutions", "--top", "1000000", "--out", str(out)]
+            argv = golden_argv(golden.stem) + ["--out", str(out)]
             if main(argv) != 0 or out.read_bytes() != golden.read_bytes():
                 moved.append(f"golden/{golden.name}")
     return moved

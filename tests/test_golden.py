@@ -1,11 +1,8 @@
 """Golden reports: the full JSON report of every expressible fixture, byte for byte.
 
-Each file under tests/golden/ is the stdout of
-
-    ontogen generate --tmr src/ontogen/data/tmr/<fixture>.json \
-        --format json --trace --dump-solutions --top 1000000
-
-so sentences, totals, terms, ledgers, exclusions, counts, messages and
+Each file under tests/golden/ is the stdout of the `ontogen` command
+that `test_genscen_golden.golden_argv` spells out for its fixture, so
+sentences, totals, terms, ledgers, exclusions, counts, messages and
 constituent trees are all pinned. After a deliberate output change,
 regenerate them with that command and review the diff. Each report is
 checked twice: from main() in-process, and from the stdout of a
@@ -13,14 +10,12 @@ checked twice: from main() in-process, and from the stdout of a
 """
 from __future__ import annotations
 
-from pathlib import Path
-
 import pytest
 
-from conftest import TMR_DIR, fixture_path, run_cli
+from conftest import TMR_DIR, run_cli
 from ontogen.cli import main
+from test_genscen_golden import GOLDEN, golden_argv
 
-GOLDEN = Path(__file__).resolve().parent / "golden"
 INEXPRESSIBLE = {"empty"}
 
 
@@ -32,22 +27,17 @@ def test_every_expressible_fixture_has_a_golden():
 GOLDENS = sorted(path.stem for path in GOLDEN.glob("*.json"))
 
 
-def _argv(name: str) -> list[str]:
-    return ["generate", "--tmr", str(fixture_path(name)), "--format", "json",
-            "--trace", "--dump-solutions", "--top", "1000000"]
-
-
 @pytest.mark.parametrize("name", GOLDENS)
 def test_report_matches_the_golden_bytes(name, tmp_path):
     out = tmp_path / f"{name}.json"
-    assert main(_argv(name) + ["--out", str(out)]) == 0
+    assert main(golden_argv(name) + ["--out", str(out)]) == 0
     assert out.read_bytes() == (GOLDEN / f"{name}.json").read_bytes()
 
 
 @pytest.mark.parametrize("name", GOLDENS)
 def test_a_process_prints_the_golden_bytes(name):
     # the process ends in os._exit: its report must be flushed before that
-    proc = run_cli(*_argv(name), text=False)
+    proc = run_cli(*golden_argv(name), text=False)
     assert proc.returncode == 0
     assert proc.stdout == (GOLDEN / f"{name}.json").read_bytes()
 
@@ -55,7 +45,7 @@ def test_a_process_prints_the_golden_bytes(name):
 def test_a_process_writes_the_largest_golden_to_its_out_file(tmp_path):
     golden = max(GOLDEN.glob("*.json"), key=lambda path: path.stat().st_size)
     out = tmp_path / golden.name
-    proc = run_cli(*_argv(golden.stem), "--out", str(out))
+    proc = run_cli(*golden_argv(golden.stem), "--out", str(out))
     assert proc.returncode == 0
     assert proc.stdout == ""
     assert out.read_bytes() == golden.read_bytes()

@@ -10,6 +10,7 @@ from conftest import KB_DIR, make_kb
 from genscen import build_scenario
 from ontogen.errors import KbValidationError, SchemaError
 from ontogen.knowledge import (
+    ANYTHING,
     MODIFIER_POS,
     ConceptConstraint,
     FacetedConstraint,
@@ -95,6 +96,29 @@ def test_the_modifier_index_equals_a_walk_over_the_lexicon(any_kb):
             assert found == _modifier_senses(kb, prop, value), (prop, value)
 
 
+def _assert_constraint_on_equals_the_inherited_table(onto):
+    """constraint_on against a table built as the ontology once stored it:
+    each concept's ancestors' declarations, nearer ones overwriting."""
+    props = sorted({prop for concept in onto.concepts.values() for prop in concept.slots})
+    assert props
+    for name in onto.concepts:
+        inherited = {}
+        for ancestor in reversed(onto.ancestors(name)):
+            inherited.update(onto.concepts[ancestor].slots)
+        for prop in props + ["NOT-A-PROPERTY"]:
+            expected = inherited.get(prop, FacetedConstraint(sem=ANYTHING))
+            assert onto.constraint_on(name, prop) == expected, (name, prop)
+
+
+def test_constraint_on_equals_the_inherited_table(any_kb):
+    _assert_constraint_on_equals_the_inherited_table(any_kb.ontology)
+
+
+def test_constraint_on_equals_the_inherited_table_on_a_diamond(tmp_path):
+    _assert_constraint_on_equals_the_inherited_table(
+        make_kb(tmp_path, ontology={"concepts": _DIAMOND}).ontology)
+
+
 def test_is_a_is_reflexive_and_transitive(kb):
     onto = kb.ontology
     for concept in onto.concepts:
@@ -133,15 +157,18 @@ def _size(low):
     return {"SIZE": {"sem": {"range": [low, 1]}}}
 
 
+_DIAMOND = {
+    "ALL": {"parents": []},
+    "NEAR": {"parents": ["ALL"], "slots": _size(0.1)},
+    "FAR": {"parents": ["ALL"], "slots": _size(0.2)},
+    "MIDDLE": {"parents": ["FAR"]},
+    "LEFT": {"parents": ["MIDDLE", "NEAR"]},
+    "RIGHT": {"parents": ["NEAR", "MIDDLE"]},
+}
+
+
 def test_ancestry_is_breadth_first_through_multiple_parents(tmp_path):
-    kb = make_kb(tmp_path, ontology={"concepts": {
-        "ALL": {"parents": []},
-        "NEAR": {"parents": ["ALL"], "slots": _size(0.1)},
-        "FAR": {"parents": ["ALL"], "slots": _size(0.2)},
-        "MIDDLE": {"parents": ["FAR"]},
-        "LEFT": {"parents": ["MIDDLE", "NEAR"]},
-        "RIGHT": {"parents": ["NEAR", "MIDDLE"]},
-    }})
+    kb = make_kb(tmp_path, ontology={"concepts": _DIAMOND})
     onto = kb.ontology
     assert tuple(onto.ancestors("LEFT")) == ("LEFT", "MIDDLE", "NEAR", "FAR", "ALL")
     assert tuple(onto.ancestors("RIGHT")) == ("RIGHT", "NEAR", "MIDDLE", "ALL", "FAR")
@@ -390,6 +417,10 @@ _LOAD_RULES = {
         _setting(lambda d: d["concepts"]["OBJECT"], "parents", ["NOWHERE"]),
         _setting(lambda d: d["concepts"], "DINNER", 5)),
         "OBJECT: unknown parent NOWHERE"),
+    "syn-struc-before-example-bindings": ("lexicon", _both(
+        _setting(lambda d: _sense(d, "appreciate-v8")["syn-struc"][1], "root", ["will", " "]),
+        _setting(lambda d: _sense(d, "appreciate-v8"), "example-bindings", [1])),
+        "appreciate-v8: syn-struc aux root words must not be blank"),
     "lexicon-first-of-two": ("lexicon", _both(
         _setting(lambda d: _fix(d)["sem-struc"], "head", "NOWHERE"),
         _setting(lambda d: _sense(d, "blue-adj1"), "pos", "adjective")),
@@ -427,6 +458,25 @@ def test_sense_head_concept_must_exist(tmp_path):
             "syn-struc": [{"cat": "v", "var": 0}],
             "sem-struc": {"head": "MISSING", "slots": {}},
         }, tmp_path)
+
+
+def test_each_fixed_node_word_is_resolved_once_at_load(tmp_path):
+    kb = _lexicon_with({
+        "id": "act-v1", "headword": "act", "pos": "v",
+        "syn-struc": [{"cat": "subj", "var": 1},
+                      {"cat": "aux", "var": 2, "root": ["will", "would"]},
+                      {"cat": "v", "var": 0},
+                      {"cat": "adv", "var": 3, "root": ["now", "soon"]},
+                      {"cat": "prep", "var": 4, "root": ["to", "onto"]},
+                      {"cat": "aux", "var": 5, "root": ["could", "would"]}],
+        "sem-struc": {"head": "EVENT", "slots": {}},
+        "example-bindings": [["Tom", 1], ["would", 2], ["later", 3], ["onto", 4], ["to", 4],
+                             ["might", 5], ["would", 5]],
+    }, tmp_path)
+    words = [node.word for node in kb.lexicon.senses["act-v1"].syn_struc]
+    # no roots; a binding among the roots; one that is not; the first of two
+    # bindings, among the roots and not
+    assert words == [None, "would", None, "now", "onto", "could"]
 
 
 def test_head_concept_index(kb):

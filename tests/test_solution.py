@@ -336,15 +336,13 @@ def test_every_expressible_fixture_builds_trees(kb, config):
 
 
 def test_leaf_lemmas_come_from_the_knowledge_base(kb, config):
-    """Every leaf is traceable: a headword, synonym, root word, decoration
-    article, pronoun form, name, or a binding word from the lexicon."""
+    """Every leaf is traceable: a headword, synonym, fixed node word,
+    decoration article, pronoun form or name from the lexicon."""
     allowed = {"a", "the", "some", "be", "it", "they"}
     for sense in kb.lexicon.senses.values():
         allowed.add(sense.headword.lower())
         allowed.update(s.lower() for s in sense.synonyms)
-        for node in sense.syn_struc:
-            allowed.update(r.lower() for r in node.roots or ())
-        allowed.update(w.lower() for w, _ in sense.example_bindings)
+        allowed.update(node.word.lower() for node in sense.syn_struc if node.word)
     for name in ("Tom", "Johnny"):
         allowed.add(name.lower())
 
