@@ -30,12 +30,11 @@ def generate(tmr: Tmr, kb: KnowledgeBase, config: GenerationConfig | None = None
     morph = morph or bundled_morphology()
 
     selection = run_lexical_selection(tmr, kb, config, context)
-    forest = Forest(tmr, selection.root)
-    inflected: dict = {}
+    forest = Forest(tmr, selection.root, morph)
     solutions = []
     for cs in selection.sets:
         solution = build_solution(cs, forest)
-        realize(solution, morph, inflected)
+        realize(solution, morph)
         solutions.append(solution)
     sentences = rank(solutions, freq, config, history)
     counts = dict(selection.counts)

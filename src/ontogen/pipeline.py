@@ -127,9 +127,9 @@ class CandidateSet:
 
 
 def ledger_score(ledger: Iterable[tuple[str, LedgerEntry]]) -> float:
-    """The builtin sum of a ledger's deltas, in ledger order: a set's score.
-    A ledger list and CandidateSet.entries() give the same float."""
-    return sum(entry.delta for _, entry in ledger)
+    """A set's score: its deltas' exact sum, rounded once, whatever their order;
+    OverflowError or ValueError where the sum leaves the float range."""
+    return math.fsum(entry.delta for _, entry in ledger)
 
 
 class TraceRecord(NamedTuple):

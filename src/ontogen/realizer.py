@@ -6,12 +6,11 @@ tree is linearized depth-first; tokens opening with a comma or apostrophe
 attach to the word on their left, and "a" becomes "an" before a word that
 takes it.
 
-A set owns its clause and any embedded verb phrase; every other node is
-a piece the request's sets share. Each piece is realized once per request
-into its text, its first token, whether it ends in "a", and its proper
-names. One more set then costs one assembly over its clause's children
-(and over each verb phrase it owns): their texts joined, a piece's final
-"a" resolved against the next piece, the capital and the terminal mark.
+Each piece of a sentence is realized once per request, by the forest that
+builds the request's sets (solution.py), into its text, its first token,
+whether it ends in "a", and its proper names. A set's sentence is one
+assembly over its pieces: their texts joined, a piece's final "a" resolved
+against the next piece, then the capital and the terminal mark.
 """
 
 from __future__ import annotations
@@ -19,10 +18,13 @@ from __future__ import annotations
 import functools
 import re
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .errors import SchemaError
-from .solution import CandidateSolution, Constituent, Features
 from .strictjson import document, read_json
+
+if TYPE_CHECKING:
+    from .solution import CandidateSolution, Constituent, Features
 
 SCHEMA_MORPH = "ontogen-morph/1"
 
@@ -206,21 +208,16 @@ def _leaf_token(tables: MorphTables, leaf: Constituent) -> str:
     return lemma
 
 
-def _piece(tables: MorphTables, node: Constituent, memo: dict) -> tuple:
-    """The node as a piece of text, made once per memo: (text, first token,
-    whether its last token is "a", proper-name lemmas in surface order,
-    node). The text is the node's tokens joined, every article resolved
-    but a final "a", which waits for the word that follows the node. The
-    memo holds every node it keys by identity, so no key can be reused."""
+def _piece(tables: MorphTables, node: Constituent) -> tuple:
+    """The node as a piece of text: (text, first token, whether its last
+    token is "a", proper-name lemmas in surface order, node). The text is
+    the node's tokens joined, every article resolved but a final "a", which
+    waits for the word that follows the node."""
     if node.is_leaf:
         token = _leaf_token(tables, node)
         names = (node.lemma,) if node.proper and node.lemma else ()
-        piece = (token, token, token == "a", names, node)
-    else:
-        pieces = [memo.get(id(child)) or _piece(tables, child, memo) for child in node.children]
-        piece = _assemble(tables, pieces) + (node,)
-    memo[id(node)] = piece
-    return piece
+        return token, token, token == "a", names, node
+    return _assemble(tables, [_piece(tables, child) for child in node.children]) + (node,)
 
 
 def _assemble(tables: MorphTables, pieces: list[tuple]) -> tuple[str, str, bool, tuple]:
@@ -255,14 +252,11 @@ def _capitalize(text: str) -> str:
     return text
 
 
-def realize(solution: CandidateSolution, tables: MorphTables, memo: dict) -> str:
-    """The finished sentence; stored on the solution with its proper names.
-    The solutions of one request pass one memo, so each piece their clauses
-    share is realized once; the clause a solution owns is assembled from
-    its children's pieces and is not kept."""
-    pieces = [memo.get(id(child)) or _piece(tables, child, memo)
-              for child in solution.root.children]
-    text, _, _, solution.names = _assemble(tables, pieces)
+def realize(solution: CandidateSolution, tables: MorphTables) -> str:
+    """The finished sentence: the solution's pieces joined, capitalized
+    and given the mood's terminal mark; stored on the solution with its
+    proper names."""
+    text, _, _, solution.names = _assemble(tables, solution.pieces)
     text = _capitalize(text) + _TERMINAL.get(solution.mood, ".")
     solution.sentence = text
     return text

@@ -5,15 +5,17 @@ always be explained. Ties break lexicographically on the sentence text,
 which keeps output order stable across runs.
 
 Repetition counts whole-word mentions (``\\b<name>\\b``) of each proper name
-a sentence contains. What one set costs rank(): one sum of its choices'
-deltas, in ledger order; its root choice's frequency; and, for a set whose
-sentence holds a name, that name's extra mentions inside the sentence,
-counted only when the sentence holds it twice as a substring. It reads the
-names realize recorded, walks no tree, builds no ledger and describes no
-choice: a ranked sentence's ledger and signature are made when first read.
+a sentence contains. What one set costs rank(): one exact sum of its
+choices' deltas, rounded once; its root choice's frequency; and, for a set
+whose sentence holds a name, that name's extra mentions inside the
+sentence, counted only when the sentence holds it twice as a substring. It
+reads the names realize recorded, walks no tree, builds no ledger and
+describes no choice: a ranked sentence's ledger and signature are made
+when first read.
 Per rank() call, the whole history is scanned once per distinct name, as
 one text, by a pattern that leads with the name so that ``re`` looks for it
-as a literal prefix. A total that is not finite is an error.
+as a literal prefix. A total is its terms' exact sum, rounded once; one
+that leaves the float range is an error.
 """
 
 from __future__ import annotations
@@ -147,16 +149,21 @@ def rank(solutions: list[CandidateSolution], freq: FrequencyTable, config: Gener
                 if count is None:
                     count = mentions[name] = history_mentions(name, history)
                 repeats += count + extra_mentions(name, sentence)
-        pipeline = pipeline_weight * ledger_score(candidate_set.entries())
         frequency = frequency_weight * freq.lookup(choice.lemma.lower(), choice.sense.id)
         repetition = -repetition_penalty * repeats
         length = -length_tie_break * len(sentence)
-        terms = (("pipeline", pipeline), ("frequency", frequency), ("repetition", repetition),
-                 ("length", length))
-        total = sum((pipeline, frequency, repetition, length))
+        try:
+            pipeline = pipeline_weight * ledger_score(candidate_set.entries())
+            total = math.fsum((pipeline, frequency, repetition, length))
+        except (OverflowError, ValueError):
+            # past the float range, where the same sums in order give inf, -inf or nan
+            pipeline = pipeline_weight * sum(e.delta for _, e in candidate_set.entries())
+            total = sum((pipeline, frequency, repetition, length))
         if not math.isfinite(total):
             raise OntogenError(f"{sentence!r} totals {total}: a config weight or bonus "
                                "is too large for the score arithmetic")
+        terms = (("pipeline", pipeline), ("frequency", frequency), ("repetition", repetition),
+                 ("length", length))
         scored.append((total, sentence, solution, terms))
     scored.sort(key=lambda item: (-item[0], item[1]))
 

@@ -1,25 +1,29 @@
-"""Solution building: turn a candidate set into a constituent tree.
+"""Solution building: pick each candidate set's realized pieces.
 
-The tree mirrors the head construction's declared syntax. Leaves carry a
-lemma plus the features the realizer needs (tense, form, number, person,
+A set's tree mirrors the head construction's declared syntax. Leaves carry
+a lemma plus the features the realizer needs (tense, form, number, person,
 case); containers carry ordered children.
 
 The sets of one request share a Forest. It compiles each construction once
-into a plan, whose fixed leaves are built once and whose holes each set
-fills from its own choices, and it holds every nominal, prepositional
-phrase and agreeing verb built so far. Building one more set looks up the
-root plan, fills its holes from the forest and stamps subject agreement: it
-costs one lookup per slot, keyed by the identities of the choices the slot
-reads, and one new node for its clause and for each embedded verb phrase,
-which is filled the same way from its own plan. It walks no syn-struc. A
-frame that embeds itself, directly or through other frames, is a TmrError.
+per frame, sense, voice and embedding into a plan of fixed leaves, realized
+once, and holes each set fills from its choices; the main verb is a hole
+filled by lemma and subject agreement. Each hole's piece (its text, first
+token, whether it ends in "a", proper names and the node it came from) is
+realized once per request, keyed by the choices the hole reads. One more
+set costs one plan lookup, one piece lookup per hole and one assembly per
+embedded verb phrase: no node and no syn-struc walk. Its tree is built
+from the nodes its pieces hold when first read. A frame that embeds
+itself, directly or through other frames, is a TmrError.
 """
 
 from __future__ import annotations
 
+import functools
+
 from .errors import TmrError
 from .knowledge import LexSense
 from .pipeline import CandidateSense, CandidateSet, modifier_key
+from .realizer import MorphTables, _assemble, _piece
 from .tmr import InstanceRef, RelativeTime, Tmr, TmrFrame, relative_time_of
 
 _TENSE_BY_TIME = {
@@ -68,13 +72,15 @@ class Constituent:
 
 class CandidateSolution:
     """mood is declarative, interrogative or imperative; root_id names the
-    root frame, whose choice heads the tree; realize sets the sentence and
-    names, the proper-name lemmas of the tree in surface order."""
+    root frame, whose choice heads the clause; pieces are the clause's, in
+    surface order, an embedded verb phrase's holding its own pieces where
+    others hold a node; realize sets the sentence and names, the
+    proper-name lemmas in surface order."""
 
-    def __init__(self, candidate_set: CandidateSet, root: Constituent, mood: str, tense: str,
+    def __init__(self, candidate_set: CandidateSet, pieces: list[tuple], mood: str, tense: str,
                  voice: str, root_id: str):
         self.candidate_set = candidate_set
-        self.root = root
+        self.pieces = pieces
         self.mood = mood
         self.tense = tense
         self.voice = voice
@@ -82,21 +88,26 @@ class CandidateSolution:
         self.sentence = ""
         self.names: tuple[str, ...] = ()
 
+    @functools.cached_property
+    def root(self) -> Constituent:
+        """The clause tree, built on first read from the nodes the pieces hold."""
+        return Constituent("clause", children=_nodes(self.pieces))
+
+
+def _nodes(pieces: list[tuple]) -> tuple[Constituent, ...]:
+    return tuple(Constituent("verb-phrase", children=_nodes(node)) if isinstance(node, list)
+                 else node for *_, node in pieces)
+
 
 def derive_tense(frame: TmrFrame, tmr: Tmr) -> str:
     when = relative_time_of(frame, tmr)
-    if when is None:
-        return "present"
-    return _TENSE_BY_TIME[when]
+    return "present" if when is None else _TENSE_BY_TIME[when]
 
 
 _ROLE_BY_CATEGORY = {"subj": "subject", "directobject": "direct-object", "n": "nominal"}
 _FIXED_BY_CATEGORY = {"aux": "auxiliary", "adv": "adverb", "prep": "preposition"}
 
 _DETERMINER_WORDS = {"indefinite": "a", "definite": "the", "some": "some"}
-
-# subject agreement when the construction has no subject
-_THIRD_SINGULAR = Features(number="singular", person=3)
 
 
 def _mood_of(sense: LexSense) -> str:
@@ -108,20 +119,25 @@ def _mood_of(sense: LexSense) -> str:
     return "declarative"
 
 
-# A plan item is a fixed leaf or a hole a set fills from its choices: a
-# nominal, the subject nominal, a "v" slot (an embedded phrase when its
-# frame's choice takes arguments, else a nominal) or a prepositional phrase.
-_LEAF, _NOMINAL, _SUBJECT, _VERBAL, _PREPOSITIONAL = range(5)
+# A plan item is a fixed leaf's piece or a hole a set fills from its
+# choices: a verb (a leaf with no lemma, which the frame's choice supplies
+# unless the leaf names one), a nominal, the subject nominal, a "v" slot
+# (an embedded phrase when its frame's choice takes arguments, else a
+# nominal) or a prepositional phrase.
+_LEAF, _VERB, _NOMINAL, _SUBJECT, _VERBAL, _PREPOSITIONAL = range(6)
 
 
-def _compile(tmr: Tmr, frame: TmrFrame, sense: LexSense, lemma: str, *, passive: bool,
-             tense: str, embedded: bool) -> tuple:
+def _compile(tmr: Tmr, frame: TmrFrame, sense: LexSense, tables: MorphTables, *,
+             passive: bool, tense: str, embedded: bool) -> tuple:
     """The construction as a plan, which no set changes: its items in
-    surface order, each (kind, leaf or target frame, function or
-    preposition); the positions of the verb leaves that agree with the
-    subject; and the voice. Fixed leaves are built here, once, and a hole
-    is left for each role whose filler is in the TMR. An embedded
-    construction has no subject and a base-form verb."""
+    surface order, each (kind, piece or target frame, function or
+    preposition); its verbs, each (position, leaf, whether it agrees with
+    the subject); its mood; and its voice. Fixed leaves are realized here,
+    once, and a hole is left for each role whose filler is in the TMR. An
+    embedded construction has no subject and a base-form verb; a
+    construction that takes no arguments is one nominal."""
+    if not sense.is_argument_taking:
+        return ((_NOMINAL, frame, "nominal"),), (), "declarative", "active"
     syn = sense.syn_struc
     bound = sense.bound_roles
     base = embedded or _mood_of(sense) == "imperative" \
@@ -137,7 +153,14 @@ def _compile(tmr: Tmr, frame: TmrFrame, sense: LexSense, lemma: str, *, passive:
             break
 
     items: list[tuple] = []
-    finite: list[int] = []
+    verbs: list[tuple] = []
+
+    def verb(function: str, agrees: bool, lemma: str | None = None, **features) -> None:
+        # finite forms agree with the subject once the clause is filled
+        verbs.append((len(items), Constituent(function, lemma=lemma,
+                                               features=Features(**features)), agrees))
+        items.append((_VERB, None, None))
+
     skip = False
     for index, node in enumerate(syn):
         if skip:
@@ -158,30 +181,22 @@ def _compile(tmr: Tmr, frame: TmrFrame, sense: LexSense, lemma: str, *, passive:
                 if isinstance(filler, InstanceRef):
                     items.append((_PREPOSITIONAL, tmr.by_id[filler.id], node.word))
                 continue
-            if node.word:
-                items.append((_LEAF, Constituent("preposition", lemma=node.word), None))
-            continue
+            if not node.word:
+                continue
 
         if node.var == 0 and not node.word:
-            # finite forms agree with the subject once the clause is filled
             if passive:
-                finite.append(len(items))
-                items.append((_LEAF, Constituent("auxiliary", lemma="be",
-                                                 features=Features(tense=tense)), None))
-                items.append((_LEAF, Constituent("main-verb", lemma=lemma,
-                                                 features=Features(verb_form="participle")), None))
+                verb("auxiliary", True, "be", tense=tense)
+                verb("main-verb", False, verb_form="participle")
             elif base:
-                items.append((_LEAF, Constituent("main-verb", lemma=lemma,
-                                                 features=Features(verb_form="base")), None))
+                verb("main-verb", False, verb_form="base")
             else:
-                finite.append(len(items))
-                items.append((_LEAF, Constituent("main-verb", lemma=lemma,
-                                                 features=Features(tense=tense)), None))
+                verb("main-verb", True, tense=tense)
             continue
 
         if node.word:
             function = _FIXED_BY_CATEGORY.get(category, "fixed-word")
-            items.append((_LEAF, Constituent(function, lemma=node.word), None))
+            items.append((_LEAF, _piece(tables, Constituent(function, lemma=node.word)), None))
             continue
 
         prop = bound.get(node.var)
@@ -203,160 +218,139 @@ def _compile(tmr: Tmr, frame: TmrFrame, sense: LexSense, lemma: str, *, passive:
             items.append((_SUBJECT, target, "subject"))
         else:
             items.append((_NOMINAL, target, _ROLE_BY_CATEGORY.get(category, "nominal")))
-    return tuple(items), tuple(finite), "passive" if passive else "active"
+    return tuple(items), tuple(verbs), _mood_of(sense), "passive" if passive else "active"
 
 
 class Forest:
     """What the candidate sets of one request share: the root frame and its
-    tense, every plan, and every nominal, prepositional phrase and agreeing
-    verb built so far. An embedded verb phrase is built per set.
+    tense, the morphology tables, every plan, and every piece built so far.
+    An embedded verb phrase is assembled per set.
 
-    A plan is keyed by the values it reads: frame, sense, lemma, voice and
-    whether it is embedded; a nominal by its function and the identities of
-    the choices it reads (a choice belongs to one frame); a prepositional
-    phrase by its preposition and the nominal it holds; an agreeing verb by
-    its plan leaf and the subject's number and person. Identity keys are
-    sound because a request's sets share their choice objects, synonym
-    clones too, and keep them alive while the forest is in use, and the
-    forest keeps every leaf it keys; a forest must not outlive the sets it
-    builds."""
+    A plan is keyed by the values it reads: frame, sense, voice and whether
+    it is embedded; a nominal's or prepositional phrase's piece by its
+    function, its preposition and the identities of the choices it reads
+    (a choice belongs to one frame); a verb's piece by its plan leaf, its
+    lemma and the number and person it agrees with. Identity keys are sound
+    because a request's sets share their choice objects, synonym clones
+    too, and keep them alive while the forest is in use, and the forest
+    keeps every leaf it keys; a forest must not outlive the sets it builds.
+    A solution holds the nodes its tree is built from through its pieces,
+    so the tree can be read after the forest is gone."""
 
-    def __init__(self, tmr: Tmr, root: TmrFrame):
+    def __init__(self, tmr: Tmr, root: TmrFrame, tables: MorphTables):
         self.tmr = tmr
         self.root = root
+        self.tables = tables
         self.tense = derive_tense(self.root, tmr)
         self.built: dict[tuple, object] = {}
 
-    # -- nominals ----------------------------------------------------------
-
-    def nominal(self, cs: CandidateSet, frame: TmrFrame,
-                function: str) -> tuple[Constituent, Features]:
+    def nominal(self, cs: CandidateSet, frame: TmrFrame, function: str,
+                preposition: str | None = None) -> tuple[tuple, tuple[str, int]]:
+        """The frame's nominal, or with a preposition the prepositional
+        phrase that holds it, as (piece, (number, person))."""
         choice = cs.choices[frame.instance_id]
         # keyed by the identities of the choices it reads: its own, which
         # stands for the frame since a choice belongs to one frame, and its
         # modifiers'
-        key = (function, id(choice))
+        key = (function, preposition, id(choice))
         if choice.modifiers:
             key += tuple(id(cs.choices[modifier_key(frame.instance_id, prop)])
                          for prop in choice.modifiers)
         built = self.built.get(key)
-        if built is None:
-            built = self.built[key] = self._nominal(cs, frame, function, choice)
-        return built
-
-    def prepositional_phrase(self, cs: CandidateSet, word: str | None,
-                             frame: TmrFrame) -> Constituent:
-        obj, _ = self.nominal(cs, frame, "nominal")
-        key = ("prepositional-phrase", word, id(obj))
-        built = self.built.get(key)
-        if built is None:
-            built = self.built[key] = Constituent(
-                "prepositional-phrase", children=(Constituent("preposition", lemma=word), obj))
-        return built
-
-    def _nominal(self, cs: CandidateSet, frame: TmrFrame, function: str,
-                 choice: CandidateSense) -> tuple[Constituent, Features]:
+        if built is not None:
+            return built
         case = "subjective" if function == "subject" else "objective"
-        number = "plural" if frame.plural else "singular"
-
+        number, person = "plural" if frame.plural else "singular", 3
         if choice.is_pronoun:
             ref = choice.sense.reference
             if ref is not None:
                 lemma, number, person = choice.lemma, ref.number, ref.person
             else:
-                lemma, person = choice.pronoun_form, 3
-            head = Constituent("noun-head", lemma=lemma, pronoun=True,
-                               features=Features(number=number, person=person, case=case))
-            return (Constituent(function, children=(head,)),
-                    Features(number=number, person=person))
-
-        children: list[Constituent] = []
-        word = _DETERMINER_WORDS.get(choice.determiner)
-        if word:
-            children.append(Constituent("determiner", lemma=word))
-        for prop in choice.modifiers:
-            mod = cs.choices[modifier_key(frame.instance_id, prop)]
-            children.append(Constituent("modifier", lemma=mod.lemma))
-        children.append(Constituent("noun-head", lemma=choice.lemma, proper=choice.proper,
-                                    features=Features(number=number, person=3)))
-        return (Constituent(function, children=tuple(children)),
-                Features(number=number, person=3))
-
-    # -- verbal material ----------------------------------------------------
+                lemma = choice.pronoun_form
+            children = [Constituent("noun-head", lemma=lemma, pronoun=True,
+                                    features=Features(number=number, person=person, case=case))]
+        else:
+            children = []
+            word = _DETERMINER_WORDS.get(choice.determiner)
+            if word:
+                children.append(Constituent("determiner", lemma=word))
+            for prop in choice.modifiers:
+                mod = cs.choices[modifier_key(frame.instance_id, prop)]
+                children.append(Constituent("modifier", lemma=mod.lemma))
+            children.append(Constituent("noun-head", lemma=choice.lemma, proper=choice.proper,
+                                        features=Features(number=number, person=3)))
+        if preposition is None:
+            node = Constituent(function, children=tuple(children))
+        else:
+            node = Constituent(function, children=(Constituent("preposition", lemma=preposition),
+                                                   Constituent("nominal", children=tuple(children))))
+        built = self.built[key] = (_piece(self.tables, node), (number, person))
+        return built
 
     def plan(self, frame: TmrFrame, choice: CandidateSense, embedded: bool) -> tuple:
         """The choice's construction for frame, compiled once per forest: in
         the forest's tense, or in the present when embedded."""
         passive = choice.passive and not embedded
-        key = ("plan", frame.instance_id, choice.sense, choice.lemma, passive, embedded)
+        key = ("plan", frame.instance_id, choice.sense, passive, embedded)
         built = self.built.get(key)
         if built is None:
             built = self.built[key] = _compile(
-                self.tmr, frame, choice.sense, choice.lemma, passive=passive,
+                self.tmr, frame, choice.sense, self.tables, passive=passive,
                 tense="present" if embedded else self.tense, embedded=embedded)
         return built
 
-    def fill(self, cs: CandidateSet, plan: tuple, path: tuple[str, ...]) -> list[Constituent]:
-        """The plan's children for this set: each hole filled from the
-        forest, then each finite verb agreeing with the subject. path names
-        the frames whose phrases hold this one, outermost first."""
-        items, finite, _ = plan
-        children: list[Constituent] = []
-        subject = _THIRD_SINGULAR
+    def fill(self, cs: CandidateSet, plan: tuple, lemma: str,
+             path: tuple[str, ...]) -> list[tuple]:
+        """The plan's pieces for this set: each hole filled from the forest,
+        then each verb in lemma, agreeing with the subject if finite. path
+        names the frames whose phrases hold this one, outermost first."""
+        items, verbs, _, _ = plan
+        pieces: list[tuple] = []
+        subject = ("singular", 3)  # when the construction has none
         for kind, held, function in items:
-            if kind == _LEAF:
-                children.append(held)
+            if kind == _LEAF or kind == _VERB:
+                pieces.append(held)
             elif kind == _PREPOSITIONAL:
-                children.append(self.prepositional_phrase(cs, function, held))
+                pieces.append(self.nominal(cs, held, "prepositional-phrase", function)[0])
             else:
                 inner = cs.choices.get(held.instance_id) if kind == _VERBAL else None
                 if inner is not None and inner.sense.is_argument_taking:
-                    children.append(self.embedded_phrase(cs, held, inner, path))
+                    pieces.append(self.embedded_phrase(cs, held, inner, path))
                     continue
-                constituent, features = self.nominal(cs, held, function)
-                children.append(constituent)
+                piece, agreement = self.nominal(cs, held, function)
+                pieces.append(piece)
                 if kind == _SUBJECT:
-                    subject = features
-        for index in finite:
-            children[index] = self._agreeing(children[index], subject)
-        return children
-
-    def _agreeing(self, verb: Constituent, subject: Features) -> Constituent:
-        """verb stamped with the subject's number and person, once per forest."""
-        key = ("agreement", id(verb), subject.number, subject.person)
-        built = self.built.get(key)
-        if built is None:
-            built = self.built[key] = Constituent(verb.function, lemma=verb.lemma,
-                                                  features=Features(tense=verb.features.tense,
-                                                                    number=subject.number,
-                                                                    person=subject.person))
-        return built
+                    subject = agreement
+        for index, leaf, agrees in verbs:
+            # the leaf in the lemma, unless it names its own, and in the
+            # subject's number and person when it agrees
+            number, person = subject if agrees else (None, None)
+            key = (leaf, leaf.lemma or lemma, number, person)
+            piece = self.built.get(key)
+            if piece is None:
+                features = Features(tense=leaf.features.tense, verb_form=leaf.features.verb_form,
+                                    number=number, person=person)
+                piece = self.built[key] = _piece(self.tables, Constituent(
+                    leaf.function, lemma=key[1], features=features))
+            pieces[index] = piece
+        return pieces
 
     def embedded_phrase(self, cs: CandidateSet, frame: TmrFrame, choice: CandidateSense,
-                        path: tuple[str, ...]) -> Constituent:
+                        path: tuple[str, ...]) -> tuple:
         path += (frame.instance_id,)
         if frame.instance_id in path[:-1]:
             raise TmrError(f"a frame embeds itself: {' -> '.join(path)}", source=self.tmr.source)
-        plan = self.plan(frame, choice, embedded=True)
-        return Constituent("verb-phrase", children=tuple(self.fill(cs, plan, path)))
-
-    def clause(self, cs: CandidateSet, frame: TmrFrame,
-               choice: CandidateSense) -> tuple[Constituent, str, str]:
-        """The clause, its mood and its voice."""
-        sense = choice.sense
-        if not sense.is_argument_taking:
-            nominal, _ = self.nominal(cs, frame, "nominal")
-            return Constituent("clause", children=(nominal,)), "declarative", "active"
-        plan = self.plan(frame, choice, embedded=False)
-        clause = Constituent("clause", children=tuple(self.fill(cs, plan, (frame.instance_id,))))
-        return clause, _mood_of(sense), plan[2]
+        pieces = self.fill(cs, self.plan(frame, choice, embedded=True), choice.lemma, path)
+        return _assemble(self.tables, pieces) + (pieces,)
 
 
 def build_solution(cs: CandidateSet, forest: Forest) -> CandidateSolution:
-    """Tree for the root frame's construction; unbound frames stay silent.
-    The sets of one request pass one forest and share what they build."""
-    root_frame = forest.root
-    choice = cs.choices[root_frame.instance_id]
-    root, mood, voice = forest.clause(cs, root_frame, choice)
-    return CandidateSolution(candidate_set=cs, root=root, mood=mood, tense=forest.tense,
-                             voice=voice, root_id=root_frame.instance_id)
+    """The root frame's clause as the set's pieces, with its mood and voice;
+    unbound frames stay silent. The sets of one request pass one forest and
+    share what it builds."""
+    frame = forest.root
+    choice = cs.choices[frame.instance_id]
+    plan = forest.plan(frame, choice, embedded=False)
+    return CandidateSolution(candidate_set=cs, mood=plan[2], tense=forest.tense, voice=plan[3],
+                             pieces=forest.fill(cs, plan, choice.lemma, (frame.instance_id,)),
+                             root_id=frame.instance_id)

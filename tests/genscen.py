@@ -171,6 +171,68 @@ def build_scenario(seed: int) -> tuple[KnowledgeBase, Tmr]:
     return kb, tmr
 
 
+# the event chain below MOVE-EVENT a redeclaring scenario draws from
+EVENT_CHAIN = ["HANDLE-EVENT", "LIFT-EVENT", "HOIST-EVENT"]
+
+
+def build_redeclared_scenario(seed: int) -> tuple[KnowledgeBase, Tmr]:
+    """One deterministic scenario whose ontology declares THEME on
+    MOVE-EVENT and redeclares it, with a narrower sem and perhaps a
+    default, on a descendant in a chain of one to three events below it.
+    One object concept also has a child, named after its second lemma.
+    The verbs head concepts anywhere in the chain, and a verb's THEME may
+    override its sem with the narrower concept, so the constraint a sense
+    reads, and the degree its filler matches at, depend on which
+    declaration is nearest. The THEME filler is the narrower concept or
+    its child, so the scenario is always expressible."""
+    rng = random.Random(seed)
+    object_names = rng.sample(sorted(OBJECT_POOL), rng.randint(1, 3))
+    narrow = rng.choice(object_names)
+    child = OBJECT_POOL[narrow][1].upper()
+    chain = ["MOVE-EVENT"] + EVENT_CHAIN[:rng.randint(1, 3)]
+    concepts: dict = {
+        "ALL": {"parents": []},
+        "OBJECT": {"parents": ["ALL"]},
+        "EVENT": {"parents": ["ALL"]},
+        "HUMAN": {"parents": ["OBJECT"]},
+        **{name: {"parents": ["OBJECT"]} for name in object_names},
+        child: {"parents": [narrow]},
+        "MOVE-EVENT": {"parents": ["EVENT"],
+                       "slots": {"AGENT": {"sem": "HUMAN"}, "THEME": {"sem": "OBJECT"}}},
+    }
+    for parent, name in zip(chain, chain[1:]):
+        concepts[name] = {"parents": [parent]}
+    redeclared = {"sem": narrow}
+    if rng.random() < 0.7:
+        redeclared["default"] = narrow
+    concepts[rng.choice(chain[1:])]["slots"] = {"THEME": redeclared}
+
+    senses = [_noun("person-n1", "person", "HUMAN")]
+    for name in object_names:
+        senses.append(_noun(f"{OBJECT_POOL[name][0]}-n1", OBJECT_POOL[name][0], name))
+    senses.append(_noun(f"{child.lower()}-n1", child.lower(), child))
+    for i, lemma in enumerate(rng.sample(VERB_POOL, rng.randint(1, 3)), start=1):
+        sense = _verb(f"{lemma}-v{i}", lemma, rng.choice(chain), True)
+        if rng.random() < 0.5:
+            sense["sem-struc"]["slots"]["THEME"]["sem"] = narrow
+        senses.append(sense)
+
+    theme = rng.choice([narrow, child])
+    frames = {f"{chain[-1]}-1": {"AGENT": "HUMAN-1", "THEME": f"{theme}-1"},
+              "HUMAN-1": {}, f"{theme}-1": {}}
+    with tempfile.TemporaryDirectory() as tmp:
+        base = Path(tmp)
+        for kind, key, body in (("ontology", "concepts", concepts), ("lexicon", "senses", senses),
+                                ("memory", "instances", {})):
+            (base / f"{kind}.json").write_text(json.dumps(
+                {"schema": "ontogen-kb/1", "kind": kind, key: body}))
+        kb = load_knowledge_base(base / "ontology.json", base / "lexicon.json",
+                                 base / "memory.json")
+    tmr = parse_tmr(json.dumps({"schema": "ontogen-tmr/1", "frames": frames}),
+                    source=f"<redeclared scenario {seed}>")
+    return kb, tmr
+
+
 def leaf_words(solution, tables) -> list[str]:
     """Lowercased surface words each leaf contributes, mirroring leaf rendering."""
     words: list[str] = []
@@ -217,10 +279,10 @@ def rank_every_set(tmr: Tmr, kb: KnowledgeBase, config: GenerationConfig | None 
         sets.extend(CandidateSet({**choices, choice.unit_key: choice._replace(lemma_override=word)})
                     for choice in combo for word in choice.sense.synonyms)
     root = find_root_frame(tmr)
-    solutions = [build_solution(cs, Forest(tmr, root)) for cs in sets]
     tables = bundled_morphology()
+    solutions = [build_solution(cs, Forest(tmr, root, tables)) for cs in sets]
     for solution in solutions:
-        realize(solution, tables, {})
+        realize(solution, tables)
     return rank(solutions, bundled_frequency(), config)
 
 

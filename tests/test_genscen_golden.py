@@ -20,9 +20,10 @@ and say in the change which seeds moved and why. With ``--check`` the
 script compares instead of rewriting: it prints each moved key, then each
 fixture golden under ``tests/golden/*.json`` whose report, written by
 ``ontogen.cli.main([... "--out", path])``, moved from the committed bytes,
-then the discourse golden (see tests/test_discourse.py) if it moved, and
-exits 1 if anything moved. It imports no pytest, so it runs on any
-interpreter:
+then the discourse golden (see tests/test_discourse.py) if it moved, then
+each sentence that fails tests/test_rank_exactness.py's check, and exits 1
+if anything moved or failed. It imports no pytest, so one command per
+interpreter covers all four checks:
 
     PYTHONPATH=src:tests python tests/test_genscen_golden.py --check
 """
@@ -40,6 +41,7 @@ import test_discourse
 from genscen import build_scenario
 from ontogen import OntogenError, generate
 from ontogen.cli import _render_json, main
+from test_rank_exactness import exactness_failures
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 DIGESTS = GOLDEN / "genscen" / "digests.json"
@@ -113,10 +115,12 @@ if __name__ == "__main__":
         moved = moved_keys()
         goldens = moved_fixture_goldens()
         discourse = moved_discourse_golden()
-        print("\n".join(moved + goldens + discourse + [
+        checked, inexact = exactness_failures()
+        print("\n".join(moved + goldens + discourse + inexact + [
             f"{len(moved)} of {2 * len(SEEDS)} digests moved",
             f"{len(goldens)} of {len(list(GOLDEN.glob('*.json')))} fixture goldens moved",
-            f"{len(discourse)} of 1 discourse golden moved"]))
-        sys.exit(1 if moved or goldens or discourse else 0)
+            f"{len(discourse)} of 1 discourse golden moved",
+            f"{len(inexact)} of {checked} sentences failed the exactness check"]))
+        sys.exit(1 if moved or goldens or discourse or inexact else 0)
     DIGESTS.parent.mkdir(parents=True, exist_ok=True)
     DIGESTS.write_text(json.dumps(digests(), indent=1, sort_keys=False) + "\n", encoding="utf-8")

@@ -7,7 +7,8 @@ from itertools import product
 import pytest
 
 from conftest import KB_DIR, make_kb
-from genscen import build_scenario
+from genscen import build_redeclared_scenario, build_scenario
+from ontogen import generate
 from ontogen.errors import KbValidationError, SchemaError
 from ontogen.knowledge import (
     ANYTHING,
@@ -53,13 +54,17 @@ def test_each_sense_reads_its_bound_roles_once_at_load(kb):
 # --- tables worked out at load, against fresh computations ------------------------
 
 _GENSCEN_SEEDS = range(0, 300, 10)
+_REDECLARED_SEEDS = range(12)
 
 
-@pytest.fixture(params=["bundled", *(f"genscen-{seed}" for seed in _GENSCEN_SEEDS)])
+@pytest.fixture(params=["bundled", *(f"genscen-{seed}" for seed in _GENSCEN_SEEDS),
+                        *(f"redeclared-{seed}" for seed in _REDECLARED_SEEDS)])
 def any_kb(request, kb):
     if request.param == "bundled":
         return kb
-    return build_scenario(int(request.param.split("-")[1]))[0]
+    family, seed = request.param.split("-")
+    build = build_scenario if family == "genscen" else build_redeclared_scenario
+    return build(int(seed))[0]
 
 
 def _modifier_senses(kb, prop, value):
@@ -112,6 +117,28 @@ def _assert_constraint_on_equals_the_inherited_table(onto):
 
 def test_constraint_on_equals_the_inherited_table(any_kb):
     _assert_constraint_on_equals_the_inherited_table(any_kb.ontology)
+
+
+def test_the_nearest_declaration_decides_the_degree_in_a_generated_kb():
+    """push-v1 heads HANDLE-EVENT, which narrows MOVE-EVENT's THEME to
+    ROBOT with a ROBOT default, and it overrides THEME's sem with ROBOT
+    too. Against the nearest declaration the override narrows nothing, so
+    the MACHINE filler matches at the default; against MOVE-EVENT's it
+    would be narrow."""
+    kb, tmr = build_redeclared_scenario(10)
+    onto = kb.ontology
+    push = kb.lexicon.senses["push-v1"]
+    override = push.sem_struc.slots["THEME"].override
+    assert push.sem_struc.head == "HANDLE-EVENT"
+    assert onto.constraint_on("HANDLE-EVENT", "THEME") == FacetedConstraint(
+        sem=ConceptConstraint("ROBOT"), default=ConceptConstraint("ROBOT"))
+    assert match_degree(onto, "MACHINE", onto.constraint_on("MOVE-EVENT", "THEME"),
+                        override) is MatchDegree.NARROW
+
+    top = generate(tmr, kb).sentences[0]
+    assert top.sentence == "A person pushes a machine."
+    assert [(unit, entry.rule, entry.delta) for unit, entry in top.ledger] == [
+        ("HANDLE-EVENT-1", "slot-exact", 20), ("HANDLE-EVENT-1", "slot-default", 4)]
 
 
 def test_constraint_on_equals_the_inherited_table_on_a_diamond(tmp_path):

@@ -1,13 +1,14 @@
-"""Each ranked sentence's pipeline term is the builtin sum of its ledger.
+"""Each ranked sentence's pipeline term is its ledger's exact sum, rounded once.
 
 rank() scores a set from its choices' deltas without building the ledger,
 and a sentence's ledger and signature are made when first read. This
 checks, for every expressible fixture and genscen seeds 0-49, under the
 default config and three configs with non-dyadic values, that:
 
-- the pipeline term equals ``pipeline_weight * ledger_score(tuple(cs.entries()))``,
-  compared by ``float.hex``, so a sum in another order or another loop
-  shows even where it differs in the last bit;
+- the pipeline term equals ``pipeline_weight * float(sum(Fraction(delta)))``
+  over the sentence's ledger: the exact sum, rounded once, then weighted,
+  compared by ``float.hex``, so a sum rounded more than once or in another
+  way shows even where it differs in the last bit;
 - ``.ledger`` and ``.signature`` equal a fresh ``tuple(cs.entries())`` and
   ``cs.signature()``.
 
@@ -15,16 +16,18 @@ The check imports no pytest, so it also runs on its own, from the
 repository root:
 
     PYTHONPATH=src:tests python tests/test_rank_exactness.py
+
+``tests/test_genscen_golden.py --check`` runs it too.
 """
 from __future__ import annotations
 
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import ontogen
 from genscen import build_scenario
 from ontogen import GenerationConfig, OntogenError, generate, load_knowledge_base, parse_tmr_file
-from ontogen.pipeline import ledger_score
 
 DATA = Path(ontogen.__file__).resolve().parent / "data"
 SEEDS = range(50)
@@ -61,7 +64,8 @@ def exactness_failures() -> tuple[int, list[str]]:
             for s in report.sentences:
                 checked += 1
                 cs = s.solution.candidate_set
-                pipeline = config.pipeline_weight * ledger_score(tuple(cs.entries()))
+                exact = sum(Fraction(entry.delta) for _, entry in cs.entries())
+                pipeline = config.pipeline_weight * float(exact)
                 where = f"{label} [{name}] rank {s.rank}"
                 if dict(s.terms)["pipeline"].hex() != float(pipeline).hex():
                     failures.append(f"{where}: pipeline {dict(s.terms)['pipeline']!r} "
@@ -71,7 +75,7 @@ def exactness_failures() -> tuple[int, list[str]]:
     return checked, failures
 
 
-def test_every_pipeline_term_is_the_builtin_sum_of_its_ledger():
+def test_every_pipeline_term_is_the_exact_sum_of_its_ledger_rounded_once():
     checked, failures = exactness_failures()
     assert checked > 1000
     assert not failures, "\n".join(failures)

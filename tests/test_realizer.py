@@ -180,10 +180,12 @@ def _piece_spec():
 
 @st.composite
 def _clauses(draw):
-    """A pool of pieces and clauses that each pick pieces from the pool, so
-    clauses share pieces as a request's sets do."""
+    """A pool of pieces and clauses that each pick pieces from the pool, or
+    a verb phrase of pool pieces, so clauses share pieces as a request's
+    sets do."""
     pool = draw(st.lists(_piece_spec(), min_size=1, max_size=5))
-    picks = st.lists(st.integers(min_value=0, max_value=len(pool) - 1), max_size=5)
+    index = st.integers(min_value=0, max_value=len(pool) - 1)
+    picks = st.lists(index | st.lists(index, max_size=3), max_size=5)
     return pool, draw(st.lists(picks, min_size=1, max_size=4)), draw(st.sampled_from(_MOODS))
 
 
@@ -228,19 +230,26 @@ def _reference(tables, root: Constituent, mood: str) -> tuple[str, tuple[str, ..
 @example(([["a", ("P", "Ünit")], ["a"], [[["a"]], "  egg"]], [[1, 0], [1, 2], [2, 1]],
           "imperative"))
 @example(([""], [[0], []], "declarative"))
+@example((["a", ",", "hour"], [[0, [1, 0], 2], [[0], [], [2]]], "declarative"))
 @settings(max_examples=300, deadline=None, derandomize=True)
 def test_realize_matches_a_whole_tree_linearization(case):
+    """Sentences assembled from shared pieces, as a forest gives them to a
+    set, against the whole tree the solution builds when read."""
     pool_specs, picks, mood = case
     tables = bundled_morphology()
-    pool = [_build(spec) for spec in pool_specs]
-    memo: dict = {}
+    pool = [realizer._piece(tables, _build(spec)) for spec in pool_specs]
     for chosen in picks:
-        root = Constituent("clause", children=tuple(pool[index] for index in chosen))
-        expected = _reference(tables, root, mood)
-        for shared in (memo, {}):
-            solution = CandidateSolution(None, root, mood, "present", "active", "X")
-            assert (realize(solution, tables, shared), solution.names) == expected
-            assert solution.sentence == expected[0]
+        pieces = []
+        for pick in chosen:
+            if isinstance(pick, list):
+                inner = [pool[index] for index in pick]
+                pieces.append(realizer._assemble(tables, inner) + (inner,))
+            else:
+                pieces.append(pool[pick])
+        solution = CandidateSolution(None, pieces, mood, "present", "active", "X")
+        expected = _reference(tables, solution.root, mood)
+        assert (realize(solution, tables), solution.names) == expected
+        assert solution.sentence == expected[0]
 
 
 def test_the_bundled_tables_are_read_once_per_process(kb, monkeypatch):

@@ -22,10 +22,10 @@ from ontogen.solution import Forest, build_solution
 def _solutions(name, kb, config, morph):
     tmr = load_fixture(name)
     result = run_lexical_selection(tmr, kb, config)
-    forest, memo = Forest(tmr, result.root), {}
+    forest = Forest(tmr, result.root, morph)
     solutions = [build_solution(cs, forest) for cs in result.sets]
     for sol in solutions:
-        realize(sol, morph, memo)
+        realize(sol, morph)
     return tmr, solutions
 
 

@@ -6,8 +6,8 @@ import json
 import pytest
 
 from conftest import TMR_DIR, load_fixture
-from ontogen import (AllSetsPruned, NoRealizableSense, TmrError, engine, generate, parse_tmr,
-                     realizer, solution)
+from ontogen import (AllSetsPruned, GenerationConfig, NoRealizableSense, TmrError,
+                     bundled_morphology, cli, generate, parse_tmr, realizer, solution)
 from ontogen.pipeline import CandidateSense, run_lexical_selection
 from ontogen.solution import Forest, build_solution, derive_tense
 from ontogen.tmr import find_root_frame
@@ -16,7 +16,7 @@ from ontogen.tmr import find_root_frame
 def _solutions(name, kb, config, context=()):
     tmr = load_fixture(name)
     result = run_lexical_selection(tmr, kb, config, context=context)
-    forest = Forest(tmr, result.root)
+    forest = Forest(tmr, result.root, bundled_morphology())
     return tmr, [build_solution(cs, forest) for cs in result.sets]
 
 
@@ -242,10 +242,10 @@ def test_a_request_compiles_each_construction_once_and_inflects_each_leaf_once(
         kb, monkeypatch):
     compiled, inflected = [], []
 
-    def compile_counted(tmr, frame, sense, lemma, **flags):
-        compiled.append((frame.instance_id, sense.id, lemma, flags["passive"], flags["tense"],
+    def compile_counted(tmr, frame, sense, tables, **flags):
+        compiled.append((frame.instance_id, sense.id, flags["passive"], flags["tense"],
                          flags["embedded"]))
-        return compile_plan(tmr, frame, sense, lemma, **flags)
+        return compile_plan(tmr, frame, sense, tables, **flags)
 
     def leaf_counted(tables, leaf):
         inflected.append(leaf)  # held, so no two leaves share an id
@@ -256,64 +256,64 @@ def test_a_request_compiles_each_construction_once_and_inflects_each_leaf_once(
     monkeypatch.setattr(realizer, "_leaf_token", leaf_counted)
     report = generate(load_fixture("fasten_painting_nlu"), kb)
 
-    sets = report.counts["after-synonyms"]
-    assert sets == 20
-    # the root's synonym clones are new choice objects in every base set, so
-    # only a plan keyed by sense and lemma is compiled once
-    assert len(compiled) == len(set(compiled)) < sets
-    assert sorted((sense, lemma) for _, sense, lemma, *_ in compiled) == [
-        ("affix-v1", "affix"), ("fix-v2", "attach"), ("fix-v2", "fasten"), ("fix-v2", "fix"),
-        ("fix-v2", "secure")]
+    assert report.counts["after-synonyms"] == 20
+    # the root's synonym clones share their sense's plan: its main verb is a
+    # hole filled per lemma
+    assert sorted(compiled) == [("FASTEN-1", "affix-v1", False, "past", False),
+                                ("FASTEN-1", "fix-v2", False, "past", False)]
     assert len({id(leaf) for leaf in inflected}) == len(inflected)
     # the main verb of every set is one shared leaf per lemma, inflected once
     verbs = [leaf.lemma for leaf in inflected if leaf.function == "main-verb"]
-    assert sorted(verbs) == sorted(set(verbs))
+    assert sorted(verbs) == ["affix", "attach", "fasten", "fix", "secure"]
 
 
-class _NoTree:
-    def __getattr__(self, name):
-        raise AssertionError(f"rank read {name!r} of a constituent tree")
+def _no_tree(_solution):
+    raise AssertionError("a solution's tree was read")
 
 
-def test_a_set_is_assembled_from_shared_pieces_and_ranked_without_its_tree(kb, monkeypatch):
-    memos, described = [], []
-    realize_real, rank_real, describe_real = engine.realize, engine.rank, CandidateSense.describe
+def test_generate_builds_no_node_per_set_and_reads_no_tree(kb, monkeypatch):
+    def explained(report):
+        return [(s.sentence, s.total, s.terms, s.signature, s.ledger, s.solution.mood,
+                 s.solution.voice, json.dumps(cli._tree_json(s.solution.root)))
+                for s in report.sentences]
 
-    def realize_seen(solution, tables, memo):
-        memos.append(memo)
-        return realize_real(solution, tables, memo)
+    expected = explained(generate(load_fixture("fasten_painting_nlu"), kb))
+    built, described = [], []
+    describe_real = CandidateSense.describe
 
-    def rank_without_trees(solutions, *args):
-        roots = [sol.root for sol in solutions]
-        for sol in solutions:
-            sol.root = _NoTree()
-        try:
-            ranked = rank_real(solutions, *args)
-        finally:
-            for sol, root in zip(solutions, roots):
-                sol.root = root
-        return ranked
+    class Counted(solution.Constituent):
+        __slots__ = ()
+
+        def __init__(self, function, *args, **kwargs):
+            built.append(function)
+            super().__init__(function, *args, **kwargs)
 
     def describe_counted(choice):
         described.append(choice)
         return describe_real(choice)
 
-    expected = generate(load_fixture("fasten_painting_nlu"), kb)
-    explained = [(s.sentence, s.total, s.signature, s.ledger) for s in expected.sentences]
-    monkeypatch.setattr(engine, "realize", realize_seen)
-    monkeypatch.setattr(engine, "rank", rank_without_trees)
+    tree = vars(solution.CandidateSolution)["root"]
+    monkeypatch.setattr(solution, "Constituent", Counted)
+    monkeypatch.setattr(solution.CandidateSolution, "root", property(_no_tree))
     monkeypatch.setattr(CandidateSense, "describe", describe_counted)
-    report = generate(load_fixture("fasten_painting_nlu"), kb)
-
-    assert report.counts["after-synonyms"] == len(memos) == 20
+    nodes = {}
+    for cap in (1, 1000):
+        built.clear()
+        report = generate(load_fixture("fasten_painting_nlu"), kb, GenerationConfig(set_cap=cap))
+        nodes[report.counts["after-synonyms"]] = len(built)
+        assert "clause" not in built and "verb-phrase" not in built
+    # from one set to twenty, fewer new nodes than new sets: each is a piece
+    # of a candidate the first set does not hold, a plan leaf or a verb lemma
+    assert nodes.keys() == {1, 20}
+    assert 0 < nodes[20] - nodes[1] < 20 - 1
     # rank describes no choice: a signature is made when it is first read
     assert not described
-    assert [(s.sentence, s.total, s.signature, s.ledger) for s in report.sentences] == explained
-    # one memo per request, holding the pieces the clauses share but no clause
-    memo = memos[0]
-    assert all(m is memo for m in memos) and memo
-    assert all(piece[-1].function != "clause" for piece in memo.values())
-    assert not {id(s.solution.root) for s in report.sentences} & memo.keys()
+
+    monkeypatch.setattr(solution.CandidateSolution, "root", tree)
+    built.clear()
+    assert explained(report) == expected
+    # reading the trees builds one clause per ranked sentence and nothing else
+    assert built == ["clause"] * len(report.sentences)
 
 
 # --- totality over the corpus -------------------------------------------------------
@@ -326,7 +326,7 @@ def test_every_expressible_fixture_builds_trees(kb, config):
             result = run_lexical_selection(tmr, kb, config)
         except (AllSetsPruned, NoRealizableSense):
             continue
-        forest = Forest(tmr, result.root)
+        forest = Forest(tmr, result.root, bundled_morphology())
         for cs in result.sets:
             sol = build_solution(cs, forest)
             assert sol.root.function == "clause"
@@ -349,7 +349,7 @@ def test_leaf_lemmas_come_from_the_knowledge_base(kb, config):
     for name in ("fasten_painting", "moor_ship", "request_polite", "walk_transitive"):
         tmr = load_fixture(name)
         result = run_lexical_selection(tmr, kb, config)
-        forest = Forest(tmr, result.root)
+        forest = Forest(tmr, result.root, bundled_morphology())
         for cs in result.sets:
             sol = build_solution(cs, forest)
             for leaf in _leaves(sol.root):
