@@ -5,12 +5,12 @@ manage referring expressions, prune semantically (with an additive score
 ledger), prune syntactically, and aggregate the surviving candidates into
 candidate sets with their synonym clones. Up to aggregation, each stage
 narrows the units' candidate lists in place and returns the list it was
-given. Every pruning rule reads one candidate and its own frame, so each
-candidate is scored and checked once, and only survivors are combined; a
-frame the root never reaches cannot change the sentence, so aggregation
-takes its units at their best candidate only and clones none of them.
-Every score delta and every exclusion is recorded, so a set's score is
-fully explained by its ledger.
+given. Only the frames the root reaches become units: a frame nothing
+attaches to the root cannot be said, so it is named in one message and
+never scored. Every pruning rule reads one candidate and its own frame, so
+each candidate is scored and checked once, and only survivors are
+combined. Every score delta and every exclusion is recorded, so a set's
+score is fully explained by its ledger.
 """
 
 from __future__ import annotations
@@ -163,16 +163,35 @@ def check_concepts(tmr: Tmr, kb: KnowledgeBase) -> None:
                            source=tmr.source)
 
 
-def extract_candidates(tmr: Tmr, kb: KnowledgeBase) -> list[Unit]:
-    """Per frame, every sense headed by its concept (or nearest lexicalized
-    ancestor), plus modifier units for lexicalizable property slots. Every
-    frame's concept must be in the ontology (check_concepts)."""
+def extract_candidates(tmr: Tmr, kb: KnowledgeBase, root: TmrFrame) -> list[Unit]:
+    """Per frame the root reaches, in document order, every sense headed by
+    its concept (or nearest lexicalized ancestor), plus modifier units for
+    lexicalizable property slots. A frame reaches the instance fillers of
+    each slot but an -OF inverse, and of an -OF slot that one of its head
+    senses binds: the tree builder follows no other edge. Every frame's
+    concept must be in the ontology (check_concepts)."""
+    by_id = tmr.by_id
+    heads: dict[str, tuple[list[LexSense], str]] = {}
+    stack = [root.instance_id]
+    while stack:
+        frame = by_id[stack.pop()]
+        if frame.instance_id in heads:
+            continue
+        heads[frame.instance_id] = kb.head_senses(frame.concept)
+        bound = {prop for sense in heads[frame.instance_id][0]
+                 for prop in sense.bound_roles.values()}
+        for prop, values in frame.slots.items():
+            if not prop.endswith("-OF") or prop in bound:
+                stack.extend(v.id for v in values
+                             if isinstance(v, InstanceRef) and v.id in by_id)
     units: list[Unit] = []
     for frame in tmr.frames:
-        senses, note = kb.head_senses(frame.concept)
-        if not senses:
-            raise NoRealizableSense(frame.instance_id, frame.concept)
         frame_id = frame.instance_id
+        if frame_id not in heads:
+            continue
+        senses, note = heads[frame_id]
+        if not senses:
+            raise NoRealizableSense(frame_id, frame.concept)
         modifier_units = _modifier_units(frame, kb)
         modifiers = tuple(m.prop for m in modifier_units)
         ledger = (LedgerEntry("ancestor-fallback", 0.0, note),) if note else ()
@@ -554,10 +573,16 @@ def _check_syntax(choice: CandidateSense, tmr: Tmr) -> tuple[tuple[str, str] | N
                 continue
             return ("unfillable",
                     f"{node.category} $var{node.var} needs {prop}, absent from the meaning"), False
-        if isinstance(filler, InstanceRef) and node.word:
-            if not _participant_ok(node.word, tmr.by_id[filler.id], tmr):
+        if node.word:
+            # a fixed word is said whatever fills its role
+            if isinstance(filler, InstanceRef) \
+                    and not _participant_ok(node.word, tmr.by_id[filler.id], tmr):
                 return ("participant-mismatch",
                         f"fixed word {node.word!r} does not fit {filler.id}"), False
+        elif not isinstance(filler, InstanceRef):
+            shown = filler.name if isinstance(filler, ConceptRef) else filler
+            return ("unfillable", f"{node.category} $var{node.var} needs an instance for "
+                                  f"{prop}, got {shown!r}"), False
     if tmr.filler(frame, "THEME") is not None and "THEME" not in sense.sem_struc.slots:
         return ("unhosted-theme",
                 f"the meaning has a THEME that {sense.id} cannot host"), False
@@ -566,7 +591,8 @@ def _check_syntax(choice: CandidateSense, tmr: Tmr) -> tuple[tuple[str, str] | N
 
 def prune_syntactic(units: list[Unit], tmr: Tmr, trace: list[TraceRecord]) -> list[Unit]:
     """Check each frame candidate once: exclude it when an obligatory
-    syntactic slot cannot be filled, a supplied argument cannot be hosted,
+    syntactic slot cannot be filled (a concept or a literal fills no slot
+    but a fixed word's), a supplied argument cannot be hosted,
     or it is a pronoun for a modified referent."""
     for unit in units:
         if unit.kind == "modifier":
@@ -589,66 +615,24 @@ def prune_syntactic(units: list[Unit], tmr: Tmr, trace: list[TraceRecord]) -> li
 # ---------------------------------------------------------------------------
 # stage 5: aggregate the survivors into candidate sets
 
-def _reached_frames(units: list[Unit], tmr: Tmr, root: TmrFrame) -> set[str]:
-    """The root frame and every frame reachable from it through instance
-    fillers: of every slot but an -OF inverse, and of an -OF slot that a
-    surviving sense of the frame binds. The tree builder follows no other
-    edge, whichever senses are chosen."""
-    bound: dict[str, set[str]] = {}  # per frame, every slot a surviving sense binds
-    for unit in units:
-        roles = bound.setdefault(unit.frame_id, set())
-        for choice in unit.candidates:
-            roles.update(choice.sense.bound_roles.values())
-    by_id = tmr.by_id
-    reached: set[str] = set()
-    stack = [root.instance_id]
-    while stack:
-        frame_id = stack.pop()
-        if frame_id in reached:
-            continue
-        reached.add(frame_id)
-        roles = bound.get(frame_id, ())
-        for prop, values in by_id[frame_id].slots.items():
-            if prop.endswith("-OF") and prop not in roles:
-                continue
-            stack.extend(v.id for v in values if isinstance(v, InstanceRef)
-                         and v.id in by_id and v.id not in reached)
-    return reached
-
-
-def _own_score(choice: CandidateSense) -> float:
-    return sum(entry.delta for entry in choice.ledger + choice.semantic + choice.uncovered)
-
-
 def _product(units: list[Unit]) -> int:
     return math.prod(len(unit.candidates) for unit in units)
 
 
-def aggregate_sets(units: list[Unit], tmr: Tmr, root: TmrFrame,
+def aggregate_sets(units: list[Unit],
                    config: GenerationConfig) -> tuple[list[CandidateSet], list[str]]:
     """Cartesian product of the units' candidates, one per unit, with the
     last unit varying fastest, truncated at the cap (a cap at or above the
     product is no cap); each set followed by its synonym clones, in unit
     and synonym order, which replace one chosen head lemma and keep the
-    full ledger.
-
-    A unit of a frame the root never reaches enters at its first candidate
-    with the highest own score and is not cloned. Such a choice never
-    changes the sentence and adds only its own deltas to the total, and
-    ranking keeps the first set with the highest total per sentence, so
-    every winning set already holds it there. A clone is made once per
-    candidate and synonym, so sets share clones as they share their other
-    choices."""
-    reached = _reached_frames(units, tmr, root)
-    columns = [unit.candidates if unit.frame_id in reached
-               else [max(unit.candidates, key=_own_score)] for unit in units]
+    full ledger. A clone is made once per candidate and synonym, so sets
+    share clones as they share their other choices."""
     clones = {id(choice): [choice._replace(lemma_override=synonym)
                            for synonym in choice.sense.synonyms]
-              for unit in units if unit.frame_id in reached
-              for choice in unit.candidates if choice.sense.synonyms}
+              for unit in units for choice in unit.candidates if choice.sense.synonyms}
     messages: list[str] = []
-    total = math.prod(len(column) for column in columns)
-    product = itertools.product(*columns)
+    total = _product(units)
+    product = itertools.product(*(unit.candidates for unit in units))
     if total > config.set_cap:
         messages.append(f"candidate product {total} exceeds cap {config.set_cap}; truncated")
         product = itertools.islice(product, config.set_cap)
@@ -667,14 +651,17 @@ def aggregate_sets(units: list[Unit], tmr: Tmr, root: TmrFrame,
 
 def run_lexical_selection(tmr: Tmr, kb: KnowledgeBase, config: GenerationConfig,
                           context: tuple[str, ...] = ()) -> SelectionResult:
-    """All five stages in order, with the full trace retained; holding the
-    frames the root never reaches and cloning synonyms are part of
-    aggregation."""
+    """All five stages in order, with the full trace retained, over the
+    frames the root reaches; one message names the frames it does not
+    reach, which no sentence can say."""
     check_concepts(tmr, kb)
     trace: list[TraceRecord] = []
     if not tmr.frames:
         raise AllSetsPruned("the meaning representation has no frames", trace=trace)
-    units = extract_candidates(tmr, kb)
+    root = find_root_frame(tmr)
+    units = extract_candidates(tmr, kb, root)
+    reached = {unit.frame_id for unit in units}
+    unsaid = [frame.instance_id for frame in tmr.frames if frame.instance_id not in reached]
     manage_reference(units, tmr, kb, config, context)
     empty = [u.key for u in units if not u.candidates]
     if empty:
@@ -688,7 +675,9 @@ def run_lexical_selection(tmr: Tmr, kb: KnowledgeBase, config: GenerationConfig,
     counts["after-semantic"] = _product(units)
     prune_syntactic(units, tmr, trace)
     counts["after-syntactic"] = _product(units)
-    root = find_root_frame(tmr)
-    sets, messages = aggregate_sets(units, tmr, root, config)
+    sets, messages = aggregate_sets(units, config)
     counts["after-synonyms"] = len(sets)
+    if unsaid:
+        messages.insert(0, f"{', '.join(unsaid)} not expressed: nothing attaches "
+                           f"{'them' if len(unsaid) > 1 else 'it'} to {root.instance_id}")
     return SelectionResult(sets=sets, trace=trace, messages=messages, counts=counts, root=root)

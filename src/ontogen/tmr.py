@@ -164,8 +164,9 @@ class Tmr:
 
 
 def find_root_frame(tmr: Tmr) -> TmrFrame:
-    """The frame no other frame points at: it has no -OF slot whose filler
-    is inside the TMR."""
+    """The first frame, in document order, that no other frame points at:
+    it has no -OF slot whose filler is inside the TMR. Else the first
+    frame."""
     for frame in tmr.frames:
         pointed = False
         for prop, values in frame.slots.items():

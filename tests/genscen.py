@@ -263,11 +263,12 @@ def tokens_conserved(scored, tables) -> bool:
 
 def rank_every_set(tmr: Tmr, kb: KnowledgeBase, config: GenerationConfig | None = None):
     """The ranked sentences of generate() built the long way: every survivor
-    of every unit combined, every synonym cloned, every set built, realized
-    and ranked, with no frame held at one candidate, and no set sharing a
+    of every unit of the frames the root reaches combined, every synonym
+    cloned, every set built, realized and ranked, and no set sharing a
     forest or a realization memo with another."""
     config = config or GenerationConfig()
-    units = manage_reference(extract_candidates(tmr, kb), tmr, kb, config)
+    root = find_root_frame(tmr)
+    units = manage_reference(extract_candidates(tmr, kb, root), tmr, kb, config)
     trace: list = []
     survivors = prune_syntactic(prune_semantic(units, tmr, kb, config, trace), tmr, trace)
     columns = [unit.candidates for unit in survivors]
@@ -278,7 +279,6 @@ def rank_every_set(tmr: Tmr, kb: KnowledgeBase, config: GenerationConfig | None 
         sets.append(CandidateSet(choices))
         sets.extend(CandidateSet({**choices, choice.unit_key: choice._replace(lemma_override=word)})
                     for choice in combo for word in choice.sense.synonyms)
-    root = find_root_frame(tmr)
     tables = bundled_morphology()
     solutions = [build_solution(cs, Forest(tmr, root, tables)) for cs in sets]
     for solution in solutions:

@@ -135,6 +135,9 @@ def test_silent_frames_past_the_cap_exit_0(tmp_path):
     lines = proc.stdout.splitlines()
     assert len(lines) == 10
     assert lines[0] == "1. Tom secured a painting to the wall."
+    assert proc.stderr.splitlines()[0] == ("note: PICTURE-101, PICTURE-102, PICTURE-103, "
+                                           "PICTURE-104, PICTURE-105 not expressed: "
+                                           "nothing attaches them to FASTEN-18")
 
 
 _MAX = 1.7976931348623157e308
@@ -184,6 +187,52 @@ def test_pruned_meaning_exits_2_with_trace_on_stderr(tmp_path):
     assert proc.returncode == 2
     assert any(line.startswith("trace: syntactic") and "participant-mismatch" in line
                for line in proc.stderr.splitlines())
+
+
+@pytest.mark.parametrize("role, filler, dropped, node", [
+    ("THEME", "PICTURE", "PICTURE-7", "directobject $var2"),
+    ("DESTINATION", "home", "WALL-40", "n $var4"),
+], ids=["concept", "literal"])
+def test_a_case_role_no_instance_fills_exits_2(tmp_path, capsys, role, filler, dropped, node):
+    """A concept or a literal in a role the construction says as a phrase
+    would leave the role unsaid, so every sense that binds it is
+    unfillable."""
+    doc = json.loads(fixture_path("fasten_painting").read_text())
+    doc["frames"]["FASTEN-18"][role] = filler
+    del doc["frames"][dropped]
+    path = tmp_path / "role.json"
+    path.write_text(json.dumps(doc))
+    assert main(["generate", "--tmr", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert [line for line in err.splitlines() if line.startswith("trace: syntactic")] == [
+        f"trace: syntactic FASTEN-18/{sense} unfillable {node} needs an instance for {role}, "
+        f"got {filler!r}" for sense in ("affix-v1", "fix-v2")]
+
+
+_ANN_WALKS = {"WALK-3": {"AGENT": "HUMAN-9"}, "HUMAN-9": {"HAS-NAME": "Ann"}}
+
+
+@pytest.mark.parametrize("first, sentence, note", [
+    (False, "1. Tom secured a painting to the wall.",
+     "WALK-3, HUMAN-9 not expressed: nothing attaches them to FASTEN-18"),
+    (True, "1. Ann walks.",
+     "FASTEN-18, HUMAN-104, PICTURE-7, WALL-40 not expressed: nothing attaches them to WALK-3"),
+], ids=["appended", "prepended"])
+def test_the_root_is_the_first_frame_nothing_points_at(tmp_path, capsys, first, sentence, note):
+    """Two unconnected events: the first frame in document order with no
+    -OF filler inside the TMR is said, and one note names the rest."""
+    doc = json.loads(fixture_path("fasten_painting").read_text())
+    frames = doc["frames"]
+    doc["frames"] = {**_ANN_WALKS, **frames} if first else {**frames, **_ANN_WALKS}
+    path = tmp_path / "two_events.json"
+    path.write_text(json.dumps(doc))
+    assert main(["generate", "--tmr", str(path), "--top", "1"]) == 0
+    out, err = capsys.readouterr()
+    assert out == sentence + "\n"
+    assert [line for line in err.splitlines() if line.startswith("note: ")] == [f"note: {note}"]
+    assert main(["generate", "--tmr", str(path), "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["messages"] == [note]
 
 
 @pytest.mark.parametrize("animal", [{"COLOR": "blue"}, {}], ids=["modified", "bare"])

@@ -10,7 +10,6 @@ from conftest import TMR_DIR, fixture_path, load_fixture, make_kb
 from genscen import rank_every_set, ranked_rows
 from ontogen import (
     AllSetsPruned,
-    GenerationConfig,
     NoRealizableSense,
     generate,
     knowledge,
@@ -32,9 +31,13 @@ from ontogen.pipeline import (
 )
 
 
+def _extract(tmr, kb):
+    return extract_candidates(tmr, kb, tmr_module.find_root_frame(tmr))
+
+
 def _units_for(name: str, kb, config, context=()):
     tmr = load_fixture(name)
-    units = extract_candidates(tmr, kb)
+    units = _extract(tmr, kb)
     return tmr, manage_reference(units, tmr, kb, config, context=context)
 
 
@@ -50,7 +53,7 @@ def _dict_tmr(frames: dict, **extra):
 
 def test_extraction_collects_senses_per_frame(kb):
     tmr = load_fixture("fasten_painting")
-    units = extract_candidates(tmr, kb)
+    units = _extract(tmr, kb)
     by_key = {u.key: u for u in units}
     assert set(by_key) == {"FASTEN-18", "HUMAN-104", "PICTURE-7", "WALL-40"}
     assert {c.sense.id for c in by_key["FASTEN-18"].candidates} == {
@@ -71,7 +74,7 @@ def test_extraction_falls_back_to_ancestor_senses(tmp_path):
         "syn-struc": [{"cat": "n", "var": 0}],
         "sem-struc": {"head": "CONTAINER", "slots": {}},
     }]})
-    units = extract_candidates(_dict_tmr({"BOX-1": {}}), kb)
+    units = _extract(_dict_tmr({"BOX-1": {}}), kb)
     candidate = units[0].candidates[0]
     assert candidate.sense.id == "container-n1"
     assert any(entry.rule == "ancestor-fallback" for entry in candidate.ledger)
@@ -80,12 +83,12 @@ def test_extraction_falls_back_to_ancestor_senses(tmp_path):
 def test_extraction_fails_when_nothing_can_express_a_frame(kb):
     # no sense heads MEAL or anything above it
     with pytest.raises(NoRealizableSense):
-        extract_candidates(_dict_tmr({"MEAL-1": {}}), kb)
+        _extract(_dict_tmr({"MEAL-1": {}}), kb)
 
 
 def test_extraction_spawns_modifier_units(kb):
     tmr = load_fixture("funny_waiter")
-    units = extract_candidates(tmr, kb)
+    units = _extract(tmr, kb)
     mods = [u for u in units if u.kind == "modifier"]
     assert len(mods) == 1
     assert mods[0].key == "WAITER-5/HUMOR-ATTRIBUTE"
@@ -161,7 +164,7 @@ def _survivors_for(name: str, kb, config):
 
 def test_each_stage_narrows_the_units_it_is_given_in_place(kb, config):
     tmr = load_fixture("fasten_painting")
-    units = extract_candidates(tmr, kb)
+    units = _extract(tmr, kb)
     given = list(units)
     trace = []
     assert manage_reference(units, tmr, kb, config) is units
@@ -321,10 +324,6 @@ def test_a_modified_speaker_or_hearer_cannot_be_a_pronoun_either(kb, config, fix
 
 # --- stage 5: aggregation ----------------------------------------------------
 
-def _aggregate(survivors, tmr, config):
-    return aggregate_sets(survivors, tmr, tmr_module.find_root_frame(tmr), config)
-
-
 def _bases(sets):
     """The sets that clone no synonym."""
     return [cs for cs in sets if not any(c.lemma_override for c in cs.choices.values())]
@@ -334,7 +333,7 @@ def test_aggregation_is_the_cartesian_product_of_units(kb, config):
     survivors = _survivors_for("fasten_painting", kb, config)
     assert [c.sense.id for c in _unit(survivors, "FASTEN-18").candidates] == [
         "affix-v1", "fix-v2"]
-    sets, messages = _aggregate(survivors, load_fixture("fasten_painting"), config)
+    sets, messages = aggregate_sets(survivors, config)
     expected = math.prod(len(unit.candidates) for unit in survivors)
     assert expected == 4
     assert len(_bases(sets)) == expected
@@ -348,32 +347,13 @@ def test_aggregation_is_the_cartesian_product_of_units(kb, config):
 
 def test_aggregation_cap_truncates_with_a_message(kb, config):
     survivors = _survivors_for("fasten_painting", kb, config)
-    tmr = load_fixture("fasten_painting")
-    full, _ = _aggregate(survivors, tmr, config)
-    sets, messages = _aggregate(survivors, tmr, config._replace(set_cap=3))
+    full, _ = aggregate_sets(survivors, config)
+    sets, messages = aggregate_sets(survivors, config._replace(set_cap=3))
     assert len(_bases(sets)) == 3
     assert [cs.signature() for cs in sets] == [cs.signature() for cs in full[:len(sets)]]
     assert len(messages) == 1
     assert "3" in messages[0]
 
-
-@pytest.mark.parametrize("silent", [5, 6])
-def test_silent_frames_past_the_cap_stay_expressible(kb, silent):
-    """Each unattached PICTURE frame has 5 candidates, 2 of which survive:
-    the raw product passes the default cap, the survivor product does not."""
-    doc = json.loads(fixture_path("fasten_painting").read_text())
-    for ident in range(101, 101 + silent):
-        doc["frames"][f"PICTURE-{ident}"] = {}
-    report = generate(parse_tmr(json.dumps(doc)), kb)
-    assert [s.sentence for s in report.sentences] == [
-        s.sentence for s in generate(load_fixture("fasten_painting"), kb).sentences]
-    assert len(report.sentences) == 10
-    assert report.counts["sets"] == 20 * 5 ** silent > GenerationConfig().set_cap
-    assert report.counts["after-syntactic"] == 4 * 2 ** silent
-    assert report.messages == []
-
-
-# --- frames the root never reaches -------------------------------------------
 
 def _with_frames(name: str, frames: dict):
     doc = json.loads(fixture_path(name).read_text())
@@ -381,43 +361,56 @@ def _with_frames(name: str, frames: dict):
     return parse_tmr(json.dumps(doc))
 
 
-def test_hold_unreached_leaves_exactly_the_unreached_units_at_one_candidate(kb, config):
-    tmr = _with_frames("fasten_painting", {"PICTURE-101": {}, "PICTURE-102": {"COLOR": "blue"}})
-    units, trace = extract_candidates(tmr, kb), []
-    manage_reference(units, tmr, kb, config)
-    prune_syntactic(prune_semantic(units, tmr, kb, config, trace), tmr, trace)
-    before = {unit.key: list(unit.candidates) for unit in units}
-    sets, _ = _aggregate(units, tmr, config)
-    assert [unit.candidates for unit in units] == list(before.values())
-    held = {"PICTURE-101", "PICTURE-102", "PICTURE-102/COLOR"}
-    assert len(before["PICTURE-101"]) > 1
-    for unit in units:
-        chosen = {id(cs.choices[unit.key]) for cs in _bases(sets)}
-        if unit.key in held:
-            top = max(map(pipeline._own_score, unit.candidates))
-            first_best = next(c for c in unit.candidates if pipeline._own_score(c) == top)
-            assert chosen == {id(first_best)}
-        else:
-            assert chosen == {id(choice) for choice in unit.candidates}
+def _same_but_one_note(report, alone, note: str) -> None:
+    """report ranks, counts and traces as alone, and adds only note."""
+    assert ranked_rows(report.sentences) == ranked_rows(alone.sentences)
+    assert report.counts == alone.counts
+    assert report.trace == alone.trace
+    assert report.messages == [note, *alone.messages]
 
+
+@pytest.mark.parametrize("silent", [5, 6])
+def test_silent_frames_past_the_cap_stay_expressible(kb, silent):
+    """Slotless PICTURE frames that nothing attaches to, enough that their
+    candidates would pass the default cap if they were combined: they
+    leave the candidate sets, so nothing is truncated."""
+    tmr = _with_frames("fasten_painting",
+                       {f"PICTURE-{ident}": {} for ident in range(101, 101 + silent)})
+    report = generate(tmr, kb)
+    assert len(report.sentences) == 10
+    assert report.counts["sets"] == 20
+    ids = ", ".join(f"PICTURE-{ident}" for ident in range(101, 101 + silent))
+    _same_but_one_note(report, generate(load_fixture("fasten_painting"), kb),
+                       f"{ids} not expressed: nothing attaches them to FASTEN-18")
+
+
+# --- frames the root never reaches -------------------------------------------
 
 @pytest.mark.parametrize("silent", range(7))
 def test_silent_frames_do_not_multiply_the_sets_built(kb, silent):
     tmr = _with_frames("fasten_painting",
                        {f"PICTURE-{ident}": {} for ident in range(101, 101 + silent)})
     report = generate(tmr, kb)
-    assert report.counts["after-syntactic"] == 4 * 2 ** silent
+    assert report.counts["units"] == 4
+    assert report.counts["after-syntactic"] == 4
     assert report.counts["after-synonyms"] == 10
     assert len(report.sentences) == 10
+    assert len(report.messages) == (silent > 0)
+
+
+def test_only_the_frames_the_root_reaches_are_extracted(kb):
+    tmr = _with_frames("fasten_painting", {"PICTURE-101": {}, "PICTURE-102": {"COLOR": "blue"}})
+    assert [unit.key for unit in _extract(tmr, kb)] == [
+        unit.key for unit in _extract(load_fixture("fasten_painting"), kb)]
 
 
 @pytest.mark.parametrize("agent", [{}, {"AGENT": "HUMAN-104"}], ids=["agentless", "shared-agent"])
-def test_an_unattached_event_is_held_at_its_best_candidates(kb, agent):
+def test_an_unattached_event_is_named_in_one_note(kb, agent):
     """A FASTEN frame that nothing attaches to, with its own modified
-    PICTURE and WALL, beside a named HUMAN: their candidates score
-    differently, and each is held at its first best. Sharing the root's
-    agent attaches the frame only through the agent's AGENT-OF inverse,
-    which no sense binds, so the frame stays unreached."""
+    PICTURE and WALL, beside a named HUMAN: none of them is scored, and one
+    note names them all. Sharing the root's agent attaches the frame only
+    through the agent's AGENT-OF inverse, which no sense binds, so the
+    frame stays unreached."""
     tmr = _with_frames("fasten_painting", {
         "FASTEN-99": {**agent, "THEME": "PICTURE-99", "DESTINATION": "WALL-99"},
         "PICTURE-99": {"COLOR": "BLUE"},
@@ -426,16 +419,30 @@ def test_an_unattached_event_is_held_at_its_best_candidates(kb, agent):
     })
     report = generate(tmr, kb)
     assert ranked_rows(report.sentences) == ranked_rows(rank_every_set(tmr, kb))
-    assert report.counts["after-synonyms"] == 10
-    assert "FASTEN-99=affix-v1" in report.sentences[0].signature
+    assert all("FASTEN-99" not in s.signature for s in report.sentences)
+    _same_but_one_note(report, generate(load_fixture("fasten_painting"), kb),
+                       "FASTEN-99, PICTURE-99, WALL-99, HUMAN-99 not expressed: "
+                       "nothing attaches them to FASTEN-18")
 
 
-def test_a_silent_frame_is_still_pruned_and_traced(kb):
-    tmr = _with_frames("fasten_painting", {"WALK-99": {}})
-    with pytest.raises(AllSetsPruned, match="syntactic") as caught:
-        generate(tmr, kb)
-    assert any(r.subject == "WALK-99/walk-v1" and r.rule == "unfillable"
-               for r in caught.value.trace)
+def test_a_silent_frame_is_neither_pruned_nor_traced(kb):
+    """WALK-99 has no AGENT, so every sense of it would be pruned; it is
+    not reached, so it is not checked and the meaning stays expressible."""
+    report = generate(_with_frames("fasten_painting", {"WALK-99": {}}), kb)
+    assert not any(r.subject.startswith("WALK-99/") for r in report.trace)
+    _same_but_one_note(report, generate(load_fixture("fasten_painting"), kb),
+                       "WALK-99 not expressed: nothing attaches it to FASTEN-18")
+
+
+def test_an_unreached_frame_needs_no_sense(kb):
+    """No sense heads MEAL or anything above it, which ends the request only
+    when the root reaches the frame."""
+    report = generate(_with_frames("fasten_painting", {"MEAL-1": {}}), kb)
+    _same_but_one_note(report, generate(load_fixture("fasten_painting"), kb),
+                       "MEAL-1 not expressed: nothing attaches it to FASTEN-18")
+    with pytest.raises(NoRealizableSense):
+        generate(_with_frames("fasten_painting", {
+            "MEAL-1": {}, "PICTURE-7": {"THEME-OF": "FASTEN-18", "DEPICTS": "MEAL-1"}}), kb)
 
 
 def test_an_inverse_slot_a_sense_binds_is_followed(tmp_path):
@@ -483,24 +490,6 @@ def test_synonym_clones_share_everything_but_the_lemma(kb, config):
     others = {tuple(sorted((k, c.sense.id) for k, c in cs.choices.items()))
               for cs in family}
     assert len(others) == 1
-
-
-def test_held_units_are_not_cloned(kb, config):
-    """The unattached FASTEN-99 is held; put fix-v2, whose lemma has
-    synonyms, first among its tied best candidates, so it is the one held."""
-    tmr = _with_frames("fasten_painting", {
-        "FASTEN-99": {"THEME": "PICTURE-99", "DESTINATION": "WALL-99"},
-        "PICTURE-99": {}, "WALL-99": {}})
-    units, trace = extract_candidates(tmr, kb), []
-    manage_reference(units, tmr, kb, config)
-    prune_syntactic(prune_semantic(units, tmr, kb, config, trace), tmr, trace)
-    _unit(units, "FASTEN-99").candidates.reverse()
-    sets, _ = _aggregate(units, tmr, config)
-    held = {cs.choices["FASTEN-99"] for cs in sets}
-    assert [(c.sense.id, c.lemma_override) for c in held] == [("fix-v2", None)]
-    assert len(sets) == 10
-    assert {cs.choices["FASTEN-18"].lemma for cs in sets} == {
-        "affix", "fix", "attach", "fasten", "secure"}
 
 
 def test_sets_share_each_synonym_clone(kb, config):

@@ -13,7 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import DATA, KB_DIR, TMR_DIR
-from genscen import build_scenario, rank_every_set, ranked_rows, tokens_conserved
+from genscen import build_scenario, tokens_conserved
 from ontogen import (
     AllSetsPruned,
     GenerationConfig,
@@ -27,8 +27,8 @@ from ontogen import (
     parse_tmr_file,
     serialize_tmr,
 )
+from ontogen.cli import _render_json
 from ontogen.pipeline import (
-    _reached_frames,
     aggregate_sets,
     extract_candidates,
     manage_reference,
@@ -54,14 +54,13 @@ def _report(seed: int, config: GenerationConfig | None = None):
 
 
 def check_product_cardinality(seed: int) -> None:
-    """Aggregation combines exactly the per-unit survivors of pruning, with
-    each unit of a frame the root never reaches at one candidate, into its
-    base sets (those with no synonym clone); a smaller cap keeps the first
-    `cap` base sets with one message; and pruning traces each exclusion
-    once."""
+    """Aggregation combines exactly the per-unit survivors of pruning into
+    its base sets (those with no synonym clone); a smaller cap keeps the
+    first `cap` base sets with one message; and pruning traces each
+    exclusion once."""
     kb, tmr = build_scenario(seed)
     config = GenerationConfig()
-    units = manage_reference(extract_candidates(tmr, kb), tmr, kb, config)
+    units = manage_reference(extract_candidates(tmr, kb, find_root_frame(tmr)), tmr, kb, config)
     trace = []
     try:
         survivors = prune_syntactic(prune_semantic(units, tmr, kb, config, trace), tmr, trace)
@@ -70,21 +69,19 @@ def check_product_cardinality(seed: int) -> None:
     assert len(set(trace)) == len(trace)
     if survivors is None:
         return
-    root = find_root_frame(tmr)
-    reached = _reached_frames(survivors, tmr, root)
-    expected = math.prod(len(u.candidates) if u.frame_id in reached else 1 for u in survivors)
+    expected = math.prod(len(u.candidates) for u in survivors)
     assert expected <= config.set_cap
 
     def base_signatures(sets):
         return [cs.signature() for cs in sets
                 if not any(c.lemma_override for c in cs.choices.values())]
 
-    sets, messages = aggregate_sets(survivors, tmr, root, config)
+    sets, messages = aggregate_sets(survivors, config)
     signatures = base_signatures(sets)
     assert len(signatures) == expected
     assert messages == []
     assert len(set(signatures)) == expected
-    capped, messages = aggregate_sets(survivors, tmr, root, config._replace(set_cap=2))
+    capped, messages = aggregate_sets(survivors, config._replace(set_cap=2))
     assert base_signatures(capped) == signatures[:2]
     assert len(messages) == (expected > 2)
 
@@ -178,23 +175,38 @@ def test_realization_conserves_solution_tokens(seed):
     check_token_conservation(seed)
 
 
+def _json_report(tmr, kb) -> dict:
+    """The full JSON report, or the error that ends the request."""
+    try:
+        return json.loads(_render_json(generate(tmr, kb), 10 ** 6, True, True))
+    except AllSetsPruned as exc:
+        return {"error": str(exc), "trace": exc.trace}
+
+
 @SETTINGS
-@given(seed=seeds, picks=st.lists(st.integers(min_value=0, max_value=9), max_size=3))
-def test_holding_unreached_frames_ranks_as_building_every_set(seed, picks):
-    """Appended frames that nothing attaches to, each a copy of a nominal
-    concept of the scenario: generate() ranks as the brute-force reference."""
+@given(seed=seeds, picks=st.lists(st.integers(min_value=0, max_value=9), min_size=1,
+                                  max_size=3))
+def test_unreached_frames_only_add_one_note(seed, picks):
+    """Appended frames that nothing attaches to, each a slotless copy of a
+    concept of the scenario: the full JSON report is the same, but for one
+    added message naming exactly those frames."""
     kb, tmr = build_scenario(seed)
     root = find_root_frame(tmr)
-    nominals = [frame.concept for frame in tmr.frames if frame is not root]
-    silent = [TmrFrame(f"{nominals[pick % len(nominals)]}-{50 + n}")
+    silent = [TmrFrame(f"{tmr.frames[pick % len(tmr.frames)].concept}-{50 + n}")
               for n, pick in enumerate(picks)]
-    tmr = Tmr(frames=[*tmr.frames, *silent], speaker_id=tmr.speaker_id,
-              hearer_id=tmr.hearer_id, reference_time=tmr.reference_time, source=tmr.source)
-    try:
-        report = generate(tmr, kb)
-    except AllSetsPruned:
-        assume(False)
-    assert ranked_rows(report.sentences) == ranked_rows(rank_every_set(tmr, kb))
+    extended = Tmr(frames=[*tmr.frames, *silent], speaker_id=tmr.speaker_id,
+                   hearer_id=tmr.hearer_id, reference_time=tmr.reference_time,
+                   source=tmr.source)
+    assume(find_root_frame(extended) is root)
+    plain, report = _json_report(tmr, kb), _json_report(extended, kb)
+    if "error" in plain:
+        assert report == plain
+        return
+    note = report["messages"].pop(0)
+    assert report == plain
+    names, _, tail = note.partition(" not expressed: nothing attaches ")
+    assert names.split(", ") == [frame.instance_id for frame in silent]
+    assert tail == f"{'them' if len(silent) > 1 else 'it'} to {root.instance_id}"
 
 
 @SETTINGS
