@@ -23,8 +23,8 @@ class RunReport:
 def generate(tmr: Tmr, kb: KnowledgeBase, config: GenerationConfig | None = None,
              freq: FrequencyTable | None = None, morph: MorphTables | None = None,
              context: tuple[str, ...] = (), history: tuple[str, ...] = ()) -> RunReport:
-    """Every surviving candidate set realized and ranked, with the trace
-    explaining both scores and exclusions."""
+    """Every surviving candidate set built, realized and ranked from parts
+    made once per candidate, with the trace explaining scores and exclusions."""
     config = GenerationConfig() if config is None else check_config(config)
     freq = freq or bundled_frequency()
     morph = morph or bundled_morphology()

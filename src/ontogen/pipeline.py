@@ -2,22 +2,23 @@
 
 Five stages run in a fixed order: extract candidate senses per unit,
 manage referring expressions, prune semantically (with an additive score
-ledger), prune syntactically, and aggregate the surviving candidates into
-candidate sets with their synonym clones. Up to aggregation, each stage
+ledger), prune syntactically, and aggregate the survivors into candidate
+sets, each its candidates' positions in options shared with its synonym
+clones and the other sets of the request. Up to aggregation, each stage
 narrows the units' candidate lists in place and returns the list it was
 given. Only the frames the root reaches become units: a frame nothing
 attaches to the root cannot be said, so it is named in one message and
 never scored. Every pruning rule reads one candidate and its own frame, so
 each candidate is scored and checked once, and only survivors are
 combined. Every score delta and every exclusion is recorded, so a set's
-score is fully explained by its ledger.
+score is explained by its ledger, which is built only when read.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
 from .config import GenerationConfig
 from .errors import AllSetsPruned, NoRealizableSense, TmrError
@@ -100,36 +101,31 @@ class Unit:
 
 
 class CandidateSet:
-    """One chosen sense per unit; everything else is read from the choices."""
+    """One chosen sense per unit, by its position in the unit's options,
+    which a request's sets share (aggregate_sets); the rest is read from
+    the choices."""
 
-    __slots__ = ("choices",)
+    __slots__ = ("options", "positions")
 
-    def __init__(self, choices: dict[str, CandidateSense]):
-        self.choices = choices
+    def __init__(self, options: tuple[tuple[CandidateSense, ...], ...], positions: tuple[int, ...]):
+        self.options = options
+        self.positions = positions
+
+    @property
+    def choices(self) -> dict[str, CandidateSense]:
+        """Unit key to choice, in unit order, built when read."""
+        return {c.unit_key: c for c in map(tuple.__getitem__, self.options, self.positions)}
 
     def entries(self) -> Iterator[tuple[str, LedgerEntry]]:
         """(unit key, entry) pairs in ledger order: reference entries, then
         semantic entries, then uncovered-slot entries, each in choice order."""
         combo = self.choices.values()
-        for c in combo:
-            for entry in c.ledger:
-                yield c.unit_key, entry
-        for c in combo:
-            for entry in c.semantic:
-                yield c.unit_key, entry
-        for c in combo:
-            for entry in c.uncovered:
-                yield c.unit_key, entry
+        return ((c.unit_key, entry) for part in ("ledger", "semantic", "uncovered")
+                for c in combo for entry in getattr(c, part))
 
     def signature(self) -> str:
         """Each unit as "key=description", described when asked for."""
         return " ".join(f"{key}={choice.describe()}" for key, choice in self.choices.items())
-
-
-def ledger_score(ledger: Iterable[tuple[str, LedgerEntry]]) -> float:
-    """A set's score: its deltas' exact sum, rounded once, whatever their order;
-    OverflowError or ValueError where the sum leaves the float range."""
-    return math.fsum(entry.delta for _, entry in ledger)
 
 
 class TraceRecord(NamedTuple):
@@ -540,9 +536,11 @@ def _participant_ok(word: str, bound_frame: TmrFrame, tmr: Tmr) -> bool:
     return True
 
 
-def _check_syntax(choice: CandidateSense, tmr: Tmr) -> tuple[tuple[str, str] | None, bool]:
+def _check_syntax(choice: CandidateSense, tmr: Tmr,
+                  root: TmrFrame) -> tuple[tuple[str, str] | None, bool]:
     """Return ((rule, reason), False) when this choice cannot stand, else
-    (None, passive), where passive says it stands only in the passive."""
+    (None, passive), where passive says it stands only in the passive. Only
+    the root says its word-less subject node, so only the root checks it."""
     sense = choice.sense
     frame = tmr.by_id[choice.frame_id]
 
@@ -556,7 +554,8 @@ def _check_syntax(choice: CandidateSense, tmr: Tmr) -> tuple[tuple[str, str] | N
     passive = False
     bound = sense.bound_roles
     for node in sense.syn_struc:
-        if node.var == 0 or node.var in sense.sem_struc.null_sem:
+        if node.var == 0 or node.var in sense.sem_struc.null_sem or (
+                node.category == "subj" and not node.word and frame is not root):
             continue
         prop = bound.get(node.var)
         if prop is None:
@@ -589,7 +588,8 @@ def _check_syntax(choice: CandidateSense, tmr: Tmr) -> tuple[tuple[str, str] | N
     return None, passive
 
 
-def prune_syntactic(units: list[Unit], tmr: Tmr, trace: list[TraceRecord]) -> list[Unit]:
+def prune_syntactic(units: list[Unit], tmr: Tmr, root: TmrFrame,
+                    trace: list[TraceRecord]) -> list[Unit]:
     """Check each frame candidate once: exclude it when an obligatory
     syntactic slot cannot be filled (a concept or a literal fills no slot
     but a fixed word's), a supplied argument cannot be hosted,
@@ -599,7 +599,7 @@ def prune_syntactic(units: list[Unit], tmr: Tmr, trace: list[TraceRecord]) -> li
             continue
         kept = []
         for choice in unit.candidates:
-            failure, passive = _check_syntax(choice, tmr)
+            failure, passive = _check_syntax(choice, tmr, root)
             if failure:
                 _exclude(trace, "syntactic", choice, *failure)
             else:
@@ -625,24 +625,30 @@ def aggregate_sets(units: list[Unit],
     last unit varying fastest, truncated at the cap (a cap at or above the
     product is no cap); each set followed by its synonym clones, in unit
     and synonym order, which replace one chosen head lemma and keep the
-    full ledger. A clone is made once per candidate and synonym, so sets
-    share clones as they share their other choices."""
-    clones = {id(choice): [choice._replace(lemma_override=synonym)
-                           for synonym in choice.sense.synonyms]
-              for unit in units for choice in unit.candidates if choice.sense.synonyms}
+    full ledger. A set holds positions in one tuple of options per unit,
+    which every set shares: the unit's candidates, then their clones in
+    candidate and synonym order, each made once."""
+    options, cloned = (), []
+    for u, unit in enumerate(units):
+        column, at = list(unit.candidates), {}
+        for p, choice in enumerate(unit.candidates):
+            if choice.sense.synonyms:
+                at[p] = range(len(column), len(column) + len(choice.sense.synonyms))
+                column += [choice._replace(lemma_override=w) for w in choice.sense.synonyms]
+        options += (tuple(column),)
+        cloned += [(u, at)] if at else []
     messages: list[str] = []
     total = _product(units)
-    product = itertools.product(*(unit.candidates for unit in units))
+    product = itertools.product(*(range(len(unit.candidates)) for unit in units))
     if total > config.set_cap:
         messages.append(f"candidate product {total} exceeds cap {config.set_cap}; truncated")
         product = itertools.islice(product, config.set_cap)
     sets: list[CandidateSet] = []
-    for combo in product:
-        choices = {c.unit_key: c for c in combo}
-        sets.append(CandidateSet(choices))
-        for choice in combo:
-            for clone in clones.get(id(choice), ()):
-                sets.append(CandidateSet({**choices, choice.unit_key: clone}))
+    for base in product:
+        sets.append(CandidateSet(options, base))
+        for u, at in cloned:
+            for p in at.get(base[u], ()):
+                sets.append(CandidateSet(options, base[:u] + (p,) + base[u + 1:]))
     return sets, messages
 
 
@@ -673,7 +679,7 @@ def run_lexical_selection(tmr: Tmr, kb: KnowledgeBase, config: GenerationConfig,
     }
     prune_semantic(units, tmr, kb, config, trace)
     counts["after-semantic"] = _product(units)
-    prune_syntactic(units, tmr, trace)
+    prune_syntactic(units, tmr, root, trace)
     counts["after-syntactic"] = _product(units)
     sets, messages = aggregate_sets(units, config)
     counts["after-synonyms"] = len(sets)

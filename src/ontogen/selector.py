@@ -5,13 +5,13 @@ always be explained. Ties break lexicographically on the sentence text,
 which keeps output order stable across runs.
 
 Repetition counts whole-word mentions (``\\b<name>\\b``) of each proper name
-a sentence contains. What one set costs rank(): one exact sum of its
-choices' deltas, rounded once; its root choice's frequency; and, for a set
-whose sentence holds a name, that name's extra mentions inside the
-sentence, counted only when the sentence holds it twice as a substring. It
-reads the names realize recorded, walks no tree, builds no ledger and
-describes no choice: a ranked sentence's ledger and signature are made
-when first read.
+a sentence contains. Each candidate's deltas and each root candidate's
+frequency term are made once per rank() call. What one set then costs: one
+exact sum of its candidates' deltas, rounded once; and, for a set whose
+sentence holds a name, that name's extra mentions inside the sentence,
+counted only when the sentence holds it twice as a substring. It reads the
+names realize recorded, walks no tree, builds no ledger and describes no
+choice: a ranked sentence's ledger and signature are made when first read.
 Per rank() call, the whole history is scanned once per distinct name, as
 one text, by a pattern that leads with the name so that ``re`` looks for it
 as a literal prefix. A total is its terms' exact sum, rounded once; one
@@ -23,11 +23,12 @@ from __future__ import annotations
 import functools
 import math
 import re
+from itertools import chain
 from pathlib import Path
 
 from .config import GenerationConfig
 from .errors import OntogenError, SchemaError
-from .pipeline import LedgerEntry, ledger_score
+from .pipeline import LedgerEntry
 from .solution import CandidateSolution
 from .strictjson import document, read_json
 
@@ -131,17 +132,24 @@ def rank(solutions: list[CandidateSolution], freq: FrequencyTable, config: Gener
          history: tuple[str, ...] = ()) -> list[ScoredSentence]:
     """Scored, deduplicated, ordered best-first with ranks assigned. Each
     solution names its root frame and holds the names realize found; the
-    sets share one description of each choice they hold. A set's repeats are
-    its names' mentions in the history, each name counted on its first
-    lookup, plus their extra mentions inside its own sentence."""
+    sets of a request share their options. A set's repeats are its names'
+    mentions in the history, each name counted on its first lookup, plus
+    their extra mentions inside its own sentence."""
     mentions: dict[str, int] = {}
     pipeline_weight, frequency_weight = config.pipeline_weight, config.frequency_weight
     repetition_penalty, length_tie_break = config.repetition_penalty, config.length_tie_break
-    scored: list[tuple[float, str, CandidateSolution, tuple]] = []
+    scored: list[tuple[float, str, int, CandidateSolution, tuple]] = []  # the first set wins a tie
+    options = None
     for solution in solutions:
         sentence = solution.sentence
         candidate_set = solution.candidate_set
-        choice = candidate_set.choices[solution.root_id]
+        if candidate_set.options is not options:
+            options = candidate_set.options
+            deltas = tuple([[e.delta for e in (*c.ledger, *c.semantic, *c.uncovered)]
+                            for c in column] for column in options)
+            root = [column[0].unit_key for column in options].index(solution.root_id)
+            frequencies = [frequency_weight * freq.lookup(c.lemma.lower(), c.sense.id)
+                           for c in options[root]]
         repeats = 0
         if solution.names:
             for name in dict.fromkeys(solution.names):
@@ -149,11 +157,12 @@ def rank(solutions: list[CandidateSolution], freq: FrequencyTable, config: Gener
                 if count is None:
                     count = mentions[name] = history_mentions(name, history)
                 repeats += count + extra_mentions(name, sentence)
-        frequency = frequency_weight * freq.lookup(choice.lemma.lower(), choice.sense.id)
+        frequency = frequencies[candidate_set.positions[root]]
         repetition = -repetition_penalty * repeats
         length = -length_tie_break * len(sentence)
         try:
-            pipeline = pipeline_weight * ledger_score(candidate_set.entries())
+            pipeline = pipeline_weight * math.fsum(chain.from_iterable(
+                map(list.__getitem__, deltas, candidate_set.positions)))
             total = math.fsum((pipeline, frequency, repetition, length))
         except (OverflowError, ValueError):
             # past the float range, where the same sums in order give inf, -inf or nan
@@ -164,14 +173,14 @@ def rank(solutions: list[CandidateSolution], freq: FrequencyTable, config: Gener
                                "is too large for the score arithmetic")
         terms = (("pipeline", pipeline), ("frequency", frequency), ("repetition", repetition),
                  ("length", length))
-        scored.append((total, sentence, solution, terms))
-    scored.sort(key=lambda item: (-item[0], item[1]))
+        scored.append((-total, sentence, len(scored), solution, terms))
+    scored.sort()
 
     out: list[ScoredSentence] = []
     seen: set[str] = set()
-    for total, sentence, solution, terms in scored:
+    for negated, sentence, _, solution, terms in scored:
         if sentence in seen:
             continue
         seen.add(sentence)
-        out.append(ScoredSentence(len(out) + 1, sentence, total, terms, solution))
+        out.append(ScoredSentence(len(out) + 1, sentence, -negated, terms, solution))
     return out

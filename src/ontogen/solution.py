@@ -4,21 +4,22 @@ A set's tree mirrors the head construction's declared syntax. Leaves carry
 a lemma plus the features the realizer needs (tense, form, number, person,
 case); containers carry ordered children.
 
-The sets of one request share a Forest. It compiles each construction once
-per frame, sense, voice and embedding into a plan of fixed leaves, realized
-once, and holes each set fills from its choices; the main verb is a hole
-filled by lemma and subject agreement. Each hole's piece (its text, first
-token, whether it ends in "a", proper names and the node it came from) is
-realized once per request, keyed by the choices the hole reads. One more
-set costs one plan lookup, one piece lookup per hole and one assembly per
-embedded verb phrase: no node and no syn-struc walk. Its tree is built
-from the nodes its pieces hold when first read. A frame that embeds
-itself, directly or through other frames, is a TmrError.
+The sets of one request share a Forest, which builds what they read once
+per candidate: each construction compiled once per frame, sense, voice
+and embedding into a plan of fixed leaves, realized once, and holes; each
+hole's piece (its text, first token, whether it ends in "a", proper names
+and the node it came from) in a table indexed by candidate position; and
+each root candidate's verb pieces. One more set costs one index per hole
+and one assembly per embedded verb phrase: no node, no key and no
+syn-struc walk. Its tree is built from the nodes its pieces hold when
+first read. A frame that embeds itself, directly or through other frames,
+is a TmrError.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 
 from .errors import TmrError
 from .knowledge import LexSense
@@ -121,23 +122,24 @@ def _mood_of(sense: LexSense) -> str:
 
 # A plan item is a fixed leaf's piece or a hole a set fills from its
 # choices: a verb (a leaf with no lemma, which the frame's choice supplies
-# unless the leaf names one), a nominal, the subject nominal, a "v" slot
-# (an embedded phrase when its frame's choice takes arguments, else a
-# nominal) or a prepositional phrase.
-_LEAF, _VERB, _NOMINAL, _SUBJECT, _VERBAL, _PREPOSITIONAL = range(6)
+# unless the leaf names one), a nominal or prepositional phrase, the
+# subject nominal, or a "v" slot (an embedded phrase when its frame's
+# choice takes arguments, else a nominal).
+_LEAF, _VERB, _NOMINAL, _SUBJECT, _VERBAL = range(5)
 
 
-def _compile(tmr: Tmr, frame: TmrFrame, sense: LexSense, tables: MorphTables, *,
+def _compile(tmr: Tmr, frame: TmrFrame, sense: LexSense, forest: Forest, *,
              passive: bool, tense: str, embedded: bool) -> tuple:
     """The construction as a plan, which no set changes: its items in
-    surface order, each (kind, piece or target frame, function or
-    preposition); its verbs, each (position, leaf, whether it agrees with
-    the subject); its mood; and its voice. Fixed leaves are realized here,
-    once, and a hole is left for each role whose filler is in the TMR. An
-    embedded construction has no subject and a base-form verb; a
-    construction that takes no arguments is one nominal."""
+    surface order, each (kind, piece or Forest.hole); its verbs, each
+    (position, leaf, whether it agrees with the subject); its mood; and its
+    voice. Fixed leaves are realized here, once, and a hole is left for
+    each role whose filler is in the TMR. An embedded construction has no
+    subject and a base-form verb; a construction that takes no arguments is
+    one nominal."""
+    hole = forest.hole
     if not sense.is_argument_taking:
-        return ((_NOMINAL, frame, "nominal"),), (), "declarative", "active"
+        return ((_NOMINAL, hole(frame, "nominal")),), (), "declarative", "active"
     syn = sense.syn_struc
     bound = sense.bound_roles
     base = embedded or _mood_of(sense) == "imperative" \
@@ -159,7 +161,7 @@ def _compile(tmr: Tmr, frame: TmrFrame, sense: LexSense, tables: MorphTables, *,
         # finite forms agree with the subject once the clause is filled
         verbs.append((len(items), Constituent(function, lemma=lemma,
                                                features=Features(**features)), agrees))
-        items.append((_VERB, None, None))
+        items.append((_VERB, None))
 
     skip = False
     for index, node in enumerate(syn):
@@ -179,7 +181,8 @@ def _compile(tmr: Tmr, frame: TmrFrame, sense: LexSense, tables: MorphTables, *,
                 filler = tmr.filler(frame, bound[following.var])
                 # without an instance filler the whole phrase is omitted
                 if isinstance(filler, InstanceRef):
-                    items.append((_PREPOSITIONAL, tmr.by_id[filler.id], node.word))
+                    items.append((_NOMINAL, hole(tmr.by_id[filler.id], "prepositional-phrase",
+                                                 node.word)))
                 continue
             if not node.word:
                 continue
@@ -196,7 +199,7 @@ def _compile(tmr: Tmr, frame: TmrFrame, sense: LexSense, tables: MorphTables, *,
 
         if node.word:
             function = _FIXED_BY_CATEGORY.get(category, "fixed-word")
-            items.append((_LEAF, _piece(tables, Constituent(function, lemma=node.word)), None))
+            items.append((_LEAF, _piece(forest.tables, Constituent(function, lemma=node.word))))
             continue
 
         prop = bound.get(node.var)
@@ -207,58 +210,64 @@ def _compile(tmr: Tmr, frame: TmrFrame, sense: LexSense, tables: MorphTables, *,
             if passive and prop == "AGENT" and category == "subj":
                 theme = tmr.filler(frame, "THEME")
                 if isinstance(theme, InstanceRef):
-                    items.append((_SUBJECT, tmr.by_id[theme.id], "subject"))
+                    items.append((_SUBJECT, hole(tmr.by_id[theme.id], "subject")))
             continue
         if (category == "subj" and embedded) or not isinstance(filler, InstanceRef):
             continue
         target = tmr.by_id[filler.id]
         if category == "v":
-            items.append((_VERBAL, target, "nominal"))
+            items.append((_VERBAL, hole(target, "nominal", verbal=True)))
         elif node.var == subject_var:
-            items.append((_SUBJECT, target, "subject"))
+            items.append((_SUBJECT, hole(target, "subject")))
         else:
-            items.append((_NOMINAL, target, _ROLE_BY_CATEGORY.get(category, "nominal")))
+            items.append((_NOMINAL, hole(target, _ROLE_BY_CATEGORY.get(category, "nominal"))))
     return tuple(items), tuple(verbs), _mood_of(sense), "passive" if passive else "active"
 
 
 class Forest:
-    """What the candidate sets of one request share: the root frame and its
-    tense, the morphology tables, every plan, and every piece built so far.
-    An embedded verb phrase is assembled per set.
-
-    A plan is keyed by the values it reads: frame, sense, voice and whether
-    it is embedded; a nominal's or prepositional phrase's piece by its
-    function, its preposition and the identities of the choices it reads
-    (a choice belongs to one frame); a verb's piece by its plan leaf, its
-    lemma and the number and person it agrees with. Identity keys are sound
-    because a request's sets share their choice objects, synonym clones
-    too, and keep them alive while the forest is in use, and the forest
-    keeps every leaf it keys; a forest must not outlive the sets it builds.
-    A solution holds the nodes its tree is built from through its pieces,
-    so the tree can be read after the forest is gone."""
+    """What the sets of one request share: the root frame and its tense, the
+    morphology tables, and what is built per candidate of the options the
+    sets share (pipeline.aggregate_sets), read from the first set built. A
+    solution holds the nodes its tree is built from through its pieces."""
 
     def __init__(self, tmr: Tmr, root: TmrFrame, tables: MorphTables):
         self.tmr = tmr
         self.root = root
         self.tables = tables
         self.tense = derive_tense(self.root, tmr)
-        self.built: dict[tuple, object] = {}
+        self.options: tuple | None = None
 
-    def nominal(self, cs: CandidateSet, frame: TmrFrame, function: str,
-                preposition: str | None = None) -> tuple[tuple, tuple[str, int]]:
-        """The frame's nominal, or with a preposition the prepositional
-        phrase that holds it, as (piece, (number, person))."""
-        choice = cs.choices[frame.instance_id]
-        # keyed by the identities of the choices it reads: its own, which
-        # stands for the frame since a choice belongs to one frame, and its
-        # modifiers'
-        key = (function, preposition, id(choice))
-        if choice.modifiers:
-            key += tuple(id(cs.choices[modifier_key(frame.instance_id, prop)])
-                         for prop in choice.modifiers)
-        built = self.built.get(key)
-        if built is not None:
-            return built
+    def read(self, options: tuple) -> None:
+        """Start on the options of a request's sets."""
+        self.options = options
+        self.unit = {column[0].unit_key: u for u, column in enumerate(options)}
+        self.built: dict[tuple, object] = {}
+        unit = self.unit[self.root.instance_id]
+        self.root_clauses = unit, [None] * len(options[unit])  # clause() builds each
+
+    def hole(self, frame: TmrFrame, function: str, preposition: str | None = None,
+             verbal: bool = False) -> tuple:
+        """(unit, modifier units, table, the frame and clauses of a "v" slot):
+        the frame's nominal, or with a preposition the phrase that holds it,
+        as (piece, (number, person)) by the positions of those units, the
+        last fastest; none where a "v" slot's choices all take arguments."""
+        unit, clauses = self.unit[frame.instance_id], None
+        if verbal:
+            clauses = frame, self.built.setdefault(("clauses", unit), (unit, [None] * len(
+                self.options[unit])))
+            if all(choice.sense.is_argument_taking for choice in self.options[unit]):
+                return unit, (), None, clauses
+        key = (function, preposition, frame.instance_id)
+        if key not in self.built:
+            mods = [self.unit[modifier_key(frame.instance_id, prop)]
+                    for prop in self.options[unit][0].modifiers]
+            self.built[key] = mods, [self._nominal(frame, function, preposition, *chosen)
+                                     for chosen in itertools.product(
+                                         self.options[unit], *map(self.options.__getitem__, mods))]
+        return unit, *self.built[key], clauses
+
+    def _nominal(self, frame: TmrFrame, function: str, preposition: str | None,
+                 choice: CandidateSense, *modifiers: CandidateSense) -> tuple[tuple, tuple]:
         case = "subjective" if function == "subject" else "objective"
         number, person = "plural" if frame.plural else "singular", 3
         if choice.is_pronoun:
@@ -274,8 +283,7 @@ class Forest:
             word = _DETERMINER_WORDS.get(choice.determiner)
             if word:
                 children.append(Constituent("determiner", lemma=word))
-            for prop in choice.modifiers:
-                mod = cs.choices[modifier_key(frame.instance_id, prop)]
+            for mod in modifiers:
                 children.append(Constituent("modifier", lemma=mod.lemma))
             children.append(Constituent("noun-head", lemma=choice.lemma, proper=choice.proper,
                                         features=Features(number=number, person=3)))
@@ -284,63 +292,79 @@ class Forest:
         else:
             node = Constituent(function, children=(Constituent("preposition", lemma=preposition),
                                                    Constituent("nominal", children=tuple(children))))
-        built = self.built[key] = (_piece(self.tables, node), (number, person))
-        return built
+        return _piece(self.tables, node), (number, person)
 
-    def plan(self, frame: TmrFrame, choice: CandidateSense, embedded: bool) -> tuple:
-        """The choice's construction for frame, compiled once per forest: in
-        the forest's tense, or in the present when embedded."""
-        passive = choice.passive and not embedded
-        key = ("plan", frame.instance_id, choice.sense, passive, embedded)
-        built = self.built.get(key)
-        if built is None:
-            built = self.built[key] = _compile(
-                self.tmr, frame, choice.sense, self.tables, passive=passive,
-                tense="present" if embedded else self.tense, embedded=embedded)
-        return built
+    def clause(self, frame: TmrFrame, clauses: tuple[int, list], positions: tuple[int, ...],
+               embedded: bool):
+        """The clause of the frame's choice in the set, once per position:
+        (plan, lemma, verb pieces by agreement), or False for an embedded
+        choice that takes no arguments. A plan is compiled once per sense,
+        voice and embedding, in the forest's tense or, embedded, the present."""
+        unit, built = clauses
+        clause = built[positions[unit]]
+        if clause is None:
+            choice = self.options[unit][positions[unit]]
+            if embedded and not choice.sense.is_argument_taking:
+                built[positions[unit]] = False
+                return False
+            passive = choice.passive and not embedded
+            key = ("plan", frame.instance_id, choice.sense, passive, embedded)
+            if key not in self.built:
+                self.built[key] = _compile(
+                    self.tmr, frame, choice.sense, self, passive=passive,
+                    tense="present" if embedded else self.tense, embedded=embedded)
+            clause = built[positions[unit]] = (self.built[key], choice.lemma, {})
+        return clause
 
-    def fill(self, cs: CandidateSet, plan: tuple, lemma: str,
+    def fill(self, positions: tuple[int, ...], clause: tuple,
              path: tuple[str, ...]) -> list[tuple]:
-        """The plan's pieces for this set: each hole filled from the forest,
-        then each verb in lemma, agreeing with the subject if finite. path
-        names the frames whose phrases hold this one, outermost first."""
-        items, verbs, _, _ = plan
+        """The clause's pieces for the set at positions, each verb agreeing
+        with the subject if finite. path names the frames whose phrases hold
+        this one, outermost first."""
+        (steps, verbs, _, _), lemma, by_agreement = clause
         pieces: list[tuple] = []
         subject = ("singular", 3)  # when the construction has none
-        for kind, held, function in items:
+        for kind, held in steps:
             if kind == _LEAF or kind == _VERB:
                 pieces.append(held)
-            elif kind == _PREPOSITIONAL:
-                pieces.append(self.nominal(cs, held, "prepositional-phrase", function)[0])
-            else:
-                inner = cs.choices.get(held.instance_id) if kind == _VERBAL else None
-                if inner is not None and inner.sense.is_argument_taking:
-                    pieces.append(self.embedded_phrase(cs, held, inner, path))
-                    continue
-                piece, agreement = self.nominal(cs, held, function)
-                pieces.append(piece)
-                if kind == _SUBJECT:
-                    subject = agreement
-        for index, leaf, agrees in verbs:
-            # the leaf in the lemma, unless it names its own, and in the
-            # subject's number and person when it agrees
-            number, person = subject if agrees else (None, None)
-            key = (leaf, leaf.lemma or lemma, number, person)
-            piece = self.built.get(key)
-            if piece is None:
-                features = Features(tense=leaf.features.tense, verb_form=leaf.features.verb_form,
-                                    number=number, person=person)
-                piece = self.built[key] = _piece(self.tables, Constituent(
-                    leaf.function, lemma=key[1], features=features))
+                continue
+            unit, mods, entry, verbal = held
+            inner = verbal and self.clause(*verbal, positions, embedded=True)
+            if inner:
+                pieces.append(self.embedded_phrase(positions, verbal[0], inner, path))
+                continue
+            index = positions[unit]
+            for mod in mods:
+                index = index * len(self.options[mod]) + positions[mod]
+            entry = entry[index]
+            pieces.append(entry[0])
+            if kind == _SUBJECT:
+                subject = entry[1]
+        agreeing = by_agreement.get(subject)
+        if agreeing is None:
+            agreeing = by_agreement[subject] = [
+                (index, self.verb(leaf, lemma, subject if agrees else (None, None)))
+                for index, leaf, agrees in verbs]
+        for index, piece in agreeing:
             pieces[index] = piece
         return pieces
 
-    def embedded_phrase(self, cs: CandidateSet, frame: TmrFrame, choice: CandidateSense,
+    def verb(self, leaf: Constituent, lemma: str, agreement: tuple) -> tuple:
+        """The plan leaf in the lemma, unless it names its own, in the
+        agreement's number and person; one piece per forest."""
+        key = (leaf, leaf.lemma or lemma, *agreement)
+        if key not in self.built:
+            features = Features(leaf.features.tense, leaf.features.verb_form, *agreement)
+            self.built[key] = _piece(self.tables, Constituent(leaf.function, lemma=key[1],
+                                                              features=features))
+        return self.built[key]
+
+    def embedded_phrase(self, positions: tuple[int, ...], frame: TmrFrame, clause: tuple,
                         path: tuple[str, ...]) -> tuple:
         path += (frame.instance_id,)
         if frame.instance_id in path[:-1]:
             raise TmrError(f"a frame embeds itself: {' -> '.join(path)}", source=self.tmr.source)
-        pieces = self.fill(cs, self.plan(frame, choice, embedded=True), choice.lemma, path)
+        pieces = self.fill(positions, clause, path)
         return _assemble(self.tables, pieces) + (pieces,)
 
 
@@ -348,9 +372,10 @@ def build_solution(cs: CandidateSet, forest: Forest) -> CandidateSolution:
     """The root frame's clause as the set's pieces, with its mood and voice;
     unbound frames stay silent. The sets of one request pass one forest and
     share what it builds."""
-    frame = forest.root
-    choice = cs.choices[frame.instance_id]
-    plan = forest.plan(frame, choice, embedded=False)
-    return CandidateSolution(candidate_set=cs, mood=plan[2], tense=forest.tense, voice=plan[3],
-                             pieces=forest.fill(cs, plan, choice.lemma, (frame.instance_id,)),
-                             root_id=frame.instance_id)
+    if cs.options is not forest.options:
+        forest.read(cs.options)
+    root_id = forest.root.instance_id
+    clause = forest.clause(forest.root, forest.root_clauses, cs.positions, embedded=False)
+    _, _, mood, voice = clause[0]
+    return CandidateSolution(cs, forest.fill(cs.positions, clause, (root_id,)), mood,
+                             forest.tense, voice, root_id)

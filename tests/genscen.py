@@ -11,18 +11,24 @@ import itertools
 import json
 import math
 import random
+import re
 import tempfile
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
+import ontogen
 from ontogen import (
     GenerationConfig,
     KnowledgeBase,
+    OntogenError,
     Tmr,
     bundled_frequency,
     bundled_morphology,
+    generate,
     load_knowledge_base,
     parse_tmr,
+    parse_tmr_file,
 )
 from ontogen.pipeline import (
     CandidateSet,
@@ -31,10 +37,9 @@ from ontogen.pipeline import (
     prune_semantic,
     prune_syntactic,
 )
-from ontogen.realizer import inflect_verb, pluralize, pronoun_form, realize
-from ontogen.selector import rank
+from ontogen.realizer import indefinite_article, inflect_verb, pluralize, pronoun_form
 from ontogen.solution import Forest, build_solution
-from ontogen.tmr import find_root_frame
+from ontogen.tmr import CASE_ROLES, find_root_frame
 
 # concept name -> its two noun lemmas
 OBJECT_POOL = {
@@ -233,22 +238,130 @@ def build_redeclared_scenario(seed: int) -> tuple[KnowledgeBase, Tmr]:
     return kb, tmr
 
 
+# an attached participant's concept, in case-role order -> its two noun
+# lemmas and the synonym of the first
+ATTACHED_POOL = {
+    "ROBOT": ("robot", "machine", "droid"),
+    "BOX": ("box", "crate", "carton"),
+    "SHELF": ("shelf", "rack", "ledge"),
+    "HOOK": ("hook", "clamp", "clip"),
+    "CHILD": ("child", "kid", "youngster"),
+    "TRUCK": ("truck", "lorry", "van"),
+}
+# the syn-struc nodes of each case role after the subject and the verb
+_ATTACHED_NODES = {
+    "THEME": [{"cat": "directobject", "var": 2}],
+    "DESTINATION": [{"cat": "prep", "var": 3, "root": ["to"]}, {"cat": "n", "var": 4}],
+    "INSTRUMENT": [{"cat": "prep", "var": 5, "root": ["with"]}, {"cat": "n", "var": 6}],
+    "BENEFICIARY": [{"cat": "prep", "var": 7, "root": ["for"]}, {"cat": "n", "var": 8}],
+    "SOURCE": [{"cat": "prep", "var": 9, "root": ["from"]}, {"cat": "n", "var": 10}],
+}
+
+
+def build_attached_family(n: int) -> tuple[KnowledgeBase, Tmr]:
+    """One event whose first n case roles (1 <= n <= 6) are each filled by
+    a participant: a concept with two noun senses, the first with one
+    synonym. Every choice scores alike, so the event ranks
+    2**(n-1) * (n + 2) sentences at one total, alphabetical among them."""
+    roles = CASE_ROLES[:n]
+    participants = list(ATTACHED_POOL)[:n]
+    concepts: dict = {
+        "ALL": {"parents": []},
+        "OBJECT": {"parents": ["ALL"]},
+        "EVENT": {"parents": ["ALL"]},
+        "CARRY": {"parents": ["EVENT"], "slots": {role: {"sem": "OBJECT"} for role in roles}},
+        **{name: {"parents": ["OBJECT"]} for name in participants},
+    }
+    syn = [{"cat": "subj", "var": 1}, {"cat": "v", "var": 0}]
+    slots: dict = {"AGENT": {"var": 1}}
+    null_sem = []
+    for role in roles[1:]:
+        nodes = _ATTACHED_NODES[role]
+        syn.extend(nodes)
+        slots[role] = {"var": nodes[-1]["var"]}
+        null_sem.extend(node["var"] for node in nodes[:-1])
+    senses = [{"id": "carry-v1", "headword": "carry", "pos": "v", "syn-struc": syn,
+               "sem-struc": {"head": "CARRY", "slots": slots, "null-sem": null_sem}}]
+    for name in participants:
+        first, second, synonym = ATTACHED_POOL[name]
+        senses.append({**_noun(f"{first}-n1", first, name), "synonyms": [synonym]})
+        senses.append(_noun(f"{second}-n1", second, name))
+    frames = {"CARRY-1": {role: f"{name}-1" for role, name in zip(roles, participants)},
+              **{f"{name}-1": {} for name in participants}}
+    with tempfile.TemporaryDirectory() as tmp:
+        base = Path(tmp)
+        for kind, key, body in (("ontology", "concepts", concepts), ("lexicon", "senses", senses),
+                                ("memory", "instances", {})):
+            (base / f"{kind}.json").write_text(json.dumps(
+                {"schema": "ontogen-kb/1", "kind": kind, key: body}))
+        kb = load_knowledge_base(base / "ontology.json", base / "lexicon.json",
+                                 base / "memory.json")
+    tmr = parse_tmr(json.dumps({"schema": "ontogen-tmr/1", "frames": frames}),
+                    source=f"<attached family {n}>")
+    return kb, tmr
+
+
+def reference_cases():
+    """(label, tmr, kb) for every bundled fixture, genscen seeds 0-299 and
+    the attached family n = 1..6."""
+    data = Path(ontogen.__file__).parent / "data"
+    kb = load_knowledge_base(data / "kb" / "ontology.json", data / "kb" / "lexicon.json",
+                             data / "kb" / "memory.json")
+    for path in sorted((data / "tmr").glob("*.json")):
+        yield path.stem, parse_tmr_file(path), kb
+    for seed in range(300):
+        scenario_kb, tmr = build_scenario(seed)
+        yield f"seed {seed}", tmr, scenario_kb
+    for n in range(1, 7):
+        family_kb, tmr = build_attached_family(n)
+        yield f"attached {n}", tmr, family_kb
+
+
+# the default config, and one whose sums are not exact in floats and whose
+# length term breaks ties
+REFERENCE_CONFIGS = {
+    "default": GenerationConfig(),
+    "thirds": GenerationConfig(pipeline_weight=0.1, exact_bonus=0.7, narrow_bonus=1 / 3,
+                               uncovered_penalty=1 / 7, length_tie_break=0.01),
+}
+
+
+def reference_mismatches() -> tuple[int, list[str]]:
+    """The number of sentences generate() ranked over reference_cases under
+    each REFERENCE_CONFIGS config, and the label of each case and config
+    whose ranking differs from rank_every_set's."""
+    compared, mismatches = 0, []
+    for label, tmr, kb in reference_cases():
+        for name, config in REFERENCE_CONFIGS.items():
+            try:
+                report = generate(tmr, kb, config=config)
+            except OntogenError:
+                continue
+            compared += len(report.sentences)
+            if ranked_rows(report.sentences) != rank_every_set(tmr, kb, config):
+                mismatches.append(f"{label} [{name}]: generate() differs from the reference")
+    return compared, mismatches
+
+
+def leaf_token(node, tables) -> str:
+    """The surface token of one leaf: a pronoun in its case, a verb
+    inflected, a common noun in its number, else its lemma."""
+    feats = node.features
+    if node.pronoun:
+        return pronoun_form(tables, node.lemma, feats.case)
+    if node.function in ("main-verb", "auxiliary"):
+        return inflect_verb(tables, node.lemma, feats)
+    if node.function == "noun-head" and feats.number == "plural" and not node.proper:
+        return pluralize(tables, node.lemma)
+    return node.lemma
+
+
 def leaf_words(solution, tables) -> list[str]:
     """Lowercased surface words each leaf contributes, mirroring leaf rendering."""
     words: list[str] = []
     for node in solution.root.walk():
-        if not node.is_leaf:
-            continue
-        feats = node.features
-        if node.pronoun:
-            token = pronoun_form(tables, node.lemma, feats.case)
-        elif node.function in ("main-verb", "auxiliary"):
-            token = inflect_verb(tables, node.lemma, feats)
-        elif node.function == "noun-head" and feats.number == "plural" and not node.proper:
-            token = pluralize(tables, node.lemma)
-        else:
-            token = node.lemma
-        words.extend(token.replace(",", " ").lower().split())
+        if node.is_leaf:
+            words.extend(leaf_token(node, tables).replace(",", " ").lower().split())
     return ["a" if w == "an" else w for w in words]
 
 
@@ -261,29 +374,74 @@ def tokens_conserved(scored, tables) -> bool:
     return Counter(sentence_words(scored.sentence)) == Counter(leaf_words(scored.solution, tables))
 
 
-def rank_every_set(tmr: Tmr, kb: KnowledgeBase, config: GenerationConfig | None = None):
-    """The ranked sentences of generate() built the long way: every survivor
-    of every unit of the frames the root reaches combined, every synonym
-    cloned, every set built, realized and ranked, and no set sharing a
-    forest or a realization memo with another."""
+def rank_every_set(tmr: Tmr, kb: KnowledgeBase,
+                   config: GenerationConfig | None = None) -> list[tuple]:
+    """The rows generate() should rank, made the long way: every survivor of
+    every unit of the frames the root reaches combined, every synonym
+    cloned, every set built on its own forest, its tree linearized here
+    (linearize) and its total summed here as fractions, rounded once; then
+    sorted by total and sentence, the first set in exhaustive order keeping
+    a sentence. A row is (sentence, total, terms, signature, ledger), as
+    ranked_rows gives it."""
     config = config or GenerationConfig()
     root = find_root_frame(tmr)
     units = manage_reference(extract_candidates(tmr, kb, root), tmr, kb, config)
     trace: list = []
-    survivors = prune_syntactic(prune_semantic(units, tmr, kb, config, trace), tmr, trace)
+    survivors = prune_syntactic(prune_semantic(units, tmr, kb, config, trace), tmr, root, trace)
     columns = [unit.candidates for unit in survivors]
     assert math.prod(map(len, columns)) <= config.set_cap, "the reference must not be truncated"
     sets = []
     for combo in itertools.product(*columns):
-        choices = {choice.unit_key: choice for choice in combo}
-        sets.append(CandidateSet(choices))
-        sets.extend(CandidateSet({**choices, choice.unit_key: choice._replace(lemma_override=word)})
-                    for choice in combo for word in choice.sense.synonyms)
-    tables = bundled_morphology()
-    solutions = [build_solution(cs, Forest(tmr, root, tables)) for cs in sets]
-    for solution in solutions:
-        realize(solution, tables)
-    return rank(solutions, bundled_frequency(), config)
+        sets.append(combo)
+        sets.extend(combo[:u] + (choice._replace(lemma_override=word),) + combo[u + 1:]
+                    for u, choice in enumerate(combo) for word in choice.sense.synonyms)
+    tables, freq = bundled_morphology(), bundled_frequency()
+    rows = []
+    for combo in sets:
+        # a set of one option per unit, alone on its forest
+        solution = build_solution(CandidateSet(tuple((c,) for c in combo), (0,) * len(combo)),
+                                  Forest(tmr, root, tables))
+        sentence, names = linearize(solution.root, solution.mood, tables)
+        ledger = tuple((c.unit_key, entry) for part in ("ledger", "semantic", "uncovered")
+                       for c in combo for entry in getattr(c, part))
+        head = next(c for c in combo if c.unit_key == root.instance_id)
+        repeats = sum(max(0, len(re.findall(rf"\b{re.escape(name)}\b", sentence)) - 1)
+                      for name in dict.fromkeys(names))
+        terms = (("pipeline", config.pipeline_weight
+                  * float(sum(Fraction(entry.delta) for _, entry in ledger))),
+                 ("frequency", config.frequency_weight
+                  * freq.lookup(head.lemma.lower(), head.sense.id)),
+                 ("repetition", -config.repetition_penalty * repeats),
+                 ("length", -config.length_tie_break * len(sentence)))
+        total = float(sum(Fraction(value) for _, value in terms))
+        signature = " ".join(f"{c.unit_key}={c.describe()}" for c in combo)
+        rows.append((sentence, total, terms, signature, ledger))
+    rows.sort(key=lambda row: (-row[1], row[0]))
+    ranked, seen = [], set()
+    for row in rows:
+        if row[0] not in seen:
+            seen.add(row[0])
+            ranked.append(row)
+    return ranked
+
+
+def linearize(root, mood: str, tables) -> tuple[str, tuple[str, ...]]:
+    """The sentence and proper names of a whole tree, token by token: each
+    leaf rendered, each "a" made "a" or "an" for the next token, tokens
+    joined (one opening with a comma or an apostrophe attaches to the
+    left), the first letter capitalized and the mood's mark added."""
+    leaves = [node for node in root.walk() if node.is_leaf]
+    names = tuple(node.lemma for node in leaves if node.proper and node.lemma)
+    tokens = [token for token in (leaf_token(leaf, tables) for leaf in leaves) if token]
+    text = ""
+    for index, token in enumerate(tokens):
+        if token == "a" and index + 1 < len(tokens):
+            token = indefinite_article(tables, tokens[index + 1].split()[0])
+        text += token if not text or token.startswith((",", "'")) else " " + token
+    first = next((i for i, char in enumerate(text) if char.isalpha()), None)
+    if first is not None:
+        text = text[:first] + text[first].upper() + text[first + 1:]
+    return text + {"declarative": ".", "interrogative": "?", "imperative": "!"}[mood], names
 
 
 def ranked_rows(sentences) -> list[tuple]:

@@ -210,6 +210,22 @@ def test_a_case_role_no_instance_fills_exits_2(tmp_path, capsys, role, filler, d
         f"got {filler!r}" for sense in ("affix-v1", "fix-v2")]
 
 
+@pytest.mark.parametrize("agent", ["HUMAN", "HUMAN-2"], ids=["concept", "instance"])
+def test_an_embedded_event_never_says_its_subject(tmp_path, capsys, agent):
+    """Only the root says its word-less subject, so an embedded event's
+    AGENT is not checked: a concept there leaves the request as it is with
+    the hearer."""
+    doc = json.loads(fixture_path("request_polite").read_text())
+    doc["frames"]["PREPARE-FOOD-1"]["AGENT"] = agent
+    path = tmp_path / "embedded.json"
+    path.write_text(json.dumps(doc))
+    assert main(["generate", "--tmr", str(path)]) == 0
+    out, _ = capsys.readouterr()
+    assert out.splitlines() == ["1. I would really appreciate it if you would make dinner.",
+                                "2. I request that you make dinner.",
+                                "3. Could you please make dinner?"]
+
+
 _ANN_WALKS = {"WALK-3": {"AGENT": "HUMAN-9"}, "HUMAN-9": {"HAS-NAME": "Ann"}}
 
 

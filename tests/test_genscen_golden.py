@@ -21,9 +21,12 @@ script compares instead of rewriting: it prints each moved key, then each
 fixture golden under ``tests/golden/*.json`` whose report, written by
 ``ontogen.cli.main([... "--out", path])``, moved from the committed bytes,
 then the discourse golden (see tests/test_discourse.py) if it moved, then
-each sentence that fails tests/test_rank_exactness.py's check, and exits 1
-if anything moved or failed. It imports no pytest, so one command per
-interpreter covers all four checks:
+each sentence that fails tests/test_rank_exactness.py's check, then each
+case where generate() ranks otherwise than ``genscen.rank_every_set`` (every
+fixture, seeds 0-299 and the attached family n = 1..6, under
+``genscen.REFERENCE_CONFIGS``, with the number of sentences compared), and
+exits 1 if anything moved or failed. It imports no pytest, so one command
+per interpreter covers all five checks:
 
     PYTHONPATH=src:tests python tests/test_genscen_golden.py --check
 """
@@ -38,7 +41,7 @@ import tempfile
 from pathlib import Path
 
 import test_discourse
-from genscen import build_scenario
+from genscen import build_scenario, reference_mismatches
 from ontogen import OntogenError, generate
 from ontogen.cli import _render_json, main
 from test_rank_exactness import exactness_failures
@@ -116,11 +119,14 @@ if __name__ == "__main__":
         goldens = moved_fixture_goldens()
         discourse = moved_discourse_golden()
         checked, inexact = exactness_failures()
-        print("\n".join(moved + goldens + discourse + inexact + [
+        compared, differ = reference_mismatches()
+        print("\n".join(moved + goldens + discourse + inexact + differ + [
             f"{len(moved)} of {2 * len(SEEDS)} digests moved",
             f"{len(goldens)} of {len(list(GOLDEN.glob('*.json')))} fixture goldens moved",
             f"{len(discourse)} of 1 discourse golden moved",
-            f"{len(inexact)} of {checked} sentences failed the exactness check"]))
-        sys.exit(1 if moved or goldens or discourse or inexact else 0)
+            f"{len(inexact)} of {checked} sentences failed the exactness check",
+            f"{len(differ)} cases ranked otherwise than the reference "
+            f"({compared} sentences compared)"]))
+        sys.exit(1 if moved or goldens or discourse or inexact or differ else 0)
     DIGESTS.parent.mkdir(parents=True, exist_ok=True)
     DIGESTS.write_text(json.dumps(digests(), indent=1, sort_keys=False) + "\n", encoding="utf-8")

@@ -7,7 +7,7 @@ import math
 import pytest
 
 from conftest import TMR_DIR, fixture_path, load_fixture, make_kb
-from genscen import rank_every_set, ranked_rows
+from genscen import build_attached_family, rank_every_set, ranked_rows
 from ontogen import (
     AllSetsPruned,
     NoRealizableSense,
@@ -23,7 +23,6 @@ from ontogen.pipeline import (
     _exclude,
     aggregate_sets,
     extract_candidates,
-    ledger_score,
     manage_reference,
     prune_semantic,
     prune_syntactic,
@@ -39,6 +38,11 @@ def _units_for(name: str, kb, config, context=()):
     tmr = load_fixture(name)
     units = _extract(tmr, kb)
     return tmr, manage_reference(units, tmr, kb, config, context=context)
+
+
+def _score(cs):
+    """A set's score: its deltas' exact sum, rounded once."""
+    return math.fsum(entry.delta for _, entry in cs.entries())
 
 
 def _unit(units, frame_id):
@@ -159,7 +163,8 @@ def test_fresh_objects_never_pronominalize(kb, config):
 def _survivors_for(name: str, kb, config):
     tmr, units = _units_for(name, kb, config)
     trace = []
-    return prune_syntactic(prune_semantic(units, tmr, kb, config, trace), tmr, trace)
+    return prune_syntactic(prune_semantic(units, tmr, kb, config, trace), tmr,
+                           tmr_module.find_root_frame(tmr), trace)
 
 
 def test_each_stage_narrows_the_units_it_is_given_in_place(kb, config):
@@ -169,7 +174,7 @@ def test_each_stage_narrows_the_units_it_is_given_in_place(kb, config):
     trace = []
     assert manage_reference(units, tmr, kb, config) is units
     assert prune_semantic(units, tmr, kb, config, trace) is units
-    assert prune_syntactic(units, tmr, trace) is units
+    assert prune_syntactic(units, tmr, tmr_module.find_root_frame(tmr), trace) is units
     assert all(a is b for a, b in zip(units, given, strict=True))
     assert [c.sense.id for c in _unit(units, "FASTEN-18").candidates] == ["affix-v1", "fix-v2"]
 
@@ -418,7 +423,7 @@ def test_an_unattached_event_is_named_in_one_note(kb, agent):
         "HUMAN-99": {"HAS-NAME": "Ann", "GENDER": "female"},
     })
     report = generate(tmr, kb)
-    assert ranked_rows(report.sentences) == ranked_rows(rank_every_set(tmr, kb))
+    assert ranked_rows(report.sentences) == rank_every_set(tmr, kb)
     assert all("FASTEN-99" not in s.signature for s in report.sentences)
     _same_but_one_note(report, generate(load_fixture("fasten_painting"), kb),
                        "FASTEN-99, PICTURE-99, WALL-99, HUMAN-99 not expressed: "
@@ -474,7 +479,7 @@ def test_an_inverse_slot_a_sense_binds_is_followed(tmp_path):
                      "JUMP-1": {"TOPIC-OF": "HUMAN-2"}, "HUMAN-1": {}, "HUMAN-2": {}})
     report = generate(tmr, kb)
     assert len(report.sentences) == 4
-    assert ranked_rows(report.sentences) == ranked_rows(rank_every_set(tmr, kb))
+    assert ranked_rows(report.sentences) == rank_every_set(tmr, kb)
 
 
 # --- stage 6: synonym expansion ----------------------------------------------
@@ -486,10 +491,25 @@ def test_synonym_clones_share_everything_but_the_lemma(kb, config):
               and cs.choices["PICTURE-7"].sense.id == "painting-n1"]
     assert {cs.choices["FASTEN-18"].lemma for cs in family} == {
         "fix", "attach", "fasten", "secure"}
-    assert len({ledger_score(tuple(cs.entries())) for cs in family}) == 1
+    assert len({_score(cs) for cs in family}) == 1
     others = {tuple(sorted((k, c.sense.id) for k, c in cs.choices.items()))
               for cs in family}
     assert len(others) == 1
+
+
+@pytest.mark.parametrize("n, count", [(1, 3), (2, 8), (3, 20), (4, 48), (5, 112), (6, 256)])
+def test_the_attached_family_ties_at_one_total(n, count):
+    """Each of n participants has two senses, the first with a synonym, all
+    scoring alike: 2**(n-1) * (n + 2) distinct sentences tie at one total,
+    so they rank alphabetically."""
+    kb, tmr = build_attached_family(n)
+    report = generate(tmr, kb)
+    sentences = [s.sentence for s in report.sentences]
+    assert len(sentences) == len(set(sentences)) == count == report.counts["after-synonyms"]
+    assert {s.total for s in report.sentences} == {report.sentences[0].total}
+    assert sentences == sorted(sentences)
+    assert sentences[0] == " ".join(["A droid carries", "a box", "to a rack", "with a clamp",
+                                     "for a child", "from a lorry"][:n]) + "."
 
 
 def test_sets_share_each_synonym_clone(kb, config):
@@ -518,7 +538,7 @@ def test_an_empty_meaning_is_reported_as_inexpressible(kb, config):
 def test_expressing_an_extra_slot_outranks_ignoring_it(kb, config):
     result = run_lexical_selection(load_fixture("fasten_depicts"), kb, config)
     def best(sense_id):
-        return max(ledger_score(tuple(cs.entries())) for cs in result.sets
+        return max(_score(cs) for cs in result.sets
                    if cs.choices["PICTURE-10"].sense.id == sense_id)
     assert best("landscape-n1") > best("painting-n1")
 

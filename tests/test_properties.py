@@ -13,7 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import DATA, KB_DIR, TMR_DIR
-from genscen import build_scenario, tokens_conserved
+from genscen import build_scenario, reference_mismatches, tokens_conserved
 from ontogen import (
     AllSetsPruned,
     GenerationConfig,
@@ -60,10 +60,12 @@ def check_product_cardinality(seed: int) -> None:
     exclusion once."""
     kb, tmr = build_scenario(seed)
     config = GenerationConfig()
-    units = manage_reference(extract_candidates(tmr, kb, find_root_frame(tmr)), tmr, kb, config)
+    root = find_root_frame(tmr)
+    units = manage_reference(extract_candidates(tmr, kb, root), tmr, kb, config)
     trace = []
     try:
-        survivors = prune_syntactic(prune_semantic(units, tmr, kb, config, trace), tmr, trace)
+        survivors = prune_syntactic(prune_semantic(units, tmr, kb, config, trace), tmr, root,
+                                    trace)
     except AllSetsPruned:
         survivors = None
     assert len(set(trace)) == len(trace)
@@ -84,6 +86,17 @@ def check_product_cardinality(seed: int) -> None:
     capped, messages = aggregate_sets(survivors, config._replace(set_cap=2))
     assert base_signatures(capped) == signatures[:2]
     assert len(messages) == (expected > 2)
+
+
+def test_generate_ranks_as_building_every_set_alone():
+    """Every fixture, genscen seeds 0-299 and the attached family n = 1..6,
+    under the default config and one with inexact sums, rank as
+    genscen.rank_every_set does it the long way: each set on its own
+    forest, its tree linearized and its total summed as fractions in the
+    test."""
+    compared, mismatches = reference_mismatches()
+    assert compared > 3000
+    assert not mismatches, "\n".join(mismatches)
 
 
 def check_ledger_sums(seed: int) -> None:

@@ -6,9 +6,10 @@ import json
 import pytest
 
 from conftest import TMR_DIR, load_fixture
+from genscen import build_attached_family, linearize, rank_every_set
 from ontogen import (AllSetsPruned, GenerationConfig, NoRealizableSense, TmrError,
                      bundled_morphology, cli, generate, parse_tmr, realizer, solution)
-from ontogen.pipeline import CandidateSense, run_lexical_selection
+from ontogen.pipeline import CandidateSense, CandidateSet, run_lexical_selection
 from ontogen.solution import Forest, build_solution, derive_tense
 from ontogen.tmr import find_root_frame
 
@@ -354,3 +355,37 @@ def test_leaf_lemmas_come_from_the_knowledge_base(kb, config):
             sol = build_solution(cs, forest)
             for leaf in _leaves(sol.root):
                 assert leaf.lemma.lower() in allowed, leaf
+
+
+def test_one_more_set_builds_no_choices_ledger_or_node(kb, monkeypatch):
+    """At n = 6 the attached family ranks 256 sets from 18 candidates: no
+    set's choices are gathered, no ledger is walked and no node is built
+    per set; what a ranked sentence explains is made when it is read, and
+    is what the reference gives."""
+    family_kb, tmr = build_attached_family(6)
+    built, entries, gathered = [], [], []
+    entries_of, choices_of = CandidateSet.entries, CandidateSet.choices
+
+    class Counted(solution.Constituent):
+        __slots__ = ()
+
+        def __init__(self, function, *args, **kwargs):
+            built.append(function)
+            super().__init__(function, *args, **kwargs)
+
+    monkeypatch.setattr(solution, "Constituent", Counted)
+    monkeypatch.setattr(CandidateSet, "entries", lambda cs: entries.append(cs) or entries_of(cs))
+    monkeypatch.setattr(CandidateSet, "choices",
+                        property(lambda cs: gathered.append(cs) or choices_of.fget(cs)))
+    report = generate(tmr, family_kb)
+    assert len(report.sentences) == 256
+    assert entries == [] and gathered == []
+    assert "clause" not in built and "verb-phrase" not in built
+    assert len(built) < 100  # about five nodes per candidate, plan leaf and verb
+
+    tables = bundled_morphology()
+    read = [(s.sentence, s.total, s.terms, s.signature, s.ledger) for s in report.sentences]
+    assert read == rank_every_set(tmr, family_kb)
+    assert all(linearize(s.solution.root, s.solution.mood, tables)[0] == s.sentence
+               for s in report.sentences)
+    assert len(entries) == 256
