@@ -1,4 +1,5 @@
-"""Golden digests of the 300 `tests/genscen.py` scenarios.
+"""Golden digests of the 300 `tests/genscen.py` scenarios and of 2,041
+role mutations of the bundled fixtures.
 
 For every seed in 0-299, each scenario is generated twice: plain, and with
 a one-line discourse history. The full JSON report
@@ -9,14 +10,16 @@ variant pins that a history without the sentence's names changes nothing.
 No report names the temporary directory a scenario's KB is written to.
 So sentences, totals, terms, signatures, ledgers,
 trees, counts, messages and trace are all pinned for 600 reports without
-committing them.
+committing them. The role mutations (role_mutations) are hashed the same
+way on the bundled KB into ``golden/mutations/digests.json``; every one of
+them must end in a report or an OntogenError.
 
 After a deliberate output change, regenerate the digests from the
 repository root with
 
     PYTHONPATH=src python tests/test_genscen_golden.py
 
-and say in the change which seeds moved and why. With ``--check`` the
+and say in the change which seeds or mutations moved and why. With ``--check`` the
 script compares instead of rewriting: it prints each moved key, then each
 fixture golden under ``tests/golden/*.json`` whose report, written by
 ``ontogen.cli.main([... "--out", path])``, moved from the committed bytes,
@@ -24,9 +27,9 @@ then the discourse golden (see tests/test_discourse.py) if it moved, then
 each sentence that fails tests/test_rank_exactness.py's check, then each
 case where generate() ranks otherwise than ``genscen.rank_every_set`` (every
 fixture, seeds 0-299 and the attached family n = 1..6, under
-``genscen.REFERENCE_CONFIGS``, with the number of sentences compared), and
-exits 1 if anything moved or failed. It imports no pytest, so one command
-per interpreter covers all five checks:
+``genscen.REFERENCE_CONFIGS``, with the number of sentences compared), then each role mutation whose report moved from its committed
+digest, and exits 1 if anything moved or failed. It imports
+no pytest, so one command per interpreter covers all six checks:
 
     PYTHONPATH=src:tests python tests/test_genscen_golden.py --check
 """
@@ -42,39 +45,81 @@ from pathlib import Path
 
 import test_discourse
 from genscen import build_scenario, reference_mismatches
-from ontogen import OntogenError, generate
+from ontogen import OntogenError, generate, parse_tmr
 from ontogen.cli import _render_json, main
+from ontogen.tmr import CASE_ROLES
 from test_rank_exactness import exactness_failures
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 DIGESTS = GOLDEN / "genscen" / "digests.json"
+MUTATION_DIGESTS = GOLDEN / "mutations" / "digests.json"
 TMR_DIR = Path(__file__).resolve().parents[1] / "src" / "ontogen" / "data" / "tmr"
 SEEDS = range(300)
 HISTORY = ("Tom met a person and a box.",)
 VARIANTS = {"plain": (), "history": HISTORY}
 
 
-def report_text(seed: int, history: tuple[str, ...]) -> str:
-    """The seed's full JSON report, or its error type and message."""
-    kb, tmr = build_scenario(seed)
+def _rendered(run) -> str:
+    """The full JSON report run() returns, or its error type and message."""
     try:
-        report = generate(tmr, kb, history=history)
+        report = run()
     except OntogenError as exc:
         return f"{type(exc).__name__}: {exc}"
     return _render_json(report, len(report.sentences), trace=True, dump=True)
 
 
+def report_text(seed: int, history: tuple[str, ...]) -> str:
+    """The seed's full JSON report, or its error type and message."""
+    kb, tmr = build_scenario(seed)
+    return _rendered(lambda: generate(tmr, kb, history=history))
+
+
+def _digest(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
 def digests() -> dict[str, str]:
-    return {f"{seed}/{variant}": hashlib.sha256(
-                report_text(seed, history).encode("utf-8")).hexdigest()
+    return {f"{seed}/{variant}": _digest(report_text(seed, history))
             for seed in SEEDS for variant, history in VARIANTS.items()}
 
 
-def moved_keys() -> list[str]:
-    """Every key whose digest differs from the committed one, or is on one side only."""
-    expected = json.loads(DIGESTS.read_text(encoding="utf-8"))
-    actual = digests()
+def role_mutations():
+    """(key, TMR text) for each bundled fixture, frame and case role: the
+    role removed when present, then set to the concept PICTURE, the literal
+    home, the outside id HUMAN-999 and each frame id of the TMR."""
+    for path in sorted(TMR_DIR.glob("*.json")):
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        frames = doc["frames"]
+        for frame_id, slots in frames.items():
+            for role in CASE_ROLES:
+                for value in ([None] if role in slots else []) + [
+                        "PICTURE", "home", "HUMAN-999", *frames]:
+                    edited = {key: v for key, v in slots.items() if key != role or value}
+                    if value:
+                        edited[role] = value
+                    yield f"{path.stem}/{frame_id}/{role}={value or '-'}", json.dumps(
+                        {**doc, "frames": {**frames, frame_id: edited}})
+
+
+def mutation_reports() -> dict[str, str]:
+    """Each role mutation's report on the bundled KB, by key."""
+    kb = test_discourse.bundled_kb()
+    return {key: _rendered(lambda: generate(parse_tmr(text), kb))
+            for key, text in role_mutations()}
+
+
+def mutation_digests() -> dict[str, str]:
+    return {key: _digest(text) for key, text in mutation_reports().items()}
+
+
+def moved(path: Path, actual: dict[str, str]) -> list[str]:
+    """Every key whose digest differs from the one committed at path, or is on one side only."""
+    expected = json.loads(path.read_text(encoding="utf-8"))
     return [key for key in {**expected, **actual} if actual.get(key) != expected.get(key)]
+
+
+def moved_keys() -> list[str]:
+    return moved(DIGESTS, digests())
 
 
 def golden_argv(name: str) -> list[str]:
@@ -113,20 +158,29 @@ def test_every_genscen_report_matches_its_digest():
     assert not moved, f"{len(moved)} genscen reports moved: {', '.join(moved)}"
 
 
+def test_every_role_mutation_ends_in_a_report_or_an_ontogen_error():
+    # an exception other than an OntogenError escapes mutation_reports
+    assert len(mutation_reports()) == 2041
+
+
 if __name__ == "__main__":
     if sys.argv[1:] == ["--check"]:
-        moved = moved_keys()
+        moved_digests = moved_keys()
         goldens = moved_fixture_goldens()
         discourse = moved_discourse_golden()
         checked, inexact = exactness_failures()
         compared, differ = reference_mismatches()
-        print("\n".join(moved + goldens + discourse + inexact + differ + [
-            f"{len(moved)} of {2 * len(SEEDS)} digests moved",
+        mutations = moved(MUTATION_DIGESTS, mutation_digests())
+        print("\n".join(moved_digests + goldens + discourse + inexact + differ + mutations + [
+            f"{len(moved_digests)} of {2 * len(SEEDS)} digests moved",
             f"{len(goldens)} of {len(list(GOLDEN.glob('*.json')))} fixture goldens moved",
             f"{len(discourse)} of 1 discourse golden moved",
             f"{len(inexact)} of {checked} sentences failed the exactness check",
             f"{len(differ)} cases ranked otherwise than the reference "
-            f"({compared} sentences compared)"]))
-        sys.exit(1 if moved or goldens or discourse or inexact or differ else 0)
-    DIGESTS.parent.mkdir(parents=True, exist_ok=True)
-    DIGESTS.write_text(json.dumps(digests(), indent=1, sort_keys=False) + "\n", encoding="utf-8")
+            f"({compared} sentences compared)",
+            f"{len(mutations)} of {len(list(role_mutations()))} mutation digests moved"]))
+        sys.exit(1 if moved_digests or goldens or discourse or inexact or differ or mutations
+                 else 0)
+    for path, written in ((DIGESTS, digests()), (MUTATION_DIGESTS, mutation_digests())):
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(json.dumps(written, indent=1, sort_keys=False) + "\n", encoding="utf-8")
