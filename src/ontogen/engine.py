@@ -30,7 +30,7 @@ def generate(tmr: Tmr, kb: KnowledgeBase, config: GenerationConfig | None = None
     morph = morph or bundled_morphology()
 
     selection = run_lexical_selection(tmr, kb, config, context)
-    forest = Forest(tmr, selection.root, morph)
+    forest = Forest(tmr, selection.root, morph, selection.sets[0].options)
     solutions = []
     for cs in selection.sets:
         solution = build_solution(cs, forest)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import re
 from enum import IntEnum
 from graphlib import CycleError, TopologicalSorter
+from itertools import takewhile
 from typing import NamedTuple
 
 from .errors import KbValidationError, SchemaError
@@ -322,10 +323,12 @@ class LexSense:
     bound_roles maps each syn-struc variable a sem-struc slot binds to that
     slot's property (the loader lets a variable fill one slot only);
     is_argument_taking says whether there is any; transitive says whether
-    the syn-struc has a direct object. All three are read from the
-    structures once, here, so neither structure may change later. role_bases maps each bound property to the ontology's
-    constraint on it for the head concept; the loader reads it from the
-    ontology and passes it in. The loader checks def, ex and
+    the syn-struc has a direct object; subject is the variable of the
+    grammatical subject, the first bound bare subj or n node ahead of the
+    head verb, if any. All four are read from the structures once, here, so
+    neither structure may change later. role_bases maps each bound property
+    to the ontology's constraint on it for the head concept; the loader
+    reads it from the ontology and passes it in. The loader checks def, ex and
     example-bindings, which pick each fixed node's word, and keeps none."""
 
     def __init__(self, id: str, headword: str, pos: str, syn_struc: tuple[SynNode, ...],
@@ -343,6 +346,9 @@ class LexSense:
                             if isinstance(v, VarBinding)}
         self.is_argument_taking = bool(self.bound_roles)
         self.transitive = any(node.category == "directobject" for node in syn_struc)
+        self.subject = next((node.var for node in takewhile(lambda n: n.var or n.word, syn_struc)
+                             if node.category in ("subj", "n") and not node.word
+                             and node.var in self.bound_roles), None)
         self.role_bases = {} if role_bases is None else role_bases
 
 

@@ -65,7 +65,6 @@ class CandidateSense(NamedTuple):
     ledger: tuple[LedgerEntry, ...] = ()  # reference-stage entries
     semantic: tuple[LedgerEntry, ...] = ()  # set by prune_semantic
     uncovered: tuple[LedgerEntry, ...] = ()  # set by prune_semantic
-    passive: bool = False  # set by prune_syntactic: stands only in the passive
 
     @property
     def lemma(self) -> str:
@@ -536,75 +535,100 @@ def _participant_ok(word: str, bound_frame: TmrFrame, tmr: Tmr) -> bool:
     return True
 
 
-def _check_syntax(choice: CandidateSense, tmr: Tmr,
-                  root: TmrFrame) -> tuple[tuple[str, str] | None, bool]:
-    """Return ((rule, reason), False) when this choice cannot stand, else
-    (None, passive), where passive says it stands only in the passive. Only
-    the root says its word-less subject node, so only the root checks it."""
-    sense = choice.sense
-    frame = tmr.by_id[choice.frame_id]
+def read_construction(tmr: Tmr, frame: TmrFrame, sense: LexSense, embedded: bool
+                      ) -> tuple[tuple[str, str] | None, bool, list[tuple]]:
+    """Read an argument-taking sense's syn-struc against its frame, once
+    for both pruning (prune_syntactic) and the plan (solution._compile):
+    (failure, passive, items).
 
-    if choice.is_pronoun and choice.modifiers:
-        return ("pronoun-with-modifiers",
-                "a modified referent cannot be realized as a pronoun"), False
-
-    if not sense.is_argument_taking:
-        return None, False
-
-    passive = False
-    bound = sense.bound_roles
+    failure is (rule, reason) for the first node that cannot stand, else
+    None. passive says the construction stands only in the passive: a
+    word-less subject whose AGENT is absent gives way to the THEME of a
+    transitive sense, and no direct object is said. items are what the
+    construction says, in surface order, each (category, word, frame):
+    ("head", None, None) for the head verb; (category, word, None) for a
+    fixed word, said whatever fills its role; (category, None, frame) for a
+    role and the frame filling it, the category "subject" for the
+    grammatical subject (sense.subject, or the promoted THEME where the
+    subject node stands); ("prep", word, frame) for a preposition and the
+    frame of the bare noun after it, a phrase left out when no frame fills
+    the noun's role. An embedded frame's word-less subject is never said,
+    so it is not checked; nor is a null-sem node."""
+    bound, by_id, null_sem = sense.bound_roles, tmr.by_id, sense.sem_struc.null_sem
+    theme = tmr.filler(frame, "THEME")
+    passive, items, previous = False, [], None
     for node in sense.syn_struc:
-        if node.var == 0 or node.var in sense.sem_struc.null_sem or (
-                node.category == "subj" and not node.word and frame is not root):
-            continue
-        prop = bound.get(node.var)
-        if prop is None:
-            if node.word or node.optional:
-                continue
-            return ("unfillable", f"{node.category} $var{node.var} has no meaning to express"), False
-        filler = tmr.filler(frame, prop)
-        if filler is None:
-            if node.optional:
-                continue
-            if prop == "AGENT" and node.category == "subj" and sense.transitive \
-                    and tmr.filler(frame, "THEME") is not None:
-                passive = True
-                continue
-            return ("unfillable",
-                    f"{node.category} $var{node.var} needs {prop}, absent from the meaning"), False
-        if node.word:
+        category, var, word, optional = node
+        prop = bound.get(var)
+        filler = None if prop is None else tmr.filler(frame, prop)
+        if var == 0 or var in null_sem or optional and filler is None \
+                or category == "subj" and not word and embedded:
+            pass
+        elif prop is None:
+            if not word:
+                return ("unfillable", f"{category} $var{var} has no meaning to express"), \
+                    False, []
+        elif filler is None:
+            if word or prop != "AGENT" or category != "subj" or not sense.transitive \
+                    or theme is None:
+                return ("unfillable", f"{category} $var{var} needs {prop}, absent from "
+                                      f"the meaning"), False, []
+            passive = True
+            if isinstance(theme, InstanceRef):
+                items.append(("subject", None, by_id[theme.id]))
+        elif word:
             # a fixed word is said whatever fills its role
             if isinstance(filler, InstanceRef) \
-                    and not _participant_ok(node.word, tmr.by_id[filler.id], tmr):
+                    and not _participant_ok(word, by_id[filler.id], tmr):
                 return ("participant-mismatch",
-                        f"fixed word {node.word!r} does not fit {filler.id}"), False
+                        f"fixed word {word!r} does not fit {filler.id}"), False, []
         elif not isinstance(filler, InstanceRef):
             shown = filler.name if isinstance(filler, ConceptRef) else filler
-            return ("unfillable", f"{node.category} $var{node.var} needs an instance for "
-                                  f"{prop}, got {shown!r}"), False
-    if tmr.filler(frame, "THEME") is not None and "THEME" not in sense.sem_struc.slots:
-        return ("unhosted-theme",
-                f"the meaning has a THEME that {sense.id} cannot host"), False
-    return None, passive
+            return ("unfillable", f"{category} $var{var} needs an instance for "
+                                  f"{prop}, got {shown!r}"), False, []
+
+        if word:
+            items.append((category, word, None))
+        elif category == "n" and prop is not None and previous and previous.category == "prep":
+            items.pop()  # the preposition, said with this noun's phrase or not at all
+            if isinstance(filler, InstanceRef):
+                items.append(("prep", previous.word, by_id[filler.id]))
+        elif var == 0:
+            items.append(("head", None, None))
+        elif isinstance(filler, InstanceRef) and not (category == "subj" and embedded):
+            items.append(("subject" if var == sense.subject else category, None,
+                          by_id[filler.id]))
+        previous = node
+    if theme is not None and "THEME" not in sense.sem_struc.slots:
+        return ("unhosted-theme", f"the meaning has a THEME that {sense.id} cannot host"), \
+            False, []
+    if passive:
+        items = [item for item in items if item[0] != "directobject"]
+    return None, passive, items
 
 
 def prune_syntactic(units: list[Unit], tmr: Tmr, root: TmrFrame,
                     trace: list[TraceRecord]) -> list[Unit]:
-    """Check each frame candidate once: exclude it when an obligatory
-    syntactic slot cannot be filled (a concept or a literal fills no slot
-    but a fixed word's), a supplied argument cannot be hosted,
-    or it is a pronoun for a modified referent."""
+    """Check each frame candidate once: exclude it when it is a pronoun for
+    a modified referent, or when its construction, read against its frame
+    (read_construction), cannot stand. Only the root says its word-less
+    subject node, so only the root checks it."""
     for unit in units:
         if unit.kind == "modifier":
             continue
+        frame = tmr.by_id[unit.frame_id]
         kept = []
         for choice in unit.candidates:
-            failure, passive = _check_syntax(choice, tmr, root)
+            if choice.is_pronoun and choice.modifiers:
+                failure = ("pronoun-with-modifiers",
+                           "a modified referent cannot be realized as a pronoun")
+            else:
+                failure = choice.sense.is_argument_taking and read_construction(
+                    tmr, frame, choice.sense, frame is not root)[0]
             if failure:
                 _exclude(trace, "syntactic", choice, *failure)
             else:
-                kept.append(choice if choice.passive == passive
-                            else choice._replace(passive=passive))
+                kept.append(choice)
         unit.candidates = kept
     if not all(unit.candidates for unit in units):
         raise AllSetsPruned("every candidate set was excluded on syntactic grounds",

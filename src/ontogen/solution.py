@@ -5,13 +5,13 @@ a lemma plus the features the realizer needs (tense, form, number, person,
 case); containers carry ordered children.
 
 The sets of one request share a Forest, which builds what they read once
-per candidate: each construction compiled once per frame, sense, voice
-and embedding into a plan of fixed leaves, realized once, and holes; each
+per candidate: each construction compiled once per frame, sense and
+embedding into a plan of fixed leaves, realized once, and holes; each
 hole's piece (its text, first token, whether it ends in "a", proper names
 and the node it came from) in a table indexed by candidate position; and
-each root candidate's verb pieces. One more set costs one index per hole
-and one assembly per embedded verb phrase: no node, no key and no
-syn-struc walk. Its tree is built from the nodes its pieces hold when
+each root candidate's verb pieces. One more set costs one lookup per
+clause, one index per hole and one assembly per embedded verb phrase: no
+node and no syn-struc walk. Its tree is built from the nodes its pieces hold when
 first read. A frame that embeds itself, directly or through other frames,
 is a TmrError.
 """
@@ -23,9 +23,9 @@ import itertools
 
 from .errors import TmrError
 from .knowledge import LexSense
-from .pipeline import CandidateSense, CandidateSet, modifier_key
+from .pipeline import CandidateSense, CandidateSet, modifier_key, read_construction
 from .realizer import MorphTables, _assemble, _piece
-from .tmr import InstanceRef, RelativeTime, Tmr, TmrFrame, relative_time_of
+from .tmr import RelativeTime, Tmr, TmrFrame, relative_time_of
 
 _TENSE_BY_TIME = {
     RelativeTime.BEFORE: "past",
@@ -120,40 +120,29 @@ def _mood_of(sense: LexSense) -> str:
     return "declarative"
 
 
-# A plan item is a fixed leaf's piece or a hole a set fills from its
-# choices: a verb (a leaf with no lemma, which the frame's choice supplies
-# unless the leaf names one), a nominal or prepositional phrase, the
-# subject nominal, or a "v" slot (an embedded phrase when its frame's
-# choice takes arguments, else a nominal).
-_LEAF, _VERB, _NOMINAL, _SUBJECT, _VERBAL = range(5)
+# A plan item is a piece (a fixed leaf's, or a verb's place, which each
+# set fills from the frame's choice unless the leaf names its lemma) or a
+# hole a set fills from its choices: a nominal, a prepositional phrase or a
+# "v" slot (an embedded phrase when its frame's choice takes arguments,
+# else a nominal), or the subject nominal, which finite verbs agree with.
+_PIECE, _HOLE, _SUBJECT = range(3)
 
 
 def _compile(tmr: Tmr, frame: TmrFrame, sense: LexSense, forest: Forest, *,
-             passive: bool, tense: str, embedded: bool) -> tuple:
+             tense: str, embedded: bool) -> tuple:
     """The construction as a plan, which no set changes: its items in
     surface order, each (kind, piece or Forest.hole); its verbs, each
     (position, leaf, whether it agrees with the subject); its mood; and its
-    voice. Fixed leaves are realized here, once, and a hole is left for
-    each role whose filler is in the TMR. An embedded construction has no
-    subject and a base-form verb; a construction that takes no arguments is
-    one nominal."""
+    voice. What it says is read_construction's reading; fixed leaves are
+    realized here, once. An embedded construction has no subject and a
+    base-form verb; a construction that takes no arguments is one nominal."""
     hole = forest.hole
     if not sense.is_argument_taking:
-        return ((_NOMINAL, hole(frame, "nominal")),), (), "declarative", "active"
-    syn = sense.syn_struc
-    bound = sense.bound_roles
-    base = embedded or _mood_of(sense) == "imperative" \
-        or any(node.category == "aux" for node in syn)
-
-    # a bound bare nominal ahead of the head verb is the grammatical subject
-    subject_var: int | None = None
-    for node in syn:
-        if node.var == 0 and not node.word:
-            break
-        if node.category in ("subj", "n") and not node.word and node.var in bound:
-            subject_var = node.var
-            break
-
+        return ((_HOLE, hole(frame, "nominal")),), (), "declarative", "active"
+    _, passive, reading = read_construction(tmr, frame, sense, embedded)
+    mood = _mood_of(sense)
+    base = embedded or mood == "imperative" or any(node.category == "aux"
+                                                   for node in sense.syn_struc)
     items: list[tuple] = []
     verbs: list[tuple] = []
 
@@ -161,33 +150,10 @@ def _compile(tmr: Tmr, frame: TmrFrame, sense: LexSense, forest: Forest, *,
         # finite forms agree with the subject once the clause is filled
         verbs.append((len(items), Constituent(function, lemma=lemma,
                                                features=Features(**features)), agrees))
-        items.append((_VERB, None))
+        items.append((_PIECE, None))
 
-    skip = False
-    for index, node in enumerate(syn):
-        if skip:
-            skip = False
-            continue
-        category = node.category
-
-        if passive and category == "directobject":
-            continue
-
-        if category == "prep":
-            following = syn[index + 1] if index + 1 < len(syn) else None
-            if following is not None and following.category == "n" \
-                    and not following.word and following.var in bound:
-                skip = True
-                filler = tmr.filler(frame, bound[following.var])
-                # without an instance filler the whole phrase is omitted
-                if isinstance(filler, InstanceRef):
-                    items.append((_NOMINAL, hole(tmr.by_id[filler.id], "prepositional-phrase",
-                                                 node.word)))
-                continue
-            if not node.word:
-                continue
-
-        if node.var == 0 and not node.word:
+    for category, word, target in reading:
+        if category == "head":
             if passive:
                 verb("auxiliary", True, "be", tense=tense)
                 verb("main-verb", False, verb_form="participle")
@@ -195,68 +161,44 @@ def _compile(tmr: Tmr, frame: TmrFrame, sense: LexSense, forest: Forest, *,
                 verb("main-verb", False, verb_form="base")
             else:
                 verb("main-verb", True, tense=tense)
-            continue
-
-        if node.word:
+        elif target is None:
             function = _FIXED_BY_CATEGORY.get(category, "fixed-word")
-            items.append((_LEAF, _piece(forest.tables, Constituent(function, lemma=node.word))))
-            continue
-
-        prop = bound.get(node.var)
-        if prop is None:
-            continue
-        filler = tmr.filler(frame, prop)
-        if filler is None:
-            if passive and prop == "AGENT" and category == "subj":
-                theme = tmr.filler(frame, "THEME")
-                if isinstance(theme, InstanceRef):
-                    items.append((_SUBJECT, hole(tmr.by_id[theme.id], "subject")))
-            continue
-        if (category == "subj" and embedded) or not isinstance(filler, InstanceRef):
-            continue
-        target = tmr.by_id[filler.id]
-        if category == "v":
-            items.append((_VERBAL, hole(target, "nominal", verbal=True)))
-        elif node.var == subject_var:
+            items.append((_PIECE, _piece(forest.tables, Constituent(function, lemma=word))))
+        elif word:
+            items.append((_HOLE, hole(target, "prepositional-phrase", word)))
+        elif category == "subject":
             items.append((_SUBJECT, hole(target, "subject")))
         else:
-            items.append((_NOMINAL, hole(target, _ROLE_BY_CATEGORY.get(category, "nominal"))))
-    return tuple(items), tuple(verbs), _mood_of(sense), "passive" if passive else "active"
+            items.append((_HOLE, hole(target, _ROLE_BY_CATEGORY.get(category, "nominal"),
+                                      verbal=category == "v")))
+    return tuple(items), tuple(verbs), mood, "passive" if passive else "active"
 
 
 class Forest:
     """What the sets of one request share: the root frame and its tense, the
-    morphology tables, and what is built per candidate of the options the
-    sets share (pipeline.aggregate_sets), read from the first set built. A
+    morphology tables, the options the sets hold positions in
+    (pipeline.aggregate_sets), and what is built per candidate of them. A
     solution holds the nodes its tree is built from through its pieces."""
 
-    def __init__(self, tmr: Tmr, root: TmrFrame, tables: MorphTables):
+    def __init__(self, tmr: Tmr, root: TmrFrame, tables: MorphTables, options: tuple):
         self.tmr = tmr
         self.root = root
         self.tables = tables
-        self.tense = derive_tense(self.root, tmr)
-        self.options: tuple | None = None
-
-    def read(self, options: tuple) -> None:
-        """Start on the options of a request's sets."""
         self.options = options
+        self.tense = derive_tense(root, tmr)
         self.unit = {column[0].unit_key: u for u, column in enumerate(options)}
         self.built: dict[tuple, object] = {}
-        unit = self.unit[self.root.instance_id]
-        self.root_clauses = unit, [None] * len(options[unit])  # clause() builds each
+        self.clauses: dict[tuple, object] = {}  # by unit, position and embedding
 
     def hole(self, frame: TmrFrame, function: str, preposition: str | None = None,
              verbal: bool = False) -> tuple:
-        """(unit, modifier units, table, the frame and clauses of a "v" slot):
-        the frame's nominal, or with a preposition the phrase that holds it,
-        as (piece, (number, person)) by the positions of those units, the
-        last fastest; none where a "v" slot's choices all take arguments."""
-        unit, clauses = self.unit[frame.instance_id], None
-        if verbal:
-            clauses = frame, self.built.setdefault(("clauses", unit), (unit, [None] * len(
-                self.options[unit])))
-            if all(choice.sense.is_argument_taking for choice in self.options[unit]):
-                return unit, (), None, clauses
+        """(unit, modifier units, table, the frame of a "v" slot): the
+        frame's nominal, or with a preposition the phrase that holds it, as
+        (piece, (number, person)) by the positions of those units, the last
+        fastest; none where a "v" slot's choices all take arguments."""
+        unit = self.unit[frame.instance_id]
+        if verbal and all(choice.sense.is_argument_taking for choice in self.options[unit]):
+            return unit, (), None, frame
         key = (function, preposition, frame.instance_id)
         if key not in self.built:
             mods = [self.unit[modifier_key(frame.instance_id, prop)]
@@ -264,7 +206,7 @@ class Forest:
             self.built[key] = mods, [self._nominal(frame, function, preposition, *chosen)
                                      for chosen in itertools.product(
                                          self.options[unit], *map(self.options.__getitem__, mods))]
-        return unit, *self.built[key], clauses
+        return unit, *self.built[key], frame if verbal else None
 
     def _nominal(self, frame: TmrFrame, function: str, preposition: str | None,
                  choice: CandidateSense, *modifiers: CandidateSense) -> tuple[tuple, tuple]:
@@ -294,26 +236,26 @@ class Forest:
                                                    Constituent("nominal", children=tuple(children))))
         return _piece(self.tables, node), (number, person)
 
-    def clause(self, frame: TmrFrame, clauses: tuple[int, list], positions: tuple[int, ...],
-               embedded: bool):
-        """The clause of the frame's choice in the set, once per position:
-        (plan, lemma, verb pieces by agreement), or False for an embedded
-        choice that takes no arguments. A plan is compiled once per sense,
-        voice and embedding, in the forest's tense or, embedded, the present."""
-        unit, built = clauses
-        clause = built[positions[unit]]
+    def clause(self, frame: TmrFrame, positions: tuple[int, ...], embedded: bool):
+        """The clause of the frame's choice in the set, once per position and
+        embedding: (plan, lemma, verb pieces by agreement), or False for an
+        embedded choice that takes no arguments. A plan is compiled once per
+        sense and embedding, in the forest's tense or, embedded, the present."""
+        unit = self.unit[frame.instance_id]
+        key = (unit, positions[unit], embedded)
+        clause = self.clauses.get(key)
         if clause is None:
             choice = self.options[unit][positions[unit]]
             if embedded and not choice.sense.is_argument_taking:
-                built[positions[unit]] = False
-                return False
-            passive = choice.passive and not embedded
-            key = ("plan", frame.instance_id, choice.sense, passive, embedded)
-            if key not in self.built:
-                self.built[key] = _compile(
-                    self.tmr, frame, choice.sense, self, passive=passive,
-                    tense="present" if embedded else self.tense, embedded=embedded)
-            clause = built[positions[unit]] = (self.built[key], choice.lemma, {})
+                clause = False
+            else:
+                plan = ("plan", frame.instance_id, choice.sense, embedded)
+                if plan not in self.built:
+                    self.built[plan] = _compile(
+                        self.tmr, frame, choice.sense, self,
+                        tense="present" if embedded else self.tense, embedded=embedded)
+                clause = (self.built[plan], choice.lemma, {})
+            self.clauses[key] = clause
         return clause
 
     def fill(self, positions: tuple[int, ...], clause: tuple,
@@ -325,13 +267,13 @@ class Forest:
         pieces: list[tuple] = []
         subject = ("singular", 3)  # when the construction has none
         for kind, held in steps:
-            if kind == _LEAF or kind == _VERB:
+            if kind == _PIECE:
                 pieces.append(held)
                 continue
             unit, mods, entry, verbal = held
-            inner = verbal and self.clause(*verbal, positions, embedded=True)
+            inner = verbal and self.clause(verbal, positions, embedded=True)
             if inner:
-                pieces.append(self.embedded_phrase(positions, verbal[0], inner, path))
+                pieces.append(self.embedded_phrase(positions, verbal, inner, path))
                 continue
             index = positions[unit]
             for mod in mods:
@@ -370,12 +312,10 @@ class Forest:
 
 def build_solution(cs: CandidateSet, forest: Forest) -> CandidateSolution:
     """The root frame's clause as the set's pieces, with its mood and voice;
-    unbound frames stay silent. The sets of one request pass one forest and
-    share what it builds."""
-    if cs.options is not forest.options:
-        forest.read(cs.options)
+    unbound frames stay silent. The sets of one request pass one forest,
+    built on their options, and share what it builds."""
     root_id = forest.root.instance_id
-    clause = forest.clause(forest.root, forest.root_clauses, cs.positions, embedded=False)
+    clause = forest.clause(forest.root, cs.positions, embedded=False)
     _, _, mood, voice = clause[0]
     return CandidateSolution(cs, forest.fill(cs.positions, clause, (root_id,)), mood,
                              forest.tense, voice, root_id)

@@ -399,8 +399,9 @@ def rank_every_set(tmr: Tmr, kb: KnowledgeBase,
     rows = []
     for combo in sets:
         # a set of one option per unit, alone on its forest
-        solution = build_solution(CandidateSet(tuple((c,) for c in combo), (0,) * len(combo)),
-                                  Forest(tmr, root, tables))
+        options = tuple((c,) for c in combo)
+        solution = build_solution(CandidateSet(options, (0,) * len(combo)),
+                                  Forest(tmr, root, tables, options))
         sentence, names = linearize(solution.root, solution.mood, tables)
         ledger = tuple((c.unit_key, entry) for part in ("ledger", "semantic", "uncovered")
                        for c in combo for entry in getattr(c, part))

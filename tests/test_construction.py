@@ -53,6 +53,11 @@ ROWS = [
     ("promoted theme after the head", [VERB, SUBJ, OBJECT], ROLES, [],
      {"PUSH-1": {"THEME": "BOX-2"}, "BOX-2": {"CARDINALITY": 3}},
      ["Are pushed boxes!", "Are pushed some boxes!"]),
+    # a fixed word says nothing of the absent AGENT, so no passive rescues it
+    ("fixed-word subject, agent absent",
+     [{"cat": "subj", "var": 1, "root": ["someone"]}, VERB, OBJECT], ROLES, [],
+     {"PUSH-1": {"THEME": "BOX-2"}, "BOX-2": {}},
+     "subj $var1 needs AGENT, absent from the meaning"),
 ]
 
 

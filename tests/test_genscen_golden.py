@@ -19,17 +19,18 @@ repository root with
 
     PYTHONPATH=src python tests/test_genscen_golden.py
 
-and say in the change which seeds or mutations moved and why. With ``--check`` the
-script compares instead of rewriting: it prints each moved key, then each
-fixture golden under ``tests/golden/*.json`` whose report, written by
-``ontogen.cli.main([... "--out", path])``, moved from the committed bytes,
-then the discourse golden (see tests/test_discourse.py) if it moved, then
-each sentence that fails tests/test_rank_exactness.py's check, then each
-case where generate() ranks otherwise than ``genscen.rank_every_set`` (every
-fixture, seeds 0-299 and the attached family n = 1..6, under
-``genscen.REFERENCE_CONFIGS``, with the number of sentences compared), then each role mutation whose report moved from its committed
-digest, and exits 1 if anything moved or failed. It imports
-no pytest, so one command per interpreter covers all six checks:
+and say in the change which seeds or mutations moved and why. With
+``--check`` the script compares instead of rewriting: it prints each moved
+key, then each fixture golden under ``tests/golden/*.json`` whose report,
+written by ``ontogen.cli.main([... "--out", path])``, moved from the
+committed bytes, then the discourse golden (see tests/test_discourse.py)
+if it moved, then each sentence that fails tests/test_rank_exactness.py's
+check, then each case where generate() ranks otherwise than
+``genscen.rank_every_set`` (every fixture, seeds 0-299 and the attached
+family n = 1..6, under ``genscen.REFERENCE_CONFIGS``, with the number of
+sentences compared), then each role mutation whose report moved from its
+committed digest, and exits 1 if anything moved or failed. It imports no
+pytest, so one command per interpreter covers all six checks:
 
     PYTHONPATH=src:tests python tests/test_genscen_golden.py --check
 """

@@ -26,6 +26,7 @@ from ontogen.pipeline import (
     manage_reference,
     prune_semantic,
     prune_syntactic,
+    read_construction,
     run_lexical_selection,
 )
 
@@ -277,9 +278,11 @@ def test_a_candidate_excluded_twice_for_one_reason_is_traced_once(kb, config):
 # --- stage 4: syntactic pruning ----------------------------------------------
 
 def test_missing_agent_rescues_transitives_into_the_passive(kb, config):
-    result = run_lexical_selection(load_fixture("fasten_passive"), kb, config)
+    tmr = load_fixture("fasten_passive")
+    result = run_lexical_selection(tmr, kb, config)
     assert result.sets
-    assert all(cs.choices["FASTEN-9"].passive for cs in result.sets)
+    assert all(read_construction(tmr, tmr.by_id["FASTEN-9"], cs.choices["FASTEN-9"].sense,
+                                 False)[:2] == (None, True) for cs in result.sets)
 
 
 def test_nothing_survives_a_meaning_no_sense_can_host(kb, config):

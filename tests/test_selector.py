@@ -22,7 +22,7 @@ from ontogen.solution import Forest, build_solution
 def _solutions(name, kb, config, morph):
     tmr = load_fixture(name)
     result = run_lexical_selection(tmr, kb, config)
-    forest = Forest(tmr, result.root, morph)
+    forest = Forest(tmr, result.root, morph, result.sets[0].options)
     solutions = [build_solution(cs, forest) for cs in result.sets]
     for sol in solutions:
         realize(sol, morph)

@@ -17,7 +17,7 @@ from ontogen.tmr import find_root_frame
 def _solutions(name, kb, config, context=()):
     tmr = load_fixture(name)
     result = run_lexical_selection(tmr, kb, config, context=context)
-    forest = Forest(tmr, result.root, bundled_morphology())
+    forest = Forest(tmr, result.root, bundled_morphology(), result.sets[0].options)
     return tmr, [build_solution(cs, forest) for cs in result.sets]
 
 
@@ -244,8 +244,7 @@ def test_a_request_compiles_each_construction_once_and_inflects_each_leaf_once(
     compiled, inflected = [], []
 
     def compile_counted(tmr, frame, sense, tables, **flags):
-        compiled.append((frame.instance_id, sense.id, flags["passive"], flags["tense"],
-                         flags["embedded"]))
+        compiled.append((frame.instance_id, sense.id, flags["tense"], flags["embedded"]))
         return compile_plan(tmr, frame, sense, tables, **flags)
 
     def leaf_counted(tables, leaf):
@@ -260,8 +259,8 @@ def test_a_request_compiles_each_construction_once_and_inflects_each_leaf_once(
     assert report.counts["after-synonyms"] == 20
     # the root's synonym clones share their sense's plan: its main verb is a
     # hole filled per lemma
-    assert sorted(compiled) == [("FASTEN-1", "affix-v1", False, "past", False),
-                                ("FASTEN-1", "fix-v2", False, "past", False)]
+    assert sorted(compiled) == [("FASTEN-1", "affix-v1", "past", False),
+                                ("FASTEN-1", "fix-v2", "past", False)]
     assert len({id(leaf) for leaf in inflected}) == len(inflected)
     # the main verb of every set is one shared leaf per lemma, inflected once
     verbs = [leaf.lemma for leaf in inflected if leaf.function == "main-verb"]
@@ -327,7 +326,7 @@ def test_every_expressible_fixture_builds_trees(kb, config):
             result = run_lexical_selection(tmr, kb, config)
         except (AllSetsPruned, NoRealizableSense):
             continue
-        forest = Forest(tmr, result.root, bundled_morphology())
+        forest = Forest(tmr, result.root, bundled_morphology(), result.sets[0].options)
         for cs in result.sets:
             sol = build_solution(cs, forest)
             assert sol.root.function == "clause"
@@ -350,7 +349,7 @@ def test_leaf_lemmas_come_from_the_knowledge_base(kb, config):
     for name in ("fasten_painting", "moor_ship", "request_polite", "walk_transitive"):
         tmr = load_fixture(name)
         result = run_lexical_selection(tmr, kb, config)
-        forest = Forest(tmr, result.root, bundled_morphology())
+        forest = Forest(tmr, result.root, bundled_morphology(), result.sets[0].options)
         for cs in result.sets:
             sol = build_solution(cs, forest)
             for leaf in _leaves(sol.root):
