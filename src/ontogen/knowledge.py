@@ -325,11 +325,14 @@ class LexSense:
     is_argument_taking says whether there is any; transitive says whether
     the syn-struc has a direct object; subject is the variable of the
     grammatical subject, the first bound bare subj or n node ahead of the
-    head verb, if any. All four are read from the structures once, here, so
-    neither structure may change later. role_bases maps each bound property
-    to the ontology's constraint on it for the head concept; the loader
-    reads it from the ontology and passes it in. The loader checks def, ex and
-    example-bindings, which pick each fixed node's word, and keeps none."""
+    head verb, if any; mood is imperative for a verb-first syn-struc,
+    interrogative for an aux-first one, else declarative; has_aux says
+    whether any node is an aux. All six are read from the structures once,
+    here, so neither structure may change later. role_bases maps each bound
+    property to the ontology's constraint on it for the head concept; the
+    loader reads it from the ontology and passes it in. The loader checks
+    def, ex and example-bindings, which pick each fixed node's word, and
+    keeps none."""
 
     def __init__(self, id: str, headword: str, pos: str, syn_struc: tuple[SynNode, ...],
                  sem_struc: SemFrame, synonyms: tuple[str, ...] = (),
@@ -349,6 +352,9 @@ class LexSense:
         self.subject = next((node.var for node in takewhile(lambda n: n.var or n.word, syn_struc)
                              if node.category in ("subj", "n") and not node.word
                              and node.var in self.bound_roles), None)
+        self.mood = {"v": "imperative", "aux": "interrogative"}.get(syn_struc[0].category,
+                                                                   "declarative")
+        self.has_aux = any(node.category == "aux" for node in syn_struc)
         self.role_bases = {} if role_bases is None else role_bases
 
 
@@ -569,6 +575,10 @@ def _parse_lexicon(data: dict, onto: Ontology, source: str) -> Lexicon:
         if declared.count(0) != 1:
             raise KbValidationError(f"{sid}: expected exactly one $var0 head node, "
                                     f"found {declared.count(0)}", source=source)
+        if len(set(declared)) < len(declared):
+            reused = next(var for i, var in enumerate(declared) if var in declared[:i])
+            raise KbValidationError(f"{sid}: syn-struc has two nodes with $var{reused}",
+                                    source=source)
         sem_raw = body.get("sem-struc", {})
         if not isinstance(sem_raw, dict):
             raise KbValidationError(f"{sid}: sem-struc must be an object, got {sem_raw!r}",

@@ -27,7 +27,6 @@ from .knowledge import (
     KnowledgeBase,
     LexSense,
     MatchDegree,
-    RangeConstraint,
     SemFrame,
     SynNode,
     VarBinding,
@@ -65,6 +64,7 @@ class CandidateSense(NamedTuple):
     ledger: tuple[LedgerEntry, ...] = ()  # reference-stage entries
     semantic: tuple[LedgerEntry, ...] = ()  # set by prune_semantic
     uncovered: tuple[LedgerEntry, ...] = ()  # set by prune_semantic
+    reading: tuple | None = None  # set by prune_syntactic: read_construction's reading
 
     @property
     def lemma(self) -> str:
@@ -425,19 +425,12 @@ def _score_assertion(entries: list[LedgerEntry], value, tmr: Tmr, prop: str,
 
 
 def _score_modifier(entries: list[LedgerEntry], choice: CandidateSense, unit: Unit,
-                    config: GenerationConfig) -> str | None:
-    slot = choice.sense.sem_struc.slots.get(unit.prop)
-    value = unit.value
-    if isinstance(slot, float) and isinstance(value, (int, float)):
-        dist = abs(float(value) - slot)
-    elif isinstance(slot, RangeConstraint) and isinstance(value, (int, float)):
-        v = float(value)
-        dist = 0.0 if slot.low <= v <= slot.high else min(abs(v - slot.low), abs(v - slot.high))
-    else:
-        dist = 0.0
-    if _within_tolerance(entries, dist, config, f"{unit.prop} {value} fits the modifier"):
-        return None
-    return f"{unit.prop} value {value} is outside the sense's range"
+                    config: GenerationConfig) -> None:
+    """Append the graded feature bonus: a modifier is a candidate only where
+    its slot covers the value (Lexicon.senses_for_property), so it fits."""
+    slot, value = choice.sense.sem_struc.slots.get(unit.prop), unit.value
+    dist = abs(float(value) - slot) if isinstance(slot, float) else 0.0
+    _within_tolerance(entries, dist, config, f"{unit.prop} {value} fits the modifier")
 
 
 def _score_candidate(entries: list[LedgerEntry], choice: CandidateSense, unit: Unit,
@@ -446,8 +439,8 @@ def _score_candidate(entries: list[LedgerEntry], choice: CandidateSense, unit: U
     """Append the choice's score entries; return (rule, reason) when it
     asserts content the meaning lacks or contradicts."""
     if unit.kind == "modifier":
-        reason = _score_modifier(entries, choice, unit, config)
-        return ("feature-mismatch", reason) if reason else None
+        _score_modifier(entries, choice, unit, config)
+        return None
     frame = tmr.by_id[choice.frame_id]
     kind = "argument-mismatch" if choice.sense.is_argument_taking else "content-mismatch"
     for prop, slot in choice.sense.sem_struc.slots.items():
@@ -536,24 +529,28 @@ def _participant_ok(word: str, bound_frame: TmrFrame, tmr: Tmr) -> bool:
 
 
 def read_construction(tmr: Tmr, frame: TmrFrame, sense: LexSense, embedded: bool
-                      ) -> tuple[tuple[str, str] | None, bool, list[tuple]]:
+                      ) -> tuple[tuple[str, str] | None, tuple[bool, tuple] | None]:
     """Read an argument-taking sense's syn-struc against its frame, once
-    for both pruning (prune_syntactic) and the plan (solution._compile):
-    (failure, passive, items).
+    for both pruning and the plan: (failure, reading), where
+    prune_syntactic keeps the reading, (passive, items), on the candidate
+    for solution._compile. embedded says the frame is not the root.
 
-    failure is (rule, reason) for the first node that cannot stand, else
-    None. passive says the construction stands only in the passive: a
-    word-less subject whose AGENT is absent gives way to the THEME of a
-    transitive sense, and no direct object is said. items are what the
-    construction says, in surface order, each (category, word, frame):
-    ("head", None, None) for the head verb; (category, word, None) for a
-    fixed word, said whatever fills its role; (category, None, frame) for a
-    role and the frame filling it, the category "subject" for the
-    grammatical subject (sense.subject, or the promoted THEME where the
-    subject node stands); ("prep", word, frame) for a preposition and the
-    frame of the bare noun after it, a phrase left out when no frame fills
-    the noun's role. An embedded frame's word-less subject is never said,
-    so it is not checked; nor is a null-sem node."""
+    failure is (rule, reason) for the first node that cannot stand, and the
+    reading None; else failure is None. An embedded construction is a
+    base-form verb phrase, so it cannot stand (unembeddable) when it has an
+    aux node or says a node before its head. passive says the construction
+    stands only in the passive: a word-less subject whose AGENT is absent
+    gives way to the THEME of a transitive sense, and no direct object is
+    said. items are what the construction says, in surface order, each
+    (category, word, frame): ("head", None, None) for the head verb;
+    (category, word, None) for a fixed word, said whatever fills its role;
+    (category, None, frame) for a role and the frame filling it, the
+    category "subject" for the grammatical subject (sense.subject, or the
+    promoted THEME where the subject node stands); ("prep", word, frame) for
+    a preposition and the frame of the bare noun after it, a phrase left out
+    when no frame fills the noun's role. An embedded frame's word-less
+    subject is never said, so it is neither checked nor counted as said; nor
+    is a null-sem node."""
     bound, by_id, null_sem = sense.bound_roles, tmr.by_id, sense.sem_struc.null_sem
     theme = tmr.filler(frame, "THEME")
     passive, items, previous = False, [], None
@@ -561,18 +558,19 @@ def read_construction(tmr: Tmr, frame: TmrFrame, sense: LexSense, embedded: bool
         category, var, word, optional = node
         prop = bound.get(var)
         filler = None if prop is None else tmr.filler(frame, prop)
+        if var == 0 and embedded and (sense.has_aux or items):
+            return ("unembeddable", f"{sense.id} cannot stand as an embedded verb phrase"), None
         if var == 0 or var in null_sem or optional and filler is None \
                 or category == "subj" and not word and embedded:
             pass
         elif prop is None:
             if not word:
-                return ("unfillable", f"{category} $var{var} has no meaning to express"), \
-                    False, []
+                return ("unfillable", f"{category} $var{var} has no meaning to express"), None
         elif filler is None:
             if word or prop != "AGENT" or category != "subj" or not sense.transitive \
                     or theme is None:
                 return ("unfillable", f"{category} $var{var} needs {prop}, absent from "
-                                      f"the meaning"), False, []
+                                      f"the meaning"), None
             passive = True
             if isinstance(theme, InstanceRef):
                 items.append(("subject", None, by_id[theme.id]))
@@ -581,11 +579,11 @@ def read_construction(tmr: Tmr, frame: TmrFrame, sense: LexSense, embedded: bool
             if isinstance(filler, InstanceRef) \
                     and not _participant_ok(word, by_id[filler.id], tmr):
                 return ("participant-mismatch",
-                        f"fixed word {word!r} does not fit {filler.id}"), False, []
+                        f"fixed word {word!r} does not fit {filler.id}"), None
         elif not isinstance(filler, InstanceRef):
             shown = filler.name if isinstance(filler, ConceptRef) else filler
             return ("unfillable", f"{category} $var{var} needs an instance for "
-                                  f"{prop}, got {shown!r}"), False, []
+                                  f"{prop}, got {shown!r}"), None
 
         if word:
             items.append((category, word, None))
@@ -600,31 +598,31 @@ def read_construction(tmr: Tmr, frame: TmrFrame, sense: LexSense, embedded: bool
                           by_id[filler.id]))
         previous = node
     if theme is not None and "THEME" not in sense.sem_struc.slots:
-        return ("unhosted-theme", f"the meaning has a THEME that {sense.id} cannot host"), \
-            False, []
+        return ("unhosted-theme", f"the meaning has a THEME that {sense.id} cannot host"), None
     if passive:
         items = [item for item in items if item[0] != "directobject"]
-    return None, passive, items
+    return None, (passive, tuple(items))
 
 
 def prune_syntactic(units: list[Unit], tmr: Tmr, root: TmrFrame,
                     trace: list[TraceRecord]) -> list[Unit]:
     """Check each frame candidate once: exclude it when it is a pronoun for
     a modified referent, or when its construction, read against its frame
-    (read_construction), cannot stand. Only the root says its word-less
-    subject node, so only the root checks it."""
+    (read_construction), cannot stand; else keep that reading on it. Every
+    frame but the root is read as embedded."""
     for unit in units:
         if unit.kind == "modifier":
             continue
         frame = tmr.by_id[unit.frame_id]
         kept = []
         for choice in unit.candidates:
+            failure = None
             if choice.is_pronoun and choice.modifiers:
                 failure = ("pronoun-with-modifiers",
                            "a modified referent cannot be realized as a pronoun")
-            else:
-                failure = choice.sense.is_argument_taking and read_construction(
-                    tmr, frame, choice.sense, frame is not root)[0]
+            elif choice.sense.is_argument_taking:
+                failure, reading = read_construction(tmr, frame, choice.sense, frame is not root)
+                choice = choice._replace(reading=reading)
             if failure:
                 _exclude(trace, "syntactic", choice, *failure)
             else:

@@ -5,15 +5,15 @@ a lemma plus the features the realizer needs (tense, form, number, person,
 case); containers carry ordered children.
 
 The sets of one request share a Forest, which builds what they read once
-per candidate: each construction compiled once per frame, sense and
-embedding into a plan of fixed leaves, realized once, and holes; each
-hole's piece (its text, first token, whether it ends in "a", proper names
-and the node it came from) in a table indexed by candidate position; and
-each root candidate's verb pieces. One more set costs one lookup per
-clause, one index per hole and one assembly per embedded verb phrase: no
-node and no syn-struc walk. Its tree is built from the nodes its pieces hold when
-first read. A frame that embeds itself, directly or through other frames,
-is a TmrError.
+per candidate: each construction compiled once per frame and sense, from
+the reading syntactic pruning kept, into a plan of fixed leaves, realized
+once, and holes; each hole's piece (its text, first token, whether it ends
+in "a", proper names and the node it came from) in a table indexed by
+candidate position; and each root candidate's verb pieces. One more set
+costs one lookup per clause, one index per hole and one assembly per
+embedded verb phrase: no node and no syn-struc walk. Its tree is built from
+the nodes its pieces hold when first read. A frame that embeds itself,
+directly or through other frames, is a TmrError.
 """
 
 from __future__ import annotations
@@ -22,8 +22,7 @@ import functools
 import itertools
 
 from .errors import TmrError
-from .knowledge import LexSense
-from .pipeline import CandidateSense, CandidateSet, modifier_key, read_construction
+from .pipeline import CandidateSense, CandidateSet, modifier_key
 from .realizer import MorphTables, _assemble, _piece
 from .tmr import RelativeTime, Tmr, TmrFrame, relative_time_of
 
@@ -111,15 +110,6 @@ _FIXED_BY_CATEGORY = {"aux": "auxiliary", "adv": "adverb", "prep": "preposition"
 _DETERMINER_WORDS = {"indefinite": "a", "definite": "the", "some": "some"}
 
 
-def _mood_of(sense: LexSense) -> str:
-    first = sense.syn_struc[0].category
-    if first == "v":
-        return "imperative"
-    if first == "aux":
-        return "interrogative"
-    return "declarative"
-
-
 # A plan item is a piece (a fixed leaf's, or a verb's place, which each
 # set fills from the frame's choice unless the leaf names its lemma) or a
 # hole a set fills from its choices: a nominal, a prepositional phrase or a
@@ -128,21 +118,22 @@ def _mood_of(sense: LexSense) -> str:
 _PIECE, _HOLE, _SUBJECT = range(3)
 
 
-def _compile(tmr: Tmr, frame: TmrFrame, sense: LexSense, forest: Forest, *,
-             tense: str, embedded: bool) -> tuple:
-    """The construction as a plan, which no set changes: its items in
-    surface order, each (kind, piece or Forest.hole); its verbs, each
+def _compile(frame: TmrFrame, choice: CandidateSense, forest: Forest) -> tuple:
+    """The choice's construction as a plan, which no set changes: its items
+    in surface order, each (kind, piece or Forest.hole); its verbs, each
     (position, leaf, whether it agrees with the subject); its mood; and its
-    voice. What it says is read_construction's reading; fixed leaves are
-    realized here, once. An embedded construction has no subject and a
-    base-form verb; a construction that takes no arguments is one nominal."""
+    voice. What it says is the reading syntactic pruning kept; fixed leaves
+    are realized here, once. Every frame but the root is embedded: no
+    subject, a base-form verb, the present. One that takes no arguments is
+    one nominal."""
     hole = forest.hole
+    sense = choice.sense
     if not sense.is_argument_taking:
         return ((_HOLE, hole(frame, "nominal")),), (), "declarative", "active"
-    _, passive, reading = read_construction(tmr, frame, sense, embedded)
-    mood = _mood_of(sense)
-    base = embedded or mood == "imperative" or any(node.category == "aux"
-                                                   for node in sense.syn_struc)
+    passive, reading = choice.reading
+    embedded = frame is not forest.root
+    tense = "present" if embedded else forest.tense
+    base = embedded or sense.mood == "imperative" or sense.has_aux
     items: list[tuple] = []
     verbs: list[tuple] = []
 
@@ -171,7 +162,7 @@ def _compile(tmr: Tmr, frame: TmrFrame, sense: LexSense, forest: Forest, *,
         else:
             items.append((_HOLE, hole(target, _ROLE_BY_CATEGORY.get(category, "nominal"),
                                       verbal=category == "v")))
-    return tuple(items), tuple(verbs), mood, "passive" if passive else "active"
+    return tuple(items), tuple(verbs), sense.mood, "passive" if passive else "active"
 
 
 class Forest:
@@ -188,7 +179,7 @@ class Forest:
         self.tense = derive_tense(root, tmr)
         self.unit = {column[0].unit_key: u for u, column in enumerate(options)}
         self.built: dict[tuple, object] = {}
-        self.clauses: dict[tuple, object] = {}  # by unit, position and embedding
+        self.clauses: dict[tuple, object] = {}  # by unit and position
 
     def hole(self, frame: TmrFrame, function: str, preposition: str | None = None,
              verbal: bool = False) -> tuple:
@@ -236,24 +227,22 @@ class Forest:
                                                    Constituent("nominal", children=tuple(children))))
         return _piece(self.tables, node), (number, person)
 
-    def clause(self, frame: TmrFrame, positions: tuple[int, ...], embedded: bool):
-        """The clause of the frame's choice in the set, once per position and
-        embedding: (plan, lemma, verb pieces by agreement), or False for an
-        embedded choice that takes no arguments. A plan is compiled once per
-        sense and embedding, in the forest's tense or, embedded, the present."""
+    def clause(self, frame: TmrFrame, positions: tuple[int, ...]):
+        """The clause of the frame's choice in the set, once per position:
+        (plan, lemma, verb pieces by agreement), or False for a choice that
+        takes no arguments of an embedded frame, any but the root. A plan is
+        compiled once per frame and sense."""
         unit = self.unit[frame.instance_id]
-        key = (unit, positions[unit], embedded)
+        key = (unit, positions[unit])
         clause = self.clauses.get(key)
         if clause is None:
             choice = self.options[unit][positions[unit]]
-            if embedded and not choice.sense.is_argument_taking:
+            if frame is not self.root and not choice.sense.is_argument_taking:
                 clause = False
             else:
-                plan = ("plan", frame.instance_id, choice.sense, embedded)
+                plan = ("plan", frame.instance_id, choice.sense)
                 if plan not in self.built:
-                    self.built[plan] = _compile(
-                        self.tmr, frame, choice.sense, self,
-                        tense="present" if embedded else self.tense, embedded=embedded)
+                    self.built[plan] = _compile(frame, choice, self)
                 clause = (self.built[plan], choice.lemma, {})
             self.clauses[key] = clause
         return clause
@@ -271,7 +260,7 @@ class Forest:
                 pieces.append(held)
                 continue
             unit, mods, entry, verbal = held
-            inner = verbal and self.clause(verbal, positions, embedded=True)
+            inner = verbal and self.clause(verbal, positions)
             if inner:
                 pieces.append(self.embedded_phrase(positions, verbal, inner, path))
                 continue
@@ -315,7 +304,7 @@ def build_solution(cs: CandidateSet, forest: Forest) -> CandidateSolution:
     unbound frames stay silent. The sets of one request pass one forest,
     built on their options, and share what it builds."""
     root_id = forest.root.instance_id
-    clause = forest.clause(forest.root, cs.positions, embedded=False)
+    clause = forest.clause(forest.root, cs.positions)
     _, _, mood, voice = clause[0]
     return CandidateSolution(cs, forest.fill(cs.positions, clause, (root_id,)), mood,
                              forest.tense, voice, root_id)

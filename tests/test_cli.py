@@ -226,6 +226,47 @@ def test_an_embedded_event_never_says_its_subject(tmp_path, capsys, agent):
                                 "3. Could you please make dinner?"]
 
 
+def test_a_request_inside_a_request_says_only_embeddable_constructions(tmp_path, capsys):
+    """An embedded frame is a base-form verb phrase: a construction with an
+    aux node (appreciate-v8, could-v9) cannot stand there, so only
+    request-v2 is said inside the outer request."""
+    doc = json.loads(fixture_path("request_polite").read_text())
+    frames = doc["frames"]
+    frames["REQUEST-ACTION-2"] = {**frames["REQUEST-ACTION-1"], "THEME": "PREPARE-FOOD-1",
+                                  "THEME-OF": ["REQUEST-ACTION-1"]}
+    frames["REQUEST-ACTION-1"]["THEME"] = "REQUEST-ACTION-2"
+    frames["PREPARE-FOOD-1"]["THEME-OF"] = ["REQUEST-ACTION-2"]
+    path = tmp_path / "nested.json"
+    path.write_text(json.dumps(doc))
+    assert main(["generate", "--tmr", str(path), "--top", "20"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "1. I would really appreciate it if you would request that you make dinner.",
+        "2. I request that you request that you make dinner.",
+        "3. Could you please request that you make dinner?"]
+    assert main(["generate", "--tmr", str(path), "--format", "json", "--trace"]) == 0
+    syntactic = [record for record in json.loads(capsys.readouterr().out)["trace"]
+                 if record["stage"] == "syntactic"]
+    assert syntactic == [
+        {"stage": "syntactic", "subject": f"REQUEST-ACTION-2/{sense}", "rule": "unembeddable",
+         "note": f"{sense} cannot stand as an embedded verb phrase"}
+        for sense in ("appreciate-v8", "could-v9")]
+
+
+def test_a_human_no_referring_expression_fits_exits_2(tmp_path):
+    """A HUMAN frame with no name that memory does not know is described,
+    and a lexicon whose only HUMAN senses are pronouns cannot describe it."""
+    lexicon = json.loads((KB_DIR / "lexicon.json").read_text())
+    lexicon["senses"] = [sense for sense in lexicon["senses"]
+                         if sense["sem-struc"]["head"] != "HUMAN" or "reference" in sense]
+    lexicon_path, tmr_path = tmp_path / "lexicon.json", tmp_path / "human.json"
+    lexicon_path.write_text(json.dumps(lexicon))
+    tmr_path.write_text(json.dumps({"schema": "ontogen-tmr/1", "frames": {"HUMAN-1": {}}}))
+    proc = run_cli("generate", "--lexicon", str(lexicon_path), "--tmr", str(tmr_path))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines()[0] == "error: no referring expression fits: HUMAN-1"
+
+
 _ANN_WALKS = {"WALK-3": {"AGENT": "HUMAN-9"}, "HUMAN-9": {"HAS-NAME": "Ann"}}
 
 
@@ -276,20 +317,25 @@ def test_a_frame_of_an_unknown_concept_names_the_file_and_the_frame(tmp_path, ca
 
 
 _REQUEST = {"POLITENESS": 0, "REFUSAL-OPPORTUNITY": 0}
+# a request that embeds (request-v2) needs a speaker and a hearer to ask
+_POLITE = {"AGENT": "HUMAN-1", "BENEFICIARY": "HUMAN-2", "POLITENESS": 0.8,
+           "REFUSAL-OPPORTUNITY": 0.8}
 
 
-@pytest.mark.parametrize("frames, shown", [
-    ({"REQUEST-ACTION-1": {"THEME": "REQUEST-ACTION-2", **_REQUEST},
-      "REQUEST-ACTION-2": {"THEME": "REQUEST-ACTION-1", **_REQUEST}},
+@pytest.mark.parametrize("doc, shown", [
+    ({"speaker": "HUMAN-1", "hearer": "HUMAN-2", "frames": {
+        "REQUEST-ACTION-1": {"THEME": "REQUEST-ACTION-2", **_POLITE},
+        "REQUEST-ACTION-2": {"THEME": "REQUEST-ACTION-1", **_POLITE},
+        "HUMAN-1": {}, "HUMAN-2": {}}},
      "REQUEST-ACTION-1 -> REQUEST-ACTION-2 -> REQUEST-ACTION-1"),
-    ({"REQUEST-ACTION-1": {"THEME": "REQUEST-ACTION-1", **_REQUEST}},
+    ({"frames": {"REQUEST-ACTION-1": {"THEME": "REQUEST-ACTION-1", **_REQUEST}}},
      "REQUEST-ACTION-1 -> REQUEST-ACTION-1"),
 ], ids=["through-another-frame", "directly"])
 @pytest.mark.parametrize("fmt", ["human", "json"])
-def test_a_frame_that_embeds_itself_names_the_file_and_the_path(tmp_path, capsys, frames,
+def test_a_frame_that_embeds_itself_names_the_file_and_the_path(tmp_path, capsys, doc,
                                                                   shown, fmt):
     path = tmp_path / "loop.json"
-    path.write_text(json.dumps({"schema": "ontogen-tmr/1", "frames": frames}))
+    path.write_text(json.dumps({"schema": "ontogen-tmr/1", **doc}))
     assert main(["generate", "--tmr", str(path), "--format", fmt]) == 1
     out, err = capsys.readouterr()
     assert out == ""

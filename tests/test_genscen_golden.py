@@ -12,7 +12,7 @@ So sentences, totals, terms, signatures, ledgers,
 trees, counts, messages and trace are all pinned for 600 reports without
 committing them. The role mutations (role_mutations) are hashed the same
 way on the bundled KB into ``golden/mutations/digests.json``; every one of
-them must end in a report or an OntogenError.
+them must end in a report or an OntogenError, and match its digest.
 
 After a deliberate output change, regenerate the digests from the
 repository root with
@@ -161,7 +161,10 @@ def test_every_genscen_report_matches_its_digest():
 
 def test_every_role_mutation_ends_in_a_report_or_an_ontogen_error():
     # an exception other than an OntogenError escapes mutation_reports
-    assert len(mutation_reports()) == 2041
+    actual = mutation_digests()
+    assert len(actual) == 2041
+    shifted = moved(MUTATION_DIGESTS, actual)
+    assert not shifted, f"{len(shifted)} mutation reports moved: {', '.join(shifted)}"
 
 
 if __name__ == "__main__":

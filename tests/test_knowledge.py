@@ -318,7 +318,18 @@ def test_sense_head_variable_is_required_and_unique(tmp_path):
       "syn-struc": [{"cat": "subj", "var": 1}, {"cat": "v", "var": 0}],
       "sem-struc": {"head": "EVENT", "slots": {"AGENT": {"var": 1}, "THEME": {"var": 1}}}},
      r"walk-v1: sem-struc binds \$var1 in both AGENT and THEME"),
-], ids=["node-without-var", "sense-not-object", "variable-bound-twice"])
+    ({"id": "push-v1", "headword": "push", "pos": "v",
+      "syn-struc": [{"cat": "subj", "var": 1}, {"cat": "v", "var": 0},
+                    {"cat": "directobject", "var": 2}, {"cat": "n", "var": 2}],
+      "sem-struc": {"head": "EVENT", "slots": {"AGENT": {"var": 1}, "THEME": {"var": 2}}}},
+     r"push-v1: syn-struc has two nodes with \$var2"),
+    # a second head is named as such, not as a reused variable
+    ({"id": "act-v2", "headword": "act", "pos": "v",
+      "syn-struc": [{"cat": "v", "var": 0}, {"cat": "v", "var": 0}],
+      "sem-struc": {"head": "EVENT", "slots": {}}},
+     r"act-v2: expected exactly one \$var0 head node, found 2"),
+], ids=["node-without-var", "sense-not-object", "variable-bound-twice", "variable-on-two-nodes",
+        "two-heads"])
 def test_malformed_sense_is_a_kb_validation_error(tmp_path, sense, match):
     with pytest.raises(KbValidationError, match=match):
         _lexicon_with(sense, tmp_path)

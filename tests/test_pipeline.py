@@ -256,6 +256,26 @@ def test_feature_distance_grades_the_bonus_and_prunes_beyond_tolerance(kb, confi
                for r in result.trace)
 
 
+_BOX_ONTOLOGY = {"concepts": {"ALL": {"parents": []}, "OBJECT": {"parents": ["ALL"]},
+                              "BOX": {"parents": ["OBJECT"]}}}
+
+
+@pytest.mark.parametrize("weight, sentence, entry", [
+    (0.9, "A heavy box.", ("BOX-1/WEIGHT", "feature-match", 10, "WEIGHT 0.9 fits the modifier")),
+    (0.5, "A box.", ("BOX-1", "uncovered-slot", -5, "WEIGHT is not expressed by box-n1")),
+], ids=["its-value", "another-value"])
+def test_a_scalar_modifier_slot_covers_only_its_own_value(tmp_path, weight, sentence, entry):
+    kb = make_kb(tmp_path, ontology=_BOX_ONTOLOGY, lexicon={"senses": [
+        {"id": "box-n1", "headword": "box", "pos": "n", "syn-struc": [{"cat": "n", "var": 0}],
+         "sem-struc": {"head": "BOX", "slots": {}}},
+        {"id": "heavy-adj1", "headword": "heavy", "pos": "adj",
+         "syn-struc": [{"cat": "adj", "var": 0}],
+         "sem-struc": {"head": "OBJECT", "slots": {"WEIGHT": 0.9}}}]})
+    report = generate(_dict_tmr({"BOX-1": {"WEIGHT": weight}}), kb)
+    assert [(s.sentence, s.ledger) for s in report.sentences] == [
+        (sentence, ((entry[0], pipeline.LedgerEntry(*entry[1:])),))]
+
+
 def test_each_excluded_candidate_is_traced_once(kb):
     report = generate(load_fixture("moor_ship"), kb)
     assert [(r.stage, r.subject) for r in report.trace] == [
@@ -281,8 +301,31 @@ def test_missing_agent_rescues_transitives_into_the_passive(kb, config):
     tmr = load_fixture("fasten_passive")
     result = run_lexical_selection(tmr, kb, config)
     assert result.sets
-    assert all(read_construction(tmr, tmr.by_id["FASTEN-9"], cs.choices["FASTEN-9"].sense,
-                                 False)[:2] == (None, True) for cs in result.sets)
+    assert all(cs.choices["FASTEN-9"].reading[0] for cs in result.sets)
+
+
+def test_a_request_reads_each_construction_once_at_syntactic_pruning(kb, monkeypatch):
+    """The plan is built from the reading pruning kept on the candidate, so
+    no construction is read again to compile it."""
+    read, reached = [], []
+
+    def read_counted(tmr, frame, sense, embedded):
+        read.append((frame.instance_id, sense.id))
+        return read_construction(tmr, frame, sense, embedded)
+
+    def prune_counted(units, tmr, root, trace):
+        reached.extend((unit.frame_id, choice.sense.id) for unit in units
+                       for choice in unit.candidates if choice.sense.is_argument_taking)
+        return prune_syntactic(units, tmr, root, trace)
+
+    monkeypatch.setattr(pipeline, "read_construction", read_counted)
+    monkeypatch.setattr(pipeline, "prune_syntactic", prune_counted)
+    assert not hasattr(solution, "read_construction")
+    for path in sorted(TMR_DIR.glob("*.json")):
+        if path.stem != "empty":
+            assert generate(load_fixture(path.stem), kb).sentences
+    assert read == reached
+    assert len(read) == 33
 
 
 def test_nothing_survives_a_meaning_no_sense_can_host(kb, config):

@@ -227,10 +227,14 @@ def test_participant_pronouns_carry_person_and_case(kb, config):
 
 
 def test_a_frame_that_embeds_itself_is_a_tmr_error_naming_the_path(kb):
-    request = {"POLITENESS": 0, "REFUSAL-OPPORTUNITY": 0}
+    # a request that embeds (request-v2) needs a speaker and a hearer to ask
+    request = {"AGENT": "HUMAN-1", "BENEFICIARY": "HUMAN-2", "POLITENESS": 0.8,
+               "REFUSAL-OPPORTUNITY": 0.8}
     frames = {"REQUEST-ACTION-1": {"THEME": "REQUEST-ACTION-2", **request},
-              "REQUEST-ACTION-2": {"THEME": "REQUEST-ACTION-1", **request}}
-    tmr = parse_tmr(json.dumps({"schema": "ontogen-tmr/1", "frames": frames}), source="loop.json")
+              "REQUEST-ACTION-2": {"THEME": "REQUEST-ACTION-1", **request},
+              "HUMAN-1": {}, "HUMAN-2": {}}
+    tmr = parse_tmr(json.dumps({"schema": "ontogen-tmr/1", "speaker": "HUMAN-1",
+                                "hearer": "HUMAN-2", "frames": frames}), source="loop.json")
     with pytest.raises(TmrError) as caught:
         generate(tmr, kb)
     assert str(caught.value) == ("loop.json: a frame embeds itself: "
@@ -243,9 +247,10 @@ def test_a_request_compiles_each_construction_once_and_inflects_each_leaf_once(
         kb, monkeypatch):
     compiled, inflected = [], []
 
-    def compile_counted(tmr, frame, sense, tables, **flags):
-        compiled.append((frame.instance_id, sense.id, flags["tense"], flags["embedded"]))
-        return compile_plan(tmr, frame, sense, tables, **flags)
+    def compile_counted(frame, choice, forest):
+        compiled.append((frame.instance_id, choice.sense.id, forest.tense,
+                         frame is not forest.root))
+        return compile_plan(frame, choice, forest)
 
     def leaf_counted(tables, leaf):
         inflected.append(leaf)  # held, so no two leaves share an id
