@@ -8,10 +8,11 @@ clones and the other sets of the request. Up to aggregation, each stage
 narrows the units' candidate lists in place and returns the list it was
 given. Only the frames the root reaches become units: a frame nothing
 attaches to the root cannot be said, so it is named in one message and
-never scored. Every pruning rule reads one candidate and its own frame, so
-each candidate is scored and checked once, and only survivors are
-combined. Every score delta and every exclusion is recorded, so a set's
-score is explained by its ledger, which is built only when read.
+never scored. Every pruning rule but one reads one candidate and its own
+frame, so each candidate is scored and read once; the one, verb-slot, then
+weighs the readings kept against the frames their "v" nodes read. Only
+survivors are combined. Every score delta and every exclusion is recorded,
+so a set's score is explained by its ledger, which is built only when read.
 """
 
 from __future__ import annotations
@@ -609,7 +610,11 @@ def prune_syntactic(units: list[Unit], tmr: Tmr, root: TmrFrame,
     """Check each frame candidate once: exclude it when it is a pronoun for
     a modified referent, or when its construction, read against its frame
     (read_construction), cannot stand; else keep that reading on it. Every
-    frame but the root is read as embedded."""
+    frame but the root is read as embedded. Then, if a "v" node reads a
+    frame with a candidate that takes no arguments, each frame a "v" node
+    reads is said as a verb phrase (_prune_verb_slots)."""
+    # the frames "v" nodes read, and those with a candidate that takes no arguments
+    embedded, nominal = set(), set()
     for unit in units:
         if unit.kind == "modifier":
             continue
@@ -623,15 +628,57 @@ def prune_syntactic(units: list[Unit], tmr: Tmr, root: TmrFrame,
             elif choice.sense.is_argument_taking:
                 failure, reading = read_construction(tmr, frame, choice.sense, frame is not root)
                 choice = choice._replace(reading=reading)
+                for category, _, target in reading[1] if reading else ():
+                    if category == "v" and target:
+                        embedded.add(target.instance_id)
+            else:
+                nominal.add(unit.frame_id)
             if failure:
                 _exclude(trace, "syntactic", choice, *failure)
             else:
                 kept.append(choice)
         unit.candidates = kept
+    if embedded & nominal and all(unit.candidates for unit in units):
+        _prune_verb_slots([unit for unit in units if unit.kind == "frame"], trace)
     if not all(unit.candidates for unit in units):
         raise AllSetsPruned("every candidate set was excluded on syntactic grounds",
                             trace=trace)
     return units
+
+
+def _prune_verb_slots(units: list[Unit], trace: list[TraceRecord]) -> None:
+    """Arc consistency over the tree of frames (Mackworth 1977): exclude a
+    candidate whose reading has a "v" node for a frame with no
+    argument-taking candidate left, until none is; then a candidate that
+    takes no arguments from a frame every reading left says through a "v"
+    node. A frame some reading says as a nominal keeps its candidates."""
+    def drop(notes: dict[int, str]) -> None:
+        """Exclude each candidate whose id notes holds, with its note."""
+        for unit in units:
+            for choice in unit.candidates:
+                if id(choice) in notes:
+                    _exclude(trace, "syntactic", choice, "verb-slot", notes[id(choice)])
+            unit.candidates = [c for c in unit.candidates if id(c) not in notes]
+
+    lost = True
+    while lost:
+        phrasal = {unit.frame_id for unit in units
+                   if any(c.sense.is_argument_taking for c in unit.candidates)}
+        lost = {id(c): f"v needs {target.instance_id} said as a verb phrase, and no candidate "
+                       f"left for it takes arguments"
+                for unit in units for c in unit.candidates if c.reading
+                for category, _, target in c.reading[1]
+                if category == "v" and target and target.instance_id not in phrasal}
+        drop(lost)
+    said: dict[str, set[bool]] = {}  # frame id: whether each reading says it through "v"
+    for category, _, target in (item for unit in units for c in unit.candidates if c.reading
+                                for item in c.reading[1]):
+        if target:
+            said.setdefault(target.instance_id, set()).add(category == "v")
+    drop({id(c): f"every reading left says {unit.frame_id} through v, as a verb phrase, and "
+                 f"{c.sense.id} takes no arguments"
+          for unit in units if said.get(unit.frame_id) == {True}
+          for c in unit.candidates if not c.sense.is_argument_taking})
 
 
 # ---------------------------------------------------------------------------

@@ -7,10 +7,10 @@ attach to the word on their left, and "a" becomes "an" before a word that
 takes it.
 
 Each piece of a sentence is realized once per request, by the forest that
-builds the request's sets (solution.py), into its text, its first token,
-whether it ends in "a", and its proper names. A set's sentence is one
-assembly over its pieces: their texts joined, a piece's final "a" resolved
-against the next piece, then the capital and the terminal mark.
+builds the request's sets (solution.py), into its text, whether it ends in
+"a", and its proper names. A set's sentence is one assembly over its
+pieces: their texts joined, a piece's final "a" resolved against the first
+word of the next piece, then the capital and the terminal mark.
 """
 
 from __future__ import annotations
@@ -33,6 +33,9 @@ _SIBILANT_ENDINGS = ("s", "x", "z", "ch", "sh")
 _TERMINAL = {"declarative": ".", "interrogative": "?", "imperative": "!"}
 _MODALS = frozenset({"will", "would", "can", "could", "shall", "should",
                      "may", "might", "must"})
+# a text's first word: up to a space, or to a token that attaches to it by
+# opening with a comma or an apostrophe
+_FIRST_WORD = re.compile(r"\s*([,']?[^\s,']*)")
 
 
 class MorphTables:
@@ -209,40 +212,38 @@ def _leaf_token(tables: MorphTables, leaf: Constituent) -> str:
 
 
 def _piece(tables: MorphTables, node: Constituent) -> tuple:
-    """The node as a piece of text: (text, first token, whether its last
-    token is "a", proper-name lemmas in surface order, node). The text is
-    the node's tokens joined, every article resolved but a final "a", which
-    waits for the word that follows the node."""
+    """The node as a piece of text: (text, whether its last token is "a",
+    proper-name lemmas in surface order, node). The text is the node's
+    tokens joined, every article resolved but a final "a", which waits for
+    the word that follows the node."""
     if node.is_leaf:
         token = _leaf_token(tables, node)
         names = (node.lemma,) if node.proper and node.lemma else ()
-        return token, token, token == "a", names, node
+        return token, token == "a", names, node
     return _assemble(tables, [_piece(tables, child) for child in node.children]) + (node,)
 
 
-def _assemble(tables: MorphTables, pieces: list[tuple]) -> tuple[str, str, bool, tuple]:
-    """Pieces in surface order as one: (text, first token, whether the last
-    token is "a", names). A piece's final "a" becomes "a" or "an" for the
-    first word of the next piece with text; a piece opening with a comma or
-    an apostrophe attaches to the text on its left."""
-    text = first = ""
+def _assemble(tables: MorphTables, pieces: list[tuple]) -> tuple[str, bool, tuple]:
+    """Pieces in surface order as one: (text, whether the last token is
+    "a", names). A piece's final "a" becomes "a" or "an" for the first word
+    of the next piece with text; a piece opening with a comma or an
+    apostrophe attaches to the text on its left."""
+    text = ""
     ends_in_a = False
     names: tuple[str, ...] = ()
-    for word, head, last_is_a, piece_names, _ in pieces:
+    for word, last_is_a, piece_names, _ in pieces:
         if piece_names:
             names += piece_names
         if not word:
             continue
-        if not text:
-            first = head
-        else:
+        if text:
             if ends_in_a:
-                text = text[:-1] + indefinite_article(tables, head.split()[0])
+                text = text[:-1] + indefinite_article(tables, _FIRST_WORD.match(word)[1])
             if not word.startswith((",", "'")):
                 text += " "
         text += word
         ends_in_a = last_is_a
-    return text, first, ends_in_a, names
+    return text, ends_in_a, names
 
 
 def _capitalize(text: str) -> str:
@@ -256,7 +257,7 @@ def realize(solution: CandidateSolution, tables: MorphTables) -> str:
     """The finished sentence: the solution's pieces joined, capitalized
     and given the mood's terminal mark; stored on the solution with its
     proper names."""
-    text, _, _, solution.names = _assemble(tables, solution.pieces)
+    text, _, solution.names = _assemble(tables, solution.pieces)
     text = _capitalize(text) + _TERMINAL.get(solution.mood, ".")
     solution.sentence = text
     return text

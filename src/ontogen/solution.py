@@ -7,13 +7,13 @@ case); containers carry ordered children.
 The sets of one request share a Forest, which builds what they read once
 per candidate: each construction compiled once per frame and sense, from
 the reading syntactic pruning kept, into a plan of fixed leaves, realized
-once, and holes; each hole's piece (its text, first token, whether it ends
-in "a", proper names and the node it came from) in a table indexed by
-candidate position; and each root candidate's verb pieces. One more set
-costs one lookup per clause, one index per hole and one assembly per
-embedded verb phrase: no node and no syn-struc walk. Its tree is built from
-the nodes its pieces hold when first read. A frame that embeds itself,
-directly or through other frames, is a TmrError.
+once, holes and embedded clauses; each hole's piece (its text, whether it
+ends in "a", proper names and the node it came from) in a table indexed by
+candidate position; and each clause's verb pieces, once per subject
+agreement. One more set costs one lookup per clause, one index per hole and
+one assembly per embedded verb phrase: no node and no syn-struc walk. Its
+tree is built from the nodes its pieces hold when first read. A frame that
+embeds itself, directly or through other frames, is a TmrError.
 """
 
 from __future__ import annotations
@@ -64,11 +64,6 @@ class Constituent:
     def is_leaf(self) -> bool:
         return self.lemma is not None
 
-    def walk(self):
-        yield self
-        for child in self.children:
-            yield from child.walk()
-
 
 class CandidateSolution:
     """mood is declarative, interrogative or imperative; root_id names the
@@ -111,21 +106,22 @@ _DETERMINER_WORDS = {"indefinite": "a", "definite": "the", "some": "some"}
 
 
 # A plan item is a piece (a fixed leaf's, or a verb's place, which each
-# set fills from the frame's choice unless the leaf names its lemma) or a
-# hole a set fills from its choices: a nominal, a prepositional phrase or a
-# "v" slot (an embedded phrase when its frame's choice takes arguments,
-# else a nominal), or the subject nominal, which finite verbs agree with.
-_PIECE, _HOLE, _SUBJECT = range(3)
+# set fills from the frame's choice unless the leaf names its lemma), a
+# hole a set fills from its choices (a nominal or a prepositional phrase),
+# the subject nominal, which finite verbs agree with, or a "v" slot's
+# frame, whose clause a set embeds as a verb phrase.
+_PIECE, _HOLE, _SUBJECT, _EMBED = range(4)
 
 
 def _compile(frame: TmrFrame, choice: CandidateSense, forest: Forest) -> tuple:
     """The choice's construction as a plan, which no set changes: its items
-    in surface order, each (kind, piece or Forest.hole); its verbs, each
-    (position, leaf, whether it agrees with the subject); its mood; and its
-    voice. What it says is the reading syntactic pruning kept; fixed leaves
-    are realized here, once. Every frame but the root is embedded: no
-    subject, a base-form verb, the present. One that takes no arguments is
-    one nominal."""
+    in surface order, each (kind, piece, Forest.hole or the frame a "v"
+    slot embeds); its verbs, each (position, leaf, whether it agrees with
+    the subject); its mood; and its voice. What it says is the reading
+    syntactic pruning kept; fixed leaves are realized here, once. Every
+    frame but the root is embedded: no subject, a base-form verb, the
+    present. One that takes no arguments is one nominal, in a verb phrase
+    where a "v" slot embeds it."""
     hole = forest.hole
     sense = choice.sense
     if not sense.is_argument_taking:
@@ -159,9 +155,10 @@ def _compile(frame: TmrFrame, choice: CandidateSense, forest: Forest) -> tuple:
             items.append((_HOLE, hole(target, "prepositional-phrase", word)))
         elif category == "subject":
             items.append((_SUBJECT, hole(target, "subject")))
+        elif category == "v":
+            items.append((_EMBED, target))
         else:
-            items.append((_HOLE, hole(target, _ROLE_BY_CATEGORY.get(category, "nominal"),
-                                      verbal=category == "v")))
+            items.append((_HOLE, hole(target, _ROLE_BY_CATEGORY.get(category, "nominal"))))
     return tuple(items), tuple(verbs), sense.mood, "passive" if passive else "active"
 
 
@@ -181,15 +178,11 @@ class Forest:
         self.built: dict[tuple, object] = {}
         self.clauses: dict[tuple, object] = {}  # by unit and position
 
-    def hole(self, frame: TmrFrame, function: str, preposition: str | None = None,
-             verbal: bool = False) -> tuple:
-        """(unit, modifier units, table, the frame of a "v" slot): the
-        frame's nominal, or with a preposition the phrase that holds it, as
-        (piece, (number, person)) by the positions of those units, the last
-        fastest; none where a "v" slot's choices all take arguments."""
+    def hole(self, frame: TmrFrame, function: str, preposition: str | None = None) -> tuple:
+        """(unit, modifier units, table): the frame's nominal, or with a
+        preposition the phrase that holds it, as (piece, (number, person))
+        by the positions of those units, the last fastest."""
         unit = self.unit[frame.instance_id]
-        if verbal and all(choice.sense.is_argument_taking for choice in self.options[unit]):
-            return unit, (), None, frame
         key = (function, preposition, frame.instance_id)
         if key not in self.built:
             mods = [self.unit[modifier_key(frame.instance_id, prop)]
@@ -197,7 +190,7 @@ class Forest:
             self.built[key] = mods, [self._nominal(frame, function, preposition, *chosen)
                                      for chosen in itertools.product(
                                          self.options[unit], *map(self.options.__getitem__, mods))]
-        return unit, *self.built[key], frame if verbal else None
+        return unit, *self.built[key]
 
     def _nominal(self, frame: TmrFrame, function: str, preposition: str | None,
                  choice: CandidateSense, *modifiers: CandidateSense) -> tuple[tuple, tuple]:
@@ -227,75 +220,62 @@ class Forest:
                                                    Constituent("nominal", children=tuple(children))))
         return _piece(self.tables, node), (number, person)
 
-    def clause(self, frame: TmrFrame, positions: tuple[int, ...]):
+    def clause(self, frame: TmrFrame, positions: tuple[int, ...]) -> tuple:
         """The clause of the frame's choice in the set, once per position:
-        (plan, lemma, verb pieces by agreement), or False for a choice that
-        takes no arguments of an embedded frame, any but the root. A plan is
-        compiled once per frame and sense."""
+        (plan, lemma, verb pieces by subject agreement). A plan is compiled
+        once per frame and sense."""
         unit = self.unit[frame.instance_id]
         key = (unit, positions[unit])
         clause = self.clauses.get(key)
         if clause is None:
             choice = self.options[unit][positions[unit]]
-            if frame is not self.root and not choice.sense.is_argument_taking:
-                clause = False
-            else:
-                plan = ("plan", frame.instance_id, choice.sense)
-                if plan not in self.built:
-                    self.built[plan] = _compile(frame, choice, self)
-                clause = (self.built[plan], choice.lemma, {})
-            self.clauses[key] = clause
+            plan = ("plan", frame.instance_id, choice.sense)
+            if plan not in self.built:
+                self.built[plan] = _compile(frame, choice, self)
+            clause = self.clauses[key] = (self.built[plan], choice.lemma, {})
         return clause
 
     def fill(self, positions: tuple[int, ...], clause: tuple,
              path: tuple[str, ...]) -> list[tuple]:
-        """The clause's pieces for the set at positions, each verb agreeing
-        with the subject if finite. path names the frames whose phrases hold
-        this one, outermost first."""
+        """The clause's pieces for the set at positions, each verb in the
+        clause's lemma, unless its leaf names its own, and agreeing with the
+        subject if finite. path names the frames whose phrases hold this
+        one, outermost first."""
         (steps, verbs, _, _), lemma, by_agreement = clause
         pieces: list[tuple] = []
         subject = ("singular", 3)  # when the construction has none
         for kind, held in steps:
             if kind == _PIECE:
                 pieces.append(held)
-                continue
-            unit, mods, entry, verbal = held
-            inner = verbal and self.clause(verbal, positions)
-            if inner:
-                pieces.append(self.embedded_phrase(positions, verbal, inner, path))
-                continue
-            index = positions[unit]
-            for mod in mods:
-                index = index * len(self.options[mod]) + positions[mod]
-            entry = entry[index]
-            pieces.append(entry[0])
-            if kind == _SUBJECT:
-                subject = entry[1]
+            elif kind == _EMBED:
+                pieces.append(self.embedded_phrase(positions, held, path))
+            else:
+                unit, mods, table = held
+                index = positions[unit]
+                for mod in mods:
+                    index = index * len(self.options[mod]) + positions[mod]
+                piece, agreement = table[index]
+                pieces.append(piece)
+                if kind == _SUBJECT:
+                    subject = agreement
         agreeing = by_agreement.get(subject)
         if agreeing is None:
-            agreeing = by_agreement[subject] = [
-                (index, self.verb(leaf, lemma, subject if agrees else (None, None)))
-                for index, leaf, agrees in verbs]
+            agreeing = by_agreement[subject] = []
+            for index, leaf, agrees in verbs:
+                features = Features(leaf.features.tense, leaf.features.verb_form,
+                                    *(subject if agrees else (None, None)))
+                node = Constituent(leaf.function, lemma=leaf.lemma or lemma, features=features)
+                agreeing.append((index, _piece(self.tables, node)))
         for index, piece in agreeing:
             pieces[index] = piece
         return pieces
 
-    def verb(self, leaf: Constituent, lemma: str, agreement: tuple) -> tuple:
-        """The plan leaf in the lemma, unless it names its own, in the
-        agreement's number and person; one piece per forest."""
-        key = (leaf, leaf.lemma or lemma, *agreement)
-        if key not in self.built:
-            features = Features(leaf.features.tense, leaf.features.verb_form, *agreement)
-            self.built[key] = _piece(self.tables, Constituent(leaf.function, lemma=key[1],
-                                                              features=features))
-        return self.built[key]
-
-    def embedded_phrase(self, positions: tuple[int, ...], frame: TmrFrame, clause: tuple,
+    def embedded_phrase(self, positions: tuple[int, ...], frame: TmrFrame,
                         path: tuple[str, ...]) -> tuple:
         path += (frame.instance_id,)
         if frame.instance_id in path[:-1]:
             raise TmrError(f"a frame embeds itself: {' -> '.join(path)}", source=self.tmr.source)
-        pieces = self.fill(positions, clause, path)
+        pieces = self.fill(positions, self.clause(frame, positions), path)
         return _assemble(self.tables, pieces) + (pieces,)
 
 

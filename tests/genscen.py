@@ -343,6 +343,13 @@ def reference_mismatches() -> tuple[int, list[str]]:
     return compared, mismatches
 
 
+def walk(node):
+    """The node and every node under it, depth-first, in surface order."""
+    yield node
+    for child in node.children:
+        yield from walk(child)
+
+
 def leaf_token(node, tables) -> str:
     """The surface token of one leaf: a pronoun in its case, a verb
     inflected, a common noun in its number, else its lemma."""
@@ -359,7 +366,7 @@ def leaf_token(node, tables) -> str:
 def leaf_words(solution, tables) -> list[str]:
     """Lowercased surface words each leaf contributes, mirroring leaf rendering."""
     words: list[str] = []
-    for node in solution.root.walk():
+    for node in walk(solution.root):
         if node.is_leaf:
             words.extend(leaf_token(node, tables).replace(",", " ").lower().split())
     return ["a" if w == "an" else w for w in words]
@@ -431,7 +438,7 @@ def linearize(root, mood: str, tables) -> tuple[str, tuple[str, ...]]:
     leaf rendered, each "a" made "a" or "an" for the next token, tokens
     joined (one opening with a comma or an apostrophe attaches to the
     left), the first letter capitalized and the mood's mark added."""
-    leaves = [node for node in root.walk() if node.is_leaf]
+    leaves = [node for node in walk(root) if node.is_leaf]
     names = tuple(node.lemma for node in leaves if node.proper and node.lemma)
     tokens = [token for token in (leaf_token(leaf, tables) for leaf in leaves) if token]
     text = ""

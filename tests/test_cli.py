@@ -252,6 +252,53 @@ def test_a_request_inside_a_request_says_only_embeddable_constructions(tmp_path,
         for sense in ("appreciate-v8", "could-v9")]
 
 
+def _verb_slot_lines(err: str) -> list[str]:
+    return [line for line in err.splitlines() if " verb-slot " in line]
+
+
+_UNSAID = "said as a verb phrase, and no candidate left for it takes arguments"
+
+
+def test_a_v_slot_whose_frame_takes_no_arguments_exits_2(tmp_path, capsys):
+    """A "v" node says its frame as a verb phrase: with DINNER-1 in the
+    request's THEME, no sense of the request can stand, where it printed
+    "I would really appreciate it if you would dinner."."""
+    doc = json.loads(fixture_path("request_polite").read_text())
+    frames = doc["frames"]
+    del frames["PREPARE-FOOD-1"]
+    frames["REQUEST-ACTION-1"]["THEME"] = "DINNER-1"
+    frames["DINNER-1"] = {"THEME-OF": ["REQUEST-ACTION-1"]}
+    path = tmp_path / "dinner.json"
+    path.write_text(json.dumps(doc))
+    assert main(["generate", "--tmr", str(path), "--trace"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert _verb_slot_lines(err) == [
+        f"trace: syntactic REQUEST-ACTION-1/{sense} verb-slot v needs DINNER-1 {_UNSAID}"
+        for sense in ("appreciate-v8", "could-v9", "request-v2")]
+
+
+def test_a_v_slot_excluded_inside_a_request_excludes_the_request_around_it(tmp_path, capsys):
+    """The exclusion climbs a nesting: the inner request cannot say DINNER-1
+    as a verb phrase, so the outer one has no verb phrase for its THEME."""
+    doc = json.loads(fixture_path("request_polite").read_text())
+    frames = doc["frames"]
+    del frames["PREPARE-FOOD-1"]
+    frames["REQUEST-ACTION-2"] = {**frames["REQUEST-ACTION-1"], "THEME": "DINNER-1",
+                                  "THEME-OF": ["REQUEST-ACTION-1"]}
+    frames["REQUEST-ACTION-1"]["THEME"] = "REQUEST-ACTION-2"
+    frames["DINNER-1"] = {"THEME-OF": ["REQUEST-ACTION-2"]}
+    path = tmp_path / "nested_dinner.json"
+    path.write_text(json.dumps(doc))
+    assert main(["generate", "--tmr", str(path), "--trace"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert _verb_slot_lines(err) == [
+        f"trace: syntactic REQUEST-ACTION-2/request-v2 verb-slot v needs DINNER-1 {_UNSAID}",
+        *(f"trace: syntactic REQUEST-ACTION-1/{sense} verb-slot v needs REQUEST-ACTION-2 "
+          f"{_UNSAID}" for sense in ("appreciate-v8", "could-v9", "request-v2"))]
+
+
 def test_a_human_no_referring_expression_fits_exits_2(tmp_path):
     """A HUMAN frame with no name that memory does not know is described,
     and a lexicon whose only HUMAN senses are pronouns cannot describe it."""

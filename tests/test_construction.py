@@ -37,10 +37,16 @@ SUBJ, VERB, OBJECT = {"cat": "subj", "var": 1}, {"cat": "v", "var": 0}, \
 ROLES = {"AGENT": {"var": 1}, "THEME": {"var": 2}}
 PUSHED = {"PUSH-1": {"AGENT": "HUMAN-1", "THEME": "BOX-2"}, "HUMAN-1": {}, "BOX-2": {}}
 
-# (label, syn-struc, sem-struc slots, null-sem, frames, sentences or the excluding note)
+# a fixed "I" subject bound to AGENT; PUSHED_BY is in the past, since a fixed
+# subject word gives the verb no person to agree with
+FIXED = [{"cat": "subj", "var": 1, "root": ["I"]}, VERB, OBJECT]
+PUSHED_BY = {**PUSHED, "PUSH-1": {**PUSHED["PUSH-1"], "TIME": "before-reference"}}
+
+# (label, syn-struc, sem-struc slots, null-sem, frames or the TMR's frames
+# and speaker, sentences or the excluding rule and note)
 ROWS = [
     ("unbound bare noun", [SUBJ, VERB, OBJECT, {"cat": "n", "var": 4}], ROLES, [], PUSHED,
-     "n $var4 has no meaning to express"),
+     ("unfillable", "n $var4 has no meaning to express")),
     ("optional preposition and noun, role absent",
      [SUBJ, VERB, OBJECT, {"cat": "prep", "var": 3, "root": ["to"], "opt": True},
       {"cat": "n", "var": 4, "opt": True}], {**ROLES, "DESTINATION": {"var": 4}}, [3], PUSHED,
@@ -50,6 +56,8 @@ ROWS = [
      {**ROLES, "DESTINATION": {"var": 3}}, [], PUSHED, ["A person pushes a box there."]),
     ("null-sem fixed word", [SUBJ, VERB, {"cat": "adv", "var": 3, "root": ["indeed"]}, OBJECT],
      ROLES, [3], PUSHED, ["A person pushes indeed a box."]),
+    ("null-sem fixed verb", [SUBJ, VERB, {"cat": "v", "var": 3, "root": ["on"]}, OBJECT],
+     ROLES, [3], PUSHED, ["A person pushes on a box."]),
     ("promoted theme after the head", [VERB, SUBJ, OBJECT], ROLES, [],
      {"PUSH-1": {"THEME": "BOX-2"}, "BOX-2": {"CARDINALITY": 3}},
      ["Are pushed boxes!", "Are pushed some boxes!"]),
@@ -57,7 +65,16 @@ ROWS = [
     ("fixed-word subject, agent absent",
      [{"cat": "subj", "var": 1, "root": ["someone"]}, VERB, OBJECT], ROLES, [],
      {"PUSH-1": {"THEME": "BOX-2"}, "BOX-2": {}},
-     "subj $var1 needs AGENT, absent from the meaning"),
+     ("unfillable", "subj $var1 needs AGENT, absent from the meaning")),
+    ("fixed-word subject, agent present",
+     [{"cat": "subj", "var": 1, "root": ["someone"]}, VERB, OBJECT], ROLES, [], PUSHED_BY,
+     ["Someone pushed a box."]),
+    # "I" and "you" must stand for the speaker and the hearer
+    ("fixed I, the speaker the agent", FIXED, ROLES, [],
+     {"speaker": "HUMAN-1", "frames": PUSHED_BY}, ["I pushed a box."]),
+    ("fixed I, the speaker another", FIXED, ROLES, [],
+     {"speaker": "HUMAN-3", "frames": PUSHED_BY},
+     ("participant-mismatch", "fixed word 'I' does not fit HUMAN-1")),
 ]
 
 
@@ -73,8 +90,9 @@ def push_kb(tmp_path_factory):
     return kb_for
 
 
-def _tmr(frames: dict):
-    return parse_tmr(json.dumps({"schema": "ontogen-tmr/1", "frames": frames}))
+def _tmr(meaning: dict):
+    doc = meaning if "frames" in meaning else {"frames": meaning}
+    return parse_tmr(json.dumps({"schema": "ontogen-tmr/1", **doc}))
 
 
 @pytest.mark.parametrize("label, syn, slots, null_sem, frames, expected", ROWS,
@@ -86,8 +104,7 @@ def test_a_construction_reads_its_frame(push_kb, label, syn, slots, null_sem, fr
         return
     with pytest.raises(AllSetsPruned, match="syntactic") as caught:
         generate(tmr, kb)
-    assert TraceRecord("syntactic", "PUSH-1/push-v1", "unfillable", expected) \
-        in caught.value.trace
+    assert TraceRecord("syntactic", "PUSH-1/push-v1", *expected) in caught.value.trace
 
 
 def test_a_root_that_takes_no_arguments_is_one_nominal(kb):

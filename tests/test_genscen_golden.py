@@ -12,7 +12,8 @@ So sentences, totals, terms, signatures, ledgers,
 trees, counts, messages and trace are all pinned for 600 reports without
 committing them. The role mutations (role_mutations) are hashed the same
 way on the bundled KB into ``golden/mutations/digests.json``; every one of
-them must end in a report or an OntogenError, and match its digest.
+them must end in a report or an OntogenError, and match its digest. In the
+trees both sets of reports dump, every verb-phrase node holds a main verb.
 
 After a deliberate output change, regenerate the digests from the
 repository root with
@@ -79,9 +80,14 @@ def _digest(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def digests() -> dict[str, str]:
-    return {f"{seed}/{variant}": _digest(report_text(seed, history))
+def reports() -> dict[str, str]:
+    """Each seed's report, plain and with the history, by key."""
+    return {f"{seed}/{variant}": report_text(seed, history)
             for seed in SEEDS for variant, history in VARIANTS.items()}
+
+
+def digests() -> dict[str, str]:
+    return {key: _digest(text) for key, text in reports().items()}
 
 
 def role_mutations():
@@ -111,6 +117,27 @@ def mutation_reports() -> dict[str, str]:
 
 def mutation_digests() -> dict[str, str]:
     return {key: _digest(text) for key, text in mutation_reports().items()}
+
+
+def verbless_verb_phrases(reports: dict[str, str]) -> tuple[int, list[str]]:
+    """The number of trees the reports dump, and the key of each report
+    whose trees hold a verb-phrase node with no main-verb child: a "v" slot
+    says its frame as a verb phrase."""
+    trees, keys = 0, []
+    for key, text in reports.items():
+        if not text.startswith("{"):
+            continue  # an error type and message
+        stack = [solution["tree"] for solution in json.loads(text)["solutions"]]
+        trees += len(stack)
+        while stack:
+            node = stack.pop()
+            children = node.get("children", [])
+            if node["function"] == "verb-phrase" and \
+                    all(child["function"] != "main-verb" for child in children):
+                keys.append(key)
+                break
+            stack.extend(children)
+    return trees, keys
 
 
 def moved(path: Path, actual: dict[str, str]) -> list[str]:
@@ -155,15 +182,18 @@ def moved_discourse_golden() -> list[str]:
 
 
 def test_every_genscen_report_matches_its_digest():
-    moved = moved_keys()
-    assert not moved, f"{len(moved)} genscen reports moved: {', '.join(moved)}"
+    texts = reports()
+    assert verbless_verb_phrases(texts) == (2532, [])
+    shifted = moved(DIGESTS, {key: _digest(text) for key, text in texts.items()})
+    assert not shifted, f"{len(shifted)} genscen reports moved: {', '.join(shifted)}"
 
 
 def test_every_role_mutation_ends_in_a_report_or_an_ontogen_error():
     # an exception other than an OntogenError escapes mutation_reports
-    actual = mutation_digests()
-    assert len(actual) == 2041
-    shifted = moved(MUTATION_DIGESTS, actual)
+    texts = mutation_reports()
+    assert len(texts) == 2041
+    assert verbless_verb_phrases(texts) == (15453, [])
+    shifted = moved(MUTATION_DIGESTS, {key: _digest(text) for key, text in texts.items()})
     assert not shifted, f"{len(shifted)} mutation reports moved: {', '.join(shifted)}"
 
 

@@ -240,6 +240,19 @@ def test_match_degree_rewards_narrowed_override(kb):
     assert match_degree(kb.ontology, "WALL", base, override) == MatchDegree.NONE
 
 
+@pytest.mark.parametrize("filler, base, override, narrow", [
+    ("red", LiteralConstraint(("blue", "red", "green")), LiteralConstraint(("blue", "red")), True),
+    (0.5, RangeConstraint(0.0, 1.0), RangeConstraint(0.2, 0.8), True),
+    ("WAITER", None, ConceptConstraint("HUMAN"), True),
+    (0.5, RangeConstraint(0.2, 0.8), RangeConstraint(0.2, 0.8), False),
+], ids=["literal-subset", "range-inside-range", "no-ontology-sem", "equal-ranges"])
+def test_an_override_strictly_tighter_than_the_ontology_is_narrow(kb, filler, base, override,
+                                                                   narrow):
+    degree = match_degree(kb.ontology, filler, FacetedConstraint(sem=base),
+                          FacetedConstraint(sem=override))
+    assert degree == (MatchDegree.NARROW if narrow else MatchDegree.SEM)
+
+
 def test_parse_constraint_forms():
     assert parse_constraint("HUMAN", "t") == ConceptConstraint("HUMAN")
     assert parse_constraint({"any-of": ["blue", "red"]}, "t") == LiteralConstraint(("blue", "red"))

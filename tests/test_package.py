@@ -48,15 +48,21 @@ def _names(node: ast.AST) -> Counter:
 
 def test_every_module_level_function_and_class_is_used_by_the_library():
     """A function or class defined at module level is public, or named
-    somewhere in the package outside its own definition: the library holds
-    no code that only tests call."""
+    somewhere in the package outside its own definition, and so is every
+    method but a dunder: the library holds no code that only tests call."""
     trees = [ast.parse(path.read_text(encoding="utf-8"), str(path))
              for path in sorted(Path(ontogen.__file__).parent.glob("*.py"))]
     named = sum((_names(tree) for tree in trees), Counter())
-    unused = [node.name for tree in trees for node in tree.body
-              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-              and node.name not in ontogen.__all__
+    defined = [node for tree in trees for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
+    methods = [method for node in defined if isinstance(node, ast.ClassDef)
+               for method in node.body
+               if isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef))
+               and not method.name.startswith("__")]
+    unused = [node.name for node in defined if node.name not in ontogen.__all__
               and named[node.name] == _names(node)[node.name]]
+    unused += [method.name for method in methods
+               if named[method.name] == _names(method)[method.name]]
     assert unused == []
 
 

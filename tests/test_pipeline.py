@@ -353,6 +353,25 @@ def test_wrong_beneficiary_breaks_fixed_participant_words(kb, config):
     assert any(r.rule == "participant-mismatch" for r in exc.value.trace)
 
 
+def test_a_noun_for_a_frame_every_reading_says_through_v_is_excluded(tmp_path, kb):
+    """Every sense of the request says PREPARE-FOOD-1 through a "v" node, so
+    a noun sense of PREPARE-FOOD cannot fill it: the noun is excluded, and
+    the request says only its verb phrases."""
+    docs = {kind: json.loads((TMR_DIR.parent / "kb" / f"{kind}.json").read_text())
+            for kind in ("ontology", "lexicon")}
+    docs["lexicon"]["senses"].append({
+        "id": "cookery-n1", "headword": "cookery", "pos": "n",
+        "syn-struc": [{"cat": "n", "var": 0}],
+        "sem-struc": {"head": "PREPARE-FOOD", "slots": {}}})
+    report = generate(load_fixture("request_polite"), make_kb(tmp_path, **docs))
+    assert [s.sentence for s in report.sentences] == \
+        [s.sentence for s in generate(load_fixture("request_polite"), kb).sentences]
+    assert [record for record in report.trace if record.rule == "verb-slot"] == [TraceRecord(
+        "syntactic", "PREPARE-FOOD-1/cookery-n1", "verb-slot",
+        "every reading left says PREPARE-FOOD-1 through v, as a verb phrase, and cookery-n1 "
+        "takes no arguments")]
+
+
 def test_modified_referents_cannot_be_pronouns(kb, config):
     result = run_lexical_selection(load_fixture("blue_painting"), kb, config)
     assert any(r.rule == "pronoun-with-modifiers" for r in result.trace)

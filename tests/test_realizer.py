@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import DATA, load_fixture
+from genscen import walk
 from morphdata import ARTICLE_CASES, PLURAL_CASES, REGULAR_VERBS, VERB_CASES
 from ontogen import SchemaError, generate, parse_tmr, realizer, selector
 from ontogen.realizer import (
@@ -200,7 +201,7 @@ def _build(spec) -> Constituent:
 def _reference(tables, root: Constituent, mood: str) -> tuple[str, tuple[str, ...]]:
     """The whole tree's tokens, then articles token by token, then the join
     and the capital: the sentence and names realize must give."""
-    leaves = [node for node in root.walk() if node.is_leaf]
+    leaves = [node for node in walk(root) if node.is_leaf]
     tokens = [node.lemma for node in leaves if node.lemma]
     names = tuple(node.lemma for node in leaves if node.proper and node.lemma)
     resolved = []
@@ -231,6 +232,7 @@ def _reference(tables, root: Constituent, mood: str) -> tuple[str, tuple[str, ..
           "imperative"))
 @example(([""], [[0], []], "declarative"))
 @example((["a", ",", "hour"], [[0, [1, 0], 2], [[0], [], [2]]], "declarative"))
+@example((["a", ["hour", "'s"], ["unicorn", ", dammit"]], [[0, 1], [0, 2]], "declarative"))
 @settings(max_examples=300, deadline=None, derandomize=True)
 def test_realize_matches_a_whole_tree_linearization(case):
     """Sentences assembled from shared pieces, as a forest gives them to a

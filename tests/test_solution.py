@@ -6,7 +6,7 @@ import json
 import pytest
 
 from conftest import TMR_DIR, load_fixture
-from genscen import build_attached_family, linearize, rank_every_set
+from genscen import build_attached_family, linearize, rank_every_set, walk
 from ontogen import (AllSetsPruned, GenerationConfig, NoRealizableSense, TmrError,
                      bundled_morphology, cli, generate, parse_tmr, realizer, solution)
 from ontogen.pipeline import CandidateSense, CandidateSet, run_lexical_selection
@@ -22,7 +22,7 @@ def _solutions(name, kb, config, context=()):
 
 
 def _leaves(root):
-    return [c for c in root.walk() if c.is_leaf]
+    return [c for c in walk(root) if c.is_leaf]
 
 
 def _pick(solutions, **want):
@@ -201,7 +201,7 @@ def test_embedded_event_is_a_base_form_verb_phrase(kb, config):
     _, solutions = _solutions("request_polite", kb, config)
     sol = _pick(solutions, REQUEST_ACTION_1=("appreciate-v8", "appreciate"))
 
-    vps = [c for c in sol.root.walk() if c.function == "verb-phrase"]
+    vps = [c for c in walk(sol.root) if c.function == "verb-phrase"]
     assert len(vps) == 1
     make = vps[0].children[0]
     assert (make.function, make.lemma, make.features.verb_form) == ("main-verb", "make", "base")
@@ -216,13 +216,13 @@ def test_embedded_event_is_a_base_form_verb_phrase(kb, config):
 def test_participant_pronouns_carry_person_and_case(kb, config):
     _, solutions = _solutions("request_polite", kb, config)
     sol = _pick(solutions, REQUEST_ACTION_1=("appreciate-v8", "appreciate"))
-    pronouns = [c for c in sol.root.walk() if c.pronoun]
+    pronouns = [c for c in walk(sol.root) if c.pronoun]
     assert [c.lemma for c in pronouns] == ["i"]
     speaker = pronouns[0]
     assert speaker.features.person == 1
     assert speaker.features.case == "subjective"
     # the construction's second participant is a fixed word, not a choice
-    fixed = [c.lemma for c in sol.root.walk() if c.function == "fixed-word"]
+    fixed = [c.lemma for c in walk(sol.root) if c.function == "fixed-word"]
     assert "you" in fixed
 
 
@@ -335,7 +335,7 @@ def test_every_expressible_fixture_builds_trees(kb, config):
         for cs in result.sets:
             sol = build_solution(cs, forest)
             assert sol.root.function == "clause"
-            assert any(c.is_leaf for c in sol.root.walk())
+            assert any(c.is_leaf for c in walk(sol.root))
             built += 1
     assert built > 30
 
