@@ -11,7 +11,7 @@ import sys
 from typing import NamedTuple
 
 from .errors import SchemaError
-from .strictjson import decode, document, read_text, shortened
+from .strictjson import decode, document, read_text, reading, shortened
 
 SCHEMA_CONFIG = "ontogen-config/1"
 
@@ -42,7 +42,7 @@ _INTEGER_FIELDS = frozenset(name for name, default in GenerationConfig._field_de
                             if isinstance(default, int))
 
 
-def check_config(config: GenerationConfig, source: str | None = None) -> GenerationConfig:
+def check_config(config: GenerationConfig) -> GenerationConfig:
     """config, once every field is a number, not a bool, inside the float
     range, set-cap is an integer of at least 1 and feature-tolerance is
     positive; otherwise a SchemaError naming the first field that is not."""
@@ -59,29 +59,29 @@ def check_config(config: GenerationConfig, source: str | None = None) -> Generat
             quoted = shortened(repr(value))
         except ValueError:  # an int past Python's limit on integer string conversion
             quoted = f"an integer of {value.bit_length()} bits"
-        raise SchemaError(f"{name.replace('_', '-')} must be {expected}, got {quoted}",
-                          source=source)
+        raise SchemaError(f"{name.replace('_', '-')} must be {expected}, got {quoted}")
     if config.set_cap < 1:
-        raise SchemaError("set-cap must be at least 1", source=source)
+        raise SchemaError("set-cap must be at least 1")
     if config.feature_tolerance <= 0:
-        raise SchemaError("feature-tolerance must be positive", source=source)
+        raise SchemaError("feature-tolerance must be positive")
     return config
 
 
 def parse_config(text: str, source: str = "<config>") -> GenerationConfig:
-    data = document(decode(text, source), SCHEMA_CONFIG, source)
-    kwargs = {}
-    for key, value in data.items():
-        if key == "schema":
-            continue
-        name = _FIELD_BY_KEY.get(key)
-        if name is None:
-            raise SchemaError(f"unknown config key {key!r}", source=source)
-        # a whole number in a float field is held as a float
-        widen = type(value) is int and name not in _INTEGER_FIELDS
-        kwargs[name] = float(value) if widen else value
-    return check_config(GenerationConfig(**kwargs), source)
+    with reading(source):
+        kwargs = {}
+        for key, value in document(decode(text), SCHEMA_CONFIG).items():
+            if key == "schema":
+                continue
+            name = _FIELD_BY_KEY.get(key)
+            if name is None:
+                raise SchemaError(f"unknown config key {key!r}")
+            # a whole number in a float field is held as a float
+            widen = type(value) is int and name not in _INTEGER_FIELDS
+            kwargs[name] = float(value) if widen else value
+        return check_config(GenerationConfig(**kwargs))
 
 
 def load_config(path) -> GenerationConfig:
-    return parse_config(read_text(path), source=str(path))
+    with reading(str(path)):
+        return parse_config(read_text(path), str(path))

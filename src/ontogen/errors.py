@@ -1,6 +1,6 @@
 """Error taxonomy shared by all stages.
 
-Loaders raise SchemaError subclasses that carry file/position context;
+Loaders raise SchemaError subclasses that name their file (strictjson.reading);
 pipeline stages raise OntogenError subclasses that name the offending
 frame, sense, or variable so traces stay explainable.
 """
@@ -16,6 +16,7 @@ class SchemaError(OntogenError):
     """A versioned JSON input failed to parse or declared the wrong schema."""
 
     def __init__(self, message: str, source: str | None = None):
+        self.message = message
         self.source = source
         super().__init__(f"{source}: {message}" if source else message)
 

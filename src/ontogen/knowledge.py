@@ -17,7 +17,7 @@ from itertools import takewhile
 from typing import NamedTuple
 
 from .errors import KbValidationError, SchemaError
-from .strictjson import document, read_json
+from .strictjson import document, read_json, reading
 
 SCHEMA_KB = "ontogen-kb/1"
 
@@ -105,14 +105,14 @@ def _is_integer(raw) -> bool:
     return isinstance(raw, int) and not isinstance(raw, bool)
 
 
-def _strings(raw, where: str, source: str | None) -> tuple[str, ...]:
+def _strings(raw, where: str) -> tuple[str, ...]:
     """raw as a tuple, once it is a list of strings."""
     if not isinstance(raw, list) or not all(isinstance(v, str) for v in raw):
-        raise KbValidationError(f"{where} must be a list of strings, got {raw!r}", source=source)
+        raise KbValidationError(f"{where} must be a list of strings, got {raw!r}")
     return tuple(raw)
 
 
-def parse_constraint(raw, where: str, source: str | None = None) -> Constraint:
+def parse_constraint(raw, where: str) -> Constraint:
     """Read one constraint from its JSON form."""
     if isinstance(raw, str):
         if CONCEPT_RE.fullmatch(raw):
@@ -122,37 +122,33 @@ def parse_constraint(raw, where: str, source: str | None = None) -> Constraint:
         if "concept" in raw:
             return ConceptConstraint(str(raw["concept"]))
         if "any-of" in raw:
-            vals = _strings(raw["any-of"], f"{where}: any-of", source)
+            vals = _strings(raw["any-of"], f"{where}: any-of")
             if not vals:
-                raise KbValidationError(f"{where}: empty any-of constraint", source=source)
+                raise KbValidationError(f"{where}: empty any-of constraint")
             return LiteralConstraint(vals)
         if "range" in raw:
             bounds = raw["range"]
             if not (isinstance(bounds, list) and len(bounds) == 2
                     and all(_is_number(b) for b in bounds)):
-                raise KbValidationError(f"{where}: range must be a pair of numbers, got {bounds!r}",
-                                        source=source)
+                raise KbValidationError(f"{where}: range must be a pair of numbers, got {bounds!r}")
             lo, hi = bounds
             if not (0 <= lo <= hi <= 1):
-                raise KbValidationError(f"{where}: range bounds must satisfy 0 <= low <= high <= 1",
-                                        source=source)
+                raise KbValidationError(f"{where}: range bounds must satisfy 0 <= low <= high <= 1")
             return RangeConstraint(float(lo), float(hi))
-    raise KbValidationError(f"{where}: unrecognized constraint {raw!r}", source=source)
+    raise KbValidationError(f"{where}: unrecognized constraint {raw!r}")
 
 
-def _known(constraint: Constraint, concepts, where: str, source: str) -> Constraint:
+def _known(constraint: Constraint, concepts, where: str) -> Constraint:
     """constraint, once a concept it names is one of concepts."""
     if isinstance(constraint, ConceptConstraint) and constraint.concept not in concepts:
-        raise KbValidationError(f"{where}: constraint names unknown concept {constraint.concept}",
-                                source=source)
+        raise KbValidationError(f"{where}: constraint names unknown concept {constraint.concept}")
     return constraint
 
 
-def _faceted(raw, where: str, source: str, concepts) -> FacetedConstraint:
+def _faceted(raw, where: str, concepts) -> FacetedConstraint:
     if not isinstance(raw, dict) or not (set(raw) <= {"sem", "default"}):
-        raise KbValidationError(f"{where}: expected an object with sem/default facets, got {raw!r}",
-                                source=source)
-    sem, default = (_known(parse_constraint(raw[facet], where, source), concepts, where, source)
+        raise KbValidationError(f"{where}: expected an object with sem/default facets, got {raw!r}")
+    sem, default = (_known(parse_constraint(raw[facet], where), concepts, where)
                     if facet in raw else None for facet in ("sem", "default"))
     return FacetedConstraint(sem=sem, default=default)
 
@@ -241,7 +237,7 @@ def _strictly_tighter(onto: Ontology, inner: Constraint, outer: Constraint) -> b
     if isinstance(inner, LiteralConstraint) and isinstance(outer, LiteralConstraint):
         return set(inner.values) < set(outer.values)
     if isinstance(inner, RangeConstraint) and isinstance(outer, RangeConstraint):
-        return (inner.low, -inner.high) > (outer.low, -outer.high)
+        return inner != outer and outer.low <= inner.low and inner.high <= outer.high
     return False
 
 
@@ -454,43 +450,41 @@ class KnowledgeBase:
 
 
 def _kb_document(path, kind: str) -> dict:
-    data = document(read_json(path), SCHEMA_KB, str(path))
+    data = document(read_json(path), SCHEMA_KB)
     if data.get("kind") != kind:
-        raise SchemaError(f'expected kind "{kind}", got {data.get("kind")!r}', source=str(path))
+        raise SchemaError(f'expected kind "{kind}", got {data.get("kind")!r}')
     return data
 
 
-def _parse_ontology(data: dict, source: str, warnings: list[str]) -> Ontology:
+def _parse_ontology(data: dict, warnings: list[str]) -> Ontology:
     """Read and check each concept in turn. A parent or a constraint is
     checked against every name the document declares, so it may name a
     concept declared further on; a cycle and a default facet that does not
     narrow its sem facet need the whole graph, so they are checked last."""
     raw = data.get("concepts")
     if not isinstance(raw, dict) or not raw:
-        raise KbValidationError("no concepts", source=source)
+        raise KbValidationError("no concepts")
     concepts: dict[str, Concept] = {}
     for name, body in raw.items():
         if not CONCEPT_RE.fullmatch(name) or INSTANCE_RE.fullmatch(name):
-            raise KbValidationError(f"bad concept name {name!r}", source=source)
+            raise KbValidationError(f"bad concept name {name!r}")
         if not isinstance(body, dict):
-            raise KbValidationError(f"{name}: concept body must be an object, got {body!r}",
-                                    source=source)
-        parents = _strings(body.get("parents", []), f"{name}: parents", source)
+            raise KbValidationError(f"{name}: concept body must be an object, got {body!r}")
+        parents = _strings(body.get("parents", []), f"{name}: parents")
         for parent in parents:
             if parent not in raw:
-                raise KbValidationError(f"{name}: unknown parent {parent}", source=source)
+                raise KbValidationError(f"{name}: unknown parent {parent}")
         raw_slots = body.get("slots", {})
         if not isinstance(raw_slots, dict):
-            raise KbValidationError(f"{name}: slots must be an object, got {raw_slots!r}",
-                                    source=source)
-        slots = {prop: _faceted(rawc, f"{name}.{prop}", source, raw)
+            raise KbValidationError(f"{name}: slots must be an object, got {raw_slots!r}")
+        slots = {prop: _faceted(rawc, f"{name}.{prop}", raw)
                  for prop, rawc in raw_slots.items()}
         concepts[name] = Concept(name=name, parents=parents, slots=slots)
     try:
         TopologicalSorter({c.name: c.parents for c in concepts.values()}).prepare()
     except CycleError as exc:
         cycle = " -> ".join(reversed(exc.args[1]))
-        raise KbValidationError(f"IS-A cycle: {cycle}", source=source) from None
+        raise KbValidationError(f"IS-A cycle: {cycle}") from None
     onto = Ontology(concepts)
     for concept in concepts.values():
         for prop, (sem, default) in concept.slots.items():
@@ -508,146 +502,126 @@ def _parse_ontology(data: dict, source: str, warnings: list[str]) -> Ontology:
     return onto
 
 
-def _parse_slot_value(raw, where: str, source: str, concepts) -> SlotValue:
+def _parse_slot_value(raw, where: str, concepts) -> SlotValue:
     if _is_number(raw):
         if not 0 <= raw <= 1:
-            raise KbValidationError(f"{where}: scalar slot values must lie in [0, 1]",
-                                    source=source)
+            raise KbValidationError(f"{where}: scalar slot values must lie in [0, 1]")
         return float(raw)
     if isinstance(raw, dict) and "var" in raw:
         if not _is_integer(raw["var"]):
-            raise KbValidationError(f"{where}: var must be an integer, got {raw['var']!r}",
-                                    source=source)
+            raise KbValidationError(f"{where}: var must be an integer, got {raw['var']!r}")
         override = None
         facets = {k: raw[k] for k in ("sem", "default") if k in raw}
         if facets:
-            override = _faceted(facets, where, source, concepts)
+            override = _faceted(facets, where, concepts)
         return VarBinding(var=raw["var"], override=override)
-    return _known(parse_constraint(raw, where, source), concepts, where, source)
+    return _known(parse_constraint(raw, where), concepts, where)
 
 
-def _parse_lexicon(data: dict, onto: Ontology, source: str) -> Lexicon:
+def _parse_lexicon(data: dict, onto: Ontology) -> Lexicon:
     """Read and check each sense in full before the next one."""
     raw = data.get("senses")
     if not isinstance(raw, list):
-        raise KbValidationError("senses must be a list", source=source)
+        raise KbValidationError("senses must be a list")
     senses: dict[str, LexSense] = {}
     for index, body in enumerate(raw):
         if not isinstance(body, dict):
-            raise KbValidationError(f"senses[{index}] must be an object, got {body!r}",
-                                    source=source)
+            raise KbValidationError(f"senses[{index}] must be an object, got {body!r}")
         sid = body.get("id")
         if not sid or not isinstance(sid, str):
-            raise KbValidationError(f"senses[{index}] needs a string id, got {sid!r}",
-                                    source=source)
+            raise KbValidationError(f"senses[{index}] needs a string id, got {sid!r}")
         if sid in senses:
-            raise KbValidationError(f"duplicate sense id {sid}", source=source)
+            raise KbValidationError(f"duplicate sense id {sid}")
         syn_raw = body.get("syn-struc", [])
         if not isinstance(syn_raw, list):
-            raise KbValidationError(f"{sid}: syn-struc must be a list, got {syn_raw!r}",
-                                    source=source)
+            raise KbValidationError(f"{sid}: syn-struc must be a list, got {syn_raw!r}")
         nodes = []  # (category, var, roots, optional); words are picked once all is checked
         for n in syn_raw:
             if not isinstance(n, dict):
-                raise KbValidationError(f"{sid}: syn-struc node must be an object, got {n!r}",
-                                        source=source)
+                raise KbValidationError(f"{sid}: syn-struc node must be an object, got {n!r}")
             cat = n.get("cat")
             if cat not in SYN_CATEGORIES:
-                raise KbValidationError(f"{sid}: unknown syn-struc category {cat!r}", source=source)
+                raise KbValidationError(f"{sid}: unknown syn-struc category {cat!r}")
             var = n.get("var")
             if not _is_integer(var):
-                raise KbValidationError(f"{sid}: syn-struc {cat} node needs an integer var",
-                                        source=source)
-            roots = _strings(n["root"], f"{sid}: syn-struc {cat} root", source) \
-                if "root" in n else None
+                raise KbValidationError(f"{sid}: syn-struc {cat} node needs an integer var")
+            roots = _strings(n["root"], f"{sid}: syn-struc {cat} root") if "root" in n else None
             if roots and not all(word.strip() for word in roots):
-                raise KbValidationError(f"{sid}: syn-struc {cat} root words must not be blank",
-                                        source=source)
+                raise KbValidationError(f"{sid}: syn-struc {cat} root words must not be blank")
             if cat in FUNCTION_CATEGORIES and not roots:
-                raise KbValidationError(f"{sid}: {cat} node $var{var} lacks a root word",
-                                        source=source)
+                raise KbValidationError(f"{sid}: {cat} node $var{var} lacks a root word")
             optional = n.get("opt", False)
             if not isinstance(optional, bool):
                 raise KbValidationError(f"{sid}: syn-struc {cat} opt must be true or false, "
-                                        f"got {optional!r}", source=source)
+                                        f"got {optional!r}")
             nodes.append((cat, var, roots, optional))
         declared = [var for _, var, _, _ in nodes]
         if declared.count(0) != 1:
             raise KbValidationError(f"{sid}: expected exactly one $var0 head node, "
-                                    f"found {declared.count(0)}", source=source)
+                                    f"found {declared.count(0)}")
         if len(set(declared)) < len(declared):
             reused = next(var for i, var in enumerate(declared) if var in declared[:i])
-            raise KbValidationError(f"{sid}: syn-struc has two nodes with $var{reused}",
-                                    source=source)
+            raise KbValidationError(f"{sid}: syn-struc has two nodes with $var{reused}")
         sem_raw = body.get("sem-struc", {})
         if not isinstance(sem_raw, dict):
-            raise KbValidationError(f"{sid}: sem-struc must be an object, got {sem_raw!r}",
-                                    source=source)
+            raise KbValidationError(f"{sid}: sem-struc must be an object, got {sem_raw!r}")
         head, slots_raw = sem_raw.get("head", ""), sem_raw.get("slots", {})
         null_sem = sem_raw.get("null-sem", [])
         if not isinstance(head, str) or not isinstance(slots_raw, dict) \
                 or not isinstance(null_sem, list) or not all(map(_is_integer, null_sem)):
             raise KbValidationError(f"{sid}: sem-struc needs a head string, a slots object "
-                                    f"and a null-sem list of integers", source=source)
+                                    f"and a null-sem list of integers")
         if not onto.exists(head):
-            raise KbValidationError(f"{sid}: sem-struc head names unknown concept {head}",
-                                    source=source)
+            raise KbValidationError(f"{sid}: sem-struc head names unknown concept {head}")
         for var in null_sem:
             if var not in declared:
                 raise KbValidationError(
-                    f"{sid}: null-sem references $var{var} with no syn-struc node", source=source)
+                    f"{sid}: null-sem references $var{var} with no syn-struc node")
         slots, bases, bound = {}, {}, {}  # bound: the slot each variable fills
         for prop, rawv in slots_raw.items():
-            value = slots[prop] = _parse_slot_value(rawv, f"{sid}.{prop}", source, onto.concepts)
+            value = slots[prop] = _parse_slot_value(rawv, f"{sid}.{prop}", onto.concepts)
             if isinstance(value, VarBinding):
                 if value.var not in declared:
                     raise KbValidationError(f"{sid}: sem-struc slot {prop} references "
-                                            f"$var{value.var} with no syn-struc node",
-                                            source=source)
+                                            f"$var{value.var} with no syn-struc node")
                 if value.var in bound:
                     raise KbValidationError(f"{sid}: sem-struc binds $var{value.var} in both "
-                                            f"{bound[value.var]} and {prop}", source=source)
+                                            f"{bound[value.var]} and {prop}")
                 bound[value.var] = prop
                 bases[prop] = onto.constraint_on(head, prop)
         overlap = set(bound) & set(null_sem)
         if overlap:
             raise KbValidationError(
-                f"{sid}: null-sem variables fill case-role slots: {sorted(overlap)}", source=source)
+                f"{sid}: null-sem variables fill case-role slots: {sorted(overlap)}")
         bindings = body.get("example-bindings", [])
         if not isinstance(bindings, list) or not all(
                 isinstance(b, list) and len(b) == 2 and isinstance(b[0], str) and _is_integer(b[1])
                 for b in bindings):
             raise KbValidationError(
-                f"{sid}: example-bindings must be a list of [word, var] pairs, got {bindings!r}",
-                source=source)
+                f"{sid}: example-bindings must be a list of [word, var] pairs, got {bindings!r}")
         reference = None
         if "reference" in body:
             r = body["reference"]
             if not isinstance(r, dict):
-                raise KbValidationError(f"{sid}: reference must be an object, got {r!r}",
-                                        source=source)
+                raise KbValidationError(f"{sid}: reference must be an object, got {r!r}")
             person, number = r.get("person"), r.get("number")
             if not _is_integer(person) or person not in (1, 2, 3) \
                     or number not in ("singular", "plural"):
-                raise KbValidationError(f"{sid}: reference needs person 1-3 and singular/plural",
-                                        source=source)
+                raise KbValidationError(f"{sid}: reference needs person 1-3 and singular/plural")
             gender = r.get("gender")
             if gender not in (None, *GENDERS):
-                raise KbValidationError(f"{sid}: reference gender must be male or female",
-                                        source=source)
+                raise KbValidationError(f"{sid}: reference gender must be male or female")
             reference = PronounRef(person=person, number=number, gender=gender)
         text = {key: body.get(key, "") for key in ("headword", "pos", "def", "ex")}
         for key, value in text.items():
             if not isinstance(value, str):
-                raise KbValidationError(f"{sid}: {key} must be a string, got {value!r}",
-                                        source=source)
+                raise KbValidationError(f"{sid}: {key} must be a string, got {value!r}")
         if text["pos"] not in LEXICON_POS:
             raise KbValidationError(f"{sid}: pos must be one of {', '.join(LEXICON_POS)}, "
-                                    f"got {text['pos']!r}", source=source)
-        synonyms = _strings(body.get("synonyms", []), f"{sid}: synonyms", source)
+                                    f"got {text['pos']!r}")
+        synonyms = _strings(body.get("synonyms", []), f"{sid}: synonyms")
         if not all(word.strip() for word in (text["headword"],) + synonyms):
-            raise KbValidationError(f"{sid}: headword and synonyms must not be blank",
-                                    source=source)
+            raise KbValidationError(f"{sid}: headword and synonyms must not be blank")
         # a fixed node's word: its variable's first binding word when that is
         # one of the node's roots, else the first root
         first_binding = {var: word for word, var in reversed(bindings)}
@@ -669,33 +643,35 @@ def _parse_lexicon(data: dict, onto: Ontology, source: str) -> Lexicon:
     return Lexicon(senses)
 
 
-def _parse_memory(data: dict, onto: Ontology, source: str) -> EpisodicMemory:
+def _parse_memory(data: dict, onto: Ontology) -> EpisodicMemory:
     raw = data.get("instances", {})
     if not isinstance(raw, dict):
-        raise KbValidationError("instances must be an object", source=source)
+        raise KbValidationError("instances must be an object")
     for iid, body in raw.items():
         m = INSTANCE_RE.fullmatch(iid)
         if not m:
-            raise KbValidationError(f"bad instance id {iid!r}", source=source)
+            raise KbValidationError(f"bad instance id {iid!r}")
         if not onto.exists(m.group(1)):
-            raise KbValidationError(f"{iid}: concept prefix {m.group(1)} is not in the ontology",
-                                    source=source)
+            raise KbValidationError(f"{iid}: concept prefix {m.group(1)} is not in the ontology")
         if not isinstance(body, dict) or not all(
                 isinstance(body.get(prop, ""), str) for prop in ("HAS-NAME", "GENDER")):
             raise KbValidationError(
                 f"{iid}: an instance must be an object whose HAS-NAME and GENDER are strings, "
-                f"got {body!r}", source=source)
+                f"got {body!r}")
         for prop in ("HAS-NAME", "GENDER"):
             problem = identity_problem(prop, body[prop]) if prop in body else None
             if problem:
-                raise KbValidationError(f"{iid}: {problem}", source=source)
+                raise KbValidationError(f"{iid}: {problem}")
     return EpisodicMemory(raw)
 
 
 def load_knowledge_base(ontology_path, lexicon_path, memory_path) -> KnowledgeBase:
     """Load the three knowledge files, each read and checked in one pass."""
     warnings: list[str] = []
-    onto = _parse_ontology(_kb_document(ontology_path, "ontology"), str(ontology_path), warnings)
-    lex = _parse_lexicon(_kb_document(lexicon_path, "lexicon"), onto, str(lexicon_path))
-    memory = _parse_memory(_kb_document(memory_path, "memory"), onto, str(memory_path))
+    with reading(str(ontology_path)):
+        onto = _parse_ontology(_kb_document(ontology_path, "ontology"), warnings)
+    with reading(str(lexicon_path)):
+        lex = _parse_lexicon(_kb_document(lexicon_path, "lexicon"), onto)
+    with reading(str(memory_path)):
+        memory = _parse_memory(_kb_document(memory_path, "memory"), onto)
     return KnowledgeBase(ontology=onto, lexicon=lex, memory=memory, warnings=warnings)

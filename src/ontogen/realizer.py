@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .errors import SchemaError
-from .strictjson import document, read_json
+from .strictjson import document, read_json, reading
 
 if TYPE_CHECKING:
     from .solution import CandidateSolution, Constituent, Features
@@ -51,51 +51,52 @@ class MorphTables:
         self.a_before = a_before
 
 
-def _words(table, name: str, source: str) -> dict[str, str]:
+def _words(table, name: str) -> dict[str, str]:
     """table itself, once it is an object whose values are all words."""
     if not isinstance(table, dict) or not all(isinstance(v, str) for v in table.values()):
-        raise SchemaError(f"{name} must be an object of words, got {table!r}", source)
+        raise SchemaError(f"{name} must be an object of words, got {table!r}")
     return table
 
 
-def _word_list(words, name: str, source: str) -> frozenset[str]:
+def _word_list(words, name: str) -> frozenset[str]:
     """words as a set, once it is a list of words."""
     if not isinstance(words, list) or not all(isinstance(w, str) for w in words):
-        raise SchemaError(f"{name} must be a list of words, got {words!r}", source)
+        raise SchemaError(f"{name} must be a list of words, got {words!r}")
     return frozenset(words)
 
 
 def parse_morphology(doc: dict, source: str = "<morphology>") -> MorphTables:
-    document(doc, SCHEMA_MORPH, source)
-    verbs = doc.get("irregular-verbs", {})
-    pronouns = doc.get("pronouns", {})
-    be_forms = doc.get("be", {})
-    for name, table in (("irregular-verbs", verbs), ("pronouns", pronouns), ("be", be_forms)):
-        if not isinstance(table, dict):
-            raise SchemaError(f"{name} must be an object", source)
-    for lemma, forms in verbs.items():
-        if "past" not in _words(forms, f"irregular verb {lemma!r}", source):
-            raise SchemaError(f"irregular verb {lemma!r} needs at least a past form",
-                              source)
-    for lemma, paradigm in pronouns.items():
-        _words(paradigm, f"pronoun {lemma!r}", source)
-    if not isinstance(be_forms.get("participle", ""), str):
-        raise SchemaError(f"be participle must be a word, got {be_forms['participle']!r}", source)
-    for tense, forms in be_forms.items():
-        if tense != "participle":
-            _words(forms, f"be {tense!r}", source)
-    return MorphTables(
-        irregular_verbs=verbs,
-        irregular_plurals=_words(doc.get("irregular-plurals", {}), "irregular-plurals", source),
-        pronouns=pronouns,
-        be_forms=be_forms,
-        an_before=_word_list(doc.get("an-before", []), "an-before", source),
-        a_before=_word_list(doc.get("a-before", []), "a-before", source),
-    )
+    with reading(source):
+        document(doc, SCHEMA_MORPH)
+        verbs = doc.get("irregular-verbs", {})
+        pronouns = doc.get("pronouns", {})
+        be_forms = doc.get("be", {})
+        for name, table in (("irregular-verbs", verbs), ("pronouns", pronouns), ("be", be_forms)):
+            if not isinstance(table, dict):
+                raise SchemaError(f"{name} must be an object")
+        for lemma, forms in verbs.items():
+            if "past" not in _words(forms, f"irregular verb {lemma!r}"):
+                raise SchemaError(f"irregular verb {lemma!r} needs at least a past form")
+        for lemma, paradigm in pronouns.items():
+            _words(paradigm, f"pronoun {lemma!r}")
+        if not isinstance(be_forms.get("participle", ""), str):
+            raise SchemaError(f"be participle must be a word, got {be_forms['participle']!r}")
+        for tense, forms in be_forms.items():
+            if tense != "participle":
+                _words(forms, f"be {tense!r}")
+        return MorphTables(
+            irregular_verbs=verbs,
+            irregular_plurals=_words(doc.get("irregular-plurals", {}), "irregular-plurals"),
+            pronouns=pronouns,
+            be_forms=be_forms,
+            an_before=_word_list(doc.get("an-before", []), "an-before"),
+            a_before=_word_list(doc.get("a-before", []), "a-before"),
+        )
 
 
 def load_morphology(path: str | Path) -> MorphTables:
-    return parse_morphology(read_json(path), source=str(path))
+    with reading(str(path)):
+        return parse_morphology(read_json(path), str(path))
 
 
 @functools.cache

@@ -30,7 +30,7 @@ from .config import GenerationConfig
 from .errors import OntogenError, SchemaError
 from .pipeline import LedgerEntry
 from .solution import CandidateSolution
-from .strictjson import document, read_json
+from .strictjson import document, read_json, reading
 
 SCHEMA_FREQ = "ontogen-freq/1"
 
@@ -49,25 +49,27 @@ class FrequencyTable:
 
 
 def parse_frequency(doc: dict, source: str = "<frequency>") -> FrequencyTable:
-    document(doc, SCHEMA_FREQ, source)
-    values = doc.get("values", {})
-    if not isinstance(values, dict):
-        raise SchemaError("values must be an object", source)
-    cleaned = {}
-    for key, value in values.items():
-        if not isinstance(value, (int, float)) or isinstance(value, bool) \
-                or not 0 <= value <= 1:
-            raise SchemaError(f"frequency for {key!r} must be a number in [0, 1]", source)
-        cleaned[key] = float(value)
-    default = doc.get("default", 0.5)
-    if not isinstance(default, (int, float)) or isinstance(default, bool) \
-            or not 0 <= default <= 1:
-        raise SchemaError("default frequency must be a number in [0, 1]", source)
-    return FrequencyTable(values=cleaned, default=float(default))
+    with reading(source):
+        document(doc, SCHEMA_FREQ)
+        values = doc.get("values", {})
+        if not isinstance(values, dict):
+            raise SchemaError("values must be an object")
+        cleaned = {}
+        for key, value in values.items():
+            if not isinstance(value, (int, float)) or isinstance(value, bool) \
+                    or not 0 <= value <= 1:
+                raise SchemaError(f"frequency for {key!r} must be a number in [0, 1]")
+            cleaned[key] = float(value)
+        default = doc.get("default", 0.5)
+        if not isinstance(default, (int, float)) or isinstance(default, bool) \
+                or not 0 <= default <= 1:
+            raise SchemaError("default frequency must be a number in [0, 1]")
+        return FrequencyTable(values=cleaned, default=float(default))
 
 
 def load_frequency(path: str | Path) -> FrequencyTable:
-    return parse_frequency(read_json(path), source=str(path))
+    with reading(str(path)):
+        return parse_frequency(read_json(path), str(path))
 
 
 @functools.cache

@@ -22,7 +22,7 @@ import functools
 import itertools
 
 from .errors import TmrError
-from .pipeline import CandidateSense, CandidateSet, modifier_key
+from .pipeline import _HEARER_ROOTS, _SPEAKER_ROOTS, CandidateSense, CandidateSet, modifier_key
 from .realizer import MorphTables, _assemble, _piece
 from .tmr import RelativeTime, Tmr, TmrFrame, relative_time_of
 
@@ -117,21 +117,23 @@ def _compile(frame: TmrFrame, choice: CandidateSense, forest: Forest) -> tuple:
     """The choice's construction as a plan, which no set changes: its items
     in surface order, each (kind, piece, Forest.hole or the frame a "v"
     slot embeds); its verbs, each (position, leaf, whether it agrees with
-    the subject); its mood; and its voice. What it says is the reading
-    syntactic pruning kept; fixed leaves are realized here, once. Every
-    frame but the root is embedded: no subject, a base-form verb, the
-    present. One that takes no arguments is one nominal, in a verb phrase
-    where a "v" slot embeds it."""
+    the subject); its mood; its voice; and the agreement, (number, person),
+    a fixed subject word gives, else the third singular. What it says is
+    the reading syntactic pruning kept; fixed leaves are realized here,
+    once. Every frame but the root is embedded: no subject, a base-form
+    verb, the present. One that takes no arguments is one nominal, in a
+    verb phrase where a "v" slot embeds it."""
     hole = forest.hole
     sense = choice.sense
     if not sense.is_argument_taking:
-        return ((_HOLE, hole(frame, "nominal")),), (), "declarative", "active"
+        return ((_HOLE, hole(frame, "nominal")),), (), "declarative", "active", None
     passive, reading = choice.reading
     embedded = frame is not forest.root
     tense = "present" if embedded else forest.tense
     base = embedded or sense.mood == "imperative" or sense.has_aux
     items: list[tuple] = []
     verbs: list[tuple] = []
+    subject = ("singular", 3)
 
     def verb(function: str, agrees: bool, lemma: str | None = None, **features) -> None:
         # finite forms agree with the subject once the clause is filled
@@ -149,6 +151,10 @@ def _compile(frame: TmrFrame, choice: CandidateSense, forest: Forest) -> tuple:
             else:
                 verb("main-verb", True, tense=tense)
         elif target is None:
+            if category == "subj" and not verbs:  # a fixed subject word, ahead of the head
+                lowered = word.lower()
+                subject = ("singular", 1 if lowered in _SPEAKER_ROOTS else
+                           2 if lowered in _HEARER_ROOTS else 3)
             function = _FIXED_BY_CATEGORY.get(category, "fixed-word")
             items.append((_PIECE, _piece(forest.tables, Constituent(function, lemma=word))))
         elif word:
@@ -159,7 +165,7 @@ def _compile(frame: TmrFrame, choice: CandidateSense, forest: Forest) -> tuple:
             items.append((_EMBED, target))
         else:
             items.append((_HOLE, hole(target, _ROLE_BY_CATEGORY.get(category, "nominal"))))
-    return tuple(items), tuple(verbs), sense.mood, "passive" if passive else "active"
+    return tuple(items), tuple(verbs), sense.mood, "passive" if passive else "active", subject
 
 
 class Forest:
@@ -239,11 +245,10 @@ class Forest:
              path: tuple[str, ...]) -> list[tuple]:
         """The clause's pieces for the set at positions, each verb in the
         clause's lemma, unless its leaf names its own, and agreeing with the
-        subject if finite. path names the frames whose phrases hold this
-        one, outermost first."""
-        (steps, verbs, _, _), lemma, by_agreement = clause
+        subject if finite: a subject hole's agreement, else the plan's.
+        path names the frames whose phrases hold this one, outermost first."""
+        (steps, verbs, _, _, subject), lemma, by_agreement = clause
         pieces: list[tuple] = []
-        subject = ("singular", 3)  # when the construction has none
         for kind, held in steps:
             if kind == _PIECE:
                 pieces.append(held)
@@ -285,6 +290,6 @@ def build_solution(cs: CandidateSet, forest: Forest) -> CandidateSolution:
     built on their options, and share what it builds."""
     root_id = forest.root.instance_id
     clause = forest.clause(forest.root, cs.positions)
-    _, _, mood, voice = clause[0]
+    _, _, mood, voice, _ = clause[0]
     return CandidateSolution(cs, forest.fill(cs.positions, clause, (root_id,)), mood,
                              forest.tense, voice, root_id)

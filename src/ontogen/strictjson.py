@@ -2,9 +2,10 @@
 
 Each input shares one shape: UTF-8 text holding strict JSON (no key
 repeated in any object, no NaN or Infinity, no number beyond the float
-range) whose top level is one object with a "schema" tag. Every failure
-is raised as the caller's SchemaError subclass, worded here once and
-prefixed with the file name.
+range) whose top level is one object with a "schema" tag. A failure is
+worded once, where it is found, as a SchemaError with no file name; the
+document's one boundary, reading, names the file and gives the error the
+document's class, so no reader below it takes a file name or a class.
 """
 
 from __future__ import annotations
@@ -63,41 +64,59 @@ def _float_sized_int(literal: str) -> int:
     _out_of_range(literal)
 
 
-def read_text(path, error: type[SchemaError] = SchemaError) -> str:
+class reading:
+    """The boundary of one document: a SchemaError that leaves it without a
+    source is raised again naming source, as the document's error class
+    unless it is one already."""
+
+    def __init__(self, source: str, error: type[SchemaError] = SchemaError):
+        self.source = source
+        self.error = error
+
+    def __enter__(self) -> None:
+        pass
+
+    def __exit__(self, kind, exc, traceback) -> None:
+        if isinstance(exc, SchemaError) and exc.source is None:
+            raise (kind if issubclass(kind, self.error) else self.error)(
+                exc.message, self.source) from None
+
+
+def read_text(path) -> str:
     """The file's contents decoded as UTF-8."""
     try:
         return Path(path).read_bytes().decode("utf-8")
     except OSError as exc:
-        raise error(f"cannot read file: {exc.strerror or exc}", source=str(path)) from None
+        raise SchemaError(f"cannot read file: {exc.strerror or exc}") from None
     except UnicodeDecodeError as exc:
-        raise error(f"not UTF-8: byte {exc.start}: {exc.reason}", source=str(path)) from None
+        raise SchemaError(f"not UTF-8: byte {exc.start}: {exc.reason}") from None
 
 
-def decode(text: str, source: str, error: type[SchemaError] = SchemaError):
+def decode(text: str):
     """Strict JSON text to its value."""
     try:
         return json.loads(text, object_pairs_hook=_unique_keys, parse_constant=_no_constant,
                           parse_float=_finite_float, parse_int=_float_sized_int)
     except json.JSONDecodeError as exc:
-        raise error(f"line {exc.lineno}: {exc.msg}", source=source) from None
+        raise SchemaError(f"line {exc.lineno}: {exc.msg}") from None
     except ValueError as exc:
-        raise error(str(exc), source=source) from None
+        raise SchemaError(str(exc)) from None
     except RecursionError:
-        raise error("JSON nested too deeply", source=source) from None
+        raise SchemaError("JSON nested too deeply") from None
 
 
-def document(value, schema: str, source: str, error: type[SchemaError] = SchemaError) -> dict:
+def document(value, schema: str) -> dict:
     """The value itself, once it is an object tagged with this schema."""
     if not isinstance(value, dict):
-        raise error("top level must be an object", source=source)
+        raise SchemaError("top level must be an object")
     if value.get("schema") != schema:
-        raise error(f'expected schema "{schema}", got {value.get("schema")!r}', source=source)
+        raise SchemaError(f'expected schema "{schema}", got {value.get("schema")!r}')
     return value
 
 
-def read_json(path, error: type[SchemaError] = SchemaError):
+def read_json(path):
     """A UTF-8 strict JSON file to its value."""
-    return decode(read_text(path, error), str(path), error)
+    return decode(read_text(path))
 
 
 def _float_text(value: float) -> str:

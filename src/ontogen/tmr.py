@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING
 
 from .errors import MalformedInstanceId, TmrError
 from .knowledge import CONCEPT_RE, INSTANCE_RE, identity_problem
-from .strictjson import decode, document, encode, read_text
+from .strictjson import decode, document, encode, read_text, reading
 
 if TYPE_CHECKING:
     # datetime is imported where a DATE, CLOCK-TIME or reference time is
@@ -98,11 +98,11 @@ class ProceduralCall(_Value):
 Filler = "InstanceRef | ConceptRef | ProceduralCall | RelativeTime | dt.date | dt.time | float | str"
 
 
-def concept_of(instance_id: str, source: str | None = None) -> str:
+def concept_of(instance_id: str) -> str:
     """Strip the numeric index: FASTEN-18 -> FASTEN. Errors on unindexed ids."""
     m = INSTANCE_RE.fullmatch(instance_id)
     if not m:
-        raise MalformedInstanceId(f"{instance_id!r} is not CONCEPT-<digits>", source=source)
+        raise MalformedInstanceId(f"{instance_id!r} is not CONCEPT-<digits>")
     return m.group(1)
 
 
@@ -186,20 +186,20 @@ def find_root_frame(tmr: Tmr) -> TmrFrame:
 _RELATIVE_TIMES = {member.value: member for member in RelativeTime}
 
 
-def _parse_filler(slot: str, raw, source: str) -> Filler:
+def _parse_filler(slot: str, raw) -> Filler:
     if not isinstance(raw, str):
         if isinstance(raw, bool):
-            raise TmrError(f"boolean filler in {slot}", source=source)
+            raise TmrError(f"boolean filler in {slot}")
         if isinstance(raw, (int, float)):
             return float(raw)
-        raise TmrError(f"unsupported filler {raw!r} in {slot}", source=source)
+        raise TmrError(f"unsupported filler {raw!r} in {slot}")
     # each pattern below fixes its first character, so at most two are tried
     first = raw[:1]
     if first == "(":
         call = re.fullmatch(_CALL_RE, raw)
         if call:
             if slot != "TIME":
-                raise TmrError(f"procedural call {raw!r} outside a TIME slot", source=source)
+                raise TmrError(f"procedural call {raw!r} outside a TIME slot")
             return ProceduralCall(op=call.group(1), routine=call.group(2))
     elif "A" <= first <= "Z":
         if INSTANCE_RE.fullmatch(raw):
@@ -207,13 +207,13 @@ def _parse_filler(slot: str, raw, source: str) -> Filler:
         if CONCEPT_RE.fullmatch(raw):
             return ConceptRef(raw)
     elif first.isdecimal():  # what \d matches
-        return _parse_moment(raw, source)
+        return _parse_moment(raw)
     elif slot in TIME_SLOTS and raw in _RELATIVE_TIMES:
         return _RELATIVE_TIMES[raw]
     return raw
 
 
-def _parse_moment(raw: str, source: str) -> Filler:
+def _parse_moment(raw: str) -> Filler:
     """A DD.MM.YYYY date, an HH:MM clock time, or else the string itself."""
     m = re.fullmatch(_DATE_RE, raw)
     if m:
@@ -222,7 +222,7 @@ def _parse_moment(raw: str, source: str) -> Filler:
         try:
             return dt.date(year, month, day)
         except ValueError as exc:
-            raise TmrError(f"bad date {raw!r}: {exc}", source=source) from None
+            raise TmrError(f"bad date {raw!r}: {exc}") from None
     m = re.fullmatch(_CLOCK_RE, raw)
     if m:
         import datetime as dt
@@ -230,11 +230,11 @@ def _parse_moment(raw: str, source: str) -> Filler:
         try:
             return dt.time(hour, minute)
         except ValueError as exc:
-            raise TmrError(f"bad clock time {raw!r}: {exc}", source=source) from None
+            raise TmrError(f"bad clock time {raw!r}: {exc}") from None
     return raw
 
 
-def _parse_reference_time(raw: str, source: str) -> dt.datetime:
+def _parse_reference_time(raw: str) -> dt.datetime:
     import datetime as dt
     parts = raw.split()
     date = clock = None
@@ -245,11 +245,11 @@ def _parse_reference_time(raw: str, source: str) -> dt.datetime:
             elif m := re.fullmatch(_CLOCK_RE, part):
                 clock = dt.time(int(m.group(1)), int(m.group(2)))
             else:
-                raise TmrError(f"bad reference-time {raw!r}", source=source)
+                raise TmrError(f"bad reference-time {raw!r}")
         except ValueError as exc:
-            raise TmrError(f"bad reference-time {raw!r}: {exc}", source=source) from None
+            raise TmrError(f"bad reference-time {raw!r}: {exc}") from None
     if date is None:
-        raise TmrError(f"reference-time needs a date: {raw!r}", source=source)
+        raise TmrError(f"reference-time needs a date: {raw!r}")
     return dt.datetime.combine(date, clock or dt.time(0, 0))
 
 
@@ -258,74 +258,73 @@ _COREF_KEYS = {"COREF", "COREFER"}
 
 def parse_tmr(text: str, source: str = "<string>") -> Tmr:
     """Parse and validate one TMR document; completes inverse slots."""
-    data = document(decode(text, source, TmrError), SCHEMA_TMR, source, TmrError)
-    raw_frames = data.get("frames", {})
-    if not isinstance(raw_frames, dict):
-        raise TmrError("frames must be an object", source=source)
-    for key in ("speaker", "hearer"):
-        if data.get(key) is not None and not isinstance(data[key], str):
-            raise TmrError(f"{key} must be an instance id string, got {data[key]!r}",
-                           source=source)
+    with reading(source, TmrError):
+        data = document(decode(text), SCHEMA_TMR)
+        raw_frames = data.get("frames", {})
+        if not isinstance(raw_frames, dict):
+            raise TmrError("frames must be an object")
+        for key in ("speaker", "hearer"):
+            if data.get(key) is not None and not isinstance(data[key], str):
+                raise TmrError(f"{key} must be an instance id string, got {data[key]!r}")
 
-    frames: list[TmrFrame] = []
-    for iid, body in raw_frames.items():
-        concept_of(iid, source)  # validates the id shape
-        if not isinstance(body, dict):
-            raise TmrError(f"{iid}: frame body must be an object", source=source)
-        slots: dict[str, tuple[Filler, ...]] = {}
-        meta = coref = None
-        for prop, raw in body.items():
-            if prop == "from-sense":
-                meta = meta or Metadata()
-                meta.from_sense = str(raw)
-                continue
-            if prop == "word-num":
-                if isinstance(raw, bool) or not isinstance(raw, int):
-                    raise TmrError(f"{iid}: word-num must be an integer, got {raw!r}",
-                                   source=source)
-                meta = meta or Metadata()
-                meta.word_num = raw
-                continue
-            if prop in _COREF_KEYS:
-                coref = str(raw)
-                concept_of(coref, source)
-                if coref == iid:
-                    raise TmrError(f"{iid}: {prop} names the frame itself", source=source)
-                continue
-            if prop in _NAME_SLOTS:
-                if not isinstance(raw, str):
-                    raise TmrError(f"{iid}: {prop} must be one string, got {raw!r}",
-                                   source=source)
-                problem = identity_problem(prop, raw)
-                if problem:
-                    raise TmrError(f"{iid}: {problem}", source=source)
-                slots[prop] = (raw,)
-            elif isinstance(raw, list):
-                slots[prop] = tuple([_parse_filler(prop, v, source) for v in raw])
-            else:
-                slots[prop] = (_parse_filler(prop, raw, source),)
-        frames.append(TmrFrame(instance_id=iid, slots=slots, metadata=meta, coref=coref))
+        frames: list[TmrFrame] = []
+        for iid, body in raw_frames.items():
+            concept_of(iid)  # validates the id shape
+            if not isinstance(body, dict):
+                raise TmrError(f"{iid}: frame body must be an object")
+            slots: dict[str, tuple[Filler, ...]] = {}
+            meta = coref = None
+            for prop, raw in body.items():
+                if prop == "from-sense":
+                    meta = meta or Metadata()
+                    meta.from_sense = str(raw)
+                    continue
+                if prop == "word-num":
+                    if isinstance(raw, bool) or not isinstance(raw, int):
+                        raise TmrError(f"{iid}: word-num must be an integer, got {raw!r}")
+                    meta = meta or Metadata()
+                    meta.word_num = raw
+                    continue
+                if prop in _COREF_KEYS:
+                    coref = str(raw)
+                    concept_of(coref)
+                    if coref == iid:
+                        raise TmrError(f"{iid}: {prop} names the frame itself")
+                    continue
+                if prop in _NAME_SLOTS:
+                    if not isinstance(raw, str):
+                        raise TmrError(f"{iid}: {prop} must be one string, got {raw!r}")
+                    problem = identity_problem(prop, raw)
+                    if problem:
+                        raise TmrError(f"{iid}: {problem}")
+                    slots[prop] = (raw,)
+                elif isinstance(raw, list):
+                    slots[prop] = tuple([_parse_filler(prop, v) for v in raw])
+                else:
+                    slots[prop] = (_parse_filler(prop, raw),)
+            frames.append(TmrFrame(instance_id=iid, slots=slots, metadata=meta, coref=coref))
 
-    ref_time = None
-    if "reference-time" in data:
-        ref_time = _parse_reference_time(str(data["reference-time"]), source)
-    tmr = Tmr(frames=frames,
-              speaker_id=data.get("speaker"),
-              hearer_id=data.get("hearer"),
-              reference_time=ref_time,
-              source=source)
-    _complete_inverses(tmr, source)
+        ref_time = None
+        if "reference-time" in data:
+            ref_time = _parse_reference_time(str(data["reference-time"]))
+        tmr = Tmr(frames=frames,
+                  speaker_id=data.get("speaker"),
+                  hearer_id=data.get("hearer"),
+                  reference_time=ref_time,
+                  source=source)
+        _complete_inverses(tmr)
     return tmr
 
 
 def parse_tmr_file(path) -> Tmr:
-    return parse_tmr(read_text(path, TmrError), source=str(path))
+    with reading(str(path), TmrError):
+        return parse_tmr(read_text(path), str(path))
 
 
 _INVERSES = {role + "-OF": role for role in CASE_ROLES}
 
 
-def _complete_inverses(tmr: Tmr, source: str) -> None:
+def _complete_inverses(tmr: Tmr) -> None:
     """Make case roles and their -OF inverses mutually consistent.
 
     Case roles are single-valued per frame; inverses are lists. A
@@ -335,8 +334,7 @@ def _complete_inverses(tmr: Tmr, source: str) -> None:
     for frame in tmr.frames:
         for role in CASE_ROLES:
             if len(frame.slots.get(role, ())) > 1:
-                raise TmrError(f"{frame.instance_id}: case role {role} has multiple fillers",
-                               source=source)
+                raise TmrError(f"{frame.instance_id}: case role {role} has multiple fillers")
 
     by_id = tmr.by_id
     for frame in tmr.frames:
@@ -373,7 +371,7 @@ def _complete_inverses(tmr: Tmr, source: str) -> None:
                 elif type(existing[0]) is not InstanceRef or existing[0].id != frame_id:
                     raise TmrError(f"{owner.instance_id}: {role} is "
                                    f"{_unparse_filler(existing[0])} but an inverse slot "
-                                   f"names {frame_id}", source=source)
+                                   f"names {frame_id}")
 
 
 # ---------------------------------------------------------------------------

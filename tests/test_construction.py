@@ -37,8 +37,8 @@ SUBJ, VERB, OBJECT = {"cat": "subj", "var": 1}, {"cat": "v", "var": 0}, \
 ROLES = {"AGENT": {"var": 1}, "THEME": {"var": 2}}
 PUSHED = {"PUSH-1": {"AGENT": "HUMAN-1", "THEME": "BOX-2"}, "HUMAN-1": {}, "BOX-2": {}}
 
-# a fixed "I" subject bound to AGENT; PUSHED_BY is in the past, since a fixed
-# subject word gives the verb no person to agree with
+# a fixed "I" subject bound to AGENT, which the verb agrees with; PUSHED_BY is
+# in the past
 FIXED = [{"cat": "subj", "var": 1, "root": ["I"]}, VERB, OBJECT]
 PUSHED_BY = {**PUSHED, "PUSH-1": {**PUSHED["PUSH-1"], "TIME": "before-reference"}}
 
@@ -72,6 +72,13 @@ ROWS = [
     # "I" and "you" must stand for the speaker and the hearer
     ("fixed I, the speaker the agent", FIXED, ROLES, [],
      {"speaker": "HUMAN-1", "frames": PUSHED_BY}, ["I pushed a box."]),
+    ("fixed I, present", FIXED, ROLES, [], {"speaker": "HUMAN-1", "frames": PUSHED},
+     ["I push a box."]),
+    ("fixed you, present", [{"cat": "subj", "var": 1, "root": ["you"]}, VERB, OBJECT], ROLES,
+     [], {"hearer": "HUMAN-1", "frames": PUSHED}, ["You push a box."]),
+    ("fixed-word subject, present",
+     [{"cat": "subj", "var": 1, "root": ["someone"]}, VERB, OBJECT], ROLES, [], PUSHED,
+     ["Someone pushes a box."]),
     ("fixed I, the speaker another", FIXED, ROLES, [],
      {"speaker": "HUMAN-3", "frames": PUSHED_BY},
      ("participant-mismatch", "fixed word 'I' does not fit HUMAN-1")),

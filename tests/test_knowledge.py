@@ -169,8 +169,10 @@ def test_constraint_lookup_inherits_and_local_declaration_wins(tmp_path):
         "OBJECT": {"parents": ["ALL"], "slots": {"SIZE": {"sem": {"range": [0, 1]}}}},
         "BOX": {"parents": ["OBJECT"],
                 "slots": {"SIZE": {"sem": {"range": [0.5, 1]}}}},
-        "LID": {"parents": ["OBJECT"]},
+        # a constraint may name its concept in an object
+        "LID": {"parents": ["OBJECT"], "slots": {"PART-OF": {"sem": {"concept": "BOX"}}}},
     }})
+    assert kb.ontology.constraint_on("LID", "PART-OF").sem == ConceptConstraint("BOX")
     inherited = kb.ontology.constraint_on("LID", "SIZE")
     assert isinstance(inherited.sem, RangeConstraint)
     assert (inherited.sem.low, inherited.sem.high) == (0.0, 1.0)
@@ -245,7 +247,9 @@ def test_match_degree_rewards_narrowed_override(kb):
     (0.5, RangeConstraint(0.0, 1.0), RangeConstraint(0.2, 0.8), True),
     ("WAITER", None, ConceptConstraint("HUMAN"), True),
     (0.5, RangeConstraint(0.2, 0.8), RangeConstraint(0.2, 0.8), False),
-], ids=["literal-subset", "range-inside-range", "no-ontology-sem", "equal-ranges"])
+    (0.9, RangeConstraint(0.0, 0.8), RangeConstraint(0.5, 1.0), False),
+], ids=["literal-subset", "range-inside-range", "no-ontology-sem", "equal-ranges",
+        "range-past-the-ontology"])
 def test_an_override_strictly_tighter_than_the_ontology_is_narrow(kb, filler, base, override,
                                                                    narrow):
     degree = match_degree(kb.ontology, filler, FacetedConstraint(sem=base),
@@ -463,6 +467,24 @@ _LOAD_RULES = {
                         "bad instance id 'HUMAN'"),
     "unknown-instance-concept": ("memory", _setting(lambda d: d["instances"], "GHOST-1", {}),
                                  "GHOST-1: concept prefix GHOST is not in the ontology"),
+    "ontology-facets": ("ontology", _setting(lambda d: d["concepts"]["FASTEN"]["slots"],
+                                             "AGENT", "HUMAN"),
+                        "FASTEN.AGENT: expected an object with sem/default facets, got 'HUMAN'"),
+    "scalar-out-of-range": ("lexicon", _setting(lambda d: _fix(d)["sem-struc"]["slots"],
+                                                "POLITENESS", 2),
+                            "fix-v2.POLITENESS: scalar slot values must lie in [0, 1]"),
+    "senses-not-a-list": ("lexicon", _setting(lambda d: d, "senses", {}),
+                          "senses must be a list"),
+    "sense-id-not-a-string": ("lexicon", _setting(lambda d: d["senses"][0], "id", 5),
+                              "senses[0] needs a string id, got 5"),
+    "reference-person": ("lexicon", _setting(lambda d: _sense(d, "i-n1")["reference"], "person",
+                                             4),
+                         "i-n1: reference needs person 1-3 and singular/plural"),
+    "reference-gender": ("lexicon", _setting(lambda d: _sense(d, "i-n1")["reference"], "gender",
+                                             "x"),
+                         "i-n1: reference gender must be male or female"),
+    "instances-not-an-object": ("memory", _setting(lambda d: d, "instances", []),
+                                "instances must be an object"),
     # two faults: the one read first is the one reported
     "ontology-first-of-two": ("ontology", _both(
         _setting(lambda d: d["concepts"]["OBJECT"], "parents", ["NOWHERE"]),

@@ -12,6 +12,8 @@ from pathlib import Path
 import pytest
 
 import ontogen
+from ontogen.realizer import parse_morphology
+from ontogen.selector import parse_frequency
 
 PUBLIC = [
     "generate", "RunReport", "ScoredSentence",
@@ -94,3 +96,66 @@ def test_datetime_is_loaded_only_for_a_meaning_with_a_date(fixture, dated):
     added = _modules_added(f"import ontogen.cli\n"
                            f"ontogen.cli.main(['generate', '--tmr', {str(path)!r}])")
     assert ("datetime" in added) == dated
+
+
+def _kb_kind_mismatch(tmp_path: Path) -> None:
+    kb_dir = Path(ontogen.__file__).parent / "data" / "kb"
+    lexicon = tmp_path / "lexicon.json"
+    lexicon.write_bytes((kb_dir / "ontology.json").read_bytes())
+    ontogen.load_knowledge_base(kb_dir / "ontology.json", lexicon, kb_dir / "memory.json")
+
+
+def _tmr_at(reference_time: str):
+    text = json.dumps({"schema": "ontogen-tmr/1", "reference-time": reference_time,
+                       "frames": {"WALK-1": {}}})
+    return lambda tmp_path: ontogen.parse_tmr(text, "t.json")
+
+
+# (what reads the document, given tmp_path; the error's class; its full text,
+# with {tmp_path} for that directory)
+_DOCUMENT_ERRORS = {
+    "kb-kind": (_kb_kind_mismatch, ontogen.SchemaError,
+                '{tmp_path}/lexicon.json: expected kind "lexicon", got \'ontology\''),
+    "morphology-table": (lambda tmp_path: parse_morphology(
+        {"schema": "ontogen-morph/1", "irregular-verbs": []}),
+        ontogen.SchemaError, "<morphology>: irregular-verbs must be an object"),
+    "frequency-values": (lambda tmp_path: parse_frequency(
+        {"schema": "ontogen-freq/1", "values": []}),
+        ontogen.SchemaError, "<frequency>: values must be an object"),
+    "reference-time-word": (_tmr_at("05.01.2021 noon"), ontogen.TmrError,
+                            "t.json: bad reference-time '05.01.2021 noon'"),
+    "reference-time-clock-only": (_tmr_at("09:05"), ontogen.TmrError,
+                                  "t.json: reference-time needs a date: '09:05'"),
+}
+
+
+@pytest.mark.parametrize("case", list(_DOCUMENT_ERRORS))
+def test_a_document_error_keeps_its_class_and_its_text(tmp_path, case):
+    read, error, text = _DOCUMENT_ERRORS[case]
+    with pytest.raises(ontogen.OntogenError) as caught:
+        read(tmp_path)
+    assert type(caught.value) is error
+    assert str(caught.value) == text.format(tmp_path=tmp_path)
+
+
+# the functions that may name a document or an error class: the public
+# parsers, which open a document's boundary, the boundary itself, what
+# carries a source, and the CLI's warning printer
+_NAMING = {"parse_config", "parse_frequency", "parse_morphology", "parse_tmr",
+           "reading.__init__", "SchemaError.__init__", "Tmr.__init__", "_warn"}
+
+
+def test_only_the_boundary_names_a_document():
+    """No function below a document's boundary (strictjson.reading) takes
+    a source or an error class: the boundary names the file for them."""
+    naming = set()
+    for path in sorted(Path(ontogen.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        owner = {child: f"{node.name}." for node in ast.walk(tree)
+                 if isinstance(node, ast.ClassDef) for child in node.body}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                arguments = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+                if {"source", "error"} & {argument.arg for argument in arguments}:
+                    naming.add(owner.get(node, "") + getattr(node, "name", "<lambda>"))
+    assert naming == _NAMING

@@ -87,6 +87,9 @@ def test_case_role_inverses_are_completed():
         "HUMAN-2": {"AGENT-OF": ["FASTEN-2"]},
     }))
     assert tmr.by_id["FASTEN-2"].get("AGENT").id == "HUMAN-2"
+    # an inverse naming a frame outside the TMR completes nothing
+    tmr = parse_tmr(_tmr({"WALK-1": {"AGENT-OF": ["HUMAN-9"]}}))
+    assert tmr.warnings == ["WALK-1 AGENT-OF points outside the TMR"]
 
 
 def test_contradictory_inverse_is_rejected():
@@ -185,7 +188,7 @@ def _filler_by_cascade(slot: str, raw: str):
 def test_filler_typing_keeps_its_precedence(slot, raw):
     expected = _filler_by_cascade(slot, raw)
     try:
-        parsed = _parse_filler(slot, raw, "<test>")
+        parsed = _parse_filler(slot, raw)
     except TmrError:
         parsed = "error"
     assert parsed == expected and type(parsed) is type(expected)
