@@ -6,7 +6,9 @@ ledger), prune syntactically, and aggregate the survivors into candidate
 sets, each its candidates' positions in options shared with its synonym
 clones and the other sets of the request. Up to aggregation, each stage
 narrows the units' candidate lists in place and returns the list it was
-given. Only the frames the root reaches become units: a frame nothing
+given, and writes what it decides on each candidate record it keeps: a
+record is copied only to add an option, and never written once
+aggregate_sets returns. Only the frames the root reaches become units: a frame nothing
 attaches to the root cannot be said, so it is named in one message and
 never scored. Every pruning rule but one reads one candidate and its own
 frame, so each candidate is scored and read once; the one, verb-slot, then
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from operator import attrgetter
 from typing import Iterator, NamedTuple
 
 from .config import GenerationConfig
@@ -51,21 +54,41 @@ class LedgerEntry(NamedTuple):
     note: str = ""
 
 
-class CandidateSense(NamedTuple):
-    """One sense option for one unit, and how its referent is mentioned."""
+class CandidateSense:
+    """One sense option for one unit, and how its referent is mentioned.
 
-    sense: LexSense
-    frame_id: str
-    unit_key: str
-    determiner: str = "none"  # set by manage_reference for a described referent
-    pronoun_form: str | None = None  # set by manage_reference for a pronoun clone
-    lemma_override: str | None = None
-    proper: bool = False
-    modifiers: tuple[str, ...] = ()  # the frame's props that modifier units express
-    ledger: tuple[LedgerEntry, ...] = ()  # reference-stage entries
-    semantic: tuple[LedgerEntry, ...] = ()  # set by prune_semantic
-    uncovered: tuple[LedgerEntry, ...] = ()  # set by prune_semantic
-    reading: tuple | None = None  # set by prune_syntactic: read_construction's reading
+    A record each stage narrows in place until aggregation: manage_reference
+    sets determiner and ledger, prune_semantic semantic and uncovered, and
+    prune_syntactic reading, on the record it keeps. A record is copied
+    (_replace) only where one base yields a second option: the plural pair
+    and the pronoun clone, and aggregate_sets' synonym clones. Every set
+    of a request shares its options, so nothing writes a record once
+    aggregate_sets returns."""
+
+    __slots__ = ("sense", "frame_id", "unit_key", "determiner", "pronoun_form", "lemma_override",
+                 "proper", "modifiers", "ledger", "semantic", "uncovered", "reading")
+
+    def __init__(self, sense: LexSense, frame_id: str, unit_key: str,
+                 determiner: str = "none",  # set by manage_reference for a described referent
+                 pronoun_form: str | None = None,  # set by manage_reference for a pronoun clone
+                 lemma_override: str | None = None, proper: bool = False,
+                 modifiers: tuple[str, ...] = (),  # the frame's props that modifier units express
+                 ledger: tuple[LedgerEntry, ...] = (),  # reference-stage entries
+                 semantic: tuple[LedgerEntry, ...] = (),  # set by prune_semantic
+                 uncovered: tuple[LedgerEntry, ...] = (),  # set by prune_semantic
+                 reading: tuple | None = None):  # set by prune_syntactic (read_construction)
+        self.sense, self.frame_id, self.unit_key = sense, frame_id, unit_key
+        self.determiner, self.pronoun_form = determiner, pronoun_form
+        self.lemma_override, self.proper, self.modifiers = lemma_override, proper, modifiers
+        self.ledger, self.semantic, self.uncovered = ledger, semantic, uncovered
+        self.reading = reading
+
+    def _replace(self, **changes) -> CandidateSense:
+        """A copy with changes, as a NamedTuple's _replace makes it."""
+        copy = CandidateSense(*_candidate_fields(self))
+        for name, value in changes.items():
+            setattr(copy, name, value)
+        return copy
 
     @property
     def lemma(self) -> str:
@@ -84,6 +107,9 @@ class CandidateSense(NamedTuple):
         elif self.determiner != "none":
             text += f"[{self.determiner}]"
         return text
+
+
+_candidate_fields = attrgetter(*CandidateSense.__slots__)  # in __init__'s order
 
 
 class Unit:
@@ -255,10 +281,13 @@ def _pronoun_candidates(unit: Unit, person: int, number: str, gender: str | None
         if ref.gender is not None and ref.gender != gender:
             continue
         if bonus:
-            cand = cand._replace(ledger=cand.ledger + (LedgerEntry(
-                "reference-pronoun", bonus, "pronoun preferred for a known referent"),))
+            cand.ledger += (LedgerEntry("reference-pronoun", bonus,
+                                        "pronoun preferred for a known referent"),)
         out.append(cand)
     return out
+
+
+_NAME_SYN_STRUC = (SynNode(category="n", var=0),)
 
 
 def _name_candidate(unit: Unit, name: str, concept: str) -> CandidateSense:
@@ -266,7 +295,7 @@ def _name_candidate(unit: Unit, name: str, concept: str) -> CandidateSense:
         id=f"{name.lower()}-pn1",
         headword=name,
         pos="n",
-        syn_struc=(SynNode(category="n", var=0),),
+        syn_struc=_NAME_SYN_STRUC,
         sem_struc=SemFrame(head=concept, slots={}),
     )
     return CandidateSense(sense=sense, frame_id=unit.frame_id, unit_key=unit.key, proper=True,
@@ -311,41 +340,43 @@ def manage_reference(units: list[Unit], tmr: Tmr, kb: KnowledgeBase,
             elif known:
                 chosen.extend(_pronoun_candidates(unit, 3, number, gender,
                                                   config.pronoun_bonus))
-                chosen.extend(c._replace(determiner="definite")
-                              for c in unit.candidates if c.sense.reference is None)
+                chosen.extend(_described(unit.candidates, "definite"))
             else:
-                determiner = "indefinite" if number == "singular" else "some"
-                chosen.extend(c._replace(determiner=determiner)
-                              for c in unit.candidates if c.sense.reference is None)
+                chosen.extend(_described(unit.candidates,
+                                         "indefinite" if number == "singular" else "some"))
             unit.candidates = chosen
             continue
 
         # non-human objects
         plain = [c for c in unit.candidates if c.sense.reference is None]
-        chosen = []
-        if known:
-            chosen.extend(c._replace(determiner="definite") for c in plain)
-            if frame.coref is not None and plain:
-                # pronominalization needs an explicit coreference link; base
-                # the clone on a sense that asserts nothing beyond its head,
-                # so the pronoun is not hostage to another sense's content
-                base = next((c for c in plain
-                             if all(isinstance(v, VarBinding)
-                                    for v in c.sense.sem_struc.slots.values())),
-                            plain[0])
-                ledger = base.ledger + (LedgerEntry(
-                    "reference-pronoun", config.pronoun_bonus,
-                    "pronoun preferred for a known referent"),)
-                chosen.append(base._replace(pronoun_form="they" if number == "plural" else "it",
-                                            ledger=ledger))
-        elif number == "plural":
-            for c in plain:
-                chosen.append(c._replace(determiner="some"))
-                chosen.append(c._replace(determiner="bare"))
-        else:
-            chosen.extend(c._replace(determiner="indefinite") for c in plain)
-        unit.candidates = chosen or plain
+        unit.candidates = plain
+        if known and frame.coref is not None and plain:
+            # pronominalization needs an explicit coreference link; base
+            # the clone on a sense that asserts nothing beyond its head,
+            # so the pronoun is not hostage to another sense's content
+            base = next((c for c in plain
+                         if all(isinstance(v, VarBinding)
+                                for v in c.sense.sem_struc.slots.values())),
+                        plain[0])
+            # copied before plain is described below: a pronoun takes no determiner
+            unit.candidates = plain + [base._replace(
+                pronoun_form="they" if number == "plural" else "it",
+                ledger=base.ledger + (LedgerEntry("reference-pronoun", config.pronoun_bonus,
+                                                  "pronoun preferred for a known referent"),))]
+        elif not known and number == "plural":
+            unit.candidates = [c for base in plain
+                               for c in (base, base._replace(determiner="bare"))]
+        _described(plain, "definite" if known else "some" if number == "plural" else "indefinite")
     return units
+
+
+def _described(candidates: list[CandidateSense], determiner: str) -> list[CandidateSense]:
+    """The candidates that are not pronoun senses, each given the determiner
+    in place."""
+    plain = [c for c in candidates if c.sense.reference is None]
+    for c in plain:
+        c.determiner = determiner
+    return plain
 
 
 # ---------------------------------------------------------------------------
@@ -501,10 +532,8 @@ def prune_semantic(units: list[Unit], tmr: Tmr, kb: KnowledgeBase,
             if failure:
                 _exclude(trace, "semantic", choice, *failure)
                 continue
-            uncovered = _uncovered_slots(choice, expressible, config) if expressible else ()
-            # a copy only when the choice changes
-            if entries or uncovered or choice.semantic or choice.uncovered:
-                choice = choice._replace(semantic=tuple(entries), uncovered=uncovered)
+            choice.semantic = tuple(entries)
+            choice.uncovered = _uncovered_slots(choice, expressible, config) if expressible else ()
             kept.append(choice)
         unit.candidates = kept
     if not all(unit.candidates for unit in units):
@@ -626,9 +655,9 @@ def prune_syntactic(units: list[Unit], tmr: Tmr, root: TmrFrame,
                 failure = ("pronoun-with-modifiers",
                            "a modified referent cannot be realized as a pronoun")
             elif choice.sense.is_argument_taking:
-                failure, reading = read_construction(tmr, frame, choice.sense, frame is not root)
-                choice = choice._replace(reading=reading)
-                for category, _, target in reading[1] if reading else ():
+                failure, choice.reading = read_construction(tmr, frame, choice.sense,
+                                                            frame is not root)
+                for category, _, target in choice.reading[1] if choice.reading else ():
                     if category == "v" and target:
                         embedded.add(target.instance_id)
             else:

@@ -92,11 +92,18 @@ def read_text(path) -> str:
         raise SchemaError(f"not UTF-8: byte {exc.start}: {exc.reason}") from None
 
 
+# one decoder for every document: json.loads builds a decoder and its
+# scanner on each call that passes hooks
+_DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys, parse_constant=_no_constant,
+                            parse_float=_finite_float, parse_int=_float_sized_int)
+
+
 def decode(text: str):
-    """Strict JSON text to its value."""
+    """Strict JSON text to its value, as json.loads with the hooks reads it."""
     try:
-        return json.loads(text, object_pairs_hook=_unique_keys, parse_constant=_no_constant,
-                          parse_float=_finite_float, parse_int=_float_sized_int)
+        if text.startswith("\ufeff"):  # json.loads' check, ahead of its decoder
+            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+        return _DECODER.decode(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"line {exc.lineno}: {exc.msg}") from None
     except ValueError as exc:

@@ -269,10 +269,10 @@ def parse_tmr(text: str, source: str = "<string>") -> Tmr:
 
         frames: list[TmrFrame] = []
         for iid, body in raw_frames.items():
-            concept_of(iid)  # validates the id shape
+            frame = TmrFrame(iid)  # reads the id once, and checks its shape before the body
             if not isinstance(body, dict):
                 raise TmrError(f"{iid}: frame body must be an object")
-            slots: dict[str, tuple[Filler, ...]] = {}
+            slots = frame.slots
             meta = coref = None
             for prop, raw in body.items():
                 if prop == "from-sense":
@@ -302,7 +302,8 @@ def parse_tmr(text: str, source: str = "<string>") -> Tmr:
                     slots[prop] = tuple([_parse_filler(prop, v) for v in raw])
                 else:
                     slots[prop] = (_parse_filler(prop, raw),)
-            frames.append(TmrFrame(instance_id=iid, slots=slots, metadata=meta, coref=coref))
+            frame.metadata, frame.coref = meta, coref
+            frames.append(frame)
 
         ref_time = None
         if "reference-time" in data:

@@ -3,6 +3,8 @@ from __future__ import annotations
 
 import json
 import math
+import sys
+from collections import Counter
 
 import pytest
 
@@ -326,6 +328,42 @@ def test_a_request_reads_each_construction_once_at_syntactic_pruning(kb, monkeyp
             assert generate(load_fixture(path.stem), kb).sentences
     assert read == reached
     assert len(read) == 33
+
+
+def test_pruning_narrows_each_candidate_record_in_place(kb, monkeypatch):
+    """Semantic and syntactic pruning write what they decide on the records
+    they keep, so neither copies one, and each record syntactic pruning
+    keeps is one semantic pruning received. Only a second option from one
+    base is a copy: a plural pair, a pronoun clone, a synonym clone."""
+    copied, received, kept = [], [], []
+    replace = pipeline.CandidateSense._replace
+
+    def replace_counted(choice, **changes):
+        caller = sys._getframe(1)
+        while caller.f_code.co_name.startswith("<"):  # a comprehension's own frame
+            caller = caller.f_back
+        copied.append(caller.f_code.co_name)
+        return replace(choice, **changes)
+
+    def semantic_recorded(units, *args):
+        received.append([choice for unit in units for choice in unit.candidates])
+        return prune_semantic(units, *args)
+
+    def syntactic_recorded(units, *args):
+        units = prune_syntactic(units, *args)
+        kept.append([choice for unit in units for choice in unit.candidates])
+        return units
+
+    monkeypatch.setattr(pipeline.CandidateSense, "_replace", replace_counted)
+    monkeypatch.setattr(pipeline, "prune_semantic", semantic_recorded)
+    monkeypatch.setattr(pipeline, "prune_syntactic", syntactic_recorded)
+    for path in sorted(TMR_DIR.glob("*.json")):
+        if path.stem != "empty":
+            assert generate(load_fixture(path.stem), kb).sentences
+    assert Counter(copied) == {"manage_reference": 7, "aggregate_sets": 21}
+    assert len(received) == len(kept) == 15
+    for before, after in zip(received, kept):
+        assert {id(choice) for choice in after} <= {id(choice) for choice in before}
 
 
 def test_nothing_survives_a_meaning_no_sense_can_host(kb, config):

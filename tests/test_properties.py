@@ -25,10 +25,12 @@ from ontogen import (
     load_knowledge_base,
     load_morphology,
     parse_tmr_file,
+    pipeline,
     serialize_tmr,
 )
 from ontogen.cli import _render_json
 from ontogen.pipeline import (
+    CandidateSense,
     aggregate_sets,
     extract_candidates,
     manage_reference,
@@ -234,6 +236,39 @@ def test_synonym_expansion_only_changes_the_head_lemma(seed):
         for key, choice in cs.choices.items():
             if choice.lemma_override is not None:
                 assert choice.lemma_override in choice.sense.synonyms
+
+
+def test_no_candidate_record_changes_once_aggregation_returns(kb, monkeypatch):
+    """Selection narrows candidate records in place until aggregate_sets
+    returns. Every set of a request then shares its options, so each
+    option is its own record, and each reads the same when the report is
+    rendered in full as it did when aggregation returned. Over every
+    fixture and genscen seeds 0-49."""
+    taken = []
+
+    def aggregate_recorded(units, config):
+        sets, messages = aggregate_sets(units, config)
+        records = [choice for column in sets[0].options for choice in column]
+        taken.append((records, [_fields(choice) for choice in records]))
+        return sets, messages
+
+    monkeypatch.setattr(pipeline, "aggregate_sets", aggregate_recorded)
+    requests = [(kb, parse_tmr_file(path)) for path in sorted(TMR_DIR.glob("*.json"))]
+    requests += [build_scenario(seed) for seed in range(50)]
+    checked = 0
+    for request_kb, tmr in requests:
+        taken.clear()
+        with contextlib.suppress(AllSetsPruned):
+            _render_json(generate(tmr, request_kb), 10 ** 6, True, True)
+        for records, fields in taken:
+            assert len({id(choice) for choice in records}) == len(records)
+            assert [_fields(choice) for choice in records] == fields
+            checked += 1
+    assert checked > 40
+
+
+def _fields(choice: CandidateSense) -> tuple:
+    return tuple(getattr(choice, name) for name in CandidateSense.__slots__)
 
 
 # --- input files ---------------------------------------------------------------

@@ -147,9 +147,11 @@ def test_bad_dates_and_clocks_are_rejected():
      '"AGENT": "HUMAN-2", "TIME": "y"}}}', "duplicate key 'AGENT'"),
     ('{"schema": "ontogen-tmr/1", "frames": {"PICTURE-1": {"CARDINALITY": 1e400}}}',
      "number 1e400 is outside the float range"),
+    (_tmr({"walk": 5}), "'walk' is not CONCEPT-<digits>"),  # the id, before the body
+    (_tmr({"WALK-1": 5}), "WALK-1: frame body must be an object"),
 ], ids=["word-num", "frames-list", "speaker-number", "speaker-list", "hearer-number",
         "self-coref", "reference-date", "reference-clock", "huge-integer", "repeated-keys",
-        "huge-float"])
+        "huge-float", "id-shape-first", "body-not-object"])
 def test_malformed_content_is_a_tmr_error(text, match):
     with pytest.raises(TmrError, match=match):
         parse_tmr(text)
