@@ -14,7 +14,7 @@ import re
 from enum import IntEnum
 from graphlib import CycleError, TopologicalSorter
 from itertools import takewhile
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .errors import KbValidationError, SchemaError
 from .strictjson import document, read_json, reading
@@ -218,15 +218,21 @@ class Ontology:
 
     def satisfies(self, filler, constraint: Constraint) -> bool:
         """Whether a filler value (concept name, literal, or scalar) meets one constraint."""
-        if isinstance(constraint, AnythingConstraint):
-            return True
+        return self.membership(constraint)(filler)
+
+    def membership(self, constraint: Constraint) -> Callable[[object], bool]:
+        """The test of one filler against constraint, made once: within for
+        a concept, in for literals, the bounds for a range."""
         if isinstance(constraint, ConceptConstraint):
-            return isinstance(filler, str) and self.exists(filler) and self.is_a(filler, constraint.concept)
+            within, concept = self.within, constraint.concept
+            return lambda filler: within(filler, concept)
         if isinstance(constraint, LiteralConstraint):
-            return isinstance(filler, str) and filler in constraint.values
+            values = constraint.values
+            return lambda filler: isinstance(filler, str) and filler in values
         if isinstance(constraint, RangeConstraint):
-            return isinstance(filler, (int, float)) and constraint.low <= float(filler) <= constraint.high
-        return False
+            low, high = constraint
+            return lambda filler: isinstance(filler, (int, float)) and low <= float(filler) <= high
+        return lambda filler: True
 
 
 def _strictly_tighter(onto: Ontology, inner: Constraint, outer: Constraint) -> bool:
@@ -249,31 +255,49 @@ def effective_sem(base: FacetedConstraint, over: FacetedConstraint | None = None
     return base.sem if base.sem is not None else ANYTHING
 
 
-def match_degree(onto: Ontology, filler, base: FacetedConstraint,
-                 over: FacetedConstraint | None) -> MatchDegree:
-    """Grade a filler against a faceted constraint, honoring a lexical override.
+class Grade:
+    """A bound slot's constraint, read once at load (_parse_lexicon), which
+    decides the degree a filler matches at. holds tests the effective sem
+    facet (effective_sem), exact is the value that matches exactly (a
+    concept, or a lone literal), narrow says a lexical override is strictly
+    tighter than the ontology's sem, typical tests the ontology's default
+    facet, and text is the effective facet as a violation prints it."""
 
-    Returns NONE when the filler violates the effective sem facet, EXACT when
-    it equals the most specific constraining value, NARROW when it satisfies an
-    override strictly tighter than the ontological sem, DEFAULT when it also
-    satisfies the default facet, and SEM otherwise.
-    """
-    effective = effective_sem(base, over)
-    if not onto.satisfies(filler, effective):
-        return MatchDegree.NONE
+    __slots__ = ("holds", "exact", "narrow", "typical", "text")
 
-    if isinstance(effective, ConceptConstraint) and filler == effective.concept:
-        return MatchDegree.EXACT
-    if isinstance(effective, LiteralConstraint) and len(effective.values) == 1 and filler == effective.values[0]:
-        return MatchDegree.EXACT
+    def __init__(self, onto: Ontology, base: FacetedConstraint,
+                 over: FacetedConstraint | None = None):
+        sem = effective_sem(base, over)
+        self.holds = onto.membership(sem)
+        self.exact = sem.concept if isinstance(sem, ConceptConstraint) else \
+            sem.values[0] if isinstance(sem, LiteralConstraint) and len(sem.values) == 1 else None
+        self.narrow = over is not None and over.sem is not None \
+            and _strictly_tighter(onto, over.sem, effective_sem(base))
+        self.typical = None if base.default is None else onto.membership(base.default)
+        self.text = constraint_text(sem)
 
-    if over is not None and over.sem is not None \
-            and _strictly_tighter(onto, over.sem, effective_sem(base)):
-        return MatchDegree.NARROW
+    def degree(self, filler) -> MatchDegree:
+        """NONE when the filler violates the effective sem facet, EXACT when
+        it is the exact value, NARROW when it meets a narrowing override,
+        DEFAULT when it also meets the default facet, and SEM otherwise."""
+        if not self.holds(filler):
+            return MatchDegree.NONE
+        if self.exact is not None and filler == self.exact:
+            return MatchDegree.EXACT
+        if self.narrow:
+            return MatchDegree.NARROW
+        if self.typical is not None and self.typical(filler):
+            return MatchDegree.DEFAULT
+        return MatchDegree.SEM
 
-    if base.default is not None and onto.satisfies(filler, base.default):
-        return MatchDegree.DEFAULT
-    return MatchDegree.SEM
+
+class Assertion:
+    """A sem-struc slot that asserts a constraint: its test and its text."""
+
+    __slots__ = ("holds", "text")
+
+    def __init__(self, holds: Callable[[object], bool], text: str):
+        self.holds, self.text = holds, text
 
 
 # ---------------------------------------------------------------------------
@@ -318,22 +342,25 @@ class LexSense:
     reference is present only on pronoun senses (I/you/he/she/they).
     bound_roles maps each syn-struc variable a sem-struc slot binds to that
     slot's property (the loader lets a variable fill one slot only);
-    is_argument_taking says whether there is any; transitive says whether
-    the syn-struc has a direct object; subject is the variable of the
-    grammatical subject, the first bound bare subj or n node ahead of the
-    head verb, if any; mood is imperative for a verb-first syn-struc,
-    interrogative for an aux-first one, else declarative; has_aux says
-    whether any node is an aux. All six are read from the structures once,
-    here, so neither structure may change later. role_bases maps each bound
-    property to the ontology's constraint on it for the head concept; the
-    loader reads it from the ontology and passes it in. The loader checks
+    is_argument_taking says whether there is any, and mismatch names the
+    rule that excludes the sense for content the meaning lacks or
+    contradicts; transitive says whether the syn-struc has a direct object;
+    subject is the variable of the grammatical subject, the first bound bare
+    subj or n node ahead of the head verb, if any; mood is imperative for a
+    verb-first syn-struc, interrogative for an aux-first one, else
+    declarative; has_aux says whether any node is an aux. All are read from
+    the structures once, here, so neither structure may change later.
+    program is the sem-struc as semantic pruning runs it, one (property,
+    step) per slot in slot order: a Grade for a bound slot, an Assertion for
+    an asserted constraint, the value of a scalar feature; the loader
+    compiles it against the ontology and passes it in. The loader checks
     def, ex and example-bindings, which pick each fixed node's word, and
     keeps none."""
 
     def __init__(self, id: str, headword: str, pos: str, syn_struc: tuple[SynNode, ...],
                  sem_struc: SemFrame, synonyms: tuple[str, ...] = (),
                  reference: PronounRef | None = None,
-                 role_bases: dict[str, FacetedConstraint] | None = None):
+                 program: tuple[tuple[str, Grade | Assertion | float], ...] = ()):
         self.id = id
         self.headword = headword
         self.pos = pos
@@ -344,6 +371,7 @@ class LexSense:
         self.bound_roles = {v.var: prop for prop, v in sem_struc.slots.items()
                             if isinstance(v, VarBinding)}
         self.is_argument_taking = bool(self.bound_roles)
+        self.mismatch = "argument-mismatch" if self.is_argument_taking else "content-mismatch"
         self.transitive = any(node.category == "directobject" for node in syn_struc)
         self.subject = next((node.var for node in takewhile(lambda n: n.var or n.word, syn_struc)
                              if node.category in ("subj", "n") and not node.word
@@ -351,41 +379,48 @@ class LexSense:
         self.mood = {"v": "imperative", "aux": "interrogative"}.get(syn_struc[0].category,
                                                                    "declarative")
         self.has_aux = any(node.category == "aux" for node in syn_struc)
-        self.role_bases = {} if role_bases is None else role_bases
+        self.program = program
 
 
 class Lexicon:
     """Sense store with its noun and verb senses indexed by head concept, and
     its modifier senses (adj/adv) by each property they give a value, each
-    index in sense-id order. Only a noun or verb sense heads a frame: a
-    modifier's head names what it may modify."""
+    index in sense-id order, with the step of the sense's program that
+    tests the value. Only a noun or verb sense heads a frame: a modifier's
+    head names what it may modify. inverses holds, per head concept, the
+    -OF properties its senses bind."""
 
     def __init__(self, senses: dict[str, LexSense]):
         self.senses = senses
         self.by_head: dict[str, list[LexSense]] = {}
-        self.by_property: dict[str, list[tuple[Constraint | float, LexSense]]] = {}
+        self.inverses: dict[str, set[str]] = {}
+        self.by_property: dict[str, list[tuple[Assertion | float, LexSense]]] = {}
         for sid in sorted(senses):
             sense = senses[sid]
             if sense.pos not in MODIFIER_POS:
-                self.by_head.setdefault(sense.sem_struc.head, []).append(sense)
+                head = sense.sem_struc.head
+                self.by_head.setdefault(head, []).append(sense)
+                for prop in sense.bound_roles.values():
+                    if prop.endswith("-OF"):
+                        self.inverses.setdefault(head, set()).add(prop)
                 continue
-            for prop, slot in sense.sem_struc.slots.items():
-                if not isinstance(slot, VarBinding):
-                    self.by_property.setdefault(prop, []).append((slot, sense))
+            for prop, step in sense.program:
+                if not isinstance(step, Grade):
+                    self.by_property.setdefault(prop, []).append((step, sense))
 
     def senses_by_head_concept(self, concept: str) -> list[LexSense]:
         """The noun and verb senses whose sem-struc head is exactly this
         concept, by sense id."""
         return self.by_head.get(concept, [])
 
-    def senses_for_property(self, onto: Ontology, prop: str, value) -> list[LexSense]:
+    def senses_for_property(self, prop: str, value) -> list[LexSense]:
         """Modifier senses (adj/adv) whose sem-struc covers property=value."""
         out = []
-        for slot, sense in self.by_property.get(prop, ()):
-            if isinstance(slot, float):
-                ok = isinstance(value, (int, float)) and abs(float(value) - slot) < 1e-9
+        for step, sense in self.by_property.get(prop, ()):
+            if isinstance(step, float):
+                ok = isinstance(value, (int, float)) and abs(float(value) - step) < 1e-9
             else:
-                ok = onto.satisfies(value, slot)
+                ok = step.holds(value)
             if ok:
                 out.append(sense)
         return out
@@ -577,7 +612,7 @@ def _parse_lexicon(data: dict, onto: Ontology) -> Lexicon:
             if var not in declared:
                 raise KbValidationError(
                     f"{sid}: null-sem references $var{var} with no syn-struc node")
-        slots, bases, bound = {}, {}, {}  # bound: the slot each variable fills
+        slots, bound, program = {}, {}, []  # bound: the slot each variable fills
         for prop, rawv in slots_raw.items():
             value = slots[prop] = _parse_slot_value(rawv, f"{sid}.{prop}", onto.concepts)
             if isinstance(value, VarBinding):
@@ -588,11 +623,22 @@ def _parse_lexicon(data: dict, onto: Ontology) -> Lexicon:
                     raise KbValidationError(f"{sid}: sem-struc binds $var{value.var} in both "
                                             f"{bound[value.var]} and {prop}")
                 bound[value.var] = prop
-                bases[prop] = onto.constraint_on(head, prop)
+                step = Grade(onto, onto.constraint_on(head, prop), value.override)
+            elif isinstance(value, float):
+                step = value
+            else:
+                step = Assertion(onto.membership(value), constraint_text(value))
+            program.append((prop, step))
         overlap = set(bound) & set(null_sem)
         if overlap:
             raise KbValidationError(
                 f"{sid}: null-sem variables fill case-role slots: {sorted(overlap)}")
+        for cat, var, roots, optional in nodes:
+            # an embedded clause's word-less subject is never said
+            if not (roots or var in bound or var == 0 or var in null_sem or optional
+                    or cat == "subj"):
+                raise KbValidationError(f"{sid}: {cat} node $var{var} has no root word, and "
+                                        f"no sem-struc slot binds it")
         bindings = body.get("example-bindings", [])
         if not isinstance(bindings, list) or not all(
                 isinstance(b, list) and len(b) == 2 and isinstance(b[0], str) and _is_integer(b[1])
@@ -638,7 +684,7 @@ def _parse_lexicon(data: dict, onto: Ontology) -> Lexicon:
             syn_struc=tuple(syn_struc),
             sem_struc=SemFrame(head=head, slots=slots, null_sem=tuple(null_sem)),
             reference=reference,
-            role_bases=bases,
+            program=tuple(program),
         )
     return Lexicon(senses)
 

@@ -12,8 +12,11 @@ aggregate_sets returns. Only the frames the root reaches become units: a frame n
 attaches to the root cannot be said, so it is named in one message and
 never scored. Every pruning rule but one reads one candidate and its own
 frame, so each candidate is scored and read once; the one, verb-slot, then
-weighs the readings kept against the frames their "v" nodes read. Only
-survivors are combined. Every score delta and every exclusion is recorded,
+weighs the readings kept against the frames their "v" nodes read. A
+candidate is scored by running its sense's program (LexSense.program),
+compiled when the knowledge base loads, against its frame's fillers: no
+stage works out a constraint, a degree's facts or a note's constraint
+text per request. Only survivors are combined. Every score delta and every exclusion is recorded,
 so a set's score is explained by its ledger, which is built only when read.
 """
 
@@ -27,16 +30,14 @@ from typing import Iterator, NamedTuple
 from .config import GenerationConfig
 from .errors import AllSetsPruned, NoRealizableSense, TmrError
 from .knowledge import (
-    Constraint,
+    Assertion,
+    Grade,
     KnowledgeBase,
     LexSense,
     MatchDegree,
     SemFrame,
     SynNode,
     VarBinding,
-    constraint_text,
-    effective_sem,
-    match_degree,
 )
 from .tmr import (
     CASE_ROLES,
@@ -199,13 +200,11 @@ def extract_candidates(tmr: Tmr, kb: KnowledgeBase, root: TmrFrame) -> list[Unit
         frame = by_id[stack.pop()]
         if frame.instance_id in heads:
             continue
-        heads[frame.instance_id] = kb.head_senses(frame.concept)
-        bound = {prop for sense in heads[frame.instance_id][0]
-                 for prop in sense.bound_roles.values()}
-        for prop, values in frame.slots.items():
-            if not prop.endswith("-OF") or prop in bound:
-                stack.extend(v.id for v in values
-                             if isinstance(v, InstanceRef) and v.id in by_id)
+        senses, _ = heads[frame.instance_id] = kb.head_senses(frame.concept)
+        bound = kb.lexicon.inverses.get(senses[0].sem_struc.head, ()) if senses else ()
+        stack += [v.id for prop, values in frame.slots.items()
+                  if not prop.endswith("-OF") or prop in bound
+                  for v in values if isinstance(v, InstanceRef) and v.id in by_id]
     units: list[Unit] = []
     for frame in tmr.frames:
         frame_id = frame.instance_id
@@ -230,15 +229,16 @@ def modifier_key(frame_id: str, prop: str) -> str:
 
 
 def _modifier_units(frame: TmrFrame, kb: KnowledgeBase) -> list[Unit]:
+    """One unit per property of the frame that some modifier sense covers."""
     out = []
-    for prop in sorted(frame.slots):
+    for prop in sorted(frame.slots.keys() & kb.lexicon.by_property.keys()):
         if prop in RESERVED_SLOTS or prop in CASE_ROLES or prop.endswith("-OF"):
             continue
         value = frame.get(prop)
         if isinstance(value, InstanceRef):
             continue
         query = value.name if isinstance(value, ConceptRef) else value
-        senses = kb.lexicon.senses_for_property(kb.ontology, prop, query)
+        senses = kb.lexicon.senses_for_property(prop, query)
         if not senses:
             continue
         key = modifier_key(frame.instance_id, prop)
@@ -398,15 +398,13 @@ _DEGREE_RULES = {  # rule, config bonus, degree as notes print it
 }
 
 
-def _score_binding(entries: list[LedgerEntry], choice: CandidateSense, concept: str | None,
-                   prop: str, binding: VarBinding, kb: KnowledgeBase,
+def _score_binding(entries: list[LedgerEntry], concept: str | None, prop: str, grade: Grade,
                    config: GenerationConfig) -> str | None:
     if concept is None:
         return None
-    base = choice.sense.role_bases[prop]
-    degree = match_degree(kb.ontology, concept, base, binding.override)
+    degree = grade.degree(concept)
     if degree is MatchDegree.NONE:
-        return f"{prop} {concept} violates {constraint_text(effective_sem(base, binding.override))}"
+        return f"{prop} {concept} violates {grade.text}"
     hit = _DEGREE_RULES.get(degree)
     if hit:
         rule, attr, name = hit
@@ -441,19 +439,18 @@ def _score_feature(entries: list[LedgerEntry], prop: str, declared: float, actua
 
 
 def _score_assertion(entries: list[LedgerEntry], value, tmr: Tmr, prop: str,
-                     constraint: Constraint, kb: KnowledgeBase,
-                     config: GenerationConfig) -> str | None:
+                     assertion: Assertion, config: GenerationConfig) -> str | None:
     if value is None:
-        return f"asserts {prop} {constraint_text(constraint)}, absent from the meaning"
+        return f"asserts {prop} {assertion.text}, absent from the meaning"
     filler = _filler_concept(value, tmr)
     if filler is None:
         filler = value
-    if kb.ontology.satisfies(filler, constraint):
+    if assertion.holds(filler):
         entries.append(LedgerEntry(
             "content-match", config.exact_bonus,
-            f"asserted {prop} {constraint_text(constraint)} is present in the meaning"))
+            f"asserted {prop} {assertion.text} is present in the meaning"))
         return None
-    return f"asserts {prop} {constraint_text(constraint)} but the meaning has {filler}"
+    return f"asserts {prop} {assertion.text} but the meaning has {filler}"
 
 
 def _score_modifier(entries: list[LedgerEntry], choice: CandidateSense, unit: Unit,
@@ -466,27 +463,26 @@ def _score_modifier(entries: list[LedgerEntry], choice: CandidateSense, unit: Un
 
 
 def _score_candidate(entries: list[LedgerEntry], choice: CandidateSense, unit: Unit,
-                     tmr: Tmr, kb: KnowledgeBase,
-                     config: GenerationConfig) -> tuple[str, str] | None:
-    """Append the choice's score entries; return (rule, reason) when it
-    asserts content the meaning lacks or contradicts."""
+                     tmr: Tmr, config: GenerationConfig) -> tuple[str, str] | None:
+    """Append the choice's score entries, running its sense's program
+    against the frame's fillers; return (rule, reason) when it asserts
+    content the meaning lacks or contradicts."""
     if unit.kind == "modifier":
         _score_modifier(entries, choice, unit, config)
         return None
     frame = tmr.by_id[choice.frame_id]
-    kind = "argument-mismatch" if choice.sense.is_argument_taking else "content-mismatch"
-    for prop, slot in choice.sense.sem_struc.slots.items():
+    sense = choice.sense
+    for prop, step in sense.program:
         value = tmr.filler(frame, prop)
-        if isinstance(slot, VarBinding):
-            reason = _score_binding(entries, choice, _filler_concept(value, tmr), prop, slot,
-                                    kb, config)
-            rule = kind
-        elif isinstance(slot, float):
-            reason = _score_feature(entries, prop, slot, value, config)
+        if isinstance(step, Grade):
+            reason = _score_binding(entries, _filler_concept(value, tmr), prop, step, config)
+            rule = sense.mismatch
+        elif isinstance(step, float):
+            reason = _score_feature(entries, prop, step, value, config)
             rule = "feature-mismatch"
         else:
-            reason = _score_assertion(entries, value, tmr, prop, slot, kb, config)
-            rule = kind
+            reason = _score_assertion(entries, value, tmr, prop, step, config)
+            rule = sense.mismatch
         if reason:
             return rule, reason
     return None
@@ -517,18 +513,19 @@ def _exclude(trace: list[TraceRecord], stage: str, choice: CandidateSense,
         trace.append(record)
 
 
-def prune_semantic(units: list[Unit], tmr: Tmr, kb: KnowledgeBase,
-                   config: GenerationConfig, trace: list[TraceRecord]) -> list[Unit]:
-    """Score each candidate once: exclude senses that assert content the
-    meaning lacks or contradicts; bonus exact/narrow/default matches and
-    in-tolerance feature values; penalize frame slots nothing expresses."""
+def prune_semantic(units: list[Unit], tmr: Tmr, config: GenerationConfig,
+                   trace: list[TraceRecord]) -> list[Unit]:
+    """Score each candidate once, from the program its sense compiled at
+    load: exclude senses that assert content the meaning lacks or
+    contradicts; bonus exact/narrow/default matches and in-tolerance
+    feature values; penalize frame slots nothing expresses."""
     for unit in units:
         kept = []
         expressible = () if unit.kind == "modifier" else \
             _expressible_slots(tmr.by_id[unit.frame_id], tmr)
         for choice in unit.candidates:
             entries: list[LedgerEntry] = []
-            failure = _score_candidate(entries, choice, unit, tmr, kb, config)
+            failure = _score_candidate(entries, choice, unit, tmr, config)
             if failure:
                 _exclude(trace, "semantic", choice, *failure)
                 continue
@@ -775,7 +772,7 @@ def run_lexical_selection(tmr: Tmr, kb: KnowledgeBase, config: GenerationConfig,
         "candidates": sum(len(u.candidates) for u in units),
         "sets": _product(units),
     }
-    prune_semantic(units, tmr, kb, config, trace)
+    prune_semantic(units, tmr, config, trace)
     counts["after-semantic"] = _product(units)
     prune_syntactic(units, tmr, root, trace)
     counts["after-syntactic"] = _product(units)

@@ -394,7 +394,7 @@ def rank_every_set(tmr: Tmr, kb: KnowledgeBase,
     root = find_root_frame(tmr)
     units = manage_reference(extract_candidates(tmr, kb, root), tmr, kb, config)
     trace: list = []
-    survivors = prune_syntactic(prune_semantic(units, tmr, kb, config, trace), tmr, root, trace)
+    survivors = prune_syntactic(prune_semantic(units, tmr, config, trace), tmr, root, trace)
     columns = [unit.candidates for unit in survivors]
     assert math.prod(map(len, columns)) <= config.set_cap, "the reference must not be truncated"
     sets = []

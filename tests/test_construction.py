@@ -12,7 +12,7 @@ import json
 import pytest
 
 from conftest import make_kb
-from ontogen import AllSetsPruned, generate, parse_tmr
+from ontogen import AllSetsPruned, KbValidationError, generate, parse_tmr
 from ontogen.pipeline import TraceRecord
 
 _CONCEPTS = {
@@ -43,10 +43,10 @@ FIXED = [{"cat": "subj", "var": 1, "root": ["I"]}, VERB, OBJECT]
 PUSHED_BY = {**PUSHED, "PUSH-1": {**PUSHED["PUSH-1"], "TIME": "before-reference"}}
 
 # (label, syn-struc, sem-struc slots, null-sem, frames or the TMR's frames
-# and speaker, sentences or the excluding rule and note)
+# and speaker, sentences, the excluding rule and note, or the load error)
 ROWS = [
     ("unbound bare noun", [SUBJ, VERB, OBJECT, {"cat": "n", "var": 4}], ROLES, [], PUSHED,
-     ("unfillable", "n $var4 has no meaning to express")),
+     "push-v1: n node $var4 has no root word, and no sem-struc slot binds it"),
     ("optional preposition and noun, role absent",
      [SUBJ, VERB, OBJECT, {"cat": "prep", "var": 3, "root": ["to"], "opt": True},
       {"cat": "n", "var": 4, "opt": True}], {**ROLES, "DESTINATION": {"var": 4}}, [3], PUSHED,
@@ -105,6 +105,11 @@ def _tmr(meaning: dict):
 @pytest.mark.parametrize("label, syn, slots, null_sem, frames, expected", ROWS,
                          ids=[row[0] for row in ROWS])
 def test_a_construction_reads_its_frame(push_kb, label, syn, slots, null_sem, frames, expected):
+    if isinstance(expected, str):
+        with pytest.raises(KbValidationError) as caught:
+            push_kb(syn, slots, null_sem)
+        assert str(caught.value).endswith(f"lexicon.json: {expected}")
+        return
     kb, tmr = push_kb(syn, slots, null_sem), _tmr(frames)
     if isinstance(expected, list):
         assert [s.sentence for s in generate(tmr, kb).sentences] == expected

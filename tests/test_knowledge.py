@@ -2,25 +2,29 @@
 from __future__ import annotations
 
 import json
+import subprocess
+import sys
 from itertools import product
+from pathlib import Path
 
 import pytest
 
-from conftest import KB_DIR, make_kb
+from conftest import KB_DIR, TMR_DIR, cli_env, make_kb
 from genscen import build_redeclared_scenario, build_scenario
-from ontogen import generate
+from ontogen import OntogenError, generate, parse_tmr
+from ontogen.cli import _render_json
 from ontogen.errors import KbValidationError, SchemaError
 from ontogen.knowledge import (
     ANYTHING,
     MODIFIER_POS,
     ConceptConstraint,
     FacetedConstraint,
+    Grade,
     LiteralConstraint,
     MatchDegree,
     RangeConstraint,
     VarBinding,
     load_knowledge_base,
-    match_degree,
     parse_constraint,
 )
 
@@ -40,11 +44,12 @@ def test_each_sense_reads_its_bound_roles_once_at_load(kb):
                                      if isinstance(v, VarBinding)}
         assert sense.is_argument_taking == any(isinstance(v, VarBinding) for v in slots.values())
         assert sense.transitive == any(n.category == "directobject" for n in sense.syn_struc)
-        assert sense.role_bases == {
-            prop: kb.ontology.constraint_on(sense.sem_struc.head, prop)
-            for prop, v in slots.items() if isinstance(v, VarBinding)}
+        # one program step per slot, in slot order: a grade for each bound one
+        assert [prop for prop, _ in sense.program] == list(slots)
+        assert [prop for prop, step in sense.program if isinstance(step, Grade)] == \
+            list(sense.bound_roles.values())
         # stored on the sense, not rebuilt on every read
-        for fact in ("bound_roles", "is_argument_taking", "transitive", "role_bases"):
+        for fact in ("bound_roles", "is_argument_taking", "transitive", "program"):
             assert vars(sense)[fact] is getattr(sense, fact)
         taking += sense.is_argument_taking
         transitive += sense.transitive
@@ -97,7 +102,7 @@ def test_the_modifier_index_equals_a_walk_over_the_lexicon(any_kb):
                 values.extend((slot.low, slot.high))
     for prop in sorted(props) + ["NOT-A-PROPERTY"]:
         for value in values:
-            found = kb.lexicon.senses_for_property(kb.ontology, prop, value)
+            found = kb.lexicon.senses_for_property(prop, value)
             assert found == _modifier_senses(kb, prop, value), (prop, value)
 
 
@@ -132,8 +137,8 @@ def test_the_nearest_declaration_decides_the_degree_in_a_generated_kb():
     assert push.sem_struc.head == "HANDLE-EVENT"
     assert onto.constraint_on("HANDLE-EVENT", "THEME") == FacetedConstraint(
         sem=ConceptConstraint("ROBOT"), default=ConceptConstraint("ROBOT"))
-    assert match_degree(onto, "MACHINE", onto.constraint_on("MOVE-EVENT", "THEME"),
-                        override) is MatchDegree.NARROW
+    assert Grade(onto, onto.constraint_on("MOVE-EVENT", "THEME"),
+                 override).degree("MACHINE") is MatchDegree.NARROW
 
     top = generate(tmr, kb).sentences[0]
     assert top.sentence == "A person pushes a machine."
@@ -216,8 +221,7 @@ def test_match_degree_orders_consistently_with_is_a(kb):
     onto = kb.ontology
     names = sorted(onto.concepts)
     for filler, target in product(names, names):
-        needed = FacetedConstraint(sem=ConceptConstraint(target))
-        degree = match_degree(onto, filler, needed, None)
+        degree = Grade(onto, FacetedConstraint(sem=ConceptConstraint(target))).degree(filler)
         if filler == target:
             assert degree == MatchDegree.EXACT
         elif onto.is_a(filler, target):
@@ -227,19 +231,19 @@ def test_match_degree_orders_consistently_with_is_a(kb):
 
 
 def test_match_degree_grades_default_facet(kb):
-    walker = kb.ontology.constraint_on("WALK", "AGENT")
-    assert match_degree(kb.ontology, "HUMAN", walker, None) == MatchDegree.DEFAULT
-    assert match_degree(kb.ontology, "WAITER", walker, None) == MatchDegree.DEFAULT
-    assert match_degree(kb.ontology, "DOG", walker, None) == MatchDegree.SEM
-    assert match_degree(kb.ontology, "WALL", walker, None) == MatchDegree.NONE
+    walker = Grade(kb.ontology, kb.ontology.constraint_on("WALK", "AGENT"))
+    assert walker.degree("HUMAN") == MatchDegree.DEFAULT
+    assert walker.degree("WAITER") == MatchDegree.DEFAULT
+    assert walker.degree("DOG") == MatchDegree.SEM
+    assert walker.degree("WALL") == MatchDegree.NONE
 
 
 def test_match_degree_rewards_narrowed_override(kb):
-    base = FacetedConstraint(sem=ConceptConstraint("PHYSICAL-OBJECT"))
-    override = FacetedConstraint(sem=ConceptConstraint("SURFACE-WATER-VEHICLE"))
-    assert match_degree(kb.ontology, "SHIP", base, override) == MatchDegree.NARROW
-    assert match_degree(kb.ontology, "SURFACE-WATER-VEHICLE", base, override) == MatchDegree.EXACT
-    assert match_degree(kb.ontology, "WALL", base, override) == MatchDegree.NONE
+    grade = Grade(kb.ontology, FacetedConstraint(sem=ConceptConstraint("PHYSICAL-OBJECT")),
+                  FacetedConstraint(sem=ConceptConstraint("SURFACE-WATER-VEHICLE")))
+    assert grade.degree("SHIP") == MatchDegree.NARROW
+    assert grade.degree("SURFACE-WATER-VEHICLE") == MatchDegree.EXACT
+    assert grade.degree("WALL") == MatchDegree.NONE
 
 
 @pytest.mark.parametrize("filler, base, override, narrow", [
@@ -252,9 +256,231 @@ def test_match_degree_rewards_narrowed_override(kb):
         "range-past-the-ontology"])
 def test_an_override_strictly_tighter_than_the_ontology_is_narrow(kb, filler, base, override,
                                                                    narrow):
-    degree = match_degree(kb.ontology, filler, FacetedConstraint(sem=base),
-                          FacetedConstraint(sem=override))
+    degree = Grade(kb.ontology, FacetedConstraint(sem=base),
+                   FacetedConstraint(sem=override)).degree(filler)
     assert degree == (MatchDegree.NARROW if narrow else MatchDegree.SEM)
+
+
+# --- the load-time grades, against the degree worked out per request --------------
+
+def _reference_satisfies(onto, filler, constraint) -> bool:
+    if isinstance(constraint, ConceptConstraint):
+        return isinstance(filler, str) and onto.exists(filler) \
+            and onto.is_a(filler, constraint.concept)
+    if isinstance(constraint, LiteralConstraint):
+        return isinstance(filler, str) and filler in constraint.values
+    if isinstance(constraint, RangeConstraint):
+        return isinstance(filler, (int, float)) \
+            and constraint.low <= float(filler) <= constraint.high
+    return constraint is ANYTHING
+
+
+def _reference_sem(base, over=None):
+    if over is not None and over.sem is not None:
+        return over.sem
+    return base.sem if base.sem is not None else ANYTHING
+
+
+def _reference_tighter(onto, inner, outer) -> bool:
+    if outer is ANYTHING:
+        return inner is not ANYTHING
+    if isinstance(inner, ConceptConstraint) and isinstance(outer, ConceptConstraint):
+        return inner.concept != outer.concept and onto.is_a(inner.concept, outer.concept)
+    if isinstance(inner, LiteralConstraint) and isinstance(outer, LiteralConstraint):
+        return set(inner.values) < set(outer.values)
+    if isinstance(inner, RangeConstraint) and isinstance(outer, RangeConstraint):
+        return inner != outer and outer.low <= inner.low and inner.high <= outer.high
+    return False
+
+
+def _reference_degree(onto, filler, base, over) -> MatchDegree:
+    """The degree as selection once worked it out for every candidate slot."""
+    effective = _reference_sem(base, over)
+    if not _reference_satisfies(onto, filler, effective):
+        return MatchDegree.NONE
+    if isinstance(effective, ConceptConstraint) and filler == effective.concept:
+        return MatchDegree.EXACT
+    if isinstance(effective, LiteralConstraint) and len(effective.values) == 1 \
+            and filler == effective.values[0]:
+        return MatchDegree.EXACT
+    if over is not None and over.sem is not None \
+            and _reference_tighter(onto, over.sem, _reference_sem(base)):
+        return MatchDegree.NARROW
+    if base.default is not None and _reference_satisfies(onto, filler, base.default):
+        return MatchDegree.DEFAULT
+    return MatchDegree.SEM
+
+
+def _reference_text(constraint) -> str:
+    if isinstance(constraint, ConceptConstraint):
+        return constraint.concept
+    if isinstance(constraint, LiteralConstraint):
+        return "|".join(constraint.values)
+    if isinstance(constraint, RangeConstraint):
+        return f"[{constraint.low}, {constraint.high}]"
+    return "anything"
+
+
+def _paint(sense_id: str, slots: dict) -> dict:
+    """A PAINT sense with one bound node for each of slots' variables."""
+    nodes = [{"cat": "v", "var": 0}] + [{"cat": "n", "var": slot["var"]}
+                                        for slot in slots.values()]
+    return {"id": sense_id, "headword": "paint", "pos": "v", "syn-struc": nodes,
+            "sem-struc": {"head": "PAINT", "slots": slots}}
+
+
+# sem and default facets of every kind; overrides narrower, equal, wider,
+# disjoint and default-only; a slot the ontology leaves unconstrained
+_GRADED_ONTOLOGY = {
+    "ALL": {"parents": []},
+    "EVENT": {"parents": ["ALL"]},
+    "OBJECT": {"parents": ["ALL"]},
+    "HUMAN": {"parents": ["OBJECT"]},
+    "CHILD": {"parents": ["HUMAN"]},
+    "DOG": {"parents": ["OBJECT"]},
+    "SHIP": {"parents": ["OBJECT"]},
+    "PAINT": {"parents": ["EVENT"], "slots": {
+        "AGENT": {"sem": "HUMAN", "default": "CHILD"},
+        "COLOR": {"sem": {"any-of": ["blue", "red", "green"]}, "default": {"any-of": ["blue"]}},
+        "SIZE": {"sem": {"range": [0, 1]}, "default": {"range": [0.4, 0.6]}},
+        "THEME": {"default": "SHIP"}}},
+}
+_GRADED_SENSES = [
+    _paint("paint-v1", {"AGENT": {"var": 1}, "THEME": {"var": 2}, "COLOR": {"var": 3},
+                        "SIZE": {"var": 4}, "LOCATION": {"var": 5}}),
+    _paint("paint-v2", {"AGENT": {"var": 1, "sem": "CHILD"}, "THEME": {"var": 2, "sem": "DOG"},
+                        "COLOR": {"var": 3, "sem": {"any-of": ["blue", "red"]}},
+                        "SIZE": {"var": 4, "sem": {"range": [0.2, 0.8]}},
+                        "LOCATION": {"var": 5, "sem": {"any-of": ["here"]}}}),
+    _paint("paint-v3", {"AGENT": {"var": 1, "sem": "HUMAN"}, "THEME": {"var": 2, "default": "DOG"},
+                        "COLOR": {"var": 3, "sem": {"any-of": ["red"]}},
+                        "SIZE": {"var": 4, "sem": {"range": [0, 1]}}}),
+    _paint("paint-v4", {"AGENT": {"var": 1, "sem": "OBJECT"},
+                        "COLOR": {"var": 3, "sem": {"any-of": ["purple"]}},
+                        "SIZE": {"var": 4, "sem": {"range": [0.5, 1]}},
+                        "THEME": {"var": 2, "sem": "ALL", "default": "HUMAN"}}),
+]
+
+
+def _assert_each_grade_equals_the_reference(kb) -> int:
+    """Every bound slot's grade gives the reference's degree for every
+    concept, a name outside the ontology, each literal and some scalars,
+    and the reference's violation text; returns how many slots it read."""
+    onto = kb.ontology
+    literals = {value for concept in onto.concepts.values() for facet in concept.slots.values()
+                for constraint in facet if isinstance(constraint, LiteralConstraint)
+                for value in constraint.values}
+    graded = 0
+    for sense in kb.lexicon.senses.values():
+        for prop, step in sense.program:
+            slot = sense.sem_struc.slots[prop]
+            if not isinstance(slot, VarBinding):
+                continue
+            base, over = onto.constraint_on(sense.sem_struc.head, prop), slot.override
+            if over is not None:
+                literals.update(value for constraint in over if isinstance(constraint,
+                                                                           LiteralConstraint)
+                                for value in constraint.values)
+            for filler in [*onto.concepts, "NOT-A-CONCEPT", *sorted(literals), 0, 0.3, 0.5, 1.0]:
+                assert step.degree(filler) is _reference_degree(onto, filler, base, over), \
+                    (sense.id, prop, filler)
+            assert step.text == _reference_text(_reference_sem(base, over)), (sense.id, prop)
+            graded += 1
+    return graded
+
+
+def test_each_grade_built_at_load_equals_the_reference(any_kb):
+    assert _assert_each_grade_equals_the_reference(any_kb)
+
+
+def test_each_grade_of_overrides_and_facets_equals_the_reference(tmp_path):
+    kb = make_kb(tmp_path, ontology={"concepts": _GRADED_ONTOLOGY},
+                 lexicon={"senses": _GRADED_SENSES})
+    assert _assert_each_grade_equals_the_reference(kb) == 18
+    fillers = {"AGENT": "CHILD", "THEME": "DOG", "COLOR": "red", "SIZE": 0.5, "LOCATION": "here"}
+    program = kb.lexicon.senses["paint-v2"].program
+    assert {prop: step.degree(fillers[prop]) for prop, step in program} == {"AGENT": MatchDegree.EXACT, "THEME": MatchDegree.EXACT,
+                       "COLOR": MatchDegree.NARROW, "SIZE": MatchDegree.NARROW,
+                       "LOCATION": MatchDegree.EXACT}
+
+
+def _variant_kb_documents(tmp_path) -> dict:
+    """The bundled KB with other overrides on the FASTEN senses, a WALL
+    sense that binds PART-OF and a CITY sense for what it binds."""
+    docs = {kind: json.loads((KB_DIR / f"{kind}.json").read_text())
+            for kind in ("ontology", "lexicon", "memory")}
+    lexicon = docs["lexicon"]
+    for sense_id, prop, sem in (("fix-v2", "THEME", "PICTURE"), ("affix-v1", "THEME", "SHIP"),
+                                ("moor-v1", "THEME", "VEHICLE"), ("skewer-v1", "AGENT", "WAITER")):
+        _sense(lexicon, sense_id)["sem-struc"]["slots"][prop]["sem"] = sem
+    lexicon["senses"] += [
+        {"id": "rampart-n1", "headword": "rampart", "pos": "n",
+         "syn-struc": [{"cat": "n", "var": 0}, {"cat": "prep", "var": 1, "root": ["of"]},
+                       {"cat": "n", "var": 2}],
+         "sem-struc": {"head": "WALL", "slots": {"PART-OF": {"var": 2}}}},
+        {"id": "city-n1", "headword": "city", "pos": "n", "syn-struc": [{"cat": "n", "var": 0}],
+         "sem-struc": {"head": "CITY", "slots": {}}}]
+    paths = {}
+    for kind, doc in docs.items():
+        paths[kind] = tmp_path / f"{kind}.json"
+        paths[kind].write_text(json.dumps(doc))
+    return paths
+
+
+def _isolation_texts() -> list[str]:
+    """Every fixture, and fasten_painting with its wall part of a city."""
+    texts = [path.read_text() for path in sorted(TMR_DIR.glob("*.json"))]
+    walled = json.loads((TMR_DIR / "fasten_painting.json").read_text())
+    walled["frames"]["WALL-40"]["PART-OF"] = "CITY-1"
+    walled["frames"]["CITY-1"] = {}
+    return texts + [json.dumps(walled)]
+
+
+def _reports(kb, texts: list[str]) -> list[str]:
+    """Each text's full JSON report on kb, with trace and trees, or its error."""
+    out = []
+    for text in texts:
+        try:
+            report = generate(parse_tmr(text), kb)
+        except OntogenError as exc:
+            out.append(f"{type(exc).__name__}: {exc}")
+        else:
+            out.append(_render_json(report, len(report.sentences), True, True))
+    return out
+
+
+def _reports_from_a_fresh_process(paths: list[str], texts: list[str]) -> list[str]:
+    """_reports in a process that loads only the KB at paths."""
+    child = (f"import json, sys\n"
+             f"sys.path.insert(0, {str(Path(__file__).parent)!r})\n"
+             f"from ontogen import load_knowledge_base\n"
+             f"from test_knowledge import _reports\n"
+             f"paths, texts = json.load(sys.stdin)\n"
+             f"print(json.dumps(_reports(load_knowledge_base(*paths), texts)))\n")
+    proc = subprocess.run([sys.executable, "-c", child], input=json.dumps([paths, texts]),
+                          capture_output=True, text=True, env=cli_env(), check=True)
+    return json.loads(proc.stdout)
+
+
+def test_two_knowledge_bases_in_one_process_grade_apart(kb, tmp_path):
+    """Each KB's tables are its own: requests alternated between the bundled
+    KB and a variant give what each KB gives loaded alone."""
+    variant_paths = _variant_kb_documents(tmp_path)
+    variant = load_knowledge_base(*variant_paths.values())
+    assert variant.lexicon.inverses == {"WALL": {"PART-OF"}} and kb.lexicon.inverses == {}
+    texts = _isolation_texts()
+    alternated = {"bundled": [], "variant": []}
+    for text in texts:
+        alternated["bundled"] += _reports(kb, [text])
+        alternated["variant"] += _reports(variant, [text])
+    alone = {"bundled": _reports_from_a_fresh_process(
+                 [str(KB_DIR / f"{kind}.json") for kind in ("ontology", "lexicon", "memory")],
+                 texts),
+             "variant": _reports_from_a_fresh_process(
+                 [str(path) for path in variant_paths.values()], texts)}
+    assert alternated == alone
+    # the variant's overrides and its PART-OF edge change what is said
+    assert sum(a != b for a, b in zip(alone["bundled"], alone["variant"])) >= 2
 
 
 def test_parse_constraint_forms():
@@ -559,11 +785,11 @@ def test_head_concept_index(kb):
 
 
 def test_property_index_finds_graded_modifiers(kb):
-    pretty = kb.lexicon.senses_for_property(kb.ontology, "AESTHETIC-ATTRIBUTE", 0.8)
+    pretty = kb.lexicon.senses_for_property("AESTHETIC-ATTRIBUTE", 0.8)
     assert {s.id for s in pretty} == {"attractive-adj1", "lovely-adj1", "pretty-adj1"}
-    blue = kb.lexicon.senses_for_property(kb.ontology, "COLOR", "blue")
+    blue = kb.lexicon.senses_for_property("COLOR", "blue")
     assert [s.id for s in blue] == ["blue-adj1"]
-    assert kb.lexicon.senses_for_property(kb.ontology, "COLOR", "green") == []
+    assert kb.lexicon.senses_for_property("COLOR", "green") == []
 
 
 def test_memory_identification_attributes(kb):

@@ -159,3 +159,13 @@ def test_only_the_boundary_names_a_document():
                 if {"source", "error"} & {argument.arg for argument in arguments}:
                     naming.add(owner.get(node, "") + getattr(node, "name", "<lambda>"))
     assert naming == _NAMING
+
+
+def test_selection_grades_only_through_the_load_time_tables():
+    """pipeline.py imports, reads or looks up none of the functions that
+    work out a degree, so semantic pruning reads each slot's grade from its
+    sense's program."""
+    path = Path(ontogen.__file__).parent / "pipeline.py"
+    named = _names(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+    assert named["Grade"] and named["program"]
+    assert not {"match_degree", "effective_sem", "_strictly_tighter"} & set(named)

@@ -8,13 +8,14 @@ from collections import Counter
 
 import pytest
 
-from conftest import TMR_DIR, fixture_path, load_fixture, make_kb
+from conftest import KB_DIR, TMR_DIR, fixture_path, load_fixture, make_kb
 from genscen import build_attached_family, rank_every_set, ranked_rows
 from ontogen import (
     AllSetsPruned,
     NoRealizableSense,
     generate,
     knowledge,
+    load_knowledge_base,
     parse_tmr,
     pipeline,
     solution,
@@ -166,7 +167,7 @@ def test_fresh_objects_never_pronominalize(kb, config):
 def _survivors_for(name: str, kb, config):
     tmr, units = _units_for(name, kb, config)
     trace = []
-    return prune_syntactic(prune_semantic(units, tmr, kb, config, trace), tmr,
+    return prune_syntactic(prune_semantic(units, tmr, config, trace), tmr,
                            tmr_module.find_root_frame(tmr), trace)
 
 
@@ -176,7 +177,7 @@ def test_each_stage_narrows_the_units_it_is_given_in_place(kb, config):
     given = list(units)
     trace = []
     assert manage_reference(units, tmr, kb, config) is units
-    assert prune_semantic(units, tmr, kb, config, trace) is units
+    assert prune_semantic(units, tmr, config, trace) is units
     assert prune_syntactic(units, tmr, tmr_module.find_root_frame(tmr), trace) is units
     assert all(a is b for a, b in zip(units, given, strict=True))
     assert [c.sense.id for c in _unit(units, "FASTEN-18").candidates] == ["affix-v1", "fix-v2"]
@@ -364,6 +365,31 @@ def test_pruning_narrows_each_candidate_record_in_place(kb, monkeypatch):
     assert len(received) == len(kept) == 15
     for before, after in zip(received, kept):
         assert {id(choice) for choice in after} <= {id(choice) for choice in before}
+
+
+def test_selection_grades_from_the_tables_built_at_load(kb, monkeypatch):
+    """A request reads each slot's grade and text from its sense's program:
+    over a cycle of the fixtures, nothing works out an effective sem facet,
+    a narrowness or a constraint's text, which loading the KB does."""
+    calls = Counter()
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return call
+
+    for module in [module for name, module in sys.modules.items()
+                   if name == "ontogen" or name.startswith("ontogen.")]:
+        for name in ("effective_sem", "_strictly_tighter", "constraint_text"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    for path in sorted(TMR_DIR.glob("*.json")):
+        if path.stem != "empty":
+            assert generate(load_fixture(path.stem), kb).sentences
+    assert calls == {}
+    load_knowledge_base(KB_DIR / "ontology.json", KB_DIR / "lexicon.json", KB_DIR / "memory.json")
+    assert set(calls) == {"effective_sem", "_strictly_tighter", "constraint_text"}
 
 
 def test_nothing_survives_a_meaning_no_sense_can_host(kb, config):

@@ -66,7 +66,7 @@ def check_product_cardinality(seed: int) -> None:
     units = manage_reference(extract_candidates(tmr, kb, root), tmr, kb, config)
     trace = []
     try:
-        survivors = prune_syntactic(prune_semantic(units, tmr, kb, config, trace), tmr, root,
+        survivors = prune_syntactic(prune_semantic(units, tmr, config, trace), tmr, root,
                                     trace)
     except AllSetsPruned:
         survivors = None
