@@ -8,33 +8,36 @@ optional and may set any subset.
 from __future__ import annotations
 
 import sys
-from typing import NamedTuple
 
 from .errors import SchemaError
+from .record import Record, tuple_new
 from .strictjson import decode, document, read_text, reading, shortened
 
 SCHEMA_CONFIG = "ontogen-config/1"
 
 
-class GenerationConfig(NamedTuple):
-    # pruneSemantic: constraint-match bonuses per filled slot
-    exact_bonus: float = 20.0
-    narrow_bonus: float = 10.0
-    default_bonus: float = 4.0
-    # penalty per meaning slot no sense in the set expresses
-    uncovered_penalty: float = 5.0
-    # scalar feature matching: full bonus at distance 0, none beyond tolerance
-    feature_bonus: float = 10.0
-    feature_tolerance: float = 0.25
-    # reference: preferring a pronoun over a description for known referents
-    pronoun_bonus: float = 2.0
-    # aggregation guard: limit on the product of surviving candidates
-    set_cap: int = 10000
-    # final ranking: score = pw*set + fw*freq - rp*repeats - ltb*length
-    pipeline_weight: float = 1.0
-    frequency_weight: float = 5.0
-    repetition_penalty: float = 10.0
-    length_tie_break: float = 0.0
+class GenerationConfig(Record):
+    __slots__ = ()
+
+    def __new__(cls,
+                # pruneSemantic: constraint-match bonuses per filled slot
+                exact_bonus: float = 20.0, narrow_bonus: float = 10.0,
+                default_bonus: float = 4.0,
+                # penalty per meaning slot no sense in the set expresses
+                uncovered_penalty: float = 5.0,
+                # scalar feature matching: full bonus at distance 0, none beyond tolerance
+                feature_bonus: float = 10.0, feature_tolerance: float = 0.25,
+                # reference: preferring a pronoun over a description for known referents
+                pronoun_bonus: float = 2.0,
+                # aggregation guard: limit on the product of surviving candidates
+                set_cap: int = 10000,
+                # final ranking: score = pw*set + fw*freq - rp*repeats - ltb*length
+                pipeline_weight: float = 1.0, frequency_weight: float = 5.0,
+                repetition_penalty: float = 10.0, length_tie_break: float = 0.0):
+        return tuple_new(cls, (exact_bonus, narrow_bonus, default_bonus, uncovered_penalty,
+                               feature_bonus, feature_tolerance, pronoun_bonus, set_cap,
+                               pipeline_weight, frequency_weight, repetition_penalty,
+                               length_tie_break))
 
 
 _FIELD_BY_KEY = {name.replace("_", "-"): name for name in GenerationConfig._fields}
@@ -65,6 +68,10 @@ def check_config(config: GenerationConfig) -> GenerationConfig:
     if config.feature_tolerance <= 0:
         raise SchemaError("feature-tolerance must be positive")
     return config
+
+
+# what generate() scores with when its caller passes no config, checked once
+DEFAULT_CONFIG = check_config(GenerationConfig())
 
 
 def parse_config(text: str, source: str = "<config>") -> GenerationConfig:

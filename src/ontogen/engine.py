@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .config import GenerationConfig, check_config
+from .config import DEFAULT_CONFIG, GenerationConfig, check_config
 from .knowledge import KnowledgeBase
 from .pipeline import TraceRecord, run_lexical_selection
 from .realizer import MorphTables, bundled_morphology, realize
@@ -25,7 +25,7 @@ def generate(tmr: Tmr, kb: KnowledgeBase, config: GenerationConfig | None = None
              context: tuple[str, ...] = (), history: tuple[str, ...] = ()) -> RunReport:
     """Every surviving candidate set built, realized and ranked from parts
     made once per candidate, with the trace explaining scores and exclusions."""
-    config = GenerationConfig() if config is None else check_config(config)
+    config = DEFAULT_CONFIG if config is None else check_config(config)
     freq = freq or bundled_frequency()
     morph = morph or bundled_morphology()
 

@@ -10,13 +10,14 @@ participations) that reference management consults.
 
 from __future__ import annotations
 
+import gc
 import re
-from enum import IntEnum
+from collections.abc import Callable
 from graphlib import CycleError, TopologicalSorter
 from itertools import takewhile
-from typing import Callable, NamedTuple
 
 from .errors import KbValidationError, SchemaError
+from .record import Record, tuple_new
 from .strictjson import document, read_json, reading
 
 SCHEMA_KB = "ontogen-kb/1"
@@ -35,23 +36,31 @@ INSTANCE_RE = re.compile(r"([A-Z][A-Z0-9]*(?:-[A-Z0-9]+)*)-([0-9]+)")
 # ---------------------------------------------------------------------------
 # constraints
 
-class ConceptConstraint(NamedTuple):
+class ConceptConstraint(Record):
     """Filler must be the named concept or one of its IS-A descendants."""
 
-    concept: str
+    __slots__ = ()
+
+    def __new__(cls, concept: str):
+        return tuple_new(cls, (concept,))
 
 
-class LiteralConstraint(NamedTuple):
+class LiteralConstraint(Record):
     """Filler must be one of a closed set of literal symbols."""
 
-    values: tuple[str, ...]
+    __slots__ = ()
+
+    def __new__(cls, values: tuple[str, ...]):
+        return tuple_new(cls, (values,))
 
 
-class RangeConstraint(NamedTuple):
+class RangeConstraint(Record):
     """Filler must be a scalar within [low, high] (bounds within [0, 1])."""
 
-    low: float
-    high: float
+    __slots__ = ()
+
+    def __new__(cls, low: float, high: float):
+        return tuple_new(cls, (low, high))
 
 
 class AnythingConstraint:
@@ -77,24 +86,23 @@ def constraint_text(constraint: Constraint) -> str:
     return "anything"
 
 
-class FacetedConstraint(NamedTuple):
+class FacetedConstraint(Record):
     """A property constraint split into a hard sem facet and a typical default facet."""
 
-    sem: Constraint | None = None
-    default: Constraint | None = None
+    __slots__ = ()
+
+    def __new__(cls, sem: Constraint | None = None, default: Constraint | None = None):
+        return tuple_new(cls, (sem, default))
 
 
 _UNCONSTRAINED = FacetedConstraint(sem=ANYTHING)
 
 
-class MatchDegree(IntEnum):
-    """How well a filler satisfies a constraint; total order none < sem < default < narrow < exact."""
+class MatchDegree:
+    """How well a filler satisfies a constraint: five ints in the order
+    none < sem < default < narrow < exact."""
 
-    NONE = 0
-    SEM = 1
-    DEFAULT = 2
-    NARROW = 3
-    EXACT = 4
+    NONE, SEM, DEFAULT, NARROW, EXACT = range(5)
 
 
 def _is_number(raw) -> bool:
@@ -164,27 +172,45 @@ class Concept:
         self.slots = {} if slots is None else slots
 
 
+def _breadth_first(concepts: dict[str, Concept], name: str) -> tuple[str, ...]:
+    chain = [name]
+    seen = {name}
+    for current in chain:  # grows while it is walked
+        for parent in concepts[current].parents:
+            if parent not in seen:
+                seen.add(parent)
+                chain.append(parent)
+    return tuple(chain)
+
+
+class _OnFirstRead(dict):
+    """name -> make(name), made when first read and kept. make raises
+    KeyError for a name that is not a concept, so nothing is kept for it."""
+
+    __slots__ = ("make",)
+
+    def __init__(self, make: Callable[[str], object]):
+        self.make = make
+
+    def __missing__(self, name):
+        value = self[name] = self.make(name)
+        return value
+
+
 class Ontology:
     """Acyclic IS-A graph of concepts with inheritable faceted constraints.
 
     Built once the graph is known to be sound. The ontology is immutable,
-    so each concept's breadth-first ancestry is worked out here, as a tuple
-    and as a set; an inherited constraint is read along that tuple."""
+    so a concept's breadth-first ancestry, as a tuple and as a set, is
+    worked out when it is first read and kept: loading reads only the
+    ancestry of the concepts its checks and sense programs name, so the
+    cost does not grow with the depth of every concept. An inherited
+    constraint is read along that tuple."""
 
     def __init__(self, concepts: dict[str, Concept]):
         self.concepts = concepts
-        self._chains = {name: self._breadth_first(name) for name in concepts}
-        self._lineages = {name: frozenset(chain) for name, chain in self._chains.items()}
-
-    def _breadth_first(self, name: str) -> tuple[str, ...]:
-        chain = [name]
-        seen = {name}
-        for current in chain:  # grows while it is walked
-            for parent in self.concepts[current].parents:
-                if parent not in seen:
-                    seen.add(parent)
-                    chain.append(parent)
-        return tuple(chain)
+        chains = self._chains = _OnFirstRead(lambda name: _breadth_first(concepts, name))
+        self._lineages = _OnFirstRead(lambda name: frozenset(chains[name]))
 
     def exists(self, name: str) -> bool:
         return name in self.concepts
@@ -206,7 +232,10 @@ class Ontology:
 
     def within(self, child: str, ancestor: str) -> bool:
         """is_a, where an unknown name is within nothing and holds nothing."""
-        return ancestor in self._lineages.get(child, ())
+        try:
+            return ancestor in self._lineages[child]
+        except KeyError:
+            return False
 
     def constraint_on(self, concept: str, prop: str) -> FacetedConstraint:
         """Nearest declared constraint walking up IS-A; absent means anything."""
@@ -276,7 +305,7 @@ class Grade:
         self.typical = None if base.default is None else onto.membership(base.default)
         self.text = constraint_text(sem)
 
-    def degree(self, filler) -> MatchDegree:
+    def degree(self, filler) -> int:
         """NONE when the filler violates the effective sem facet, EXACT when
         it is the exact value, NARROW when it meets a narrowing override,
         DEFAULT when it also meets the default facet, and SEM otherwise."""
@@ -303,31 +332,34 @@ class Assertion:
 # ---------------------------------------------------------------------------
 # lexicon
 
-class SynNode(NamedTuple):
+class SynNode(Record):
     """One syntactic slot: category, its $var index, fixed surface word, optionality."""
 
-    category: str
-    var: int
-    word: str | None = None
-    optional: bool = False
+    __slots__ = ()
+
+    def __new__(cls, category: str, var: int, word: str | None = None, optional: bool = False):
+        return tuple_new(cls, (category, var, word, optional))
 
 
-class VarBinding(NamedTuple):
+class VarBinding(Record):
     """A sem-struc slot filled by the realization of a syn-struc variable."""
 
-    var: int
-    override: FacetedConstraint | None = None
+    __slots__ = ()
+
+    def __new__(cls, var: int, override: FacetedConstraint | None = None):
+        return tuple_new(cls, (var, override))
 
 
 SlotValue = VarBinding | Constraint | float
 
 
-class PronounRef(NamedTuple):
+class PronounRef(Record):
     """Referent features of a pronoun sense: person, number, optional gender."""
 
-    person: int
-    number: str
-    gender: str | None = None
+    __slots__ = ()
+
+    def __new__(cls, person: int, number: str, gender: str | None = None):
+        return tuple_new(cls, (person, number, gender))
 
 
 class SemFrame:
@@ -712,12 +744,23 @@ def _parse_memory(data: dict, onto: Ontology) -> EpisodicMemory:
 
 
 def load_knowledge_base(ontology_path, lexicon_path, memory_path) -> KnowledgeBase:
-    """Load the three knowledge files, each read and checked in one pass."""
-    warnings: list[str] = []
-    with reading(str(ontology_path)):
-        onto = _parse_ontology(_kb_document(ontology_path, "ontology"), warnings)
-    with reading(str(lexicon_path)):
-        lex = _parse_lexicon(_kb_document(lexicon_path, "lexicon"), onto)
-    with reading(str(memory_path)):
-        memory = _parse_memory(_kb_document(memory_path, "memory"), onto)
-    return KnowledgeBase(ontology=onto, lexicon=lex, memory=memory, warnings=warnings)
+    """Load the three knowledge files, each read and checked in one pass.
+
+    Cyclic garbage collection is paused while they load: nearly every
+    object the load makes lives as long as the knowledge base, so each
+    collection would only rescan the growing graph. The caller's setting
+    comes back when the load ends, whether it succeeds or raises."""
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        warnings: list[str] = []
+        with reading(str(ontology_path)):
+            onto = _parse_ontology(_kb_document(ontology_path, "ontology"), warnings)
+        with reading(str(lexicon_path)):
+            lex = _parse_lexicon(_kb_document(lexicon_path, "lexicon"), onto)
+        with reading(str(memory_path)):
+            memory = _parse_memory(_kb_document(memory_path, "memory"), onto)
+        return KnowledgeBase(ontology=onto, lexicon=lex, memory=memory, warnings=warnings)
+    finally:
+        if collecting:
+            gc.enable()

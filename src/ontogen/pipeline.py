@@ -24,8 +24,8 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Iterator
 from operator import attrgetter
-from typing import Iterator, NamedTuple
 
 from .config import GenerationConfig
 from .errors import AllSetsPruned, NoRealizableSense, TmrError
@@ -39,6 +39,7 @@ from .knowledge import (
     SynNode,
     VarBinding,
 )
+from .record import Record, tuple_new
 from .tmr import (
     CASE_ROLES,
     RESERVED_SLOTS,
@@ -49,10 +50,12 @@ from .tmr import (
     find_root_frame,
 )
 
-class LedgerEntry(NamedTuple):
-    rule: str
-    delta: float
-    note: str = ""
+
+class LedgerEntry(Record):
+    __slots__ = ()
+
+    def __new__(cls, rule: str, delta: float, note: str = ""):
+        return tuple_new(cls, (rule, delta, note))
 
 
 class CandidateSense:
@@ -85,7 +88,7 @@ class CandidateSense:
         self.reading = reading
 
     def _replace(self, **changes) -> CandidateSense:
-        """A copy with changes, as a NamedTuple's _replace makes it."""
+        """A copy with changes, as a record's _replace makes it."""
         copy = CandidateSense(*_candidate_fields(self))
         for name, value in changes.items():
             setattr(copy, name, value)
@@ -155,11 +158,11 @@ class CandidateSet:
         return " ".join(f"{key}={choice.describe()}" for key, choice in self.choices.items())
 
 
-class TraceRecord(NamedTuple):
-    stage: str
-    subject: str
-    rule: str
-    note: str = ""
+class TraceRecord(Record):
+    __slots__ = ()
+
+    def __new__(cls, stage: str, subject: str, rule: str, note: str = ""):
+        return tuple_new(cls, (stage, subject, rule, note))
 
 
 class SelectionResult:
@@ -403,7 +406,7 @@ def _score_binding(entries: list[LedgerEntry], concept: str | None, prop: str, g
     if concept is None:
         return None
     degree = grade.degree(concept)
-    if degree is MatchDegree.NONE:
+    if degree == MatchDegree.NONE:
         return f"{prop} {concept} violates {grade.text}"
     hit = _DEGREE_RULES.get(degree)
     if hit:

@@ -83,6 +83,71 @@ def _verb(sense_id: str, lemma: str, head: str, transitive: bool,
     return sense
 
 
+def write_kb(directory: Path, concepts: dict, senses: list,
+             instances: dict | None = None) -> tuple[Path, Path, Path]:
+    """The ontology, lexicon and memory files of a knowledge base, written
+    into directory; their paths in load_knowledge_base's order."""
+    paths = []
+    for kind, key, body in (("ontology", "concepts", concepts), ("lexicon", "senses", senses),
+                            ("memory", "instances", instances or {})):
+        path = Path(directory) / f"{kind}.json"
+        path.write_text(json.dumps({"schema": "ontogen-kb/1", "kind": kind, key: body}))
+        paths.append(path)
+    return tuple(paths)
+
+
+def load_kb(concepts: dict, senses: list, instances: dict | None = None) -> KnowledgeBase:
+    """The knowledge base of these documents, loaded through its files."""
+    with tempfile.TemporaryDirectory() as tmp:
+        return load_knowledge_base(*write_kb(Path(tmp), concepts, senses, instances))
+
+
+def isa_chain(n: int) -> dict:
+    """The concepts of an ontology that is one IS-A chain of n concepts:
+    C0 is the root and each Ci the child of C(i-1); none declares a slot."""
+    return {f"C{i}": {"parents": [f"C{i - 1}"] if i else []} for i in range(n)}
+
+
+# the depth of each chain of concepts in broad_kb's deep shape
+BROAD_DEPTH = 100
+
+
+def broad_kb(senses: int, deep: bool) -> tuple[dict, list]:
+    """The concepts and senses of a broad-coverage knowledge base: `senses`
+    senses, ten to a concept, over concepts that alternate between objects
+    and events, below OBJECT and EVENT. EVENT declares AGENT (sem HUMAN)
+    and THEME (sem OBJECT). An object's ten senses are nouns; an event's
+    are transitive verbs binding AGENT and THEME, and every other one
+    narrows THEME to the object concept just before the event's, so loading
+    reads the ancestry of every event and of every object narrowed to. In
+    the shallow shape every concept is a child of OBJECT or EVENT; in the
+    deep shape each kind's concepts hang from it in chains BROAD_DEPTH long,
+    so an event's constraints are inherited from up to BROAD_DEPTH levels up."""
+    concepts: dict = {
+        "ALL": {"parents": []},
+        "OBJECT": {"parents": ["ALL"]},
+        "HUMAN": {"parents": ["OBJECT"]},
+        "EVENT": {"parents": ["ALL"],
+                  "slots": {"AGENT": {"sem": "HUMAN"}, "THEME": {"sem": "OBJECT"}}},
+    }
+    for c in range((senses + 9) // 10):
+        kind, prefix = ("OBJECT", "THING") if c % 2 == 0 else ("EVENT", "ACT")
+        index = c // 2
+        parent = f"{prefix}{index - 1}" if deep and index % BROAD_DEPTH else kind
+        concepts[f"{prefix}{index}"] = {"parents": [parent]}
+    lexicon = []
+    for i in range(senses):
+        c = i // 10
+        if c % 2 == 0:
+            lexicon.append(_noun(f"thing{i}-n1", f"thing{i}", f"THING{c // 2}"))
+            continue
+        verb = _verb(f"act{i}-v1", f"act{i}", f"ACT{c // 2}", True)
+        if i % 2:
+            verb["sem-struc"]["slots"]["THEME"]["sem"] = f"THING{c // 2}"
+        lexicon.append(verb)
+    return concepts, lexicon
+
+
 def build_scenario(seed: int) -> tuple[KnowledgeBase, Tmr]:
     """One deterministic random scenario; same seed, same scenario."""
     rng = random.Random(seed)
@@ -162,16 +227,7 @@ def build_scenario(seed: int) -> tuple[KnowledgeBase, Tmr]:
     if not drop_agent and rng.random() < 0.2:
         doc["speaker"] = "HUMAN-1"
 
-    with tempfile.TemporaryDirectory() as tmp:
-        base = Path(tmp)
-        (base / "ontology.json").write_text(json.dumps(
-            {"schema": "ontogen-kb/1", "kind": "ontology", "concepts": concepts}))
-        (base / "lexicon.json").write_text(json.dumps(
-            {"schema": "ontogen-kb/1", "kind": "lexicon", "senses": senses}))
-        (base / "memory.json").write_text(json.dumps(
-            {"schema": "ontogen-kb/1", "kind": "memory", "instances": instances}))
-        kb = load_knowledge_base(base / "ontology.json", base / "lexicon.json",
-                                 base / "memory.json")
+    kb = load_kb(concepts, senses, instances)
     tmr = parse_tmr(json.dumps(doc), source=f"<scenario {seed}>")
     return kb, tmr
 
@@ -225,14 +281,7 @@ def build_redeclared_scenario(seed: int) -> tuple[KnowledgeBase, Tmr]:
     theme = rng.choice([narrow, child])
     frames = {f"{chain[-1]}-1": {"AGENT": "HUMAN-1", "THEME": f"{theme}-1"},
               "HUMAN-1": {}, f"{theme}-1": {}}
-    with tempfile.TemporaryDirectory() as tmp:
-        base = Path(tmp)
-        for kind, key, body in (("ontology", "concepts", concepts), ("lexicon", "senses", senses),
-                                ("memory", "instances", {})):
-            (base / f"{kind}.json").write_text(json.dumps(
-                {"schema": "ontogen-kb/1", "kind": kind, key: body}))
-        kb = load_knowledge_base(base / "ontology.json", base / "lexicon.json",
-                                 base / "memory.json")
+    kb = load_kb(concepts, senses)
     tmr = parse_tmr(json.dumps({"schema": "ontogen-tmr/1", "frames": frames}),
                     source=f"<redeclared scenario {seed}>")
     return kb, tmr
@@ -288,14 +337,7 @@ def build_attached_family(n: int) -> tuple[KnowledgeBase, Tmr]:
         senses.append(_noun(f"{second}-n1", second, name))
     frames = {"CARRY-1": {role: f"{name}-1" for role, name in zip(roles, participants)},
               **{f"{name}-1": {} for name in participants}}
-    with tempfile.TemporaryDirectory() as tmp:
-        base = Path(tmp)
-        for kind, key, body in (("ontology", "concepts", concepts), ("lexicon", "senses", senses),
-                                ("memory", "instances", {})):
-            (base / f"{kind}.json").write_text(json.dumps(
-                {"schema": "ontogen-kb/1", "kind": kind, key: body}))
-        kb = load_knowledge_base(base / "ontology.json", base / "lexicon.json",
-                                 base / "memory.json")
+    kb = load_kb(concepts, senses)
     tmr = parse_tmr(json.dumps({"schema": "ontogen-tmr/1", "frames": frames}),
                     source=f"<attached family {n}>")
     return kb, tmr

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from conftest import DATA, fixture_path, load_fixture, run_cli
-from ontogen import GenerationConfig, SchemaError, generate, load_config
+from ontogen import GenerationConfig, SchemaError, engine, generate, load_config
 from ontogen.config import check_config, parse_config
 
 
@@ -120,3 +120,19 @@ def test_a_config_is_an_immutable_hashable_value():
         cfg.set_cap = 3
     assert cfg == GenerationConfig() != cfg._replace(set_cap=3)
     assert len({cfg, GenerationConfig(), cfg._replace(set_cap=3)}) == 2
+
+
+def test_the_default_config_is_checked_once_and_a_callers_on_every_call(kb, monkeypatch):
+    checked = []
+    monkeypatch.setattr(engine, "check_config", lambda config: checked.append(config) or config)
+    tmr = load_fixture("request_blunt")
+    assert engine.DEFAULT_CONFIG == GenerationConfig()
+    default = generate(tmr, kb)
+    assert checked == []
+    own = GenerationConfig(exact_bonus=21.0)
+    generate(tmr, kb, config=own)
+    generate(tmr, kb, config=own)
+    assert checked == [own, own]
+    explicit = generate(tmr, kb, config=GenerationConfig())
+    assert [(s.sentence, s.total) for s in explicit.sentences] == \
+        [(s.sentence, s.total) for s in default.sentences]

@@ -1,6 +1,7 @@
 """Ontology reasoning, lexicon indexing, and load-time validation."""
 from __future__ import annotations
 
+import gc
 import json
 import subprocess
 import sys
@@ -10,8 +11,8 @@ from pathlib import Path
 import pytest
 
 from conftest import KB_DIR, TMR_DIR, cli_env, make_kb
-from genscen import build_redeclared_scenario, build_scenario
-from ontogen import OntogenError, generate, parse_tmr
+from genscen import build_redeclared_scenario, build_scenario, isa_chain, load_kb
+from ontogen import OntogenError, generate, knowledge, parse_tmr
 from ontogen.cli import _render_json
 from ontogen.errors import KbValidationError, SchemaError
 from ontogen.knowledge import (
@@ -215,6 +216,83 @@ def test_ancestry_is_breadth_first_through_multiple_parents(tmp_path):
                    lambda: onto.constraint_on("NOWHERE", "SIZE")):
         with pytest.raises(KbValidationError, match="unknown concept NOWHERE"):
             lookup()
+
+
+def test_within_an_unknown_name_is_false_and_keeps_nothing(tmp_path):
+    onto = make_kb(tmp_path, ontology={"concepts": _DIAMOND}).ontology
+    assert onto.within("LEFT", "FAR") and not onto.within("NEAR", "FAR")
+    assert onto.within("NOWHERE", "ALL") is False
+    assert onto.within("NOWHERE", "NOWHERE") is False
+    assert onto.within("LEFT", "NOWHERE") is False
+    assert "NOWHERE" not in onto._chains and "NOWHERE" not in onto._lineages
+
+
+def test_is_a_names_the_unknown_ancestor_before_the_unknown_child(tmp_path):
+    onto = make_kb(tmp_path, ontology={"concepts": _DIAMOND}).ontology
+    with pytest.raises(KbValidationError, match="unknown concept ELSEWHERE"):
+        onto.is_a("NOWHERE", "ELSEWHERE")
+    with pytest.raises(KbValidationError, match="unknown concept NOWHERE"):
+        onto.ancestors("NOWHERE")
+    assert "NOWHERE" not in onto._chains and "NOWHERE" not in onto._lineages
+
+
+def test_a_load_builds_only_the_ancestry_it_reads(monkeypatch):
+    """Of a 2,000-concept IS-A chain, loading reads only the ancestry of the
+    one head concept a sense binds a slot on; every other concept's is
+    built when it is first read, once."""
+    built = []
+
+    def counted(concepts, name):
+        built.append(name)
+        return breadth_first(concepts, name)
+
+    breadth_first = knowledge._breadth_first
+    monkeypatch.setattr(knowledge, "_breadth_first", counted)
+    concepts = isa_chain(2000)
+    concepts["C0"]["slots"] = {"AGENT": {"sem": "C0"}}
+    sense = {"id": "act-v1", "headword": "act", "pos": "v",
+             "syn-struc": [{"cat": "subj", "var": 1}, {"cat": "v", "var": 0}],
+             "sem-struc": {"head": "C1999", "slots": {"AGENT": {"var": 1}}}}
+    onto = load_kb(concepts, [sense]).ontology
+    assert built == ["C1999"] and not onto._lineages
+    assert onto.ancestors("C2") == ("C2", "C1", "C0")
+    assert onto.is_a("C1999", "C0") and onto.within("C1999", "C1998")
+    assert not onto.within("C2", "C3")
+    assert onto.ancestors("C2") == ("C2", "C1", "C0")
+    assert built == ["C1999", "C2"]
+    assert len(onto.ancestors("C1999")) == 2000
+
+
+@pytest.mark.parametrize("collecting", [True, False], ids=["gc-on", "gc-off"])
+@pytest.mark.parametrize("lexicon", ["lexicon.json", "malformed"])
+def test_a_load_pauses_collection_and_restores_the_callers_setting(tmp_path, monkeypatch,
+                                                                   collecting, lexicon):
+    seen = []
+
+    def parse_lexicon(data, onto):
+        seen.append(gc.isenabled())
+        return parse(data, onto)
+
+    parse = knowledge._parse_lexicon
+    monkeypatch.setattr(knowledge, "_parse_lexicon", parse_lexicon)
+    lexicon_path = KB_DIR / lexicon
+    if lexicon == "malformed":
+        lexicon_path = tmp_path / "lexicon.json"
+        lexicon_path.write_text(json.dumps(
+            {"schema": "ontogen-kb/1", "kind": "lexicon", "senses": {}}))
+    was = gc.isenabled()
+    (gc.enable if collecting else gc.disable)()
+    try:
+        try:
+            load_knowledge_base(KB_DIR / "ontology.json", lexicon_path, KB_DIR / "memory.json")
+        except KbValidationError as exc:
+            assert lexicon == "malformed" and "senses must be a list" in str(exc)
+        else:
+            assert lexicon != "malformed"
+        assert seen == [False]
+        assert gc.isenabled() is collecting
+    finally:
+        (gc.enable if was else gc.disable)()
 
 
 def test_match_degree_orders_consistently_with_is_a(kb):

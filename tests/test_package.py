@@ -89,6 +89,28 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_logging_nor_datetime():
     assert added.isdisjoint({"dataclasses", "inspect", "logging", "datetime"})
 
 
+def test_no_module_generates_a_class_when_it_is_imported():
+    """typing.NamedTuple, collections.namedtuple and enum compile or build
+    per class at import; records subclass record.Record instead, and the
+    one enum left is tmr.RelativeTime."""
+    def tail(node: ast.AST) -> str | None:  # Name.id, or the last part of a dotted name
+        return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+
+    generated, enums = [], []
+    for path in sorted(Path(ontogen.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.ClassDef):
+                bases = {tail(base) for base in node.bases}
+                if bases & {"NamedTuple", "IntEnum", "IntFlag", "Flag"}:
+                    generated.append(f"{path.stem}.{node.name}")
+                if "Enum" in bases:
+                    enums.append(f"{path.stem}.{node.name}")
+            elif isinstance(node, ast.Call) and tail(node.func) in ("namedtuple", "NamedTuple"):
+                generated.append(f"{path.stem}:{node.lineno}")
+    assert generated == []
+    assert enums == ["tmr.RelativeTime"]
+
+
 @pytest.mark.parametrize("fixture, dated", [("walk_transitive", False), ("request_blunt", False),
                                             ("fasten_painting", True)])
 def test_datetime_is_loaded_only_for_a_meaning_with_a_date(fixture, dated):
