@@ -232,10 +232,7 @@ class Ontology:
 
     def within(self, child: str, ancestor: str) -> bool:
         """is_a, where an unknown name is within nothing and holds nothing."""
-        try:
-            return ancestor in self._lineages[child]
-        except KeyError:
-            return False
+        return child in self.concepts and ancestor in self._lineages[child]
 
     def constraint_on(self, concept: str, prop: str) -> FacetedConstraint:
         """Nearest declared constraint walking up IS-A; absent means anything."""

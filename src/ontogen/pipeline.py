@@ -507,17 +507,16 @@ def _uncovered_slots(choice: CandidateSense, expressible: tuple[str, ...],
                  if prop not in slots and prop not in choice.modifiers)
 
 
-def _exclude(trace: list[TraceRecord], stage: str, choice: CandidateSense,
+def _exclude(trace: dict[TraceRecord, None], stage: str, choice: CandidateSense,
              rule: str, note: str) -> None:
-    record = TraceRecord(stage=stage, subject=f"{choice.unit_key}/{choice.sense.id}",
-                         rule=rule, note=note)
-    # copies of one sense that differ only in reference decoration fail alike
-    if record not in trace:
-        trace.append(record)
+    # the trace keeps each record once, in the order first made: copies of one
+    # sense that differ only in reference decoration fail alike
+    trace.setdefault(TraceRecord(stage=stage, subject=f"{choice.unit_key}/{choice.sense.id}",
+                                 rule=rule, note=note))
 
 
 def prune_semantic(units: list[Unit], tmr: Tmr, config: GenerationConfig,
-                   trace: list[TraceRecord]) -> list[Unit]:
+                   trace: dict[TraceRecord, None]) -> list[Unit]:
     """Score each candidate once, from the program its sense compiled at
     load: exclude senses that assert content the meaning lacks or
     contradicts; bonus exact/narrow/default matches and in-tolerance
@@ -538,7 +537,7 @@ def prune_semantic(units: list[Unit], tmr: Tmr, config: GenerationConfig,
         unit.candidates = kept
     if not all(unit.candidates for unit in units):
         raise AllSetsPruned("every candidate set was excluded on semantic grounds",
-                            trace=trace)
+                            trace=list(trace))
     return units
 
 
@@ -635,7 +634,7 @@ def read_construction(tmr: Tmr, frame: TmrFrame, sense: LexSense, embedded: bool
 
 
 def prune_syntactic(units: list[Unit], tmr: Tmr, root: TmrFrame,
-                    trace: list[TraceRecord]) -> list[Unit]:
+                    trace: dict[TraceRecord, None]) -> list[Unit]:
     """Check each frame candidate once: exclude it when it is a pronoun for
     a modified referent, or when its construction, read against its frame
     (read_construction), cannot stand; else keep that reading on it. Every
@@ -671,11 +670,11 @@ def prune_syntactic(units: list[Unit], tmr: Tmr, root: TmrFrame,
         _prune_verb_slots([unit for unit in units if unit.kind == "frame"], trace)
     if not all(unit.candidates for unit in units):
         raise AllSetsPruned("every candidate set was excluded on syntactic grounds",
-                            trace=trace)
+                            trace=list(trace))
     return units
 
 
-def _prune_verb_slots(units: list[Unit], trace: list[TraceRecord]) -> None:
+def _prune_verb_slots(units: list[Unit], trace: dict[TraceRecord, None]) -> None:
     """Arc consistency over the tree of frames (Mackworth 1977): exclude a
     candidate whose reading has a "v" node for a frame with no
     argument-taking candidate left, until none is; then a candidate that
@@ -759,9 +758,8 @@ def run_lexical_selection(tmr: Tmr, kb: KnowledgeBase, config: GenerationConfig,
     frames the root reaches; one message names the frames it does not
     reach, which no sentence can say."""
     check_concepts(tmr, kb)
-    trace: list[TraceRecord] = []
     if not tmr.frames:
-        raise AllSetsPruned("the meaning representation has no frames", trace=trace)
+        raise AllSetsPruned("the meaning representation has no frames", trace=[])
     root = find_root_frame(tmr)
     units = extract_candidates(tmr, kb, root)
     reached = {unit.frame_id for unit in units}
@@ -769,12 +767,13 @@ def run_lexical_selection(tmr: Tmr, kb: KnowledgeBase, config: GenerationConfig,
     manage_reference(units, tmr, kb, config, context)
     empty = [u.key for u in units if not u.candidates]
     if empty:
-        raise AllSetsPruned(f"no referring expression fits: {', '.join(empty)}", trace=trace)
+        raise AllSetsPruned(f"no referring expression fits: {', '.join(empty)}", trace=[])
     counts = {
         "units": len(units),
         "candidates": sum(len(u.candidates) for u in units),
         "sets": _product(units),
     }
+    trace: dict[TraceRecord, None] = {}
     prune_semantic(units, tmr, config, trace)
     counts["after-semantic"] = _product(units)
     prune_syntactic(units, tmr, root, trace)
@@ -784,4 +783,5 @@ def run_lexical_selection(tmr: Tmr, kb: KnowledgeBase, config: GenerationConfig,
     if unsaid:
         messages.insert(0, f"{', '.join(unsaid)} not expressed: nothing attaches "
                            f"{'them' if len(unsaid) > 1 else 'it'} to {root.instance_id}")
-    return SelectionResult(sets=sets, trace=trace, messages=messages, counts=counts, root=root)
+    return SelectionResult(sets=sets, trace=list(trace), messages=messages, counts=counts,
+                           root=root)

@@ -132,26 +132,24 @@ def extra_mentions(name: str, sentence: str) -> int:
 
 def rank(solutions: list[CandidateSolution], freq: FrequencyTable, config: GenerationConfig,
          history: tuple[str, ...] = ()) -> list[ScoredSentence]:
-    """Scored, deduplicated, ordered best-first with ranks assigned. Each
-    solution names its root frame and holds the names realize found; the
-    sets of a request share their options. A set's repeats are its names'
-    mentions in the history, each name counted on its first lookup, plus
-    their extra mentions inside its own sentence."""
+    """Scored, deduplicated, ordered best-first with ranks assigned. The
+    solutions are the sets of one request, at least one: they share their
+    options and their root frame, and each holds the names realize found. A
+    set's repeats are its names' mentions in the history, each name counted
+    on its first lookup, plus their extra mentions inside its own sentence."""
     mentions: dict[str, int] = {}
     pipeline_weight, frequency_weight = config.pipeline_weight, config.frequency_weight
     repetition_penalty, length_tie_break = config.repetition_penalty, config.length_tie_break
     scored: list[tuple[float, str, int, CandidateSolution, tuple]] = []  # the first set wins a tie
-    options = None
+    options = solutions[0].candidate_set.options
+    deltas = tuple([[e.delta for e in (*c.ledger, *c.semantic, *c.uncovered)]
+                    for c in column] for column in options)
+    root = [column[0].unit_key for column in options].index(solutions[0].root_id)
+    frequencies = [frequency_weight * freq.lookup(c.lemma.lower(), c.sense.id)
+                   for c in options[root]]
     for solution in solutions:
         sentence = solution.sentence
         candidate_set = solution.candidate_set
-        if candidate_set.options is not options:
-            options = candidate_set.options
-            deltas = tuple([[e.delta for e in (*c.ledger, *c.semantic, *c.uncovered)]
-                            for c in column] for column in options)
-            root = [column[0].unit_key for column in options].index(solution.root_id)
-            frequencies = [frequency_weight * freq.lookup(c.lemma.lower(), c.sense.id)
-                           for c in options[root]]
         repeats = 0
         if solution.names:
             for name in dict.fromkeys(solution.names):

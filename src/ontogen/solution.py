@@ -5,15 +5,16 @@ a lemma plus the features the realizer needs (tense, form, number, person,
 case); containers carry ordered children.
 
 The sets of one request share a Forest, which builds what they read once
-per candidate: each construction compiled once per frame and sense, from
-the reading syntactic pruning kept, into a plan of fixed leaves, realized
-once, holes and embedded clauses; each hole's piece (its text, whether it
-ends in "a", proper names and the node it came from) in a table indexed by
-candidate position; and each clause's verb pieces, once per subject
-agreement. One more set costs one lookup per clause, one index per hole and
-one assembly per embedded verb phrase: no node and no syn-struc walk. Its
-tree is built from the nodes its pieces hold when first read. A frame that
-embeds itself, directly or through other frames, is a TmrError.
+per candidate: plans, each construction compiled once per frame and sense,
+from the reading syntactic pruning kept, into fixed leaves, realized once,
+holes and embedded clauses; each hole's piece (its text, whether it ends
+in "a", proper names and the node it came from) by candidate position; and
+verb pieces by candidate position and subject agreement. One more set
+costs two lookups per clause, one index per hole and one assembly per
+embedded verb phrase, whose clause takes one stack frame: no node and no
+syn-struc walk. A set's tree is built from the nodes its pieces hold when
+first read. A frame that embeds itself, directly or through other frames,
+is a TmrError.
 """
 
 from __future__ import annotations
@@ -171,8 +172,9 @@ def _compile(frame: TmrFrame, choice: CandidateSense, forest: Forest) -> tuple:
 class Forest:
     """What the sets of one request share: the root frame and its tense, the
     morphology tables, the options the sets hold positions in
-    (pipeline.aggregate_sets), and what is built per candidate of them. A
-    solution holds the nodes its tree is built from through its pieces."""
+    (pipeline.aggregate_sets), and what is built per candidate of them:
+    plans and hole tables in built, verb pieces in verbs. A solution holds
+    the nodes its tree is built from through its pieces."""
 
     def __init__(self, tmr: Tmr, root: TmrFrame, tables: MorphTables, options: tuple):
         self.tmr = tmr
@@ -182,7 +184,7 @@ class Forest:
         self.tense = derive_tense(root, tmr)
         self.unit = {column[0].unit_key: u for u, column in enumerate(options)}
         self.built: dict[tuple, object] = {}
-        self.clauses: dict[tuple, object] = {}  # by unit and position
+        self.verbs: dict[tuple, list] = {}  # by unit, position and subject agreement
 
     def hole(self, frame: TmrFrame, function: str, preposition: str | None = None) -> tuple:
         """(unit, modifier units, table): the frame's nominal, or with a
@@ -226,70 +228,64 @@ class Forest:
                                                    Constituent("nominal", children=tuple(children))))
         return _piece(self.tables, node), (number, person)
 
-    def clause(self, frame: TmrFrame, positions: tuple[int, ...]) -> tuple:
-        """The clause of the frame's choice in the set, once per position:
-        (plan, lemma, verb pieces by subject agreement). A plan is compiled
-        once per frame and sense."""
+    def fill(self, positions: tuple[int, ...], frame: TmrFrame,
+             path: tuple[str, ...]) -> tuple[tuple, list[tuple]]:
+        """The frame's plan and its clause's pieces for the set at positions,
+        each verb in the choice's lemma, unless its leaf names its own, and
+        agreeing with the subject if finite: a subject hole's agreement, else
+        the plan's. A "v" slot's frame is filled as one more clause, which
+        takes one stack frame. path names the frames whose phrases hold this
+        one, outermost first, and this one."""
         unit = self.unit[frame.instance_id]
-        key = (unit, positions[unit])
-        clause = self.clauses.get(key)
-        if clause is None:
-            choice = self.options[unit][positions[unit]]
-            plan = ("plan", frame.instance_id, choice.sense)
-            if plan not in self.built:
-                self.built[plan] = _compile(frame, choice, self)
-            clause = self.clauses[key] = (self.built[plan], choice.lemma, {})
-        return clause
-
-    def fill(self, positions: tuple[int, ...], clause: tuple,
-             path: tuple[str, ...]) -> list[tuple]:
-        """The clause's pieces for the set at positions, each verb in the
-        clause's lemma, unless its leaf names its own, and agreeing with the
-        subject if finite: a subject hole's agreement, else the plan's.
-        path names the frames whose phrases hold this one, outermost first."""
-        (steps, verbs, _, _, subject), lemma, by_agreement = clause
+        choice = self.options[unit][positions[unit]]
+        key = ("plan", frame.instance_id, choice.sense)
+        plan = self.built.get(key)
+        if plan is None:
+            plan = self.built[key] = _compile(frame, choice, self)
+        steps, verbs, _, _, subject = plan
         pieces: list[tuple] = []
         for kind, held in steps:
             if kind == _PIECE:
                 pieces.append(held)
             elif kind == _EMBED:
-                pieces.append(self.embedded_phrase(positions, held, path))
+                inner = path + (held.instance_id,)
+                if held.instance_id in path:
+                    raise TmrError(f"a frame embeds itself: {' -> '.join(inner)}",
+                                   source=self.tmr.source)
+                _, embedded = self.fill(positions, held, inner)
+                pieces.append(_assemble(self.tables, embedded) + (embedded,))
             else:
-                unit, mods, table = held
-                index = positions[unit]
+                owner, mods, table = held
+                index = positions[owner]
                 for mod in mods:
                     index = index * len(self.options[mod]) + positions[mod]
                 piece, agreement = table[index]
                 pieces.append(piece)
                 if kind == _SUBJECT:
                     subject = agreement
-        agreeing = by_agreement.get(subject)
+        key = (unit, positions[unit], subject)
+        agreeing = self.verbs.get(key)
         if agreeing is None:
-            agreeing = by_agreement[subject] = []
+            agreeing = self.verbs[key] = []
             for index, leaf, agrees in verbs:
                 features = Features(leaf.features.tense, leaf.features.verb_form,
                                     *(subject if agrees else (None, None)))
-                node = Constituent(leaf.function, lemma=leaf.lemma or lemma, features=features)
+                node = Constituent(leaf.function, lemma=leaf.lemma or choice.lemma,
+                                   features=features)
                 agreeing.append((index, _piece(self.tables, node)))
         for index, piece in agreeing:
             pieces[index] = piece
-        return pieces
-
-    def embedded_phrase(self, positions: tuple[int, ...], frame: TmrFrame,
-                        path: tuple[str, ...]) -> tuple:
-        path += (frame.instance_id,)
-        if frame.instance_id in path[:-1]:
-            raise TmrError(f"a frame embeds itself: {' -> '.join(path)}", source=self.tmr.source)
-        pieces = self.fill(positions, self.clause(frame, positions), path)
-        return _assemble(self.tables, pieces) + (pieces,)
+        return plan, pieces
 
 
 def build_solution(cs: CandidateSet, forest: Forest) -> CandidateSolution:
     """The root frame's clause as the set's pieces, with its mood and voice;
     unbound frames stay silent. The sets of one request pass one forest,
-    built on their options, and share what it builds."""
+    built on their options, and share what it builds. Clauses nested
+    deeper than the interpreter's stack holds are a TmrError."""
     root_id = forest.root.instance_id
-    clause = forest.clause(forest.root, cs.positions)
-    _, _, mood, voice, _ = clause[0]
-    return CandidateSolution(cs, forest.fill(cs.positions, clause, (root_id,)), mood,
-                             forest.tense, voice, root_id)
+    try:
+        (_, _, mood, voice, _), pieces = forest.fill(cs.positions, forest.root, (root_id,))
+    except RecursionError:
+        raise TmrError("verb phrases nested too deeply", source=forest.tmr.source) from None
+    return CandidateSolution(cs, pieces, mood, forest.tense, voice, root_id)

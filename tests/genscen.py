@@ -343,6 +343,27 @@ def build_attached_family(n: int) -> tuple[KnowledgeBase, Tmr]:
     return kb, tmr
 
 
+def nested_requests(depth: int, innermost: str) -> dict:
+    """The request_polite TMR document with depth requests, each but the
+    last the THEME of the one before: REQUEST-ACTION-1's THEME is
+    REQUEST-ACTION-2, and so on, and REQUEST-ACTION-<depth>'s THEME is
+    innermost, the fixture's PREPARE-FOOD-1 or its DINNER-1 (then the only
+    frame below the requests)."""
+    doc = json.loads((Path(ontogen.__file__).parent / "data" / "tmr" / "request_polite.json")
+                     .read_text())
+    frames = doc["frames"]
+    if innermost == "DINNER-1":
+        del frames["PREPARE-FOOD-1"]
+    for k in range(2, depth + 1):
+        frames[f"REQUEST-ACTION-{k}"] = {**frames["REQUEST-ACTION-1"],
+                                         "THEME-OF": [f"REQUEST-ACTION-{k - 1}"]}
+    for k in range(1, depth):
+        frames[f"REQUEST-ACTION-{k}"]["THEME"] = f"REQUEST-ACTION-{k + 1}"
+    frames[f"REQUEST-ACTION-{depth}"]["THEME"] = innermost
+    frames[innermost] = {**frames[innermost], "THEME-OF": [f"REQUEST-ACTION-{depth}"]}
+    return doc
+
+
 def reference_cases():
     """(label, tmr, kb) for every bundled fixture, genscen seeds 0-299 and
     the attached family n = 1..6."""
@@ -435,7 +456,7 @@ def rank_every_set(tmr: Tmr, kb: KnowledgeBase,
     config = config or GenerationConfig()
     root = find_root_frame(tmr)
     units = manage_reference(extract_candidates(tmr, kb, root), tmr, kb, config)
-    trace: list = []
+    trace: dict = {}
     survivors = prune_syntactic(prune_semantic(units, tmr, config, trace), tmr, root, trace)
     columns = [unit.candidates for unit in survivors]
     assert math.prod(map(len, columns)) <= config.set_cap, "the reference must not be truncated"

@@ -15,6 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import DATA, KB_DIR, cli_env, fixture_path, run_cli
+from genscen import nested_requests
 from ontogen import (
     generate,
     parse_tmr,
@@ -230,14 +231,8 @@ def test_a_request_inside_a_request_says_only_embeddable_constructions(tmp_path,
     """An embedded frame is a base-form verb phrase: a construction with an
     aux node (appreciate-v8, could-v9) cannot stand there, so only
     request-v2 is said inside the outer request."""
-    doc = json.loads(fixture_path("request_polite").read_text())
-    frames = doc["frames"]
-    frames["REQUEST-ACTION-2"] = {**frames["REQUEST-ACTION-1"], "THEME": "PREPARE-FOOD-1",
-                                  "THEME-OF": ["REQUEST-ACTION-1"]}
-    frames["REQUEST-ACTION-1"]["THEME"] = "REQUEST-ACTION-2"
-    frames["PREPARE-FOOD-1"]["THEME-OF"] = ["REQUEST-ACTION-2"]
     path = tmp_path / "nested.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(nested_requests(2, "PREPARE-FOOD-1")))
     assert main(["generate", "--tmr", str(path), "--top", "20"]) == 0
     assert capsys.readouterr().out.splitlines() == [
         "1. I would really appreciate it if you would request that you make dinner.",
@@ -263,13 +258,8 @@ def test_a_v_slot_whose_frame_takes_no_arguments_exits_2(tmp_path, capsys):
     """A "v" node says its frame as a verb phrase: with DINNER-1 in the
     request's THEME, no sense of the request can stand, where it printed
     "I would really appreciate it if you would dinner."."""
-    doc = json.loads(fixture_path("request_polite").read_text())
-    frames = doc["frames"]
-    del frames["PREPARE-FOOD-1"]
-    frames["REQUEST-ACTION-1"]["THEME"] = "DINNER-1"
-    frames["DINNER-1"] = {"THEME-OF": ["REQUEST-ACTION-1"]}
     path = tmp_path / "dinner.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(nested_requests(1, "DINNER-1")))
     assert main(["generate", "--tmr", str(path), "--trace"]) == 2
     out, err = capsys.readouterr()
     assert out == ""
@@ -281,15 +271,8 @@ def test_a_v_slot_whose_frame_takes_no_arguments_exits_2(tmp_path, capsys):
 def test_a_v_slot_excluded_inside_a_request_excludes_the_request_around_it(tmp_path, capsys):
     """The exclusion climbs a nesting: the inner request cannot say DINNER-1
     as a verb phrase, so the outer one has no verb phrase for its THEME."""
-    doc = json.loads(fixture_path("request_polite").read_text())
-    frames = doc["frames"]
-    del frames["PREPARE-FOOD-1"]
-    frames["REQUEST-ACTION-2"] = {**frames["REQUEST-ACTION-1"], "THEME": "DINNER-1",
-                                  "THEME-OF": ["REQUEST-ACTION-1"]}
-    frames["REQUEST-ACTION-1"]["THEME"] = "REQUEST-ACTION-2"
-    frames["DINNER-1"] = {"THEME-OF": ["REQUEST-ACTION-2"]}
     path = tmp_path / "nested_dinner.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(nested_requests(2, "DINNER-1")))
     assert main(["generate", "--tmr", str(path), "--trace"]) == 2
     out, err = capsys.readouterr()
     assert out == ""
@@ -387,6 +370,18 @@ def test_a_frame_that_embeds_itself_names_the_file_and_the_path(tmp_path, capsys
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"error: {path}: a frame embeds itself: {shown}\n"
+
+
+@pytest.mark.parametrize("flags", [[], ["--format", "json"], ["--dump-solutions"],
+                                   ["--format", "json", "--dump-solutions"]],
+                         ids=["human", "json", "human-dump", "json-dump"])
+def test_requests_nested_past_the_stack_exit_1_with_one_error_line(tmp_path, capsys, flags):
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps(nested_requests(2000, "PREPARE-FOOD-1")))
+    assert main(["generate", "--tmr", str(path), *flags]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {path}: verb phrases nested too deeply\n"
 
 
 def _walk_with_an_agent_cycle() -> dict:

@@ -47,6 +47,9 @@ PUSHED_BY = {**PUSHED, "PUSH-1": {**PUSHED["PUSH-1"], "TIME": "before-reference"
 ROWS = [
     ("unbound bare noun", [SUBJ, VERB, OBJECT, {"cat": "n", "var": 4}], ROLES, [], PUSHED,
      "push-v1: n node $var4 has no root word, and no sem-struc slot binds it"),
+    # the loader lets a subject go unbound, for an embedded clause never says it
+    ("unbound bare subject at the root", [SUBJ, VERB, OBJECT], {"THEME": {"var": 2}}, [],
+     PUSHED, ("unfillable", "subj $var1 has no meaning to express")),
     ("optional preposition and noun, role absent",
      [SUBJ, VERB, OBJECT, {"cat": "prep", "var": 3, "root": ["to"], "opt": True},
       {"cat": "n", "var": 4, "opt": True}], {**ROLES, "DESTINATION": {"var": 4}}, [3], PUSHED,

@@ -221,6 +221,13 @@ def test_ancestry_is_breadth_first_through_multiple_parents(tmp_path):
 def test_within_an_unknown_name_is_false_and_keeps_nothing(tmp_path):
     onto = make_kb(tmp_path, ontology={"concepts": _DIAMOND}).ontology
     assert onto.within("LEFT", "FAR") and not onto.within("NEAR", "FAR")
+
+    def unbuilt(name):
+        raise AssertionError(f"ancestry of {name} built")
+
+    # a name that is no concept, such as the literal filler "home", is
+    # answered from the concept table: no ancestry is built for it
+    onto._chains.make = onto._lineages.make = unbuilt
     assert onto.within("NOWHERE", "ALL") is False
     assert onto.within("NOWHERE", "NOWHERE") is False
     assert onto.within("LEFT", "NOWHERE") is False
@@ -330,8 +337,9 @@ def test_match_degree_rewards_narrowed_override(kb):
     ("WAITER", None, ConceptConstraint("HUMAN"), True),
     (0.5, RangeConstraint(0.2, 0.8), RangeConstraint(0.2, 0.8), False),
     (0.9, RangeConstraint(0.0, 0.8), RangeConstraint(0.5, 1.0), False),
+    ("red", ConceptConstraint("HUMAN"), LiteralConstraint(("blue", "red")), False),
 ], ids=["literal-subset", "range-inside-range", "no-ontology-sem", "equal-ranges",
-        "range-past-the-ontology"])
+        "range-past-the-ontology", "literals-for-a-concept"])
 def test_an_override_strictly_tighter_than_the_ontology_is_narrow(kb, filler, base, override,
                                                                    narrow):
     degree = Grade(kb.ontology, FacetedConstraint(sem=base),

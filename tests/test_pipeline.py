@@ -166,7 +166,7 @@ def test_fresh_objects_never_pronominalize(kb, config):
 
 def _survivors_for(name: str, kb, config):
     tmr, units = _units_for(name, kb, config)
-    trace = []
+    trace = {}
     return prune_syntactic(prune_semantic(units, tmr, config, trace), tmr,
                            tmr_module.find_root_frame(tmr), trace)
 
@@ -175,7 +175,7 @@ def test_each_stage_narrows_the_units_it_is_given_in_place(kb, config):
     tmr = load_fixture("fasten_painting")
     units = _extract(tmr, kb)
     given = list(units)
-    trace = []
+    trace = {}
     assert manage_reference(units, tmr, kb, config) is units
     assert prune_semantic(units, tmr, config, trace) is units
     assert prune_syntactic(units, tmr, tmr_module.find_root_frame(tmr), trace) is units
@@ -279,6 +279,27 @@ def test_a_scalar_modifier_slot_covers_only_its_own_value(tmp_path, weight, sent
         (sentence, ((entry[0], pipeline.LedgerEntry(*entry[1:])),))]
 
 
+@pytest.mark.parametrize("slots, frames, modifiers", [
+    ({"COLOR": {"concept": "OBJECT"}}, {"BOX-1": {"COLOR": "OBJECT"}}, ["BOX-1/COLOR"]),
+    ({"THEME": {"concept": "OBJECT"}}, {"BOX-1": {"THEME": "OBJECT"}}, []),
+    ({"CARDINALITY": 1}, {"BOX-1": {"CARDINALITY": 1}}, []),
+    ({"COLOR": {"concept": "OBJECT"}}, {"BOX-1": {"COLOR": "BOX-2"}, "BOX-2": {}}, []),
+], ids=["a-concept", "a-case-role", "a-reserved-slot", "an-instance"])
+def test_a_modifier_says_a_property_a_concept_or_a_value_fills(tmp_path, slots, frames,
+                                                               modifiers):
+    """A modifier sense that covers a case role or a reserved slot, or a
+    property an instance fills, makes no modifier unit: the role is a
+    phrase's, the slot the engine's, and the instance its own frame's."""
+    kb = make_kb(tmp_path, ontology=_BOX_ONTOLOGY, lexicon={"senses": [
+        {"id": "box-n1", "headword": "box", "pos": "n", "syn-struc": [{"cat": "n", "var": 0}],
+         "sem-struc": {"head": "BOX", "slots": {}}},
+        {"id": "odd-adj1", "headword": "odd", "pos": "adj",
+         "syn-struc": [{"cat": "adj", "var": 0}],
+         "sem-struc": {"head": "OBJECT", "slots": slots}}]})
+    units = _extract(_dict_tmr(frames), kb)
+    assert [unit.key for unit in units if unit.kind == "modifier"] == modifiers
+
+
 def test_each_excluded_candidate_is_traced_once(kb):
     report = generate(load_fixture("moor_ship"), kb)
     assert [(r.stage, r.subject) for r in report.trace] == [
@@ -291,11 +312,11 @@ def test_each_excluded_candidate_is_traced_once(kb):
 def test_a_candidate_excluded_twice_for_one_reason_is_traced_once(kb, config):
     _, units = _units_for("moor_ship", kb, config)
     choice = _unit(units, "HUMAN-30").candidates[0]
-    trace: list[TraceRecord] = []
+    trace: dict[TraceRecord, None] = {}
     for copy in (choice, choice._replace(determiner="definite")):
         _exclude(trace, "syntactic", copy, "unfillable", "no meaning to express")
-    assert trace == [TraceRecord("syntactic", f"HUMAN-30/{choice.sense.id}", "unfillable",
-                                 "no meaning to express")]
+    assert list(trace) == [TraceRecord("syntactic", f"HUMAN-30/{choice.sense.id}",
+                                       "unfillable", "no meaning to express")]
 
 
 # --- stage 4: syntactic pruning ----------------------------------------------

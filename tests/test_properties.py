@@ -64,7 +64,7 @@ def check_product_cardinality(seed: int) -> None:
     config = GenerationConfig()
     root = find_root_frame(tmr)
     units = manage_reference(extract_candidates(tmr, kb, root), tmr, kb, config)
-    trace = []
+    trace = {}
     try:
         survivors = prune_syntactic(prune_semantic(units, tmr, config, trace), tmr, root,
                                     trace)

@@ -6,7 +6,7 @@ import json
 import pytest
 
 from conftest import TMR_DIR, load_fixture
-from genscen import build_attached_family, linearize, rank_every_set, walk
+from genscen import build_attached_family, linearize, nested_requests, rank_every_set, walk
 from ontogen import (AllSetsPruned, GenerationConfig, NoRealizableSense, TmrError,
                      bundled_morphology, cli, generate, parse_tmr, realizer, solution)
 from ontogen.pipeline import CandidateSense, CandidateSet, run_lexical_selection
@@ -239,6 +239,20 @@ def test_a_frame_that_embeds_itself_is_a_tmr_error_naming_the_path(kb):
         generate(tmr, kb)
     assert str(caught.value) == ("loop.json: a frame embeds itself: "
                                  "REQUEST-ACTION-1 -> REQUEST-ACTION-2 -> REQUEST-ACTION-1")
+
+
+def test_each_embedded_clause_takes_one_stack_frame(kb):
+    """600 nested requests fit the interpreter's default stack of 1,000
+    frames; 2,000 do not, and are a TmrError naming the TMR."""
+    tmr = parse_tmr(json.dumps(nested_requests(600, "PREPARE-FOOD-1")), source="<600 deep>")
+    inner = "request that you " * 599 + "make dinner"
+    assert [s.sentence for s in generate(tmr, kb).sentences] == [
+        f"I would really appreciate it if you would {inner}.", f"I request that you {inner}.",
+        f"Could you please {inner}?"]
+    tmr = parse_tmr(json.dumps(nested_requests(2000, "PREPARE-FOOD-1")), source="<2000 deep>")
+    with pytest.raises(TmrError) as caught:
+        generate(tmr, kb)
+    assert str(caught.value) == "<2000 deep>: verb phrases nested too deeply"
 
 
 # --- sharing within one request ---------------------------------------------------
