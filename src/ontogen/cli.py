@@ -11,96 +11,54 @@ standard error.
 `run()` is the process entry point (`ontogen`, `python -m ontogen.cli`):
 it ends the process without interpreter teardown once the output is
 flushed. `main()` returns its exit code to a Python caller.
+
+Each subcommand's options are declared once, in _COMMANDS. main() reads a
+well-formed command line straight from that table; argparse, built from
+the same table, is imported only for any other command line, so help,
+usage and every usage error are argparse's own.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 import time
 from pathlib import Path
-from typing import NoReturn
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, NoReturn
 
 from .config import load_config
 from .engine import RunReport, generate
 from .errors import AllSetsPruned, NoRealizableSense, OntogenError
 from .knowledge import FacetedConstraint, VarBinding, constraint_text, load_knowledge_base
 from .pipeline import TraceRecord, check_concepts
+from .record import Record, tuple_new
 from .selector import bundled_frequency, load_frequency
 from .solution import Constituent
 from .strictjson import encode
 from .tmr import parse_tmr_file, serialize_tmr, strip_metadata
 
+if TYPE_CHECKING:
+    import argparse
+    from collections.abc import Callable, Iterator
+
 _DATA = Path(__file__).parent / "data"
 
 
-class _Parser(argparse.ArgumentParser):
-    # usage mistakes are input errors: exit 1, never argparse's default 2
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(1, f"{self.prog}: error: {message}\n")
-
-
 def _at_least_one(text: str) -> int:
-    """An integer of at least 1, for --top."""
+    """An integer of at least 1, for --top; a ValueError words the rejection."""
     try:
         value = int(text)
     except ValueError:
         value = 0
     if value < 1:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+        raise ValueError(f"expected an integer >= 1, got {text!r}")
     return value
 
 
 def _num(value: float):
     value = round(value, 6)
     return int(value) if value == int(value) else value
-
-
-def _add_kb_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--ontology", default=str(_DATA / "kb" / "ontology.json"),
-                        help="ontology JSON (default: bundled)")
-    parser.add_argument("--lexicon", default=str(_DATA / "kb" / "lexicon.json"),
-                        help="lexicon JSON (default: bundled)")
-    parser.add_argument("--memory", default=str(_DATA / "kb" / "memory.json"),
-                        help="episodic memory JSON (default: bundled)")
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="ontogen",
-                     description="Explainable knowledge-based sentence generation.")
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    gen = sub.add_parser("generate", help="generate ranked sentences from a TMR")
-    _add_kb_flags(gen)
-    gen.add_argument("--tmr", required=True, help="meaning representation JSON")
-    gen.add_argument("--config", help="scoring config JSON (default: built-in values)")
-    gen.add_argument("--freq", help="frequency table JSON (default: bundled)")
-    gen.add_argument("--top", type=_at_least_one, default=5,
-                     help="sentences to print, at least 1 (default 5)")
-    gen.add_argument("--trace", action="store_true", help="emit score ledgers and exclusions")
-    gen.add_argument("--dump-solutions", action="store_true",
-                     help="emit constituent trees for the printed sentences")
-    gen.add_argument("--format", choices=("human", "json"), default="human")
-    gen.add_argument("--out", help="write the report here instead of stdout")
-    gen.set_defaults(func=cmd_generate)
-
-    strip = sub.add_parser("strip", help="drop analyzer metadata from a TMR")
-    strip.add_argument("--tmr", required=True)
-    strip.add_argument("--out", help="write the stripped TMR here instead of stdout")
-    strip.set_defaults(func=cmd_strip)
-
-    val = sub.add_parser("validate", help="check knowledge base and TMR invariants")
-    _add_kb_flags(val)
-    val.add_argument("--tmr", help="also validate this TMR")
-    val.set_defaults(func=cmd_validate)
-
-    ins = sub.add_parser("inspect", help="show a concept, its constraints, and its senses")
-    _add_kb_flags(ins)
-    ins.add_argument("--concept", required=True)
-    ins.set_defaults(func=cmd_inspect)
-    return parser
 
 
 # ---------------------------------------------------------------------------
@@ -141,16 +99,29 @@ def _render_human(report: RunReport, top: int, trace: bool, dump: bool) -> list[
         for s in shown:
             lines.append("")
             lines.append(f"solution {s.rank}:")
-            lines.extend(_render_tree(s.solution.root, indent=1))
+            for depth, node in _preorder(s.solution.root):
+                head = f"{'  ' * depth}  {node.function}"
+                if node.is_leaf:
+                    head += f" {node.lemma}"
+                lines.append(head + _features_text(node))
     return lines
 
 
 def _features(node: Constituent) -> dict:
     """The node's set features by their printed names, in printed order."""
     feats = node.features
-    return {name: value for name, value in (
-        ("tense", feats.tense), ("form", feats.verb_form), ("number", feats.number),
-        ("person", feats.person), ("case", feats.case)) if value is not None}
+    out = {}
+    if feats.tense is not None:
+        out["tense"] = feats.tense
+    if feats.verb_form is not None:
+        out["form"] = feats.verb_form
+    if feats.number is not None:
+        out["number"] = feats.number
+    if feats.person is not None:
+        out["person"] = feats.person
+    if feats.case is not None:
+        out["case"] = feats.case
+    return out
 
 
 def _features_text(node: Constituent) -> str:
@@ -162,30 +133,40 @@ def _features_text(node: Constituent) -> str:
     return f" [{', '.join(parts)}]" if parts else ""
 
 
-def _render_tree(node: Constituent, indent: int) -> list[str]:
-    pad = "  " * indent
-    if node.is_leaf:
-        return [f"{pad}{node.function} {node.lemma}{_features_text(node)}"]
-    lines = [f"{pad}{node.function}{_features_text(node)}"]
-    for child in node.children:
-        lines.extend(_render_tree(child, indent + 1))
-    return lines
+def _preorder(root: Constituent) -> Iterator[tuple[int, Constituent]]:
+    """(depth, node) for root and every node below it, in pre-order, root
+    at depth 0. The nodes above the one visited wait on a stack of its own,
+    not on the call stack, so a tree may be as deep as generation reaches."""
+    yield 0, root
+    stack = [iter(root.children)]  # the children left at each depth
+    while stack:
+        for node in stack[-1]:
+            yield len(stack), node
+            if node.children:
+                stack.append(iter(node.children))
+                break
+        else:
+            stack.pop()
 
 
-def _tree_json(node: Constituent) -> dict:
-    out: dict = {"function": node.function}
-    if node.is_leaf:
-        out["lemma"] = node.lemma
-    feats = _features(node)
-    if feats:
-        out["features"] = feats
-    if node.proper:
-        out["proper"] = True
-    if node.pronoun:
-        out["pronoun"] = True
-    if node.children:
-        out["children"] = [_tree_json(c) for c in node.children]
-    return out
+def _tree_json(root: Constituent) -> dict:
+    siblings: list[list] = [[]]  # siblings[d] takes the next node at depth d
+    for depth, node in _preorder(root):
+        out: dict = {"function": node.function}
+        if node.is_leaf:
+            out["lemma"] = node.lemma
+        feats = _features(node)
+        if feats:
+            out["features"] = feats
+        if node.proper:
+            out["proper"] = True
+        if node.pronoun:
+            out["pronoun"] = True
+        siblings[depth].append(out)
+        if node.children:
+            out["children"] = children = []
+            siblings[depth + 1:depth + 2] = [children]
+    return siblings[0][0]
 
 
 def _render_json(report: RunReport, top: int, trace: bool, dump: bool) -> str:
@@ -331,9 +312,140 @@ def cmd_inspect(args) -> int:
 
 # ---------------------------------------------------------------------------
 
+class _Option(Record):
+    """One option of a subcommand, as argparse declares it. A switch takes
+    no value and is True when given; any other option takes one value,
+    which type (a function whose ValueError rejects it) converts or choices
+    must hold."""
+    __slots__ = ()
+
+    def __new__(cls, flag: str, help: str | None = None, default: object = None,
+                type: Callable[[str], object] | None = None,
+                choices: tuple[str, ...] | None = None, required: bool = False,
+                switch: bool = False):
+        return tuple_new(cls, (flag, help, default, type, choices, required, switch))
+
+    @property
+    def dest(self) -> str:
+        return self.flag[2:].replace("-", "_")
+
+
+_KB_OPTIONS = (
+    _Option("--ontology", "ontology JSON (default: bundled)",
+            default=str(_DATA / "kb" / "ontology.json")),
+    _Option("--lexicon", "lexicon JSON (default: bundled)",
+            default=str(_DATA / "kb" / "lexicon.json")),
+    _Option("--memory", "episodic memory JSON (default: bundled)",
+            default=str(_DATA / "kb" / "memory.json")),
+)
+
+# each subcommand's help, function and options, in the order help lists them
+_COMMANDS = {
+    "generate": ("generate ranked sentences from a TMR", cmd_generate, (
+        *_KB_OPTIONS,
+        _Option("--tmr", "meaning representation JSON", required=True),
+        _Option("--config", "scoring config JSON (default: built-in values)"),
+        _Option("--freq", "frequency table JSON (default: bundled)"),
+        _Option("--top", "sentences to print, at least 1 (default 5)", default=5,
+                type=_at_least_one),
+        _Option("--trace", "emit score ledgers and exclusions", default=False, switch=True),
+        _Option("--dump-solutions", "emit constituent trees for the printed sentences",
+                default=False, switch=True),
+        _Option("--format", default="human", choices=("human", "json")),
+        _Option("--out", "write the report here instead of stdout"))),
+    "strip": ("drop analyzer metadata from a TMR", cmd_strip, (
+        _Option("--tmr", required=True),
+        _Option("--out", "write the stripped TMR here instead of stdout"))),
+    "validate": ("check knowledge base and TMR invariants", cmd_validate, (
+        *_KB_OPTIONS,
+        _Option("--tmr", "also validate this TMR"))),
+    "inspect": ("show a concept, its constraints, and its senses", cmd_inspect, (
+        *_KB_OPTIONS,
+        _Option("--concept", required=True))),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The option table as an argparse parser, which prints help and usage
+    and reads every command line _read_plain leaves to it."""
+    import argparse
+
+    class Parser(argparse.ArgumentParser):
+        # usage mistakes are input errors: exit 1, never argparse's default 2
+        def error(self, message):
+            self.print_usage(sys.stderr)
+            self.exit(1, f"{self.prog}: error: {message}\n")
+
+    def worded(check):
+        # argparse prints an ArgumentTypeError's text, but rewords a ValueError
+        def convert(text):
+            try:
+                return check(text)
+            except ValueError as exc:
+                raise argparse.ArgumentTypeError(str(exc)) from None
+        return convert
+
+    parser = Parser(prog="ontogen",
+                    description="Explainable knowledge-based sentence generation.")
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=Parser)
+    for name, (help_text, func, options) in _COMMANDS.items():
+        command = sub.add_parser(name, help=help_text)
+        for option in options:
+            kwargs = {"dest": option.dest, "default": option.default,
+                      "required": option.required, "help": option.help}
+            if option.switch:
+                kwargs["action"] = "store_true"
+            else:
+                kwargs["choices"] = option.choices
+                kwargs["type"] = worded(option.type) if option.type else None
+            command.add_argument(option.flag, **kwargs)
+        command.set_defaults(func=func)
+    return parser
+
+
+def _read_plain(argv) -> SimpleNamespace | None:
+    """The namespace argparse gives for argv, read straight from the option
+    table when argv is plain: a subcommand, then options by their exact
+    flags, each switch alone and each other option followed by a value
+    that does not start with "-" and that its type or choices accept, and
+    every required option given. None for any other argv, which argparse
+    reads, so its help, usage and error text are the only ones."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    _, func, options = _COMMANDS[argv[0]]
+    by_flag = {option.flag: option for option in options}
+    values = {option.dest: option.default for option in options}
+    given = set()
+    words = iter(argv[1:])
+    for word in words:
+        option = by_flag.get(word)
+        if option is None:
+            return None
+        value = True
+        if not option.switch:
+            value = next(words, None)
+            if value is None or value.startswith("-"):
+                return None
+            if option.type is not None:
+                try:
+                    value = option.type(value)
+                except ValueError:
+                    return None
+            if option.choices is not None and value not in option.choices:
+                return None
+        values[option.dest] = value
+        given.add(option.flag)
+    if any(option.required and option.flag not in given for option in options):
+        return None
+    return SimpleNamespace(command=argv[0], **values, func=func)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _read_plain(argv)
+    if args is None:
+        args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (AllSetsPruned, NoRealizableSense) as err:

@@ -91,8 +91,22 @@ class CandidateSolution:
 
 
 def _nodes(pieces: list[tuple]) -> tuple[Constituent, ...]:
-    return tuple(Constituent("verb-phrase", children=_nodes(node)) if isinstance(node, list)
-                 else node for *_, node in pieces)
+    """The nodes the pieces hold, an embedded verb phrase's pieces made a
+    verb-phrase node; the open phrases wait on a stack of their own, so
+    phrases may nest as deeply as generation reaches."""
+    stack = [(iter(pieces), [])]  # each open phrase's pieces left and nodes made
+    while True:
+        rest, nodes = stack[-1]
+        for *_, node in rest:
+            if isinstance(node, list):
+                stack.append((iter(node), []))
+                break
+            nodes.append(node)
+        else:
+            stack.pop()
+            if not stack:
+                return tuple(nodes)
+            stack[-1][1].append(Constituent("verb-phrase", children=tuple(nodes)))
 
 
 def derive_tense(frame: TmrFrame, tmr: Tmr) -> str:

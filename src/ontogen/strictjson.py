@@ -134,54 +134,71 @@ def _float_text(value: float) -> str:
     return float.__repr__(value)
 
 
-def _write(value, pad: str, out: list[str]) -> None:
-    if isinstance(value, str):
-        out.append(encode_basestring(value))
-    elif value is None:
-        out.append("null")
-    elif value is True:
-        out.append("true")
-    elif value is False:
-        out.append("false")
-    elif isinstance(value, int):
-        out.append(int.__repr__(value))
-    elif isinstance(value, float):
-        out.append(_float_text(value))
-    elif isinstance(value, dict):
-        if not value:
-            out.append("{}")
-            return
-        inner = pad + "  "
-        opener = "{\n" + inner
-        for key, item in value.items():
-            if not isinstance(key, str):
-                raise TypeError(f"keys must be str, not {type(key).__name__}")
-            out.append(opener)
-            out.append(encode_basestring(key))
-            out.append(": ")
-            _write(item, inner, out)
-            opener = ",\n" + inner
-        out.append("\n" + pad + "}")
-    elif isinstance(value, (list, tuple)):
-        if not value:
-            out.append("[]")
-            return
-        inner = pad + "  "
-        opener = "[\n" + inner
-        for item in value:
-            out.append(opener)
-            _write(item, inner, out)
-            opener = ",\n" + inner
-        out.append("\n" + pad + "]")
-    else:
-        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+def _leaf(value) -> str:
+    """The text of a value that is neither a str nor a container with items."""
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return _float_text(value)
+    if isinstance(value, dict):
+        return "{}"
+    if isinstance(value, (list, tuple)):
+        return "[]"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def encode(value) -> str:
     """json.dumps(value, indent=2, ensure_ascii=False), byte for byte, for
     values built of dicts with str keys, lists, tuples, str, int, float,
     bool and None. It quotes strings with json's C encoder; json.dumps
-    runs its pure-Python encoder whenever indent is set."""
+    runs its pure-Python encoder whenever indent is set. The containers
+    around the one being written wait on a stack of its own, not on the
+    call stack, so a value may nest as deeply as memory allows."""
     out: list[str] = []
-    _write(value, "", out)
-    return "".join(out)
+    append = out.append
+    # by depth: the text after each item, and the texts that open and close
+    # a list and a dict, indexed by whether the container has keys; at
+    # depth 0, value is the one item of a container nothing opens or closes
+    seps, opens, closes = [",\n"], [("", "")], [("", "")]
+    items, keyed, depth, sep = iter((value,)), False, 0, ",\n"
+    stack: list[tuple] = []  # the items left and keyed of each container around
+    while True:
+        for value in items:
+            if keyed:
+                key, value = value
+                if not isinstance(key, str):
+                    raise TypeError(f"keys must be str, not {type(key).__name__}")
+                append(encode_basestring(key))
+                append(": ")
+            if isinstance(value, str):
+                append(encode_basestring(value))
+            elif isinstance(value, (dict, list, tuple)) and value:
+                stack.append((items, keyed))
+                depth += 1
+                if depth == len(seps):
+                    inner, outer = "  " * depth, "  " * (depth - 1)
+                    seps.append(",\n" + inner)
+                    opens.append(("[\n" + inner, "{\n" + inner))
+                    closes.append(("\n" + outer + "]", "\n" + outer + "}"))
+                keyed = isinstance(value, dict)
+                items = iter(value.items()) if keyed else iter(value)
+                sep = seps[depth]
+                append(opens[depth][keyed])
+                break
+            else:
+                append(_leaf(value))
+            append(sep)
+        else:  # the last item's separator gives way to the closing text
+            out[-1] = closes[depth][keyed]
+            if not stack:
+                return "".join(out)
+            items, keyed = stack.pop()
+            depth -= 1
+            sep = seps[depth]
+            append(sep)

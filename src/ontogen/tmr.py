@@ -332,12 +332,25 @@ def _complete_inverses(tmr: Tmr) -> None:
     completion that would force a second distinct filler into a case
     role is a contradiction, whatever that role holds now.
     """
+    # (frame, inverse, id) for each instance an inverse slot lists. A case
+    # role whose target's inverse slot does not list its frame adds the
+    # frame there, after what the slot lists, once every frame is read.
+    # Until then a new slot keeps its place in the target's slots empty,
+    # and the inverse loop below reads each slot without the frames added
+    # to it, which it would pass: each of them names the slot's owner.
+    listed = set()
     for frame in tmr.frames:
-        for role in CASE_ROLES:
-            if len(frame.slots.get(role, ())) > 1:
+        for prop, values in frame.slots.items():
+            if prop in _INVERSES:
+                for value in values:
+                    if type(value) is InstanceRef:
+                        listed.add((frame.instance_id, prop, value.id))
+            elif len(values) > 1 and prop in CASE_ROLES:
+                role = next(role for role in CASE_ROLES if len(frame.slots.get(role, ())) > 1)
                 raise TmrError(f"{frame.instance_id}: case role {role} has multiple fillers")
 
     by_id = tmr.by_id
+    added: dict[tuple[str, str], list[InstanceRef]] = {}
     for frame in tmr.frames:
         frame_id, slots = frame.instance_id, frame.slots
         for role in CASE_ROLES:
@@ -349,12 +362,13 @@ def _complete_inverses(tmr: Tmr) -> None:
                 tmr.warnings.append(f"{frame_id} {role} points outside the TMR")
                 continue
             inverse = role + "-OF"
-            current = target.slots.get(inverse, ())
-            for value in current:
-                if type(value) is InstanceRef and value.id == frame_id:
-                    break
-            else:
-                target.slots[inverse] = current + (InstanceRef(frame_id),)
+            if (target.instance_id, inverse, frame_id) in listed:
+                continue
+            fillers = added.get((target.instance_id, inverse))
+            if fillers is None:
+                target.slots.setdefault(inverse, ())
+                fillers = added[target.instance_id, inverse] = []
+            fillers.append(InstanceRef(frame_id))
         for prop in list(slots):
             role = _INVERSES.get(prop)
             if role is None:
@@ -373,6 +387,8 @@ def _complete_inverses(tmr: Tmr) -> None:
                     raise TmrError(f"{owner.instance_id}: {role} is "
                                    f"{_unparse_filler(existing[0])} but an inverse slot "
                                    f"names {frame_id}")
+    for (target_id, inverse), fillers in added.items():
+        by_id[target_id].slots[inverse] += tuple(fillers)
 
 
 # ---------------------------------------------------------------------------

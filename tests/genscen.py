@@ -364,6 +364,16 @@ def nested_requests(depth: int, innermost: str) -> dict:
     return doc
 
 
+def shared_participant(k: int) -> dict:
+    """The fasten_painting TMR document with k WALK frames more, WALK-1 to
+    WALK-<k>, each with the fixture's HUMAN-104 as its AGENT: one
+    participant of k + 1 events, whose AGENT-OF the parse completes."""
+    doc = json.loads((Path(ontogen.__file__).parent / "data" / "tmr" / "fasten_painting.json")
+                     .read_text())
+    doc["frames"].update({f"WALK-{i}": {"AGENT": "HUMAN-104"} for i in range(1, k + 1)})
+    return doc
+
+
 def reference_cases():
     """(label, tmr, kb) for every bundled fixture, genscen seeds 0-299 and
     the attached family n = 1..6."""

@@ -1,7 +1,9 @@
 """End-to-end command line behavior via subprocess."""
 from __future__ import annotations
 
+import contextlib
 import errno
+import io
 import json
 import os
 import re
@@ -24,7 +26,9 @@ from ontogen import (
     strip_metadata,
     tmr_isomorphic,
 )
+from ontogen import cli
 from ontogen.cli import main
+from ontogen.solution import Constituent, _nodes
 from ontogen.strictjson import encode
 
 
@@ -105,6 +109,34 @@ _report_values = st.recursive(
           "empty": [[], {}, [[]], {"": {}}, [{}]]})
 def test_the_report_writer_matches_json_dumps(value):
     assert encode(value) == json.dumps(value, indent=2, ensure_ascii=False)
+
+
+def test_the_report_writer_writes_a_value_deeper_than_the_stack():
+    depth = 3 * sys.getrecursionlimit()
+    value = 1
+    for level in range(depth):
+        value = {"k": value} if level % 2 else [value]
+    opens = ["{\n" + "  " * (d + 1) + '"k": ' if (depth - 1 - d) % 2 else "[\n" + "  " * (d + 1)
+             for d in range(depth)]
+    closes = ["\n" + "  " * d + ("}" if (depth - 1 - d) % 2 else "]")
+              for d in reversed(range(depth))]
+    assert encode(value) == "".join(opens) + "1" + "".join(closes)
+
+
+def test_a_tree_deeper_than_the_stack_is_built_and_written():
+    depth = 3 * sys.getrecursionlimit()
+    pieces = [("go", Constituent("main-verb", lemma="go"))]
+    for _ in range(depth):
+        pieces = [("ask", Constituent("main-verb", lemma="ask")), ("embedded", pieces)]
+    root = Constituent("clause", children=_nodes(pieces))
+    walked = list(cli._preorder(root))
+    assert [d for d, node in walked if node.function == "verb-phrase"] == \
+        list(range(1, depth + 1))
+    assert [node.lemma for _, node in walked if node.is_leaf] == ["ask"] * depth + ["go"]
+    text = encode(cli._tree_json(root))
+    assert text.count('"function": "verb-phrase"') == depth
+    # a node at depth k writes its fields indented by 4k + 2
+    assert " " * (4 * depth + 6) + '"lemma": "go"' in text.splitlines()
 
 
 def test_out_writes_the_report_to_a_file(tmp_path):
@@ -384,6 +416,17 @@ def test_requests_nested_past_the_stack_exit_1_with_one_error_line(tmp_path, cap
     assert err == f"error: {path}: verb phrases nested too deeply\n"
 
 
+@pytest.mark.parametrize("flags, lines", [([], 1800), (["--format", "json", "--top", "1"], 600)],
+                         ids=["human", "json"])
+def test_a_chain_of_600_nested_requests_dumps_in_either_format(tmp_path, flags, lines):
+    path, out = tmp_path / "deep.json", tmp_path / "report"
+    path.write_text(json.dumps(nested_requests(600, "PREPARE-FOOD-1")))
+    with contextlib.redirect_stderr(io.StringIO()):
+        assert main(["generate", "--tmr", str(path), "--dump-solutions", "--out", str(out),
+                     *flags]) == 0
+    assert out.read_text().count("verb-phrase") == lines
+
+
 def _walk_with_an_agent_cycle() -> dict:
     return {"schema": "ontogen-tmr/1",
             "frames": {"WALK-1": {"AGENT": "HUMAN-104"}, "HUMAN-104": {"AGENT": "WALK-1"}}}
@@ -608,6 +651,93 @@ def test_usage_mistakes_exit_1():
     for top in ("0", "-8"):
         assert run_cli("generate", "--tmr", str(fixture_path("moor_ship")),
                        "--top", top).returncode == 1
+
+
+# --- the option table and argparse ------------------------------------------------
+
+_VALUES = ("-8", "0", "3", "yaml", "json", "", "--")
+
+
+def _argparse_reading(argv: list[str]) -> dict | None:
+    """vars() of argparse's namespace for argv, or None where it exits."""
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            return vars(cli.build_parser().parse_args(argv))
+    except SystemExit:
+        return None
+
+
+@st.composite
+def _command_lines(draw) -> list[str]:
+    """A subcommand (or none, or an unknown one), its required options or
+    not, then groups of words built from its options: mostly an option as
+    it is used, a switch alone or a flag and a value, else an abbreviation,
+    an --opt=value form, an unknown flag or a stray word."""
+    command = draw(st.sampled_from([*cli._COMMANDS, "frobnicate", None]))
+    if command is None:
+        return []
+    options = cli._COMMANDS.get(command, cli._COMMANDS["generate"])[2]
+    flags = [option.flag for option in options]
+    used = st.sampled_from(options).flatmap(
+        lambda option: st.just([option.flag]) if option.switch else
+        st.sampled_from(_VALUES).map(lambda value: [option.flag, value]))
+    other = st.one_of(
+        st.tuples(st.sampled_from(flags), st.sampled_from(_VALUES)).map(list),
+        st.sampled_from(flags).map(lambda flag: [flag]),
+        st.sampled_from([*(flag[:4] for flag in flags), *(f"{flag}=3" for flag in flags),
+                         "--tm", "--bogus", "-h", "extra", *_VALUES]).map(lambda word: [word]))
+    words = [word for option in options if option.required and draw(st.booleans())
+             for word in (option.flag, "3")]
+    for group in draw(st.lists(st.one_of(used, used, used, other), max_size=6)):
+        words += group
+    return [command, *words]
+
+
+@settings(max_examples=500, deadline=None)
+@given(_command_lines())
+@example(["generate", "--tmr", "3", "--top", "3", "--format", "json", "--trace", "--top", "0"])
+@example(["generate", "--tmr", "", "--dump-solutions", "--dump-solutions"])
+@example(["generate", "--tm", "3"])
+@example(["generate", "--tmr", "3", "--format", "yaml"])
+@example(["generate", "--top", "3"])
+@example(["inspect", "--concept", "--"])
+@example(["strip", "--tmr", "3", "--out"])
+def test_the_plain_reader_reads_as_argparse_does_or_leaves_argv_to_it(argv):
+    plain = cli._read_plain(argv)
+    if plain is not None:
+        assert vars(plain) == _argparse_reading(argv)
+
+
+@pytest.mark.parametrize("argv", [
+    ["generate", "--tmr", "a.json"],
+    ["generate", "--format", "json", "--trace", "--tmr", "a.json", "--top", "3", "--top", "2",
+     "--dump-solutions", "--config", "c.json", "--freq", "f.json", "--out", "", "--memory", "m"],
+    ["strip", "--out", "b.json", "--tmr", "a.json"],
+    ["validate"],
+    ["validate", "--ontology", "o.json", "--lexicon", "l.json", "--tmr", "a.json"],
+    ["inspect", "--concept", "HUMAN"],
+])
+def test_a_well_formed_command_line_is_read_from_the_option_table(argv):
+    plain = cli._read_plain(argv)
+    assert plain is not None
+    assert vars(plain) == _argparse_reading(argv)
+
+
+@pytest.mark.parametrize("argv", [
+    ["generate", "--tmr", str(fixture_path("moor_ship")), "--format", "json", "--trace",
+     "--dump-solutions", "--top", "2"],
+    ["strip", "--tmr", str(fixture_path("moor_ship"))],
+    ["validate", "--tmr", str(fixture_path("moor_ship"))],
+    ["inspect", "--concept", "HUMAN"],
+], ids=["generate", "strip", "validate", "inspect"])
+def test_a_well_formed_run_loads_neither_argparse_nor_gettext_nor_locale(argv):
+    code = ("import sys; from ontogen.cli import main; code = main(sys.argv[1:]); "
+            "print('\\nloaded:', *sorted({'argparse', 'gettext', 'locale'} & set(sys.modules))); "
+            "sys.exit(code)")
+    proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
+                          env=cli_env())
+    assert proc.returncode == 0
+    assert proc.stdout.endswith("\nloaded:\n")
 
 
 # --- load-time warnings ----------------------------------------------------------

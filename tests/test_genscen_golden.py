@@ -30,8 +30,10 @@ check, then each case where generate() ranks otherwise than
 ``genscen.rank_every_set`` (every fixture, seeds 0-299 and the attached
 family n = 1..6, under ``genscen.REFERENCE_CONFIGS``, with the number of
 sentences compared), then each role mutation whose report moved from its
-committed digest, and exits 1 if anything moved or failed. It imports no
-pytest, so one command per interpreter covers all six checks:
+committed digest, then each scale case (scale_cases) that did not exit 0
+within SCALE_SECONDS in a child process limited to SCALE_BYTES of address
+space, and exits 1 if anything moved or failed. It imports no pytest, so
+one command per interpreter covers all seven checks:
 
     PYTHONPATH=src:tests python tests/test_genscen_golden.py --check
 """
@@ -41,12 +43,15 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
+import ontogen
 import test_discourse
-from genscen import build_scenario, reference_mismatches
+from genscen import build_scenario, nested_requests, reference_mismatches, shared_participant
 from ontogen import OntogenError, generate, parse_tmr
 from ontogen.cli import _render_json, main
 from ontogen.tmr import CASE_ROLES
@@ -181,6 +186,49 @@ def moved_discourse_golden() -> list[str]:
         str(golden.relative_to(GOLDEN.parent))]
 
 
+# each scale case takes under 0.5 s and 140 MB of address space on 3.10-3.13
+SCALE_SECONDS = 5
+SCALE_BYTES = 512 * 2 ** 20
+_LIMITED_RUN = ("import resource, sys; "
+                f"resource.setrlimit(resource.RLIMIT_AS, ({SCALE_BYTES}, {SCALE_BYTES})); "
+                "from ontogen.cli import run; run()")
+
+
+def scale_cases() -> list[tuple[str, dict, list[str]]]:
+    """(name, TMR document, generate's other arguments) for each input at
+    the scale generation reaches: a tree 600 verb phrases deep dumped in
+    either format, and one participant of 4,001 events."""
+    deep = nested_requests(600, "PREPARE-FOOD-1")
+    return [("nested 600 --dump-solutions", deep, ["--dump-solutions"]),
+            ("nested 600 --dump-solutions --format json", deep,
+             ["--dump-solutions", "--format", "json"]),
+            ("shared participant 4000", shared_participant(4000), [])]
+
+
+def scale_failures() -> tuple[int, list[str]]:
+    """The number of scale cases, and each that did not exit 0 within
+    SCALE_SECONDS as `ontogen generate` in a child process, whose address
+    space alone is limited to SCALE_BYTES."""
+    paths = (str(Path(ontogen.__file__).parents[1]), os.environ.get("PYTHONPATH"))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    cases, failed = scale_cases(), []
+    with tempfile.TemporaryDirectory() as scratch:
+        for name, doc, flags in cases:
+            path = Path(scratch) / "tmr.json"
+            path.write_text(json.dumps(doc), encoding="utf-8")
+            argv = [sys.executable, "-c", _LIMITED_RUN, "generate", "--tmr", str(path), *flags]
+            try:
+                proc = subprocess.run(argv, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+                                      text=True, env=env, timeout=SCALE_SECONDS)
+            except subprocess.TimeoutExpired:
+                failed.append(f"scale {name}: no exit within {SCALE_SECONDS} s")
+                continue
+            if proc.returncode != 0:
+                last = (proc.stderr.strip().splitlines() or [""])[-1]
+                failed.append(f"scale {name}: exit {proc.returncode}: {last}")
+    return len(cases), failed
+
+
 def test_every_genscen_report_matches_its_digest():
     texts = reports()
     assert verbless_verb_phrases(texts) == (2532, [])
@@ -205,16 +253,19 @@ if __name__ == "__main__":
         checked, inexact = exactness_failures()
         compared, differ = reference_mismatches()
         mutations = moved(MUTATION_DIGESTS, mutation_digests())
-        print("\n".join(moved_digests + goldens + discourse + inexact + differ + mutations + [
+        scaled, slow = scale_failures()
+        moved_lines = moved_digests + goldens + discourse + inexact + differ + mutations + slow
+        print("\n".join(moved_lines + [
             f"{len(moved_digests)} of {2 * len(SEEDS)} digests moved",
             f"{len(goldens)} of {len(list(GOLDEN.glob('*.json')))} fixture goldens moved",
             f"{len(discourse)} of 1 discourse golden moved",
             f"{len(inexact)} of {checked} sentences failed the exactness check",
             f"{len(differ)} cases ranked otherwise than the reference "
             f"({compared} sentences compared)",
-            f"{len(mutations)} of {len(list(role_mutations()))} mutation digests moved"]))
-        sys.exit(1 if moved_digests or goldens or discourse or inexact or differ or mutations
-                 else 0)
+            f"{len(mutations)} of {len(list(role_mutations()))} mutation digests moved",
+            f"{len(slow)} of {scaled} scale cases failed to exit 0 within {SCALE_SECONDS} s "
+            f"and {SCALE_BYTES // 2 ** 20} MiB"]))
+        sys.exit(1 if moved_lines else 0)
     for path, written in ((DIGESTS, digests()), (MUTATION_DIGESTS, mutation_digests())):
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(json.dumps(written, indent=1, sort_keys=False) + "\n", encoding="utf-8")

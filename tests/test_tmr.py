@@ -4,6 +4,7 @@ from __future__ import annotations
 import datetime as dt
 import json
 import re
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -18,10 +19,12 @@ from ontogen.tmr import (
     ConceptRef,
     InstanceRef,
     ProceduralCall,
+    CASE_ROLES,
     RelativeTime,
     Tmr,
     TmrFrame,
     _parse_filler,
+    _unparse_filler,
     concept_of,
     relative_time_of,
 )
@@ -99,6 +102,86 @@ def test_contradictory_inverse_is_rejected():
             "HUMAN-1": {},
             "HUMAN-2": {"AGENT-OF": ["FASTEN-1"]},
         }))
+
+
+def _complete_inverses_by_scanning(tmr: Tmr) -> None:
+    """The reference completion: each inverse the case roles add is found
+    absent by scanning the target's tuple, then added by copying it."""
+    for frame in tmr.frames:
+        for role in CASE_ROLES:
+            if len(frame.slots.get(role, ())) > 1:
+                raise TmrError(f"{frame.instance_id}: case role {role} has multiple fillers")
+    for frame in tmr.frames:
+        frame_id, slots = frame.instance_id, frame.slots
+        for role in CASE_ROLES:
+            values = slots.get(role)
+            if not values or not isinstance(values[0], InstanceRef):
+                continue
+            target = tmr.by_id.get(values[0].id)
+            if target is None:
+                tmr.warnings.append(f"{frame_id} {role} points outside the TMR")
+                continue
+            current = target.slots.get(role + "-OF", ())
+            if not any(type(v) is InstanceRef and v.id == frame_id for v in current):
+                target.slots[role + "-OF"] = current + (InstanceRef(frame_id),)
+        for prop in list(slots):
+            if not prop.endswith("-OF") or prop[:-3] not in CASE_ROLES:
+                continue
+            role = prop[:-3]
+            for value in slots[prop]:
+                if not isinstance(value, InstanceRef):
+                    continue
+                owner = tmr.by_id.get(value.id)
+                if owner is None:
+                    tmr.warnings.append(f"{frame_id} {prop} points outside the TMR")
+                    continue
+                existing = owner.slots.get(role)
+                if not existing:
+                    owner.slots[role] = (InstanceRef(frame_id),)
+                elif type(existing[0]) is not InstanceRef or existing[0].id != frame_id:
+                    raise TmrError(f"{owner.instance_id}: {role} is "
+                                   f"{_unparse_filler(existing[0])} but an inverse slot "
+                                   f"names {frame_id}")
+
+
+def _completed(text: str) -> str:
+    """The completed TMR as serialized with its warnings, or the TmrError."""
+    try:
+        tmr = parse_tmr(text)
+    except TmrError as exc:
+        return f"error: {exc}"
+    return serialize_tmr(tmr) + "\n".join(tmr.warnings)
+
+
+_IDS = ("HUMAN-1", "HUMAN-2", "WALK-1", "WALK-2", "WALL-1")
+_FILLERS = st.sampled_from((*_IDS, "HUMAN-9", "HUMAN", "home"))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(st.sampled_from(_IDS), st.dictionaries(
+    st.sampled_from(("AGENT", "THEME", "AGENT-OF", "THEME-OF", "LOCATION")),
+    st.one_of(_FILLERS, st.lists(_FILLERS, min_size=1, max_size=3, unique=True)),
+    max_size=3), min_size=1))
+@example({"HUMAN-1": {"AGENT-OF": ["WALK-2"]}, "WALK-1": {"AGENT": "HUMAN-1"},
+          "WALK-2": {"AGENT": "HUMAN-1"}})
+def test_inverse_completion_matches_the_scanning_reference(frames):
+    text = _tmr(frames)
+    expected = None
+    with mock.patch("ontogen.tmr._complete_inverses", _complete_inverses_by_scanning):
+        expected = _completed(text)
+    assert _completed(text) == expected
+
+
+def test_a_participant_shared_by_many_events_lists_each_once_in_frame_order():
+    frames = {"HUMAN-1": {"LOCATION": "WALL-1", "AGENT-OF": ["WALK-3", "home"]}, "WALL-1": {}}
+    frames.update({f"WALK-{k}": {"AGENT": "HUMAN-1"} for k in range(1, 5)})
+    frames["WALK-5"] = {"THEME": "HUMAN-1"}
+    tmr = parse_tmr(_tmr(frames))
+    human = tmr.by_id["HUMAN-1"]
+    assert list(human.slots) == ["LOCATION", "AGENT-OF", "THEME-OF"]
+    assert [_unparse_filler(v) for v in human.slots["AGENT-OF"]] == \
+        ["WALK-3", "home", "WALK-1", "WALK-2", "WALK-4"]
+    assert [_unparse_filler(v) for v in human.slots["THEME-OF"]] == ["WALK-5"]
 
 
 def test_case_roles_hold_one_filler():
