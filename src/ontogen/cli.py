@@ -56,6 +56,13 @@ def _at_least_one(text: str) -> int:
     return value
 
 
+def _path(text: str) -> str:
+    """A path, which must not be empty; a ValueError words the rejection."""
+    if not text:
+        raise ValueError(f"expected a path, got {text!r}")
+    return text
+
+
 def _num(value: float):
     value = round(value, 6)
     return int(value) if value == int(value) else value
@@ -332,33 +339,33 @@ class _Option(Record):
 
 _KB_OPTIONS = (
     _Option("--ontology", "ontology JSON (default: bundled)",
-            default=str(_DATA / "kb" / "ontology.json")),
+            default=str(_DATA / "kb" / "ontology.json"), type=_path),
     _Option("--lexicon", "lexicon JSON (default: bundled)",
-            default=str(_DATA / "kb" / "lexicon.json")),
+            default=str(_DATA / "kb" / "lexicon.json"), type=_path),
     _Option("--memory", "episodic memory JSON (default: bundled)",
-            default=str(_DATA / "kb" / "memory.json")),
+            default=str(_DATA / "kb" / "memory.json"), type=_path),
 )
 
 # each subcommand's help, function and options, in the order help lists them
 _COMMANDS = {
     "generate": ("generate ranked sentences from a TMR", cmd_generate, (
         *_KB_OPTIONS,
-        _Option("--tmr", "meaning representation JSON", required=True),
-        _Option("--config", "scoring config JSON (default: built-in values)"),
-        _Option("--freq", "frequency table JSON (default: bundled)"),
+        _Option("--tmr", "meaning representation JSON", type=_path, required=True),
+        _Option("--config", "scoring config JSON (default: built-in values)", type=_path),
+        _Option("--freq", "frequency table JSON (default: bundled)", type=_path),
         _Option("--top", "sentences to print, at least 1 (default 5)", default=5,
                 type=_at_least_one),
         _Option("--trace", "emit score ledgers and exclusions", default=False, switch=True),
         _Option("--dump-solutions", "emit constituent trees for the printed sentences",
                 default=False, switch=True),
         _Option("--format", default="human", choices=("human", "json")),
-        _Option("--out", "write the report here instead of stdout"))),
+        _Option("--out", "write the report here instead of stdout", type=_path))),
     "strip": ("drop analyzer metadata from a TMR", cmd_strip, (
-        _Option("--tmr", required=True),
-        _Option("--out", "write the stripped TMR here instead of stdout"))),
+        _Option("--tmr", type=_path, required=True),
+        _Option("--out", "write the stripped TMR here instead of stdout", type=_path))),
     "validate": ("check knowledge base and TMR invariants", cmd_validate, (
         *_KB_OPTIONS,
-        _Option("--tmr", "also validate this TMR"))),
+        _Option("--tmr", "also validate this TMR", type=_path))),
     "inspect": ("show a concept, its constraints, and its senses", cmd_inspect, (
         *_KB_OPTIONS,
         _Option("--concept", required=True))),

@@ -40,6 +40,10 @@ class GenerationConfig(Record):
                                length_tie_break))
 
 
+# The largest magnitude of a float field: it keeps every ledger delta, and
+# so every total, far inside the float range (docs/schemas.md).
+FIELD_BOUND = 1e100
+
 _FIELD_BY_KEY = {name.replace("_", "-"): name for name in GenerationConfig._fields}
 _INTEGER_FIELDS = frozenset(name for name, default in GenerationConfig._field_defaults.items()
                             if isinstance(default, int))
@@ -47,8 +51,9 @@ _INTEGER_FIELDS = frozenset(name for name, default in GenerationConfig._field_de
 
 def check_config(config: GenerationConfig) -> GenerationConfig:
     """config, once every field is a number, not a bool, inside the float
-    range, set-cap is an integer of at least 1 and feature-tolerance is
-    positive; otherwise a SchemaError naming the first field that is not."""
+    range, set-cap is an integer of at least 1, every other field is at most
+    FIELD_BOUND in magnitude and feature-tolerance is positive; otherwise a
+    SchemaError naming the first field that is not."""
     for name, value in zip(GenerationConfig._fields, config):
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             expected = "a number"
@@ -56,6 +61,8 @@ def check_config(config: GenerationConfig) -> GenerationConfig:
             expected = "a finite number"
         elif name in _INTEGER_FIELDS and not isinstance(value, int):
             expected = "an integer"
+        elif name not in _INTEGER_FIELDS and abs(value) > FIELD_BOUND:
+            expected = f"at most {FIELD_BOUND:g} in magnitude"
         else:
             continue
         try:

@@ -416,22 +416,16 @@ class Lexicon:
     its modifier senses (adj/adv) by each property they give a value, each
     index in sense-id order, with the step of the sense's program that
     tests the value. Only a noun or verb sense heads a frame: a modifier's
-    head names what it may modify. inverses holds, per head concept, the
-    -OF properties its senses bind."""
+    head names what it may modify."""
 
     def __init__(self, senses: dict[str, LexSense]):
         self.senses = senses
         self.by_head: dict[str, list[LexSense]] = {}
-        self.inverses: dict[str, set[str]] = {}
         self.by_property: dict[str, list[tuple[Assertion | float, LexSense]]] = {}
         for sid in sorted(senses):
             sense = senses[sid]
             if sense.pos not in MODIFIER_POS:
-                head = sense.sem_struc.head
-                self.by_head.setdefault(head, []).append(sense)
-                for prop in sense.bound_roles.values():
-                    if prop.endswith("-OF"):
-                        self.inverses.setdefault(head, set()).add(prop)
+                self.by_head.setdefault(sense.sem_struc.head, []).append(sense)
                 continue
             for prop, step in sense.program:
                 if not isinstance(step, Grade):

@@ -42,6 +42,7 @@ from .knowledge import (
 from .record import Record, tuple_new
 from .tmr import (
     CASE_ROLES,
+    INVERSES,
     RESERVED_SLOTS,
     ConceptRef,
     InstanceRef,
@@ -193,9 +194,9 @@ def extract_candidates(tmr: Tmr, kb: KnowledgeBase, root: TmrFrame) -> list[Unit
     """Per frame the root reaches, in document order, every sense headed by
     its concept (or nearest lexicalized ancestor), plus modifier units for
     lexicalizable property slots. A frame reaches the instance fillers of
-    each slot but an -OF inverse, and of an -OF slot that one of its head
-    senses binds: the tree builder follows no other edge. Every frame's
-    concept must be in the ontology (check_concepts)."""
+    each slot but an inverse (INVERSES), and of an inverse slot that one of
+    its head senses binds: the tree builder follows no other edge. Every
+    frame's concept must be in the ontology (check_concepts)."""
     by_id = tmr.by_id
     heads: dict[str, tuple[list[LexSense], str]] = {}
     stack = [root.instance_id]
@@ -204,10 +205,11 @@ def extract_candidates(tmr: Tmr, kb: KnowledgeBase, root: TmrFrame) -> list[Unit
         if frame.instance_id in heads:
             continue
         senses, _ = heads[frame.instance_id] = kb.head_senses(frame.concept)
-        bound = kb.lexicon.inverses.get(senses[0].sem_struc.head, ()) if senses else ()
-        stack += [v.id for prop, values in frame.slots.items()
-                  if not prop.endswith("-OF") or prop in bound
-                  for v in values if isinstance(v, InstanceRef) and v.id in by_id]
+        # a frame reached already is skipped before an inverse reads the senses
+        stack += [v.id for prop, values in frame.slots.items() for v in values
+                  if isinstance(v, InstanceRef) and v.id in by_id and v.id not in heads
+                  and (prop not in INVERSES
+                       or any(prop in s.bound_roles.values() for s in senses))]
     units: list[Unit] = []
     for frame in tmr.frames:
         frame_id = frame.instance_id
@@ -235,7 +237,7 @@ def _modifier_units(frame: TmrFrame, kb: KnowledgeBase) -> list[Unit]:
     """One unit per property of the frame that some modifier sense covers."""
     out = []
     for prop in sorted(frame.slots.keys() & kb.lexicon.by_property.keys()):
-        if prop in RESERVED_SLOTS or prop in CASE_ROLES or prop.endswith("-OF"):
+        if prop in RESERVED_SLOTS or prop in CASE_ROLES or prop in INVERSES:
             continue
         value = frame.get(prop)
         if isinstance(value, InstanceRef):
@@ -419,15 +421,13 @@ def _score_binding(entries: list[LedgerEntry], concept: str | None, prop: str, g
 def _within_tolerance(entries: list[LedgerEntry], dist: float, config: GenerationConfig,
                       note: str) -> bool:
     """Whether a value dist away from the sense's still fits; if so, append
-    the feature bonus, graded by closeness."""
+    the feature bonus in whole points, graded from the full bonus at
+    distance 0 to none at the tolerance and past it, inside the 1e-9 slack."""
     if dist > config.feature_tolerance + 1e-9:
         return False
-    bonus = round((1.0 - dist / config.feature_tolerance) * config.feature_bonus)
+    bonus = round(max(0.0, 1.0 - dist / config.feature_tolerance) * config.feature_bonus)
     if bonus:
-        # whole points, a float from 2**53 on: a sum of such bonuses then
-        # overflows to inf instead of to an int too large for a float
-        entries.append(LedgerEntry("feature-match", bonus if abs(bonus) < 2**53 else float(bonus),
-                                   note))
+        entries.append(LedgerEntry("feature-match", bonus, note))
     return True
 
 
@@ -494,7 +494,7 @@ def _score_candidate(entries: list[LedgerEntry], choice: CandidateSense, unit: U
 def _expressible_slots(frame: TmrFrame, tmr: Tmr) -> tuple[str, ...]:
     """The frame's filled slots that some sense or modifier should express."""
     return tuple(prop for prop in frame.slots
-                 if prop not in RESERVED_SLOTS and not prop.endswith("-OF")
+                 if prop not in RESERVED_SLOTS and prop not in INVERSES
                  and tmr.filler(frame, prop) is not None)
 
 

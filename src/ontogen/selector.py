@@ -14,8 +14,8 @@ names realize recorded, walks no tree, builds no ledger and describes no
 choice: a ranked sentence's ledger and signature are made when first read.
 Per rank() call, the whole history is scanned once per distinct name, as
 one text, by a pattern that leads with the name so that ``re`` looks for it
-as a literal prefix. A total is its terms' exact sum, rounded once; one
-that leaves the float range is an error.
+as a literal prefix. A total is its terms' exact sum, rounded once, and
+finite: config.FIELD_BOUND bounds every weight and bonus.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from itertools import chain
 from pathlib import Path
 
 from .config import GenerationConfig
-from .errors import OntogenError, SchemaError
+from .errors import SchemaError
 from .pipeline import LedgerEntry
 from .solution import CandidateSolution
 from .strictjson import document, read_json, reading
@@ -136,7 +136,8 @@ def rank(solutions: list[CandidateSolution], freq: FrequencyTable, config: Gener
     solutions are the sets of one request, at least one: they share their
     options and their root frame, and each holds the names realize found. A
     set's repeats are its names' mentions in the history, each name counted
-    on its first lookup, plus their extra mentions inside its own sentence."""
+    on its first lookup, plus their extra mentions inside its own sentence.
+    The config is checked (config.check_config), so every total is finite."""
     mentions: dict[str, int] = {}
     pipeline_weight, frequency_weight = config.pipeline_weight, config.frequency_weight
     repetition_penalty, length_tie_break = config.repetition_penalty, config.length_tie_break
@@ -160,17 +161,9 @@ def rank(solutions: list[CandidateSolution], freq: FrequencyTable, config: Gener
         frequency = frequencies[candidate_set.positions[root]]
         repetition = -repetition_penalty * repeats
         length = -length_tie_break * len(sentence)
-        try:
-            pipeline = pipeline_weight * math.fsum(chain.from_iterable(
-                map(list.__getitem__, deltas, candidate_set.positions)))
-            total = math.fsum((pipeline, frequency, repetition, length))
-        except (OverflowError, ValueError):
-            # past the float range, where the same sums in order give inf, -inf or nan
-            pipeline = pipeline_weight * sum(e.delta for _, e in candidate_set.entries())
-            total = sum((pipeline, frequency, repetition, length))
-        if not math.isfinite(total):
-            raise OntogenError(f"{sentence!r} totals {total}: a config weight or bonus "
-                               "is too large for the score arithmetic")
+        pipeline = pipeline_weight * math.fsum(chain.from_iterable(
+            map(list.__getitem__, deltas, candidate_set.positions)))
+        total = math.fsum((pipeline, frequency, repetition, length))
         terms = (("pipeline", pipeline), ("frequency", frequency), ("repetition", repetition),
                  ("length", length))
         scored.append((-total, sentence, len(scored), solution, terms))

@@ -29,6 +29,9 @@ if TYPE_CHECKING:
 SCHEMA_TMR = "ontogen-tmr/1"
 
 CASE_ROLES = ("AGENT", "THEME", "DESTINATION", "INSTRUMENT", "BENEFICIARY", "SOURCE")
+# The inverse slots, each case role's -OF form, mapped to its role. Every
+# other slot, PART-OF included, is a relation.
+INVERSES = {role + "-OF": role for role in CASE_ROLES}
 TIME_SLOTS = ("TIME", "DATE", "CLOCK-TIME")
 # Slots whose filler is one string, kept as written and never typed.
 _NAME_SLOTS = ("HAS-NAME", "GENDER")
@@ -165,17 +168,12 @@ class Tmr:
 
 def find_root_frame(tmr: Tmr) -> TmrFrame:
     """The first frame, in document order, that no other frame points at:
-    it has no -OF slot whose filler is inside the TMR. Else the first
-    frame."""
+    it has no inverse slot (INVERSES) whose filler is inside the TMR. Else
+    the first frame."""
     for frame in tmr.frames:
-        pointed = False
-        for prop, values in frame.slots.items():
-            if not prop.endswith("-OF"):
-                continue
-            for value in values:
-                if isinstance(value, InstanceRef) and tmr.has(value.id):
-                    pointed = True
-        if not pointed:
+        if not any(isinstance(value, InstanceRef) and tmr.has(value.id)
+                   for prop, values in frame.slots.items() if prop in INVERSES
+                   for value in values):
             return frame
     return tmr.frames[0]
 
@@ -322,9 +320,6 @@ def parse_tmr_file(path) -> Tmr:
         return parse_tmr(read_text(path), str(path))
 
 
-_INVERSES = {role + "-OF": role for role in CASE_ROLES}
-
-
 def _complete_inverses(tmr: Tmr) -> None:
     """Make case roles and their -OF inverses mutually consistent.
 
@@ -341,7 +336,7 @@ def _complete_inverses(tmr: Tmr) -> None:
     listed = set()
     for frame in tmr.frames:
         for prop, values in frame.slots.items():
-            if prop in _INVERSES:
+            if prop in INVERSES:
                 for value in values:
                     if type(value) is InstanceRef:
                         listed.add((frame.instance_id, prop, value.id))
@@ -353,7 +348,7 @@ def _complete_inverses(tmr: Tmr) -> None:
     added: dict[tuple[str, str], list[InstanceRef]] = {}
     for frame in tmr.frames:
         frame_id, slots = frame.instance_id, frame.slots
-        for role in CASE_ROLES:
+        for inverse, role in INVERSES.items():
             values = slots.get(role)
             if not values or not isinstance(values[0], InstanceRef):
                 continue
@@ -361,7 +356,6 @@ def _complete_inverses(tmr: Tmr) -> None:
             if target is None:
                 tmr.warnings.append(f"{frame_id} {role} points outside the TMR")
                 continue
-            inverse = role + "-OF"
             if (target.instance_id, inverse, frame_id) in listed:
                 continue
             fillers = added.get((target.instance_id, inverse))
@@ -370,7 +364,7 @@ def _complete_inverses(tmr: Tmr) -> None:
                 fillers = added[target.instance_id, inverse] = []
             fillers.append(InstanceRef(frame_id))
         for prop in list(slots):
-            role = _INVERSES.get(prop)
+            role = INVERSES.get(prop)
             if role is None:
                 continue
             for value in slots[prop]:
@@ -431,7 +425,7 @@ def serialize_tmr(tmr: Tmr) -> str:
         body: dict = {}
         for prop, values in frame.slots.items():
             out = [_unparse_filler(v) for v in values]
-            body[prop] = out[0] if len(out) == 1 and not prop.endswith("-OF") else out
+            body[prop] = out[0] if len(out) == 1 and prop not in INVERSES else out
         if frame.coref:
             body["COREF"] = frame.coref
         if frame.metadata is not None:

@@ -173,27 +173,44 @@ def test_silent_frames_past_the_cap_exit_0(tmp_path):
                                            "nothing attaches them to FASTEN-18")
 
 
+def test_a_frame_part_of_another_is_the_root(tmp_path):
+    """PART-OF is a relation, not an inverse: the frame that holds it is
+    the root, and the slot is uncovered when its sense does not say it."""
+    path = tmp_path / "part.json"
+    path.write_text(json.dumps({"schema": "ontogen-tmr/1", "frames": {
+        "WALL-40": {"PART-OF": "PICTURE-1"}, "PICTURE-1": {}}}))
+    proc = run_cli("generate", "--tmr", str(path), "--top", "1")
+    assert proc.returncode == 0
+    assert proc.stdout == "1. The wall.\n"
+    assert "not expressed" not in proc.stderr
+    proc = run_cli("generate", "--tmr", str(path), "--top", "1", "--trace")
+    assert "  WALL-40 uncovered-slot -5 PART-OF is not expressed by wall-n1\n" in proc.stdout
+
+
 _MAX = 1.7976931348623157e308
 
 
-@pytest.mark.parametrize("fixture, values", [
-    ("fasten_painting", {"pipeline-weight": 1e308}),
-    ("fasten_painting", {"length-tie-break": -1e308}),
-    ("fasten_painting", {"pipeline-weight": 1e308, "uncovered-penalty": 1e308}),
-    ("request_blunt", {"feature-bonus": _MAX, "exact-bonus": _MAX}),
+@pytest.mark.parametrize("fixture, values, field", [
+    ("fasten_painting", {"pipeline-weight": 1e308}, "pipeline-weight"),
+    ("fasten_painting", {"length-tie-break": -1e308}, "length-tie-break"),
+    ("fasten_painting", {"pipeline-weight": 1e308, "uncovered-penalty": 1e308},
+     "uncovered-penalty"),
+    ("request_blunt", {"feature-bonus": _MAX, "exact-bonus": _MAX}, "exact-bonus"),
 ], ids=["pipeline-weight", "length-tie-break", "uncovered-penalty", "feature-bonus"])
 @pytest.mark.parametrize("flags", [[], ["--format", "json"], ["--trace"]],
                          ids=["human", "json", "trace"])
 def test_a_config_too_large_for_the_score_arithmetic_is_a_one_line_error(
-        tmp_path, capsys, fixture, values, flags):
+        tmp_path, capsys, fixture, values, field, flags):
+    """A config past the bound on its fields is refused when it loads, with
+    the first such field in field order named."""
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"schema": "ontogen-config/1", **values}))
     argv = ["generate", "--tmr", str(fixture_path(fixture)), "--config", str(path), *flags]
     assert main(argv) == 1
     out, err = capsys.readouterr()
     assert out == ""
-    assert re.fullmatch(r"error: '[^']+' totals (inf|-inf|nan): a config weight or bonus "
-                        r"is too large for the score arithmetic\n", err)
+    assert re.fullmatch(rf"error: {re.escape(str(path))}: {field} must be at most 1e\+100 "
+                        r"in magnitude, got -?[0-9.e+]+\n", err)
 
 
 def test_a_set_cap_past_the_product_is_no_cap(tmp_path, capsys):
@@ -711,7 +728,7 @@ def test_the_plain_reader_reads_as_argparse_does_or_leaves_argv_to_it(argv):
 @pytest.mark.parametrize("argv", [
     ["generate", "--tmr", "a.json"],
     ["generate", "--format", "json", "--trace", "--tmr", "a.json", "--top", "3", "--top", "2",
-     "--dump-solutions", "--config", "c.json", "--freq", "f.json", "--out", "", "--memory", "m"],
+     "--dump-solutions", "--config", "c.json", "--freq", "f.json", "--out", "o", "--memory", "m"],
     ["strip", "--out", "b.json", "--tmr", "a.json"],
     ["validate"],
     ["validate", "--ontology", "o.json", "--lexicon", "l.json", "--tmr", "a.json"],
@@ -721,6 +738,27 @@ def test_a_well_formed_command_line_is_read_from_the_option_table(argv):
     plain = cli._read_plain(argv)
     assert plain is not None
     assert vars(plain) == _argparse_reading(argv)
+
+
+_REQUIRED = {"generate": ["--tmr", str(fixture_path("moor_ship"))],
+             "strip": ["--tmr", str(fixture_path("moor_ship"))],
+             "validate": [], "inspect": ["--concept", "HUMAN"]}
+
+
+@pytest.mark.parametrize("command, flag", [
+    *(("generate", flag) for flag in ("--ontology", "--lexicon", "--memory", "--tmr",
+                                      "--config", "--freq", "--out")),
+    ("strip", "--tmr"), ("strip", "--out"),
+    *(("validate", flag) for flag in ("--ontology", "--lexicon", "--memory", "--tmr")),
+    *(("inspect", flag) for flag in ("--ontology", "--lexicon", "--memory")),
+])
+def test_an_empty_path_is_a_usage_error(command, flag):
+    proc = run_cli(command, *_REQUIRED[command], flag, "")
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith(f"usage: ontogen {command} ")
+    assert proc.stderr.endswith(f"ontogen {command}: error: argument {flag}: "
+                                "expected a path, got ''\n")
 
 
 @pytest.mark.parametrize("argv", [

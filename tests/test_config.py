@@ -7,9 +7,19 @@ from pathlib import Path
 
 import pytest
 
-from conftest import DATA, fixture_path, load_fixture, run_cli
-from ontogen import GenerationConfig, SchemaError, engine, generate, load_config
-from ontogen.config import check_config, parse_config
+from conftest import DATA, TMR_DIR, fixture_path, load_fixture, run_cli
+from ontogen import (
+    AllSetsPruned,
+    GenerationConfig,
+    NoRealizableSense,
+    SchemaError,
+    engine,
+    generate,
+    load_config,
+    parse_tmr,
+    parse_tmr_file,
+)
+from ontogen.config import FIELD_BOUND, check_config, parse_config
 
 
 def test_the_bundled_sample_spells_out_the_defaults():
@@ -83,6 +93,48 @@ def test_a_rejected_value_is_quoted_short(fields, key):
         check_config(GenerationConfig(**fields))
     message = str(caught.value)
     assert message.startswith(f"{key} must be ") and len(message) < 100
+
+
+@pytest.mark.parametrize("tolerance", [1e-12, 5e-324])
+def test_a_value_inside_the_slack_but_past_the_tolerance_earns_no_bonus(kb, tolerance):
+    """request_polite with its POLITENESS 1e-10 short of the 1 appreciate-v8
+    declares: that still fits, inside the 1e-9 slack, but its graded bonus
+    is 0, never negative, and never the overflow of a huge factor."""
+    doc = json.loads(fixture_path("request_polite").read_text())
+    doc["frames"]["REQUEST-ACTION-1"]["POLITENESS"] = 1 - 1e-10
+    report = generate(parse_tmr(json.dumps(doc)), kb,
+                      config=GenerationConfig(feature_tolerance=tolerance))
+    top = report.sentences[0]
+    assert "REQUEST-ACTION-1=appreciate-v8" in top.signature
+    bonuses = [(entry.delta, entry.note) for _, entry in top.ledger
+               if entry.rule == "feature-match"]
+    assert bonuses == [(10, "REFUSAL-OPPORTUNITY 1 within tolerance of 1")]
+
+
+_FLOAT_FIELDS = [name for name in GenerationConfig._fields if name != "set_cap"]
+
+
+@pytest.mark.parametrize("sign", [1, -1], ids=["plus", "minus"])
+def test_every_float_field_at_the_bound_gives_finite_totals(kb, sign):
+    """Each float field at the bound, alone and all at once (feature-tolerance
+    stays positive), gives every fixture finite terms and totals, and no
+    ledger delta past the bound."""
+    bound = sign * FIELD_BOUND
+    configs = [GenerationConfig(**{name: bound}) for name in _FLOAT_FIELDS
+               if bound > 0 or name != "feature_tolerance"]
+    configs.append(GenerationConfig(**{name: bound for name in _FLOAT_FIELDS})
+                   ._replace(feature_tolerance=FIELD_BOUND))
+    history = ("Johnny jumped off the stairs.", "Tom saw Johnny.")
+    for path in sorted(TMR_DIR.glob("*.json")):
+        for config in configs:
+            try:
+                report = generate(parse_tmr_file(path), kb, config=config, history=history)
+            except (AllSetsPruned, NoRealizableSense):
+                continue
+            for s in report.sentences:
+                assert math.isfinite(s.total), (path.name, config)
+                assert all(math.isfinite(value) for _, value in s.terms)
+                assert all(abs(entry.delta) <= FIELD_BOUND for _, entry in s.ledger)
 
 
 def test_cli_config_flag_changes_the_run(tmp_path):

@@ -553,7 +553,6 @@ def test_two_knowledge_bases_in_one_process_grade_apart(kb, tmp_path):
     KB and a variant give what each KB gives loaded alone."""
     variant_paths = _variant_kb_documents(tmp_path)
     variant = load_knowledge_base(*variant_paths.values())
-    assert variant.lexicon.inverses == {"WALL": {"PART-OF"}} and kb.lexicon.inverses == {}
     texts = _isolation_texts()
     alternated = {"bundled": [], "variant": []}
     for text in texts:
@@ -567,6 +566,31 @@ def test_two_knowledge_bases_in_one_process_grade_apart(kb, tmp_path):
     assert alternated == alone
     # the variant's overrides and its PART-OF edge change what is said
     assert sum(a != b for a, b in zip(alone["bundled"], alone["variant"])) >= 2
+
+
+def _part_of_texts() -> list[str]:
+    """The walled fasten_painting, and a WALL frame part of a CITY and of a
+    PICTURE, each alone with what it is part of."""
+    return [_isolation_texts()[-1]] + [
+        json.dumps({"schema": "ontogen-tmr/1", "frames": {"WALL-40": {"PART-OF": other},
+                                                          other: {}}})
+        for other in ("CITY-1", "PICTURE-1")]
+
+
+def test_a_relation_is_read_whatever_its_spelling(tmp_path):
+    """Only the case roles' inverses are inverse slots: PART-OF, renamed
+    PARTOF in the KB and the meaning alike, gives the same reports."""
+    paths = _variant_kb_documents(tmp_path)
+    renamed = tmp_path / "renamed"
+    renamed.mkdir()
+    for path in paths.values():
+        (renamed / path.name).write_text(path.read_text().replace("PART-OF", "PARTOF"))
+    dashed = load_knowledge_base(*paths.values())
+    undashed = load_knowledge_base(*(renamed / path.name for path in paths.values()))
+    for text in _part_of_texts():
+        renamed_reports = _reports(undashed, [text.replace("PART-OF", "PARTOF")])
+        assert _reports(dashed, [text]) == [r.replace("PARTOF", "PART-OF")
+                                            for r in renamed_reports]
 
 
 def test_parse_constraint_forms():

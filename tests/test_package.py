@@ -183,6 +183,31 @@ def test_only_the_boundary_names_a_document():
     assert naming == _NAMING
 
 
+def _docstrings(tree: ast.AST) -> set[ast.AST]:
+    """The constant nodes that are the docstrings of a module, class or function."""
+    return {node.body[0].value for node in ast.walk(tree)
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                                 ast.AsyncFunctionDef))
+            and node.body and isinstance(node.body[0], ast.Expr)
+            and isinstance(node.body[0].value, ast.Constant)}
+
+
+def test_only_tmr_spells_an_inverse_slot():
+    """No string outside tmr.py, docstrings excepted, contains "-OF": which
+    slots are inverses is decided by tmr.INVERSES alone, never by a slot's
+    spelling."""
+    spelled = []
+    for path in sorted(Path(ontogen.__file__).parent.glob("*.py")):
+        if path.name == "tmr.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        docstrings = _docstrings(tree)
+        spelled += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                    if isinstance(node, ast.Constant) and isinstance(node.value, str)
+                    and "-OF" in node.value and node not in docstrings]
+    assert spelled == []
+
+
 def test_selection_grades_only_through_the_load_time_tables():
     """pipeline.py imports, reads or looks up none of the functions that
     work out a degree, so semantic pruning reads each slot's grade from its

@@ -13,6 +13,7 @@ from genscen import build_attached_family, rank_every_set, ranked_rows
 from ontogen import (
     AllSetsPruned,
     NoRealizableSense,
+    OntogenError,
     generate,
     knowledge,
     load_knowledge_base,
@@ -601,8 +602,9 @@ def test_an_unreached_frame_needs_no_sense(kb):
 
 
 def test_an_inverse_slot_a_sense_binds_is_followed(tmp_path):
-    """A sense that binds an -OF slot puts that slot's filler in the
-    sentence, so the filler's frame is reached and keeps every candidate."""
+    """A relation that a sense binds puts its filler in the sentence, so the
+    filler's frame is reached and keeps every candidate. TOPIC-OF is not a
+    case role's inverse, so it is a relation like any other slot."""
     human = {"id": "person-n1", "headword": "person", "pos": "n",
              "syn-struc": [{"cat": "n", "var": 0}], "sem-struc": {"head": "HUMAN", "slots": {}}}
     kb = make_kb(tmp_path, ontology={"concepts": {
@@ -630,6 +632,29 @@ def test_an_inverse_slot_a_sense_binds_is_followed(tmp_path):
     report = generate(tmr, kb)
     assert len(report.sentences) == 4
     assert ranked_rows(report.sentences) == rank_every_set(tmr, kb)
+
+
+def test_a_case_role_inverse_a_noun_binds_is_followed(tmp_path):
+    """A root noun whose sense binds THEME-OF reaches the event it names:
+    that frame is a unit, and the request ends in a report or an
+    OntogenError, never in a lookup of a frame the walk left out."""
+    docs = {kind: json.loads((KB_DIR / f"{kind}.json").read_text())
+            for kind in ("ontology", "lexicon", "memory")}
+    docs["lexicon"]["senses"].append(
+        {"id": "hanging-n1", "headword": "hanging", "pos": "n",
+         "syn-struc": [{"cat": "n", "var": 0}, {"cat": "prep", "var": 1, "root": ["by"]},
+                       {"cat": "n", "var": 2}],
+         "sem-struc": {"head": "PICTURE", "slots": {"THEME-OF": {"var": 2}}}})
+    kb = make_kb(tmp_path, **docs)
+    tmr = _dict_tmr({"PICTURE-1": {"THEME-OF": ["FASTEN-1"]},
+                     "FASTEN-1": {"AGENT": "HUMAN-104", "THEME": "PICTURE-1",
+                                  "SOURCE": "FASTEN-1"},
+                     "HUMAN-104": {}})
+    assert "FASTEN-1" in {unit.key for unit in _extract(tmr, kb)}
+    try:
+        generate(tmr, kb)
+    except OntogenError:
+        pass
 
 
 # --- stage 6: synonym expansion ----------------------------------------------

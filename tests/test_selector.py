@@ -9,8 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import fixture_path, load_fixture
-from ontogen import (FrequencyTable, GenerationConfig, OntogenError, SchemaError, generate,
-                     selector)
+from ontogen import FrequencyTable, GenerationConfig, SchemaError, generate, selector
 from ontogen.cli import main
 from ontogen.knowledge import identity_problem
 from ontogen.pipeline import CandidateSense, CandidateSet, run_lexical_selection
@@ -250,18 +249,21 @@ def test_history_penalty_reranks_a_repeated_name(kb):
 
 # --- ordering -----------------------------------------------------------------------
 
-@pytest.mark.parametrize("name, config, total", [
-    ("fasten_painting", GenerationConfig(pipeline_weight=1e308), "inf"),
-    ("fasten_painting", GenerationConfig(pipeline_weight=1e308, length_tie_break=1e308), "nan"),
+@pytest.mark.parametrize("name, config, message", [
+    ("fasten_painting", GenerationConfig(pipeline_weight=1e308),
+     "pipeline-weight must be at most 1e+100 in magnitude, got 1e+308"),
+    ("fasten_painting", GenerationConfig(pipeline_weight=1e308, length_tie_break=1e308),
+     "pipeline-weight must be at most 1e+100 in magnitude, got 1e+308"),
     ("request_blunt", GenerationConfig(feature_bonus=sys.float_info.max,
-                                       exact_bonus=sys.float_info.max), "inf"),
-], ids=["infinite", "not-a-number", "feature-bonus"])
-def test_a_total_that_is_not_finite_is_an_error_naming_its_sentence(kb, name, config, total):
-    with pytest.raises(OntogenError) as caught:
+                                       exact_bonus=sys.float_info.max),
+     "exact-bonus must be at most 1e+100 in magnitude, got 1.7976931348623157e+308"),
+], ids=["one-weight", "two-weights", "two-bonuses"])
+def test_a_config_past_the_score_bound_is_an_error_naming_its_field(kb, name, config, message):
+    """The weights and bonuses that would take a total out of the float
+    range are refused before any scoring, by the first field past the bound."""
+    with pytest.raises(SchemaError) as caught:
         generate(load_fixture(name), kb, config=config)
-    assert type(caught.value) is OntogenError
-    assert re.fullmatch(rf"'[^']+' totals {total}: a config weight or bonus is too large "
-                        "for the score arithmetic", str(caught.value))
+    assert str(caught.value) == message
 
 
 def test_ranks_are_contiguous_and_order_is_total_then_text(kb):
